@@ -1,6 +1,7 @@
 #include "api/api.hpp"
 
 #include <exception>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -10,15 +11,6 @@
 namespace rfn::api {
 
 namespace {
-
-std::string join_semicolon(const std::vector<std::string>& parts) {
-  std::string s;
-  for (const auto& p : parts) {
-    if (!s.empty()) s += "; ";
-    s += p;
-  }
-  return s;
-}
 
 // --- strict-codec helpers: every shape error names the offending key -------
 
@@ -214,7 +206,6 @@ json::Value VerifyRequest::to_json() const {
   sess.set("workers", session_workers);
   sess.set("batch-budget-ms", batch_budget_ms);
   sess.set("reuse", reuse);
-  sess.set("batch", batch);
   o.set("session", std::move(sess));
 
   o.set("certify", certify);
@@ -354,8 +345,6 @@ bool parse_session(const json::Value& v, VerifyRequest* out,
       if (!want_double(val, ctx, &out->batch_budget_ms, error)) return false;
     } else if (key == "reuse") {
       if (!want_bool(val, ctx, &out->reuse, error)) return false;
-    } else if (key == "batch") {
-      if (!want_bool(val, ctx, &out->batch, error)) return false;
     } else {
       *error = "unknown key 'session." + key + "'";
       return false;
@@ -739,7 +728,7 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   *out = RunOutput{};
   const std::vector<std::string> errors = req.validate();
   if (!errors.empty()) {
-    *error = "invalid options: " + join_semicolon(errors);
+    *error = "invalid options: " + join_errors(errors);
     return false;
   }
   std::vector<PropertyRequest> props;
@@ -755,10 +744,21 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   sopt.batch_budget_ms = req.batch_budget_ms;
   sopt.reuse = req.reuse;
   sopt.shared_cache = warm;
-  if (sink != nullptr && stream_properties)
-    sopt.on_property = [sink](const PropertyResult& r) {
-      sink->record(property_json(r));
-    };
+  // One property's records: the property record, then the iteration records
+  // of the engine run that answered it. Clustered members of one shared run
+  // hold copies of the same RfnResult (same cluster, same metrics epoch);
+  // that run's iterations go out once, under the first member written. The
+  // file and streaming modes both write through this.
+  std::set<std::pair<size_t, uint64_t>> shared_runs;
+  const auto write_property = [&](const PropertyResult& r) {
+    sink->record(property_json(r));
+    if (r.clustered &&
+        !shared_runs.insert({r.cluster, r.stats.metrics_epoch}).second)
+      return;
+    for (size_t i = 0; i < r.stats.per_iteration.size(); ++i)
+      sink->record(iteration_json(r.name, i, r.stats.per_iteration[i]));
+  };
+  if (sink != nullptr && stream_properties) sopt.on_property = write_property;
 
   // The batch summary diffs the process-global registry against this
   // baseline. With one run per process (the CLI) the diff is exactly this
@@ -792,12 +792,10 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   }
 
   if (sink != nullptr) {
-    // Streaming mode already emitted each property record as its verdict
-    // landed (completion order); the file mode emits post-run in request
-    // order — the historical --trace-json byte layout.
+    // Streaming mode already wrote each property as its verdict landed
+    // (completion order); the file mode writes post-run in request order.
     if (!stream_properties)
-      for (const PropertyResult& r : out->results)
-        sink->record(property_json(r));
+      for (const PropertyResult& r : out->results) write_property(r);
     for (const CertificateRecord& rec : out->cert_records)
       sink->record(certificate_json(rec));
     sink->record(batch_summary_json(out->results, out->clusters, out->seconds,
@@ -843,13 +841,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
     }
   }
   return true;
-}
-
-RfnResult run_single(const Netlist& m, GateId bad, const RfnOptions& opt) {
-  // Equivalent to a fresh RfnVerifier (its initial-register seeding is a
-  // no-op on the first run, and validated options never carry the
-  // traces_per_iteration == 0 case its clamp exists for).
-  return run_property(m, bad, opt);
 }
 
 }  // namespace rfn::api

@@ -84,7 +84,7 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 ///               "workers":..,"engines":["bdd",..],"approx-fallback":..,
 ///               "budget-ms":..,"budget-bdd-nodes":..,"budget-mem-mb":..},
 ///    "session":{"cluster-overlap":..,"max-cluster":..,"workers":..,
-///               "batch-budget-ms":..,"reuse":..,"batch":..},
+///               "batch-budget-ms":..,"reuse":..},
 ///    "certify":..,"inline-certificates":..}
 ///
 /// Every field except "type"/"version"/"design" is optional and defaults as
@@ -107,8 +107,6 @@ struct VerifyRequest {
   size_t session_workers = 0;
   double batch_budget_ms = -1.0;
   bool reuse = true;
-  /// Forces the session path (and rfn-trace-v2) even for one property.
-  bool batch = false;
   /// Certify every conclusive verdict through the independent SAT checker.
   bool certify = false;
   /// Ship each built rfn-cert-v1 document inline in the response.
@@ -237,13 +235,15 @@ struct RunOutput {
   MetricsSnapshot baseline;
 };
 
-/// The one shared run path: validate → resolve properties → VerifySession →
-/// certify → emit rfn-trace-v2 through `sink` (null skips emission).
+/// The one run path, for a single property as for a suite: validate →
+/// resolve properties → VerifySession → certify → emit rfn-trace-v2 through
+/// `sink` (null skips emission).
 ///
-/// `stream_properties` false (the CLI) emits property records post-run in
-/// request order — byte-identical to the historical write_batch_trace_json
-/// file. True (the server) emits each property record as its verdict lands
-/// (completion order), then certificates and the batch summary post-run.
+/// Each property record is followed by the iteration records of the run
+/// that answered it (once per shared run; see core/trace_json.hpp).
+/// `stream_properties` false (the CLI) emits them post-run in request
+/// order; true (the server) emits them as each verdict lands (completion
+/// order). Certificates and the batch summary follow post-run either way.
 ///
 /// `warm` (optional) is the server's per-design warm cache entry, passed to
 /// SessionOptions::shared_cache; honored only when session_workers == 0.
@@ -253,10 +253,5 @@ struct RunOutput {
 bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
                 TraceSink* sink, bool stream_properties, ReuseCache* warm,
                 RunOutput* out, std::string* error);
-
-/// The legacy single-property path (rfn-trace-v1): one run_property call
-/// with no session machinery, exactly what `rfn verify` without a batch
-/// does. RfnResult::final_registers feeds certification.
-RfnResult run_single(const Netlist& m, GateId bad, const RfnOptions& opt);
 
 }  // namespace rfn::api

@@ -46,9 +46,8 @@ CertificateBuild build_holds_certificate(const Netlist& m, GateId bad,
   if (bad_new == kNullGate)
     return failed(std::move(res), "property signal missing from the abstraction");
 
-  // Recompute the fixpoint on the abstraction — the same recipe as
-  // core/certify.hpp, deliberately not reusing any state from the run that
-  // produced the verdict.
+  // Recompute the fixpoint on the abstraction, deliberately not reusing any
+  // state from the run that produced the verdict.
   BddMgr mgr;
   Encoder enc(mgr, sub.net);
   mgr.set_auto_reorder(true);

@@ -2,9 +2,9 @@
 // Certificate construction: turns a concluded verdict into a checkable
 // rfn-cert-v1 witness (cert/format.hpp).
 //
-//   * Holds — the fixpoint on the final abstraction is recomputed (same
-//     recipe as core/certify.hpp) and its complement enumerated as an
-//     irredundant cube cover (BddMgr::isop_cover); each cube, negated and
+//   * Holds — the fixpoint on the final abstraction is recomputed from
+//     scratch (a fresh BDD manager, no state from the run that produced the
+//     verdict) and its complement enumerated as an irredundant cube cover (BddMgr::isop_cover); each cube, negated and
 //     mapped from state variables back to original register ids, becomes
 //     one clause of the inductive invariant.
 //   * Fails — the error trace is embedded verbatim.
@@ -79,7 +79,7 @@ struct CertificateArtifact {
 /// cert::check_certificate. Records cert.* metrics: counters cert.built /
 /// cert.build_failed / cert.check_ok / cert.check_failed / cert.clauses,
 /// timers cert.build / cert.check. Inconclusive verdicts return an
-/// unbuilt artifact with a diagnostic, mirroring core/certify.hpp.
+/// unbuilt artifact with a diagnostic: they carry no certificate.
 /// `pdr_invariant` (optional): when present and the verdict is Holds, the
 /// witness comes from the PDR frame instead of a recomputed BDD fixpoint —
 /// the self-check through the independent checker still runs either way.

@@ -63,6 +63,15 @@ std::vector<std::string> RfnOptions::validate() const {
   return errors;
 }
 
+std::string join_errors(const std::vector<std::string>& errors) {
+  std::string s;
+  for (const std::string& e : errors) {
+    if (!s.empty()) s += "; ";
+    s += e;
+  }
+  return s;
+}
+
 RfnVerifier::RfnVerifier(const Netlist& m, GateId bad, RfnOptions opt)
     : m_(&m), bad_(bad), opt_(std::move(opt)) {
   RFN_CHECK(bad < m.size(), "bad signal out of range");
@@ -70,17 +79,14 @@ RfnVerifier::RfnVerifier(const Netlist& m, GateId bad, RfnOptions opt)
 }
 
 RfnResult RfnVerifier::run() {
-  // One-request path through the session engine (core/session.hpp). Two
-  // compatibility details of the historical interface are preserved here:
-  // traces_per_iteration == 0 behaves as 1 (the session and CLI entry points
-  // reject it via validate() instead of clamping), and the current included
-  // set seeds the run, so calling run() again resumes from the previous
-  // run's refined abstraction rather than starting over.
-  RfnOptions opt = opt_;
-  opt.traces_per_iteration = std::max<size_t>(1, opt.traces_per_iteration);
+  // One-request path through the session engine (core/session.hpp). The
+  // current included set seeds the run, so calling run() again resumes from
+  // the previous run's refined abstraction rather than starting over.
+  const std::vector<std::string> errors = opt_.validate();
+  RFN_CHECK(errors.empty(), "invalid options: %s", join_errors(errors).c_str());
   RunHooks hooks;
   hooks.seed_registers = &included_;
-  RfnResult result = run_property(*m_, bad_, opt, hooks);
+  RfnResult result = run_property(*m_, bad_, opt_, hooks);
   included_ = result.final_registers;
   return result;
 }

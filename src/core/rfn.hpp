@@ -128,12 +128,14 @@ struct RfnOptions {
   bool sample_rss = false;
 
   /// Checks the options for consistency and returns human-readable errors
-  /// (empty = valid) instead of clamping silently at run time. The CLI and
-  /// VerifySession reject invalid options up front with these messages;
-  /// RfnVerifier::run() keeps its historical clamping (see run()) so the
-  /// compatibility path behaves exactly as before.
+  /// (empty = valid) instead of clamping silently at run time. Front doors
+  /// (api::run_verify) report these messages; VerifySession::run() and
+  /// RfnVerifier::run() abort with them.
   std::vector<std::string> validate() const;
 };
+
+/// Joins validate() messages into one "; "-separated diagnostic line.
+std::string join_errors(const std::vector<std::string>& errors);
 
 struct RfnIteration {
   size_t abstract_regs = 0;
@@ -244,6 +246,8 @@ class RfnVerifier {
   /// whose output (or state) is `bad` (paper Section 3).
   RfnVerifier(const Netlist& m, GateId bad, RfnOptions opt = {});
 
+  /// Runs (or, on a second call, resumes) the verification. Aborts with
+  /// the RfnOptions::validate() messages on invalid options.
   RfnResult run();
 
   /// The included register set after run() (the final abstract model).

@@ -798,15 +798,6 @@ void apply_fair_share(RfnOptions& opt, double share_ms, size_t props_covered) {
                                       : run_budget;
 }
 
-std::string join_errors(const std::vector<std::string>& errors) {
-  std::string s;
-  for (const auto& e : errors) {
-    if (!s.empty()) s += "; ";
-    s += e;
-  }
-  return s;
-}
-
 }  // namespace
 
 VerifySession::VerifySession(const Netlist& m, SessionOptions opt)

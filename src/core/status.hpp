@@ -8,7 +8,7 @@
 // hand-rolled in three .cpp files; they live here as `to_string` overloads
 // so a renamed state cannot drift between the JSON schema and the console.
 //
-// The strings are part of the rfn-trace-v1/v2 schemas and of the bench
+// The strings are part of the rfn-trace-v2 schema and of the bench
 // tables quoted in EXPERIMENTS.md; changing one is a schema change.
 
 #include "atpg/comb_atpg.hpp"

@@ -4,10 +4,12 @@
 
 namespace rfn {
 
-json::Value iteration_json(size_t index, const RfnIteration& it) {
+json::Value iteration_json(const std::string& property, size_t index,
+                           const RfnIteration& it) {
   using json::Value;
   Value o = Value::object();
   o.set("type", "iteration");
+  o.set("property", property);
   o.set("iter", index);
 
   Value abstraction = Value::object();
@@ -96,40 +98,6 @@ json::Value iteration_json(size_t index, const RfnIteration& it) {
   return o;
 }
 
-json::Value summary_json(const RfnResult& res) {
-  using json::Value;
-  Value o = Value::object();
-  o.set("type", "summary");
-  o.set("trace_version", "rfn-trace-v1");
-  o.set("verdict", to_string(res.verdict));
-  o.set("iterations", res.iterations);
-  o.set("final_abstract_regs", res.final_abstract_regs);
-  o.set("error_trace_cycles", res.error_trace.cycles());
-  o.set("seconds", res.seconds);
-  o.set("cpu_seconds", res.cpu_seconds);
-  o.set("note", res.note);
-  if (res.budget_trip.tripped) {
-    Value trip = Value::object();
-    trip.set("reason", res.budget_trip.reason);
-    trip.set("at_seconds", res.budget_trip.at_seconds);
-    trip.set("bdd_nodes", res.budget_trip.bdd_nodes);
-    trip.set("rss_bytes", res.budget_trip.rss_bytes);
-    o.set("budget_trip", std::move(trip));
-  }
-  // The registry is process-global; serializing against the run's baseline
-  // keeps the summary scoped to this run even with several runs per process.
-  o.set("metrics_epoch", res.metrics_epoch);
-  o.set("metrics",
-        MetricsRegistry::global().to_json(&res.metrics_baseline));
-  return o;
-}
-
-void write_trace_json(std::ostream& os, const RfnResult& res) {
-  for (size_t i = 0; i < res.per_iteration.size(); ++i)
-    os << iteration_json(i, res.per_iteration[i]).dump() << "\n";
-  os << summary_json(res).dump() << "\n";
-}
-
 json::Value property_json(const PropertyResult& r) {
   using json::Value;
   Value o = Value::object();
@@ -209,22 +177,6 @@ json::Value batch_summary_json(const std::vector<PropertyResult>& results,
   o.set("seconds", seconds);
   o.set("metrics", MetricsRegistry::global().to_json(baseline));
   return o;
-}
-
-void write_batch_trace_json(std::ostream& os,
-                            const std::vector<PropertyResult>& results,
-                            size_t num_clusters, double seconds,
-                            const MetricsSnapshot* baseline,
-                            const std::vector<CertificateRecord>* certificates) {
-  for (const PropertyResult& r : results)
-    os << property_json(r).dump() << "\n";
-  if (certificates != nullptr)
-    for (const CertificateRecord& r : *certificates)
-      os << certificate_json(r).dump() << "\n";
-  os << batch_summary_json(results, num_clusters, seconds, baseline,
-                           certificates)
-            .dump()
-     << "\n";
 }
 
 }  // namespace rfn

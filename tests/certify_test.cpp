@@ -1,9 +1,10 @@
-// Tests for independent verdict certification: the in-process recompute
-// path (core/certify.hpp) and the rfn-cert-v1 witness spec — JSON
-// round-trips, the three checker obligations on every builtin design, and
-// tampered witnesses refused with the right obligation named.
+// Tests for independent verdict certification through the rfn-cert-v1
+// witness path (core/certificate.hpp + cert/check.hpp): every verdict kind
+// certified or refused, JSON round-trips, the three checker obligations on
+// every builtin design, and tampered witnesses refused with the right
+// obligation named.
 
-#include "core/certify.hpp"
+#include "core/certificate.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 
 #include "cert/check.hpp"
 #include "cert/format.hpp"
-#include "core/certificate.hpp"
 #include "designs/builtin.hpp"
 #include "netlist/analysis.hpp"
 #include "netlist/builder.hpp"
@@ -33,14 +33,23 @@ Netlist make_chain(size_t len, bool driver_is_input, GateId* bad_out) {
   return n;
 }
 
+/// Builds and checks the witness for `verdict` on `m` (no file I/O).
+CertificateArtifact certify(const Netlist& m, GateId bad, Verdict verdict,
+                            const Trace& trace,
+                            const std::vector<GateId>& final_registers) {
+  return certify_with_witness(m, bad, "bad", verdict, trace, final_registers);
+}
+
 TEST(Certify, HoldsVerdictIsCertified) {
   GateId bad;
   Netlist m = make_chain(4, false, &bad);
   RfnVerifier rfn(m, bad);
   const RfnResult res = rfn.run();
   ASSERT_EQ(res.verdict, Verdict::Holds);
-  const CertifyResult cert = certify(m, bad, res, rfn.abstract_registers());
-  EXPECT_TRUE(cert.ok) << cert.detail;
+  const CertificateArtifact art =
+      certify(m, bad, res.verdict, res.error_trace, rfn.abstract_registers());
+  EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
+  EXPECT_EQ(art.certificate.kind, cert::CertKind::HoldsInvariant);
 }
 
 TEST(Certify, FailsVerdictIsCertified) {
@@ -49,8 +58,10 @@ TEST(Certify, FailsVerdictIsCertified) {
   RfnVerifier rfn(m, bad);
   const RfnResult res = rfn.run();
   ASSERT_EQ(res.verdict, Verdict::Fails);
-  const CertifyResult cert = certify(m, bad, res, rfn.abstract_registers());
-  EXPECT_TRUE(cert.ok) << cert.detail;
+  const CertificateArtifact art =
+      certify(m, bad, res.verdict, res.error_trace, rfn.abstract_registers());
+  EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
+  EXPECT_EQ(art.certificate.kind, cert::CertKind::FailsTrace);
 }
 
 TEST(Certify, RejectsBogusTrace) {
@@ -60,9 +71,11 @@ TEST(Certify, RejectsBogusTrace) {
   Trace bogus;
   bogus.steps.resize(4);
   for (auto& step : bogus.steps) step.inputs = {{m.find("in"), false}};
-  const CertifyResult cert = certify_error_trace(m, bogus, bad);
-  EXPECT_FALSE(cert.ok);
-  EXPECT_FALSE(cert.detail.empty());
+  const CertificateArtifact art = certify(m, bad, Verdict::Fails, bogus, {});
+  ASSERT_TRUE(art.built) << art.detail;
+  EXPECT_FALSE(art.checked);
+  EXPECT_EQ(art.obligation, cert::kObligationTraceReplay);
+  EXPECT_FALSE(art.detail.empty());
 }
 
 TEST(Certify, RejectsTraceStartingOutsideInit) {
@@ -71,25 +84,51 @@ TEST(Certify, RejectsTraceStartingOutsideInit) {
   Trace bogus;
   bogus.steps.resize(1);
   bogus.steps[0].state = {{m.find("r1"), true}};  // r1 inits to 0
-  const CertifyResult cert = certify_error_trace(m, bogus, bad);
-  EXPECT_FALSE(cert.ok);
+  const CertificateArtifact art = certify(m, bad, Verdict::Fails, bogus, {});
+  ASSERT_TRUE(art.built) << art.detail;
+  EXPECT_FALSE(art.checked);
+  EXPECT_EQ(art.obligation, cert::kObligationTraceReplay);
 }
 
 TEST(Certify, RejectsNonInvariantAbstraction) {
   // The one-register abstraction of the falsifiable chain cannot certify a
-  // Holds verdict: its "fixpoint" includes bad states.
+  // Holds verdict: its "fixpoint" includes bad states, so no witness is
+  // built from it.
   GateId bad;
   Netlist m = make_chain(3, true, &bad);
-  const CertifyResult cert = certify_holds(m, bad, {m.find("r2")});
-  EXPECT_FALSE(cert.ok);
+  const GateId r2 = m.find("r2");
+  const CertificateArtifact art = certify(m, bad, Verdict::Holds, {}, {r2});
+  EXPECT_FALSE(art.built);
+  EXPECT_FALSE(art.checked);
+  EXPECT_NE(art.detail.find("intersects the bad states"), std::string::npos)
+      << art.detail;
+
+  // A hand-made witness over the same scope, {¬r2}, holds initially and
+  // excludes bad, but r2 takes the free r1 next cycle: the independent
+  // checker refutes consecution.
+  cert::Certificate c;
+  c.kind = cert::CertKind::HoldsInvariant;
+  c.design_hash = design_hash(m);
+  c.design_regs = m.num_regs();
+  c.design_inputs = m.num_inputs();
+  c.design_gates = m.num_gates();
+  c.property_name = "bad";
+  c.bad = bad;
+  c.registers = {r2};
+  c.clauses = {{-1}};
+  const cert::CheckResult chk = cert::check_certificate(m, c);
+  EXPECT_FALSE(chk.ok);
+  EXPECT_EQ(chk.obligation, cert::kObligationConsecution) << chk.detail;
 }
 
 TEST(Certify, UnknownIsNeverCertified) {
   GateId bad;
   Netlist m = make_chain(2, false, &bad);
-  RfnResult unknown;
-  unknown.verdict = Verdict::Unknown;
-  EXPECT_FALSE(certify(m, bad, unknown, {}).ok);
+  for (const Verdict v : {Verdict::Unknown, Verdict::ResourceOut}) {
+    const CertificateArtifact art = certify(m, bad, v, {}, m.regs());
+    EXPECT_FALSE(art.built);
+    EXPECT_FALSE(art.checked);
+  }
 }
 
 // --- rfn-cert-v1 witness spec ---

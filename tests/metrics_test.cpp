@@ -195,8 +195,9 @@ TEST(Json, ParserRejectsTrailingGarbage) {
 
 #ifdef RFN_CLI_PATH
 // Golden-schema check: run the real CLI on the committed demo design and
-// validate the --trace-json document shape (one iteration object per CEGAR
-// iteration plus a final summary carrying the registry dump).
+// validate the --trace-json document shape (the property record, one
+// iteration record per CEGAR iteration, then the batch summary carrying the
+// registry dump).
 TEST(TraceJson, CliGoldenSchema) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
   const std::string out = ::testing::TempDir() + "/trace.jsonl";
@@ -214,19 +215,29 @@ TEST(TraceJson, CliGoldenSchema) {
     lines.push_back(json::parse(line, &err));
     ASSERT_TRUE(err.empty()) << err << " in: " << line;
   }
-  ASSERT_GE(lines.size(), 2u);  // at least one iteration + the summary
+  // The property, at least one iteration, and the summary.
+  ASSERT_GE(lines.size(), 3u);
+  const size_t iterations = lines.size() - 2;
 
-  for (size_t i = 0; i + 1 < lines.size(); ++i) {
-    const json::Value& it = lines[i];
+  const json::Value& prop = lines.front();
+  ASSERT_EQ(prop.find("type")->as_string(), "property");
+  EXPECT_EQ(prop.find("name")->as_string(), "bad_q");
+  EXPECT_EQ(prop.find("verdict")->as_string(), "T");  // demo.v holds
+  EXPECT_EQ(prop.find("iterations")->as_uint(), iterations);
+
+  for (size_t i = 0; i < iterations; ++i) {
+    const json::Value& it = lines[i + 1];
     ASSERT_EQ(it.find("type")->as_string(), "iteration") << "line " << i;
+    EXPECT_EQ(it.find("property")->as_string(), "bad_q");
     EXPECT_EQ(it.find("iter")->as_uint(), i);
     for (const char* key : {"abstraction", "reach", "bdd", "hybrid",
-                            "concretize", "sat", "refine", "engines"})
+                            "concretize", "sat", "pdr", "refine", "engines"})
       ASSERT_NE(it.find(key), nullptr) << key << " missing at line " << i;
     EXPECT_GE(it.find_path("abstraction.regs")->as_uint(), 1u);
     EXPECT_GT(it.find_path("bdd.peak_nodes")->as_uint(), 0u);
     for (const char* key : {"sat.conflicts", "sat.depth", "sat.core_size",
-                            "refine.hint_candidates"})
+                            "refine.hint_candidates",
+                            "refine.shrunk_registers"})
       ASSERT_NE(it.find_path(key), nullptr) << key << " missing at line " << i;
     ASSERT_NE(it.find_path("engines.abstract.winner"), nullptr);
     ASSERT_NE(it.find_path("engines.abstract.seconds"), nullptr);
@@ -234,18 +245,37 @@ TEST(TraceJson, CliGoldenSchema) {
   }
 
   const json::Value& summary = lines.back();
-  ASSERT_EQ(summary.find("type")->as_string(), "summary");
-  EXPECT_EQ(summary.find("trace_version")->as_string(), "rfn-trace-v1");
-  EXPECT_EQ(summary.find("verdict")->as_string(), "T");  // demo.v holds
-  EXPECT_EQ(summary.find("iterations")->as_uint(), lines.size() - 1);
+  ASSERT_EQ(summary.find("type")->as_string(), "batch-summary");
+  EXPECT_EQ(summary.find("trace_version")->as_string(), "rfn-trace-v2");
+  EXPECT_EQ(summary.find("properties")->as_uint(), 1u);
   const json::Value* metrics = summary.find("metrics");
   ASSERT_NE(metrics, nullptr);
   for (const char* key : {"counters", "gauges", "timers"})
     ASSERT_NE(metrics->find(key), nullptr) << key;
   // The run must have recorded CEGAR iterations and at least one race.
   EXPECT_EQ(metrics->find("counters")->find("rfn.iterations")->as_uint(),
-            lines.size() - 1);
+            iterations);
   EXPECT_GE(metrics->find("counters")->find("portfolio.races")->as_uint(), 1u);
+  std::remove(out.c_str());
+}
+
+// The flags of the old single-property path are refused as usage errors
+// rather than ignored: --cert-out used to imply certification, so a silent
+// exit 0 would read as a certified verdict.
+TEST(TraceJson, CliRejectsRemovedFlags) {
+  const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
+  const std::string out = ::testing::TempDir() + "/removed_flag.out";
+  for (const char* flag : {"--cert-out x.json", "--aiger-witness x.wit",
+                           "--batch"}) {
+    const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
+                            " --bad bad_q " + flag + " > /dev/null 2> " + out;
+    const int rc = std::system(cmd.c_str());
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd;
+    std::ifstream in(out);
+    std::stringstream err;
+    err << in.rdbuf();
+    EXPECT_NE(err.str().find("was removed"), std::string::npos) << err.str();
+  }
   std::remove(out.c_str());
 }
 #endif  // RFN_CLI_PATH

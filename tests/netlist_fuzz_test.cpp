@@ -31,7 +31,6 @@
 #include "cert/format.hpp"
 #include "core/bfs_baseline.hpp"
 #include "core/certificate.hpp"
-#include "core/certify.hpp"
 #include "core/portfolio.hpp"
 #include "core/rfn.hpp"
 #include "mc/image.hpp"
@@ -206,7 +205,9 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
         EXPECT_EQ(r.trace.cycles(), r.depth);
         EXPECT_EQ(simulate_trace(m, r.trace, bad), Tri::T)
             << "SAT BMC trace does not replay";
-        EXPECT_TRUE(certify_error_trace(m, r.trace, bad).ok)
+        EXPECT_TRUE(certify_with_witness(m, bad, "bad", Verdict::Fails,
+                                         r.trace, {})
+                        .checked)
             << "SAT BMC trace fails certification";
       }
     } else {

@@ -14,7 +14,6 @@
 
 #include "cert/check.hpp"
 #include "core/certificate.hpp"
-#include "core/certify.hpp"
 #include "core/refine.hpp"
 #include "core/rfn.hpp"
 #include "designs/builtin.hpp"
@@ -94,10 +93,12 @@ TEST(Pdr, CexTraceReplaysToBad) {
   ASSERT_EQ(res.status, PdrStatus::Cex);
   ASSERT_FALSE(res.trace.steps.empty());
   // The trace is in original-design ids: plain 3-valued replay must raise
-  // bad at the final cycle, and the independent trace certifier agrees.
+  // bad at the final cycle, and the independent checker accepts it as a
+  // fails-trace witness.
   EXPECT_EQ(simulate_trace(m, res.trace, bad), Tri::T);
-  const CertifyResult cert = certify_error_trace(m, res.trace, bad);
-  EXPECT_TRUE(cert.ok) << cert.detail;
+  const CertificateArtifact art =
+      certify_with_witness(m, bad, "bad", Verdict::Fails, res.trace, {});
+  EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
 }
 
 TEST(Pdr, PseudoInputAbstractionFindsSpuriousCex) {
@@ -187,8 +188,9 @@ TEST(Pdr, SessionPdrOnlyFindsConcreteCex) {
   RfnVerifier rfn(m, bad, opt);
   const RfnResult res = rfn.run();
   ASSERT_EQ(res.verdict, Verdict::Fails);
-  const CertifyResult cert = certify_error_trace(m, res.error_trace, bad);
-  EXPECT_TRUE(cert.ok) << cert.detail;
+  const CertificateArtifact art = certify_with_witness(
+      m, bad, "bad", res.verdict, res.error_trace, rfn.abstract_registers());
+  EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
 }
 
 TEST(Refine, ShrinkDropsNonCoreAndMarksSticky) {

@@ -338,22 +338,24 @@ TEST(ResourceOut, MemBudgetDegradesRunDeterministically) {
     EXPECT_GE(res.budget_trip.rss_bytes, int64_t{1} << 20);
     EXPECT_LT(res.seconds, 30.0);  // degradation must be prompt
 
-    const json::Value summary = summary_json(res);
-    EXPECT_EQ(summary.find("verdict")->as_string(), "resource-out");
-    EXPECT_EQ(summary.find_path("budget_trip.reason")->as_string(),
-              "mem-budget");
-    EXPECT_GE(summary.find_path("budget_trip.rss_bytes")->as_double(),
+    PropertyResult pr;
+    pr.name = "bad";
+    pr.verdict = res.verdict;
+    pr.stats = res;
+    const json::Value rec = property_json(pr);
+    EXPECT_EQ(rec.find("verdict")->as_string(), "resource-out");
+    EXPECT_EQ(rec.find_path("budget_trip.reason")->as_string(), "mem-budget");
+    EXPECT_GE(rec.find_path("budget_trip.rss_bytes")->as_double(),
               static_cast<double>(int64_t{1} << 20));
   }
 }
 
 #ifdef RFN_CLI_PATH
-std::string read_last_line(const std::string& path) {
+std::string read_first_line(const std::string& path) {
   std::ifstream in(path);
-  std::string line, last;
-  while (std::getline(in, line))
-    if (!line.empty()) last = line;
-  return last;
+  std::string line;
+  std::getline(in, line);
+  return line;
 }
 
 json::Value parse_file(const std::string& path) {
@@ -368,7 +370,7 @@ json::Value parse_file(const std::string& path) {
 
 // End-to-end --budget-mem-mb through the CLI on the committed slow design:
 // exit 1 (resource-out is inconclusive, never a crash or a hang) and the
-// tripped budget named in the rfn-trace-v2 summary.
+// tripped budget named in the rfn-trace-v2 property record.
 TEST(ProfCli, MemBudgetTripNamedInTrace) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/slow24.v";
   const std::string trace = ::testing::TempDir() + "/trace_mem.jsonl";
@@ -380,12 +382,12 @@ TEST(ProfCli, MemBudgetTripNamedInTrace) {
   EXPECT_EQ(WEXITSTATUS(rc), 1) << cmd;
 
   std::string err;
-  const json::Value summary = json::parse(read_last_line(trace), &err);
+  const json::Value prop = json::parse(read_first_line(trace), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(summary.find("verdict")->as_string(), "resource-out");
-  EXPECT_EQ(summary.find_path("budget_trip.reason")->as_string(),
-            "mem-budget");
-  EXPECT_GE(summary.find_path("budget_trip.rss_bytes")->as_double(),
+  ASSERT_EQ(prop.find("type")->as_string(), "property");
+  EXPECT_EQ(prop.find("verdict")->as_string(), "resource-out");
+  EXPECT_EQ(prop.find_path("budget_trip.reason")->as_string(), "mem-budget");
+  EXPECT_GE(prop.find_path("budget_trip.rss_bytes")->as_double(),
             static_cast<double>(int64_t{1} << 20));
   std::remove(trace.c_str());
 }

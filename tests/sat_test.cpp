@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/certify.hpp"
+#include "core/certificate.hpp"
 #include "core/rfn.hpp"
 #include "netlist/builder.hpp"
 #include "sat/bmc.hpp"
@@ -152,7 +152,8 @@ TEST(SatBmcTest, CounterDepthsMatchStateDistance) {
   EXPECT_EQ(full.depth, 4u);
   EXPECT_EQ(full.trace.cycles(), 4u);
   EXPECT_EQ(simulate_trace(m, full.trace, bad), Tri::T);
-  EXPECT_TRUE(certify_error_trace(m, full.trace, bad).ok);
+  EXPECT_TRUE(certify_with_witness(m, bad, "bad", Verdict::Fails, full.trace, {})
+                  .checked);
 
   // b1 free: bad needs only b0 = 1 with b1 chosen 1, reachable at cycle 2.
   std::vector<GateId> only_b0 = {all[0]};

@@ -409,7 +409,6 @@ json::Value fifo_request(const std::string& id, const std::string& tenant) {
     spec.signal = sig;
     req.props.push_back(spec);
   }
-  req.batch = true;
   return req.to_json();
 }
 
@@ -608,7 +607,6 @@ TEST(ServeEndToEnd, CliAndServerAgreeThroughSharedApi) {
     spec.signal = sig;
     req.props.push_back(spec);
   }
-  req.batch = true;
   api::LoadedDesign design;
   std::string error;
   ASSERT_TRUE(api::load_design(req.design, &design, &error)) << error;

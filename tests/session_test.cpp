@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
+#include "api/api.hpp"
 #include "core/status.hpp"
 #include "core/trace_json.hpp"
 #include "designs/fifo.hpp"
@@ -66,7 +66,7 @@ TEST(RfnOptionsValidate, NegativeProbeTimeAndZeroBudgets) {
 }
 
 TEST(StatusStrings, CanonicalSpellings) {
-  // These strings are part of the rfn-trace-v1/v2 schemas — changing them
+  // These strings are part of the rfn-trace-v2 schema — changing them
   // breaks every consumer (trace_report.py, bench_gate.py, the CI gate).
   EXPECT_STREQ(to_string(Verdict::Holds), "T");
   EXPECT_STREQ(to_string(Verdict::Fails), "F");
@@ -296,23 +296,99 @@ TEST(VerifySessionTest, IuCoverageRegistersShareOneCluster) {
   EXPECT_EQ(clusters[0].size(), bads.size());
 }
 
-TEST(VerifySessionTest, BatchTraceV2HasOneRecordPerProperty) {
-  const Counter c = make_counter();
-  VerifySession session(c.n, {});
-  const auto results = session.run({{"", c.bad_a, {}}, {"", c.bad_b, {}}});
+/// Runs `signals` of `n` through api::run_verify and returns the records
+/// the file sink would write (stream = false) or the server would stream.
+std::vector<json::Value> run_trace(const Netlist& n,
+                                   const std::vector<std::string>& signals,
+                                   bool stream) {
+  api::LoadedDesign design;
+  design.netlist = n;
+  api::VerifyRequest req;
+  for (const std::string& s : signals) req.props.push_back({s, s, {}, ""});
+  api::CollectTraceSink sink;
+  api::RunOutput out;
+  std::string error;
+  EXPECT_TRUE(
+      api::run_verify(design, req, &sink, stream, nullptr, &out, &error))
+      << error;
+  return sink.records();
+}
 
-  std::ostringstream os;
-  write_batch_trace_json(os, results, session.clusters().size(), 0.25);
-  std::vector<std::string> lines;
-  std::istringstream is(os.str());
-  for (std::string line; std::getline(is, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), results.size() + 1);  // N properties + summary
-  EXPECT_NE(lines[0].find("\"type\":\"property\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"name\":\"bad_a\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"verdict\":\"F\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"verdict\":\"T\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"type\":\"batch-summary\""), std::string::npos);
-  EXPECT_NE(lines[2].find("\"trace_version\":\"rfn-trace-v2\""), std::string::npos);
+std::string type_of(const json::Value& rec) {
+  return rec.find("type")->as_string();
+}
+
+TEST(VerifySessionTest, BatchTraceV2HasOneRecordPerProperty) {
+  // bad_a and bad_b share a cluster, but bad_a's failure is attributed
+  // first and bad_b is answered by a later run: each property record is
+  // followed by the iteration records of its own run.
+  const Counter c = make_counter();
+  const auto records = run_trace(c.n, {"bad_a", "bad_b"}, false);
+  ASSERT_GE(records.size(), 3u);
+  size_t props = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (type_of(records[i]) != "property") continue;
+    ++props;
+    const size_t iterations = records[i].find("iterations")->as_uint();
+    ASSERT_GE(iterations, 1u);
+    ASSERT_LT(i + iterations, records.size());
+    for (size_t k = 0; k < iterations; ++k) {
+      const json::Value& it = records[i + 1 + k];
+      ASSERT_EQ(type_of(it), "iteration");
+      EXPECT_EQ(it.find("property")->as_string(),
+                records[i].find("name")->as_string());
+      EXPECT_EQ(it.find("iter")->as_uint(), k);
+    }
+    EXPECT_NE(type_of(records[i + 1 + iterations]), "iteration");
+  }
+  EXPECT_EQ(props, 2u);
+  EXPECT_EQ(records[0].find("name")->as_string(), "bad_a");
+  EXPECT_EQ(records[0].find("verdict")->as_string(), "F");
+  EXPECT_EQ(type_of(records.back()), "batch-summary");
+  EXPECT_EQ(records.back().find("trace_version")->as_string(), "rfn-trace-v2");
+
+  // Streaming mode writes the same records (inline sessions complete in
+  // request order here).
+  const auto streamed = run_trace(c.n, {"bad_a", "bad_b"}, true);
+  ASSERT_EQ(streamed.size(), records.size());
+  for (size_t i = 0; i + 1 < records.size(); ++i) {
+    EXPECT_EQ(type_of(streamed[i]), type_of(records[i])) << i;
+    if (type_of(records[i]) == "iteration")
+      EXPECT_EQ(streamed[i].find("property")->as_string(),
+                records[i].find("property")->as_string());
+  }
+}
+
+TEST(VerifySessionTest, SharedRunIterationsWrittenOnce) {
+  // Two properties that hold with identical cones: one shared run answers
+  // both, so its iterations follow the first member only.
+  NetBuilder b;
+  const GateId en = b.input("en");
+  const Word cnt = b.reg_word("cnt", 3, 0);
+  const Word wrapped =
+      b.mux_word(b.eq_const(cnt, 5), b.inc_word(cnt), b.constant_word(0, 3));
+  b.set_next_word(cnt, b.mux_word(en, cnt, wrapped));
+  b.output("bad6", b.eq_const(cnt, 6));
+  b.output("bad7", b.eq_const(cnt, 7));
+  const Netlist n = b.take();
+
+  for (const bool stream : {false, true}) {
+    const auto records = run_trace(n, {"bad6", "bad7"}, stream);
+    ASSERT_GE(records.size(), 4u);
+    ASSERT_EQ(type_of(records[0]), "property");
+    EXPECT_TRUE(records[0].find("clustered")->as_bool());
+    EXPECT_EQ(records[0].find("verdict")->as_string(), "T");
+    const size_t iterations = records[0].find("iterations")->as_uint();
+    ASSERT_GE(iterations, 1u);
+    ASSERT_EQ(records.size(), iterations + 3) << "stream=" << stream;
+    for (size_t k = 0; k < iterations; ++k)
+      EXPECT_EQ(records[1 + k].find("property")->as_string(), "bad6");
+    const json::Value& second = records[1 + iterations];
+    ASSERT_EQ(type_of(second), "property");
+    EXPECT_EQ(second.find("name")->as_string(), "bad7");
+    EXPECT_EQ(second.find("iterations")->as_uint(), iterations);
+    EXPECT_EQ(type_of(records.back()), "batch-summary");
+  }
 }
 
 TEST(VerifySessionTest, InvalidDefaultsDie) {
@@ -321,6 +397,15 @@ TEST(VerifySessionTest, InvalidDefaultsDie) {
   sopt.defaults.traces_per_iteration = 0;
   VerifySession session(c.n, sopt);
   EXPECT_DEATH(session.run({{"", c.bad_a, {}}}), "traces_per_iteration");
+}
+
+TEST(RfnVerifierShim, InvalidOptionsDie) {
+  // RfnVerifier rejects what validate() rejects, like VerifySession.
+  const Counter c = make_counter();
+  RfnOptions opt;
+  opt.traces_per_iteration = 0;
+  RfnVerifier v(c.n, c.bad_a, opt);
+  EXPECT_DEATH(v.run(), "traces_per_iteration");
 }
 
 TEST(RfnVerifierShim, RunTwiceResumesFromRefinedAbstraction) {

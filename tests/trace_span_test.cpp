@@ -1,12 +1,13 @@
 // Span tracer + resource watchdog tests: ring-buffer balance under
 // overflow, cross-thread flow causality, watchdog budget trips (wall and
 // BDD-node), end-to-end resource-out degradation of the verifier, the
-// write_trace_json edge cases, metrics-epoch run isolation, and a
+// rfn-trace-v2 record edge cases, metrics-epoch run isolation, and a
 // golden-schema check of the CLI's --trace-spans Chrome trace export
 // (cross-validated with tools/trace_report.py when python3 is available).
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/api.hpp"
 #include "core/rfn.hpp"
 #include "core/trace_json.hpp"
 #include "netlist/builder.hpp"
@@ -263,6 +265,16 @@ Netlist holds_netlist() {
   return b.take();
 }
 
+/// A run result as the session result the rfn-trace-v2 records describe.
+PropertyResult as_property(const RfnResult& res) {
+  PropertyResult r;
+  r.name = "bad";
+  r.verdict = res.verdict;
+  r.trace = res.error_trace;
+  r.stats = res;
+  return r;
+}
+
 TEST(ResourceOut, WallBudgetDegradesRun) {
   const Netlist n = slow_counter_netlist();
   RfnOptions opt;
@@ -278,12 +290,11 @@ TEST(ResourceOut, WallBudgetDegradesRun) {
   // engine polls at step boundaries.
   EXPECT_LT(res.seconds, 30.0);
 
-  // The summary carries the trip in the JSONL trace format.
-  const json::Value summary = summary_json(res);
-  EXPECT_EQ(summary.find("verdict")->as_string(), "resource-out");
-  ASSERT_NE(summary.find("budget_trip"), nullptr);
-  EXPECT_EQ(summary.find_path("budget_trip.reason")->as_string(),
-            "wall-budget");
+  // The property record carries the trip in the JSONL trace format.
+  const json::Value rec = property_json(as_property(res));
+  EXPECT_EQ(rec.find("verdict")->as_string(), "resource-out");
+  ASSERT_NE(rec.find("budget_trip"), nullptr);
+  EXPECT_EQ(rec.find_path("budget_trip.reason")->as_string(), "wall-budget");
 }
 
 TEST(ResourceOut, NodeBudgetDegradesRunAndAnnotatesSpans) {
@@ -327,25 +338,31 @@ TEST(ResourceOut, VerdictBeforeTripIsKept) {
 }
 
 TEST(TraceJsonEdge, ZeroIterationRunWritesSummaryOnly) {
-  RfnResult res;  // default: Unknown, no iterations
-  res.note = "never ran";
-  std::ostringstream os;
-  write_trace_json(os, res);
-  std::istringstream in(os.str());
+  // The deadline expires before the first iteration: the trace holds the
+  // property record and the batch summary, and no iteration records.
+  api::LoadedDesign design;
+  design.netlist = holds_netlist();
+  api::VerifyRequest req;
+  req.options.time_limit_s = 0.0;
+  api::CollectTraceSink sink;
+  api::RunOutput out;
+  std::string error;
+  ASSERT_TRUE(api::run_verify(design, req, &sink, /*stream_properties=*/false,
+                              nullptr, &out, &error))
+      << error;
   std::vector<json::Value> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
+  for (const json::Value& rec : sink.records()) {
     std::string err;
-    lines.push_back(json::parse(line, &err));
+    lines.push_back(json::parse(rec.dump(), &err));
     ASSERT_TRUE(err.empty()) << err;
   }
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0].find("type")->as_string(), "summary");
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0].find("type")->as_string(), "property");
   EXPECT_EQ(lines[0].find("verdict")->as_string(), "?");
   EXPECT_EQ(lines[0].find("iterations")->as_uint(), 0u);
   EXPECT_EQ(lines[0].find("budget_trip"), nullptr);
-  ASSERT_NE(lines[0].find("metrics"), nullptr);
+  EXPECT_EQ(lines[1].find("type")->as_string(), "batch-summary");
+  ASSERT_NE(lines[1].find("metrics"), nullptr);
 }
 
 TEST(TraceJsonEdge, ResourceOutSummarySchema) {
@@ -356,23 +373,23 @@ TEST(TraceJsonEdge, ResourceOutSummarySchema) {
   res.budget_trip.reason = "bdd-node-budget";
   res.budget_trip.at_seconds = 1.25;
   res.budget_trip.bdd_nodes = 123456;
-  const json::Value summary = summary_json(res);
-  EXPECT_EQ(summary.find("verdict")->as_string(), "resource-out");
-  EXPECT_EQ(summary.find_path("budget_trip.reason")->as_string(),
+  const json::Value rec = property_json(as_property(res));
+  EXPECT_EQ(rec.find("verdict")->as_string(), "resource-out");
+  EXPECT_EQ(rec.find_path("budget_trip.reason")->as_string(),
             "bdd-node-budget");
-  EXPECT_EQ(summary.find_path("budget_trip.bdd_nodes")->as_uint(), 123456u);
-  EXPECT_NEAR(summary.find_path("budget_trip.at_seconds")->as_double(), 1.25,
+  EXPECT_EQ(rec.find_path("budget_trip.bdd_nodes")->as_uint(), 123456u);
+  EXPECT_NEAR(rec.find_path("budget_trip.at_seconds")->as_double(), 1.25,
               1e-9);
   // Round-trips through the parser.
   std::string err;
-  const json::Value parsed = json::parse(summary.dump(), &err);
+  const json::Value parsed = json::parse(rec.dump(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_TRUE(parsed == summary);
+  EXPECT_TRUE(parsed == rec);
 }
 
 TEST(TraceJsonEdge, CacheHitRateZeroLookupsIsZero) {
   RfnIteration it;  // all-zero BDD stats: a run that died before any lookup
-  const json::Value o = iteration_json(0, it);
+  const json::Value o = iteration_json("bad", 0, it);
   ASSERT_NE(o.find_path("bdd.cache_hit_rate"), nullptr);
   const double rate = o.find_path("bdd.cache_hit_rate")->as_double();
   EXPECT_FALSE(std::isnan(rate));
@@ -391,10 +408,14 @@ TEST(MetricsEpoch, TwoRunsDoNotConflateSummaries) {
   };
   // Summaries are serialized at run end, like the CLI's --trace-json path:
   // the baseline subtraction scopes out *earlier* runs in the process.
+  const auto summarize = [](const RfnResult& res) {
+    return batch_summary_json({as_property(res)}, 1, res.seconds,
+                              &res.metrics_baseline);
+  };
   const RfnResult first = run_once();
-  const json::Value first_summary = summary_json(first);
+  const json::Value first_summary = summarize(first);
   const RfnResult second = run_once();
-  const json::Value second_summary = summary_json(second);
+  const json::Value second_summary = summarize(second);
   EXPECT_NE(first.metrics_epoch, second.metrics_epoch);
 
   // Each summary reports exactly one run's work even though the registry
@@ -407,8 +428,7 @@ TEST(MetricsEpoch, TwoRunsDoNotConflateSummaries) {
   for (const auto& [summary, res] : runs) {
     const json::Value* counters = summary->find_path("metrics.counters");
     ASSERT_NE(counters, nullptr);
-    EXPECT_EQ(counters->find("rfn.runs")->as_uint(), 1u)
-        << summary->find("metrics_epoch")->as_uint();
+    EXPECT_EQ(counters->find("rfn.runs")->as_uint(), 1u) << res->metrics_epoch;
     EXPECT_EQ(counters->find("rfn.iterations")->as_uint(),
               res->per_iteration.size());
   }
@@ -466,8 +486,11 @@ json::Value parse_file(const std::string& path) {
 
 // Golden-schema check of the CLI's span export on the committed demo
 // design: Chrome-trace-format validity, >= 3 engine threads, flow linkage,
-// and wall-time agreement between the rfn.run span, the run summary, and
-// tools/trace_report.py.
+// wall-time agreement between the rfn.run span and the property record,
+// and between the session.run span (as tools/trace_report.py reports it)
+// and the batch summary. A second input, a processor suite with one HOLDS
+// and one VIOLATED property, checks that the report prints one verdict per
+// run and a non-empty iterations table.
 TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
   const std::string spans = ::testing::TempDir() + "/spans.json";
@@ -506,7 +529,7 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   }
   EXPECT_GE(cross, 1u);
 
-  // The rfn.run span must reproduce the summary's wall time within 5%.
+  // The rfn.run span must reproduce the property's wall time within 5%.
   double run_begin = -1.0, run_end = -1.0;
   for (const json::Value& e : doc.find("traceEvents")->items()) {
     if (e.find("name")->as_string() != "rfn.run") continue;
@@ -518,16 +541,22 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   const double span_s = (run_end - run_begin) * 1e-6;
 
   const std::vector<std::string> trace_lines = read_lines(trace);
-  ASSERT_FALSE(trace_lines.empty());
+  ASSERT_GE(trace_lines.size(), 2u);
   std::string err;
-  const json::Value summary = json::parse(trace_lines.back(), &err);
+  const json::Value prop = json::parse(trace_lines.front(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  const double summary_s = summary.find("seconds")->as_double();
-  ASSERT_GT(summary_s, 0.0);
+  ASSERT_EQ(prop.find("type")->as_string(), "property");
+  const double prop_s = prop.find("seconds")->as_double();
+  ASSERT_GT(prop_s, 0.0);
   // 5% relative plus a 2 ms absolute floor: demo.v runs in ~10 ms, where a
   // single scheduler hiccup between the span end and the Stopwatch read
   // would otherwise dominate the relative error.
-  EXPECT_NEAR(span_s, summary_s, summary_s * 0.05 + 0.002);
+  EXPECT_NEAR(span_s, prop_s, prop_s * 0.05 + 0.002);
+  const json::Value summary = json::parse(trace_lines.back(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  ASSERT_EQ(summary.find("type")->as_string(), "batch-summary");
+  const double summary_s = summary.find("seconds")->as_double();
+  ASSERT_GE(summary_s, prop_s);
 
 #ifdef RFN_TOOLS_DIR
   // trace_report.py must accept the file and reproduce the same total.
@@ -546,6 +575,40 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   }
   ASSERT_GT(reported_s, 0.0) << "total_wall_s line missing from report";
   EXPECT_NEAR(reported_s, summary_s, summary_s * 0.05 + 0.002);
+
+  // A suite whose runs end in different verdicts: one verdict line per
+  // rfn.run, and the iterations table grouped by run.
+  const std::string suite_spans = ::testing::TempDir() + "/suite_spans.json";
+  const std::string suite_cmd =
+      std::string(RFN_CLI_PATH) +
+      " verify builtin:processor --bad bad_mutex --bad error_flag" +
+      " --trace-spans " + suite_spans + " > /dev/null";
+  ASSERT_EQ(std::system(suite_cmd.c_str()), 0) << suite_cmd;
+  const std::string suite_cmd_py = std::string("python3 ") + RFN_TOOLS_DIR +
+                                   "/trace_report.py " + suite_spans + " > " +
+                                   report;
+  ASSERT_EQ(std::system(suite_cmd_py.c_str()), 0) << suite_cmd_py;
+  bool holds_seen = false, fails_seen = false, in_iterations = false;
+  size_t iteration_rows = 0;
+  for (const std::string& line : read_lines(report)) {
+    if (line.find("verdict=T") != std::string::npos) holds_seen = true;
+    if (line.find("verdict=F") != std::string::npos) fails_seen = true;
+    if (line.rfind("== ", 0) == 0) {
+      in_iterations = line == "== iterations ==";
+      continue;
+    }
+    // Rows start with the run index; the column header and blank lines
+    // do not.
+    if (in_iterations && !line.empty() &&
+        line.find_first_not_of(' ') != std::string::npos &&
+        std::isdigit(static_cast<unsigned char>(
+            line[line.find_first_not_of(' ')])))
+      ++iteration_rows;
+  }
+  EXPECT_TRUE(holds_seen) << "no verdict=T line for the HOLDS run";
+  EXPECT_TRUE(fails_seen) << "no verdict=F line for the VIOLATED run";
+  EXPECT_GT(iteration_rows, 0u) << "empty iterations table";
+  std::remove(suite_spans.c_str());
   std::remove(report.c_str());
 #endif  // RFN_TOOLS_DIR
   std::remove(spans.c_str());
@@ -573,11 +636,11 @@ TEST(TraceSpansCli, BudgetTripInBothTraceFormats) {
   const std::vector<std::string> trace_lines = read_lines(trace);
   ASSERT_FALSE(trace_lines.empty());
   std::string err;
-  const json::Value summary = json::parse(trace_lines.back(), &err);
+  const json::Value prop = json::parse(trace_lines.front(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(summary.find("verdict")->as_string(), "resource-out");
-  EXPECT_EQ(summary.find_path("budget_trip.reason")->as_string(),
-            "wall-budget");
+  ASSERT_EQ(prop.find("type")->as_string(), "property");
+  EXPECT_EQ(prop.find("verdict")->as_string(), "resource-out");
+  EXPECT_EQ(prop.find_path("budget_trip.reason")->as_string(), "wall-budget");
   std::remove(spans.c_str());
   std::remove(trace.c_str());
 }

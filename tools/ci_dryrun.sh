@@ -145,7 +145,7 @@ note "bench-gate: record run traces"
   --trace-spans build-ci-bench/run-spans.json \
   --trace-json build-ci-bench/run-trace.jsonl
 python3 tools/trace_report.py build-ci-bench/run-spans.json
-python3 tools/trace_report.py --run build-ci-bench/run-trace.jsonl
+python3 tools/trace_report.py --batch build-ci-bench/run-trace.jsonl
 
 # Batch verification of every shipped design's property suite through a
 # VerifySession, each rfn-trace-v2 artifact re-validated by trace_report.py.

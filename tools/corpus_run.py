@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Corpus harness: fan a directory of AIGER files through batch sessions.
 
-Runs `rfn verify FILE --batch --cert-dir ... --trace-json ...` for every
+Runs `rfn verify FILE --cert-dir ... --trace-json ...` for every
 `.aag`/`.aig` file in the corpus directory, each under its own watchdog
 budget, re-validates every emitted certificate with `rfn_check` against the
 same AIGER file, and writes an rfn-corpus-v2 JSON summary:
@@ -124,7 +124,7 @@ def run_file(cli, check, path, workdir, timeout):
     cert_dir = os.path.join(workdir, stem + ".certs")
     trace = os.path.join(workdir, stem + ".jsonl")
     prof = os.path.join(workdir, stem + ".prof.json")
-    cmd = [cli, "verify", path, "--batch",
+    cmd = [cli, "verify", path,
            "--cert-dir", cert_dir, "--trace-json", trace,
            "--prof-json", prof]
     start = time.monotonic()

@@ -8,11 +8,13 @@
 // <design> is a .v (Verilog subset), .blif, or AIGER 1.9 .aag/.aig file
 // (format chosen by extension; --aiger forces AIGER for other names), or
 // builtin:fifo|processor|iu|usb for the shipped generated designs (small
-// parameterizations; CI's batch runs use these). For AIGER designs every
-// bad-state property (or output, pre-1.9 style) becomes a verification
-// obligation: with no --bad/--props the whole set runs as one batch
-// session, so cone clustering, the ReuseCache, and all engines apply
-// unchanged. Common options:
+// parameterizations; CI's batch runs use these).
+//
+// Every verify run is a VerifySession over a property set, and one
+// property is a set of one: repeat --bad, point --props at a file, or —
+// for an AIGER design with neither — verify every bad-state property (or
+// output, pre-1.9 style) of the file. With no selection at all a non-AIGER
+// design verifies the signal named "bad". Common options:
 //   --time-limit S     wall-clock budget (default 300)
 //   --workers N        engine-portfolio worker threads (default 0: sequential)
 //   --engine LIST      engines entering the races, comma-separated subset of
@@ -25,25 +27,25 @@
 //                      (alternating grow/shrink; never changes a verdict)
 //   --pdr-max-frames N IC3/PDR frame bound per race (default 128)
 //   --pdr-time S       IC3/PDR wall budget per race (default 10, 0=unlimited)
-//   --certify          build an rfn-cert-v1 witness for the verdict (an
-//                      inductive invariant for HOLDS, the error trace for
-//                      VIOLATED; see src/cert/format.hpp) and discharge it
-//                      through the independent SAT checker — the same check
-//                      tools/rfn_check.cpp runs out of process. Batch runs
-//                      certify every HOLDS/VIOLATED member and add one
-//                      "certificate" record per member to the rfn-trace-v2
-//                      artifact
-//   --cert-out FILE    write the single-run witness JSON to FILE (implies
-//                      --certify)
-//   --cert-dir DIR     batch runs: write each member's witness to
+//   --certify          build an rfn-cert-v1 witness for every HOLDS/VIOLATED
+//                      verdict (an inductive invariant for HOLDS, the error
+//                      trace for VIOLATED; see src/cert/format.hpp) and
+//                      discharge it through the independent SAT checker —
+//                      the same check tools/rfn_check.cpp runs out of
+//                      process. Adds one "certificate" record per property
+//                      to the --trace-json artifact
+//   --cert-dir DIR     write each property's witness to
 //                      DIR/<property>.cert.json (implies --certify)
 //   --traces N         abstract traces per iteration (default 1)
 //   --no-approx        disable the overlapping-partition fallback
-//   --dump-trace       print the error trace on Fails
+//   --dump-trace       print the error trace of every VIOLATED property
 //   --top NAME         top module for multi-module Verilog
-//   --trace-json FILE  write the CEGAR event trace as JSON Lines (one object
-//                      per iteration plus a final summary; see
-//                      src/core/trace_json.hpp for the schema)
+//   --trace-json FILE  write the rfn-trace-v2 run trace as JSON Lines: one
+//                      "property" record per property, each followed by the
+//                      iteration records of the run that answered it, then
+//                      certificates and a "batch-summary" (schema in
+//                      src/core/trace_json.hpp; validate with
+//                      tools/trace_report.py --batch FILE)
 //   --trace-spans FILE write a causal span trace in Chrome trace-event JSON
 //                      (open in Perfetto / chrome://tracing, or analyze with
 //                      tools/trace_report.py)
@@ -63,39 +65,36 @@
 //                      tracing for the run even without --trace-spans)
 //   --metrics          dump the full metrics registry as JSON on stdout
 //
-// Batch verification (a VerifySession instead of one RfnVerifier): repeat
-// --bad, or point --props at a file with one property per line:
+// Property sets: --bad may repeat, and --props names a file with one
+// property per line:
 //   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [traces=N]
 //          [budget-ms=N] [budget-bdd-nodes=N] [budget-mem-mb=N]
 //                                                    (# starts a comment)
 // Properties carrying per-line overrides run solo; the rest are clustered
 // by register-cone overlap and answered through shared abstraction runs.
-// With more than one property, --trace-json emits the rfn-trace-v2 batch
-// schema (one "property" record each + a "batch-summary"); with exactly one
-// it emits rfn-trace-v1 as before. Batch options:
+// Session options:
 //   --cluster-overlap X   Jaccard cone-overlap threshold (default 0.5)
 //   --max-cluster N       max properties per shared run (default 4)
 //   --session-workers N   cluster jobs run concurrently (default 0: inline)
-//   --batch-budget-ms N   whole-batch wall budget, split fair-share
+//   --batch-budget-ms N   whole-run wall budget, split fair-share
 //   --no-reuse            disable the cross-property reuse cache
-//   --batch               force the session path (and the rfn-trace-v2
-//                         artifact schema) even for a single property —
-//                         corpus harnesses rely on one parser for all runs
 //
 // AIGER-specific options:
 //   --aiger               treat <design> as AIGER regardless of extension
-//   --witness-dir DIR     batch runs: drop an AIGER-convention witness per
-//                         conclusive property into DIR/<property>.wit
+//   --witness-dir DIR     drop an AIGER-convention witness per conclusive
+//                         property into DIR/<property>.wit
 //                         ("1\nb<k>\n<state>\n<inputs per cycle>...\n." for
 //                         VIOLATED, "0\nb<k>\n." for HOLDS)
-//   --aiger-witness FILE  single runs: the same, to one file
+//
+// Exit codes: 0 every verdict conclusive, 1 some verdict inconclusive, 2
+// usage or I/O error, 3 a certificate failed its check.
 //
 // This binary is a thin flag → api::VerifyRequest translator: design
-// loading is api::load_design, the batch path is api::run_verify (the same
-// run path rfn_serve drives from the socket — a command line and an
-// rfn-req-v1 document are the same computation), and the single-run path is
-// api::run_single. What remains here is flag parsing, the stdout report,
-// and the file epilogues (span/prof artifacts, cert/witness exports).
+// loading is api::load_design and the run is api::run_verify (the same run
+// path rfn_serve drives from the socket — a command line and an rfn-req-v1
+// document are the same computation). What remains here is flag parsing,
+// the stdout report, and the file epilogues (span/prof artifacts,
+// cert/witness exports).
 
 #include <cstdio>
 #include <filesystem>
@@ -181,17 +180,8 @@ bool write_prof_folded_file(const std::string& path) {
       path, prof::folded_stacks(SpanTracer::global().to_chrome_json()));
 }
 
-/// Rejects invalid options with the messages from RfnOptions::validate()
-/// instead of letting the run clamp or abort mid-flight.
-bool report_invalid(const RfnOptions& rfn_opts) {
-  const std::vector<std::string> errors = rfn_opts.validate();
-  for (const std::string& e : errors)
-    std::fprintf(stderr, "rfn: invalid options: %s\n", e.c_str());
-  return !errors.empty();
-}
-
 /// Span/prof instrumentation around a run: the flags are epilogue artifacts,
-/// so both verify paths share the enable/disable/write bracketing.
+/// enabled before the run and written once it has finished.
 struct ProfScope {
   std::string span_path, prof_json_path, prof_folded_path;
   bool trace_spans = false;
@@ -240,8 +230,17 @@ struct ProfScope {
   }
 };
 
-int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
-                     api::VerifyRequest req) {
+const char* verdict_word(Verdict v) {
+  return v == Verdict::Holds         ? "HOLDS"
+         : v == Verdict::Fails       ? "VIOLATED"
+         : v == Verdict::ResourceOut ? "RESOURCE-OUT"
+                                     : "UNKNOWN";
+}
+
+/// Runs the request through api::run_verify — one property or many — and
+/// writes the file epilogues and the stdout report.
+int run_request(const api::LoadedDesign& design, const Options& opts,
+                api::VerifyRequest req) {
   const std::string cert_dir = opts.get("cert-dir", "");
   req.certify = opts.get_bool("certify", false) || !cert_dir.empty();
 
@@ -273,7 +272,7 @@ int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
   // --cert-dir: run_verify built and checked the witnesses (they are already
   // in the rfn-trace-v2 records); writing them to disk is CLI business.
   bool certified_ok = true, cert_io_ok = true;
-  if (req.certify && !cert_dir.empty()) {
+  if (!cert_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(cert_dir, ec);
   }
@@ -283,13 +282,8 @@ int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
     const CertificateArtifact& art = out.cert_artifacts[i];
     if (art.built && !cert_dir.empty()) {
       const std::string path = cert_dir + "/" + cert_file_name(rec.property);
-      std::ofstream cert_out(path);
-      if (cert_out) {
-        cert_out << cert::to_json(art.certificate);
-      } else {
-        std::fprintf(stderr, "rfn: cannot write %s\n", path.c_str());
+      if (!write_text_file(path, cert::to_json(art.certificate)))
         cert_io_ok = false;
-      }
     }
   }
 
@@ -320,27 +314,51 @@ int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
 
   std::printf("batch: %zu properties in %zu clusters, %.2f s\n",
               out.results.size(), out.clusters, out.seconds);
-  std::printf("%-24s %-12s %7s %9s %5s %8s\n", "property", "verdict", "cluster",
-              "clustered", "iters", "seconds");
+  std::printf("%-24s %-12s %7s %9s %5s %6s %8s\n", "property", "verdict",
+              "cluster", "clustered", "iters", "regs", "seconds");
   bool all_conclusive = true;
   for (const PropertyResult& r : out.results) {
-    std::printf("%-24s %-12s %7zu %9s %5zu %8.2f\n", r.name.c_str(),
-                r.verdict == Verdict::Holds         ? "HOLDS"
-                : r.verdict == Verdict::Fails       ? "VIOLATED"
-                : r.verdict == Verdict::ResourceOut ? "RESOURCE-OUT"
-                                                    : "UNKNOWN",
-                r.cluster, r.clustered ? "yes" : "no", r.stats.iterations,
-                r.stats.seconds);
+    std::printf("%-24s %-12s %7zu %9s %5zu %6zu %8.2f\n", r.name.c_str(),
+                verdict_word(r.verdict), r.cluster,
+                r.clustered ? "yes" : "no", r.stats.iterations,
+                r.stats.final_abstract_regs, r.stats.seconds);
     if (r.verdict != Verdict::Holds && r.verdict != Verdict::Fails)
       all_conclusive = false;
   }
-  for (const CertificateRecord& rec : out.cert_records) {
+  for (const PropertyResult& r : out.results) {
+    const BudgetTrip& trip = r.stats.budget_trip;
+    if (trip.tripped)
+      std::printf("budget trip %s: %s at %.3f s (bdd nodes %lld, rss %.1f MiB)\n",
+                  r.name.c_str(), trip.reason.c_str(), trip.at_seconds,
+                  static_cast<long long>(trip.bdd_nodes),
+                  static_cast<double>(trip.rss_bytes) / (1 << 20));
+    if (!r.stats.note.empty())
+      std::printf("note %s: %s\n", r.name.c_str(), r.stats.note.c_str());
+    if (r.verdict == Verdict::Fails) {
+      std::printf("error trace %s: %zu cycles\n", r.name.c_str(),
+                  r.trace.cycles());
+      if (opts.get_bool("dump-trace", false))
+        std::fputs(trace_to_string(design.netlist, r.trace).c_str(), stdout);
+    }
+  }
+  // Engine effort and race outcomes come from the metrics registry, so they
+  // are reported for sequential (--workers 0) runs too — the races still
+  // happen, just inline in priority order.
+  const MetricsSnapshot metrics =
+      MetricsRegistry::global().snapshot().delta(out.baseline);
+  std::printf("engines:\n");
+  std::fputs(format_engine_stats(metrics).c_str(), stdout);
+  std::printf("portfolio (%zu workers):\n", req.options.portfolio_workers);
+  std::fputs(format_portfolio_stats(metrics).c_str(), stdout);
+  for (size_t i = 0; i < out.cert_records.size(); ++i) {
+    const CertificateRecord& rec = out.cert_records[i];
     if (rec.ok) {
-      std::printf("certificate %-24s OK (%s)\n", rec.property.c_str(),
+      std::printf("certificate: OK %s (%s)\n", rec.property.c_str(),
                   rec.kind.c_str());
     } else {
-      std::printf("certificate %-24s FAILED — obligation %s\n",
-                  rec.property.c_str(), rec.obligation.c_str());
+      std::printf("certificate: FAILED %s — obligation %s: %s\n",
+                  rec.property.c_str(), rec.obligation.c_str(),
+                  out.cert_artifacts[i].detail.c_str());
     }
   }
   if (opts.get_bool("metrics", false))
@@ -351,113 +369,23 @@ int cmd_verify_batch(const api::LoadedDesign& design, const Options& opts,
   return all_conclusive ? 0 : 1;
 }
 
-int cmd_verify_single(const api::LoadedDesign& design, const Options& opts,
-                      const api::VerifyRequest& req, GateId bad,
-                      const std::string& bad_name) {
-  const Netlist& net = design.netlist;
-  RfnOptions rfn_opts = req.options;
-  if (!req.props.empty() && req.props.front().overrides.any()) {
-    // A one-line --props file still honors its per-property overrides.
-    const PropertyRequest::Overrides& o = req.props.front().overrides;
-    if (o.time_limit_s) rfn_opts.time_limit_s = *o.time_limit_s;
-    if (o.max_iterations) rfn_opts.max_iterations = *o.max_iterations;
-    if (o.traces_per_iteration)
-      rfn_opts.traces_per_iteration = *o.traces_per_iteration;
-    if (o.budget_ms) rfn_opts.budget_ms = *o.budget_ms;
-    if (o.budget_bdd_nodes) rfn_opts.budget_bdd_nodes = *o.budget_bdd_nodes;
-    if (o.budget_mem_mb) rfn_opts.budget_mem_mb = *o.budget_mem_mb;
-    if (report_invalid(rfn_opts)) return 2;
-  }
-
-  ProfScope prof(opts);
-  const RfnResult result = api::run_single(net, bad, rfn_opts);
-  if (!prof.finish(result.metrics_baseline, result.seconds, prof.cpu_seconds(),
-                   rfn_opts.portfolio_workers))
-    return 2;
-
-  const std::string trace_path = opts.get("trace-json", "");
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path);
-    if (!out) {
-      std::fprintf(stderr, "rfn: cannot write %s\n", trace_path.c_str());
+int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
+  // Options keeps any --key, so flags of the retired single-property path
+  // would otherwise be dropped without a word (and --cert-out used to turn
+  // on certification).
+  static const struct {
+    const char* flag;
+    const char* instead;
+  } kRemoved[] = {{"batch", "every verify run is a batch"},
+                  {"cert-out", "use --cert-dir DIR"},
+                  {"aiger-witness", "use --witness-dir DIR"}};
+  for (const auto& [flag, instead] : kRemoved) {
+    if (opts.has(flag)) {
+      std::fprintf(stderr, "rfn: --%s was removed; %s\n", flag, instead);
       return 2;
     }
-    write_trace_json(out, result);
   }
 
-  std::printf("verdict: %s\n",
-              result.verdict == Verdict::Holds         ? "HOLDS"
-              : result.verdict == Verdict::Fails       ? "VIOLATED"
-              : result.verdict == Verdict::ResourceOut ? "RESOURCE-OUT"
-                                                       : "UNKNOWN");
-  if (result.budget_trip.tripped)
-    std::printf("budget trip: %s at %.3f s (bdd nodes %lld, rss %.1f MiB)\n",
-                result.budget_trip.reason.c_str(), result.budget_trip.at_seconds,
-                static_cast<long long>(result.budget_trip.bdd_nodes),
-                static_cast<double>(result.budget_trip.rss_bytes) /
-                    (1 << 20));
-  std::printf("iterations: %zu, abstract model: %zu / %zu registers, %.2f s\n",
-              result.iterations, result.final_abstract_regs, net.num_regs(),
-              result.seconds);
-  if (!result.note.empty()) std::printf("note: %s\n", result.note.c_str());
-  // Engine effort and race outcomes come from the metrics registry, so they
-  // are reported for sequential (--workers 0) runs too — the races still
-  // happen, just inline in priority order.
-  const MetricsSnapshot metrics = MetricsRegistry::global().snapshot();
-  std::printf("engines:\n");
-  std::fputs(format_engine_stats(metrics).c_str(), stdout);
-  std::printf("portfolio (%zu workers):\n", rfn_opts.portfolio_workers);
-  std::fputs(format_portfolio_stats(metrics).c_str(), stdout);
-  if (opts.get_bool("metrics", false))
-    std::printf("metrics: %s\n",
-                MetricsRegistry::global().to_json().dump(2).c_str());
-  if (result.verdict == Verdict::Fails) {
-    std::printf("error trace: %zu cycles\n", result.error_trace.cycles());
-    if (opts.get_bool("dump-trace", false))
-      std::fputs(trace_to_string(net, result.error_trace).c_str(), stdout);
-  }
-  const std::string aiger_wit = opts.get("aiger-witness", "");
-  if (!aiger_wit.empty() &&
-      (result.verdict == Verdict::Holds || result.verdict == Verdict::Fails)) {
-    const size_t idx = witness_index(design.aiger_properties, bad_name, 0);
-    const std::string body =
-        result.verdict == Verdict::Holds
-            ? aiger::write_witness_holds(idx)
-            : aiger::write_witness_fails(net, idx, result.error_trace);
-    if (!write_text_file(aiger_wit, body)) return 2;
-  }
-  const std::string cert_out = opts.get("cert-out", "");
-  if (opts.get_bool("certify", false) || !cert_out.empty()) {
-    const CertificateArtifact art = certify_with_witness(
-        net, bad, bad_name, result.verdict, result.error_trace,
-        result.final_registers, {},
-        result.pdr_invariant.present ? &result.pdr_invariant : nullptr);
-    std::string what = art.detail;
-    if (!art.checked && art.built)
-      what = "obligation " + art.obligation + ": " + what;
-    if (art.checked)
-      what += std::string(" [") + cert::cert_kind_name(art.certificate.kind) + "]";
-    std::printf("certificate: %s — %s\n", art.checked ? "OK" : "FAILED",
-                what.c_str());
-    if (art.built && !cert_out.empty()) {
-      std::ofstream out(cert_out);
-      if (!out) {
-        std::fprintf(stderr, "rfn: cannot write %s\n", cert_out.c_str());
-        return 2;
-      }
-      out << cert::to_json(art.certificate);
-      std::printf("certificate written: %s\n", cert_out.c_str());
-    }
-    if (!art.checked && result.verdict != Verdict::Unknown &&
-        result.verdict != Verdict::ResourceOut)
-      return 3;
-  }
-  return result.verdict == Verdict::Holds || result.verdict == Verdict::Fails
-             ? 0
-             : 1;
-}
-
-int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
   // Flags → api::VerifyRequest: the same struct a server request parses to.
   api::VerifyRequest req;
   req.options.time_limit_s = opts.get_double("time-limit", 300.0);
@@ -483,19 +411,17 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
     while (std::getline(es, e, ','))
       if (!e.empty()) req.options.engines.push_back(e);
   }
-  if (report_invalid(req.options)) return 2;
   req.cluster_overlap = opts.get_double("cluster-overlap", 0.5);
   req.max_cluster_size = static_cast<size_t>(opts.get_int("max-cluster", 4));
   req.session_workers =
       static_cast<size_t>(opts.get_int("session-workers", 0));
   req.batch_budget_ms = opts.get_double("batch-budget-ms", -1.0);
   req.reuse = !opts.get_bool("no-reuse", false);
-  req.batch = opts.get_bool("batch", false);
 
-  // Collect the property set: every --bad plus every --props line. More
-  // than one property routes through a VerifySession. Signals resolve
-  // inside api::run_verify (api::resolve_properties) with the spec's origin
-  // prefixed to any unknown-signal diagnostic.
+  // Collect the property set: every --bad plus every --props line (none:
+  // the design's AIGER properties, else the signal named "bad"). Signals
+  // resolve inside api::run_verify (api::resolve_properties) with the
+  // spec's origin prefixed to any unknown-signal diagnostic.
   for (const std::string& bad_name : opts.get_all("bad")) {
     api::PropertySpec spec;
     spec.signal = bad_name;
@@ -527,46 +453,7 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
       req.props.push_back(std::move(spec));
     }
   }
-  // An AIGER design with no explicit selection verifies its whole property
-  // list (each bad output, or each output pre-1.9 style) as one batch.
-  const size_t effective =
-      req.props.empty() ? design.aiger_properties.size() : req.props.size();
-  if (effective > 1 || req.batch)
-    return cmd_verify_batch(design, opts, std::move(req));
-
-  // Single-run path (rfn-trace-v1): exactly what `rfn verify` without a
-  // batch always did. The property label and its gate resolve separately —
-  // an unnamed one-line --props file keeps the conventional "bad" label
-  // while verifying the signal the line named, and an AIGER property's
-  // label ("b0") is not a netlist signal name at all.
-  GateId bad = kNullGate;
-  std::string bad_name;
-  if (!req.props.empty()) {
-    const api::PropertySpec& spec = req.props.front();
-    bad = api::find_signal(design.netlist, spec.signal);
-    if (bad == kNullGate) {
-      if (spec.origin.empty()) {
-        std::fprintf(stderr, "rfn: no signal named '%s'\n",
-                     spec.signal.c_str());
-      } else {
-        std::fprintf(stderr, "rfn: %s: no signal named '%s'\n",
-                     spec.origin.c_str(), spec.signal.c_str());
-      }
-      return 2;
-    }
-    bad_name = spec.name.empty() ? opts.get("bad", "bad") : spec.name;
-  } else if (!design.aiger_properties.empty()) {
-    bad = design.aiger_properties.front().signal;
-    bad_name = design.aiger_properties.front().name;
-  } else {
-    bad_name = opts.get("bad", "bad");
-    bad = api::find_signal(design.netlist, bad_name);
-    if (bad == kNullGate) {
-      std::fprintf(stderr, "rfn: no signal named '%s'\n", bad_name.c_str());
-      return 2;
-    }
-  }
-  return cmd_verify_single(design, opts, req, bad, bad_name);
+  return run_request(design, opts, std::move(req));
 }
 
 int cmd_coverage(const Netlist& design, const Options& opts) {

@@ -45,7 +45,6 @@ def request(rid, tenant, path, signals, mem_mb=None):
         "design": {"path": path},
         "props": [{"signal": s} for s in signals],
         "options": {"time-limit": TIME_LIMIT_S},
-        "session": {"batch": True},
     }
     if mem_mb is not None:
         req["options"]["budget-mem-mb"] = mem_mb

@@ -12,27 +12,27 @@ nonzero with a diagnostic on a malformed trace, so it doubles as the format
 checker in tests and CI. `--self-check` runs the validators against
 built-in good and bad synthetic traces and needs no input file.
 
-With `--batch` the input is instead an rfn-trace-v2 JSON Lines file from a
-batch run (`rfn verify ... --bad A --bad B --trace-json FILE`): one
-"property" record per property, then — for --certify runs — one
-"certificate" record per conclusive property, plus a final "batch-summary".
-The validator checks the version tag, the per-record shape, the verdict and
-certificate-kind spellings, that a failed certification names its failing
-obligation (and a successful one does not), and that the summary's
-property/verdict/certificate counts match the records, then prints a
-per-property table, a certification summary line when certificates were
+With `--batch` the input is instead an rfn-trace-v2 JSON Lines file from
+`rfn verify ... --trace-json FILE` (one property or many): one "property"
+record per property, each followed by the "iteration" records of the
+engine run that answered it, then — for --certify runs — one
+"certificate" record per conclusive property, plus a final
+"batch-summary". The validator checks the version tag, the per-record
+shape, the verdict and certificate-kind spellings, that a failed
+certification names its failing obligation (and a successful one does
+not), and that the summary's property/verdict/certificate counts match the
+records. Per iteration record it checks that every engine block is
+present — including the IC3/PDR activity block (obligations/clauses/
+frames, nonnegative numbers) and the refine block's proof-shrink column
+(shrunk_registers, bounded by the abstraction size) — that it names the
+property it follows, that iterations are numbered densely from 0, and that
+their count equals the property's `iterations`. A clustered property
+answered by a run shared with an earlier member carries no iteration
+records of its own (the shared run's records follow the first member). It
+then prints a per-property table, a per-iteration table with the PDR and
+shrink columns, a certification summary line when certificates were
 recorded, and a SAT-engine activity line (checks, conflicts,
 refinement-hint registers) when the sat engine ran.
-
-With `--run` the input is an rfn-trace-v1 JSON Lines file from a
-single-property run (`rfn verify ... --bad A --trace-json FILE`): one
-"iteration" record per CEGAR iteration, then a final "summary". The
-validator checks the version tag, sequential iteration numbering, that
-every engine block is present — including the IC3/PDR activity block
-(obligations/clauses/frames, nonnegative numbers) and the refine block's
-proof-shrink column (shrunk_registers, bounded by the abstraction size) —
-and that the summary's iteration count matches the records, then prints a
-per-iteration table with the PDR and shrink columns.
 
 With `--corpus` the input is an rfn-corpus-v1 or -v2 summary from
 tools/corpus_run.py. The validator checks the schema tag, the per-file and
@@ -65,12 +65,14 @@ and that the RSS timeline has monotone timestamps with its peak no
 smaller than any sample, then prints a per-engine/per-subsystem digest.
 
 Report sections:
-  * run summary — total wall time reconstructed from the rfn.run span
-    (machine-readable as `total_wall_s=...`), dropped-event count, any
-    budget-trip annotation;
+  * run summary — total wall time from the session.run span, or the
+    first rfn.run span for traces without one (machine-readable as
+    `total_wall_s=...`), dropped-event count, one `verdict=` line per
+    rfn.run (a suite runs several), any budget-trip annotation;
   * top-N hottest spans by self time (time in the span minus time in its
     children on the same thread);
-  * per-iteration timeline (rfn.iteration spans);
+  * per-iteration timeline (rfn.iteration spans), grouped by the rfn.run
+    that contains them;
   * race outcomes — wins per engine and % of job wall time that was
     cancelled or inconclusive (work the race discarded).
 """
@@ -86,11 +88,9 @@ signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 TRACE_VERSION = "rfn-spans-v1"
 BATCH_TRACE_VERSION = "rfn-trace-v2"
-RUN_TRACE_VERSION = "rfn-trace-v1"
-# Per-iteration record shape for single-run traces (`rfn verify --bad X
-# --trace-json`): every engine block is always present, zeroed when the
-# engine is disabled.
-ITERATION_KEYS = ("iter", "abstraction", "reach", "bdd", "hybrid",
+# Per-iteration record shape in rfn-trace-v2: every engine block is always
+# present, zeroed when the engine is disabled.
+ITERATION_KEYS = ("property", "iter", "abstraction", "reach", "bdd", "hybrid",
                   "trace_cycles", "concretize", "sat", "pdr", "refine",
                   "engines", "seconds")
 # The IC3/PDR activity block and the proof-shrink column of the refine
@@ -181,9 +181,39 @@ def validate(doc):
     return events
 
 
+def validate_iteration(r, where):
+    """Checks one rfn-trace-v2 iteration record's engine blocks."""
+    for key in ITERATION_KEYS:
+        if key not in r:
+            fail(f"{where} lacks {key!r}")
+    pdr = r["pdr"]
+    if not isinstance(pdr, dict):
+        fail(f"{where}: pdr block is not an object")
+    for key in PDR_ITER_KEYS:
+        value = pdr.get(key)
+        if not _nonneg_number(value):
+            fail(f"{where}: pdr.{key} is {value!r}, expected a nonnegative "
+                 f"number")
+    refine = r["refine"]
+    if not isinstance(refine, dict):
+        fail(f"{where}: refine block is not an object")
+    shrunk = refine.get("shrunk_registers")
+    if not _nonneg_number(shrunk):
+        fail(f"{where}: refine.shrunk_registers is {shrunk!r}, expected a "
+             f"nonnegative number")
+    # A shrink that dropped more registers than the abstraction held is
+    # arithmetically impossible — a corrupted or miscounted record.
+    regs = r.get("abstraction", {})
+    if (isinstance(regs, dict) and _nonneg_number(regs.get("regs")) and
+            shrunk > regs["regs"]):
+        fail(f"{where}: refine.shrunk_registers={shrunk} exceeds the "
+             f"abstraction's {regs['regs']} registers")
+
+
 def validate_batch(records):
     """Checks an rfn-trace-v2 record list (one parsed JSONL object per
-    line); returns (property_records, certificate_records, summary)."""
+    line); returns (property_records, iteration_records,
+    certificate_records, summary)."""
     if not records:
         fail("empty batch trace")
     summary = records[-1]
@@ -193,18 +223,34 @@ def validate_batch(records):
     version = summary.get("trace_version")
     if version != BATCH_TRACE_VERSION:
         fail(f"trace_version is {version!r}, expected {BATCH_TRACE_VERSION!r}")
-    props, certs = [], []
+    props, iters, certs = [], [], []
+    # Iteration records of each property, keyed by its index in `props`.
+    runs = []
     for i, r in enumerate(records[:-1]):
         kind = r.get("type")
         if kind == "property":
             if certs:
                 fail(f"record {i}: property record after certificate records")
             props.append(r)
+            runs.append([])
+        elif kind == "iteration":
+            if not props or certs:
+                fail(f"record {i}: iteration record outside a property's "
+                     f"record group")
+            where = f"record {i} (iteration of {props[-1].get('name')!r})"
+            validate_iteration(r, where)
+            if r["property"] != props[-1].get("name"):
+                fail(f"{where} names property {r['property']!r}")
+            if r["iter"] != len(runs[-1]):
+                fail(f"{where} is numbered {r['iter']!r}, expected "
+                     f"{len(runs[-1])}")
+            runs[-1].append(r)
+            iters.append(r)
         elif kind == "certificate":
             certs.append(r)
         else:
-            fail(f"record {i} has type {kind!r}, expected 'property' or "
-                 f"'certificate'")
+            fail(f"record {i} has type {kind!r}, expected 'property', "
+                 f"'iteration' or 'certificate'")
     counts = collections.Counter()
     for i, r in enumerate(props):
         for key in PROPERTY_KEYS:
@@ -215,6 +261,23 @@ def validate_batch(records):
             fail(f"property record {i} ({r['name']!r}): unknown verdict "
                  f"{verdict!r}")
         counts[verdict] += 1
+        have = len(runs[i])
+        if have == r["iterations"]:
+            continue
+        # A clustered member answered by a run shared with an earlier member
+        # carries no iteration records; that member's group holds them. The
+        # members copy one RfnResult, so its iteration count, wall time and
+        # final abstraction size all match; a later round of the same
+        # cluster is a different run with records of its own.
+        shared = r["clustered"] and have == 0 and any(
+            q["clustered"] and q["cluster"] == r["cluster"] and runs[k] and
+            all(q[key] == r[key] for key in
+                ("iterations", "seconds", "final_abstract_regs"))
+            for k, q in enumerate(props[:i]))
+        if not shared:
+            fail(f"property record {i} ({r['name']!r}) counts "
+                 f"{r['iterations']} iterations, {have} iteration records "
+                 f"follow it")
     cert_counts = collections.Counter()
     for i, r in enumerate(certs):
         for key in CERTIFICATE_KEYS:
@@ -255,103 +318,7 @@ def validate_batch(records):
         counters = metrics.get("counters", {})
         if not isinstance(counters, dict):
             fail("summary metrics.counters is not an object")
-    return props, certs, summary
-
-
-def validate_run(records):
-    """Checks an rfn-trace-v1 record list (one parsed JSONL object per
-    line from a single-property `--trace-json` run); returns
-    (iteration_records, summary)."""
-    if not records:
-        fail("empty run trace")
-    summary = records[-1]
-    if summary.get("type") != "summary":
-        fail(f"last record has type {summary.get('type')!r}, "
-             f"expected 'summary'")
-    version = summary.get("trace_version")
-    if version != RUN_TRACE_VERSION:
-        fail(f"trace_version is {version!r}, expected {RUN_TRACE_VERSION!r}")
-    if summary.get("verdict") not in VERDICTS:
-        fail(f"summary: unknown verdict {summary.get('verdict')!r}")
-    iters = records[:-1]
-    for i, r in enumerate(iters):
-        if r.get("type") != "iteration":
-            fail(f"record {i} has type {r.get('type')!r}, "
-                 f"expected 'iteration'")
-        for key in ITERATION_KEYS:
-            if key not in r:
-                fail(f"iteration record {i} lacks {key!r}")
-        if r["iter"] != i:
-            fail(f"iteration record {i} is numbered {r['iter']!r}")
-        pdr = r["pdr"]
-        if not isinstance(pdr, dict):
-            fail(f"iteration {i}: pdr block is not an object")
-        for key in PDR_ITER_KEYS:
-            value = pdr.get(key)
-            if not _nonneg_number(value):
-                fail(f"iteration {i}: pdr.{key} is {value!r}, expected a "
-                     f"nonnegative number")
-        refine = r["refine"]
-        if not isinstance(refine, dict):
-            fail(f"iteration {i}: refine block is not an object")
-        shrunk = refine.get("shrunk_registers")
-        if not _nonneg_number(shrunk):
-            fail(f"iteration {i}: refine.shrunk_registers is {shrunk!r}, "
-                 f"expected a nonnegative number")
-        # A shrink that dropped more registers than the abstraction held is
-        # arithmetically impossible — a corrupted or miscounted record.
-        regs = r.get("abstraction", {})
-        if (isinstance(regs, dict) and _nonneg_number(regs.get("regs")) and
-                shrunk is not None and _nonneg_number(shrunk) and
-                shrunk > regs.get("regs", 0)):
-            fail(f"iteration {i}: refine.shrunk_registers={shrunk} exceeds "
-                 f"the abstraction's {regs.get('regs')} registers")
-    declared = summary.get("iterations")
-    if declared != len(iters):
-        fail(f"summary counts {declared} iterations, the document has "
-             f"{len(iters)} iteration records")
-    return iters, summary
-
-
-def report_run(path):
-    """Validates and summarizes an rfn-trace-v1 single-run JSONL file."""
-    records = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as err:
-                    fail(f"line {lineno}: not JSON ({err})")
-    except OSError as err:
-        print(f"trace_report: cannot read {path}: {err}", file=sys.stderr)
-        return 1
-    iters, summary = validate_run(records)
-
-    print("== run summary ==")
-    print(f"verdict={summary['verdict']} iterations={len(iters)} "
-          f"final_abstract_regs={summary.get('final_abstract_regs', 0)} "
-          f"total_wall_s={summary.get('seconds', 0.0):.6f}")
-    print(f"\n{'iter':>4} {'regs':>5} {'reach':<14} {'abs-winner':<12} "
-          f"{'pdr-obl':>8} {'pdr-cls':>8} {'frames':>6} {'shrunk':>6} "
-          f"{'seconds':>9}")
-    for r in iters:
-        winner = r.get("engines", {}).get("abstract", {}).get("winner", "")
-        print(f"{r['iter']:>4} {r.get('abstraction', {}).get('regs', 0):>5} "
-              f"{r.get('reach', {}).get('status', ''):<14} "
-              f"{(winner or '-'):<12} "
-              f"{r['pdr'].get('obligations', 0):>8.0f} "
-              f"{r['pdr'].get('clauses', 0):>8.0f} "
-              f"{r['pdr'].get('frames', 0):>6.0f} "
-              f"{r['refine'].get('shrunk_registers', 0):>6.0f} "
-              f"{r.get('seconds', 0.0):>9.3f}")
-    total_shrunk = sum(r["refine"].get("shrunk_registers", 0) for r in iters)
-    if total_shrunk:
-        print(f"\nproof_shrink: dropped {total_shrunk:.0f} register(s) "
-              f"across {len(iters)} iteration(s)")
-    return 0
+    return props, iters, certs, summary
 
 
 def validate_corpus(doc):
@@ -563,7 +530,7 @@ def validate_serve(lines):
             continue
         # An ok verify response: the preceding group must be a well-formed
         # rfn-trace-v2 stream whose counts agree with the response document.
-        props, _, _ = validate_batch(records)
+        props, _, _, _ = validate_batch(records)
         if resp.get("properties") != len(props):
             fail(f"{where}: response says {resp.get('properties')} "
                  f"properties, the stream carried {len(props)}")
@@ -734,7 +701,7 @@ def report_batch(path):
     except OSError as err:
         print(f"trace_report: cannot read {path}: {err}", file=sys.stderr)
         return 1
-    props, certs, summary = validate_batch(records)
+    props, iters, certs, summary = validate_batch(records)
 
     print("== batch summary ==")
     print(f"properties={len(props)} clusters={summary.get('clusters')} "
@@ -748,6 +715,25 @@ def report_batch(path):
         print(f"{r['name']:<24} {r['verdict']:<12} {r['cluster']:>7} "
               f"{('yes' if r['clustered'] else 'no'):>9} "
               f"{r['iterations']:>5} {r['seconds']:>9.3f}")
+    if iters:
+        print(f"\n{'property':<24} {'iter':>4} {'regs':>5} {'reach':<14} "
+              f"{'abs-winner':<12} {'pdr-obl':>8} {'pdr-cls':>8} "
+              f"{'frames':>6} {'shrunk':>6} {'seconds':>9}")
+        for r in iters:
+            winner = r["engines"].get("abstract", {}).get("winner", "")
+            print(f"{r['property']:<24} {r['iter']:>4} "
+                  f"{r['abstraction'].get('regs', 0):>5} "
+                  f"{r['reach'].get('status', ''):<14} "
+                  f"{(winner or '-'):<12} "
+                  f"{r['pdr']['obligations']:>8.0f} "
+                  f"{r['pdr']['clauses']:>8.0f} "
+                  f"{r['pdr']['frames']:>6.0f} "
+                  f"{r['refine']['shrunk_registers']:>6.0f} "
+                  f"{r['seconds']:>9.3f}")
+        total_shrunk = sum(r["refine"]["shrunk_registers"] for r in iters)
+        if total_shrunk:
+            print(f"\nproof_shrink: dropped {total_shrunk:.0f} register(s) "
+                  f"across {len(iters)} iteration(s)")
     if certs:
         kinds = collections.Counter(r["kind"] for r in certs)
         ok = sum(1 for r in certs if r["ok"])
@@ -797,16 +783,36 @@ def report(doc, top_n):
     instants = [e for e in events if e.get("ph") == "i"]
     dropped = doc.get("otherData", {}).get("dropped_events", 0)
 
-    runs = [s for s in spans if s["name"] == "rfn.run"]
-    total_us = runs[0]["dur"] if runs else max(
-        (s["start"] + s["dur"] for s in spans), default=0.0)
+    runs = sorted((s for s in spans if s["name"] == "rfn.run"),
+                  key=lambda s: s["start"])
+    sessions = [s for s in spans if s["name"] == "session.run"]
+    if sessions:
+        # Every CLI run is one session: its span covers all the engine runs.
+        total_us = sessions[0]["dur"]
+    elif runs:
+        total_us = runs[0]["dur"]
+    else:
+        total_us = max((s["start"] + s["dur"] for s in spans), default=0.0)
+
+    # Each rfn.iteration belongs to the rfn.run enclosing it on its thread.
+    iters = sorted((s for s in spans if s["name"] == "rfn.iteration"),
+                   key=lambda s: s["start"])
+    run_of = {}
+    for it in iters:
+        for k, r in enumerate(runs):
+            if (r["tid"] == it["tid"] and r["start"] <= it["start"] and
+                    it["start"] + it["dur"] <= r["start"] + r["dur"]):
+                run_of[id(it)] = k
+                break
 
     print("== run summary ==")
     # Machine-readable: tests cross-check this against the run's seconds.
     print(f"total_wall_s={total_us / 1e6:.6f}")
     print(f"spans={len(spans)} events={len(events)} dropped={dropped}")
-    if runs and "verdict" in runs[0]["args"]:
-        print(f"verdict={runs[0]['args']['verdict']}")
+    for k, r in enumerate(runs):
+        n_iters = sum(1 for it in iters if run_of.get(id(it)) == k)
+        print(f"run={k} verdict={r['args'].get('verdict', '?')} "
+              f"wall_s={r['dur'] / 1e6:.6f} iterations={n_iters}")
     for e in instants:
         if e.get("name") == "budget-trip":
             reason = e.get("args", {}).get("reason", "?")
@@ -824,14 +830,15 @@ def report(doc, top_n):
     for name, (count, dur, self_us) in ranked:
         print(f"{name:<18} {count:>6} {dur / 1e3:>10.3f} {self_us / 1e3:>10.3f}")
 
-    iters = sorted((s for s in spans if s["name"] == "rfn.iteration"),
-                   key=lambda s: s["start"])
     if iters:
         print("\n== iterations ==")
-        print(f"{'iter':>4} {'start_ms':>10} {'dur_ms':>10}")
-        for s in iters:
+        print(f"{'run':>4} {'iter':>4} {'start_ms':>10} {'dur_ms':>10}")
+        for s in sorted(iters, key=lambda s: (run_of.get(id(s), len(runs)),
+                                              s["start"])):
+            run = run_of.get(id(s), "-")
             idx = s["args"].get("iter", "?")
-            print(f"{idx!s:>4} {s['start'] / 1e3:>10.3f} {s['dur'] / 1e3:>10.3f}")
+            print(f"{run!s:>4} {idx!s:>4} {s['start'] / 1e3:>10.3f} "
+                  f"{s['dur'] / 1e3:>10.3f}")
 
     # Race arms carry an "outcome" annotation; everything the race discarded
     # (cancelled losers, inconclusive probes) is wall time the portfolio
@@ -891,70 +898,67 @@ def synthetic_trace():
                           "dropped_events": 0}}
 
 
+def synthetic_iteration(prop, i, regs, shrunk):
+    """One well-formed rfn-trace-v2 iteration record for --self-check."""
+    return {
+        "type": "iteration", "property": prop, "iter": i,
+        "abstraction": {"regs": regs, "inputs": 2, "gates": 30},
+        "reach": {"status": "bad-reachable" if i == 0 else "proved",
+                  "steps": 3, "approx_used": False, "approx_proved": False},
+        "bdd": {"peak_nodes": 100, "cache_lookups": 10, "cache_hits": 5,
+                "cache_hit_rate": 0.5, "reorderings": 0},
+        "hybrid": {"nocut_cubes": 0, "mincut_cubes": 0, "atpg_calls": 0,
+                   "atpg_rejects": 0},
+        "trace_cycles": 4 if i == 0 else 0,
+        "concretize": {"status": "unsat" if i == 0 else "none"},
+        "sat": {"conflicts": 7, "propagations": 90, "depth": 4,
+                "core_size": 2},
+        "pdr": {"obligations": 12, "clauses": 5, "frames": 3},
+        "refine": {"conflict_candidates": 1, "fallback_candidates": 0,
+                   "hint_candidates": 2, "added_until_unsat": 1,
+                   "removed_by_greedy": 0, "final_count": regs,
+                   "atpg_calls": 1, "trace_invalidated": False,
+                   "shrunk_registers": shrunk},
+        "engines": {"abstract": {"winner": "pdr", "seconds": 0.01,
+                                 "cpu_seconds": 0.01},
+                    "concretize": {"winner": "sat-bmc", "seconds": 0.02,
+                                   "cpu_seconds": 0.02}},
+        "seconds": 0.05,
+    }
+
+
 def synthetic_batch_trace():
-    """A minimal well-formed rfn-trace-v2 record list for --self-check."""
+    """A minimal well-formed rfn-trace-v2 record list for --self-check:
+    p0 and p2 answered by one shared run (its iterations follow p0 only),
+    p1 by a solo run, then two certificates and the summary. Indices: 0 p0,
+    1-2 p0's iterations, 3 p2, 4 p1, 5 p1's iteration, 6-7 certificates,
+    8 summary."""
     prop = {"type": "property", "bad": 7, "cluster": 0, "clustered": True,
             "order_seeded": False, "seeded_registers": 0, "iterations": 2,
-            "final_abstract_regs": 3, "error_trace_cycles": 0,
+            "final_abstract_regs": 4, "error_trace_cycles": 0,
             "seconds": 0.25, "note": ""}
     cert = {"type": "certificate", "clauses": 0, "trace_cycles": 0,
             "obligation": "", "seconds": 0.01}
     return [
         dict(prop, name="p0", verdict="T"),
-        dict(prop, name="p1", verdict="F", error_trace_cycles=4),
+        synthetic_iteration("p0", 0, 3, 0),
+        synthetic_iteration("p0", 1, 4, 1),
+        dict(prop, name="p2", verdict="T", bad=8),
+        dict(prop, name="p1", verdict="F", bad=9, cluster=1, clustered=False,
+             iterations=1, error_trace_cycles=4),
+        synthetic_iteration("p1", 0, 3, 0),
         dict(cert, property="p0", kind="holds-invariant", ok=True, clauses=5),
         dict(cert, property="p1", kind="fails-trace", ok=False,
              trace_cycles=4, obligation="trace-replay"),
         {"type": "batch-summary", "trace_version": BATCH_TRACE_VERSION,
-         "properties": 2, "clusters": 1,
-         "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
+         "properties": 3, "clusters": 2,
+         "verdicts": {"T": 2, "F": 1, "?": 0, "resource-out": 0},
          "certificates": {"ok": 1, "failed": 1},
          "seconds": 0.5,
          "metrics": {"counters": {"sat.checks": 3, "sat.conflicts": 17,
                                   "sat.solve_calls": 9,
                                   "rfn.sat_hint_registers": 2,
                                   "portfolio.wins.sat-bmc": 1}}},
-    ]
-
-
-def synthetic_run_trace():
-    """A minimal well-formed rfn-trace-v1 record list for --self-check."""
-    def iteration(i, regs, shrunk):
-        return {
-            "type": "iteration", "iter": i,
-            "abstraction": {"regs": regs, "inputs": 2, "gates": 30},
-            "reach": {"status": "bad-reachable" if i == 0 else "proved",
-                      "steps": 3, "approx_used": False,
-                      "approx_proved": False},
-            "bdd": {"peak_nodes": 100, "cache_lookups": 10, "cache_hits": 5,
-                    "cache_hit_rate": 0.5, "reorderings": 0},
-            "hybrid": {"nocut_cubes": 0, "mincut_cubes": 0, "atpg_calls": 0,
-                       "atpg_rejects": 0},
-            "trace_cycles": 4 if i == 0 else 0,
-            "concretize": {"status": "unsat" if i == 0 else "none"},
-            "sat": {"conflicts": 7, "propagations": 90, "depth": 4,
-                    "core_size": 2},
-            "pdr": {"obligations": 12, "clauses": 5, "frames": 3},
-            "refine": {"conflict_candidates": 1, "fallback_candidates": 0,
-                       "hint_candidates": 2, "added_until_unsat": 1,
-                       "removed_by_greedy": 0, "final_count": regs,
-                       "atpg_calls": 1, "trace_invalidated": False,
-                       "shrunk_registers": shrunk},
-            "engines": {"abstract": {"winner": "pdr", "seconds": 0.01,
-                                     "cpu_seconds": 0.01},
-                        "concretize": {"winner": "sat-bmc", "seconds": 0.02,
-                                       "cpu_seconds": 0.02}},
-            "seconds": 0.05,
-        }
-
-    return [
-        iteration(0, 3, 0),
-        iteration(1, 4, 1),
-        {"type": "summary", "trace_version": RUN_TRACE_VERSION,
-         "verdict": "T", "iterations": 2, "final_abstract_regs": 4,
-         "error_trace_cycles": 0, "seconds": 0.12, "cpu_seconds": 0.11,
-         "note": "", "metrics_epoch": 0,
-         "metrics": {"counters": {"pdr.runs": 2, "pdr.clauses": 5}}},
     ]
 
 
@@ -986,9 +990,9 @@ def synthetic_serve_log():
     two verify requests (cold miss then warm hit), and a reject."""
     def verify_response(rid, hit, hits, misses):
         return {"type": "response", "version": RESPONSE_VERSION, "id": rid,
-                "ok": True, "design_hash": "deadbeef", "properties": 2,
-                "clusters": 1,
-                "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
+                "ok": True, "design_hash": "deadbeef", "properties": 3,
+                "clusters": 2,
+                "verdicts": {"T": 2, "F": 1, "?": 0, "resource-out": 0},
                 "warm_cache": {"enabled": True, "hit": hit, "hits": hits,
                                "misses": misses, "evictions": 0,
                                "entries": 1, "bytes": 15232,
@@ -1087,78 +1091,76 @@ def self_check():
                         "where the sat engine never ran")
 
     failures += [f for f in (
-        corrupt_batch(lambda d: d[-1].update(trace_version="rfn-trace-v1"),
+        corrupt_batch(lambda d: d[-1].update(trace_version="rfn-trace-v3"),
                       "wrong batch trace_version"),
         corrupt_batch(lambda d: d[-1].update(metrics=[1, 2]),
                       "non-object summary metrics"),
         corrupt_batch(lambda d: d.pop(),  # drop the batch-summary
                       "missing batch-summary"),
-        corrupt_batch(lambda d: d.__delitem__(0),  # one record per property
+        # Drop p2 (no iteration records of its own) and fix the verdict
+        # counts, so only the summary's property count is wrong.
+        corrupt_batch(lambda d: (d.__delitem__(3),
+                                 d[-1]["verdicts"].update(T=1)),
                       "summary/record property-count mismatch"),
         corrupt_batch(lambda d: d[0].update(verdict="HOLDS"),
                       "non-canonical verdict spelling"),
         corrupt_batch(lambda d: d[0].pop("seconds"),
                       "property record missing a key"),
-        corrupt_batch(lambda d: d[-1]["verdicts"].update(T=2),
+        corrupt_batch(lambda d: d[-1]["verdicts"].update(T=3),
                       "summary verdict-count mismatch"),
-        corrupt_batch(lambda d: d[2].update(kind="holds-magic"),
+        corrupt_batch(lambda d: d[6].update(kind="holds-magic"),
                       "unknown certificate kind"),
-        corrupt_batch(lambda d: d[2].update(obligation="safety"),
+        corrupt_batch(lambda d: d[6].update(obligation="safety"),
                       "ok certificate naming a failing obligation"),
-        corrupt_batch(lambda d: d[3].update(obligation=""),
+        corrupt_batch(lambda d: d[7].update(obligation=""),
                       "failed certificate without an obligation"),
-        corrupt_batch(lambda d: d[2].pop("clauses"),
+        corrupt_batch(lambda d: d[6].pop("clauses"),
                       "certificate record missing a key"),
         corrupt_batch(lambda d: d[-1]["certificates"].update(ok=2),
                       "summary certificate-count mismatch"),
         corrupt_batch(lambda d: d[-1].pop("certificates"),
                       "certificate records without summary counts"),
-        corrupt_batch(lambda d: d.insert(3, dict(d[0])),
+        corrupt_batch(lambda d: d.insert(7, dict(d[0])),
                       "property record after certificate records"),
-    ) if f]
-
-    good_run = synthetic_run_trace()
-    try:
-        validate_run(good_run)
-    except TraceError as err:
-        print(f"self-check: valid run trace rejected: {err}",
-              file=sys.stderr)
-        return 1
-
-    def corrupt_run(mutate, expect):
-        doc = json.loads(json.dumps(good_run))
-        mutate(doc)
-        try:
-            validate_run(doc)
-        except TraceError:
-            return None
-        return f"self-check: {expect} not detected"
-
-    failures += [f for f in (
-        corrupt_run(lambda d: d[-1].update(trace_version="rfn-trace-v2"),
-                    "wrong run trace_version"),
-        corrupt_run(lambda d: d.pop(),  # drop the summary
-                    "missing run summary"),
-        corrupt_run(lambda d: d[0].pop("pdr"),
-                    "iteration record missing the pdr block"),
-        corrupt_run(lambda d: d[0].update(pdr=[1, 2]),
-                    "non-object pdr block"),
-        corrupt_run(lambda d: d[0]["pdr"].pop("obligations"),
-                    "pdr block missing a counter"),
-        corrupt_run(lambda d: d[0]["pdr"].update(clauses=-3),
-                    "negative pdr clause count"),
-        corrupt_run(lambda d: d[0]["pdr"].update(frames="three"),
-                    "non-numeric pdr frame count"),
-        corrupt_run(lambda d: d[1]["refine"].pop("shrunk_registers"),
-                    "refine block missing shrunk_registers"),
-        corrupt_run(lambda d: d[1]["refine"].update(shrunk_registers=-1),
-                    "negative shrunk_registers"),
-        corrupt_run(lambda d: d[1]["refine"].update(shrunk_registers=99),
-                    "shrink larger than the abstraction"),
-        corrupt_run(lambda d: d[1].update(iter=5),
-                    "non-sequential iteration numbering"),
-        corrupt_run(lambda d: d[-1].update(iterations=3),
-                    "summary iteration-count mismatch"),
+        # Iteration records: the engine blocks, numbering and counts.
+        corrupt_batch(lambda d: d[1].pop("pdr"),
+                      "iteration record missing the pdr block"),
+        corrupt_batch(lambda d: d[1].update(pdr=[1, 2]),
+                      "non-object pdr block"),
+        corrupt_batch(lambda d: d[1]["pdr"].pop("obligations"),
+                      "pdr block missing a counter"),
+        corrupt_batch(lambda d: d[1]["pdr"].update(clauses=-3),
+                      "negative pdr clause count"),
+        corrupt_batch(lambda d: d[1]["pdr"].update(frames="three"),
+                      "non-numeric pdr frame count"),
+        corrupt_batch(lambda d: d[2]["refine"].pop("shrunk_registers"),
+                      "refine block missing shrunk_registers"),
+        corrupt_batch(lambda d: d[2]["refine"].update(shrunk_registers=-1),
+                      "negative shrunk_registers"),
+        corrupt_batch(lambda d: d[2]["refine"].update(shrunk_registers=99),
+                      "shrink larger than the abstraction"),
+        corrupt_batch(lambda d: d[2].update(iter=5),
+                      "non-sequential iteration numbering"),
+        corrupt_batch(lambda d: d[0].update(iterations=3),
+                      "property/iteration-record count mismatch"),
+        corrupt_batch(lambda d: d.__delitem__(5),
+                      "solo run missing its iteration records"),
+        corrupt_batch(lambda d: d[2].update(property="p1"),
+                      "iteration record naming another property"),
+        corrupt_batch(lambda d: d.insert(0, dict(d[1])),
+                      "iteration record before any property"),
+        corrupt_batch(lambda d: d.insert(7, dict(d[5])),
+                      "iteration record after certificate records"),
+        corrupt_batch(lambda d: d[3].update(cluster=1),
+                      "shared-run member without an earlier shared run"),
+        # A later round of cluster 0 (after a Fails round) with the same
+        # iteration count: a different run, so its records must be there.
+        corrupt_batch(lambda d: d[3].update(seconds=0.5),
+                      "second-round run of a cluster missing its iteration "
+                      "records"),
+        corrupt_batch(lambda d: d[3].update(final_abstract_regs=6),
+                      "second-round run of a cluster missing its iteration "
+                      "records (same wall time)"),
     ) if f]
 
     good_corpus = synthetic_corpus()
@@ -1272,31 +1274,33 @@ def self_check():
             return None
         return f"self-check: {expect} not detected"
 
-    # Indices into the synthetic log: 0 = ping response, 1..5 = first
-    # record group, 6 = cold verify response, 12 = warm verify response,
-    # 13 = reject response.
+    # Indices into the synthetic log: 0 = ping response, then one record
+    # group, the cold verify response, a second group, the warm verify
+    # response, and the reject response.
+    group = len(synthetic_batch_trace())
+    cold, warm, reject = 1 + group, 2 + 2 * group, 3 + 2 * group
     failures += [f for f in (
-        corrupt_serve(lambda d: d[6].update(version="rfn-resp-v0"),
+        corrupt_serve(lambda d: d[cold].update(version="rfn-resp-v0"),
                       "wrong response version"),
-        corrupt_serve(lambda d: d.pop(6),  # records with no response
+        corrupt_serve(lambda d: d.pop(cold),  # records with no response
                       "record group folded into the next request"),
-        corrupt_serve(lambda d: d[6]["verdicts"].update(T=2),
+        corrupt_serve(lambda d: d[cold]["verdicts"].update(T=3),
                       "response/stream verdict mismatch"),
-        corrupt_serve(lambda d: d[6].update(properties=3),
+        corrupt_serve(lambda d: d[cold].update(properties=4),
                       "response/stream property-count mismatch"),
-        corrupt_serve(lambda d: d[6].pop("design_hash"),
+        corrupt_serve(lambda d: d[cold].pop("design_hash"),
                       "ok verify response without design_hash"),
-        corrupt_serve(lambda d: d[6]["warm_cache"].pop("order_warm"),
+        corrupt_serve(lambda d: d[cold]["warm_cache"].pop("order_warm"),
                       "incomplete warm_cache block"),
-        corrupt_serve(lambda d: d[6]["warm_cache"].update(hits=5),
+        corrupt_serve(lambda d: d[cold]["warm_cache"].update(hits=5),
                       "cumulative warm counters going backwards"),
-        corrupt_serve(lambda d: d[12]["warm_cache"].update(enabled=False),
+        corrupt_serve(lambda d: d[warm]["warm_cache"].update(enabled=False),
                       "warm hit while disabled"),
-        corrupt_serve(lambda d: d[13].update(reject_reason="tuesday"),
+        corrupt_serve(lambda d: d[reject].update(reject_reason="tuesday"),
                       "unknown reject reason"),
-        corrupt_serve(lambda d: d[13].pop("error"),
+        corrupt_serve(lambda d: d[reject].pop("error"),
                       "reject without a diagnostic"),
-        corrupt_serve(lambda d: d.insert(13, dict(d[1])),
+        corrupt_serve(lambda d: d.insert(reject, dict(d[1])),
                       "records streamed before a reject"),
         corrupt_serve(lambda d: d.append(dict(d[1])),
                       "trailing records after the last response"),
@@ -1324,10 +1328,8 @@ def main():
     ap.add_argument("--self-check", action="store_true",
                     help="validate built-in good/bad traces and exit")
     ap.add_argument("--batch", action="store_true",
-                    help="TRACE is an rfn-trace-v2 batch JSONL file")
-    ap.add_argument("--run", action="store_true",
-                    help="TRACE is an rfn-trace-v1 single-run JSONL file "
-                         "(iteration records + summary)")
+                    help="TRACE is an rfn-trace-v2 JSONL file from "
+                         "rfn verify --trace-json")
     ap.add_argument("--corpus", action="store_true",
                     help="TRACE is an rfn-corpus-v1/-v2 summary from "
                          "tools/corpus_run.py")
@@ -1369,12 +1371,6 @@ def main():
             return report_batch(args.trace)
         except TraceError as err:
             print(f"trace_report: invalid batch trace: {err}", file=sys.stderr)
-            return 1
-    if args.run:
-        try:
-            return report_run(args.trace)
-        except TraceError as err:
-            print(f"trace_report: invalid run trace: {err}", file=sys.stderr)
             return 1
     try:
         with open(args.trace) as fh:
