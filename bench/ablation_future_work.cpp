@@ -134,8 +134,7 @@ int main(int argc, char** argv) {
       ropt.time_limit_s = 60.0;
       ropt.traces_per_iteration = traces;
       Stopwatch w;
-      RfnVerifier v(n, bad, ropt);
-      const RfnResult r = v.run();
+      const RfnResult r = run_property(n, bad, ropt);
       t2.add_row({fmt_int(static_cast<int64_t>(decoys)),
                   fmt_int(static_cast<int64_t>(traces)), to_string(r.verdict),
                   fmt_int(static_cast<int64_t>(r.iterations)),

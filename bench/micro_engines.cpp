@@ -238,8 +238,7 @@ void BM_RfnPortfolioFifo(benchmark::State& state) {
     RfnOptions opt;
     opt.portfolio_workers = static_cast<size_t>(state.range(0));
     opt.race_probe_time_s = 1.0;
-    RfnVerifier v(fifo.netlist, fifo.bad_push_full, opt);
-    const RfnResult res = v.run();
+    const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
   export_portfolio_counters(state);
@@ -272,7 +271,7 @@ SessionSuite fifo_session_suite() {
   return suite;
 }
 
-// The suite verified independently: four fresh RfnVerifier runs, nothing
+// The suite verified independently: four fresh run_property runs, nothing
 // shared. This is the baseline the batch session below must beat;
 // bench_gate.py enforces batch < independent on every run.
 void BM_SessionIndependentFifo(benchmark::State& state) {
@@ -282,8 +281,7 @@ void BM_SessionIndependentFifo(benchmark::State& state) {
     for (const auto& [name, bad] : suite.props) {
       RfnOptions opt;
       opt.race_probe_time_s = 1.0;
-      RfnVerifier v(suite.design, bad, opt);
-      if (v.run().verdict != Verdict::Holds)
+      if (run_property(suite.design, bad, opt).verdict != Verdict::Holds)
         state.SkipWithError("fifo suite must hold");
     }
   }
@@ -338,8 +336,7 @@ void BM_PortfolioPdrFifo(benchmark::State& state) {
     RfnOptions opt;
     opt.engines = {"pdr"};
     opt.portfolio_workers = static_cast<size_t>(state.range(0));
-    RfnVerifier v(fifo.netlist, fifo.bad_push_full, opt);
-    const RfnResult res = v.run();
+    const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
     if (!res.pdr_invariant.present)
       state.SkipWithError("pdr verdict must carry its inductive frame");
@@ -386,8 +383,7 @@ void BM_PortfolioWithSatFifo(benchmark::State& state) {
     opt.engines = {"bdd", "sat"};
     opt.portfolio_workers = static_cast<size_t>(state.range(0));
     opt.race_probe_time_s = 1.0;
-    RfnVerifier v(fifo.netlist, fifo.bad_push_full, opt);
-    const RfnResult res = v.run();
+    const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
   const MetricsSnapshot s = MetricsRegistry::global().snapshot();

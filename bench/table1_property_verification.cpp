@@ -74,15 +74,14 @@ int main(int argc, char** argv) {
 
     RfnOptions rfn_opts;
     rfn_opts.time_limit_s = opts.get_double("time-limit", 900.0);
-    RfnVerifier verifier(*row.design, row.bad, rfn_opts);
-    const RfnResult r = verifier.run();
+    const RfnResult r = run_property(*row.design, row.bad, rfn_opts);
     verdicts.push_back(r.verdict);
     // Every verdict is re-checked as an rfn-cert-v1 witness by the
     // independent SAT checker (trace replay for F, inductive invariant for
     // T).
     const CertificateArtifact cert = certify_with_witness(
         *row.design, row.bad, row.name, r.verdict, r.error_trace,
-        verifier.abstract_registers(), {},
+        r.final_registers, {},
         r.pdr_invariant.present ? &r.pdr_invariant : nullptr);
     table.add_row({row.name, fmt_int(static_cast<int64_t>(coi_regs)),
                    fmt_int(static_cast<int64_t>(coi_gates)), fmt_double(r.seconds, 1),

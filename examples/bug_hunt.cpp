@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
   Stopwatch rfn_watch;
   RfnOptions rfn_opts;
   rfn_opts.time_limit_s = opts.get_double("time-limit", 600.0);
-  RfnVerifier verifier(proc.netlist, proc.error_flag, rfn_opts);
-  const RfnResult r = verifier.run();
+  const RfnResult r = run_property(proc.netlist, proc.error_flag, rfn_opts);
   std::printf("\nRFN verdict: %s in %.2f s (%zu iterations, abstract model %zu regs)\n",
               to_string(r.verdict), rfn_watch.seconds(), r.iterations,
               r.final_abstract_regs);

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
     const size_t coi = coi_registers(fifo.netlist, {bad}).size();
     RfnOptions rfn_opts;
     rfn_opts.time_limit_s = opts.get_double("time-limit", 300.0);
-    RfnVerifier verifier(fifo.netlist, bad, rfn_opts);
-    const RfnResult r = verifier.run();
+    const RfnResult r = run_property(fifo.netlist, bad, rfn_opts);
     table.add_row({name, fmt_int(static_cast<int64_t>(coi)), to_string(r.verdict),
                    fmt_int(static_cast<int64_t>(r.final_abstract_regs)),
                    fmt_int(static_cast<int64_t>(r.iterations)), fmt_double(r.seconds, 2)});

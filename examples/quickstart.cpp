@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
 
   RfnOptions rfn_opts;
   rfn_opts.time_limit_s = opts.get_double("time-limit", 60.0);
-  RfnVerifier verifier(design, bad, rfn_opts);
-  const RfnResult result = verifier.run();
+  const RfnResult result = run_property(design, bad, rfn_opts);
 
   std::printf("property 'door closed while moving': %s\n",
               result.verdict == Verdict::Holds   ? "HOLDS"

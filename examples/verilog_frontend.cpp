@@ -88,8 +88,7 @@ int main(int argc, char** argv) {
 
   RfnOptions rfn_opts;
   rfn_opts.time_limit_s = opts.get_double("time-limit", 120.0);
-  RfnVerifier verifier(design.netlist, bad, rfn_opts);
-  const RfnResult result = verifier.run();
+  const RfnResult result = run_property(design.netlist, bad, rfn_opts);
   std::printf("property '!%s': %s (%zu iterations, abstract model %zu regs, %.2f s)\n",
               bad_name.c_str(),
               result.verdict == Verdict::Holds   ? "HOLDS"

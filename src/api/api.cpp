@@ -3,6 +3,7 @@
 #include <exception>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "cert/format.hpp"
@@ -80,15 +81,22 @@ GateId find_signal(const Netlist& n, const std::string& name) {
 
 bool apply_override(const std::string& key, const std::string& value,
                     PropertySpec* out, std::string* error) {
+  // std::stoul accepts a sign and wraps "-1" to 2^64-1: a count must be
+  // refused here, before it can become a near-endless run.
+  const auto count = [&value] {
+    if (value.find('-') != std::string::npos)
+      throw std::invalid_argument("negative count");
+    return std::stoul(value);
+  };
   try {
     if (key == "name") {
       out->name = value;
     } else if (key == "time-limit") {
       out->overrides.time_limit_s = std::stod(value);
     } else if (key == "max-iterations") {
-      out->overrides.max_iterations = std::stoul(value);
+      out->overrides.max_iterations = count();
     } else if (key == "traces") {
-      out->overrides.traces_per_iteration = std::stoul(value);
+      out->overrides.traces_per_iteration = count();
     } else if (key == "budget-ms") {
       out->overrides.budget_ms = std::stod(value);
     } else if (key == "budget-bdd-nodes") {
@@ -134,10 +142,22 @@ bool parse_property_spec(const std::string& line, PropertySpec* out,
 // VerifyRequest
 
 std::vector<std::string> VerifyRequest::validate() const {
-  // The single choke point: the engine knobs' own validation. Session knobs
-  // are self-clamping by construction (cluster_by_cone_overlap treats
+  // The single choke point: the engine knobs' own validation, of the
+  // defaults and then of every property's merged options (what its run
+  // will see), prefixed with the property's origin. Session knobs are
+  // self-clamping by construction (cluster_by_cone_overlap treats
   // max_cluster_size 0 as 1; non-positive overlap disables clustering).
-  return options.validate();
+  std::vector<std::string> errors = options.validate();
+  if (!errors.empty()) return errors;
+  for (size_t i = 0; i < props.size(); ++i) {
+    const PropertySpec& p = props[i];
+    if (!p.overrides.any()) continue;
+    const std::string origin =
+        p.origin.empty() ? "props[" + std::to_string(i) + "]" : p.origin;
+    for (const std::string& e : merge_overrides(options, p.overrides).validate())
+      errors.push_back(origin + ": " + e);
+  }
+  return errors;
 }
 
 json::Value VerifyRequest::to_json() const {

@@ -57,13 +57,14 @@ struct PropertySpec {
   /// Label override; empty keeps the signal's design name.
   std::string name;
   PropertyRequest::Overrides overrides;
-  /// Diagnostic prefix for resolution errors ("props line 3"); never
-  /// serialized.
+  /// Diagnostic prefix for resolution and validation errors ("props line
+  /// 3", "props[0]"); never serialized.
   std::string origin;
 };
 
 /// Applies one key=value override ("name" included). False with a message
-/// on unknown keys; the same spellings everywhere.
+/// on unknown keys, unparsable values and negative counts; the same
+/// spellings everywhere.
 bool apply_override(const std::string& key, const std::string& value,
                     PropertySpec* out, std::string* error);
 
@@ -112,8 +113,10 @@ struct VerifyRequest {
   /// Ship each built rfn-cert-v1 document inline in the response.
   bool inline_certificates = false;
 
-  /// The one validation choke point: RfnOptions::validate() plus the
-  /// session knobs. Empty means valid.
+  /// The one validation choke point: RfnOptions::validate() of the
+  /// defaults, then (when those are valid) of each property's merged
+  /// options (merge_overrides), prefixed with the property's origin. Empty
+  /// means valid.
   std::vector<std::string> validate() const;
 
   json::Value to_json() const;

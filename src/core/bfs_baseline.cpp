@@ -33,7 +33,7 @@ BfsBaselineResult bfs_coverage_analysis(const Netlist& m,
 
   BddMgr mgr;
   Encoder enc(mgr, sub.net);
-  mgr.set_auto_reorder(opt.dynamic_reordering);
+  mgr.set_auto_reorder(true);
   mgr.set_node_budget(opt.reach.max_live_nodes);
   const Deadline deadline(opt.reach.time_limit_s);
   enc.set_resource_guard(&deadline, opt.reach.max_live_nodes);

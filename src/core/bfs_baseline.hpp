@@ -19,7 +19,6 @@ struct BfsBaselineOptions {
   /// always completes on an abstract model with 60 registers").
   size_t num_registers = 60;
   ReachOptions reach;
-  bool dynamic_reordering = true;
 };
 
 struct BfsBaselineResult {

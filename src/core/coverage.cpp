@@ -42,6 +42,13 @@ std::vector<uint8_t> membership(BddMgr& mgr, const Bdd& f,
   return out;
 }
 
+/// Flushes a manager's statistics into the metrics registry when the
+/// iteration that owns it ends, whichever way it ends.
+struct PublishOnExit {
+  const BddMgr& mgr;
+  ~PublishOnExit() { publish_bdd_metrics(mgr.stats()); }
+};
+
 }  // namespace
 
 CoverageResult rfn_coverage_analysis(const Netlist& m,
@@ -106,9 +113,10 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
     const Subcircuit sub = extract_abstract_model(m, roots, included);
 
     BddMgr mgr;
+    const PublishOnExit publish{mgr};
     Encoder enc(mgr, sub.net);
     if (!saved_order.empty()) apply_saved_order(mgr, enc, sub, saved_order);
-    mgr.set_auto_reorder(opt.dynamic_reordering);
+    mgr.set_auto_reorder(true);
     mgr.set_node_budget(opt.reach.max_live_nodes);
     ImageComputer img(enc);
     if (img.aborted()) {

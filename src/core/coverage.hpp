@@ -27,7 +27,6 @@ struct CoverageOptions {
   RefineOptions refine;
   /// How many candidate traces to concretize per iteration.
   size_t traces_per_iteration = 4;
-  bool dynamic_reordering = true;
 };
 
 struct CoverageResult {

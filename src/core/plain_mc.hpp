@@ -19,7 +19,6 @@ struct PlainMcResult {
 /// Runs BDD reachability on the COI-reduced design. Fails/Holds are exact
 /// (COI reduction preserves the property); Unknown means resources ran out —
 /// the expected outcome on designs beyond BDD capacity.
-PlainMcResult plain_model_check(const Netlist& m, GateId bad, const ReachOptions& opt,
-                                bool dynamic_reordering = true);
+PlainMcResult plain_model_check(const Netlist& m, GateId bad, const ReachOptions& opt);
 
 }  // namespace rfn

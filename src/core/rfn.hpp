@@ -11,6 +11,11 @@
 //   4. on spurious traces, refine via 3-valued simulation + greedy ATPG
 //      register minimization.
 // RFN never performs symbolic image computation on the original design.
+//
+// run_property() is the one entry point to this loop. Steps 2 and 3 are
+// engine races (core/portfolio.hpp); RunHooks lets a caller seed the run and
+// collect its hints, which is how VerifySession (core/session.hpp) adds
+// batching, cone clustering and cross-property reuse on top.
 
 #include <string>
 #include <vector>
@@ -33,15 +38,6 @@ struct RfnOptions {
   size_t max_iterations = 1000;
   /// Per-iteration reachability budget on the abstract model.
   ReachOptions reach;
-  /// Resource limits for the Step 3 guided search on the original design.
-  AtpgOptions concretize_atpg;
-  /// Resource limits for Step 4's greedy minimization.
-  RefineOptions refine;
-  HybridTraceOptions hybrid;
-  /// Enable dynamic variable reordering during Step 2 and carry the order
-  /// to the next iteration (paper Section 2.2).
-  bool dynamic_reordering = true;
-  bool save_var_order = true;
   /// When the exact fixpoint on an abstract model exceeds its resources,
   /// retry with the overlapping-partition approximate traversal (the
   /// paper's future-work engine): a Proved there is still a proof.
@@ -61,13 +57,6 @@ struct RfnOptions {
   /// primary engine is inconclusive. Verdicts are identical either way —
   /// every engine is sound — only the winner (and wall time) changes.
   size_t portfolio_workers = 0;
-  /// Cycle budget per race for the random-simulation engines (64 random
-  /// patterns per cycle).
-  size_t race_sim_cycles = 512;
-  /// Iterative-deepening bound and per-depth backtrack budget for the
-  /// sequential-ATPG engine racing the abstract check.
-  size_t race_atpg_max_depth = 48;
-  uint64_t race_atpg_backtracks = 1u << 14;
   /// Wall budget (seconds) for each probe engine per race; the primary
   /// engines (BDD fixpoint, guided ATPG) keep their own limits.
   double race_probe_time_s = 2.0;
@@ -77,10 +66,6 @@ struct RfnOptions {
   /// and "pdr" can prove Holds, so a list with neither restricts the loop
   /// to falsification: a run that finds no error trace ends Unknown.
   std::vector<std::string> engines;
-  /// Iterative-deepening bound for the SAT BMC engine's abstract probe
-  /// (Step 2). The Step-3 concrete check is bounded by the abstract trace
-  /// length instead, where bounded UNSAT is conclusive.
-  size_t race_sat_max_depth = 48;
   /// Frame bound for the IC3/PDR engine in both races. PDR is complete —
   /// given enough frames it always converges — so this is purely a resource
   /// valve against designs whose inductive proofs are deep.
@@ -90,11 +75,6 @@ struct RfnOptions {
   /// job in an otherwise-winnerless race would stall the loop, so it gets
   /// its own limit rather than race_probe_time_s.
   double race_pdr_time_s = 10.0;
-  /// Feed the registers named by Step-3 bounded-UNSAT assumption cores to
-  /// Step-4 refinement as crucial-register hints. Hints only — they reorder
-  /// which candidates greedy minimization tries first, never what a verdict
-  /// means — so this is a performance switch, not a soundness one.
-  bool sat_core_hints = true;
   /// Proof-based abstraction shrinking (Eén/Mishchenko/Amla): after a
   /// Step-3 bounded-UNSAT concrete check, drop included registers that the
   /// proof's assumption core never touched, alternating counterexample-
@@ -129,8 +109,8 @@ struct RfnOptions {
 
   /// Checks the options for consistency and returns human-readable errors
   /// (empty = valid) instead of clamping silently at run time. Front doors
-  /// (api::run_verify) report these messages; VerifySession::run() and
-  /// RfnVerifier::run() abort with them.
+  /// (api::run_verify) report these messages; run_property() aborts with
+  /// them.
   std::vector<std::string> validate() const;
 };
 
@@ -217,13 +197,13 @@ struct RfnResult {
   std::vector<GateId> final_registers;
   double seconds = 0.0;
   /// Thread-CPU seconds attributable to this run: the calling thread's CPU
-  /// over run() plus, when portfolio workers raced off-thread, the CPU their
+  /// over the run plus, when portfolio workers raced off-thread, the CPU their
   /// jobs burned (sequential runs execute jobs inline, already counted).
   double cpu_seconds = 0.0;
   std::vector<RfnIteration> per_iteration;
   std::string note;  // diagnostic for Unknown/ResourceOut verdicts
   BudgetTrip budget_trip;
-  /// Metrics isolation for this run: the registry snapshot taken at run()
+  /// Metrics isolation for this run: the registry snapshot taken at run
   /// entry and the epoch id. Serializing the registry against the baseline
   /// (to_json(&metrics_baseline)) yields only this run's work even when
   /// several runs share the process.
@@ -234,30 +214,42 @@ struct RfnResult {
   PdrInvariantWitness pdr_invariant;
 };
 
-/// Single-property compatibility wrapper over the session engine
-/// (run_property in core/session.hpp). Kept as the stable entry point for
-/// one-off verification; batches of properties on one design should go
-/// through VerifySession, which adds cone clustering and cross-property
-/// reuse on top of the same engine.
-class RfnVerifier {
- public:
-  /// `bad` is a signal of `m`; the property is "bad never becomes 1 in any
-  /// reachable state/input". Safety properties are modeled by a watchdog
-  /// whose output (or state) is `bad` (paper Section 3).
-  RfnVerifier(const Netlist& m, GateId bad, RfnOptions opt = {});
+class SubcircuitMemo;
+class SatBmcPool;
+struct SavedOrder;
 
-  /// Runs (or, on a second call, resumes) the verification. Aborts with
-  /// the RfnOptions::validate() messages on invalid options.
-  RfnResult run();
-
-  /// The included register set after run() (the final abstract model).
-  const std::vector<GateId>& abstract_registers() const { return included_; }
-
- private:
-  const Netlist* m_;
-  GateId bad_;
-  RfnOptions opt_;
-  std::vector<GateId> included_;
+/// Optional hooks run_property() threads through one run; all fields may be
+/// null. This is how the session injects its reuse cache without the loop
+/// knowing about sessions.
+struct RunHooks {
+  /// Memoized Step-1 subcircuit extraction.
+  SubcircuitMemo* subcircuits = nullptr;
+  /// In: initial variable-order seed (may be empty). Out: the final saved
+  /// order of the run.
+  SavedOrder* order_io = nullptr;
+  /// Out: set true when a non-empty seed order was applied to the first
+  /// iteration's manager.
+  bool* order_seeded = nullptr;
+  /// Registers unioned into the initial abstraction: refinement seeds from
+  /// earlier properties, or an earlier run's final_registers to resume
+  /// from. Sound: a larger register set only tightens the
+  /// over-approximation.
+  const std::vector<GateId>* seed_registers = nullptr;
+  /// Out: every crucial register chosen by Step 4, appended in discovery
+  /// order (duplicates possible across iterations are not re-added).
+  std::vector<GateId>* crucial_out = nullptr;
+  /// Pooled incremental SAT BMC instances; null makes the run build its own
+  /// per-run instance when the "sat" engine is enabled.
+  SatBmcPool* sat_bmc = nullptr;
 };
+
+/// Verifies "`bad` never rises" on `m`: `bad` is a signal of `m`, and safety
+/// properties are modeled by a watchdog whose output (or state) is `bad`
+/// (paper Section 3). Aborts with the RfnOptions::validate() messages on
+/// invalid options. The result's final_registers is the final abstract
+/// model; passing it back as RunHooks::seed_registers resumes refinement
+/// from there.
+RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
+                       const RunHooks& hooks = {});
 
 }  // namespace rfn

@@ -25,9 +25,8 @@
 //      budgets per property (enforced by the per-run resource watchdog), so
 //      one hard property cannot starve the batch.
 //
-// RfnVerifier (core/rfn.hpp) is the single-request compatibility wrapper
-// over run_property(), the one-property engine that also powers every
-// cluster job here.
+// Every run here, solo or shared, is one run_property() call (core/rfn.hpp)
+// with the reuse cache wired in through RunHooks.
 
 #include <functional>
 #include <memory>
@@ -70,6 +69,12 @@ struct PropertyRequest {
     }
   } overrides;
 };
+
+/// The options a property with overrides `o` runs under: `defaults` with
+/// every set override applied. The session and the request validator
+/// (api::VerifyRequest::validate) both merge through this.
+RfnOptions merge_overrides(const RfnOptions& defaults,
+                           const PropertyRequest::Overrides& o);
 
 /// Per-property outcome of a session run.
 struct PropertyResult {
@@ -208,36 +213,6 @@ struct ReuseCache {
   int64_t approx_bytes() const;
 };
 
-/// Optional hooks run_property() threads through one CEGAR run; all fields
-/// may be null. This is how the session injects its reuse cache without the
-/// engine knowing about sessions.
-struct RunHooks {
-  /// Memoized Step-1 subcircuit extraction.
-  SubcircuitMemo* subcircuits = nullptr;
-  /// In: initial variable-order seed (may be empty). Out: the final saved
-  /// order of the run. Requires opt.save_var_order.
-  SavedOrder* order_io = nullptr;
-  /// Out: set true when a non-empty seed order was applied to the first
-  /// iteration's manager.
-  bool* order_seeded = nullptr;
-  /// Registers unioned into the initial abstraction (refinement seeds from
-  /// earlier properties). Sound: a larger register set only tightens the
-  /// over-approximation.
-  const std::vector<GateId>* seed_registers = nullptr;
-  /// Out: every crucial register chosen by Step 4, appended in discovery
-  /// order (duplicates possible across iterations are not re-added).
-  std::vector<GateId>* crucial_out = nullptr;
-  /// Pooled incremental SAT BMC instances; null makes the run build its own
-  /// per-run instance when the "sat" engine is enabled.
-  SatBmcPool* sat_bmc = nullptr;
-};
-
-/// The single-property abstraction-refinement engine (the loop that used to
-/// live in RfnVerifier::run). Verifies "`bad` never rises" on `m` under
-/// `opt`, with optional session hooks.
-RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
-                       const RunHooks& hooks = {});
-
 /// Greedy cone clustering (exposed for tests): walks properties in index
 /// order, joining property i to the first cluster whose representative
 /// (first member) cone has Jaccard overlap >= threshold, subject to
@@ -253,8 +228,9 @@ class VerifySession {
   explicit VerifySession(const Netlist& m, SessionOptions opt = {});
 
   /// Verifies the batch and returns one result per request, in request
-  /// order. Validates SessionOptions::defaults up front (RfnOptions::
-  /// validate) and aborts with the collected messages on invalid options.
+  /// order. Each run's options (the defaults merged with the property's
+  /// overrides) are validated by run_property, which aborts on invalid
+  /// ones.
   std::vector<PropertyResult> run(const std::vector<PropertyRequest>& props);
 
   /// Clusters computed by the last run(): request indices per cluster.

@@ -29,7 +29,6 @@
 #include <string_view>
 
 #include "util/json.hpp"
-#include "util/stopwatch.hpp"
 
 namespace rfn {
 
@@ -217,34 +216,6 @@ class MetricsEpoch {
  private:
   uint64_t id_;
   MetricsSnapshot baseline_;
-};
-
-/// RAII scoped timer: records the elapsed wall time into a Timer when it
-/// leaves scope (or at an explicit stop()). Nesting is just independent
-/// objects — each scope records its own duration.
-class MetricTimer {
- public:
-  explicit MetricTimer(Timer& timer) : timer_(&timer) {}
-  /// Convenience: resolves `name` in the global registry.
-  explicit MetricTimer(std::string_view name)
-      : timer_(&MetricsRegistry::global().timer(name)) {}
-  MetricTimer(const MetricTimer&) = delete;
-  MetricTimer& operator=(const MetricTimer&) = delete;
-  ~MetricTimer() { stop(); }
-
-  /// Records now instead of at scope exit; idempotent. Returns the elapsed
-  /// seconds that were recorded.
-  double stop() {
-    if (timer_ == nullptr) return 0.0;
-    const double s = watch_.seconds();
-    timer_->record(s);
-    timer_ = nullptr;
-    return s;
-  }
-
- private:
-  Timer* timer_;
-  Stopwatch watch_;
 };
 
 }  // namespace rfn

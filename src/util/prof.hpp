@@ -27,6 +27,7 @@
 
 #include "util/json.hpp"
 #include "util/metrics.hpp"
+#include "util/stopwatch.hpp"
 
 namespace rfn::prof {
 

@@ -43,11 +43,10 @@ CertificateArtifact certify(const Netlist& m, GateId bad, Verdict verdict,
 TEST(Certify, HoldsVerdictIsCertified) {
   GateId bad;
   Netlist m = make_chain(4, false, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, {});
   ASSERT_EQ(res.verdict, Verdict::Holds);
   const CertificateArtifact art =
-      certify(m, bad, res.verdict, res.error_trace, rfn.abstract_registers());
+      certify(m, bad, res.verdict, res.error_trace, res.final_registers);
   EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
   EXPECT_EQ(art.certificate.kind, cert::CertKind::HoldsInvariant);
 }
@@ -55,11 +54,10 @@ TEST(Certify, HoldsVerdictIsCertified) {
 TEST(Certify, FailsVerdictIsCertified) {
   GateId bad;
   Netlist m = make_chain(3, true, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, {});
   ASSERT_EQ(res.verdict, Verdict::Fails);
   const CertificateArtifact art =
-      certify(m, bad, res.verdict, res.error_trace, rfn.abstract_registers());
+      certify(m, bad, res.verdict, res.error_trace, res.final_registers);
   EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
   EXPECT_EQ(art.certificate.kind, cert::CertKind::FailsTrace);
 }
@@ -156,10 +154,10 @@ std::string replaced(std::string text, const std::string& from,
 TEST(CertSpec, HoldsWitnessRoundTripsThroughJson) {
   GateId bad;
   const Netlist m = make_chain(4, false, &bad);
-  RfnVerifier rfn(m, bad);
-  ASSERT_EQ(rfn.run().verdict, Verdict::Holds);
+  const RfnResult res = run_property(m, bad, {});
+  ASSERT_EQ(res.verdict, Verdict::Holds);
   const CertificateBuild built =
-      build_holds_certificate(m, bad, "bad", rfn.abstract_registers());
+      build_holds_certificate(m, bad, "bad", res.final_registers);
   ASSERT_TRUE(built.ok) << built.detail;
 
   cert::Certificate back;
@@ -179,8 +177,7 @@ TEST(CertSpec, HoldsWitnessRoundTripsThroughJson) {
 TEST(CertSpec, FailsWitnessRoundTripsThroughJson) {
   GateId bad;
   const Netlist m = make_chain(3, true, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, {});
   ASSERT_EQ(res.verdict, Verdict::Fails);
   const CertificateBuild built =
       build_fails_certificate(m, bad, "bad", res.error_trace);
@@ -316,8 +313,7 @@ void builtin_witness_roundtrip(const char* design, const char* property,
   GateId bad = m.output(property);  // rfn_cli resolution: output, then name
   if (bad == kNullGate) bad = m.find(property);
   ASSERT_NE(bad, kNullGate);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, {});
   ASSERT_EQ(res.verdict, expected);
 
   const CertificateArtifact art = certify_with_witness(

@@ -52,8 +52,7 @@ Netlist make_chain(size_t len, bool driver_is_input, GateId* bad_out) {
 TEST(Rfn, ProvesChainPropertyByIterativeRefinement) {
   GateId bad;
   Netlist m = make_chain(4, /*driver_is_input=*/false, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, {});
   EXPECT_EQ(res.verdict, Verdict::Holds);
   // The proof needs the whole chain: one register per refinement iteration.
   EXPECT_EQ(res.final_abstract_regs, 4u);
@@ -67,8 +66,7 @@ TEST(Rfn, ProvesChainPropertyByIterativeRefinement) {
 TEST(Rfn, FalsifiesChainWithConcreteTrace) {
   GateId bad;
   Netlist m = make_chain(3, /*driver_is_input=*/true, &bad);
-  RfnVerifier rfn(m, bad);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, {});
   ASSERT_EQ(res.verdict, Verdict::Fails);
   EXPECT_EQ(res.error_trace.cycles(), 4u);  // in@1 -> r0@2 -> r1@3 -> r2@4
   EXPECT_EQ(replay(m, res.error_trace, bad), Tri::T);
@@ -91,8 +89,7 @@ TEST(Rfn, ImmediateProofWhenInitialAbstractionSuffices) {
   b.output("bad", bad);
   Netlist m = b.take();
 
-  RfnVerifier rfn(m, m.output("bad"));
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, m.output("bad"), {});
   EXPECT_EQ(res.verdict, Verdict::Holds);
   EXPECT_EQ(res.iterations, 1u);
 }
@@ -108,8 +105,7 @@ TEST(Rfn, DeepBugFoundThroughGuidedAtpg) {
   for (int i = 1; i < 8; ++i) b.set_next(stage[static_cast<size_t>(i)], stage[static_cast<size_t>(i) - 1]);
   b.output("bad", stage.back());
   Netlist m = b.take();
-  RfnVerifier rfn(m, m.output("bad"));
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, m.output("bad"), {});
   ASSERT_EQ(res.verdict, Verdict::Fails);
   EXPECT_EQ(res.error_trace.cycles(), 9u);
   EXPECT_EQ(replay(m, res.error_trace, m.output("bad")), Tri::T);
@@ -223,8 +219,7 @@ TEST_P(RfnVsPlainMc, VerdictsAgree) {
 
     RfnOptions opt;
     opt.time_limit_s = 30.0;
-    RfnVerifier rfn(m, m.output("bad"), opt);
-    const RfnResult res = rfn.run();
+    const RfnResult res = run_property(m, m.output("bad"), opt);
     ASSERT_EQ(res.verdict, truth.verdict) << "round " << round << " note: " << res.note;
     if (res.verdict == Verdict::Fails) {
       EXPECT_EQ(replay(m, res.error_trace, m.output("bad")), Tri::T);
@@ -234,9 +229,8 @@ TEST_P(RfnVsPlainMc, VerdictsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RfnVsPlainMc, ::testing::Values(101, 202, 303, 404, 505));
 
-TEST(Coverage, OneHotRingGroundTruth) {
-  // One-hot 3-stage ring: reachable coverage states are exactly the three
-  // one-hot patterns.
+/// One-hot 3-stage ring; `regs` receives its registers s0, s1, s2.
+Netlist one_hot_ring(std::vector<GateId>* regs) {
   NetBuilder b;
   const GateId s0 = b.reg("s0", Tri::T);
   const GateId s1 = b.reg("s1");
@@ -244,11 +238,18 @@ TEST(Coverage, OneHotRingGroundTruth) {
   b.set_next(s0, s2);
   b.set_next(s1, s0);
   b.set_next(s2, s1);
-  Netlist m = b.take();
+  *regs = {s0, s1, s2};
+  return b.take();
+}
+
+TEST(Coverage, OneHotRingGroundTruth) {
+  // Reachable coverage states are exactly the three one-hot patterns.
+  std::vector<GateId> regs;
+  const Netlist m = one_hot_ring(&regs);
 
   CoverageOptions opt;
   opt.time_limit_s = 30.0;
-  const CoverageResult res = rfn_coverage_analysis(m, {s0, s1, s2}, opt);
+  const CoverageResult res = rfn_coverage_analysis(m, regs, opt);
   EXPECT_EQ(res.total_states, 8u);
   EXPECT_EQ(res.unreachable, 5u);
   EXPECT_EQ(res.reachable, 3u);
@@ -256,8 +257,23 @@ TEST(Coverage, OneHotRingGroundTruth) {
 
   BfsBaselineOptions bopt;
   bopt.num_registers = 3;
-  const BfsBaselineResult bfs = bfs_coverage_analysis(m, {s0, s1, s2}, bopt);
+  const BfsBaselineResult bfs = bfs_coverage_analysis(m, regs, bopt);
   EXPECT_EQ(bfs.unreachable, 5u);
+}
+
+TEST(Coverage, PublishesBddStatistics) {
+  // Like run_property, the coverage loop flushes each iteration's BDD
+  // manager statistics into the registry bound to the thread.
+  std::vector<GateId> regs;
+  const Netlist m = one_hot_ring(&regs);
+  MetricsRegistry reg;
+  {
+    const MetricsScope scope(&reg);
+    rfn_coverage_analysis(m, regs);
+  }
+  const MetricsSnapshot s = reg.snapshot();
+  EXPECT_GE(s.value("bdd.managers"), 1.0);
+  EXPECT_GT(s.value("bdd.cache_lookups"), 0.0);
 }
 
 TEST(Coverage, RefinementTightensClassification) {
@@ -318,8 +334,7 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
   opt.max_iterations = 60;
   opt.approx_block_size = 6;
   opt.approx_overlap = 2;
-  RfnVerifier rfn(m, m.output("bad"), opt);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, m.output("bad"), opt);
   EXPECT_EQ(res.verdict, Verdict::Holds) << res.note;
   // The proof must have come from the fallback.
   ASSERT_FALSE(res.per_iteration.empty());
@@ -328,8 +343,7 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
 
   // Without the fallback the same configuration is Unknown.
   opt.approx_fallback = false;
-  RfnVerifier rfn2(m, m.output("bad"), opt);
-  EXPECT_EQ(rfn2.run().verdict, Verdict::Unknown);
+  EXPECT_EQ(run_property(m, m.output("bad"), opt).verdict, Verdict::Unknown);
 }
 
 }  // namespace

@@ -25,8 +25,7 @@ TEST(EdgeCases, RfnOnCombinationalOnlyProperty) {
   b.output("bad", bad);
   Netlist m = b.take();
 
-  RfnVerifier rfn(m, m.output("bad"));
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, m.output("bad"), {});
   EXPECT_EQ(res.verdict, Verdict::Fails);
   ASSERT_FALSE(res.error_trace.empty());
   // The trace's inputs must actually trigger the violation.
@@ -43,8 +42,7 @@ TEST(EdgeCases, RfnOnStructurallyFalseProperty) {
   const GateId bad = b.and_(x, b.not_(x));  // folds to const0
   b.output("bad", bad);
   Netlist m = b.take();
-  RfnVerifier rfn(m, m.output("bad"));
-  EXPECT_EQ(rfn.run().verdict, Verdict::Holds);
+  EXPECT_EQ(run_property(m, m.output("bad"), {}).verdict, Verdict::Holds);
 }
 
 TEST(EdgeCases, RfnBadAlreadyTrueAtInit) {
@@ -54,8 +52,7 @@ TEST(EdgeCases, RfnBadAlreadyTrueAtInit) {
   b.set_next(bad, bad);
   b.output("bad", bad);
   Netlist m = b.take();
-  RfnVerifier rfn(m, m.output("bad"));
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, m.output("bad"), {});
   EXPECT_EQ(res.verdict, Verdict::Fails);
   EXPECT_EQ(res.error_trace.cycles(), 1u);
 }

@@ -17,6 +17,7 @@
 #include "util/executor.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
+#include "util/stopwatch.hpp"
 
 namespace rfn {
 namespace {
@@ -62,27 +63,20 @@ TEST(Metrics, TimerNesting) {
   Timer& outer = reg.timer("outer");
   Timer& inner = reg.timer("inner");
   {
-    MetricTimer to(outer);
+    const Stopwatch outer_watch;
     {
-      MetricTimer ti(inner);
+      const Stopwatch inner_watch;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      inner.record(inner_watch.seconds());
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    outer.record(outer_watch.seconds());
   }
   EXPECT_EQ(outer.count(), 1u);
   EXPECT_EQ(inner.count(), 1u);
   // The outer scope strictly contains the inner one.
   EXPECT_GT(outer.total_seconds(), inner.total_seconds());
   EXPECT_GT(inner.total_seconds(), 0.0);
-}
-
-TEST(Metrics, MetricTimerStopIsIdempotent) {
-  MetricsRegistry reg;
-  Timer& t = reg.timer("t");
-  MetricTimer mt(t);
-  mt.stop();
-  mt.stop();  // second stop records nothing
-  EXPECT_EQ(t.count(), 1u);
 }
 
 TEST(Metrics, SnapshotFlattensAndDeltas) {
@@ -276,6 +270,30 @@ TEST(TraceJson, CliRejectsRemovedFlags) {
     err << in.rdbuf();
     EXPECT_NE(err.str().find("was removed"), std::string::npos) << err.str();
   }
+  std::remove(out.c_str());
+}
+
+// Per-property overrides are validated like the flags they override: each
+// bad --props line is a usage error naming the line, and a negative count
+// is refused at parse time instead of wrapping to 2^64-1.
+TEST(TraceJson, CliRejectsInvalidPropsOverrides) {
+  const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
+  const std::string props = ::testing::TempDir() + "/bad_overrides.props";
+  const std::string out = ::testing::TempDir() + "/bad_overrides.out";
+  for (const char* line : {"bad_q traces=0", "bad_q max-iterations=0",
+                           "bad_q budget-bdd-nodes=-5", "bad_q traces=-1"}) {
+    std::ofstream(props) << line << "\n";
+    const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
+                            " --props " + props + " > /dev/null 2> " + out;
+    const int rc = std::system(cmd.c_str());
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << line;
+    std::ifstream in(out);
+    std::stringstream err;
+    err << in.rdbuf();
+    EXPECT_NE(err.str().find("props line 1"), std::string::npos)
+        << line << ": " << err.str();
+  }
+  std::remove(props.c_str());
   std::remove(out.c_str());
 }
 #endif  // RFN_CLI_PATH

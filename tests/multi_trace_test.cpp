@@ -139,14 +139,12 @@ TEST(MultiTrace, RfnOptionReducesIterations) {
 
   RfnOptions single;
   single.traces_per_iteration = 1;
-  RfnVerifier v1(d.m, d.bad, single);
-  const RfnResult r1 = v1.run();
+  const RfnResult r1 = run_property(d.m, d.bad, single);
   ASSERT_EQ(r1.verdict, Verdict::Fails);
 
   RfnOptions multi;
   multi.traces_per_iteration = 4;
-  RfnVerifier v2(d.m, d.bad, multi);
-  const RfnResult r2 = v2.run();
+  const RfnResult r2 = run_property(d.m, d.bad, multi);
   ASSERT_EQ(r2.verdict, Verdict::Fails);
   EXPECT_LE(r2.iterations, r1.iterations);
 }

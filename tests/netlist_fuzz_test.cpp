@@ -332,8 +332,7 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
       RfnOptions opt;
       opt.portfolio_workers = workers;
       opt.race_probe_time_s = 0.25;
-      RfnVerifier v(m, bad, opt);
-      const RfnResult res = v.run();
+      const RfnResult res = run_property(m, bad, opt);
       EXPECT_EQ(res.verdict, expect)
           << "RFN (workers=" << workers << ") disagrees with the BDD ground "
           << "truth; note: " << res.note;
@@ -386,8 +385,7 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
       RfnOptions opt;
       opt.proof_shrink = true;
       opt.race_probe_time_s = 0.25;
-      RfnVerifier v(m, bad, opt);
-      const RfnResult res = v.run();
+      const RfnResult res = run_property(m, bad, opt);
       EXPECT_EQ(res.verdict, expect)
           << "grow/shrink verdict diverged from grow-only; note: " << res.note;
       if (res.verdict == Verdict::Fails)

@@ -169,12 +169,11 @@ TEST(Pdr, SessionPdrOnlyProvesWithInvariantWitness) {
   Netlist m = make_chain(4, false, &bad);
   RfnOptions opt;
   opt.engines = {"pdr"};
-  RfnVerifier rfn(m, bad, opt);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, opt);
   ASSERT_EQ(res.verdict, Verdict::Holds);
   ASSERT_TRUE(res.pdr_invariant.present);
   const CertificateArtifact art = certify_with_witness(
-      m, bad, "bad", res.verdict, res.error_trace, rfn.abstract_registers(), {},
+      m, bad, "bad", res.verdict, res.error_trace, res.final_registers, {},
       &res.pdr_invariant);
   EXPECT_TRUE(art.built) << art.detail;
   EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
@@ -185,11 +184,10 @@ TEST(Pdr, SessionPdrOnlyFindsConcreteCex) {
   Netlist m = make_chain(3, true, &bad);
   RfnOptions opt;
   opt.engines = {"pdr"};
-  RfnVerifier rfn(m, bad, opt);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, opt);
   ASSERT_EQ(res.verdict, Verdict::Fails);
   const CertificateArtifact art = certify_with_witness(
-      m, bad, "bad", res.verdict, res.error_trace, rfn.abstract_registers());
+      m, bad, "bad", res.verdict, res.error_trace, res.final_registers);
   EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
 }
 
@@ -224,8 +222,7 @@ TEST(Refine, ProofShrinkDropsRegistersOnProcessor) {
   opt.engines = {"bdd", "sat"};
   opt.portfolio_workers = 0;
   opt.proof_shrink = true;
-  RfnVerifier rfn(m, bad, opt);
-  const RfnResult res = rfn.run();
+  const RfnResult res = run_property(m, bad, opt);
   EXPECT_EQ(res.verdict, Verdict::Holds);
   size_t total_shrunk = 0;
   for (const RfnIteration& it : res.per_iteration)
@@ -264,10 +261,8 @@ TEST(Refine, ProofShrinkNeverFlipsVerdicts) {
     RfnOptions grow_only;
     RfnOptions grow_shrink;
     grow_shrink.proof_shrink = true;
-    RfnVerifier a(c.m, c.bad, grow_only);
-    RfnVerifier b(c.m, c.bad, grow_shrink);
-    const RfnResult ra = a.run();
-    const RfnResult rb = b.run();
+    const RfnResult ra = run_property(c.m, c.bad, grow_only);
+    const RfnResult rb = run_property(c.m, c.bad, grow_shrink);
     EXPECT_EQ(ra.verdict, rb.verdict);
   }
 }

@@ -332,8 +332,7 @@ TEST(Portfolio, RfnPortfolioAgreesWithSequential) {
       opt.portfolio_workers = workers;
       opt.race_probe_time_s = 0.5;
       const MetricsSnapshot before = MetricsRegistry::global().snapshot();
-      RfnVerifier v(c.netlist, c.bad, opt);
-      results.push_back(v.run());
+      results.push_back(run_property(c.netlist, c.bad, opt));
       const MetricsSnapshot d = MetricsRegistry::global().snapshot().delta(before);
       EXPECT_GE(d.value("portfolio.races"), 1.0) << "case " << ci;
     }

@@ -330,8 +330,7 @@ TEST(ResourceOut, MemBudgetDegradesRunDeterministically) {
     RfnOptions opt;
     opt.portfolio_workers = 3;
     opt.budget_mem_mb = 1;
-    RfnVerifier verifier(n, n.output("bad"), opt);
-    const RfnResult res = verifier.run();
+    const RfnResult res = run_property(n, n.output("bad"), opt);
     EXPECT_EQ(res.verdict, Verdict::ResourceOut) << "round " << round;
     ASSERT_TRUE(res.budget_trip.tripped) << "round " << round;
     EXPECT_EQ(res.budget_trip.reason, "mem-budget");

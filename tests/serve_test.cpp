@@ -309,6 +309,61 @@ TEST(RequestCodec, RejectsMalformedDocuments) {
   }
 }
 
+/// valid_request_doc() with `overrides` on its one property.
+json::Value request_with_overrides(json::Value overrides) {
+  json::Value prop = json::Value::object();
+  prop.set("signal", "bad_full_q");
+  prop.set("overrides", std::move(overrides));
+  json::Value props = json::Value::array();
+  props.push(std::move(prop));
+  json::Value doc = valid_request_doc();
+  doc.set("props", std::move(props));
+  return doc;
+}
+
+TEST(RequestCodec, RefusesNegativeOverrideCounts) {
+  // std::stoul would wrap -1 to 2^64-1 traces per iteration.
+  for (const char* key : {"traces", "max-iterations"}) {
+    json::Value ov = json::Value::object();
+    ov.set(key, -1.0);
+    api::VerifyRequest out;
+    std::string error;
+    EXPECT_FALSE(api::VerifyRequest::from_json(request_with_overrides(ov),
+                                               &out, &error))
+        << key;
+    EXPECT_NE(error.find("props[0]"), std::string::npos) << error;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
+}
+
+TEST(RequestCodec, ValidatesEachPropertysMergedOptions) {
+  // Overrides that parse but fail RfnOptions::validate() are refused by the
+  // shared run path before any engine work, each named by its property.
+  api::LoadedDesign design;
+  std::string error;
+  ASSERT_TRUE(api::load_design({"builtin:fifo", "", "", ""}, &design, &error))
+      << error;
+  const std::pair<const char*, double> cases[] = {
+      {"traces", 0.0}, {"max-iterations", 0.0}, {"budget-bdd-nodes", -5.0}};
+  for (const auto& [key, value] : cases) {
+    json::Value ov = json::Value::object();
+    ov.set(key, value);
+    api::VerifyRequest req;
+    ASSERT_TRUE(api::VerifyRequest::from_json(request_with_overrides(ov), &req,
+                                              &error))
+        << error;
+    const std::vector<std::string> errors = req.validate();
+    ASSERT_EQ(errors.size(), 1u) << key;
+    EXPECT_EQ(errors[0].rfind("props[0]: ", 0), 0u) << errors[0];
+    api::RunOutput out;
+    EXPECT_FALSE(api::run_verify(design, req, nullptr, false, nullptr, &out,
+                                 &error))
+        << key;
+    EXPECT_NE(error.find("props[0]"), std::string::npos) << error;
+    EXPECT_TRUE(out.results.empty()) << key;
+  }
+}
+
 TEST(RequestCodec, TruncationFuzz) {
   // Every strict prefix of a valid request either fails to parse as JSON or
   // fails the codec — a torn socket line can never half-apply.
@@ -493,6 +548,15 @@ TEST(ServeEndToEnd, WarmRepeatRequestsAndNamedRejects) {
   EXPECT_EQ(bad.find("reject_reason")->as_string(), "bad-request");
   EXPECT_NE(bad.find("error")->as_string().find("invalid JSON"),
             std::string::npos);
+
+  // A negative override count: bad-request at parse time, before any
+  // engine work.
+  json::Value neg = json::Value::object();
+  neg.set("traces", -1.0);
+  json::Value nr = client.transact(request_with_overrides(neg));
+  EXPECT_FALSE(nr.find("ok")->as_bool());
+  EXPECT_EQ(nr.find("reject_reason")->as_string(), "bad-request");
+  EXPECT_NE(nr.find("error")->as_string().find("props[0]"), std::string::npos);
 
   // Unknown design: load-failed names the valid builtin set.
   api::VerifyRequest ghost;

@@ -1,6 +1,6 @@
 // Batch-session tests: options validation, the consolidated status strings,
 // cone clustering, the subcircuit memo, and — the acceptance check — batch
-// verdicts identical to independent single-property RfnVerifier runs on
+// verdicts identical to independent single-property run_property runs on
 // designs with identical / nested / overlapping / disjoint property cones.
 
 #include "core/session.hpp"
@@ -56,11 +56,10 @@ TEST(RfnOptionsValidate, ApproxOverlapMustLeaveProgress) {
 TEST(RfnOptionsValidate, NegativeProbeTimeAndZeroBudgets) {
   RfnOptions opt;
   opt.race_probe_time_s = -1.0;
-  opt.race_sim_cycles = 0;
   opt.reach.max_live_nodes = 0;
   opt.reach.max_steps = 0;
   const auto errors = opt.validate();
-  EXPECT_EQ(errors.size(), 4u);
+  EXPECT_EQ(errors.size(), 3u);
   EXPECT_TRUE(any_error_contains(errors, "race_probe_time_s"));
   EXPECT_TRUE(any_error_contains(errors, "max_live_nodes"));
 }
@@ -269,8 +268,7 @@ TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
                                     std::vector<bool>(bads.size(), false)));
 
   for (size_t i = 0; i < bads.size(); ++i) {
-    RfnVerifier single(fifo.netlist, bads[i], opt);
-    const RfnResult ref = single.run();
+    const RfnResult ref = run_property(fifo.netlist, bads[i], opt);
     EXPECT_EQ(batch[i].verdict, ref.verdict) << "property " << batch[i].name;
     EXPECT_EQ(batch[i].verdict, Verdict::Holds);
   }
@@ -399,26 +397,39 @@ TEST(VerifySessionTest, InvalidDefaultsDie) {
   EXPECT_DEATH(session.run({{"", c.bad_a, {}}}), "traces_per_iteration");
 }
 
-TEST(RfnVerifierShim, InvalidOptionsDie) {
-  // RfnVerifier rejects what validate() rejects, like VerifySession.
+TEST(VerifySessionTest, InvalidOverrideDies) {
+  // The override is merged into the defaults before run_property sees it,
+  // so a per-property value validate() rejects aborts the run as well.
+  const Counter c = make_counter();
+  VerifySession session(c.n);
+  PropertyRequest p{"", c.bad_a, {}};
+  p.overrides.traces_per_iteration = 0;
+  EXPECT_DEATH(session.run({p}), "traces_per_iteration");
+}
+
+TEST(RunProperty, InvalidOptionsDie) {
+  // run_property rejects what validate() rejects.
   const Counter c = make_counter();
   RfnOptions opt;
   opt.traces_per_iteration = 0;
-  RfnVerifier v(c.n, c.bad_a, opt);
-  EXPECT_DEATH(v.run(), "traces_per_iteration");
+  EXPECT_DEATH(run_property(c.n, c.bad_a, opt), "traces_per_iteration");
 }
 
-TEST(RfnVerifierShim, RunTwiceResumesFromRefinedAbstraction) {
+TEST(RunProperty, RerunResumesFromRefinedAbstraction) {
   const Counter c = make_counter();
-  RfnVerifier v(c.n, c.bad_b);
-  const RfnResult first = v.run();
+  const RfnResult first = run_property(c.n, c.bad_b, {});
   EXPECT_EQ(first.verdict, Verdict::Holds);
-  EXPECT_EQ(first.final_registers, v.abstract_registers());
-  // A second run starts from the refined set: it must reach the same
-  // verdict without shrinking the abstraction.
-  const RfnResult second = v.run();
+  // A second run seeded with the first one's final abstraction starts from
+  // the refined set: it must reach the same verdict without shrinking it.
+  RunHooks hooks;
+  hooks.seed_registers = &first.final_registers;
+  const RfnResult second = run_property(c.n, c.bad_b, {}, hooks);
   EXPECT_EQ(second.verdict, Verdict::Holds);
+  EXPECT_EQ(second.iterations, 1u);
   EXPECT_GE(second.final_registers.size(), first.final_registers.size());
+  for (GateId r : first.final_registers)
+    EXPECT_TRUE(std::binary_search(second.final_registers.begin(),
+                                   second.final_registers.end(), r));
 }
 
 }  // namespace

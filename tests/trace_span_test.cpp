@@ -280,8 +280,7 @@ TEST(ResourceOut, WallBudgetDegradesRun) {
   RfnOptions opt;
   opt.portfolio_workers = 3;
   opt.budget_ms = 120;
-  RfnVerifier verifier(n, n.output("bad"), opt);
-  const RfnResult res = verifier.run();
+  const RfnResult res = run_property(n, n.output("bad"), opt);
   EXPECT_EQ(res.verdict, Verdict::ResourceOut);
   ASSERT_TRUE(res.budget_trip.tripped);
   EXPECT_EQ(res.budget_trip.reason, "wall-budget");
@@ -303,8 +302,7 @@ TEST(ResourceOut, NodeBudgetDegradesRunAndAnnotatesSpans) {
   RfnOptions opt;
   opt.portfolio_workers = 3;
   opt.budget_bdd_nodes = 2000;  // well below the run's natural peak
-  RfnVerifier verifier(n, n.output("bad"), opt);
-  const RfnResult res = verifier.run();
+  const RfnResult res = run_property(n, n.output("bad"), opt);
   SpanTracer::global().disable();
   EXPECT_EQ(res.verdict, Verdict::ResourceOut);
   ASSERT_TRUE(res.budget_trip.tripped);
@@ -331,8 +329,7 @@ TEST(ResourceOut, VerdictBeforeTripIsKept) {
   RfnOptions opt;
   opt.budget_ms = 60000;
   opt.budget_bdd_nodes = 1 << 24;
-  RfnVerifier verifier(n, n.output("bad"), opt);
-  const RfnResult res = verifier.run();
+  const RfnResult res = run_property(n, n.output("bad"), opt);
   EXPECT_EQ(res.verdict, Verdict::Holds);
   EXPECT_FALSE(res.budget_trip.tripped);
 }
@@ -403,8 +400,7 @@ TEST(TraceJsonEdge, CacheHitRateZeroLookupsIsZero) {
 TEST(MetricsEpoch, TwoRunsDoNotConflateSummaries) {
   const Netlist n = holds_netlist();
   const auto run_once = [&] {
-    RfnVerifier verifier(n, n.output("bad"), RfnOptions{});
-    return verifier.run();
+    return run_property(n, n.output("bad"), RfnOptions{});
   };
   // Summaries are serialized at run end, like the CLI's --trace-json path:
   // the baseline subtraction scopes out *earlier* runs in the process.
@@ -446,8 +442,7 @@ TEST(MetricsEpoch, SpanCountsCrossCheckRegistry) {
   TracerGuard guard;
   const MetricsSnapshot before = MetricsRegistry::global().snapshot();
   const Netlist n = holds_netlist();
-  RfnVerifier verifier(n, n.output("bad"), RfnOptions{});
-  const RfnResult res = verifier.run();
+  const RfnResult res = run_property(n, n.output("bad"), RfnOptions{});
   SpanTracer::global().disable();
   ASSERT_EQ(res.verdict, Verdict::Holds);
   const MetricsSnapshot delta =

@@ -86,7 +86,7 @@ PROF_SCHEMA = "rfn-prof-v1"
 PROF_SUBSYSTEMS = ("bdd", "sat")
 
 # The batch-session pair: one VerifySession over the FIFO flag suite vs
-# the same properties as independent RfnVerifier runs.
+# the same properties as independent run_property runs.
 BATCH_BENCH = "BM_SessionBatchFifo"
 INDEPENDENT_BENCH = "BM_SessionIndependentFifo"
 

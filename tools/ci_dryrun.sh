@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
-# Local dry-run of .github/workflows/ci.yml — same jobs, same commands —
-# for machines without act or network access.
+# The CI jobs, defined once. .github/workflows/ci.yml runs each hosted job
+# as one call of this script; locally it runs them back to back, on
+# machines without act or network access.
 #
-#   tools/ci_dryrun.sh            one matrix cell (gcc Release) + TSan +
-#                                 bench gate + corpus gate + gate self-checks
+#   tools/ci_dryrun.sh            the local set: build-test (gcc Release),
+#                                 sanitize (thread), bench-gate, serve, corpus
 #   tools/ci_dryrun.sh --full     the whole matrix and both sanitizers
+#   tools/ci_dryrun.sh build-test <gcc|clang> <Debug|Release>
+#   tools/ci_dryrun.sh sanitize <thread|address,undefined>
+#   tools/ci_dryrun.sh bench-gate | serve | corpus
 #
-# Cells whose toolchain is absent locally (clang, ccache) are skipped with a
-# notice instead of failing: the hosted workflow installs them itself.
+# Each job builds into its own build-ci-* directory and leaves its artifacts
+# there. In the local and --full sets, matrix cells whose compiler is absent
+# are skipped with a notice; a job named explicitly never skips.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-FULL=0
-[[ "${1:-}" == "--full" ]] && FULL=1
 
 LAUNCHER_ARGS=()
 if command -v ccache >/dev/null 2>&1; then
@@ -20,256 +22,324 @@ if command -v ccache >/dev/null 2>&1; then
 fi
 
 note() { printf '\n=== %s ===\n' "$*"; }
+fail() { echo "ci_dryrun: $*" >&2; exit 1; }
+
+configure() { # <dir> <extra cmake args...>
+  local dir=$1; shift
+  cmake -B "$dir" -S . "$@" "${LAUNCHER_ARGS[@]}" >/dev/null
+}
 
 build_and_test() { # <dir> <extra cmake args...>
   local dir=$1; shift
-  cmake -B "$dir" -S . "$@" "${LAUNCHER_ARGS[@]}" >/dev/null
+  configure "$dir" "$@"
   cmake --build "$dir" -j "$(nproc)"
   ctest --test-dir "$dir" --output-on-failure -j "$(nproc)"
 }
 
-# --- job: build-test matrix -------------------------------------------------
-matrix_cells=("gcc Release")
-if [[ $FULL == 1 ]]; then
-  matrix_cells=("gcc Debug" "gcc Release" "clang Debug" "clang Release")
-fi
-for cell in "${matrix_cells[@]}"; do
-  read -r compiler build_type <<<"$cell"
-  cxx=$([[ $compiler == gcc ]] && echo g++ || echo clang++)
-  if ! command -v "$cxx" >/dev/null 2>&1; then
-    note "build-test ($cell): SKIPPED ($cxx not installed locally)"
-    continue
-  fi
-  note "build-test ($cell)"
+cxx_of() { # <gcc|clang>
+  case $1 in
+    gcc) echo g++ ;;
+    clang) echo clang++ ;;
+    *) fail "unknown compiler '$1' (gcc, clang)" ;;
+  esac
+}
+
+# Boots rfn_serve on a fresh socket, replays the tenant mix through one
+# connection into <log>, and waits for the daemon to shut down.
+serve_replay() { # <builddir> <socket> <log>
+  local bdir=$1 sock=$2 log=$3
+  "./$bdir/tools/rfn_serve" --socket "$sock" --workers 2 --admit-mem-mb 512 &
+  local pid=$!
+  for _ in $(seq 100); do [[ -S "$sock" ]] && break; sleep 0.1; done
+  python3 tools/serve_replay.py --socket "$sock" --log "$log" --shutdown
+  wait "$pid"
+}
+
+# Emits rfn-cert-v1 witnesses for a builtin design's properties and has the
+# independent rfn_check binary re-check every one of them.
+check_certs() { # <builddir> <design> <property args...>
+  local bdir=$1 design=$2; shift 2
+  "./$bdir/tools/rfn" verify "builtin:$design" "$@" \
+    --cert-dir "$bdir/certs-$design"
+  local cert
+  for cert in "$bdir/certs-$design"/*.cert.json; do
+    "./$bdir/tools/rfn_check" "$cert" "builtin:$design"
+  done
+}
+
+# --- job: build-test --------------------------------------------------------
+# The full tier-1 suite for one {compiler} x {build type} cell.
+job_build_test() { # <gcc|clang> <Debug|Release>
+  local compiler=$1 build_type=$2 cxx
+  cxx=$(cxx_of "$compiler")
+  command -v "$cxx" >/dev/null 2>&1 || fail "$cxx not installed"
+  note "build-test ($compiler $build_type)"
   build_and_test "build-ci-$compiler-$build_type" \
     -DCMAKE_BUILD_TYPE="$build_type" \
     -DCMAKE_C_COMPILER="$compiler" -DCMAKE_CXX_COMPILER="$cxx"
-done
+}
 
 # --- job: sanitize ----------------------------------------------------------
-sanitizers=(thread)
-[[ $FULL == 1 ]] && sanitizers=(thread "address,undefined")
-for san in "${sanitizers[@]}"; do
+# RFN_SANITIZE instruments the whole tree, then the engines' racing and
+# cancellation paths run once more under it. TSan is the portfolio
+# scheduler's lock-in: the concurrency suites are re-run explicitly so a
+# discovery hiccup can never silently drop them.
+job_sanitize() { # <thread|address,undefined>
+  local san=$1
+  local dir="build-ci-sanitize-${san//,/-}"
   note "sanitize ($san)"
-  dir="build-ci-sanitize-${san//,/-}"
   build_and_test "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRFN_SANITIZE="$san"
+  # A budgeted bdd+sat run must finish conclusive and certified with the
+  # instrumentation quiet (the solver arena and the portfolio hand-off of
+  # the pooled instance are the interesting surfaces).
   note "sanitize ($san): SAT engine suite + budgeted bdd+sat run"
   "./$dir/tests/sat_test"
   "./$dir/tools/rfn" verify builtin:processor --bad error_flag \
     --engine bdd,sat --workers 3 --budget-ms 5000 --certify
+  # A PDR Holds must surface as an rfn-cert-v1 invariant the checker
+  # accepts, with the solver arena and race cancellation instrumented.
   note "sanitize ($san): PDR suite + budgeted bdd+sat+pdr certify runs"
   "./$dir/tests/pdr_test"
+  local spec design prop
   for spec in "fifo bad_full_q" "processor bad_mutex" \
               "iu iu0" "usb bad_se1"; do
     read -r design prop <<<"$spec"
     "./$dir/tools/rfn" verify "builtin:$design" --bad "$prop" \
       --engine bdd,sat,pdr --workers 3 --budget-ms 10000 --certify
   done
+  # Witnesses of both polarities: the cut-cone Tseitin encoder and the
+  # trace replayer are the surfaces the sanitizers watch here.
   note "sanitize ($san): certificates checked by rfn_check"
-  check_certs() { # <builddir> <design> <property args...>
-    local bdir=$1 design=$2; shift 2
-    "./$bdir/tools/rfn" verify "builtin:$design" "$@" \
-      --cert-dir "$bdir/certs-$design"
-    local cert
-    for cert in "$bdir/certs-$design"/*.cert.json; do
-      "./$bdir/tools/rfn_check" "$cert" "builtin:$design"
-    done
-  }
   check_certs "$dir" fifo --bad bad_full_q --bad bad_af_q --bad bad_hf_q
   check_certs "$dir" processor --bad bad_mutex --bad error_flag
   check_certs "$dir" iu --bad bad_dec --bad iu0
   check_certs "$dir" usb --bad bad_se1 --bad usb1_0
-  if [[ $san == thread ]]; then
-    note "sanitize (thread): concurrency suites"
-    "./$dir/tests/portfolio_test"
-    "./$dir/tests/netlist_fuzz_test"
-    "./$dir/tests/trace_span_test"
-    "./$dir/tests/prof_test"
-    "./$dir/tests/sat_test"
-    "./$dir/tests/serve_test"
-    "./$dir/tests/pdr_test"
-    note "sanitize (thread): serve daemon boot + replay"
-    # Accept loop, connection threads, fair-share queue, executor workers
-    # and the warm-cache lease hand-off all race by design — one
-    # instrumented boot + replay watches the lot end to end.
-    "./$dir/tools/rfn_serve" --socket "/tmp/rfn-tsan-$$.sock" \
-      --workers 2 --admit-mem-mb 512 &
-    serve_pid=$!
-    for _ in $(seq 100); do [[ -S "/tmp/rfn-tsan-$$.sock" ]] && break; sleep 0.1; done
-    python3 tools/serve_replay.py --socket "/tmp/rfn-tsan-$$.sock" \
-      --log "$dir/tsan-serve-session.jsonl" --shutdown
-    wait "$serve_pid"
-    python3 tools/trace_report.py --serve "$dir/tsan-serve-session.jsonl"
-    note "sanitize (thread): budgeted resource-out run"
-    # Must degrade cleanly (exit exactly 1: inconclusive verdict, not a
-    # TSan abort) with a budget-trip span.
-    rc=0
-    "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad --workers 3 \
-      --budget-ms 300 --trace-spans "$dir/tsan-spans.json" || rc=$?
-    if [[ $rc != 1 ]]; then
-      echo "ci_dryrun: budgeted run exited $rc (expected 1: resource-out)" >&2
-      exit 1
-    fi
-    python3 tools/trace_report.py "$dir/tsan-spans.json" | grep budget_trip
-    note "sanitize (thread): memory-budget resource-out run"
-    # A 1 MiB RSS budget is below any live process's footprint: the run
-    # must degrade to resource-out (exit 1, never an OOM kill or a hang)
-    # with the tripped budget named in the trace. The watchdog's RSS poll
-    # races the engines by design — TSan watches the trip hand-off.
-    rc=0
-    "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad --workers 3 \
-      --budget-mem-mb 1 --trace-json "$dir/tsan-mem-trace.jsonl" || rc=$?
-    if [[ $rc != 1 ]]; then
-      echo "ci_dryrun: memory-budgeted run exited $rc (expected 1)" >&2
-      exit 1
-    fi
-    grep -q '"reason":"mem-budget"' "$dir/tsan-mem-trace.jsonl"
-    "./$dir/tools/rfn" verify tests/data/demo.v --bad bad_q --workers 3 \
-      --prof-json "$dir/tsan-prof.json" --prof-folded "$dir/tsan-prof.folded"
-    python3 tools/trace_report.py --prof "$dir/tsan-prof.json"
-  fi
-done
+  [[ $san == thread ]] || return 0
+
+  note "sanitize (thread): concurrency suites"
+  local t
+  for t in portfolio_test netlist_fuzz_test trace_span_test prof_test \
+           sat_test serve_test pdr_test; do
+    "./$dir/tests/$t"
+  done
+  # Accept loop, connection threads, fair-share queue, executor workers
+  # and the warm-cache lease hand-off all race by design: one instrumented
+  # boot + replay watches the lot end to end.
+  note "sanitize (thread): serve daemon boot + replay"
+  serve_replay "$dir" "/tmp/rfn-tsan-$$.sock" "$dir/tsan-serve-session.jsonl"
+  python3 tools/trace_report.py --serve "$dir/tsan-serve-session.jsonl"
+  # The watchdog + span exporter: the run must degrade to resource-out
+  # (exit exactly 1: inconclusive verdict, not a TSan abort) with a
+  # budget-trip span.
+  note "sanitize (thread): budgeted resource-out run"
+  local rc=0
+  "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad --workers 3 \
+    --budget-ms 300 --trace-spans "$dir/tsan-spans.json" || rc=$?
+  [[ $rc == 1 ]] || fail "budgeted run exited $rc (expected 1: resource-out)"
+  python3 tools/trace_report.py "$dir/tsan-spans.json" | grep budget_trip
+  # A 1 MiB RSS budget is below any live process's footprint: the run must
+  # degrade to resource-out (exit 1, never an OOM kill or a hang) with the
+  # tripped budget named in the trace. The watchdog's RSS poll races the
+  # engines by design; TSan watches the trip hand-off.
+  note "sanitize (thread): memory-budget resource-out run"
+  rc=0
+  "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad --workers 3 \
+    --budget-mem-mb 1 --trace-json "$dir/tsan-mem-trace.jsonl" || rc=$?
+  [[ $rc == 1 ]] || fail "memory-budgeted run exited $rc (expected 1)"
+  grep -q '"reason":"mem-budget"' "$dir/tsan-mem-trace.jsonl"
+  "./$dir/tools/rfn" verify tests/data/demo.v --bad bad_q --workers 3 \
+    --prof-json "$dir/tsan-prof.json" --prof-folded "$dir/tsan-prof.folded"
+  python3 tools/trace_report.py --prof "$dir/tsan-prof.json"
+}
 
 # --- job: bench-gate --------------------------------------------------------
-note "bench-gate"
-cmake -B build-ci-bench -S . -DCMAKE_BUILD_TYPE=Release "${LAUNCHER_ARGS[@]}" >/dev/null
-cmake --build build-ci-bench -j "$(nproc)" --target micro_engines rfn_cli rfn_check
+# Release bench run diffed against the checked-in BENCH_portfolio.json
+# (>20% wall-time or >10% BDD peak-node growth fails; see
+# tools/bench_gate.py for re-baselining), plus the certified batch runs of
+# every shipped design and the memory gate against BENCH_prof.json. Every
+# gate is followed by a synthetic regression that must fail it: a gate that
+# cannot fail gates nothing.
+job_bench_gate() {
+  local d=build-ci-bench
+  note "bench-gate"
+  configure "$d" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$d" -j "$(nproc)" --target micro_engines rfn_cli rfn_check
 
-note "bench-gate: trace tooling self-check"
-python3 tools/trace_report.py --self-check
+  note "bench-gate: trace tooling self-check"
+  python3 tools/trace_report.py --self-check
 
-# Traces are recorded before the gate, like the hosted job, so a failing
-# gate still leaves a profile behind (CI uploads it as an artifact).
-note "bench-gate: record run traces"
-./build-ci-bench/tools/rfn verify tests/data/demo.v --bad bad_q --workers 3 \
-  --trace-spans build-ci-bench/run-spans.json \
-  --trace-json build-ci-bench/run-trace.jsonl
-python3 tools/trace_report.py build-ci-bench/run-spans.json
-python3 tools/trace_report.py --batch build-ci-bench/run-trace.jsonl
+  # Traces are recorded before the gate so a failing gate still leaves a
+  # profile behind (CI uploads it): the first question about a perf
+  # regression is "where did the time go", and the span trace answers it
+  # offline (Perfetto or trace_report.py).
+  note "bench-gate: record run traces"
+  "./$d/tools/rfn" verify tests/data/demo.v --bad bad_q --workers 3 \
+    --trace-spans "$d/run-spans.json" --trace-json "$d/run-trace.jsonl"
+  python3 tools/trace_report.py "$d/run-spans.json"
+  python3 tools/trace_report.py --batch "$d/run-trace.jsonl"
 
-# Batch verification of every shipped design's property suite through a
-# VerifySession, each rfn-trace-v2 artifact re-validated by trace_report.py.
-# Exit 0 requires every verdict conclusive (the processor suite contains
-# intentionally VIOLATED properties) and every conclusive verdict turned
-# into an rfn-cert-v1 witness via --cert-dir (trace for Fails, inductive
-# invariant for Holds); every witness is then re-validated by the
-# independent rfn_check binary against a fresh design elaboration.
-note "bench-gate: batch verification of the shipped designs"
-# Each design also emits an rfn-prof-v1 artifact; trace_report.py --prof
-# re-validates it, including the CPU-consistency bound (no engine set can
-# burn more CPU than race-wall x workers allows).
-run_batch() { # <out> <design> <property args...>
-  local out=$1 design=$2; shift 2
-  ./build-ci-bench/tools/rfn verify "builtin:$design" "$@" \
-    --trace-json "$out" --cert-dir "build-ci-bench/certs-$design" \
-    --prof-json "build-ci-bench/prof-$design.json"
-  python3 tools/trace_report.py --batch "$out"
-  python3 tools/trace_report.py --prof "build-ci-bench/prof-$design.json"
-  local cert
-  for cert in "build-ci-bench/certs-$design"/*.cert.json; do
-    ./build-ci-bench/tools/rfn_check "$cert" "builtin:$design"
-  done
-}
-run_batch build-ci-bench/batch-fifo.jsonl fifo \
-  --bad bad_full_q --bad bad_af_q --bad bad_hf_q
-run_batch build-ci-bench/batch-processor.jsonl processor \
-  --bad bad_mutex --bad error_flag
-run_batch build-ci-bench/batch-iu.jsonl iu \
-  --bad bad_dec --bad iu0 --bad iu1 --bad iu2 --bad iu3 --bad iu4
-run_batch build-ci-bench/batch-usb.jsonl usb \
-  --bad bad_se1 --bad usb1_0 --bad usb1_1 --bad usb2_0 --bad usb2_1
+  # Every shipped design's property suite through a VerifySession. Exit 0
+  # requires every verdict conclusive (the processor suite contains
+  # intentionally VIOLATED properties) and, via --cert-dir, every conclusive
+  # verdict turned into an rfn-cert-v1 witness (a trace for Fails, an
+  # inductive invariant for Holds) that the independent rfn_check binary
+  # re-validates against a fresh elaboration. Each rfn-trace-v2 artifact is
+  # re-validated by trace_report.py, and each rfn-prof-v1 artifact too,
+  # including the CPU-consistency bound (no engine set can burn more CPU
+  # than race-wall x workers allows).
+  note "bench-gate: batch verification of the shipped designs"
+  run_batch() { # <design> <property args...>
+    local design=$1; shift
+    "./$d/tools/rfn" verify "builtin:$design" "$@" \
+      --trace-json "$d/batch-$design.jsonl" --cert-dir "$d/certs-$design" \
+      --prof-json "$d/prof-$design.json"
+    python3 tools/trace_report.py --batch "$d/batch-$design.jsonl"
+    python3 tools/trace_report.py --prof "$d/prof-$design.json"
+    local cert
+    for cert in "$d/certs-$design"/*.cert.json; do
+      "./$d/tools/rfn_check" "$cert" "builtin:$design"
+    done
+  }
+  run_batch fifo --bad bad_full_q --bad bad_af_q --bad bad_hf_q
+  run_batch processor --bad bad_mutex --bad error_flag
+  run_batch iu --bad bad_dec --bad iu0 --bad iu1 --bad iu2 --bad iu3 --bad iu4
+  run_batch usb --bad bad_se1 --bad usb1_0 --bad usb1_1 --bad usb2_0 --bad usb2_1
 
-./build-ci-bench/bench/micro_engines --benchmark_filter='Portfolio|Session|SatBmc' \
-  --json build-ci-bench/bench-current.json
-python3 tools/bench_gate.py --baseline BENCH_portfolio.json \
-  --current build-ci-bench/bench-current.json
+  note "bench-gate: portfolio + session benches against BENCH_portfolio.json"
+  "./$d/bench/micro_engines" --benchmark_filter='Portfolio|Session|SatBmc' \
+    --json "$d/bench-current.json"
+  python3 tools/bench_gate.py --baseline BENCH_portfolio.json \
+    --current "$d/bench-current.json"
 
-# --- bench_gate self-check: a synthetic 25% regression must fail the gate ---
-note "bench-gate self-check (synthetic +25% regression must exit nonzero)"
-python3 - <<'EOF'
-import json
-doc = json.load(open("build-ci-bench/bench-current.json"))
+  note "bench-gate self-check (synthetic +25% regression must exit nonzero)"
+  python3 - "$d" <<'EOF'
+import json, sys
+d = sys.argv[1]
+doc = json.load(open(f"{d}/bench-current.json"))
 for b in doc["benchmarks"]:
     b["real_seconds_per_iter"] *= 1.25
-json.dump(doc, open("build-ci-bench/bench-regressed.json", "w"))
+json.dump(doc, open(f"{d}/bench-regressed.json", "w"))
 EOF
-if python3 tools/bench_gate.py --baseline build-ci-bench/bench-current.json \
-    --current build-ci-bench/bench-regressed.json; then
-  echo "ci_dryrun: bench_gate accepted a 25% regression" >&2
-  exit 1
-fi
+  if python3 tools/bench_gate.py --baseline "$d/bench-current.json" \
+      --current "$d/bench-regressed.json"; then
+    fail "bench_gate accepted a 25% regression"
+  fi
 
-# --- prof gate: subsystem peak bytes vs BENCH_prof.json ---------------------
-# The profile is recorded sequentially (--workers 0): the arena capacities
-# are then run-to-run identical, so the gate's 25% tolerance only absorbs
-# allocator doubling granularity, not noise.
-note "bench-gate: prof gate against BENCH_prof.json"
-./build-ci-bench/tools/rfn verify builtin:processor --bad bad_mutex \
-  --bad error_flag --workers 0 --engine bdd,sat \
-  --prof-json build-ci-bench/prof-current.json
-python3 tools/trace_report.py --prof build-ci-bench/prof-current.json
-python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
-  --prof-current build-ci-bench/prof-current.json
+  # The profile is recorded sequentially (--workers 0): the arena
+  # capacities are then run-to-run identical, so the gate's 25% tolerance
+  # only absorbs allocator doubling granularity, not noise.
+  note "bench-gate: prof gate against BENCH_prof.json"
+  "./$d/tools/rfn" verify builtin:processor --bad bad_mutex \
+    --bad error_flag --workers 0 --engine bdd,sat \
+    --prof-json "$d/prof-current.json"
+  python3 tools/trace_report.py --prof "$d/prof-current.json"
+  python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
+    --prof-current "$d/prof-current.json"
 
-note "prof gate self-check (injected byte regression must exit nonzero)"
-python3 - <<'EOF'
-import json
-doc = json.load(open("build-ci-bench/prof-current.json"))
+  note "prof gate self-check (injected byte regression must exit nonzero)"
+  python3 - "$d" <<'EOF'
+import json, sys
+d = sys.argv[1]
+doc = json.load(open(f"{d}/prof-current.json"))
 bdd = doc["subsystems"]["bdd"]
 bdd["peak_bytes"] = int(bdd["peak_bytes"] * 1.5)
-json.dump(doc, open("build-ci-bench/prof-regressed.json", "w"))
+json.dump(doc, open(f"{d}/prof-regressed.json", "w"))
 EOF
-if python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
-    --prof-current build-ci-bench/prof-regressed.json; then
-  echo "ci_dryrun: prof gate accepted an injected byte regression" >&2
-  exit 1
-fi
-# --- job: serve smoke -------------------------------------------------------
-# rfn_serve booted for real: three tenants replayed through one connection,
-# repeats proving warm_cache.hits > 0 (a resident server that reloads cold
-# every time is just a slow CLI), an oversubscribed request rejected by
-# name, and the captured session log re-validated by trace_report --serve.
-note "serve smoke"
-cmake --build build-ci-bench -j "$(nproc)" --target rfn_serve serve_test
-./build-ci-bench/tests/serve_test
-./build-ci-bench/tools/rfn_serve --socket "/tmp/rfn-ci-$$.sock" \
-  --workers 2 --admit-mem-mb 512 &
-serve_pid=$!
-for _ in $(seq 100); do [[ -S "/tmp/rfn-ci-$$.sock" ]] && break; sleep 0.1; done
-python3 tools/serve_replay.py --socket "/tmp/rfn-ci-$$.sock" \
-  --log build-ci-bench/serve-session.jsonl --shutdown
-wait "$serve_pid"
-python3 tools/trace_report.py --serve build-ci-bench/serve-session.jsonl \
-  | tee build-ci-bench/serve-report.txt
-grep -Eq 'warm_hits=[1-9]' build-ci-bench/serve-report.txt
+  if python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
+      --prof-current "$d/prof-regressed.json"; then
+    fail "prof gate accepted an injected byte regression"
+  fi
+}
+
+# --- job: serve -------------------------------------------------------------
+# rfn_serve booted for real: a three-tenant request mix over the builtin
+# designs replayed through one connection. The repeats must show
+# warm_cache.hits > 0 (a resident server that reloads cold every time is
+# just a slow CLI), an oversubscribed request must be rejected by name
+# before any engine work, and the captured session log (streamed
+# rfn-trace-v2 records plus the rfn-resp-v1 lines) is re-validated offline
+# by trace_report.py --serve.
+job_serve() {
+  local d=build-ci-bench
+  note "serve smoke"
+  configure "$d" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$d" -j "$(nproc)" --target rfn_serve serve_test
+  python3 tools/trace_report.py --self-check
+  "./$d/tests/serve_test"
+  serve_replay "$d" "/tmp/rfn-ci-$$.sock" "$d/serve-session.jsonl"
+  python3 tools/trace_report.py --serve "$d/serve-session.jsonl" \
+    | tee "$d/serve-report.txt"
+  grep -Eq 'warm_hits=[1-9]' "$d/serve-report.txt"
+}
 
 # --- job: corpus ------------------------------------------------------------
-# The committed AIGER corpus through batch sessions, every certificate
-# re-checked by rfn_check, the summary gated against the checked-in
-# baseline, then an injected verdict flip must fail the gate.
-note "corpus gate"
-python3 tools/corpus_run.py \
-  --cli build-ci-bench/tools/rfn --check build-ci-bench/tools/rfn_check \
-  --corpus tests/corpus --out build-ci-bench/corpus-current.json
-python3 tools/trace_report.py --corpus build-ci-bench/corpus-current.json
-python3 tools/bench_gate.py \
-  --corpus-baseline tests/corpus/baseline.json \
-  --corpus-current build-ci-bench/corpus-current.json
+# The committed AIGER corpus through batch sessions: corpus_run.py fans
+# tests/corpus/*.aag|*.aig through `rfn verify` under per-file watchdogs and
+# re-checks every emitted certificate with rfn_check against the same AIGER
+# file; the gate diffs the rfn-corpus-v2 summary against
+# tests/corpus/baseline.json (verdict flips, certification regressions and
+# missing entries fail; wall time, engine wins and the per-file RSS/CPU
+# profile fields do not). An injected verdict flip must then fail the gate.
+job_corpus() {
+  local d=build-ci-bench
+  note "corpus gate"
+  configure "$d" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$d" -j "$(nproc)" --target rfn_cli rfn_check
+  python3 tools/trace_report.py --self-check
+  python3 tools/corpus_run.py \
+    --cli "$d/tools/rfn" --check "$d/tools/rfn_check" \
+    --corpus tests/corpus --out "$d/corpus-current.json"
+  python3 tools/trace_report.py --corpus "$d/corpus-current.json"
+  python3 tools/bench_gate.py \
+    --corpus-baseline tests/corpus/baseline.json \
+    --corpus-current "$d/corpus-current.json"
 
-note "corpus gate self-check (injected verdict flip must exit nonzero)"
-python3 - <<'EOF'
-import json
-doc = json.load(open("build-ci-bench/corpus-current.json"))
+  note "corpus gate self-check (injected verdict flip must exit nonzero)"
+  python3 - "$d" <<'EOF'
+import json, sys
+d = sys.argv[1]
+doc = json.load(open(f"{d}/corpus-current.json"))
 prop = doc["files"][0]["properties"][0]
 prop["verdict"] = "F" if prop["verdict"] == "T" else "T"
-json.dump(doc, open("build-ci-bench/corpus-flipped.json", "w"))
+json.dump(doc, open(f"{d}/corpus-flipped.json", "w"))
 EOF
-if python3 tools/bench_gate.py \
-    --corpus-baseline tests/corpus/baseline.json \
-    --corpus-current build-ci-bench/corpus-flipped.json; then
-  echo "ci_dryrun: corpus gate accepted an injected verdict flip" >&2
-  exit 1
-fi
+  if python3 tools/bench_gate.py \
+      --corpus-baseline tests/corpus/baseline.json \
+      --corpus-current "$d/corpus-flipped.json"; then
+    fail "corpus gate accepted an injected verdict flip"
+  fi
+}
 
-echo
-echo "ci_dryrun: all jobs green"
+# --- job selection ----------------------------------------------------------
+run_set() { # <full: 0|1>
+  local cells=("gcc Release") sanitizers=(thread) cell compiler build_type san
+  if [[ $1 == 1 ]]; then
+    cells=("gcc Debug" "gcc Release" "clang Debug" "clang Release")
+    sanitizers=(thread "address,undefined")
+  fi
+  for cell in "${cells[@]}"; do
+    read -r compiler build_type <<<"$cell"
+    if ! command -v "$(cxx_of "$compiler")" >/dev/null 2>&1; then
+      note "build-test ($cell): SKIPPED ($(cxx_of "$compiler") not installed locally)"
+      continue
+    fi
+    job_build_test "$compiler" "$build_type"
+  done
+  for san in "${sanitizers[@]}"; do job_sanitize "$san"; done
+  job_bench_gate
+  job_serve
+  job_corpus
+  echo
+  echo "ci_dryrun: all jobs green"
+}
+
+case "${1:-}" in
+  "") run_set 0 ;;
+  --full) run_set 1 ;;
+  build-test) job_build_test "${2:?compiler}" "${3:?build type}" ;;
+  sanitize) job_sanitize "${2:?sanitizer}" ;;
+  bench-gate) job_bench_gate ;;
+  serve) job_serve ;;
+  corpus) job_corpus ;;
+  *) fail "unknown job '$1' (build-test, sanitize, bench-gate, serve, corpus, --full)" ;;
+esac
