@@ -1,9 +1,11 @@
 #include "api/api.hpp"
 
-#include <exception>
+#include <algorithm>
+#include <cmath>
+#include <fstream>
 #include <set>
 #include <sstream>
-#include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "cert/format.hpp"
@@ -13,129 +15,209 @@ namespace rfn::api {
 
 namespace {
 
-// --- strict-codec helpers: every shape error names the offending key -------
+// --- the one value parser ---------------------------------------------------
+//
+// Every value — a JSON member, a flag's text, a props line's text — is
+// checked by decode() on a json::Value; text first becomes the JSON value
+// the same key would carry over the wire (from_text). decode() returns null
+// on success, else what the value must be.
 
-bool want_string(const json::Value& v, const std::string& ctx, std::string* out,
-                 std::string* error) {
-  if (!v.is_string()) {
-    *error = ctx + " must be a string";
-    return false;
+template <class T>
+const char* decode(const json::Value& v, T* out) {
+  const double d = v.as_double();
+  // Integers are exact in a double up to 2^53.
+  const bool integral = v.is_number() && std::floor(d) == d &&
+                        std::fabs(d) <= 9007199254740992.0;
+  if constexpr (std::is_same_v<T, double>) {
+    if (!v.is_number()) return "a number";
+    *out = d;
+  } else if constexpr (std::is_same_v<T, size_t>) {
+    if (!integral || d < 0) return "a non-negative integer";
+    *out = static_cast<size_t>(d);
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    if (!integral) return "an integer";
+    *out = static_cast<int64_t>(d);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (!v.is_bool()) return "a boolean";
+    *out = v.as_bool();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!v.is_string()) return "a string";
+    *out = v.as_string();
+  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    const auto& items = v.items();
+    const auto is_name = [](const json::Value& e) { return e.is_string(); };
+    if (!v.is_array() || !std::all_of(items.begin(), items.end(), is_name))
+      return "an array of engine names";
+    out->clear();
+    for (const json::Value& e : items) out->push_back(e.as_string());
+  } else {  // an override slot: std::optional<U>
+    typename T::value_type value{};
+    if (const char* type = decode(v, &value)) return type;
+    *out = value;
   }
-  *out = v.as_string();
-  return true;
+  return nullptr;
 }
 
-bool want_bool(const json::Value& v, const std::string& ctx, bool* out,
+// Text that is not a value of the knob's type stays a string, so decode()
+// refuses it and the message quotes it.
+template <class T>
+json::Value from_text(const std::string& text, T*) {
+  const json::Value v = json::parse(text);
+  return v.is_number() ? v : json::Value(text);
+}
+
+json::Value from_text(const std::string& text, bool*) {
+  if (text == "1" || text == "true" || text == "yes") return true;
+  if (text == "0" || text == "false" || text == "no") return false;
+  return text;
+}
+
+json::Value from_text(const std::string& text, std::vector<std::string>*) {
+  json::Value names = json::Value::array();
+  std::stringstream ss(text);
+  for (std::string name; std::getline(ss, name, ',');)
+    if (!name.empty()) names.push(name);
+  return names;
+}
+
+template <class T>
+json::Value from_text(const std::string& text, std::optional<T>*) {
+  return from_text(text, static_cast<T*>(nullptr));
+}
+
+template <class T>
+bool want(const json::Value& v, const std::string& ctx, T* out,
+          std::string* error) {
+  const char* type = decode(v, out);
+  if (type != nullptr) *error = ctx + " must be " + type + ", got " + v.dump();
+  return type == nullptr;
+}
+
+/// Sets a knob's field or override slot from a JSON value.
+template <class Slot>
+bool want_slot(const Slot& slot, const json::Value& v, const std::string& ctx,
                std::string* error) {
-  if (!v.is_bool()) {
-    *error = ctx + " must be a boolean";
-    return false;
-  }
-  *out = v.as_bool();
-  return true;
+  return std::visit([&](auto* p) { return want(v, ctx, p, error); }, slot);
 }
 
-bool want_double(const json::Value& v, const std::string& ctx, double* out,
-                 std::string* error) {
-  if (!v.is_number()) {
-    *error = ctx + " must be a number";
-    return false;
-  }
-  *out = v.as_double();
-  return true;
+/// Sets a knob's field or override slot from a flag's or props line's text.
+template <class Slot>
+bool want_text(const Slot& slot, const std::string& text,
+               const std::string& ctx, std::string* error) {
+  return std::visit(
+      [&](auto* p) { return want(from_text(text, p), ctx, p, error); }, slot);
 }
 
-bool want_size(const json::Value& v, const std::string& ctx, size_t* out,
-               std::string* error) {
-  if (!v.is_number() || v.as_double() < 0) {
-    *error = ctx + " must be a non-negative number";
-    return false;
-  }
-  *out = static_cast<size_t>(v.as_double());
-  return true;
+template <class T>
+json::Value encode(const T& v) {
+  return v;
 }
 
-bool want_int64(const json::Value& v, const std::string& ctx, int64_t* out,
-                std::string* error) {
-  if (!v.is_number()) {
-    *error = ctx + " must be a number";
-    return false;
-  }
-  *out = static_cast<int64_t>(v.as_double());
-  return true;
+json::Value encode(const std::vector<std::string>& names) {
+  json::Value arr = json::Value::array();
+  for (const std::string& n : names) arr.push(n);
+  return arr;
 }
 
-/// Override values arrive as JSON numbers over the wire and as text from
-/// --props lines; normalizing to text lets one parser serve both.
-std::string override_text(const json::Value& v) {
-  return v.is_string() ? v.as_string() : v.dump();
+/// A knob's slots for reading only (the table's accessors bind mutable
+/// structs).
+Knob::Field read(const Knob& k, const VerifyRequest& req) {
+  return k.field(const_cast<VerifyRequest&>(req));
+}
+
+Knob::Override read(const Knob& k, const PropertyRequest::Overrides& o) {
+  return k.override_field(const_cast<PropertyRequest::Overrides&>(o));
+}
+
+const Knob* find_knob(const std::string& group, const std::string& key) {
+  for (const Knob& k : knobs())
+    if (group == k.group && key == k.key) return &k;
+  return nullptr;
+}
+
+/// The knob an override key names; null with a message when there is none.
+const Knob* override_knob(const std::string& key, std::string* error) {
+  for (const Knob& k : knobs()) {
+    if (key != k.key) continue;
+    if (k.override_field != nullptr) return &k;
+    *error = "'" + key + "' cannot be set per property";
+    return nullptr;
+  }
+  *error = "unknown key '" + key + "'";
+  return nullptr;
+}
+
+/// One key=value of a --props line ("name" included).
+bool apply_override(const std::string& key, const std::string& value,
+                    PropertySpec* out, std::string* error) {
+  if (key == "name") {
+    out->name = value;
+    return true;
+  }
+  const Knob* k = override_knob(key, error);
+  return k != nullptr &&
+         want_text(k->override_field(out->overrides), value, key, error);
 }
 
 }  // namespace
+
+// The knob list: an entry's accessors name the field it sets and, for the
+// six overridable knobs, the per-property slot.
+const std::vector<Knob>& knobs() {
+  using R = VerifyRequest&;
+  using O = PropertyRequest::Overrides&;
+  using F = Knob::Field;
+  using V = Knob::Override;
+  static const std::vector<Knob> kKnobs = {
+      {"options", "time-limit",
+       [](R r) -> F { return &r.options.time_limit_s; },
+       [](O o) -> V { return &o.time_limit_s; }},
+      {"options", "max-iterations",
+       [](R r) -> F { return &r.options.max_iterations; },
+       [](O o) -> V { return &o.max_iterations; }},
+      {"options", "traces",
+       [](R r) -> F { return &r.options.traces_per_iteration; },
+       [](O o) -> V { return &o.traces_per_iteration; }},
+      {"options", "workers",
+       [](R r) -> F { return &r.options.portfolio_workers; }},
+      {"options", "engines",
+       [](R r) -> F { return &r.options.engines; }, nullptr, "engine"},
+      {"options", "approx-fallback",
+       [](R r) -> F { return &r.options.approx_fallback; }, nullptr,
+       "no-approx"},
+      {"options", "proof-shrink",
+       [](R r) -> F { return &r.options.proof_shrink; }},
+      {"options", "pdr-max-frames",
+       [](R r) -> F { return &r.options.race_pdr_max_frames; }},
+      {"options", "pdr-time",
+       [](R r) -> F { return &r.options.race_pdr_time_s; }},
+      {"options", "budget-ms",
+       [](R r) -> F { return &r.options.budget_ms; },
+       [](O o) -> V { return &o.budget_ms; }},
+      {"options", "budget-bdd-nodes",
+       [](R r) -> F { return &r.options.budget_bdd_nodes; },
+       [](O o) -> V { return &o.budget_bdd_nodes; }},
+      {"options", "budget-mem-mb",
+       [](R r) -> F { return &r.options.budget_mem_mb; },
+       [](O o) -> V { return &o.budget_mem_mb; }},
+      {"session", "cluster-overlap",
+       [](R r) -> F { return &r.cluster_overlap; }},
+      {"session", "max-cluster",
+       [](R r) -> F { return &r.max_cluster_size; }},
+      {"session", "workers",
+       [](R r) -> F { return &r.session_workers; }, nullptr, "session-workers"},
+      {"session", "batch-budget-ms",
+       [](R r) -> F { return &r.batch_budget_ms; }},
+      {"session", "reuse",
+       [](R r) -> F { return &r.reuse; }, nullptr, "no-reuse"},
+  };
+  return kKnobs;
+}
 
 GateId find_signal(const Netlist& n, const std::string& name) {
   GateId g = n.find(name);
   if (g == kNullGate) g = n.output(name);
   return g;
-}
-
-bool apply_override(const std::string& key, const std::string& value,
-                    PropertySpec* out, std::string* error) {
-  // std::stoul accepts a sign and wraps "-1" to 2^64-1: a count must be
-  // refused here, before it can become a near-endless run.
-  const auto count = [&value] {
-    if (value.find('-') != std::string::npos)
-      throw std::invalid_argument("negative count");
-    return std::stoul(value);
-  };
-  try {
-    if (key == "name") {
-      out->name = value;
-    } else if (key == "time-limit") {
-      out->overrides.time_limit_s = std::stod(value);
-    } else if (key == "max-iterations") {
-      out->overrides.max_iterations = count();
-    } else if (key == "traces") {
-      out->overrides.traces_per_iteration = count();
-    } else if (key == "budget-ms") {
-      out->overrides.budget_ms = std::stod(value);
-    } else if (key == "budget-bdd-nodes") {
-      out->overrides.budget_bdd_nodes = std::stoll(value);
-    } else if (key == "budget-mem-mb") {
-      out->overrides.budget_mem_mb = std::stoll(value);
-    } else {
-      *error = "unknown key '" + key + "'";
-      return false;
-    }
-  } catch (const std::exception&) {
-    *error = "invalid value '" + value + "' for '" + key + "'";
-    return false;
-  }
-  return true;
-}
-
-bool parse_property_spec(const std::string& line, PropertySpec* out,
-                         std::string* error) {
-  *out = PropertySpec{};
-  std::stringstream ss(line);
-  std::string signal;
-  ss >> signal;
-  if (signal.empty()) {
-    *error = "empty property line";
-    return false;
-  }
-  out->signal = signal;
-  std::string tok;
-  while (ss >> tok) {
-    const size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      *error = "expected key=value, got '" + tok + "'";
-      return false;
-    }
-    if (!apply_override(tok.substr(0, eq), tok.substr(eq + 1), out, error))
-      return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -148,6 +230,20 @@ std::vector<std::string> VerifyRequest::validate() const {
   // self-clamping by construction (cluster_by_cone_overlap treats
   // max_cluster_size 0 as 1; non-positive overlap disables clustering).
   std::vector<std::string> errors = options.validate();
+  for (std::string& e : errors) {
+    // The defaults are valid, so a knob that raises the error on top of
+    // them alone is the one to name.
+    for (const Knob& k : knobs()) {
+      VerifyRequest alone;
+      std::visit(
+          [&](auto* dst) { *dst = *std::get<decltype(dst)>(read(k, *this)); },
+          k.field(alone));
+      const std::vector<std::string> own = alone.options.validate();
+      if (std::find(own.begin(), own.end(), e) == own.end()) continue;
+      e = std::string(k.key) + ": " + e;
+      break;
+    }
+  }
   if (!errors.empty()) return errors;
   for (size_t i = 0; i < props.size(); ++i) {
     const PropertySpec& p = props[i];
@@ -183,17 +279,14 @@ json::Value VerifyRequest::to_json() const {
       if (!p.name.empty()) s.set("name", p.name);
       if (p.overrides.any()) {
         Value ov = Value::object();
-        if (p.overrides.time_limit_s)
-          ov.set("time-limit", *p.overrides.time_limit_s);
-        if (p.overrides.max_iterations)
-          ov.set("max-iterations", *p.overrides.max_iterations);
-        if (p.overrides.traces_per_iteration)
-          ov.set("traces", *p.overrides.traces_per_iteration);
-        if (p.overrides.budget_ms) ov.set("budget-ms", *p.overrides.budget_ms);
-        if (p.overrides.budget_bdd_nodes)
-          ov.set("budget-bdd-nodes", *p.overrides.budget_bdd_nodes);
-        if (p.overrides.budget_mem_mb)
-          ov.set("budget-mem-mb", *p.overrides.budget_mem_mb);
+        for (const Knob& k : knobs()) {
+          if (k.override_field == nullptr) continue;
+          std::visit(
+              [&](auto* slot) {
+                if (*slot) ov.set(k.key, encode(**slot));
+              },
+              read(k, p.overrides));
+        }
         s.set("overrides", std::move(ov));
       }
       arr.push(std::move(s));
@@ -201,32 +294,13 @@ json::Value VerifyRequest::to_json() const {
     o.set("props", std::move(arr));
   }
 
-  Value opt = Value::object();
-  opt.set("time-limit", options.time_limit_s);
-  opt.set("max-iterations", options.max_iterations);
-  opt.set("traces", options.traces_per_iteration);
-  opt.set("workers", options.portfolio_workers);
-  if (!options.engines.empty()) {
-    Value engines = Value::array();
-    for (const std::string& e : options.engines) engines.push(e);
-    opt.set("engines", std::move(engines));
+  for (const char* group : {"options", "session"}) {
+    Value g = Value::object();
+    for (const Knob& k : knobs())
+      if (std::string(group) == k.group)
+        std::visit([&](auto* p) { g.set(k.key, encode(*p)); }, read(k, *this));
+    o.set(group, std::move(g));
   }
-  opt.set("approx-fallback", options.approx_fallback);
-  opt.set("proof-shrink", options.proof_shrink);
-  opt.set("pdr-max-frames", options.race_pdr_max_frames);
-  opt.set("pdr-time", options.race_pdr_time_s);
-  opt.set("budget-ms", options.budget_ms);
-  opt.set("budget-bdd-nodes", options.budget_bdd_nodes);
-  opt.set("budget-mem-mb", options.budget_mem_mb);
-  o.set("options", std::move(opt));
-
-  Value sess = Value::object();
-  sess.set("cluster-overlap", cluster_overlap);
-  sess.set("max-cluster", max_cluster_size);
-  sess.set("workers", session_workers);
-  sess.set("batch-budget-ms", batch_budget_ms);
-  sess.set("reuse", reuse);
-  o.set("session", std::move(sess));
 
   o.set("certify", certify);
   o.set("inline-certificates", inline_certificates);
@@ -242,18 +316,16 @@ bool parse_design(const json::Value& v, DesignRef* out, std::string* error) {
   }
   for (const auto& [key, val] : v.members()) {
     const std::string ctx = "design." + key;
-    if (key == "path") {
-      if (!want_string(val, ctx, &out->path, error)) return false;
-    } else if (key == "text") {
-      if (!want_string(val, ctx, &out->text, error)) return false;
-    } else if (key == "format") {
-      if (!want_string(val, ctx, &out->format, error)) return false;
-    } else if (key == "top") {
-      if (!want_string(val, ctx, &out->top, error)) return false;
-    } else {
-      *error = "unknown key 'design." + key + "'";
+    std::string* field = key == "path"     ? &out->path
+                         : key == "text"   ? &out->text
+                         : key == "format" ? &out->format
+                         : key == "top"    ? &out->top
+                                           : nullptr;
+    if (field == nullptr) {
+      *error = "unknown key '" + ctx + "'";
       return false;
     }
+    if (!want(val, ctx, field, error)) return false;
   }
   if (out->path.empty() && out->text.empty()) {
     *error = "'design' needs a path or inline text";
@@ -271,10 +343,9 @@ bool parse_prop(const json::Value& v, size_t index, PropertySpec* out,
   }
   for (const auto& [key, val] : v.members()) {
     if (key == "signal") {
-      if (!want_string(val, where + ".signal", &out->signal, error))
-        return false;
+      if (!want(val, where + ".signal", &out->signal, error)) return false;
     } else if (key == "name") {
-      if (!want_string(val, where + ".name", &out->name, error)) return false;
+      if (!want(val, where + ".name", &out->name, error)) return false;
     } else if (key == "overrides") {
       if (!val.is_object()) {
         *error = where + ".overrides must be an object";
@@ -282,10 +353,14 @@ bool parse_prop(const json::Value& v, size_t index, PropertySpec* out,
       }
       for (const auto& [ok, ov] : val.members()) {
         std::string why;
-        if (!apply_override(ok, override_text(ov), out, &why)) {
+        const Knob* k = override_knob(ok, &why);
+        if (k == nullptr) {
           *error = where + ".overrides: " + why;
           return false;
         }
+        if (!want_slot(k->override_field(out->overrides), ov,
+                       where + ".overrides." + ok, error))
+          return false;
       }
     } else {
       *error = "unknown key '" + where + "." + key + "'";
@@ -300,75 +375,20 @@ bool parse_prop(const json::Value& v, size_t index, PropertySpec* out,
   return true;
 }
 
-bool parse_options(const json::Value& v, RfnOptions* out, std::string* error) {
+/// One "options" or "session" object: each member is a knob of the group.
+bool parse_knobs(const json::Value& v, const std::string& group,
+                 VerifyRequest* out, std::string* error) {
   if (!v.is_object()) {
-    *error = "'options' must be an object";
+    *error = "'" + group + "' must be an object";
     return false;
   }
   for (const auto& [key, val] : v.members()) {
-    const std::string ctx = "options." + key;
-    if (key == "time-limit") {
-      if (!want_double(val, ctx, &out->time_limit_s, error)) return false;
-    } else if (key == "max-iterations") {
-      if (!want_size(val, ctx, &out->max_iterations, error)) return false;
-    } else if (key == "traces") {
-      if (!want_size(val, ctx, &out->traces_per_iteration, error)) return false;
-    } else if (key == "workers") {
-      if (!want_size(val, ctx, &out->portfolio_workers, error)) return false;
-    } else if (key == "engines") {
-      if (!val.is_array()) {
-        *error = ctx + " must be an array of engine names";
-        return false;
-      }
-      for (const json::Value& e : val.items()) {
-        std::string name;
-        if (!want_string(e, ctx + " entry", &name, error)) return false;
-        out->engines.push_back(std::move(name));
-      }
-    } else if (key == "approx-fallback") {
-      if (!want_bool(val, ctx, &out->approx_fallback, error)) return false;
-    } else if (key == "proof-shrink") {
-      if (!want_bool(val, ctx, &out->proof_shrink, error)) return false;
-    } else if (key == "pdr-max-frames") {
-      if (!want_size(val, ctx, &out->race_pdr_max_frames, error)) return false;
-    } else if (key == "pdr-time") {
-      if (!want_double(val, ctx, &out->race_pdr_time_s, error)) return false;
-    } else if (key == "budget-ms") {
-      if (!want_double(val, ctx, &out->budget_ms, error)) return false;
-    } else if (key == "budget-bdd-nodes") {
-      if (!want_int64(val, ctx, &out->budget_bdd_nodes, error)) return false;
-    } else if (key == "budget-mem-mb") {
-      if (!want_int64(val, ctx, &out->budget_mem_mb, error)) return false;
-    } else {
-      *error = "unknown key 'options." + key + "'";
+    const Knob* k = find_knob(group, key);
+    if (k == nullptr) {
+      *error = "unknown key '" + group + "." + key + "'";
       return false;
     }
-  }
-  return true;
-}
-
-bool parse_session(const json::Value& v, VerifyRequest* out,
-                   std::string* error) {
-  if (!v.is_object()) {
-    *error = "'session' must be an object";
-    return false;
-  }
-  for (const auto& [key, val] : v.members()) {
-    const std::string ctx = "session." + key;
-    if (key == "cluster-overlap") {
-      if (!want_double(val, ctx, &out->cluster_overlap, error)) return false;
-    } else if (key == "max-cluster") {
-      if (!want_size(val, ctx, &out->max_cluster_size, error)) return false;
-    } else if (key == "workers") {
-      if (!want_size(val, ctx, &out->session_workers, error)) return false;
-    } else if (key == "batch-budget-ms") {
-      if (!want_double(val, ctx, &out->batch_budget_ms, error)) return false;
-    } else if (key == "reuse") {
-      if (!want_bool(val, ctx, &out->reuse, error)) return false;
-    } else {
-      *error = "unknown key 'session." + key + "'";
-      return false;
-    }
+    if (!want_slot(k->field(*out), val, group + "." + key, error)) return false;
   }
   return true;
 }
@@ -386,7 +406,7 @@ bool VerifyRequest::from_json(const json::Value& v, VerifyRequest* out,
   for (const auto& [key, val] : v.members()) {
     if (key == "type") {
       std::string type;
-      if (!want_string(val, "'type'", &type, error)) return false;
+      if (!want(val, "'type'", &type, error)) return false;
       if (type != "verify") {
         *error = "unknown request type '" + type + "' (valid: verify)";
         return false;
@@ -394,7 +414,7 @@ bool VerifyRequest::from_json(const json::Value& v, VerifyRequest* out,
       saw_type = true;
     } else if (key == "version") {
       std::string version;
-      if (!want_string(val, "'version'", &version, error)) return false;
+      if (!want(val, "'version'", &version, error)) return false;
       if (version != kRequestVersion) {
         *error = "unsupported request version '" + version + "' (valid: " +
                  std::string(kRequestVersion) + ")";
@@ -402,9 +422,9 @@ bool VerifyRequest::from_json(const json::Value& v, VerifyRequest* out,
       }
       saw_version = true;
     } else if (key == "id") {
-      if (!want_string(val, "'id'", &out->id, error)) return false;
+      if (!want(val, "'id'", &out->id, error)) return false;
     } else if (key == "tenant") {
-      if (!want_string(val, "'tenant'", &out->tenant, error)) return false;
+      if (!want(val, "'tenant'", &out->tenant, error)) return false;
     } else if (key == "design") {
       if (!parse_design(val, &out->design, error)) return false;
       saw_design = true;
@@ -418,15 +438,13 @@ bool VerifyRequest::from_json(const json::Value& v, VerifyRequest* out,
         if (!parse_prop(val.items()[i], i, &spec, error)) return false;
         out->props.push_back(std::move(spec));
       }
-    } else if (key == "options") {
-      if (!parse_options(val, &out->options, error)) return false;
-    } else if (key == "session") {
-      if (!parse_session(val, out, error)) return false;
+    } else if (key == "options" || key == "session") {
+      if (!parse_knobs(val, key, out, error)) return false;
     } else if (key == "certify") {
-      if (!want_bool(val, "'certify'", &out->certify, error)) return false;
+      if (!want(val, "'certify'", &out->certify, error)) return false;
     } else if (key == "inline-certificates") {
-      if (!want_bool(val, "'inline-certificates'", &out->inline_certificates,
-                     error))
+      if (!want(val, "'inline-certificates'", &out->inline_certificates,
+                error))
         return false;
     } else {
       *error = "unknown key '" + key + "'";
@@ -442,6 +460,84 @@ bool VerifyRequest::from_json(const json::Value& v, VerifyRequest* out,
     *error = "request needs a 'design'";
     return false;
   }
+  return true;
+}
+
+bool VerifyRequest::from_flags(const Options& opts,
+                               const std::vector<std::string>& also_known,
+                               VerifyRequest* out, std::string* error) {
+  *out = VerifyRequest{};
+  std::vector<std::string> known = also_known;
+  known.insert(known.end(),
+               {"bad", "props", "certify", "cert-dir", "top", "aiger"});
+  for (const Knob& k : knobs()) known.push_back(k.cli_flag());
+  for (const std::string& key : opts.keys()) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    *error = "unknown flag --" + key;
+    return false;
+  }
+  const std::vector<std::string>& pos = opts.positionals();
+  if (pos.size() != 2) {
+    *error = pos.size() < 2 ? "missing design"
+                            : "unexpected argument '" + pos[2] + "'";
+    return false;
+  }
+  out->design.path = pos[1];
+  out->design.top = opts.get("top", "");
+  if (opts.get_bool("aiger", false)) out->design.format = "aiger";
+
+  for (const Knob& k : knobs()) {
+    const std::string flag = k.cli_flag();
+    const std::vector<std::string> given = opts.get_all(flag);
+    if (given.empty()) continue;
+    // Scalars keep the last value; an engine list gathers every one.
+    std::string text = given.back();
+    const Knob::Field field = k.field(*out);
+    if (std::holds_alternative<std::vector<std::string>*>(field)) {
+      text.clear();
+      for (const std::string& g : given) text += g + ",";
+    }
+    if (!want_text(field, text, "--" + flag, error)) return false;
+    bool* const* b = std::get_if<bool*>(&field);
+    if (b != nullptr && flag.rfind("no-", 0) == 0) **b = !**b;
+  }
+
+  // The property set: every --bad, then every --props line (none: the
+  // design's AIGER properties, else the signal named "bad"; see
+  // resolve_properties).
+  for (const std::string& bad : opts.get_all("bad")) {
+    PropertySpec spec;
+    spec.signal = bad;
+    out->props.push_back(std::move(spec));
+  }
+  const std::string props_path = opts.get("props", "");
+  if (!props_path.empty()) {
+    std::ifstream in(props_path);
+    if (!in) {
+      *error = "cannot open " + props_path;
+      return false;
+    }
+    // One property per line: "SIGNAL [key=value...]"; # starts a comment.
+    std::string line;
+    for (size_t lineno = 1; std::getline(in, line); ++lineno) {
+      std::stringstream ss(line.substr(0, line.find('#')));
+      PropertySpec spec;
+      if (!(ss >> spec.signal)) continue;
+      spec.origin = "props line " + std::to_string(lineno);
+      for (std::string tok; ss >> tok;) {
+        const size_t eq = tok.find('=');
+        std::string why = "expected key=value, got '" + tok + "'";
+        if (eq == std::string::npos ||
+            !apply_override(tok.substr(0, eq), tok.substr(eq + 1), &spec,
+                            &why)) {
+          *error = spec.origin + ": " + why;
+          return false;
+        }
+      }
+      out->props.push_back(std::move(spec));
+    }
+  }
+  out->certify = opts.get_bool("certify", false) || opts.has("cert-dir");
   return true;
 }
 
@@ -510,160 +606,6 @@ json::Value VerifyResponse::to_json() const {
   return o;
 }
 
-bool VerifyResponse::from_json(const json::Value& v, VerifyResponse* out,
-                               std::string* error) {
-  *out = VerifyResponse{};
-  if (!v.is_object()) {
-    *error = "response must be a JSON object";
-    return false;
-  }
-  const json::Value* version = v.find("version");
-  if (version == nullptr || !version->is_string() ||
-      version->as_string() != kResponseVersion) {
-    *error = "not an rfn-resp-v1 response";
-    return false;
-  }
-  for (const auto& [key, val] : v.members()) {
-    if (key == "type" || key == "version") {
-      continue;
-    } else if (key == "id") {
-      if (!want_string(val, "'id'", &out->id, error)) return false;
-    } else if (key == "ok") {
-      if (!want_bool(val, "'ok'", &out->ok, error)) return false;
-    } else if (key == "error") {
-      if (!want_string(val, "'error'", &out->error, error)) return false;
-    } else if (key == "reject_reason") {
-      if (!want_string(val, "'reject_reason'", &out->reject_reason, error))
-        return false;
-    } else if (key == "design_hash") {
-      if (!want_string(val, "'design_hash'", &out->design_hash, error))
-        return false;
-    } else if (key == "properties") {
-      if (!want_size(val, "'properties'", &out->properties, error))
-        return false;
-    } else if (key == "clusters") {
-      if (!want_size(val, "'clusters'", &out->clusters, error)) return false;
-    } else if (key == "verdicts") {
-      if (!val.is_object()) {
-        *error = "'verdicts' must be an object";
-        return false;
-      }
-      for (const auto& [vk, vv] : val.members()) {
-        size_t n = 0;
-        if (!want_size(vv, "verdicts." + vk, &n, error)) return false;
-        if (vk == to_string(Verdict::Holds)) out->holds = n;
-        else if (vk == to_string(Verdict::Fails)) out->fails = n;
-        else if (vk == to_string(Verdict::Unknown)) out->unknown = n;
-        else if (vk == to_string(Verdict::ResourceOut)) out->resource_out = n;
-        else {
-          *error = "unknown verdict '" + vk + "'";
-          return false;
-        }
-      }
-    } else if (key == "results") {
-      if (!val.is_array()) {
-        *error = "'results' must be an array";
-        return false;
-      }
-      for (const json::Value& e : val.items()) {
-        if (!e.is_object()) {
-          *error = "results entries must be objects";
-          return false;
-        }
-        PropertyVerdict r;
-        for (const auto& [rk, rv] : e.members()) {
-          const std::string ctx = "results." + rk;
-          if (rk == "name") {
-            if (!want_string(rv, ctx, &r.name, error)) return false;
-          } else if (rk == "verdict") {
-            if (!want_string(rv, ctx, &r.verdict, error)) return false;
-          } else if (rk == "cluster") {
-            if (!want_size(rv, ctx, &r.cluster, error)) return false;
-          } else if (rk == "clustered") {
-            if (!want_bool(rv, ctx, &r.clustered, error)) return false;
-          } else if (rk == "order_seeded") {
-            if (!want_bool(rv, ctx, &r.order_seeded, error)) return false;
-          } else if (rk == "seeded_registers") {
-            if (!want_size(rv, ctx, &r.seeded_registers, error)) return false;
-          } else if (rk == "iterations") {
-            if (!want_size(rv, ctx, &r.iterations, error)) return false;
-          } else if (rk == "seconds") {
-            if (!want_double(rv, ctx, &r.seconds, error)) return false;
-          } else if (rk == "note") {
-            if (!want_string(rv, ctx, &r.note, error)) return false;
-          } else {
-            *error = "unknown key '" + ctx + "'";
-            return false;
-          }
-        }
-        out->results.push_back(std::move(r));
-      }
-    } else if (key == "certificates") {
-      if (!val.is_object()) {
-        *error = "'certificates' must be an object";
-        return false;
-      }
-      out->certified = true;
-      for (const auto& [ck, cv] : val.members()) {
-        if (ck == "ok") {
-          if (!want_size(cv, "certificates.ok", &out->cert_ok, error))
-            return false;
-        } else if (ck == "failed") {
-          if (!want_size(cv, "certificates.failed", &out->cert_failed, error))
-            return false;
-        } else if (ck == "docs") {
-          if (!cv.is_array()) {
-            *error = "certificates.docs must be an array";
-            return false;
-          }
-          for (const json::Value& doc : cv.items())
-            out->certificates.push_back(doc);
-        } else {
-          *error = "unknown key 'certificates." + ck + "'";
-          return false;
-        }
-      }
-    } else if (key == "warm_cache") {
-      if (!val.is_object()) {
-        *error = "'warm_cache' must be an object";
-        return false;
-      }
-      for (const auto& [wk, wv] : val.members()) {
-        const std::string ctx = "warm_cache." + wk;
-        if (wk == "enabled") {
-          if (!want_bool(wv, ctx, &out->warm.enabled, error)) return false;
-        } else if (wk == "hit") {
-          if (!want_bool(wv, ctx, &out->warm.hit, error)) return false;
-        } else if (wk == "hits") {
-          if (!want_size(wv, ctx, &out->warm.hits, error)) return false;
-        } else if (wk == "misses") {
-          if (!want_size(wv, ctx, &out->warm.misses, error)) return false;
-        } else if (wk == "evictions") {
-          if (!want_size(wv, ctx, &out->warm.evictions, error)) return false;
-        } else if (wk == "entries") {
-          if (!want_size(wv, ctx, &out->warm.entries, error)) return false;
-        } else if (wk == "bytes") {
-          if (!want_int64(wv, ctx, &out->warm.bytes, error)) return false;
-        } else if (wk == "order_warm") {
-          if (!want_bool(wv, ctx, &out->warm.order_warm, error)) return false;
-        } else if (wk == "sat_pool_entries") {
-          if (!want_size(wv, ctx, &out->warm.sat_pool_entries, error))
-            return false;
-        } else {
-          *error = "unknown key '" + ctx + "'";
-          return false;
-        }
-      }
-    } else if (key == "seconds") {
-      if (!want_double(val, "'seconds'", &out->seconds, error)) return false;
-    } else {
-      *error = "unknown key '" + key + "'";
-      return false;
-    }
-  }
-  return true;
-}
-
 VerifyResponse VerifyResponse::reject(const std::string& id,
                                       const std::string& reason,
                                       const std::string& detail) {
@@ -691,9 +633,12 @@ bool resolve_properties(const Netlist& n,
                  "no signal named '" + s.signal + "'";
         return false;
       }
+      // Unlabeled, a property keeps the name it was asked for: two output
+      // names can resolve to same-named gates (the iu coverage aliases),
+      // and --cert-dir derives witness file names from the property name.
       PropertyRequest p;
       p.bad = bad;
-      p.name = s.name;
+      p.name = s.name.empty() ? s.signal : s.name;
       p.overrides = s.overrides;
       out->push_back(std::move(p));
     }

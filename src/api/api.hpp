@@ -24,9 +24,13 @@
 //
 // The schemas are versioned ("rfn-req-v1"/"rfn-resp-v1") and the codecs are
 // strict: unknown keys are rejected, so a typo'd option fails the request
-// instead of silently running with defaults.
+// instead of silently running with defaults. Every knob a client can set is
+// one entry of knobs() below; the flag, --props and JSON codecs all walk
+// that list, so the doors cannot drift apart.
 
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "api/load.hpp"
@@ -37,6 +41,7 @@
 #include "core/trace_json.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
+#include "util/options.hpp"
 
 namespace rfn::api {
 
@@ -48,13 +53,11 @@ inline constexpr const char* kResponseVersion = "rfn-resp-v1";
 GateId find_signal(const Netlist& n, const std::string& name);
 
 /// One property selection inside a request, before resolution against the
-/// loaded design. The override vocabulary is exactly the --props file's
-/// (time-limit, max-iterations, traces, budget-ms, budget-bdd-nodes,
-/// budget-mem-mb) — one codec serves the file, the flags, and the wire.
+/// loaded design. The overrides are the knobs marked overridable in knobs().
 struct PropertySpec {
   /// Signal name in the design (gate or output name).
   std::string signal;
-  /// Label override; empty keeps the signal's design name.
+  /// Label override; empty names the property by its signal.
   std::string name;
   PropertyRequest::Overrides overrides;
   /// Diagnostic prefix for resolution and validation errors ("props line
@@ -62,32 +65,50 @@ struct PropertySpec {
   std::string origin;
 };
 
-/// Applies one key=value override ("name" included). False with a message
-/// on unknown keys, unparsable values and negative counts; the same
-/// spellings everywhere.
-bool apply_override(const std::string& key, const std::string& value,
-                    PropertySpec* out, std::string* error);
+struct VerifyRequest;
 
-/// Parses one --props line: "SIGNAL [key=value...]". Resolution against the
-/// design happens later (resolve_properties).
-bool parse_property_spec(const std::string& line, PropertySpec* out,
-                         std::string* error);
+/// One externally settable knob: a key of the rfn-req-v1 "options" or
+/// "session" object. The key is also the knob's --props / "overrides" key
+/// and, unless `flag` says otherwise, its CLI flag (--key). The knob's type
+/// is the C++ type of the field it sets: double a number, size_t a
+/// non-negative integer count, int64_t an integer, bool a boolean, and
+/// std::vector<std::string> an engine list (a JSON array of names; on the
+/// command line a comma list, and the flag may repeat).
+struct Knob {
+  using Field = std::variant<double*, size_t*, int64_t*, bool*,
+                             std::vector<std::string>*>;
+  using Override =
+      std::variant<std::optional<double>*, std::optional<size_t>*,
+                   std::optional<int64_t>*>;
+
+  /// "options" or "session".
+  const char* group;
+  const char* key;
+  /// The VerifyRequest field the knob sets. Its default is that field's
+  /// member initializer — the one default every door shares.
+  Field (*field)(VerifyRequest&);
+  /// The per-property slot a --props line or an "overrides" object sets;
+  /// null when the knob is request-wide only.
+  Override (*override_field)(PropertyRequest::Overrides&) = nullptr;
+  /// CLI spelling when it is not the key. A bool flag spelled no-X clears
+  /// the knob.
+  const char* flag = nullptr;
+
+  std::string cli_flag() const { return flag != nullptr ? flag : key; }
+};
+
+/// The knob list: 12 "options" knobs, then 5 "session" knobs.
+const std::vector<Knob>& knobs();
 
 /// A verification request: rfn-req-v1.
 ///
 ///   {"type":"verify","version":"rfn-req-v1","id":"..","tenant":"..",
 ///    "design":{"path":"..","text":"..","format":"..","top":".."},
-///    "props":[{"signal":"..","name":"..",
-///              "overrides":{"time-limit":..,"max-iterations":..,
-///                           "traces":..,"budget-ms":..,
-///                           "budget-bdd-nodes":..,"budget-mem-mb":..}}],
-///    "options":{"time-limit":..,"max-iterations":..,"traces":..,
-///               "workers":..,"engines":["bdd",..],"approx-fallback":..,
-///               "budget-ms":..,"budget-bdd-nodes":..,"budget-mem-mb":..},
-///    "session":{"cluster-overlap":..,"max-cluster":..,"workers":..,
-///               "batch-budget-ms":..,"reuse":..},
+///    "props":[{"signal":"..","name":"..","overrides":{..}}],
+///    "options":{..},"session":{..},
 ///    "certify":..,"inline-certificates":..}
 ///
+/// The keys of "options", "session" and "overrides" are the knobs() list.
 /// Every field except "type"/"version"/"design" is optional and defaults as
 /// the CLI always has. An empty "props" falls back to the design's AIGER
 /// property list, then to the conventional "bad" signal.
@@ -100,8 +121,14 @@ struct VerifyRequest {
   DesignRef design;
   std::vector<PropertySpec> props;
   /// Engine knobs, embedded verbatim — RfnOptions::validate() is the single
-  /// validation choke point for them (called from validate() below).
-  RfnOptions options;
+  /// validation choke point for them (called from validate() below). The
+  /// defaults are RfnOptions' own except the wall-clock limit: a request
+  /// runs under 300 s, as the CLI always has.
+  RfnOptions options = [] {
+    RfnOptions o;
+    o.time_limit_s = 300.0;
+    return o;
+  }();
   // Session knobs (SessionOptions sans defaults/hooks).
   double cluster_overlap = 0.5;
   size_t max_cluster_size = 4;
@@ -114,9 +141,10 @@ struct VerifyRequest {
   bool inline_certificates = false;
 
   /// The one validation choke point: RfnOptions::validate() of the
-  /// defaults, then (when those are valid) of each property's merged
-  /// options (merge_overrides), prefixed with the property's origin. Empty
-  /// means valid.
+  /// defaults, each error prefixed with the knob that alone raises it, then
+  /// (when those are valid) of each property's merged options
+  /// (merge_overrides), prefixed with the property's origin. Empty means
+  /// valid.
   std::vector<std::string> validate() const;
 
   json::Value to_json() const;
@@ -124,6 +152,15 @@ struct VerifyRequest {
   /// unknown keys are all errors.
   static bool from_json(const json::Value& v, VerifyRequest* out,
                         std::string* error);
+  /// The same request from a command line `CMD DESIGN [flags]`: the design
+  /// (DESIGN, --top, --aiger), every --bad, every --props file line,
+  /// --certify (--cert-dir implies it) and every knob flag. As strict as
+  /// from_json: a missing or extra positional, a flag that is neither one
+  /// of these nor in `also_known` (the caller's own flags), and a value
+  /// that fails its knob's type are errors naming the argument.
+  static bool from_flags(const Options& opts,
+                         const std::vector<std::string>& also_known,
+                         VerifyRequest* out, std::string* error);
 };
 
 /// Per-property verdict inside a response.
@@ -194,17 +231,16 @@ struct VerifyResponse {
   double seconds = 0.0;
 
   json::Value to_json() const;
-  static bool from_json(const json::Value& v, VerifyResponse* out,
-                        std::string* error);
   /// A failure response (admission rejects, malformed requests).
   static VerifyResponse reject(const std::string& id, const std::string& reason,
                                const std::string& detail);
 };
 
 /// Resolves the request's property selection against the loaded design:
-/// explicit specs first, else the design's AIGER property list, else the
-/// conventional "bad" signal. False with a one-line error (prefixed by the
-/// spec's origin, when set) on unknown signals.
+/// explicit specs first (named by their label, else by their signal), else
+/// the design's AIGER property list, else the conventional "bad" signal.
+/// False with a one-line error (prefixed by the spec's origin, when set) on
+/// unknown signals.
 bool resolve_properties(const Netlist& n,
                         const std::vector<aiger::AigerProperty>& aiger_props,
                         const std::vector<PropertySpec>& specs,

@@ -4,6 +4,16 @@
 
 namespace rfn {
 
+namespace {
+
+bool is_number(const char* s) {
+  char* end = nullptr;
+  std::strtod(s, &end);
+  return end != s && *end == '\0';
+}
+
+}  // namespace
+
 Options::Options(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -15,7 +25,8 @@ Options::Options(int argc, char** argv) {
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       put(arg.substr(0, eq), arg.substr(eq + 1));
-    } else if (i + 1 < argc && argv[i + 1][0] != '-') {
+    } else if (i + 1 < argc &&
+               (argv[i + 1][0] != '-' || is_number(argv[i + 1]))) {
       put(arg, argv[++i]);
     } else {
       put(arg, "1");
@@ -32,6 +43,12 @@ std::vector<std::string> Options::get_all(const std::string& key) const {
   std::vector<std::string> out;
   for (const auto& [k, v] : ordered_)
     if (k == key) out.push_back(v);
+  return out;
+}
+
+std::vector<std::string> Options::keys() const {
+  std::vector<std::string> out;
+  for (const auto& [k, v] : ordered_) out.push_back(k);
   return out;
 }
 

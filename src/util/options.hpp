@@ -1,9 +1,10 @@
 #pragma once
 // Minimal command-line option parsing for examples and bench binaries.
 //
-// Supports --key=value, --key value, and boolean --flag forms. Unrecognized
-// arguments are collected as positionals so google-benchmark flags pass
-// through untouched.
+// Supports --key=value, --key value, and boolean --flag forms. The token
+// after --key is its value unless it starts with '-' and is not a number, so
+// `--time-limit -1` binds -1. Unrecognized arguments are collected as
+// positionals so google-benchmark flags pass through untouched.
 
 #include <cstdint>
 #include <map>
@@ -26,6 +27,9 @@ class Options {
   /// Every value given for `key`, in command-line order. A repeated option
   /// (`--bad a --bad b`) accumulates here; get() returns the last value.
   std::vector<std::string> get_all(const std::string& key) const;
+
+  /// Every --key given, in command-line order (repeats included).
+  std::vector<std::string> keys() const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
 

@@ -296,6 +296,33 @@ TEST(TraceJson, CliRejectsInvalidPropsOverrides) {
   std::remove(props.c_str());
   std::remove(out.c_str());
 }
+
+// Flags are as strict as rfn-req-v1 keys: a misspelled flag or a value that
+// fails its knob's type is a usage error naming the flag, not a run with
+// the default (or with strtod's 0).
+TEST(TraceJson, CliRejectsUnknownFlagsAndBadValues) {
+  const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
+  const std::string out = ::testing::TempDir() + "/bad_flag.out";
+  const std::pair<const char*, const char*> cases[] = {
+      {"--time-limt 5", "time-limt"},
+      {"--time-limit abc", "time-limit"},
+      {"--traces 1.7", "traces"},
+      {"--traces -1", "traces"},
+      {"--max-iterations 0", "max-iterations"},
+  };
+  for (const auto& [flags, named] : cases) {
+    const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
+                            " --bad bad_q " + flags + " > /dev/null 2> " + out;
+    const int rc = std::system(cmd.c_str());
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << flags;
+    std::ifstream in(out);
+    std::stringstream err;
+    err << in.rdbuf();
+    EXPECT_NE(err.str().find(named), std::string::npos)
+        << flags << ": " << err.str();
+  }
+  std::remove(out.c_str());
+}
 #endif  // RFN_CLI_PATH
 
 }  // namespace

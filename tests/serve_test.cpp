@@ -13,7 +13,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <fstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -237,15 +239,234 @@ json::Value valid_request_doc() {
   return req.to_json();
 }
 
+/// A value for `k` other than its default, as the JSON the wire carries.
+json::Value non_default(const api::Knob& k) {
+  api::VerifyRequest defaults;
+  return std::visit(
+      [](auto* p) -> json::Value {
+        using T = std::decay_t<decltype(*p)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          return !*p;
+        } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+          json::Value names = json::Value::array();
+          names.push("bdd");
+          names.push("pdr");
+          return names;
+        } else if constexpr (std::is_same_v<T, size_t>) {
+          return static_cast<uint64_t>(*p + 3);
+        } else {
+          return *p + 3;
+        }
+      },
+      k.field(defaults));
+}
+
+/// The minimal request for builtin:fifo's bad_full_q; `overrides`, when an
+/// object, goes on the property.
+json::Value minimal_doc(json::Value overrides = {}) {
+  json::Value prop = json::Value::object();
+  prop.set("signal", "bad_full_q");
+  if (overrides.is_object()) prop.set("overrides", std::move(overrides));
+  json::Value props = json::Value::array();
+  props.push(std::move(prop));
+  json::Value design = json::Value::object();
+  design.set("path", "builtin:fifo");
+  json::Value doc = json::Value::object();
+  doc.set("type", "verify");
+  doc.set("version", api::kRequestVersion);
+  doc.set("design", std::move(design));
+  doc.set("props", std::move(props));
+  return doc;
+}
+
+/// The request `rfn ARGS...` builds.
+bool request_from_args(const std::vector<std::string>& args,
+                       api::VerifyRequest* out, std::string* error) {
+  std::vector<std::string> words = {"rfn"};
+  words.insert(words.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& w : words) argv.push_back(w.data());
+  const Options opts(static_cast<int>(argv.size()), argv.data());
+  return api::VerifyRequest::from_flags(opts, {}, out, error);
+}
+
+/// What a request runs: its to_json() with each property's overrides
+/// merged into the options it runs under.
+std::string effective(api::VerifyRequest req) {
+  for (api::PropertySpec& p : req.props) {
+    req.options = merge_overrides(req.options, p.overrides);
+    p.overrides = {};
+  }
+  return req.to_json().dump();
+}
+
 TEST(RequestCodec, RoundTripsThroughJson) {
-  const json::Value doc = valid_request_doc();
-  api::VerifyRequest back;
+  // Every key of the schema at a non-default value.
+  json::Value overrides = json::Value::object();
+  json::Value options = json::Value::object();
+  json::Value session = json::Value::object();
+  for (const api::Knob& k : api::knobs()) {
+    (std::string(k.group) == "options" ? options : session)
+        .set(k.key, non_default(k));
+    if (k.override_field != nullptr) overrides.set(k.key, non_default(k));
+  }
+  json::Value prop = json::Value::object();
+  prop.set("signal", "bad_full_q");
+  prop.set("name", "full");
+  prop.set("overrides", std::move(overrides));
+  json::Value props = json::Value::array();
+  props.push(std::move(prop));
+  json::Value design = json::Value::object();
+  design.set("path", "builtin:fifo");
+  design.set("text", "module m; endmodule");
+  design.set("format", "verilog");
+  design.set("top", "m");
+  // In to_json()'s key order, so the document itself is the expected
+  // encoding.
+  json::Value doc = json::Value::object();
+  doc.set("type", "verify");
+  doc.set("version", api::kRequestVersion);
+  doc.set("id", "r1");
+  doc.set("tenant", "t1");
+  doc.set("design", std::move(design));
+  doc.set("props", std::move(props));
+  doc.set("options", std::move(options));
+  doc.set("session", std::move(session));
+  doc.set("certify", true);
+  doc.set("inline-certificates", true);
+
+  api::VerifyRequest req;
   std::string error;
-  ASSERT_TRUE(api::VerifyRequest::from_json(doc, &back, &error)) << error;
-  EXPECT_EQ(back.id, "r1");
-  EXPECT_EQ(back.design.path, "builtin:fifo");
-  ASSERT_EQ(back.props.size(), 1u);
-  EXPECT_EQ(back.props[0].signal, "bad_full_q");
+  ASSERT_TRUE(api::VerifyRequest::from_json(doc, &req, &error)) << error;
+  const json::Value before = req.to_json();
+  const json::Value defaults = api::VerifyRequest{}.to_json();
+  for (const api::Knob& k : api::knobs()) {
+    const std::string path = std::string(k.group) + "." + k.key;
+    ASSERT_NE(before.find_path(path), nullptr) << path;
+    EXPECT_EQ(*before.find_path(path), non_default(k)) << path;
+    EXPECT_FALSE(*before.find_path(path) == *defaults.find_path(path)) << path;
+  }
+  api::VerifyRequest back;
+  ASSERT_TRUE(api::VerifyRequest::from_json(before, &back, &error)) << error;
+  EXPECT_EQ(before.dump(), doc.dump());
+  EXPECT_EQ(back.to_json().dump(), before.dump());
+}
+
+TEST(RequestCodec, EveryDoorSetsEveryKnob) {
+  // Each knob at a non-default value through every door that reaches it:
+  // its CLI flag, its "options"/"session" member, and — when overridable —
+  // a --props line and an "overrides" member. Every door must run the same
+  // request.
+  const std::string props = ::testing::TempDir() + "/knob.props";
+  api::VerifyRequest req;
+  std::string error;
+  const std::vector<std::string> bad = {"verify", "builtin:fifo", "--bad",
+                                        "bad_full_q"};
+  ASSERT_TRUE(request_from_args(bad, &req, &error)) << error;
+  const std::string unset = effective(req);
+  size_t overridable = 0;
+  for (const api::Knob& k : api::knobs()) {
+    SCOPED_TRACE(k.key);
+    const json::Value v = non_default(k);
+    std::vector<std::string> doors;
+
+    const std::string flag = "--" + k.cli_flag();
+    std::vector<std::string> args = bad;
+    if (v.is_bool()) {
+      const bool cleared = k.cli_flag().rfind("no-", 0) == 0;
+      args.insert(args.end(),
+                  {flag, v.as_bool() != cleared ? "true" : "false"});
+    } else if (v.is_array()) {
+      for (const json::Value& name : v.items())  // the flag repeats
+        args.insert(args.end(), {flag, name.as_string()});
+    } else {
+      args.insert(args.end(), {flag, v.dump()});
+    }
+    ASSERT_TRUE(request_from_args(args, &req, &error)) << error;
+    doors.push_back(effective(req));
+
+    json::Value group = json::Value::object();
+    group.set(k.key, v);
+    json::Value doc = minimal_doc();
+    doc.set(k.group, std::move(group));
+    ASSERT_TRUE(api::VerifyRequest::from_json(doc, &req, &error)) << error;
+    doors.push_back(effective(req));
+
+    if (k.override_field != nullptr) {
+      ++overridable;
+      std::ofstream(props) << "bad_full_q " << k.key << "=" << v.dump() << "\n";
+      ASSERT_TRUE(request_from_args(
+          {"verify", "builtin:fifo", "--props", props}, &req, &error))
+          << error;
+      doors.push_back(effective(req));
+
+      json::Value ov = json::Value::object();
+      ov.set(k.key, v);
+      ASSERT_TRUE(api::VerifyRequest::from_json(minimal_doc(std::move(ov)),
+                                                &req, &error))
+          << error;
+      doors.push_back(effective(req));
+    }
+    EXPECT_NE(doors[0], unset);
+    for (size_t d = 1; d < doors.size(); ++d)
+      EXPECT_EQ(doors[d], doors[0]) << "door " << d;
+  }
+  EXPECT_EQ(api::knobs().size(), 17u);
+  EXPECT_EQ(overridable, 6u);
+  std::remove(props.c_str());
+}
+
+TEST(RequestCodec, FlagsAndMinimalDocumentAgree) {
+  // `rfn verify D --bad s` and the minimal rfn-req-v1 document for the same
+  // design and property are one request, defaults included (300 s limit).
+  api::VerifyRequest flags, wire;
+  std::string error;
+  ASSERT_TRUE(request_from_args(
+      {"verify", "builtin:fifo", "--bad", "bad_full_q"}, &flags, &error))
+      << error;
+  ASSERT_TRUE(api::VerifyRequest::from_json(minimal_doc(), &wire, &error))
+      << error;
+  EXPECT_EQ(flags.to_json().dump(), wire.to_json().dump());
+  EXPECT_EQ(wire.options.time_limit_s, 300.0);
+}
+
+TEST(RequestCodec, FlagsAreStrict) {
+  api::VerifyRequest req;
+  std::string error;
+  // A negative number is the value of the flag before it: -1 = unbounded.
+  ASSERT_TRUE(request_from_args({"verify", "D", "--time-limit", "-1"}, &req,
+                                &error))
+      << error;
+  EXPECT_EQ(req.options.time_limit_s, -1.0);
+  const std::pair<std::vector<std::string>, const char*> refused[] = {
+      {{"verify", "D", "--time-limit", "-1", "stray"}, "'stray'"},
+      {{"verify", "D", "--time-limt", "5"}, "--time-limt"},
+      {{"verify", "D", "--time-limit", "abc"}, "--time-limit"},
+      {{"verify", "D", "--traces", "1.7"}, "--traces"},
+      {{"verify", "D", "--no-reuse", "maybe"}, "--no-reuse"},
+      {{"verify"}, "missing design"},
+  };
+  for (const auto& [args, named] : refused) {
+    EXPECT_FALSE(request_from_args(args, &req, &error)) << named;
+    EXPECT_NE(error.find(named), std::string::npos) << error;
+  }
+}
+
+TEST(RequestCodec, RefusesFractionalCounts) {
+  json::Value options = json::Value::object();
+  options.set("traces", 1.7);
+  json::Value doc = minimal_doc();
+  doc.set("options", std::move(options));
+  api::VerifyRequest out;
+  std::string error;
+  EXPECT_FALSE(api::VerifyRequest::from_json(doc, &out, &error));
+  EXPECT_NE(error.find("options.traces"), std::string::npos) << error;
+
+  json::Value ov = json::Value::object();
+  ov.set("traces", 1.7);
+  EXPECT_FALSE(api::VerifyRequest::from_json(minimal_doc(std::move(ov)), &out,
+                                             &error));
+  EXPECT_NE(error.find("props[0].overrides"), std::string::npos) << error;
 }
 
 TEST(RequestCodec, RejectsMalformedDocuments) {

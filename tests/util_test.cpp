@@ -32,6 +32,21 @@ TEST(Options, ParsesAllForms) {
   EXPECT_FALSE(opts.has("absent"));
 }
 
+TEST(Options, NegativeNumberIsTheValueOfTheKeyBeforeIt) {
+  // Other dash-led tokens still start the next flag (or stay positionals).
+  const char* argv[] = {"prog", "--time-limit", "-1",  "--ratio", "-2.5",
+                        "--flag", "-x",         "--last"};
+  Options opts(static_cast<int>(std::size(argv)), const_cast<char**>(argv));
+  EXPECT_EQ(opts.get("time-limit", ""), "-1");
+  EXPECT_DOUBLE_EQ(opts.get_double("ratio", 0.0), -2.5);
+  EXPECT_EQ(opts.get("flag", ""), "1");
+  EXPECT_EQ(opts.get("last", ""), "1");
+  ASSERT_EQ(opts.positionals().size(), 1u);
+  EXPECT_EQ(opts.positionals()[0], "-x");
+  EXPECT_EQ(opts.keys(),
+            (std::vector<std::string>{"time-limit", "ratio", "flag", "last"}));
+}
+
 TEST(Options, BoolForms) {
   const char* argv[] = {"prog", "--a=0", "--b=false", "--c=no", "--d=1"};
   Options opts(static_cast<int>(std::size(argv)), const_cast<char**>(argv));

@@ -14,8 +14,12 @@
 // property is a set of one: repeat --bad, point --props at a file, or —
 // for an AIGER design with neither — verify every bad-state property (or
 // output, pre-1.9 style) of the file. With no selection at all a non-AIGER
-// design verifies the signal named "bad". Common options:
-//   --time-limit S     wall-clock budget (default 300)
+// design verifies the signal named "bad". Engine and session options are
+// the knobs of api::knobs() (src/api/api.hpp), checked and defaulted as
+// their rfn-req-v1 keys are; verify and coverage refuse (exit 2) any other
+// flag not listed here, before the design loads. Common options:
+//   --time-limit S     wall-clock budget (default 300; negative: unlimited)
+//   --max-iterations N abstraction-refinement iterations (default 1000)
 //   --workers N        engine-portfolio worker threads (default 0: sequential)
 //   --engine LIST      engines entering the races, comma-separated subset of
 //                      bdd,atpg,sim,sat,pdr (repeatable; default: all five).
@@ -70,6 +74,7 @@
 //   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [traces=N]
 //          [budget-ms=N] [budget-bdd-nodes=N] [budget-mem-mb=N]
 //                                                    (# starts a comment)
+// A property is named by its LABEL, else by its signal as written.
 // Properties carrying per-line overrides run solo; the rest are clustered
 // by register-cone overlap and answered through shared abstraction runs.
 // Session options:
@@ -89,12 +94,13 @@
 // Exit codes: 0 every verdict conclusive, 1 some verdict inconclusive, 2
 // usage or I/O error, 3 a certificate failed its check.
 //
-// This binary is a thin flag → api::VerifyRequest translator: design
-// loading is api::load_design and the run is api::run_verify (the same run
-// path rfn_serve drives from the socket — a command line and an rfn-req-v1
-// document are the same computation). What remains here is flag parsing,
-// the stdout report, and the file epilogues (span/prof artifacts,
-// cert/witness exports).
+// This binary is a thin front over rfn::api: the flags become a request
+// through api::VerifyRequest::from_flags (the twin of the rfn-req-v1
+// decoder), design loading is api::load_design, and the run is
+// api::run_verify (the same run path rfn_serve drives from the socket — a
+// command line and an rfn-req-v1 document are the same computation). What
+// remains here is the stdout report and the file epilogues (span/prof
+// artifacts, cert/witness exports).
 
 #include <cstdio>
 #include <filesystem>
@@ -369,10 +375,40 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
   return all_conclusive ? 0 : 1;
 }
 
-int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
-  // Options keeps any --key, so flags of the retired single-property path
-  // would otherwise be dropped without a word (and --cert-out used to turn
-  // on certification).
+/// Prints the load summary; false (after the error) when the design does
+/// not load.
+bool load(const api::DesignRef& ref, api::LoadedDesign* design) {
+  std::string error;
+  if (!api::load_design(ref, design, &error)) {
+    std::fprintf(stderr, "rfn: %s\n", error.c_str());
+    return false;
+  }
+  std::printf("loaded %s: %s\n", ref.path.c_str(),
+              stats_line(design->netlist).c_str());
+  if (!design->aiger_properties.empty())
+    std::printf("aiger: %zu propert%s (%zu bad, %zu outputs, %zu constraints%s)\n",
+                design->aiger_properties.size(),
+                design->aiger_properties.size() == 1 ? "y" : "ies",
+                design->aiger_bad, design->aiger_outputs,
+                design->aiger_constraints,
+                design->aiger_constraints_folded ? ", folded" : "");
+  return true;
+}
+
+/// The command line as an api::VerifyRequest (the struct a server request
+/// parses to); false after a usage error.
+bool request_from_flags(const Options& opts,
+                        const std::vector<std::string>& own_flags,
+                        api::VerifyRequest* req) {
+  std::string error;
+  if (api::VerifyRequest::from_flags(opts, own_flags, req, &error)) return true;
+  std::fprintf(stderr, "rfn: %s\n", error.c_str());
+  return false;
+}
+
+int cmd_verify(const Options& opts) {
+  // Pointers for the flags of the retired single-property path (--cert-out
+  // used to turn on certification).
   static const struct {
     const char* flag;
     const char* instead;
@@ -385,83 +421,32 @@ int cmd_verify(const api::LoadedDesign& design, const Options& opts) {
       return 2;
     }
   }
-
-  // Flags → api::VerifyRequest: the same struct a server request parses to.
   api::VerifyRequest req;
-  req.options.time_limit_s = opts.get_double("time-limit", 300.0);
-  req.options.traces_per_iteration =
-      static_cast<size_t>(opts.get_int("traces", 1));
-  req.options.approx_fallback = !opts.get_bool("no-approx", false);
-  req.options.portfolio_workers = static_cast<size_t>(opts.get_int("workers", 0));
-  req.options.budget_ms = opts.get_double("budget-ms", -1.0);
-  req.options.budget_bdd_nodes = opts.get_int("budget-bdd-nodes", 0);
-  req.options.budget_mem_mb = opts.get_int("budget-mem-mb", 0);
+  if (!request_from_flags(opts,
+                          {"witness-dir", "trace-json", "trace-spans",
+                           "prof-json", "prof-folded", "metrics", "dump-trace"},
+                          &req))
+    return 2;
   // --prof-json wants the RSS timeline: the watchdog monitor thread samples
   // /proc/self/statm each poll even when no budget is set.
-  req.options.sample_rss = !opts.get("prof-json", "").empty();
-  req.options.proof_shrink = opts.get_bool("proof-shrink", false);
-  req.options.race_pdr_max_frames = static_cast<size_t>(
-      opts.get_int("pdr-max-frames",
-                   static_cast<int64_t>(req.options.race_pdr_max_frames)));
-  req.options.race_pdr_time_s =
-      opts.get_double("pdr-time", req.options.race_pdr_time_s);
-  for (const std::string& list : opts.get_all("engine")) {
-    std::stringstream es(list);
-    std::string e;
-    while (std::getline(es, e, ','))
-      if (!e.empty()) req.options.engines.push_back(e);
-  }
-  req.cluster_overlap = opts.get_double("cluster-overlap", 0.5);
-  req.max_cluster_size = static_cast<size_t>(opts.get_int("max-cluster", 4));
-  req.session_workers =
-      static_cast<size_t>(opts.get_int("session-workers", 0));
-  req.batch_budget_ms = opts.get_double("batch-budget-ms", -1.0);
-  req.reuse = !opts.get_bool("no-reuse", false);
-
-  // Collect the property set: every --bad plus every --props line (none:
-  // the design's AIGER properties, else the signal named "bad"). Signals
-  // resolve inside api::run_verify (api::resolve_properties) with the
-  // spec's origin prefixed to any unknown-signal diagnostic.
-  for (const std::string& bad_name : opts.get_all("bad")) {
-    api::PropertySpec spec;
-    spec.signal = bad_name;
-    // Keep the name the user asked for: two --bad outputs can resolve to
-    // same-named gates (the iu coverage aliases), and --cert-dir derives
-    // witness file names from the property name.
-    spec.name = bad_name;
-    req.props.push_back(std::move(spec));
-  }
-  const std::string props_path = opts.get("props", "");
-  if (!props_path.empty()) {
-    std::ifstream in(props_path);
-    if (!in) {
-      std::fprintf(stderr, "rfn: cannot open %s\n", props_path.c_str());
-      return 2;
-    }
-    std::string line;
-    for (size_t lineno = 1; std::getline(in, line); ++lineno) {
-      const size_t hash = line.find('#');
-      if (hash != std::string::npos) line.resize(hash);
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      api::PropertySpec spec;
-      std::string perr;
-      if (!api::parse_property_spec(line, &spec, &perr)) {
-        std::fprintf(stderr, "rfn: props line %zu: %s\n", lineno, perr.c_str());
-        return 2;
-      }
-      spec.origin = "props line " + std::to_string(lineno);
-      req.props.push_back(std::move(spec));
-    }
-  }
+  req.options.sample_rss = opts.has("prof-json");
+  api::LoadedDesign design;
+  if (!load(req.design, &design)) return 2;
   return run_request(design, opts, std::move(req));
 }
 
-int cmd_coverage(const Netlist& design, const Options& opts) {
+int cmd_coverage(const Options& opts) {
+  api::VerifyRequest req;
+  if (!request_from_flags(opts, {"signals", "list-unreachable"}, &req))
+    return 2;
   const std::string list = opts.get("signals", "");
   if (list.empty()) {
     std::fprintf(stderr, "rfn: coverage needs --signals a,b,c\n");
     return 2;
   }
+  api::LoadedDesign loaded;
+  if (!load(req.design, &loaded)) return 2;
+  const Netlist& design = loaded.netlist;
   std::vector<GateId> cov;
   std::stringstream ss(list);
   std::string name;
@@ -476,7 +461,7 @@ int cmd_coverage(const Netlist& design, const Options& opts) {
   }
 
   CoverageOptions cov_opts;
-  cov_opts.time_limit_s = opts.get_double("time-limit", 300.0);
+  cov_opts.time_limit_s = req.options.time_limit_s;
   const CoverageResult r = rfn_coverage_analysis(design, cov, cov_opts);
   std::printf("coverage states: %zu total\n", r.total_states);
   std::printf("  unreachable: %zu (proved on the abstraction)\n", r.unreachable);
@@ -501,30 +486,15 @@ int main(int argc, char** argv) {
   const Options opts(argc, argv);
   if (opts.positionals().size() < 2) return usage();
   const std::string& command = opts.positionals()[0];
-  const std::string& path = opts.positionals()[1];
+  if (command == "verify") return cmd_verify(opts);
+  if (command == "coverage") return cmd_coverage(opts);
 
   api::DesignRef ref;
-  ref.path = path;
+  ref.path = opts.positionals()[1];
   ref.top = opts.get("top", "");
   if (opts.get_bool("aiger", false)) ref.format = "aiger";
   api::LoadedDesign design;
-  std::string error;
-  if (!api::load_design(ref, &design, &error)) {
-    std::fprintf(stderr, "rfn: %s\n", error.c_str());
-    return 2;
-  }
-  std::printf("loaded %s: %s\n", path.c_str(),
-              stats_line(design.netlist).c_str());
-  if (!design.aiger_properties.empty())
-    std::printf("aiger: %zu propert%s (%zu bad, %zu outputs, %zu constraints%s)\n",
-                design.aiger_properties.size(),
-                design.aiger_properties.size() == 1 ? "y" : "ies",
-                design.aiger_bad, design.aiger_outputs,
-                design.aiger_constraints,
-                design.aiger_constraints_folded ? ", folded" : "");
-
-  if (command == "verify") return cmd_verify(design, opts);
-  if (command == "coverage") return cmd_coverage(design.netlist, opts);
+  if (!load(ref, &design)) return 2;
   if (command == "translate") {
     const std::string format = opts.get("format", "blif");
     std::string body;
