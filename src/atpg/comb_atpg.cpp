@@ -94,10 +94,9 @@ std::pair<GateId, bool> backtrace(const ImplicationEngine& eng, GateId g, bool v
   return {g, v};
 }
 
-CombAtpgResult justify_impl(const Netlist& n, const Cube& targets,
+CombAtpgResult justify_impl(ImplicationEngine& eng, const Cube& targets,
                             const AtpgOptions& opt) {
   CombAtpgResult res;
-  ImplicationEngine eng(n);
   const Deadline deadline(opt.time_limit_s);
 
   // Assert the target cube. A conflict here is a definitive Unsat.
@@ -174,13 +173,16 @@ CombAtpgResult justify_impl(const Netlist& n, const Cube& targets,
 
 CombAtpgResult justify(const Netlist& n, const Cube& targets, const AtpgOptions& opt) {
   Span span("atpg.comb");
-  CombAtpgResult res = justify_impl(n, targets, opt);
+  ImplicationEngine eng(n);
+  CombAtpgResult res = justify_impl(eng, targets, opt);
+  res.frontier_checks = eng.frontier_checks();
   span.annotate("status", to_string(res.status));
   // One flush per call: the search itself stays registry-free.
   MetricsRegistry& m = MetricsRegistry::global();
   m.counter("atpg.comb.calls").add(1);
   m.counter("atpg.comb.backtracks").add(res.backtracks);
   m.counter("atpg.comb.decisions").add(res.decisions);
+  m.counter("atpg.comb.frontier_checks").add(res.frontier_checks);
   if (res.status == AtpgStatus::Abort) m.counter("atpg.comb.aborts").add(1);
   return res;
 }

@@ -51,6 +51,9 @@ struct CombAtpgResult {
   std::vector<Tri> valuation;
   uint64_t backtracks = 0;
   uint64_t decisions = 0;
+  /// Trail entries tested for justification while locating objectives: the
+  /// J-frontier's cost, amortized linear in trail length plus decisions.
+  uint64_t frontier_checks = 0;
 };
 
 /// Finds an assignment of free signals satisfying all literals of `targets`.

@@ -194,6 +194,8 @@ void ImplicationEngine::undo_to(size_t mark) {
     vals_[trail_.back()] = Tri::X;
     trail_.pop_back();
   }
+  while (!checkpoints_.empty() && checkpoints_.back().trail_size > mark)
+    checkpoints_.pop_back();
 }
 
 bool ImplicationEngine::justified(GateId g) const {
@@ -203,10 +205,16 @@ bool ImplicationEngine::justified(GateId g) const {
 }
 
 GateId ImplicationEngine::find_unjustified() const {
-  for (GateId g : trail_) {
-    if (!justified(g)) return g;
+  size_t i = checkpoints_.empty() ? 0 : checkpoints_.back().justified;
+  for (; i < trail_.size(); ++i) {
+    ++frontier_checks_;
+    if (!justified(trail_[i])) break;
   }
-  return kNullGate;
+  if (!checkpoints_.empty() && checkpoints_.back().trail_size == trail_.size())
+    checkpoints_.back().justified = i;
+  else
+    checkpoints_.push_back({trail_.size(), i});
+  return i < trail_.size() ? trail_[i] : kNullGate;
 }
 
 }  // namespace rfn

@@ -46,8 +46,13 @@ class ImplicationEngine {
   bool justified(GateId g) const;
 
   /// First unjustified gate on the trail, or kNullGate when the current
-  /// partial assignment is self-consistent (J-frontier empty).
+  /// partial assignment is self-consistent (J-frontier empty). Resumes after
+  /// the trail prefix already known to be justified, so a search that calls
+  /// it once per decision pays amortized O(trail), not O(decisions x trail).
   GateId find_unjustified() const;
+
+  /// justified() evaluations find_unjustified() has made so far.
+  uint64_t frontier_checks() const { return frontier_checks_; }
 
  private:
   bool set_value(GateId g, Tri v);  // trail + queue bookkeeping; false = conflict
@@ -62,6 +67,18 @@ class ImplicationEngine {
   std::deque<GateId> queue_;
   std::vector<uint8_t> in_queue_;
   std::vector<std::vector<GateId>> fanouts_;
+
+  // J-frontier checkpoints, increasing in both fields: when the trail had
+  // `trail_size` entries, trail_[0, justified) were all justified.
+  // Implication is monotone (values only go X -> 0/1 until an undo), so that
+  // prefix stays justified while the first `trail_size` entries are kept;
+  // undo_to drops every checkpoint taken above its mark.
+  struct Checkpoint {
+    size_t trail_size;
+    size_t justified;
+  };
+  mutable std::vector<Checkpoint> checkpoints_;
+  mutable uint64_t frontier_checks_ = 0;
 };
 
 }  // namespace rfn

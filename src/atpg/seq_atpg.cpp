@@ -71,7 +71,8 @@ SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, const std::vector<Cube>& 
   res.decisions = comb.decisions;
   if (comb.status != AtpgStatus::Sat) return res;
 
-  // Reconstruct the trace cycle by cycle from the flat valuation.
+  // Reconstruct the trace cycle by cycle from the flat valuation. Each loop
+  // visits distinct signals, so the cubes are appended without a lookup.
   res.trace.steps.resize(k);
   for (size_t f = 1; f <= k; ++f) {
     TraceStep& step = res.trace.steps[f - 1];
@@ -85,13 +86,13 @@ SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, const std::vector<Cube>& 
         v = Tri::T;
       else
         v = comb.valuation[g];
-      if (v != Tri::X) cube_add(step.state, {r, v == Tri::T});
+      if (v != Tri::X) step.state.push_back({r, v == Tri::T});
     }
     for (GateId in : m.inputs()) {
       const GateId g = u.at(f, in);
       if (g == kNullGate) continue;
       const Tri v = comb.valuation[g];
-      if (v != Tri::X) cube_add(step.inputs, {in, v == Tri::T});
+      if (v != Tri::X) step.inputs.push_back({in, v == Tri::T});
     }
   }
   return res;

@@ -201,19 +201,20 @@ Trace BmcEncoder::decode_trace(size_t depth,
   const auto model_bit = [this](Lit l) {
     return s_->lit_value(l) == LBool::True;
   };
+  // Cone registers and primary inputs are distinct signals: append directly.
   for (size_t f = 1; f <= depth; ++f) {
     TraceStep& step = t.steps[f - 1];
     for (const GateId r : cone_regs_) {
       const Lit l = vars_[f - 1][r];
       if (l == kUndefLit) continue;
       const bool kept = std::binary_search(included.begin(), included.end(), r);
-      cube_add(kept ? step.state : step.inputs, {r, model_bit(l)});
+      (kept ? step.state : step.inputs).push_back({r, model_bit(l)});
     }
     for (const GateId g : m_->inputs()) {
       if (g >= vars_[f - 1].size()) continue;
       const Lit l = vars_[f - 1][g];
       if (l == kUndefLit) continue;
-      cube_add(step.inputs, {g, model_bit(l)});
+      step.inputs.push_back({g, model_bit(l)});
     }
   }
   return t;

@@ -4,9 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "designs/builtin.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
 #include "util/rng.hpp"
+
+#include "atpg_pins.hpp"
+#include "random_netlist.hpp"
 
 namespace rfn {
 namespace {
@@ -147,6 +154,96 @@ TEST_P(CombAtpgRandom, AgreesWithExhaustiveEnumeration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CombAtpgRandom, ::testing::Values(11, 22, 33, 44, 55));
+
+// g_i = g_{i-1} & (a_i | b_i) with target g_N = 1: implication forces every
+// OR to 1 and each needs a decision of its own. Rescanning the trail per
+// decision would cost about N^2 justified() checks; the incremental
+// J-frontier stays linear in trail length plus decisions.
+TEST(CombAtpg, FrontierChecksStayLinear) {
+  constexpr uint64_t kLinks = 2000;
+  NetBuilder b;
+  auto link = [&](uint64_t i) {
+    return b.or_(b.input("a" + std::to_string(i)), b.input("b" + std::to_string(i)));
+  };
+  GateId g = link(0);
+  for (uint64_t i = 1; i < kLinks; ++i) g = b.and_(g, link(i));
+  Netlist n = b.take();
+  const Cube targets{{g, true}};
+  const CombAtpgResult res = justify(n, targets);
+  check_model(n, targets, res);
+  EXPECT_EQ(res.decisions, kLinks);
+  EXPECT_EQ(res.backtracks, 0u);
+  uint64_t trail = 0;
+  for (Tri v : res.valuation) trail += v != Tri::X;
+  EXPECT_LE(res.frontier_checks, 2 * (trail + res.decisions));
+}
+
+// Fixed targets on the builtin designs (next-state values of seeded register
+// picks) and on seeded random netlists, each searched with the plain value
+// heuristic and with a nonzero decision seed.
+std::vector<SearchPin> comb_trajectories() {
+  std::vector<SearchPin> out;
+  auto run = [&](const Netlist& n, const Cube& targets) {
+    for (uint64_t seed : {uint64_t{0}, uint64_t{0x9E3779B97F4A7C15ULL}}) {
+      AtpgOptions opt;
+      opt.decision_seed = seed;
+      const CombAtpgResult r = justify(n, targets, opt);
+      out.push_back({r.status, r.decisions, r.backtracks, fnv_cube(r.free_assignment)});
+    }
+  };
+  Rng rng(20261017);
+  for (const std::string& design : designs::builtin_names()) {
+    bool ok = false;
+    const Netlist n = designs::make_builtin(design, &ok);
+    Cube targets;
+    for (int i = 0; i < 12; ++i) {
+      const GateId r = n.regs()[rng.below(n.num_regs())];
+      cube_add(targets, {n.reg_data(r), rng.flip()});
+    }
+    run(n, targets);
+  }
+  for (int round = 0; round < 8; ++round) {
+    const Netlist n = random_netlist(rng, 3 + rng.below(5), 2 + rng.below(6),
+                                     60 + static_cast<int>(rng.below(80)));
+    Cube targets;
+    for (uint64_t t = 1 + rng.below(4); t > 0; --t)
+      cube_add(targets, {static_cast<GateId>(rng.below(n.size())), rng.flip()});
+    run(n, targets);
+  }
+  return out;
+}
+
+// Recorded before the J-frontier became incremental: that change may alter
+// the search's cost, never its decisions, backtracks or result.
+TEST(CombAtpg, TrajectoriesArePinned) {
+  const std::vector<SearchPin> expected = {
+      {AtpgStatus::Sat, 2, 0, 0x1d18ef6cb2763961ULL},
+      {AtpgStatus::Sat, 6, 0, 0x1daa09790456829eULL},
+      {AtpgStatus::Sat, 10, 0, 0xf3cc64f5b61ebc98ULL},
+      {AtpgStatus::Sat, 10, 1, 0xd4cf5e6b72a2df40ULL},
+      {AtpgStatus::Sat, 2, 0, 0x48d68621e2d4c4eaULL},
+      {AtpgStatus::Sat, 93, 0, 0x4ef7a9c9ae548d56ULL},
+      {AtpgStatus::Sat, 3, 1, 0xcdfb660ba029b327ULL},
+      {AtpgStatus::Sat, 6, 0, 0x05b620e46347ffc9ULL},
+      {AtpgStatus::Sat, 4, 0, 0x6709897323871023ULL},
+      {AtpgStatus::Sat, 1, 0, 0x35e99555f3a963cbULL},
+      {AtpgStatus::Sat, 2, 0, 0x37d285f1d3537cdaULL},
+      {AtpgStatus::Sat, 1, 0, 0x4460cc7f98cefdb5ULL},
+      {AtpgStatus::Sat, 2, 0, 0x0e0148fd99c38c88ULL},
+      {AtpgStatus::Sat, 2, 0, 0xf76a6d1ea9b88328ULL},
+      {AtpgStatus::Sat, 5, 0, 0xdf5478d1ddbbdf53ULL},
+      {AtpgStatus::Sat, 6, 0, 0x0bed86cb7c1934edULL},
+      {AtpgStatus::Sat, 2, 0, 0x75deed66a014dcedULL},
+      {AtpgStatus::Sat, 5, 1, 0xa50b43a4a8138fdeULL},
+      {AtpgStatus::Sat, 3, 0, 0xd11615a814351adbULL},
+      {AtpgStatus::Sat, 2, 0, 0x3cf12b1dee6bda95ULL},
+      {AtpgStatus::Sat, 0, 0, 0x08218b07b4dd01d3ULL},
+      {AtpgStatus::Sat, 0, 0, 0x08218b07b4dd01d3ULL},
+      {AtpgStatus::Unsat, 0, 0, 0xcbf29ce484222325ULL},
+      {AtpgStatus::Unsat, 0, 0, 0xcbf29ce484222325ULL},
+  };
+  expect_pins(comb_trajectories(), expected);
+}
 
 }  // namespace
 }  // namespace rfn

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "netlist/builder.hpp"
+#include "util/rng.hpp"
+
+#include "random_netlist.hpp"
 
 namespace rfn {
 namespace {
@@ -128,6 +131,43 @@ TEST(Implication, JustificationFrontier) {
   EXPECT_TRUE(eng.assign(a, true));
   EXPECT_TRUE(eng.justified(g));
   EXPECT_EQ(eng.find_unjustified(), kNullGate);
+}
+
+// find_unjustified() resumes from checkpoints of the justified trail prefix.
+// Under random assign/undo_to sequences (conflicting assigns included) it
+// must name exactly the gate a full rescan of the trail names.
+TEST(Implication, IncrementalFrontierMatchesRescan) {
+  const auto rescan = [](const ImplicationEngine& eng) {
+    for (GateId g : eng.trail())
+      if (!eng.justified(g)) return g;
+    return kNullGate;
+  };
+  Rng rng(20261017);
+  for (int round = 0; round < 60; ++round) {
+    const Netlist n = random_netlist(rng, 2 + rng.below(6), rng.below(5),
+                                     20 + static_cast<int>(rng.below(60)));
+    ImplicationEngine eng(n);
+    std::vector<size_t> marks;  // marks of the live assignments, increasing
+    for (int step = 0; step < 150; ++step) {
+      if (!marks.empty() && rng.below(4) == 0) {
+        const size_t k = rng.below(marks.size());
+        eng.undo_to(marks[k]);
+        marks.resize(k);
+      } else {
+        marks.push_back(eng.mark());
+        const GateId g = static_cast<GateId>(rng.below(n.size()));
+        if (!eng.assign(g, rng.flip())) {
+          // The frontier is defined on a conflicting trail too.
+          ASSERT_EQ(eng.find_unjustified(), rescan(eng))
+              << "round " << round << " step " << step << " (conflict)";
+          eng.undo_to(marks.back());
+          marks.pop_back();
+        }
+      }
+      ASSERT_EQ(eng.find_unjustified(), rescan(eng))
+          << "round " << round << " step " << step;
+    }
+  }
 }
 
 }  // namespace

@@ -44,6 +44,8 @@
 #include "sim/sim64.hpp"
 #include "util/rng.hpp"
 
+#include "random_netlist.hpp"
+
 #ifndef RFN_FUZZ_DUMP_DIR
 #define RFN_FUZZ_DUMP_DIR "."
 #endif
@@ -52,34 +54,6 @@ namespace rfn {
 namespace {
 
 constexpr size_t kRoundsPerSeed = 25;  // x 8 seed instances = 200 netlists
-
-/// Random sequential netlist whose last gate is exported as the property
-/// signal `bad`. All registers are binary-initialized so every engine agrees
-/// on the (single) initial state.
-Netlist random_netlist(Rng& rng, size_t nins, size_t nregs, int gates) {
-  NetBuilder b;
-  std::vector<GateId> regs, pool;
-  for (size_t i = 0; i < nins; ++i) pool.push_back(b.input("i" + std::to_string(i)));
-  for (size_t i = 0; i < nregs; ++i) {
-    regs.push_back(b.reg("r" + std::to_string(i), rng.flip() ? Tri::F : Tri::T));
-    pool.push_back(regs.back());
-  }
-  for (int i = 0; i < gates; ++i) {
-    const GateId x = pool[rng.below(pool.size())];
-    const GateId y = pool[rng.below(pool.size())];
-    const GateId z = pool[rng.below(pool.size())];
-    switch (rng.below(5)) {
-      case 0: pool.push_back(b.and_(x, y)); break;
-      case 1: pool.push_back(b.or_(x, y)); break;
-      case 2: pool.push_back(b.xor_(x, y)); break;
-      case 3: pool.push_back(b.not_(x)); break;
-      case 4: pool.push_back(b.mux(x, y, z)); break;
-    }
-  }
-  for (GateId r : regs) b.set_next(r, pool[pool.size() - 1 - rng.below(8)]);
-  b.output("bad", pool.back());
-  return b.take();
-}
 
 void dump_failure(const Netlist& m, uint64_t seed, size_t round) {
   namespace fs = std::filesystem;

@@ -156,9 +156,9 @@ job_sanitize() { # <thread|address,undefined>
 # Release bench run diffed against the checked-in BENCH_portfolio.json
 # (>20% wall-time or >10% BDD peak-node growth fails; see
 # tools/bench_gate.py for re-baselining), plus the certified batch runs of
-# every shipped design and the memory gate against BENCH_prof.json. Every
-# gate is followed by a synthetic regression that must fail it: a gate that
-# cannot fail gates nothing.
+# every shipped design, the end-to-end benchmark's self-test and the memory
+# gate against BENCH_prof.json. Every gate is followed by a synthetic
+# regression that must fail it: a gate that cannot fail gates nothing.
 job_bench_gate() {
   local d=build-ci-bench
   note "bench-gate"
@@ -204,6 +204,14 @@ job_bench_gate() {
   run_batch processor --bad bad_mutex --bad error_flag
   run_batch iu --bad bad_dec --bad iu0 --bad iu1 --bad iu2 --bad iu3 --bad iu4
   run_batch usb --bad bad_se1 --bad usb1_0 --bad usb1_1 --bad usb2_0 --bad usb2_1
+
+  # The end-to-end benchmark's self-test: every BENCHMARK.json workload at
+  # small scale, untraced and traced, must print exactly the declared metrics
+  # and pass its own checks (verdicts, certificates, coverage tables, traced
+  # replay), and an injected wrong verdict must fail the run. run.py builds
+  # its own Release tree with Ninja, here under $d/e2ebench.
+  note "bench-gate: end-to-end benchmark self-test"
+  CARGO_TARGET_DIR="$d" python3 e2ebench/selftest.py
 
   note "bench-gate: portfolio + session benches against BENCH_portfolio.json"
   "./$d/bench/micro_engines" --benchmark_filter='Portfolio|Session|SatBmc' \
