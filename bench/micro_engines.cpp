@@ -202,8 +202,8 @@ void export_portfolio_counters(benchmark::State& state) {
   // change. The known job names map to their historical short names; an
   // unknown job falls back to its raw name with '-' normalized to '_'.
   static const std::map<std::string, std::string> kShortNames = {
-      {"bdd-reach", "bdd"}, {"seq-atpg", "atpg"}, {"rand-sim", "sim"},
-      {"sat-bmc", "sat"},   {"pdr", "pdr"},
+      {"bdd-reach", "bdd"}, {"seq-atpg", "atpg"}, {"sat-bmc", "sat"},
+      {"pdr", "pdr"},
   };
   for (const auto& [k, v] : kShortNames)
     state.counters["wins_" + v] = s.value("portfolio.wins." + k);
@@ -237,7 +237,6 @@ void BM_RfnPortfolioFifo(benchmark::State& state) {
   for (auto _ : state) {
     RfnOptions opt;
     opt.portfolio_workers = static_cast<size_t>(state.range(0));
-    opt.race_probe_time_s = 1.0;
     const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
@@ -279,9 +278,7 @@ void BM_SessionIndependentFifo(benchmark::State& state) {
   MetricsRegistry::global().reset();
   for (auto _ : state) {
     for (const auto& [name, bad] : suite.props) {
-      RfnOptions opt;
-      opt.race_probe_time_s = 1.0;
-      if (run_property(suite.design, bad, opt).verdict != Verdict::Holds)
+      if (run_property(suite.design, bad, RfnOptions{}).verdict != Verdict::Holds)
         state.SkipWithError("fifo suite must hold");
     }
   }
@@ -299,9 +296,7 @@ void BM_SessionBatchFifo(benchmark::State& state) {
   std::vector<PropertyResult> results;
   size_t clusters = 0;
   for (auto _ : state) {
-    SessionOptions sopt;
-    sopt.defaults.race_probe_time_s = 1.0;
-    VerifySession session(suite.design, sopt);
+    VerifySession session(suite.design, SessionOptions{});
     std::vector<PropertyRequest> requests;
     for (const auto& [name, bad] : suite.props)
       requests.push_back({name, bad, {}});
@@ -373,7 +368,7 @@ BENCHMARK(BM_SatBmcFifo)->Unit(benchmark::kMillisecond);
 
 // Full RFN runs with the race lineup pinned to bdd + sat: the SAT engine
 // carries the whole falsification side (abstract probes and concretization)
-// that seq-atpg / rand-sim / guided-atpg handle in the default portfolio.
+// that it shares with guided-atpg in the default portfolio.
 void BM_PortfolioWithSatFifo(benchmark::State& state) {
   const rfn::designs::FifoDesign fifo =
       rfn::designs::make_fifo({.addr_bits = 3, .data_bits = 2});
@@ -382,7 +377,6 @@ void BM_PortfolioWithSatFifo(benchmark::State& state) {
     RfnOptions opt;
     opt.engines = {"bdd", "sat"};
     opt.portfolio_workers = static_cast<size_t>(state.range(0));
-    opt.race_probe_time_s = 1.0;
     const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
@@ -394,8 +388,8 @@ void BM_PortfolioWithSatFifo(benchmark::State& state) {
 BENCHMARK(BM_PortfolioWithSatFifo)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // The Step-2 race in isolation on the USB packet-engine abstraction:
-// bounded BDD reachability vs iterative-deepening ATPG vs random simulation
-// chasing a coverage register, sequential vs four workers.
+// bounded BDD reachability vs iterative-deepening ATPG chasing a coverage
+// register, sequential vs four workers.
 void BM_PortfolioRaceUsb(benchmark::State& state) {
   const rfn::designs::UsbDesign usb = rfn::designs::make_usb({});
   const Subcircuit sub = extract_abstract_model(usb.netlist, usb.usb2, usb.usb2);
@@ -428,11 +422,6 @@ void BM_PortfolioRaceUsb(benchmark::State& state) {
                           return true;
                       }
                       return false;
-                    }});
-    jobs.push_back({"rand-sim", 1.0, [&](const CancelToken& token) {
-                      return !random_sim_error_trace(sub.net, target, 256, 17,
-                                                     &token)
-                                  .empty();
                     }});
     const RaceResult r = portfolio.race(jobs);
     benchmark::DoNotOptimize(r.conclusive);

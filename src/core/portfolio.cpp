@@ -1,9 +1,7 @@
 #include "core/portfolio.hpp"
 
-#include <bit>
 #include <memory>
 
-#include "sim/sim64.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
@@ -127,49 +125,6 @@ RaceResult Portfolio::race(const std::vector<PortfolioJob>& jobs,
             res.conclusive ? res.winner_name.c_str() : "(none)", res.launched,
             res.cancelled, res.seconds);
   return res;
-}
-
-Trace random_sim_error_trace(const Netlist& n, GateId bad, size_t max_cycles,
-                             uint64_t seed, const CancelToken* cancel) {
-  // Pass 1: cheap detection across 64 lanes at once.
-  size_t hit_cycle = 0;
-  int hit_lane = -1;
-  {
-    Rng rng(seed);
-    Sim64 sim(n);
-    sim.load_initial_state(rng);
-    for (size_t c = 0; c < max_cycles; ++c) {
-      if (should_stop(cancel)) return Trace{};
-      sim.randomize_inputs(rng);
-      sim.eval();
-      if (const uint64_t word = sim.value(bad); word != 0) {
-        hit_cycle = c;
-        hit_lane = std::countr_zero(word);
-        break;
-      }
-      sim.step();
-    }
-  }
-  if (hit_lane < 0) return Trace{};
-
-  // Pass 2: re-simulate the identical stimulus and transcribe the hit lane
-  // into a fully-assigned binary trace.
-  Trace trace;
-  trace.steps.resize(hit_cycle + 1);
-  Rng rng(seed);
-  Sim64 sim(n);
-  sim.load_initial_state(rng);
-  for (size_t c = 0; c <= hit_cycle; ++c) {
-    TraceStep& step = trace.steps[c];
-    for (GateId r : n.regs()) step.state.push_back({r, sim.value_bit(r, hit_lane)});
-    sim.randomize_inputs(rng);
-    for (GateId in : n.inputs())
-      step.inputs.push_back({in, sim.value_bit(in, hit_lane)});
-    sim.eval();
-    if (c < hit_cycle) sim.step();
-  }
-  RFN_CHECK(sim.value_bit(bad, hit_lane), "replay lost the simulation hit");
-  return trace;
 }
 
 }  // namespace rfn

@@ -27,9 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "netlist/netlist.hpp"
 #include "util/executor.hpp"
-#include "util/rng.hpp"
 
 namespace rfn {
 
@@ -78,16 +76,5 @@ class Portfolio {
  private:
   Executor exec_;
 };
-
-// --- Engine adapters ---
-
-/// Random-simulation engine: drives `n` with 64 random patterns per cycle
-/// from the initial states and watches `bad`. When some lane raises `bad`
-/// within `max_cycles`, deterministically re-simulates that lane and returns
-/// its full binary trace (every register and input assigned at every cycle,
-/// `bad` raised at the last); otherwise returns an empty trace. Polls
-/// `cancel` once per simulated cycle.
-Trace random_sim_error_trace(const Netlist& n, GateId bad, size_t max_cycles,
-                             uint64_t seed, const CancelToken* cancel = nullptr);
 
 }  // namespace rfn

@@ -31,7 +31,7 @@ std::vector<std::string> RfnOptions::validate() const {
   std::vector<std::string> errors;
   // Single source of truth for the portfolio's engine names; the rejection
   // message spells out the whole valid set so a typo is self-correcting.
-  static const char* const kEngines[] = {"bdd", "atpg", "sim", "sat", "pdr"};
+  static const char* const kEngines[] = {"bdd", "atpg", "sat", "pdr"};
   static const std::string kEngineList = [] {
     std::string list;
     for (const char* name : kEngines) {
@@ -47,6 +47,12 @@ std::vector<std::string> RfnOptions::validate() const {
       errors.push_back("unknown engine \"" + e + "\" (valid engines: " +
                        kEngineList + ")");
   }
+  // Only these can decide the abstract obligation (Step 2); without one the
+  // loop would end Unknown after its first iteration, whatever the design.
+  if (!engines.empty() && !engine_enabled("bdd") && !engine_enabled("sat") &&
+      !engine_enabled("pdr"))
+    errors.push_back("engine list runs nothing in Step 2 (include one of "
+                     "bdd,sat,pdr)");
   if (race_pdr_max_frames == 0)
     errors.push_back("race_pdr_max_frames must be >= 1");
   if (race_pdr_time_s < 0.0)
@@ -65,8 +71,6 @@ std::vector<std::string> RfnOptions::validate() const {
     errors.push_back("budget_bdd_nodes must be >= 0 (0 disables the budget)");
   if (budget_mem_mb < 0)
     errors.push_back("budget_mem_mb must be >= 0 (0 disables the budget)");
-  if (race_probe_time_s < 0.0)
-    errors.push_back("race_probe_time_s must be >= 0");
   if (reach.max_live_nodes == 0)
     errors.push_back("reach.max_live_nodes must be >= 1");
   if (reach.max_steps == 0)
@@ -88,13 +92,10 @@ std::string join_errors(const std::vector<std::string>& errors) {
 
 namespace {
 
-// Budgets of the probe engines racing the abstract check (Step 2) and of
-// random simulation racing concretization (Step 3). The probes only ever
-// find traces, so these bound effort, never what a verdict means.
-constexpr size_t kRaceSimCycles = 512;      // 64 random patterns per cycle
-constexpr size_t kRaceAtpgMaxDepth = 48;    // sequential-ATPG deepening bound
-constexpr uint64_t kRaceAtpgBacktracks = 1u << 14;  // per depth
-constexpr size_t kRaceSatMaxDepth = 48;     // SAT BMC deepening bound
+// Budget of the SAT BMC probe racing the abstract check (Step 2). The probe
+// only ever finds traces, so this bounds effort, never what a verdict means.
+constexpr double kRaceProbeSeconds = 2.0;  // wall budget per race
+constexpr size_t kRaceSatMaxDepth = 48;    // deepening bound
 
 /// The certification witness of a PDR Holds: its inductive frame.
 PdrInvariantWitness pdr_witness(const PdrResult& r) {
@@ -163,16 +164,14 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   };
 
   // Engine selection: empty opt.engines enables everything. "bdd" gates the
-  // exact fixpoint (Step 2) and the approximate fallback; "atpg" gates the
-  // sequential-ATPG probe and guided concretization; "sim" gates both
-  // random-simulation probes; "sat" gates the incremental BMC engine in both
+  // exact fixpoint (Step 2) and the approximate fallback; "atpg" gates guided
+  // concretization (Step 3); "sat" gates the incremental BMC engine in both
   // races; "pdr" gates the IC3 engine in both races. "bdd" and "pdr" can
   // prove Holds (pdr in either race — an unbounded Step-3 Holds is a
-  // concrete proof), and "atpg"/"sim"/"sat"/"pdr" can conclude Fails — a
-  // list without either side narrows what the loop can ever answer.
+  // concrete proof), and "atpg"/"sat"/"pdr" can conclude Fails — a list
+  // without either side narrows what the loop can ever answer.
   const bool use_bdd = opt.engine_enabled("bdd");
   const bool use_atpg = opt.engine_enabled("atpg");
-  const bool use_sim = opt.engine_enabled("sim");
   const bool use_pdr = opt.engine_enabled("pdr");
   std::unique_ptr<SatBmc> sat_owned;
   SatBmc* sat_bmc = nullptr;
@@ -328,9 +327,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     }
     const double probe_budget =
         opt.time_limit_s >= 0.0
-            ? std::min(opt.race_probe_time_s, deadline.remaining_seconds())
-            : opt.race_probe_time_s;
-    // PDR's race budget: unlike the probes it can conclude Holds, but an
+            ? std::min(kRaceProbeSeconds, deadline.remaining_seconds())
+            : kRaceProbeSeconds;
+    // PDR's race budget: unlike the probe it can conclude Holds, but an
     // unlimited PDR job in an otherwise-winnerless race would stall the
     // loop, so it runs under its own wall limit (0 = unlimited).
     const double pdr_race_s = opt.race_pdr_time_s > 0.0 ? opt.race_pdr_time_s : -1.0;
@@ -341,19 +340,17 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                    : std::min(pdr_race_s, deadline.remaining_seconds()))
             : pdr_race_s;
 
-    // Up to four engines race the abstract obligation. BDD reachability is
-    // the only one that can *prove*; the sequential-ATPG, random-simulation
-    // and SAT BMC probes can only *find* an abstract error trace — but when
-    // they do, the trace is exact and the (cancelled) fixpoint is not needed
-    // at all. The BddMgr above is owned by the bdd-reach job for the
-    // duration of the race (single-owner rule), and so is the incremental
-    // SAT instance by the sat-bmc job; the other probes touch only the
-    // immutable netlist. Jobs carry engine tags because the lineup depends
-    // on opt.engines — winner indices alone say nothing.
-    enum class Eng { Bdd, Atpg, Sim, Sat, Pdr };
+    // Up to three engines race the abstract obligation: BDD reachability,
+    // the SAT BMC probe and PDR. The BDD fixpoint and PDR can *prove*; the
+    // SAT probe can only *find* an abstract error trace — but when it does,
+    // the trace is exact and the (cancelled) fixpoint is not needed at all.
+    // The BddMgr above is owned by the bdd-reach job for the duration of the
+    // race (single-owner rule), and so is the incremental SAT instance by
+    // the sat-bmc job; PDR touches only the immutable netlist. Jobs carry
+    // engine tags because the lineup depends on opt.engines — winner indices
+    // alone say nothing.
+    enum class Eng { Bdd, Atpg, Sat, Pdr };
     ReachResult reach;
-    SeqAtpgResult atpg_probe;
-    Trace sim_probe;
     std::vector<PortfolioJob> jobs;
     std::vector<Eng> tags;
     if (use_bdd) {
@@ -364,34 +361,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                         return reach.status != ReachStatus::ResourceOut;
                       }});
       tags.push_back(Eng::Bdd);
-    }
-    if (use_atpg) {
-      jobs.push_back({"seq-atpg", probe_budget, [&](const CancelToken& token) {
-                        AtpgOptions ao;
-                        ao.max_backtracks = kRaceAtpgBacktracks;
-                        ao.cancel = &token;
-                        for (size_t k = 1; k <= kRaceAtpgMaxDepth; ++k) {
-                          if (token.cancelled()) return false;
-                          SeqAtpgResult r = reach_target(sub.net, k, bad_new, true, {}, ao);
-                          if (r.status == AtpgStatus::Sat) {
-                            atpg_probe = std::move(r);
-                            return true;
-                          }
-                          // Unsat/Abort at depth k only bounds the shortest
-                          // trace; keep deepening until cancelled.
-                        }
-                        return false;
-                      }});
-      tags.push_back(Eng::Atpg);
-    }
-    if (use_sim) {
-      jobs.push_back({"rand-sim", probe_budget, [&, iter](const CancelToken& token) {
-                        sim_probe = random_sim_error_trace(
-                            sub.net, bad_new, kRaceSimCycles,
-                            0x51D5EEDull + iter, &token);
-                        return !sim_probe.empty();
-                      }});
-      tags.push_back(Eng::Sim);
     }
     if (sat_bmc != nullptr) {
       // The enable-assumption formulation makes this the abstract obligation
@@ -429,16 +398,16 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     it.reach_status = use_bdd ? reach.status : ReachStatus::ResourceOut;
     it.reach_steps = reach.steps;
 
-    std::vector<Trace> traces_n;  // abstract error traces in sub.net ids
-    std::vector<Trace> traces;    // the same traces in original-design ids
+    std::vector<Trace> traces;  // abstract error traces, original-design ids
     const bool bdd_won = abs_race.conclusive && tags[abs_race.winner] == Eng::Bdd;
     if (bdd_won && reach.status == ReachStatus::BadReachable) {
-      // Abstract error trace(s) via the hybrid engine.
+      // Abstract error trace(s) via the hybrid engine, in sub.net ids.
       HybridTraceOptions hybrid_opt;
       hybrid_opt.cancel = cancel;
-      traces_n = hybrid_error_traces(*enc, sub.net, reach, bad_set,
-                                     opt.traces_per_iteration, hybrid_opt,
-                                     &it.hybrid);
+      for (const Trace& t :
+           hybrid_error_traces(*enc, sub.net, reach, bad_set,
+                               opt.traces_per_iteration, hybrid_opt, &it.hybrid))
+        traces.push_back(sub.trace_to_old(t));
     }
     // After a conclusive race (and the hybrid walk, which may reorder), the
     // manager's variable order seeds the next iteration's (Section 2.2).
@@ -448,7 +417,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
         conclude(Verdict::Holds);
         break;
       }
-      if (traces_n.empty()) {
+      if (traces.empty()) {
         finish_iteration();
         result.note = "hybrid trace engine exhausted candidates";
         break;
@@ -466,25 +435,20 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                pdr_probe.stats.frames);
       break;
     } else if (abs_race.conclusive) {
-      // A probe engine found an abstract error trace while the fixpoint was
+      // SAT or PDR found an abstract error trace while the fixpoint was
       // still running: the trace is a real trace of the abstract model, so
-      // the obligation is BadReachable without any rings.
+      // the obligation is BadReachable without any rings. Both engines
+      // decode it straight into original-design ids (cut registers in the
+      // input cubes).
       it.reach_status = ReachStatus::BadReachable;
-      const Eng w = tags[abs_race.winner];
-      if (w == Eng::Sat || w == Eng::Pdr) {
-        // SAT and PDR traces are decoded straight into original-design ids
-        // (cut registers in the input cubes), so they skip trace_to_old
-        // below.
-        traces.push_back(w == Eng::Sat ? std::move(sat_probe.trace)
-                                       : std::move(pdr_probe.trace));
-      } else {
-        traces_n.push_back(w == Eng::Atpg ? atpg_probe.trace : sim_probe);
-      }
+      traces.push_back(tags[abs_race.winner] == Eng::Sat
+                           ? std::move(sat_probe.trace)
+                           : std::move(pdr_probe.trace));
       RFN_INFO("iter %zu: %s won the abstract race", iter,
                abs_race.winner_name.c_str());
     } else {
       // No engine was conclusive: the exact fixpoint ran out of resources
-      // and the probes found nothing within their budgets.
+      // and the SAT probe and PDR found nothing within their budgets.
       if (use_bdd && opt.approx_fallback && !deadline.expired() &&
           !should_stop(cancel)) {
         // Future-work fallback: the overlapping-partition approximate
@@ -530,7 +494,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       break;
     }
 
-    for (const Trace& t : traces_n) traces.push_back(sub.trace_to_old(t));
     const Trace& abs_trace = traces.front();
     it.trace_cycles = abs_trace.cycles();
     RFN_INFO("iter %zu: %zu abstract error trace(s), first %zu cycles", iter,
@@ -543,31 +506,18 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     // (possibly shorter than the abstract one), Unsat proves no trace of
     // length <= the abstract trace exists — so the trace is spurious, and
     // the assumption core names the registers the refutation needed (the
-    // refinement hints). Random simulation can only conclude Sat, but a hit
-    // is a real error trace found without search.
+    // refinement hints).
     ConcretizeResult conc;
-    Trace sim_cex;
     std::vector<PortfolioJob> cjobs;
     std::vector<Eng> ctags;
     if (use_atpg) {
       cjobs.push_back({"guided-atpg", -1.0, [&](const CancelToken& token) {
                          AtpgOptions ao;
                          ao.cancel = &token;
-                         conc = traces.size() == 1
-                                    ? concretize_trace(m, abs_trace, bad, ao)
-                                    : concretize_with_traces(m, traces, bad, ao);
+                         conc = concretize_with_traces(m, traces, bad, ao);
                          return conc.status != AtpgStatus::Abort;
                        }});
       ctags.push_back(Eng::Atpg);
-    }
-    if (use_sim) {
-      cjobs.push_back({"rand-sim", probe_budget, [&, iter](const CancelToken& token) {
-                         sim_cex = random_sim_error_trace(
-                             m, bad, kRaceSimCycles,
-                             0xC0FFEEULL + iter, &token);
-                         return !sim_cex.empty();
-                       }});
-      ctags.push_back(Eng::Sim);
     }
     if (sat_bmc != nullptr) {
       cjobs.push_back({"sat-bmc", -1.0, [&](const CancelToken& token) {
@@ -601,11 +551,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     if (opt.portfolio_workers > 0) off_thread_race_cpu_s += conc_race.cpu_seconds;
     if (conc_race.conclusive) {
       const Eng w = ctags[conc_race.winner];
-      if (w == Eng::Sim) {
-        it.concretize_status = AtpgStatus::Sat;
-        conclude(Verdict::Fails, std::move(sim_cex));
-        break;
-      }
       if (w == Eng::Sat) {
         it.concretize_status = sat_conc.status;
         if (sat_conc.status == AtpgStatus::Sat) {

@@ -13,7 +13,8 @@
 // RFN never performs symbolic image computation on the original design.
 //
 // run_property() is the one entry point to this loop. Steps 2 and 3 are
-// engine races (core/portfolio.hpp); RunHooks lets a caller seed the run and
+// engine races (core/portfolio.hpp): bdd-reach, sat-bmc and pdr for Step 2,
+// guided-atpg, sat-bmc and pdr for Step 3; RunHooks lets a caller seed the run and
 // collect its hints, which is how VerifySession (core/session.hpp) adds
 // batching, cone clustering and cross-property reuse on top.
 
@@ -52,28 +53,27 @@ struct RfnOptions {
   size_t traces_per_iteration = 1;
   /// Worker threads for the Step-2 / Step-3 engine races. 0 runs the race
   /// jobs sequentially inline in priority order (BDD reachability before the
-  /// ATPG/simulation probes; guided ATPG before random simulation), which
-  /// keeps the pre-portfolio behavior: the probe engines only run when the
-  /// primary engine is inconclusive. Verdicts are identical either way —
-  /// every engine is sound — only the winner (and wall time) changes.
+  /// SAT probe and PDR; guided ATPG before SAT BMC and PDR), which keeps the
+  /// pre-portfolio behavior: the other engines only run when the primary
+  /// engine is inconclusive. Verdicts are identical either way — every
+  /// engine is sound — only the winner (and wall time) changes.
   size_t portfolio_workers = 0;
-  /// Wall budget (seconds) for each probe engine per race; the primary
-  /// engines (BDD fixpoint, guided ATPG) keep their own limits.
-  double race_probe_time_s = 2.0;
   /// Engines entering the Step-2 / Step-3 races. Empty = all of
-  /// {"bdd", "atpg", "sim", "sat", "pdr"}; a non-empty list must be a
-  /// subset of those names (validate() rejects anything else). Only "bdd"
-  /// and "pdr" can prove Holds, so a list with neither restricts the loop
-  /// to falsification: a run that finds no error trace ends Unknown.
+  /// {"bdd", "atpg", "sat", "pdr"}; a non-empty list must be a subset of
+  /// those names and name at least one Step-2 engine ("bdd", "sat" or
+  /// "pdr"; validate() rejects anything else). "atpg" is Step-3 guided
+  /// concretization only. Only "bdd" and "pdr" can prove Holds, so a list
+  /// with neither restricts the loop to falsification: a run that finds no
+  /// error trace ends Unknown.
   std::vector<std::string> engines;
   /// Frame bound for the IC3/PDR engine in both races. PDR is complete —
   /// given enough frames it always converges — so this is purely a resource
   /// valve against designs whose inductive proofs are deep.
   size_t race_pdr_max_frames = 128;
   /// Wall budget (seconds) per race for the PDR engine (0 = unlimited).
-  /// Unlike the probe engines, PDR can conclude Holds, but an unlimited PDR
-  /// job in an otherwise-winnerless race would stall the loop, so it gets
-  /// its own limit rather than race_probe_time_s.
+  /// Unlike the SAT probe, PDR can conclude Holds, but an unlimited PDR job
+  /// in an otherwise-winnerless race would stall the loop, so it gets its
+  /// own limit rather than the probe's fixed budget.
   double race_pdr_time_s = 10.0;
   /// Proof-based abstraction shrinking (Eén/Mishchenko/Amla): after a
   /// Step-3 bounded-UNSAT concrete check, drop included registers that the
@@ -86,8 +86,7 @@ struct RfnOptions {
   /// are never dropped, which guarantees loop progress.
   bool proof_shrink = false;
 
-  /// True when `name` ("bdd", "atpg", "sim", "sat", "pdr") participates in
-  /// races.
+  /// True when `name` ("bdd", "atpg", "sat", "pdr") participates in races.
   bool engine_enabled(const char* name) const;
   /// External cancellation of the whole run: polled at iteration boundaries
   /// and chained into every engine race.

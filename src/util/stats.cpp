@@ -104,14 +104,13 @@ std::string format_engine_stats(const MetricsSnapshot& s) {
              count("atpg.comb.backtracks") + " backtracks", "-", "-"});
   t.add_row({"seq-atpg", count("atpg.seq.calls"),
              count("atpg.seq.backtracks") + " backtracks", "-",
-             cpu({"seq-atpg", "guided-atpg"})});
+             cpu({"guided-atpg"})});
   t.add_row({"hybrid", count("hybrid.walks"),
              count("hybrid.atpg_calls") + " atpg calls", "-", "-"});
   t.add_row({"sat-bmc", count("sat.checks"),
              count("sat.conflicts") + " conflicts", "-", cpu({"sat-bmc"})});
   t.add_row({"pdr", count("pdr.runs"), count("pdr.clauses") + " clauses",
              fmt_double(s.value("pdr.run.seconds"), 3), cpu({"pdr"})});
-  t.add_row({"rand-sim", "-", "-", "-", cpu({"rand-sim"})});
   return t.to_string();
 }
 

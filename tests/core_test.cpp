@@ -326,7 +326,7 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
   // Pin the pre-PDR lineup: this test exercises the approximate-traversal
   // fallback, and the IC3 engine would simply prove the property outright
   // before the race ever comes up winnerless.
-  opt.engines = {"bdd", "atpg", "sim", "sat"};
+  opt.engines = {"bdd", "atpg", "sat"};
   // Cripple the exact engine just enough: refinement traces stay shallow
   // (any still-free counter violates within ~2 steps), but the final full
   // model's fixpoint needs 5+ image steps, which only the fallback gets.

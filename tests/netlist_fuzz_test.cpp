@@ -10,8 +10,6 @@
 //     within the diameter with a core drawn from the register set;
 //   * 64-way random simulation: every visited state lies in the BDD
 //     fixpoint, hits imply BadReachable at a consistent depth;
-//   * the portfolio's random-simulation trace adapter: returned traces
-//     replay to bad = 1, safe designs yield no trace;
 //   * the BFS coverage baseline: with the full register set its
 //     unreachable-state count matches exhaustive enumeration of the BDD
 //     fixpoint;
@@ -31,7 +29,6 @@
 #include "cert/format.hpp"
 #include "core/bfs_baseline.hpp"
 #include "core/certificate.hpp"
-#include "core/portfolio.hpp"
 #include "core/rfn.hpp"
 #include "mc/image.hpp"
 #include "mc/reach.hpp"
@@ -261,20 +258,6 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
     }
   }
 
-  // The portfolio's simulation adapter: traces replay, safe designs stay
-  // clean, and trace length respects the BDD shortest-trace bound.
-  {
-    const Trace cex = random_sim_error_trace(m, bad, 24, seed ^ round);
-    if (reach.status == ReachStatus::Proved) {
-      EXPECT_TRUE(cex.empty())
-          << "sim adapter found a trace on a proved-safe design";
-    }
-    if (!cex.empty()) {
-      EXPECT_EQ(simulate_trace(m, cex, bad), Tri::T);
-      EXPECT_GE(cex.cycles(), reach.steps + 1);
-    }
-  }
-
   // BFS coverage baseline with the full register set degenerates to exact
   // reachable-state counting; cross-check against exhaustive enumeration of
   // the fixpoint (the state spaces here are tiny).
@@ -305,7 +288,6 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
     for (const size_t workers : {size_t{0}, size_t{2}}) {
       RfnOptions opt;
       opt.portfolio_workers = workers;
-      opt.race_probe_time_s = 0.25;
       const RfnResult res = run_property(m, bad, opt);
       EXPECT_EQ(res.verdict, expect)
           << "RFN (workers=" << workers << ") disagrees with the BDD ground "
@@ -358,7 +340,6 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
     {
       RfnOptions opt;
       opt.proof_shrink = true;
-      opt.race_probe_time_s = 0.25;
       const RfnResult res = run_property(m, bad, opt);
       EXPECT_EQ(res.verdict, expect)
           << "grow/shrink verdict diverged from grow-only; note: " << res.note;

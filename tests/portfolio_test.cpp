@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "core/hybrid_trace.hpp"
 #include "core/portfolio.hpp"
 #include "core/rfn.hpp"
+#include "designs/builtin.hpp"
 #include "designs/fifo.hpp"
 #include "mc/image.hpp"
 #include "mc/reach.hpp"
@@ -227,20 +229,9 @@ TEST(Portfolio, EngineCancellationHooks) {
   sim.load_initial_state();
   sim.eval();
   EXPECT_TRUE(sim.stopped());
-  const Trace cex = random_sim_error_trace(m, bad, 16, 1);
-  ASSERT_FALSE(cex.empty());
-  EXPECT_EQ(simulate_trace(m, cex, bad, &tok), Tri::X);
-}
-
-TEST(Portfolio, RandomSimErrorTraceReplaysToBad) {
-  const Netlist fail = make_counter_fail();
-  const Trace cex = random_sim_error_trace(fail, fail.output("bad"), 16, 99);
-  ASSERT_FALSE(cex.empty());
-  EXPECT_EQ(cex.cycles(), 8u);  // counter needs exactly 7 steps + 1 eval
-  EXPECT_EQ(simulate_trace(fail, cex, fail.output("bad")), Tri::T);
-
-  const Netlist safe = make_counter_safe();
-  EXPECT_TRUE(random_sim_error_trace(safe, safe.output("bad"), 64, 99).empty());
+  const SeqAtpgResult found = reach_target(m, 8, bad, true);
+  ASSERT_EQ(found.status, AtpgStatus::Sat);
+  EXPECT_EQ(simulate_trace(m, found.trace, bad, &tok), Tri::X);
 }
 
 // Race real engines against each other: every engine is sound, so whichever
@@ -257,7 +248,6 @@ TEST(Portfolio, EngineRaceVerdictsAgree) {
       const Bdd bad_set = mgr.exists(enc.signal_fn(bad), enc.input_vars());
       ReachResult reach;
       SeqAtpgResult atpg;
-      Trace sim_cex;
       std::vector<PortfolioJob> jobs;
       jobs.push_back({"bdd-reach", -1.0, [&](const CancelToken& token) {
                         ReachOptions ro;
@@ -278,21 +268,14 @@ TEST(Portfolio, EngineRaceVerdictsAgree) {
                         }
                         return false;
                       }});
-      jobs.push_back({"rand-sim", -1.0, [&](const CancelToken& token) {
-                        sim_cex = random_sim_error_trace(m, bad, 32, 7, &token);
-                        return !sim_cex.empty();
-                      }});
       const RaceResult r = p.race(jobs);
       ASSERT_TRUE(r.conclusive) << "fails=" << fails << " workers=" << workers;
       if (r.winner == 0) {
         EXPECT_EQ(reach.status, fails ? ReachStatus::BadReachable
                                       : ReachStatus::Proved);
-      } else if (r.winner == 1) {
-        EXPECT_TRUE(fails);
-        EXPECT_EQ(simulate_trace(m, atpg.trace, bad), Tri::T);
       } else {
         EXPECT_TRUE(fails);
-        EXPECT_EQ(simulate_trace(m, sim_cex, bad), Tri::T);
+        EXPECT_EQ(simulate_trace(m, atpg.trace, bad), Tri::T);
       }
       // Only the formal engine can conclude on a safe design.
       if (!fails) EXPECT_EQ(r.winner_name, "bdd-reach");
@@ -330,7 +313,6 @@ TEST(Portfolio, RfnPortfolioAgreesWithSequential) {
     for (const size_t workers : {size_t{0}, size_t{2}}) {
       RfnOptions opt;
       opt.portfolio_workers = workers;
-      opt.race_probe_time_s = 0.5;
       const MetricsSnapshot before = MetricsRegistry::global().snapshot();
       results.push_back(run_property(c.netlist, c.bad, opt));
       const MetricsSnapshot d = MetricsRegistry::global().snapshot().delta(before);
@@ -343,6 +325,44 @@ TEST(Portfolio, RfnPortfolioAgreesWithSequential) {
             << "case " << ci;
     }
     EXPECT_EQ(results[0].verdict, results[1].verdict) << "case " << ci;
+  }
+}
+
+// The RFN races field bdd-reach / sat-bmc / pdr in Step 2 and guided-atpg /
+// sat-bmc / pdr in Step 3, nothing else. With workers every job of a race
+// launches, so a job outside the lineup would leave a CPU timer behind even
+// if it never won.
+TEST(Portfolio, ThreadedRunRacesOnlyTheLineup) {
+  bool ok = false;
+  const Netlist m = designs::make_builtin("processor", &ok);
+  ASSERT_TRUE(ok);
+  MetricsRegistry::global().reset();
+  RfnOptions opt;
+  opt.portfolio_workers = 4;
+  opt.time_limit_s = 120.0;
+  const RfnResult res = run_property(m, m.output("bad_mutex"), opt);
+  EXPECT_EQ(res.verdict, Verdict::Holds) << res.note;
+
+  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
+  EXPECT_GT(s.value("engine.cpu.bdd-reach.count"), 0.0);
+  for (const std::string job : {"rand-sim", "seq-atpg"}) {
+    EXPECT_EQ(s.value("engine.cpu." + job + ".count"), 0.0) << job;
+    EXPECT_EQ(s.value("portfolio.wins." + job), 0.0) << job;
+  }
+  // An iteration that ends in Step 2 has no Step-3 winner.
+  const std::vector<std::string> step2 = {"bdd-reach", "sat-bmc", "pdr"};
+  const std::vector<std::string> step3 = {"", "guided-atpg", "sat-bmc", "pdr"};
+  const auto in = [](const std::vector<std::string>& lineup,
+                     const std::string& winner) {
+    return std::find(lineup.begin(), lineup.end(), winner) != lineup.end();
+  };
+  ASSERT_FALSE(res.per_iteration.empty());
+  for (size_t i = 0; i < res.per_iteration.size(); ++i) {
+    const RfnIteration& it = res.per_iteration[i];
+    EXPECT_TRUE(in(step2, it.abstract_engine))
+        << "iteration " << i << " abstract winner " << it.abstract_engine;
+    EXPECT_TRUE(in(step3, it.concretize_engine))
+        << "iteration " << i << " concretize winner " << it.concretize_engine;
   }
 }
 

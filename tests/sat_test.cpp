@@ -245,7 +245,6 @@ TEST(SatHints, CoreHintsNeverChangeVerdicts) {
       RfnOptions opt;
       opt.engines = {"bdd", hints ? "sat" : "atpg"};
       opt.portfolio_workers = 0;
-      opt.race_probe_time_s = 0.25;
       verdicts[hints ? 1 : 0] = run_property(m, bad, opt).verdict;
     }
     EXPECT_EQ(verdicts[0], verdicts[1]) << "hints flipped a verdict (round "
@@ -265,11 +264,29 @@ TEST(SatOptions, ValidateRejectsUnknownEngines) {
   EXPECT_NE(msgs.front().find("unknown engine \"bogus\""), std::string::npos);
   // The rejection must spell out the whole valid engine set so a typo is
   // self-correcting from the message alone.
-  for (const char* engine : {"bdd", "atpg", "sim", "sat"})
+  for (const char* engine : {"bdd", "atpg", "sat", "pdr"})
     EXPECT_NE(msgs.front().find(engine), std::string::npos)
         << "message does not name engine \"" << engine
         << "\": " << msgs.front();
 
+  // "sim" is not an engine name.
+  opt.engines = {"bdd", "sim"};
+  const std::vector<std::string> sim = opt.validate();
+  ASSERT_EQ(sim.size(), 1u);
+  EXPECT_NE(sim.front().find("unknown engine \"sim\""), std::string::npos);
+
+  // A list with no Step-2 engine could only end Unknown: refused, naming
+  // the engines that can run Step 2.
+  opt.engines = {"atpg"};
+  const std::vector<std::string> empty_step2 = opt.validate();
+  ASSERT_EQ(empty_step2.size(), 1u);
+  EXPECT_NE(empty_step2.front().find("Step 2"), std::string::npos);
+  EXPECT_NE(empty_step2.front().find("bdd,sat,pdr"), std::string::npos)
+      << empty_step2.front();
+  for (const char* step2 : {"bdd", "sat", "pdr"}) {
+    opt.engines = {"atpg", step2};
+    EXPECT_TRUE(opt.validate().empty()) << step2;
+  }
 }
 
 TEST(SatOptions, EngineEnabledDefaultsToAll) {

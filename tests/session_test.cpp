@@ -53,15 +53,14 @@ TEST(RfnOptionsValidate, ApproxOverlapMustLeaveProgress) {
   EXPECT_TRUE(opt.validate().empty());
 }
 
-TEST(RfnOptionsValidate, NegativeProbeTimeAndZeroBudgets) {
+TEST(RfnOptionsValidate, ZeroReachBudgets) {
   RfnOptions opt;
-  opt.race_probe_time_s = -1.0;
   opt.reach.max_live_nodes = 0;
   opt.reach.max_steps = 0;
   const auto errors = opt.validate();
-  EXPECT_EQ(errors.size(), 3u);
-  EXPECT_TRUE(any_error_contains(errors, "race_probe_time_s"));
+  EXPECT_EQ(errors.size(), 2u);
   EXPECT_TRUE(any_error_contains(errors, "max_live_nodes"));
+  EXPECT_TRUE(any_error_contains(errors, "max_steps"));
 }
 
 TEST(StatusStrings, CanonicalSpellings) {

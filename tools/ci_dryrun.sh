@@ -167,6 +167,11 @@ job_bench_gate() {
 
   note "bench-gate: trace tooling self-check"
   python3 tools/trace_report.py --self-check
+  # A threaded run launches every job of every race, so its trace is where
+  # a race won outside the Step-2/Step-3 lineups would show.
+  "./$d/tools/rfn" verify builtin:processor --bad bad_mutex --bad error_flag \
+    --workers 4 --trace-json "$d/threaded-processor.jsonl"
+  python3 tools/trace_report.py --batch "$d/threaded-processor.jsonl"
 
   # Traces are recorded before the gate so a failing gate still leaves a
   # profile behind (CI uploads it): the first question about a perf

@@ -22,8 +22,10 @@
 //   --max-iterations N abstraction-refinement iterations (default 1000)
 //   --workers N        engine-portfolio worker threads (default 0: sequential)
 //   --engine LIST      engines entering the races, comma-separated subset of
-//                      bdd,atpg,sim,sat,pdr (repeatable; default: all five).
-//                      Unknown names are rejected up front. Only bdd and pdr
+//                      bdd,atpg,sat,pdr (repeatable; default: all four).
+//                      Unknown names, and lists without one of bdd,sat,pdr
+//                      (the Step-2 engines), are rejected up front. atpg is
+//                      Step-3 guided concretization only. Only bdd and pdr
 //                      can prove HOLDS; a list without either can only
 //                      falsify.
 //   --proof-shrink     proof-based abstraction shrinking: drop included

@@ -24,7 +24,9 @@ not), and that the summary's property/verdict/certificate counts match the
 records. Per iteration record it checks that every engine block is
 present — including the IC3/PDR activity block (obligations/clauses/
 frames, nonnegative numbers) and the refine block's proof-shrink column
-(shrunk_registers, bounded by the abstraction size) — that it names the
+(shrunk_registers, bounded by the abstraction size) — that each race's
+winner is in its step's lineup (bdd-reach/sat-bmc/pdr for the abstract
+race, guided-atpg/sat-bmc/pdr for concretize), that it names the
 property it follows, that iterations are numbered densely from 0, and that
 their count equals the property's `iterations`. A clustered property
 answered by a run shared with an earlier member carries no iteration
@@ -96,6 +98,11 @@ ITERATION_KEYS = ("property", "iter", "abstraction", "reach", "bdd", "hybrid",
 # The IC3/PDR activity block and the proof-shrink column of the refine
 # block, both added with the pdr engine.
 PDR_ITER_KEYS = ("obligations", "clauses", "frames")
+# The engines racing Step 2 (abstract) and Step 3 (concretize) of the RFN
+# loop, src/core/rfn.cpp. "" is a race with no winner: inconclusive, or an
+# iteration that ended before Step 3.
+RACE_LINEUPS = (("abstract", ("", "bdd-reach", "sat-bmc", "pdr")),
+                ("concretize", ("", "guided-atpg", "sat-bmc", "pdr")))
 VERDICTS = ("T", "F", "?", "resource-out")
 PROPERTY_KEYS = ("name", "bad", "verdict", "cluster", "clustered",
                  "iterations", "seconds")
@@ -186,6 +193,15 @@ def validate_iteration(r, where):
     for key in ITERATION_KEYS:
         if key not in r:
             fail(f"{where} lacks {key!r}")
+    engines = r["engines"]
+    if not isinstance(engines, dict):
+        fail(f"{where}: engines block is not an object")
+    for race, lineup in RACE_LINEUPS:
+        block = engines.get(race)
+        winner = block.get("winner") if isinstance(block, dict) else None
+        if winner not in lineup:
+            fail(f"{where}: engines.{race}.winner is {winner!r}, not one of "
+                 f"{', '.join(w for w in lineup if w)} (or none)")
     pdr = r["pdr"]
     if not isinstance(pdr, dict):
         fail(f"{where}: pdr block is not an object")
@@ -1139,6 +1155,12 @@ def self_check():
                       "negative shrunk_registers"),
         corrupt_batch(lambda d: d[2]["refine"].update(shrunk_registers=99),
                       "shrink larger than the abstraction"),
+        corrupt_batch(lambda d: d[1]["engines"]["abstract"].update(
+                          winner="rand-sim"),
+                      "abstract race won by an engine outside the lineup"),
+        corrupt_batch(lambda d: d[1]["engines"]["concretize"].update(
+                          winner="seq-atpg"),
+                      "concretize race won by an engine outside the lineup"),
         corrupt_batch(lambda d: d[2].update(iter=5),
                       "non-sequential iteration numbering"),
         corrupt_batch(lambda d: d[0].update(iterations=3),
