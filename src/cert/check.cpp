@@ -3,8 +3,8 @@
 #include <vector>
 
 #include "netlist/analysis.hpp"
-#include "sat/cnf.hpp"
 #include "sat/solver.hpp"
+#include "sim/sim3.hpp"
 #include "util/log.hpp"
 
 namespace rfn::cert {
@@ -265,34 +265,31 @@ CheckResult check_fails(const Netlist& m, const Certificate& c) {
     res.detail = "fails-trace certificate carries an empty trace";
     return res;
   }
-  Solver s;
-  sat::BmcEncoder enc(m, s);
-  enc.add_root(c.bad);
+  Sim3 sim(m);
+  sim.load_initial_state();
+  for (const Literal& lit : c.trace.steps[0].state)  // X-init regs take the pins
+    if (lit.signal < m.size() && m.is_reg(lit.signal) && sim.value(lit.signal) == Tri::X)
+      sim.set(lit.signal, tri_of(lit.value));
   const size_t depth = c.trace.cycles();
-  enc.extend_to(depth);
-
-  // Enable every cone register's init + transition semantics, then pin the
-  // trace's state and input literals (signals outside the cone cannot affect
-  // bad and are skipped). Sat proves a real trace raises bad at `depth`.
-  std::vector<Lit> assumptions;
-  for (GateId r : enc.cone_registers()) assumptions.push_back(enc.enable(r));
   for (size_t i = 0; i < depth; ++i) {
-    const size_t frame = i + 1;
+    if (i > 0) sim.step();
+    sim.clear_inputs();
+    for (const Literal& lit : c.trace.steps[i].inputs)
+      if (lit.signal < m.size() && m.is_input(lit.signal))
+        sim.set(lit.signal, tri_of(lit.value));
+    sim.eval();
     for (const Literal& lit : c.trace.steps[i].state) {
-      if (lit.signal >= m.size() || !m.is_reg(lit.signal)) continue;
-      if (!enc.materialized(frame, lit.signal)) continue;
-      const Lit l = enc.lit(frame, lit.signal);
-      assumptions.push_back(lit.value ? l : ~l);
-    }
-    for (const Literal& lit : c.trace.steps[i].inputs) {
-      if (lit.signal >= m.size() || !m.is_input(lit.signal)) continue;
-      if (!enc.materialized(frame, lit.signal)) continue;
-      const Lit l = enc.lit(frame, lit.signal);
-      assumptions.push_back(lit.value ? l : ~l);
+      const GateId r = lit.signal;
+      if (r >= m.size() || !m.is_reg(r) || sim.value(r) == tri_of(lit.value)) continue;
+      res.obligation = kObligationTraceReplay;
+      res.detail = "cycle " + std::to_string(i + 1) + ": register " +
+                   (m.has_name(r) ? m.name(r) : "g" + std::to_string(r)) +
+                   " simulates to " + tri_char(sim.value(r)) +
+                   " but the trace pins " + (lit.value ? '1' : '0');
+      return res;
     }
   }
-  assumptions.push_back(enc.trigger(c.bad, depth));
-  if (s.solve(assumptions) != Solver::Result::Sat) {
+  if (sim.value(c.bad) != Tri::T) {
     res.obligation = kObligationTraceReplay;
     res.detail = "the trace does not drive the property signal to 1 at cycle " +
                  std::to_string(depth);

@@ -1,10 +1,10 @@
 #pragma once
 // Independent certificate checker: discharges an rfn-cert-v1 witness
-// against a re-elaborated design using only the netlist layer and the CDCL
-// SAT solver — no BDDs, no model checker, none of the engines whose answer
-// the witness is supposed to vouch for. This is the trust boundary of the
-// whole verification service: a consumer need only trust this checker (and
-// the solver under it), never the CEGAR loop.
+// against a re-elaborated design using only the netlist layer, the CDCL SAT
+// solver and the Sim3 simulator — no BDDs, no model checker, none of the
+// engines whose answer the witness is supposed to vouch for. This is the
+// trust boundary of the whole verification service: a consumer need only
+// trust this checker and what it links, never the CEGAR loop.
 //
 // For a holds-invariant witness the invariant Inv — a conjunction of
 // clauses over the abstraction's registers, every other register and every
@@ -20,14 +20,18 @@
 //   safety       Inv ∧ bad              (bad's combinational cone, cut the
 //                                        same way)
 //
-// For a fails-trace witness the embedded trace is replayed through the SAT
-// BMC encoding with every cone register's semantics enabled and the trace's
-// state/input literals assumed: a Sat answer proves the design truly
-// reaches bad at the trace's final cycle.
+// A fails-trace witness is replayed through Sim3 from load_initial_state(),
+// X-init registers taking the first state cube's pins and inputs the trace
+// leaves out held at X. Every register a state cube pins must simulate to
+// the pinned value (else trace-replay names the cycle, from 1, the register
+// and both values), and bad must be a definite 1 at the last cycle. Register
+// literals in an inputs cube and non-register ones in a state cube are
+// skipped. Sim3's X propagation is conservative (sim/sim3.hpp), so that 1
+// holds for every completion of the Xs: the design truly reaches bad.
 //
-// A refuted obligation comes back by name together with the satisfying
-// assignment over the scope registers, so a bogus witness is a diagnosis,
-// not a shrug.
+// A refuted obligation comes back by name with a detail (for SAT ones, the
+// satisfying assignment over the scope registers), so a bogus witness is a
+// diagnosis, not a shrug.
 
 #include <string>
 
@@ -50,8 +54,8 @@ struct CheckResult {
   /// Empty when ok; otherwise the failing obligation (one of the
   /// kObligation* constants above).
   std::string obligation;
-  /// Human diagnostic; on a refuted SAT obligation includes the satisfying
-  /// assignment over the scope registers.
+  /// Human diagnostic: the satisfying assignment over the scope registers
+  /// for a refuted SAT obligation, the cycle for a refuted replay.
   std::string detail;
 };
 

@@ -1,6 +1,7 @@
 #include "cert/format.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "util/json.hpp"
 
@@ -80,8 +81,16 @@ bool fail(std::string* error, const std::string& what) {
 bool parse_uint(const json::Value* v, uint64_t* out) {
   if (v == nullptr || !v->is_number()) return false;
   const double d = v->as_double();
-  if (d < 0 || d != std::floor(d)) return false;
+  if (d < 0 || d != std::floor(d) || d >= 0x1p64) return false;  // 2^64 overflows
   *out = static_cast<uint64_t>(d);
+  return true;
+}
+
+/// A gate id: below the reserved kNullGate, so the narrowing cannot wrap.
+bool parse_id(const json::Value* v, GateId* out) {
+  uint64_t u = 0;
+  if (!parse_uint(v, &u) || u >= kNullGate) return false;
+  *out = static_cast<GateId>(u);
   return true;
 }
 
@@ -92,11 +101,13 @@ bool parse_cube(const json::Value* v, Cube* out, std::string* error,
   for (const json::Value& pair : v->items()) {
     if (!pair.is_array() || pair.items().size() != 2)
       return fail(error, std::string(what) + " literal is not an [id, value] pair");
-    uint64_t id = 0, value = 0;
-    if (!parse_uint(&pair.items()[0], &id) || !parse_uint(&pair.items()[1], &value) ||
-        value > 1)
+    GateId id = kNullGate;
+    if (!parse_id(&pair.items()[0], &id))
+      return fail(error, std::string(what) + " literal id is not a 32-bit gate id");
+    uint64_t value = 0;
+    if (!parse_uint(&pair.items()[1], &value) || value > 1)
       return fail(error, std::string(what) + " literal has a non-binary value");
-    out->push_back({static_cast<GateId>(id), value == 1});
+    out->push_back({id, value == 1});
   }
   return true;
 }
@@ -148,20 +159,20 @@ bool from_json(std::string_view text, Certificate* out, std::string* error) {
   if (name == nullptr || !name->is_string())
     return fail(error, "missing property.name");
   c.property_name = name->as_string();
-  if (!parse_uint(doc.find_path("property.bad"), &u))
-    return fail(error, "missing property.bad");
-  c.bad = static_cast<GateId>(u);
+  if (!parse_id(doc.find_path("property.bad"), &c.bad))
+    return fail(error, "property.bad is missing or not a 32-bit gate id");
 
   if (c.kind == CertKind::HoldsInvariant) {
     const json::Value* regs = doc.find_path("abstraction.registers");
     if (regs == nullptr || !regs->is_array())
       return fail(error, "missing abstraction.registers");
     for (const json::Value& r : regs->items()) {
-      if (!parse_uint(&r, &u))
-        return fail(error, "abstraction.registers entry is not an id");
-      if (!c.registers.empty() && c.registers.back() >= u)
+      GateId id = kNullGate;
+      if (!parse_id(&r, &id))
+        return fail(error, "abstraction.registers entry is not a 32-bit gate id");
+      if (!c.registers.empty() && c.registers.back() >= id)
         return fail(error, "abstraction.registers must be sorted and unique");
-      c.registers.push_back(static_cast<GateId>(u));
+      c.registers.push_back(id);
     }
     const json::Value* clauses = doc.find_path("invariant.clauses");
     if (clauses == nullptr || !clauses->is_array())
@@ -174,11 +185,10 @@ bool from_json(std::string_view text, Certificate* out, std::string* error) {
         if (!lit.is_number()) return fail(error, "clause literal is not a number");
         const double d = lit.as_double();
         if (d != std::floor(d)) return fail(error, "clause literal is not an integer");
-        const auto v = static_cast<int64_t>(d);
-        const auto mag = static_cast<uint64_t>(v < 0 ? -v : v);
-        if (mag == 0 || mag > c.registers.size())
+        const double mag = std::fabs(d);  // range-checked before the cast
+        if (mag == 0 || mag > c.registers.size() || mag > INT32_MAX)
           return fail(error, "clause literal indexes outside the register list");
-        clause.push_back(static_cast<int32_t>(v));
+        clause.push_back(static_cast<int32_t>(d));
       }
       c.clauses.push_back(std::move(clause));
     }

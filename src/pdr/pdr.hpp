@@ -78,7 +78,8 @@ struct PdrResult {
   /// Cex: counterexample in original-design ids with the same literal
   /// placement as sat/cnf.hpp decode_trace — state registers in the state
   /// cubes, pseudo-input registers and primary inputs in the input cubes —
-  /// so Step-3 concretization and certify_error_trace consume it unchanged.
+  /// so Step-3 concretization and cert::check_certificate consume it
+  /// unchanged.
   Trace trace;
   /// Holds: the invariant's register scope (sorted ascending) and its
   /// clauses in the rfn-cert-v1 convention (±(index into scope + 1)).

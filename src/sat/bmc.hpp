@@ -12,8 +12,8 @@
 // Answer semantics (AtpgStatus vocabulary, like the ATPG engines):
 //   Sat    — found a length-`depth` error trace of the abstraction. With R =
 //            all registers this is a real error trace of the design; the
-//            decoded Trace is consumed unchanged by certify_error_trace and
-//            Step-3 concretization.
+//            decoded Trace is consumed unchanged by cert::check_certificate
+//            and Step-3 concretization.
 //   Unsat  — no trace of length <= max_depth exists. A *bounded* result:
 //            conclusive for Step-3 concretization (the abstract trace's
 //            length bounds the question) but never a Holds verdict.

@@ -161,18 +161,6 @@ void BmcEncoder::encode_frame_signals(size_t frame) {
   }
 }
 
-Lit BmcEncoder::lit(size_t frame, GateId g) const {
-  RFN_CHECK(frame >= 1 && frame <= frames_, "frame %zu out of range", frame);
-  const Lit l = vars_[frame - 1][g];
-  RFN_CHECK(l != kUndefLit, "signal %u not materialized at frame %zu", g, frame);
-  return l;
-}
-
-bool BmcEncoder::materialized(size_t frame, GateId g) const {
-  return frame >= 1 && frame <= frames_ && g < vars_[frame - 1].size() &&
-         vars_[frame - 1][g] != kUndefLit;
-}
-
 Lit BmcEncoder::enable(GateId r) const {
   return r < enable_.size() ? enable_[r] : kUndefLit;
 }
@@ -181,8 +169,11 @@ Lit BmcEncoder::trigger(GateId root, size_t frame) {
   const auto key = std::make_pair(root, frame);
   const auto it = triggers_.find(key);
   if (it != triggers_.end()) return it->second;
+  RFN_CHECK(frame >= 1 && frame <= frames_, "frame %zu out of range", frame);
+  const Lit at = vars_[frame - 1][root];
+  RFN_CHECK(at != kUndefLit, "signal %u not materialized at frame %zu", root, frame);
   const Lit t = fresh();
-  add2(~t, lit(frame, root));
+  add2(~t, at);
   triggers_.emplace(key, t);
   return t;
 }

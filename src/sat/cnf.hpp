@@ -58,11 +58,6 @@ class BmcEncoder {
   void extend_to(size_t frames);
   size_t frames() const { return frames_; }
 
-  /// The solver literal of signal `g` at 1-based frame `f`. The signal must
-  /// be materialized (in some added root's cone, frame encoded).
-  Lit lit(size_t frame, GateId g) const;
-  bool materialized(size_t frame, GateId g) const;
-
   /// Enable assumption literal of register `r` (created when the register
   /// enters the cone; kUndefLit for registers outside it).
   Lit enable(GateId r) const;
@@ -83,8 +78,8 @@ class BmcEncoder {
   /// cubes; cone registers outside it — free pseudo-inputs of the
   /// abstraction — and primary inputs land in the input cubes, the same
   /// placement Subcircuit::trace_to_old gives abstract traces, so
-  /// refinement, concretization and certify_error_trace consume the result
-  /// unchanged.
+  /// refinement, concretization and cert::check_certificate consume the
+  /// result unchanged.
   Trace decode_trace(size_t depth, const std::vector<GateId>& included) const;
 
  private:

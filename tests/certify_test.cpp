@@ -88,6 +88,75 @@ TEST(Certify, RejectsTraceStartingOutsideInit) {
   EXPECT_EQ(art.obligation, cert::kObligationTraceReplay);
 }
 
+// --- fails-trace replay contract (cert/check.hpp) ---
+
+TEST(Certify, RejectsTraceLeavingOutTheInputBadNeeds) {
+  // bad = r0 <- in: without a value for `in` the replay holds it at X, so
+  // bad is X at cycle 2 — the checker must not pick the input itself.
+  GateId bad;
+  Netlist m = make_chain(1, true, &bad);
+  Trace partial;
+  partial.steps.resize(2);
+  partial.steps[0].state = {{m.find("r0"), false}};
+  const CertificateArtifact art = certify(m, bad, Verdict::Fails, partial, {});
+  ASSERT_TRUE(art.built) << art.detail;
+  EXPECT_FALSE(art.checked);
+  EXPECT_EQ(art.obligation, cert::kObligationTraceReplay);
+  EXPECT_NE(art.detail.find("does not drive"), std::string::npos) << art.detail;
+
+  partial.steps[0].inputs = {{m.find("in"), true}};
+  const CertificateArtifact full = certify(m, bad, Verdict::Fails, partial, {});
+  EXPECT_TRUE(full.checked) << full.obligation << ": " << full.detail;
+}
+
+TEST(Certify, XInitRegisterTakesTheFirstCyclesPin) {
+  // r0 powers up X and feeds r1 (reset 0); bad = r1. The first state cube
+  // pins r0 = 1, which the replay adopts as r0's start value.
+  NetBuilder b;
+  const GateId r0 = b.reg("r0", Tri::X);
+  const GateId r1 = b.reg("r1");
+  b.set_next(r0, r0);
+  b.set_next(r1, r0);
+  b.output("bad", r1);
+  const Netlist m = b.take();
+  const GateId bad = m.output("bad");
+  Trace trace;
+  trace.steps.resize(2);
+  trace.steps[0].state = {{r0, true}, {r1, false}};
+  trace.steps[1].state = {{r1, true}};
+  const CertificateArtifact art = certify(m, bad, Verdict::Fails, trace, {});
+  EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
+
+  // Without the pin r0 stays X, so r1's pin at cycle 2 meets an X.
+  trace.steps[0].state = {{r1, false}};
+  const CertificateArtifact unpinned = certify(m, bad, Verdict::Fails, trace, {});
+  ASSERT_TRUE(unpinned.built) << unpinned.detail;
+  EXPECT_FALSE(unpinned.checked);
+  EXPECT_EQ(unpinned.obligation, cert::kObligationTraceReplay);
+  EXPECT_NE(unpinned.detail.find("cycle 2"), std::string::npos)
+      << unpinned.detail;
+}
+
+TEST(Certify, RejectsMidTraceStatePinTheDesignContradicts) {
+  GateId bad;
+  Netlist m = make_chain(3, true, &bad);
+  Trace trace;
+  trace.steps.resize(4);
+  trace.steps[0].inputs = {{m.find("in"), true}};
+  trace.steps[2].state = {{m.find("r1"), true}};
+  const CertificateArtifact good = certify(m, bad, Verdict::Fails, trace, {});
+  EXPECT_TRUE(good.checked) << good.obligation << ": " << good.detail;
+
+  // r1 = 1 at cycle 3 is forced by in = 1 at cycle 1; pinning 0 contradicts.
+  trace.steps[2].state = {{m.find("r1"), false}};
+  const CertificateArtifact art = certify(m, bad, Verdict::Fails, trace, {});
+  ASSERT_TRUE(art.built) << art.detail;
+  EXPECT_FALSE(art.checked);
+  EXPECT_EQ(art.obligation, cert::kObligationTraceReplay);
+  EXPECT_NE(art.detail.find("cycle 3"), std::string::npos) << art.detail;
+  EXPECT_NE(art.detail.find("r1"), std::string::npos) << art.detail;
+}
+
 TEST(Certify, RejectsNonInvariantAbstraction) {
   // The one-register abstraction of the falsifiable chain cannot certify a
   // Holds verdict: its "fixpoint" includes bad states, so no witness is
@@ -241,6 +310,30 @@ TEST(CertSpec, ParserRejectsTamperedDocuments) {
   c.kind = cert::CertKind::FailsTrace;
   c.trace = Trace{};
   EXPECT_FALSE(cert::from_json(cert::to_json(c), &parsed, &err));
+
+  // Ids that do not fit a GateId — kNullGate itself, 2^32 (which would wrap
+  // to 0) and 1e300 (which would overflow the cast) — on the property root,
+  // a scope register and a trace literal. A marker id locates the field.
+  const std::string marker = "123456789";
+  const GateId marked = 123456789;
+  cert::Certificate root = built.certificate;
+  root.bad = marked;
+  cert::Certificate scope = built.certificate;
+  scope.registers = {marked};
+  cert::Certificate step = built.certificate;
+  step.kind = cert::CertKind::FailsTrace;
+  step.trace.steps.resize(1);
+  step.trace.steps[0].state = {{marked, true}};
+  for (const cert::Certificate& doc : {root, scope, step}) {
+    const std::string text = cert::to_json(doc);
+    ASSERT_TRUE(cert::from_json(text, &parsed, &err)) << err;
+    for (const char* id : {"4294967295", "4294967296", "1e300"}) {
+      err.clear();
+      EXPECT_FALSE(cert::from_json(replaced(text, marker, id), &parsed, &err))
+          << id;
+      EXPECT_NE(err.find("32-bit gate id"), std::string::npos) << err;
+    }
+  }
 }
 
 TEST(CertSpec, CheckerNamesTheFailingObligation) {
@@ -292,14 +385,13 @@ TEST(CertSpec, CheckerNamesTheFailingObligation) {
   EXPECT_EQ(res.obligation, cert::kObligationDesignHash);
   EXPECT_NE(res.detail.find(design_hash_hex(other)), std::string::npos);
 
-  // Structural misfit on the right design: a scope id that is no register.
+  // Structural misfit on the right design: a scope id that is no register
+  // (one past the design's last gate).
   cert::Certificate misfit = built.certificate;
-  misfit.registers = {bad == 0 ? GateId{1} : GateId{0}};
-  if (!m.is_reg(misfit.registers[0])) {
-    res = cert::check_certificate(m, misfit);
-    EXPECT_FALSE(res.ok);
-    EXPECT_EQ(res.obligation, cert::kObligationFormat);
-  }
+  misfit.registers = {static_cast<GateId>(m.size())};
+  res = cert::check_certificate(m, misfit);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.obligation, cert::kObligationFormat);
 }
 
 // End-to-end witness spec per builtin design: verify, build the

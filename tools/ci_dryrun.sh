@@ -55,15 +55,40 @@ serve_replay() { # <builddir> <socket> <log>
   wait "$pid"
 }
 
+# Writes <out>: the fails-trace witness <cert> with one pinned register
+# literal of its last cycle flipped. Prints nothing and writes nothing for
+# a holds-invariant witness.
+tamper_trace() { # <cert> <out>
+  python3 - "$1" "$2" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+if doc["kind"] == "fails-trace":
+    state = doc["trace"]["steps"][-1]["state"]
+    assert state, "last trace cycle pins no register"
+    state[0][1] ^= 1
+    json.dump(doc, open(sys.argv[2], "w"))
+PY
+}
+
 # Emits rfn-cert-v1 witnesses for a builtin design's properties and has the
-# independent rfn_check binary re-check every one of them.
+# independent rfn_check binary re-check every one of them. Each fails-trace
+# witness is also re-checked with one pin of its last cycle flipped: the
+# checker must refuse it (exit 1, obligation trace-replay).
 check_certs() { # <builddir> <design> <property args...>
   local bdir=$1 design=$2; shift 2
   "./$bdir/tools/rfn" verify "builtin:$design" "$@" \
     --cert-dir "$bdir/certs-$design"
-  local cert
+  local cert bogus="$bdir/tampered.cert.json" rc
   for cert in "$bdir/certs-$design"/*.cert.json; do
     "./$bdir/tools/rfn_check" "$cert" "builtin:$design"
+    rm -f "$bogus"
+    tamper_trace "$cert" "$bogus"
+    [[ -f $bogus ]] || continue
+    rc=0
+    "./$bdir/tools/rfn_check" "$bogus" "builtin:$design" \
+      2>"$bogus.err" || rc=$?
+    [[ $rc == 1 ]] && grep -q trace-replay "$bogus.err" ||
+      fail "rfn_check did not refuse a tampered $cert (exit $rc)"
   done
 }
 
@@ -107,8 +132,8 @@ job_sanitize() { # <thread|address,undefined>
     "./$dir/tools/rfn" verify "builtin:$design" --bad "$prop" \
       --engine bdd,sat,pdr --workers 3 --budget-ms 10000 --certify
   done
-  # Witnesses of both polarities: the cut-cone Tseitin encoder and the
-  # trace replayer are the surfaces the sanitizers watch here.
+  # Witnesses of both polarities: the cut-cone Tseitin encoder and the Sim3
+  # trace replay (accepting and refusing) are the surfaces watched here.
   note "sanitize ($san): certificates checked by rfn_check"
   check_certs "$dir" fifo --bad bad_full_q --bad bad_af_q --bad bad_hf_q
   check_certs "$dir" processor --bad bad_mutex --bad error_flag

@@ -5,17 +5,17 @@
 //
 // Re-elaborates the design, parses an rfn-cert-v1 witness (emitted by
 // `rfn verify --certify`, see cert/format.hpp) and discharges its
-// obligations with the CDCL SAT solver (cert/check.hpp):
+// obligations (cert/check.hpp):
 //
-//   holds-invariant:  initiation, consecution, safety
-//   fails-trace:      trace replay through the BMC encoding
+//   holds-invariant:  initiation, consecution, safety (CDCL SAT solver)
+//   fails-trace:      trace replay through the Sim3 three-valued simulator
 //
 // Exit status: 0 the witness is valid; 1 an obligation was refuted (the
 // failing obligation and a satisfying assignment are printed); 2 usage, I/O,
 // format, or design-hash errors.
 //
 // This binary is the trust boundary of the verification service: it links
-// only the netlist layer, the SAT solver, and the frontends needed to
+// only the netlist layer, Sim3, the SAT solver, and the frontends needed to
 // re-elaborate designs — never the BDD package, the model checker, or the
 // CEGAR loop whose answers it audits (enforced by its CMake link list).
 
