@@ -162,7 +162,7 @@ bool apply_override(const std::string& key, const std::string& value,
 }  // namespace
 
 // The knob list: an entry's accessors name the field it sets and, for the
-// six overridable knobs, the per-property slot.
+// five overridable knobs, the per-property slot.
 const std::vector<Knob>& knobs() {
   using R = VerifyRequest&;
   using O = PropertyRequest::Overrides&;
@@ -175,16 +175,10 @@ const std::vector<Knob>& knobs() {
       {"options", "max-iterations",
        [](R r) -> F { return &r.options.max_iterations; },
        [](O o) -> V { return &o.max_iterations; }},
-      {"options", "traces",
-       [](R r) -> F { return &r.options.traces_per_iteration; },
-       [](O o) -> V { return &o.traces_per_iteration; }},
       {"options", "workers",
        [](R r) -> F { return &r.options.portfolio_workers; }},
       {"options", "engines",
        [](R r) -> F { return &r.options.engines; }, nullptr, "engine"},
-      {"options", "approx-fallback",
-       [](R r) -> F { return &r.options.approx_fallback; }, nullptr,
-       "no-approx"},
       {"options", "proof-shrink",
        [](R r) -> F { return &r.options.proof_shrink; }},
       {"options", "pdr-max-frames",

@@ -155,9 +155,7 @@ CombAtpgResult justify_impl(ImplicationEngine& eng, const Cube& targets,
       return res;
     }
 
-    auto [signal, value] = backtrace(eng, obj, eng.value(obj) == Tri::T);
-    if (opt.decision_seed != 0)
-      value ^= ((opt.decision_seed >> (res.decisions % 64)) & 1) != 0;
+    const auto [signal, value] = backtrace(eng, obj, eng.value(obj) == Tri::T);
     ++res.decisions;
     stack.push_back({signal, value, false, eng.mark()});
     if (!eng.assign(signal, value)) conflict = true;

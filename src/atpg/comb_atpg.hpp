@@ -30,11 +30,6 @@ struct AtpgOptions {
   uint64_t max_backtracks = 1u << 20;
   /// Wall-clock budget in seconds; negative = unlimited.
   double time_limit_s = -1.0;
-  /// Perturbs the backtrace value heuristic: decision i's default value is
-  /// XORed with bit (i mod 64) of the seed. Zero keeps the plain heuristic.
-  /// Used to diversify otherwise-deterministic justifications (multi-trace
-  /// extraction).
-  uint64_t decision_seed = 0;
   /// Cooperative should-stop hook, polled per backtrack and per decision
   /// batch; a cancelled search reports Abort. Flows through every engine
   /// built on this options struct (sequential ATPG, hybrid trace engine,

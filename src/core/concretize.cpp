@@ -1,14 +1,11 @@
 #include "core/concretize.hpp"
 
-#include <algorithm>
-
 #include "sim/sim3.hpp"
 #include "util/trace.hpp"
 
 namespace rfn {
 
-std::vector<Cube> guidance_cubes(const Netlist& m, const Trace& abs_trace) {
-  (void)m;  // kept in the signature for symmetry with consensus_guidance
+std::vector<Cube> guidance_cubes(const Trace& abs_trace) {
   std::vector<Cube> cubes(abs_trace.steps.size());
   for (size_t c = 0; c < abs_trace.steps.size(); ++c) {
     for (const Literal& lit : abs_trace.steps[c].state) cube_add(cubes[c], lit);
@@ -71,7 +68,7 @@ ConcretizeResult concretize_trace(const Netlist& m, const Trace& abs_trace, Gate
   }
 
   // Guided sequential ATPG at the abstract trace's depth.
-  std::vector<Cube> cubes = guidance_cubes(m, abs_trace);
+  std::vector<Cube> cubes = guidance_cubes(abs_trace);
   if (!cube_add(cubes[k - 1], {bad, true})) {
     res.status = AtpgStatus::Unsat;
     return res;
@@ -81,70 +78,6 @@ ConcretizeResult concretize_trace(const Netlist& m, const Trace& abs_trace, Gate
   res.backtracks = seq.backtracks;
   if (seq.status == AtpgStatus::Sat) res.trace = std::move(seq.trace);
   return res;
-}
-
-std::vector<Cube> consensus_guidance(const Netlist& m, const std::vector<Trace>& traces,
-                                     size_t cycles) {
-  std::vector<Cube> cubes(cycles);
-  bool first = true;
-  for (const Trace& t : traces) {
-    if (t.steps.size() != cycles) continue;
-    const std::vector<Cube> own = guidance_cubes(m, t);
-    if (first) {
-      cubes = own;
-      first = false;
-      continue;
-    }
-    for (size_t c = 0; c < cycles; ++c) {
-      Cube agreed;
-      for (const Literal& lit : cubes[c])
-        if (cube_lookup(own[c], lit.signal) == tri_of(lit.value)) agreed.push_back(lit);
-      cubes[c] = std::move(agreed);
-    }
-  }
-  return cubes;
-}
-
-ConcretizeResult concretize_with_traces(const Netlist& m,
-                                        const std::vector<Trace>& traces, GateId bad,
-                                        const AtpgOptions& opt) {
-  ConcretizeResult last;
-  RFN_CHECK(!traces.empty(), "concretize_with_traces needs traces");
-  bool all_unsat = true;
-
-  // Pass 1: each trace's own guidance (strongest constraints first).
-  for (const Trace& t : traces) {
-    const ConcretizeResult res = concretize_trace(m, t, bad, opt);
-    if (res.status == AtpgStatus::Sat) return res;
-    all_unsat &= res.status == AtpgStatus::Unsat;
-    last = res;
-  }
-
-  // Pass 2: consensus guidance per trace length — weaker cubes, so a trace
-  // of the same depth that deviates from any single abstract trace can
-  // still be found.
-  std::vector<size_t> lengths;
-  for (const Trace& t : traces)
-    if (std::find(lengths.begin(), lengths.end(), t.steps.size()) == lengths.end())
-      lengths.push_back(t.steps.size());
-  for (size_t cycles : lengths) {
-    size_t group = 0;
-    for (const Trace& t : traces) group += t.steps.size() == cycles;
-    if (group < 2) continue;  // consensus of one is pass 1 again
-    std::vector<Cube> cubes = consensus_guidance(m, traces, cycles);
-    if (!cube_add(cubes[cycles - 1], {bad, true})) continue;
-    SeqAtpgResult seq = solve_cycle_cubes(m, cubes, opt);
-    if (seq.status == AtpgStatus::Sat) {
-      ConcretizeResult res;
-      res.status = AtpgStatus::Sat;
-      res.trace = std::move(seq.trace);
-      res.backtracks = seq.backtracks;
-      return res;
-    }
-    all_unsat &= seq.status == AtpgStatus::Unsat;
-  }
-  last.status = all_unsat ? AtpgStatus::Unsat : AtpgStatus::Abort;
-  return last;
 }
 
 }  // namespace rfn

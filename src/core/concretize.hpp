@@ -32,20 +32,6 @@ ConcretizeResult concretize_trace(const Netlist& m, const Trace& abs_trace, Gate
 /// Converts an abstract trace (in M ids) into per-cycle guidance cubes over
 /// M: register literals (both kept registers and cut-register pseudo-input
 /// assignments) form the state cube, primary-input literals the input cube.
-std::vector<Cube> guidance_cubes(const Netlist& m, const Trace& abs_trace);
-
-/// Per-cycle guidance shared by all same-length traces in the set: only the
-/// literals on which every trace agrees survive. The result is weaker (and
-/// therefore more permissive) guidance than any single trace's.
-std::vector<Cube> consensus_guidance(const Netlist& m, const std::vector<Trace>& traces,
-                                     size_t cycles);
-
-/// Step-3 concretization guided by a *set* of abstract traces (the paper's
-/// second future-work direction). Tries each trace's full guidance in
-/// order, then the consensus guidance of each trace-length group. Returns
-/// the first Sat; Unsat only if every attempt was Unsat; Abort otherwise.
-ConcretizeResult concretize_with_traces(const Netlist& m,
-                                        const std::vector<Trace>& traces, GateId bad,
-                                        const AtpgOptions& opt = {});
+std::vector<Cube> guidance_cubes(const Trace& abs_trace);
 
 }  // namespace rfn

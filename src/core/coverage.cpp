@@ -175,7 +175,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
       // Concretize: succeed -> mark reachable states; fail -> refine.
       // The "bad" signal for coverage is implicit (a specific coverage
       // state); concretization targets the final state cube directly.
-      std::vector<Cube> cubes = guidance_cubes(m, abs_trace);
+      std::vector<Cube> cubes = guidance_cubes(abs_trace);
       const SeqAtpgResult seq = solve_cycle_cubes(m, cubes, opt.concretize_atpg);
       if (seq.status == AtpgStatus::Sat) {
         mark_trace_reachable(seq.trace);

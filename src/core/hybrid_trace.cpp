@@ -9,9 +9,9 @@ namespace rfn {
 
 namespace {
 
-/// One flush per public trace-extraction call ("hybrid.*"). The
-/// no-cut vs min-cut split is the paper's Figure-1 quantity: how often the
-/// pre-image cube was usable directly vs routed through combinational ATPG.
+/// One flush per trace-extraction call ("hybrid.*"). The no-cut vs
+/// min-cut split is the paper's Figure-1 quantity: how often the pre-image
+/// cube was usable directly vs routed through combinational ATPG.
 void record_hybrid_metrics(const HybridTraceStats& st, size_t traces) {
   MetricsRegistry& m = MetricsRegistry::global();
   m.counter("hybrid.walks").add(1);
@@ -61,8 +61,7 @@ SplitCube split_mc_cube(const Encoder& enc_n, const Encoder& enc_mc,
   return out;
 }
 
-/// Shared machinery for one or many backward walks over the same min-cut
-/// design, encoders and rings.
+/// The backward walk over the min-cut design, its encoder and the rings.
 class HybridWalker {
  public:
   HybridWalker(Encoder& enc, const Netlist& n, const ReachResult& reach,
@@ -85,32 +84,16 @@ class HybridWalker {
     target_set_ = reach.rings[k_] & bad;
   }
 
-  size_t k() const { return k_; }
-
-  /// Candidate starting cubes over the bad intersection (fattest first,
-  /// then DFS path cubes).
-  std::vector<std::vector<BddLit>> start_cubes(size_t count) {
-    BddMgr& mgr = enc_.mgr();
-    std::vector<std::vector<BddLit>> cubes;
-    cubes.push_back(mgr.shortest_cube(target_set_));
-    for (auto& c : mgr.first_cubes(target_set_, count)) {
-      if (c != cubes.front()) cubes.push_back(std::move(c));
-      if (cubes.size() >= count) break;
-    }
-    return cubes;
-  }
-
-  /// Walks backward from one starting cube; empty trace on failure.
-  /// `variant` rotates the candidate-cube order at every backward step, so
-  /// different variants explore different abstract traces.
-  Trace walk(const std::vector<BddLit>& start_lits, size_t variant = 0) {
+  /// Walks backward from the shortest cube of the bad intersection; empty
+  /// trace on failure or cancellation.
+  Trace walk() {
     BddMgr& mgr = enc_.mgr();
     Trace trace;
     trace.steps.resize(k_ + 1);
     {
       Cube state, inputs;
       std::vector<BddLit> other;
-      enc_.split_lits(start_lits, state, inputs, other);
+      enc_.split_lits(mgr.shortest_cube(target_set_), state, inputs, other);
       RFN_CHECK(other.empty() && inputs.empty(), "bad set mentions non-state vars");
       trace.steps[k_].state = state;
     }
@@ -131,8 +114,7 @@ class HybridWalker {
         candidates.push_back(std::move(c));
 
       bool accepted = false;
-      for (size_t ci = 0; ci < candidates.size(); ++ci) {
-        const auto& lits = candidates[(ci + variant) % candidates.size()];
+      for (const auto& lits : candidates) {
         SplitCube sc = split_mc_cube(enc_, enc_mc_, mcr_.mc, n_, lits);
         if (sc.internal.empty()) {
           // No-cut cube: accept directly.
@@ -150,11 +132,7 @@ class HybridWalker {
         Cube targets = sc.internal;
         for (const Literal& lit : sc.state) cube_add(targets, lit);
         for (const Literal& lit : sc.inputs) cube_add(targets, lit);
-        AtpgOptions atpg_opt = opt_.atpg;
-        // Each walk variant perturbs the justification's decisions so the
-        // extracted no-cut cubes (and hence the traces) diversify.
-        atpg_opt.decision_seed = variant * 0x9E3779B97F4A7C15ULL;
-        const CombAtpgResult res = justify(n_, targets, atpg_opt);
+        const CombAtpgResult res = justify(n_, targets, opt_.atpg);
         if (res.status != AtpgStatus::Sat) {
           ++st_.atpg_rejects;
           continue;
@@ -199,15 +177,6 @@ class HybridWalker {
   Bdd target_set_;
 };
 
-bool same_trace(const Trace& a, const Trace& b) {
-  if (a.steps.size() != b.steps.size()) return false;
-  for (size_t i = 0; i < a.steps.size(); ++i) {
-    if (a.steps[i].state != b.steps[i].state) return false;
-    if (a.steps[i].inputs != b.steps[i].inputs) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 Trace hybrid_error_trace(Encoder& enc, const Netlist& n, const ReachResult& reach,
@@ -217,46 +186,10 @@ Trace hybrid_error_trace(Encoder& enc, const Netlist& n, const ReachResult& reac
   HybridTraceStats local_stats;
   HybridTraceStats& st = stats ? *stats : local_stats;
   RFN_CHECK(reach.status == ReachStatus::BadReachable, "no abstract error trace");
-  HybridWalker walker(enc, n, reach, bad, opt, st);
-  Trace t = walker.walk(walker.start_cubes(1).front(), 0);
+  Trace t;
+  if (!should_stop(opt.cancel)) t = HybridWalker(enc, n, reach, bad, opt, st).walk();
   record_hybrid_metrics(st, t.empty() ? 0 : 1);
   return t;
-}
-
-std::vector<Trace> hybrid_error_traces(Encoder& enc, const Netlist& n,
-                                       const ReachResult& reach, const Bdd& bad,
-                                       size_t count, const HybridTraceOptions& opt,
-                                       HybridTraceStats* stats) {
-  Span span("hybrid.walk");
-  HybridTraceStats local_stats;
-  HybridTraceStats& st = stats ? *stats : local_stats;
-  RFN_CHECK(reach.status == ReachStatus::BadReachable, "no abstract error trace");
-  RFN_CHECK(count >= 1, "need at least one trace");
-  HybridWalker walker(enc, n, reach, bad, opt, st);
-
-  std::vector<Trace> traces;
-  const auto starts = walker.start_cubes(count);
-  for (size_t variant = 0; variant < count && traces.size() < count; ++variant) {
-    for (const auto& start : starts) {
-      if (should_stop(opt.cancel)) {
-        record_hybrid_metrics(st, traces.size());
-        return traces;
-      }
-      Trace t = walker.walk(start, variant);
-      if (t.empty()) continue;
-      // Different starts/variants can converge onto the same trace.
-      bool duplicate = false;
-      for (const Trace& seen : traces)
-        if (same_trace(seen, t)) {
-          duplicate = true;
-          break;
-        }
-      if (!duplicate) traces.push_back(std::move(t));
-      if (traces.size() >= count) break;
-    }
-  }
-  record_hybrid_metrics(st, traces.size());
-  return traces;
 }
 
 }  // namespace rfn

@@ -45,22 +45,12 @@ struct HybridTraceStats {
 
 /// Extracts an error trace on abstract model `n` from a BadReachable
 /// reachability result, using min-cut pre-image + ATPG justification.
-/// `enc` must be the encoder the rings were computed with. Returns an empty
-/// trace if every candidate cube is exhausted (should not happen: the paper
-/// argues a consistent no-cut cube always exists).
+/// `enc` must be the encoder the rings were computed with. The walk starts
+/// from the shortest cube of the bad intersection. Returns an empty trace if
+/// `opt.cancel` fires or every candidate cube is exhausted (should not
+/// happen: the paper argues a consistent no-cut cube always exists).
 Trace hybrid_error_trace(Encoder& enc, const Netlist& n, const ReachResult& reach,
                          const Bdd& bad, const HybridTraceOptions& opt = {},
                          HybridTraceStats* stats = nullptr);
-
-/// Extracts up to `count` *distinct* abstract error traces by starting the
-/// backward walk from different cubes of the bad intersection (the paper's
-/// second future-work direction: "guiding ATPG with a set of error traces
-/// rather than a single error trace"). The first returned trace equals
-/// hybrid_error_trace's.
-std::vector<Trace> hybrid_error_traces(Encoder& enc, const Netlist& n,
-                                       const ReachResult& reach, const Bdd& bad,
-                                       size_t count,
-                                       const HybridTraceOptions& opt = {},
-                                       HybridTraceStats* stats = nullptr);
 
 }  // namespace rfn

@@ -11,9 +11,7 @@
 #include "core/concretize.hpp"
 #include "core/portfolio.hpp"
 #include "core/session.hpp"
-#include "mc/approx_reach.hpp"
 #include "mc/image.hpp"
-#include "netlist/analysis.hpp"
 #include "pdr/pdr.hpp"
 #include "util/log.hpp"
 #include "util/prof.hpp"
@@ -59,14 +57,6 @@ std::vector<std::string> RfnOptions::validate() const {
     errors.push_back("race_pdr_time_s must be >= 0");
   if (max_iterations == 0)
     errors.push_back("max_iterations must be >= 1");
-  if (traces_per_iteration == 0)
-    errors.push_back("traces_per_iteration must be >= 1");
-  if (approx_fallback && approx_block_size == 0)
-    errors.push_back("approx_block_size must be >= 1");
-  if (approx_fallback && approx_overlap >= approx_block_size)
-    errors.push_back(
-        "approx_overlap must be smaller than approx_block_size (blocks must "
-        "make forward progress)");
   if (budget_bdd_nodes < 0)
     errors.push_back("budget_bdd_nodes must be >= 0 (0 disables the budget)");
   if (budget_mem_mb < 0)
@@ -164,7 +154,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   };
 
   // Engine selection: empty opt.engines enables everything. "bdd" gates the
-  // exact fixpoint (Step 2) and the approximate fallback; "atpg" gates guided
+  // exact fixpoint and the hybrid trace walk (Step 2); "atpg" gates guided
   // concretization (Step 3); "sat" gates the incremental BMC engine in both
   // races; "pdr" gates the IC3 engine in both races. "bdd" and "pdr" can
   // prove Holds (pdr in either race — an unbounded Step-3 Holds is a
@@ -398,16 +388,14 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     it.reach_status = use_bdd ? reach.status : ReachStatus::ResourceOut;
     it.reach_steps = reach.steps;
 
-    std::vector<Trace> traces;  // abstract error traces, original-design ids
+    Trace abs_trace;  // abstract error trace, original-design ids
     const bool bdd_won = abs_race.conclusive && tags[abs_race.winner] == Eng::Bdd;
     if (bdd_won && reach.status == ReachStatus::BadReachable) {
-      // Abstract error trace(s) via the hybrid engine, in sub.net ids.
+      // Abstract error trace via the hybrid engine, in sub.net ids.
       HybridTraceOptions hybrid_opt;
       hybrid_opt.cancel = cancel;
-      for (const Trace& t :
-           hybrid_error_traces(*enc, sub.net, reach, bad_set,
-                               opt.traces_per_iteration, hybrid_opt, &it.hybrid))
-        traces.push_back(sub.trace_to_old(t));
+      abs_trace = sub.trace_to_old(hybrid_error_trace(
+          *enc, sub.net, reach, bad_set, hybrid_opt, &it.hybrid));
     }
     // After a conclusive race (and the hybrid walk, which may reorder), the
     // manager's variable order seeds the next iteration's (Section 2.2).
@@ -417,7 +405,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
         conclude(Verdict::Holds);
         break;
       }
-      if (traces.empty()) {
+      if (abs_trace.empty()) {
         finish_iteration();
         result.note = "hybrid trace engine exhausted candidates";
         break;
@@ -441,63 +429,21 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       // decode it straight into original-design ids (cut registers in the
       // input cubes).
       it.reach_status = ReachStatus::BadReachable;
-      traces.push_back(tags[abs_race.winner] == Eng::Sat
-                           ? std::move(sat_probe.trace)
-                           : std::move(pdr_probe.trace));
+      abs_trace = tags[abs_race.winner] == Eng::Sat ? std::move(sat_probe.trace)
+                                                    : std::move(pdr_probe.trace);
       RFN_INFO("iter %zu: %s won the abstract race", iter,
                abs_race.winner_name.c_str());
     } else {
       // No engine was conclusive: the exact fixpoint ran out of resources
       // and the SAT probe and PDR found nothing within their budgets.
-      if (use_bdd && opt.approx_fallback && !deadline.expired() &&
-          !should_stop(cancel)) {
-        // Future-work fallback: the overlapping-partition approximate
-        // traversal may still prove the property when the exact fixpoint
-        // cannot complete on a large abstract model.
-        it.approx_used = true;
-        ApproxReachOptions aopt;
-        aopt.block_size = opt.approx_block_size;
-        aopt.overlap = opt.approx_overlap;
-        aopt.time_limit_s = opt.time_limit_s >= 0.0 ? deadline.remaining_seconds()
-                                                    : reach_opt.time_limit_s;
-        aopt.max_live_nodes = reach_opt.max_live_nodes;
-        const ApproxReachResult approx =
-            approx_forward_reach(*enc, enc->initial_states(), bad_set, aopt);
-        if (approx.status == ApproxStatus::Proved) {
-          it.approx_proved = true;
-          conclude(Verdict::Holds);
-          result.note = "proved by overlapping-partition approximation";
-          break;
-        }
-        // Inconclusive: there is no error trace to drive Step 4, but the
-        // loop can still make progress topologically — pull in the next
-        // batch of registers closest to the property and retry. This
-        // bottoms out at the full-COI abstraction, where the approximate
-        // traversal is as strong as it gets.
-        std::vector<bool> have(m.size(), false);
-        for (GateId r : included) have[r] = true;
-        size_t added = 0;
-        for (GateId r : closest_registers(m, roots, included.size() + 8)) {
-          if (have[r]) continue;
-          included.push_back(r);
-          ++added;
-        }
-        if (added > 0) {
-          RFN_INFO("iter %zu: approx inconclusive; blind-refining with %zu registers",
-                   iter, added);
-          finish_iteration();
-          continue;
-        }
-      }
       finish_iteration();
       result.note = "abstract fixpoint exceeded resources";
       break;
     }
 
-    const Trace& abs_trace = traces.front();
     it.trace_cycles = abs_trace.cycles();
-    RFN_INFO("iter %zu: %zu abstract error trace(s), first %zu cycles", iter,
-             traces.size(), abs_trace.cycles());
+    RFN_INFO("iter %zu: abstract error trace of %zu cycles", iter,
+             abs_trace.cycles());
 
     // --- Step 3: concretize on the original design (engine race) ---
     // Guided sequential ATPG is conclusive both ways (Sat = real trace,
@@ -514,7 +460,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       cjobs.push_back({"guided-atpg", -1.0, [&](const CancelToken& token) {
                          AtpgOptions ao;
                          ao.cancel = &token;
-                         conc = concretize_with_traces(m, traces, bad, ao);
+                         conc = concretize_trace(m, abs_trace, bad, ao);
                          return conc.status != AtpgStatus::Abort;
                        }});
       ctags.push_back(Eng::Atpg);

@@ -39,18 +39,6 @@ struct RfnOptions {
   size_t max_iterations = 1000;
   /// Per-iteration reachability budget on the abstract model.
   ReachOptions reach;
-  /// When the exact fixpoint on an abstract model exceeds its resources,
-  /// retry with the overlapping-partition approximate traversal (the
-  /// paper's future-work engine): a Proved there is still a proof.
-  bool approx_fallback = true;
-  /// Block sizing for the approximate traversal.
-  size_t approx_block_size = 12;
-  size_t approx_overlap = 4;
-  /// How many abstract error traces Step 2 extracts per iteration. With
-  /// more than one, Step 3 guides sequential ATPG with the whole set (the
-  /// paper's second future-work direction), falling back to consensus
-  /// guidance when each individual trace is spurious.
-  size_t traces_per_iteration = 1;
   /// Worker threads for the Step-2 / Step-3 engine races. 0 runs the race
   /// jobs sequentially inline in priority order (BDD reachability before the
   /// SAT probe and PDR; guided ATPG before SAT BMC and PDR), which keeps the
@@ -128,9 +116,6 @@ struct RfnIteration {
   size_t bdd_cache_lookups = 0;
   size_t bdd_cache_hits = 0;
   size_t bdd_reorderings = 0;
-  /// Whether the approximate-traversal fallback ran and what it returned.
-  bool approx_used = false;
-  bool approx_proved = false;
   size_t trace_cycles = 0;          // abstract error trace length (0 = none)
   AtpgStatus concretize_status{};   // meaningful when a trace was found
   RefineStats refine;

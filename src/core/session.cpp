@@ -133,7 +133,6 @@ RfnOptions merge_overrides(const RfnOptions& defaults,
   RfnOptions r = defaults;
   if (o.time_limit_s) r.time_limit_s = *o.time_limit_s;
   if (o.max_iterations) r.max_iterations = *o.max_iterations;
-  if (o.traces_per_iteration) r.traces_per_iteration = *o.traces_per_iteration;
   if (o.budget_ms) r.budget_ms = *o.budget_ms;
   if (o.budget_bdd_nodes) r.budget_bdd_nodes = *o.budget_bdd_nodes;
   if (o.budget_mem_mb) r.budget_mem_mb = *o.budget_mem_mb;

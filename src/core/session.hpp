@@ -58,14 +58,13 @@ struct PropertyRequest {
   struct Overrides {
     std::optional<double> time_limit_s;
     std::optional<size_t> max_iterations;
-    std::optional<size_t> traces_per_iteration;
     std::optional<double> budget_ms;
     std::optional<int64_t> budget_bdd_nodes;
     std::optional<int64_t> budget_mem_mb;
 
     bool any() const {
-      return time_limit_s || max_iterations || traces_per_iteration ||
-             budget_ms || budget_bdd_nodes || budget_mem_mb;
+      return time_limit_s || max_iterations || budget_ms ||
+             budget_bdd_nodes || budget_mem_mb;
     }
   } overrides;
 };

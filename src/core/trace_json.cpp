@@ -21,8 +21,6 @@ json::Value iteration_json(const std::string& property, size_t index,
   Value reach = Value::object();
   reach.set("status", to_string(it.reach_status));
   reach.set("steps", it.reach_steps);
-  reach.set("approx_used", it.approx_used);
-  reach.set("approx_proved", it.approx_proved);
   o.set("reach", std::move(reach));
 
   Value bdd = Value::object();

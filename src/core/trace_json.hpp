@@ -17,8 +17,7 @@
 //                                                          // one per property
 //   {"type":"iteration","property":"..","iter":k,        // after its property
 //    "abstraction":{"regs":..,"inputs":..,"gates":..},
-//    "reach":{"status":"proved|bad-reachable|resource-out","steps":..,
-//             "approx_used":..,"approx_proved":..},
+//    "reach":{"status":"proved|bad-reachable|resource-out","steps":..},
 //    "bdd":{"peak_nodes":..,"cache_lookups":..,"cache_hits":..,
 //           "cache_hit_rate":..,"reorderings":..},
 //    "hybrid":{"nocut_cubes":..,"mincut_cubes":..,"atpg_calls":..,

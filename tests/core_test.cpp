@@ -301,10 +301,10 @@ TEST(Coverage, RefinementTightensClassification) {
   EXPECT_EQ(res.state_class[0], 2u);  // (0,0) witnessed reachable
 }
 
-TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
-  // Many independent wrap-at-4 counters; `bad` = counter 0 reaches 6.
-  // The exact fixpoint is artificially cut off by a tiny step budget, so
-  // the overlapping-partition fallback must deliver the proof.
+TEST(Rfn, PdrProvesWhenExactFixpointIsCut) {
+  // Many independent wrap-at-4 counters; `bad` = counter 0 reaches 6. The
+  // exact fixpoint is cut off by a tiny step budget, so the proof comes
+  // from the IC3 engine racing it.
   NetBuilder b;
   std::vector<Word> counters;
   for (int c = 0; c < 8; ++c) {
@@ -323,27 +323,40 @@ TEST(Rfn, ApproxFallbackProvesWhenExactFixpointIsCut) {
 
   RfnOptions opt;
   opt.time_limit_s = 30.0;
-  // Pin the pre-PDR lineup: this test exercises the approximate-traversal
-  // fallback, and the IC3 engine would simply prove the property outright
-  // before the race ever comes up winnerless.
-  opt.engines = {"bdd", "atpg", "sat"};
-  // Cripple the exact engine just enough: refinement traces stay shallow
-  // (any still-free counter violates within ~2 steps), but the final full
-  // model's fixpoint needs 5+ image steps, which only the fallback gets.
+  // Refinement traces stay shallow (any still-free counter violates within
+  // ~2 steps), but the full model's fixpoint needs 5+ image steps.
   opt.reach.max_steps = 3;
   opt.max_iterations = 60;
-  opt.approx_block_size = 6;
-  opt.approx_overlap = 2;
   const RfnResult res = run_property(m, m.output("bad"), opt);
   EXPECT_EQ(res.verdict, Verdict::Holds) << res.note;
-  // The proof must have come from the fallback.
-  ASSERT_FALSE(res.per_iteration.empty());
-  EXPECT_TRUE(res.per_iteration.back().approx_used);
-  EXPECT_TRUE(res.per_iteration.back().approx_proved);
+  EXPECT_TRUE(res.pdr_invariant.present);
 
-  // Without the fallback the same configuration is Unknown.
-  opt.approx_fallback = false;
-  EXPECT_EQ(run_property(m, m.output("bad"), opt).verdict, Verdict::Unknown);
+  // Without PDR the Step-2 race eventually has no winner, which ends the
+  // run.
+  opt.engines = {"bdd", "atpg", "sat"};
+  const RfnResult cut = run_property(m, m.output("bad"), opt);
+  EXPECT_EQ(cut.verdict, Verdict::Unknown);
+  EXPECT_EQ(cut.note, "abstract fixpoint exceeded resources");
+}
+
+TEST(Rfn, FindsBugBehindSpuriousCutRegisterChoice) {
+  // The initial abstraction frees registers a and b, and bad' = a XOR b.
+  // On the real design `a` is stuck at 0, so an abstract trace choosing
+  // a=1 is spurious while a=0/b=1 is real: the loop must still end Fails.
+  NetBuilder bld;
+  const GateId in = bld.input("in");
+  const GateId a = bld.reg("a");
+  const GateId b = bld.reg("b", Tri::X);
+  bld.set_next(a, bld.constant(false));
+  bld.set_next(b, in);
+  const GateId bad = bld.reg("bad");
+  bld.set_next(bad, bld.or_(bad, bld.xor_(a, b)));
+  bld.output("bad", bad);
+  const Netlist m = bld.take();
+
+  const RfnResult res = run_property(m, bad, {});
+  ASSERT_EQ(res.verdict, Verdict::Fails) << res.note;
+  EXPECT_EQ(replay(m, res.error_trace, bad), Tri::T);
 }
 
 }  // namespace

@@ -3,10 +3,7 @@
 //
 //   * sequential ATPG vs BDD reachability: a target is reachable within k
 //     cycles iff bounded reachability says so;
-//   * BLIF round-trip: write+read preserves sequential behaviour;
-//   * approximate traversal vs exact: over-approximation always contains
-//     the exact reachable set (covered in approx_reach_test; here the
-//     Proved verdicts are cross-checked against ATPG witnesses).
+//   * BLIF round-trip: write+read preserves sequential behaviour.
 
 #include <gtest/gtest.h>
 

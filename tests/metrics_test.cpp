@@ -270,6 +270,17 @@ TEST(TraceJson, CliRejectsRemovedFlags) {
     err << in.rdbuf();
     EXPECT_NE(err.str().find("was removed"), std::string::npos) << err.str();
   }
+  // Knobs deleted with their mechanism are plain unknown flags.
+  for (const char* flag : {"--no-approx", "--traces 2"}) {
+    const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
+                            " --bad bad_q " + flag + " > /dev/null 2> " + out;
+    const int rc = std::system(cmd.c_str());
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << cmd;
+    std::ifstream in(out);
+    std::stringstream err;
+    err << in.rdbuf();
+    EXPECT_NE(err.str().find("unknown flag"), std::string::npos) << err.str();
+  }
   std::remove(out.c_str());
 }
 
@@ -280,8 +291,8 @@ TEST(TraceJson, CliRejectsInvalidPropsOverrides) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
   const std::string props = ::testing::TempDir() + "/bad_overrides.props";
   const std::string out = ::testing::TempDir() + "/bad_overrides.out";
-  for (const char* line : {"bad_q traces=0", "bad_q max-iterations=0",
-                           "bad_q budget-bdd-nodes=-5", "bad_q traces=-1"}) {
+  for (const char* line : {"bad_q max-iterations=0", "bad_q budget-bdd-nodes=-5",
+                           "bad_q max-iterations=-1"}) {
     std::ofstream(props) << line << "\n";
     const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
                             " --props " + props + " > /dev/null 2> " + out;
@@ -306,8 +317,8 @@ TEST(TraceJson, CliRejectsUnknownFlagsAndBadValues) {
   const std::pair<const char*, const char*> cases[] = {
       {"--time-limt 5", "time-limt"},
       {"--time-limit abc", "time-limit"},
-      {"--traces 1.7", "traces"},
-      {"--traces -1", "traces"},
+      {"--max-iterations 1.7", "max-iterations"},
+      {"--max-iterations -1", "max-iterations"},
       {"--max-iterations 0", "max-iterations"},
   };
   for (const auto& [flags, named] : cases) {

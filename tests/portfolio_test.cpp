@@ -215,12 +215,12 @@ TEST(Portfolio, EngineCancellationHooks) {
   ao.cancel = &tok;
   EXPECT_EQ(reach_target(m, 8, bad, true, {}, ao).status, AtpgStatus::Abort);
 
-  // Hybrid trace engine: a cancelled walk yields no traces.
+  // Hybrid trace engine: a cancelled walk yields no trace.
   const ReachResult reach = forward_reach(img, enc.initial_states(), bad_set);
   ASSERT_EQ(reach.status, ReachStatus::BadReachable);
   HybridTraceOptions ho;
   ho.cancel = &tok;
-  EXPECT_TRUE(hybrid_error_traces(enc, m, reach, bad_set, 1, ho).empty());
+  EXPECT_TRUE(hybrid_error_trace(enc, m, reach, bad_set, ho).empty());
 
   // 3-valued simulation: a cancelled eval() reports stopped(), and a
   // cancelled trace replay answers X.

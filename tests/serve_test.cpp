@@ -411,8 +411,8 @@ TEST(RequestCodec, EveryDoorSetsEveryKnob) {
     for (size_t d = 1; d < doors.size(); ++d)
       EXPECT_EQ(doors[d], doors[0]) << "door " << d;
   }
-  EXPECT_EQ(api::knobs().size(), 17u);
-  EXPECT_EQ(overridable, 6u);
+  EXPECT_EQ(api::knobs().size(), 15u);
+  EXPECT_EQ(overridable, 5u);
   std::remove(props.c_str());
 }
 
@@ -442,7 +442,7 @@ TEST(RequestCodec, FlagsAreStrict) {
       {{"verify", "D", "--time-limit", "-1", "stray"}, "'stray'"},
       {{"verify", "D", "--time-limt", "5"}, "--time-limt"},
       {{"verify", "D", "--time-limit", "abc"}, "--time-limit"},
-      {{"verify", "D", "--traces", "1.7"}, "--traces"},
+      {{"verify", "D", "--max-iterations", "1.7"}, "--max-iterations"},
       {{"verify", "D", "--no-reuse", "maybe"}, "--no-reuse"},
       {{"verify"}, "missing design"},
   };
@@ -454,19 +454,37 @@ TEST(RequestCodec, FlagsAreStrict) {
 
 TEST(RequestCodec, RefusesFractionalCounts) {
   json::Value options = json::Value::object();
-  options.set("traces", 1.7);
+  options.set("max-iterations", 1.7);
   json::Value doc = minimal_doc();
   doc.set("options", std::move(options));
   api::VerifyRequest out;
   std::string error;
   EXPECT_FALSE(api::VerifyRequest::from_json(doc, &out, &error));
-  EXPECT_NE(error.find("options.traces"), std::string::npos) << error;
+  EXPECT_NE(error.find("options.max-iterations"), std::string::npos) << error;
 
   json::Value ov = json::Value::object();
-  ov.set("traces", 1.7);
+  ov.set("max-iterations", 1.7);
   EXPECT_FALSE(api::VerifyRequest::from_json(minimal_doc(std::move(ov)), &out,
                                              &error));
   EXPECT_NE(error.find("props[0].overrides"), std::string::npos) << error;
+}
+
+TEST(RequestCodec, RefusesRemovedOptionKeys) {
+  // Knobs deleted with their mechanism are unknown keys, not ignored ones.
+  const std::pair<const char*, json::Value> removed[] = {
+      {"traces", json::Value(2.0)}, {"approx-fallback", json::Value(false)}};
+  for (const auto& [key, value] : removed) {
+    json::Value options = json::Value::object();
+    options.set(key, value);
+    json::Value doc = minimal_doc();
+    doc.set("options", std::move(options));
+    api::VerifyRequest out;
+    std::string error;
+    EXPECT_FALSE(api::VerifyRequest::from_json(doc, &out, &error)) << key;
+    EXPECT_NE(error.find("unknown key 'options." + std::string(key) + "'"),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(RequestCodec, RejectsMalformedDocuments) {
@@ -543,18 +561,15 @@ json::Value request_with_overrides(json::Value overrides) {
 }
 
 TEST(RequestCodec, RefusesNegativeOverrideCounts) {
-  // std::stoul would wrap -1 to 2^64-1 traces per iteration.
-  for (const char* key : {"traces", "max-iterations"}) {
-    json::Value ov = json::Value::object();
-    ov.set(key, -1.0);
-    api::VerifyRequest out;
-    std::string error;
-    EXPECT_FALSE(api::VerifyRequest::from_json(request_with_overrides(ov),
-                                               &out, &error))
-        << key;
-    EXPECT_NE(error.find("props[0]"), std::string::npos) << error;
-    EXPECT_NE(error.find(key), std::string::npos) << error;
-  }
+  // std::stoul would wrap -1 to 2^64-1 iterations.
+  json::Value ov = json::Value::object();
+  ov.set("max-iterations", -1.0);
+  api::VerifyRequest out;
+  std::string error;
+  EXPECT_FALSE(api::VerifyRequest::from_json(request_with_overrides(ov), &out,
+                                             &error));
+  EXPECT_NE(error.find("props[0]"), std::string::npos) << error;
+  EXPECT_NE(error.find("max-iterations"), std::string::npos) << error;
 }
 
 TEST(RequestCodec, ValidatesEachPropertysMergedOptions) {
@@ -565,7 +580,7 @@ TEST(RequestCodec, ValidatesEachPropertysMergedOptions) {
   ASSERT_TRUE(api::load_design({"builtin:fifo", "", "", ""}, &design, &error))
       << error;
   const std::pair<const char*, double> cases[] = {
-      {"traces", 0.0}, {"max-iterations", 0.0}, {"budget-bdd-nodes", -5.0}};
+      {"max-iterations", 0.0}, {"budget-bdd-nodes", -5.0}};
   for (const auto& [key, value] : cases) {
     json::Value ov = json::Value::object();
     ov.set(key, value);
@@ -773,7 +788,7 @@ TEST(ServeEndToEnd, WarmRepeatRequestsAndNamedRejects) {
   // A negative override count: bad-request at parse time, before any
   // engine work.
   json::Value neg = json::Value::object();
-  neg.set("traces", -1.0);
+  neg.set("max-iterations", -1.0);
   json::Value nr = client.transact(request_with_overrides(neg));
   EXPECT_FALSE(nr.find("ok")->as_bool());
   EXPECT_EQ(nr.find("reject_reason")->as_string(), "bad-request");

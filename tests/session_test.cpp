@@ -34,23 +34,13 @@ TEST(RfnOptionsValidate, DefaultsAreValid) {
 TEST(RfnOptionsValidate, ReportsEveryProblemAtOnce) {
   RfnOptions opt;
   opt.max_iterations = 0;
-  opt.traces_per_iteration = 0;
+  opt.race_pdr_max_frames = 0;
   opt.budget_bdd_nodes = -1;
   const auto errors = opt.validate();
   EXPECT_EQ(errors.size(), 3u);
   EXPECT_TRUE(any_error_contains(errors, "max_iterations"));
-  EXPECT_TRUE(any_error_contains(errors, "traces_per_iteration"));
+  EXPECT_TRUE(any_error_contains(errors, "race_pdr_max_frames"));
   EXPECT_TRUE(any_error_contains(errors, "budget_bdd_nodes"));
-}
-
-TEST(RfnOptionsValidate, ApproxOverlapMustLeaveProgress) {
-  RfnOptions opt;
-  opt.approx_block_size = 4;
-  opt.approx_overlap = 4;  // no forward progress per block
-  EXPECT_TRUE(any_error_contains(opt.validate(), "approx_overlap"));
-  // With the fallback disabled the pair is never used: not an error.
-  opt.approx_fallback = false;
-  EXPECT_TRUE(opt.validate().empty());
 }
 
 TEST(RfnOptionsValidate, ZeroReachBudgets) {
@@ -391,9 +381,9 @@ TEST(VerifySessionTest, SharedRunIterationsWrittenOnce) {
 TEST(VerifySessionTest, InvalidDefaultsDie) {
   const Counter c = make_counter();
   SessionOptions sopt;
-  sopt.defaults.traces_per_iteration = 0;
+  sopt.defaults.max_iterations = 0;
   VerifySession session(c.n, sopt);
-  EXPECT_DEATH(session.run({{"", c.bad_a, {}}}), "traces_per_iteration");
+  EXPECT_DEATH(session.run({{"", c.bad_a, {}}}), "max_iterations");
 }
 
 TEST(VerifySessionTest, InvalidOverrideDies) {
@@ -402,16 +392,16 @@ TEST(VerifySessionTest, InvalidOverrideDies) {
   const Counter c = make_counter();
   VerifySession session(c.n);
   PropertyRequest p{"", c.bad_a, {}};
-  p.overrides.traces_per_iteration = 0;
-  EXPECT_DEATH(session.run({p}), "traces_per_iteration");
+  p.overrides.max_iterations = 0;
+  EXPECT_DEATH(session.run({p}), "max_iterations");
 }
 
 TEST(RunProperty, InvalidOptionsDie) {
   // run_property rejects what validate() rejects.
   const Counter c = make_counter();
   RfnOptions opt;
-  opt.traces_per_iteration = 0;
-  EXPECT_DEATH(run_property(c.n, c.bad_a, opt), "traces_per_iteration");
+  opt.max_iterations = 0;
+  EXPECT_DEATH(run_property(c.n, c.bad_a, opt), "max_iterations");
 }
 
 TEST(RunProperty, RerunResumesFromRefinedAbstraction) {

@@ -42,8 +42,6 @@
 //                      to the --trace-json artifact
 //   --cert-dir DIR     write each property's witness to
 //                      DIR/<property>.cert.json (implies --certify)
-//   --traces N         abstract traces per iteration (default 1)
-//   --no-approx        disable the overlapping-partition fallback
 //   --dump-trace       print the error trace of every VIOLATED property
 //   --top NAME         top module for multi-module Verilog
 //   --trace-json FILE  write the rfn-trace-v2 run trace as JSON Lines: one
@@ -73,8 +71,8 @@
 //
 // Property sets: --bad may repeat, and --props names a file with one
 // property per line:
-//   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [traces=N]
-//          [budget-ms=N] [budget-bdd-nodes=N] [budget-mem-mb=N]
+//   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [budget-ms=N]
+//          [budget-bdd-nodes=N] [budget-mem-mb=N]
 //                                                    (# starts a comment)
 // A property is named by its LABEL, else by its signal as written.
 // Properties carrying per-line overrides run solo; the rest are clustered

@@ -920,7 +920,7 @@ def synthetic_iteration(prop, i, regs, shrunk):
         "type": "iteration", "property": prop, "iter": i,
         "abstraction": {"regs": regs, "inputs": 2, "gates": 30},
         "reach": {"status": "bad-reachable" if i == 0 else "proved",
-                  "steps": 3, "approx_used": False, "approx_proved": False},
+                  "steps": 3},
         "bdd": {"peak_nodes": 100, "cache_lookups": 10, "cache_hits": 5,
                 "cache_hit_rate": 0.5, "reorderings": 0},
         "hybrid": {"nocut_cubes": 0, "mincut_cubes": 0, "atpg_calls": 0,
