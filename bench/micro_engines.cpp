@@ -358,7 +358,7 @@ void BM_SatBmcFifo(benchmark::State& state) {
     const SatBmcResult r = bmc.check(fifo.bad_push_full, 12, regs);
     if (r.status != AtpgStatus::Unsat)
       state.SkipWithError("psh_full must be bounded-UNSAT");
-    benchmark::DoNotOptimize(r.core_registers.data());
+    benchmark::DoNotOptimize(r.depth);
   }
   const MetricsSnapshot s = MetricsRegistry::global().snapshot();
   state.counters["sat_conflicts"] = s.value("sat.conflicts");

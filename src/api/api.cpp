@@ -179,8 +179,6 @@ const std::vector<Knob>& knobs() {
        [](R r) -> F { return &r.options.portfolio_workers; }},
       {"options", "engines",
        [](R r) -> F { return &r.options.engines; }, nullptr, "engine"},
-      {"options", "proof-shrink",
-       [](R r) -> F { return &r.options.proof_shrink; }},
       {"options", "pdr-max-frames",
        [](R r) -> F { return &r.options.race_pdr_max_frames; }},
       {"options", "pdr-time",

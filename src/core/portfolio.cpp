@@ -1,5 +1,6 @@
 #include "core/portfolio.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "util/log.hpp"
@@ -22,12 +23,16 @@ RaceResult Portfolio::race(const std::vector<PortfolioJob>& jobs,
   // alive until the last worker leaves its epilogue, even though race()
   // returns as soon as it observes remaining == 0.
   struct Shared {
-    explicit Shared(const CancelToken* parent) : cancel(-1.0, parent) {}
     std::mutex mu;
     std::condition_variable done_cv;
-    CancelToken cancel;  // race-wide token: raised by the winner
+    // One race token per job, chained to `parent`: raised by a conclusive
+    // job for every job behind it, never for the jobs ahead of it.
+    std::vector<std::unique_ptr<CancelToken>> cancel;
+    std::vector<bool> done;
     size_t remaining = 0;
     size_t winner = static_cast<size_t>(-1);
+    // Lowest lineup index that has reported a verdict so far.
+    size_t first_conclusive = static_cast<size_t>(-1);
     size_t launched = 0;
     size_t cancelled = 0;
     size_t inconclusive = 0;
@@ -35,7 +40,10 @@ RaceResult Portfolio::race(const std::vector<PortfolioJob>& jobs,
     // (same discipline as the jobs' result slots), read after the wait.
     std::vector<int64_t> cpu_ns;
   };
-  auto sh = std::make_shared<Shared>(parent);
+  auto sh = std::make_shared<Shared>();
+  for (size_t i = 0; i < jobs.size(); ++i)
+    sh->cancel.push_back(std::make_unique<CancelToken>(-1.0, parent));
+  sh->done.assign(jobs.size(), false);
   sh->remaining = jobs.size();
   sh->cpu_ns.assign(jobs.size(), 0);
 
@@ -54,7 +62,7 @@ RaceResult Portfolio::race(const std::vector<PortfolioJob>& jobs,
       bool skip;
       {
         std::lock_guard<std::mutex> lk(sh->mu);
-        skip = sh->cancel.cancelled();
+        skip = sh->cancel[i]->cancelled();
         if (skip)
           ++sh->cancelled;
         else
@@ -64,30 +72,43 @@ RaceResult Portfolio::race(const std::vector<PortfolioJob>& jobs,
       if (!skip) {
         // The per-job budget starts now, not at enqueue time.
         const int64_t cpu0 = prof::thread_cpu_ns();
-        CancelToken token(jobs[i].time_limit_s, &sh->cancel);
+        CancelToken token(jobs[i].time_limit_s, sh->cancel[i].get());
         won = jobs[i].run(token);
         sh->cpu_ns[i] = prof::thread_cpu_ns() - cpu0;
       }
       const char* outcome = "skipped";
-      std::lock_guard<std::mutex> lk(sh->mu);
-      if (!skip) {
-        if (won && sh->winner == static_cast<size_t>(-1)) {
-          sh->winner = i;
-          sh->cancel.cancel();
-          outcome = "won";
-        } else if (sh->cancel.cancelled()) {
-          // Cut short by the winner (or the parent token), or conclusive but
-          // beaten to the verdict: either way the result was discarded.
-          ++sh->cancelled;
-          outcome = "cancelled";
-        } else {
-          ++sh->inconclusive;
-          outcome = "inconclusive";
-        }
+      std::unique_lock<std::mutex> lk(sh->mu);
+      if (won) {
+        // A verdict makes every job behind this one irrelevant; the jobs
+        // ahead keep running, and this one wins only if all of them finish
+        // without a verdict. Every job ahead has left the FIFO queue by now
+        // (running or finished), so the wait cannot starve it of a worker.
+        sh->first_conclusive = std::min(sh->first_conclusive, i);
+        for (size_t j = i + 1; j < sh->cancel.size(); ++j)
+          sh->cancel[j]->cancel();
+        sh->done_cv.wait(lk, [&] {
+          return std::all_of(sh->done.begin(), sh->done.begin() + i,
+                             [](bool d) { return d; });
+        });
+        won = sh->first_conclusive == i;
+      }
+      if (won) {
+        sh->winner = i;
+        outcome = "won";
+      } else if (!skip && sh->cancel[i]->cancelled()) {
+        // Cut short (by a verdict ahead of it or the parent token), or
+        // conclusive but beaten by one: either way the result was discarded.
+        ++sh->cancelled;
+        outcome = "cancelled";
+      } else if (!skip) {
+        ++sh->inconclusive;
+        outcome = "inconclusive";
       }
       job_span.annotate("outcome", outcome);
       job_span.end();
-      if (--sh->remaining == 0) sh->done_cv.notify_all();
+      sh->done[i] = true;
+      --sh->remaining;
+      sh->done_cv.notify_all();
     });
   }
 

@@ -1,6 +1,6 @@
 #pragma once
 // Engine-portfolio scheduler: race heterogeneous engines against one proof
-// obligation and keep the first conclusive verdict.
+// obligation and keep the verdict the sequential order would keep.
 //
 // The paper's power comes from combining formal, simulation and hybrid
 // engines; this scheduler lets them run concurrently instead of
@@ -9,18 +9,22 @@
 // verdict (storing its payload wherever the closure captured it — each job
 // writes only its own slot, so slots need no locking). race() returns after
 // every *started* job has finished, which is what makes reading the slots
-// afterwards data-race-free; losers are expected to notice the cancelled
+// afterwards data-race-free; cancelled jobs are expected to notice their
 // token within one engine step, and the portfolio tests pin that latency.
+//
+// One race rule for every worker count: the lineup order is the priority
+// order, and the winner is the first job in it that is conclusive. A
+// conclusive job cancels only the jobs behind it; the jobs ahead of it keep
+// running, and it wins once all of them have finished without a verdict.
+// Workers therefore change wall time, never the winner. With a zero- or
+// one-worker executor this is plain sequential in-order execution: the
+// first conclusive job cancels the ones behind it in the queue, which then
+// never run.
 //
 // Ownership rule the tests lock in: BDD managers are single-owner. A job
 // that needs BDDs creates (or exclusively borrows) its own BddMgr; no two
 // concurrent jobs may ever touch the same manager. Netlists are immutable
 // after construction and safe to share read-only.
-//
-// With a zero- or one-worker executor the race degrades to sequential
-// in-order execution: the first conclusive job cancels the ones behind it in
-// the queue, which then never run. Sequential order is therefore also the
-// engine priority order.
 
 #include <cstddef>
 #include <functional>
@@ -64,8 +68,9 @@ class Portfolio {
   explicit Portfolio(size_t workers);
 
   /// Races `jobs` and returns once every started job has finished. The
-  /// first job to report a conclusive verdict wins and cancels the rest
-  /// (running jobs see their token flip; queued jobs are skipped). An
+  /// winner is the first job in `jobs` order that reports a conclusive
+  /// verdict; each conclusive job cancels the jobs behind it (running jobs
+  /// see their token flip; queued jobs are skipped) and none ahead of it. An
   /// optional `parent` token cancels the whole race from outside.
   /// Not itself thread-safe: one race at a time per Portfolio.
   RaceResult race(const std::vector<PortfolioJob>& jobs,

@@ -126,26 +126,6 @@ std::vector<GateId> identify_crucial_registers(const Netlist& m,
       m, abs_trace, current_regs, opt.max_fallback_candidates);
   st.conflict_candidates = candidates.size();
 
-  // Hinted registers (a SAT bounded-UNSAT core, typically) go in front of
-  // the simulation candidates: they come from a proof that the spurious
-  // trace cannot concretize, so phase 2a tends to invalidate the trace
-  // within the hint prefix. They pass through the same greedy machinery as
-  // every other candidate, so hints steer the search without deciding it.
-  if (!opt.hints.empty()) {
-    std::vector<bool> skip(m.size(), false);
-    for (GateId r : current_regs) skip[r] = true;
-    for (GateId r : candidates) skip[r] = true;
-    std::vector<GateId> merged;
-    for (GateId r : opt.hints) {
-      if (r >= m.size() || !m.is_reg(r) || skip[r]) continue;
-      skip[r] = true;
-      merged.push_back(r);
-    }
-    st.hint_candidates = merged.size();
-    merged.insert(merged.end(), candidates.begin(), candidates.end());
-    candidates = std::move(merged);
-  }
-
   if (candidates.empty()) {
     st.final_count = 0;
     return candidates;
@@ -193,28 +173,6 @@ std::vector<GateId> identify_crucial_registers(const Netlist& m,
   }
   st.final_count = added.size();
   return added;
-}
-
-size_t shrink_abstraction(std::vector<GateId>* included,
-                          const std::vector<GateId>& core_registers,
-                          std::vector<bool>* sticky) {
-  RFN_CHECK(included != nullptr && sticky != nullptr,
-            "shrink_abstraction needs an included set and a sticky map");
-  size_t dropped = 0;
-  auto out = included->begin();
-  for (GateId r : *included) {
-    const bool keep =
-        (r < sticky->size() && (*sticky)[r]) ||
-        std::binary_search(core_registers.begin(), core_registers.end(), r);
-    if (keep) {
-      *out++ = r;
-    } else {
-      if (r < sticky->size()) (*sticky)[r] = true;
-      ++dropped;
-    }
-  }
-  included->erase(out, included->end());
-  return dropped;
 }
 
 }  // namespace rfn

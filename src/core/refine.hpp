@@ -27,18 +27,12 @@ struct RefineOptions {
   AtpgOptions atpg;
   /// Cap on fallback candidates when phase 1 finds no conflicts.
   size_t max_fallback_candidates = 8;
-  /// Candidate registers to try *before* the phase-1 simulation candidates
-  /// (e.g. the registers a SAT bounded-UNSAT assumption core named). Hints
-  /// steer which registers greedy minimization examines first — they are
-  /// filtered against the current model, deduplicated, and remain subject
-  /// to the phase-2b removal pass — so they never decide a verdict.
-  std::vector<GateId> hints;
 };
 
 struct RefineStats {
   size_t conflict_candidates = 0;  // phase-1 candidates from conflicts
   size_t fallback_candidates = 0;  // phase-1 candidates from frequency
-  size_t hint_candidates = 0;      // externally hinted candidates tried first
+  size_t hint_candidates = 0;      // always 0: read by e2ebench/util.cpp
   size_t added_until_unsat = 0;    // prefix length that invalidated the trace
   size_t removed_by_greedy = 0;    // registers dropped by the backward pass
   size_t final_count = 0;
@@ -64,21 +58,6 @@ std::vector<GateId> identify_crucial_registers(const Netlist& m,
                                                const Trace& abs_trace,
                                                const RefineOptions& opt = {},
                                                RefineStats* stats = nullptr);
-
-/// Proof-driven shrink (the Eén/Mishchenko/Amla counterpart to grow): drop
-/// from `included` (sorted) every register that is neither in
-/// `core_registers` (sorted; the registers a bounded-UNSAT refutation's
-/// assumption core needed) nor marked in `sticky`. Dropped registers are
-/// marked in `sticky` so a register refinement later re-adds can never be
-/// dropped again — the termination guarantee for the grow/shrink
-/// alternation. `included` stays sorted. Returns the number dropped.
-///
-/// Soundness: the abstract check over-approximates for EVERY included set
-/// and concrete checks always run on the full design, so shrinking changes
-/// which abstractions the loop visits, never what a verdict means.
-size_t shrink_abstraction(std::vector<GateId>* included,
-                          const std::vector<GateId>& core_registers,
-                          std::vector<bool>* sticky);
 
 /// Helper shared with phase 2: is the abstract error trace still satisfiable
 /// on the abstract model over `regs`? Maps the trace into the subcircuit,

@@ -134,17 +134,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     }
   }
 
-  // Proof-based shrink bookkeeping (opt.proof_shrink): registers of the
-  // initial (seeded) abstraction are never dropped, and a register dropped
-  // once becomes sticky if refinement ever re-adds it — shrink_abstraction
-  // marks drops in this same bitmap, so the grow/shrink alternation cannot
-  // oscillate on any single register.
-  std::vector<bool> shrink_sticky;
-  if (opt.proof_shrink) {
-    shrink_sticky.assign(m.size(), false);
-    for (GateId r : included) shrink_sticky[r] = true;
-  }
-
   const auto note_crucial = [&hooks](const std::vector<GateId>& regs) {
     if (hooks.crucial_out == nullptr) return;
     const std::unordered_set<GateId> seen(hooks.crucial_out->begin(),
@@ -267,9 +256,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
         it.sat_conflicts = ss.conflicts - sat_before.conflicts;
         it.sat_propagations = ss.propagations - sat_before.propagations;
         it.sat_depth = std::max(sat_probe.depth, sat_conc.depth);
-        it.sat_core_size = sat_conc.status == AtpgStatus::Unsat
-                               ? sat_conc.core_registers.size()
-                               : 0;
       }
       if (use_pdr) {
         it.pdr_obligations =
@@ -330,10 +316,12 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                    : std::min(pdr_race_s, deadline.remaining_seconds()))
             : pdr_race_s;
 
-    // Up to three engines race the abstract obligation: BDD reachability,
-    // the SAT BMC probe and PDR. The BDD fixpoint and PDR can *prove*; the
-    // SAT probe can only *find* an abstract error trace — but when it does,
-    // the trace is exact and the (cancelled) fixpoint is not needed at all.
+    // Up to three engines race the abstract obligation, in priority order:
+    // BDD reachability, the SAT BMC probe and PDR. The BDD fixpoint and PDR
+    // can *prove*; the SAT probe can only *find* an abstract error trace.
+    // The race returns the first conclusive engine in that order at any
+    // worker count, so the later engines decide only when the fixpoint
+    // runs out of resources.
     // The BddMgr above is owned by the bdd-reach job for the duration of the
     // race (single-owner rule), and so is the incremental SAT instance by
     // the sat-bmc job; PDR touches only the immutable netlist. Jobs carry
@@ -423,11 +411,10 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                pdr_probe.stats.frames);
       break;
     } else if (abs_race.conclusive) {
-      // SAT or PDR found an abstract error trace while the fixpoint was
-      // still running: the trace is a real trace of the abstract model, so
-      // the obligation is BadReachable without any rings. Both engines
-      // decode it straight into original-design ids (cut registers in the
-      // input cubes).
+      // The fixpoint gave up and SAT or PDR found an abstract error trace:
+      // the trace is a real trace of the abstract model, so the obligation
+      // is BadReachable without any rings. Both engines decode it straight
+      // into original-design ids (cut registers in the input cubes).
       it.reach_status = ReachStatus::BadReachable;
       abs_trace = tags[abs_race.winner] == Eng::Sat ? std::move(sat_probe.trace)
                                                     : std::move(pdr_probe.trace);
@@ -450,9 +437,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     // Unsat = spurious). SAT BMC with every register enabled is also
     // conclusive both ways at this bounded depth: Sat is a real error trace
     // (possibly shorter than the abstract one), Unsat proves no trace of
-    // length <= the abstract trace exists — so the trace is spurious, and
-    // the assumption core names the registers the refutation needed (the
-    // refinement hints).
+    // length <= the abstract trace exists — so the trace is spurious.
     ConcretizeResult conc;
     std::vector<PortfolioJob> cjobs;
     std::vector<Eng> ctags;
@@ -503,7 +488,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
           conclude(Verdict::Fails, std::move(sat_conc.trace));
           break;
         }
-        // Unsat: spurious; fall through to refinement with the core hints.
+        // Unsat: spurious; fall through to refinement.
       }
       if (w == Eng::Pdr) {
         if (pdr_conc.status == PdrStatus::Cex) {
@@ -535,40 +520,10 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       result.note = "cancelled";
       break;
     }
-    // Bounded-UNSAT assumption cores become refinement hints: registers the
-    // refutation needed that the abstraction lacks go to the front of the
-    // candidate list. Hints only — identify_crucial_registers still vets
-    // every one of them — so they steer the refinement, never the verdict.
-    RefineOptions refine_opt;
-    if (sat_conc.status == AtpgStatus::Unsat) {
-      for (GateId r : sat_conc.core_registers)
-        if (!std::binary_search(included.begin(), included.end(), r))
-          refine_opt.hints.push_back(r);
-      if (!refine_opt.hints.empty())
-        MetricsRegistry::global()
-            .counter("rfn.sat_hint_registers")
-            .add(refine_opt.hints.size());
-    }
+    // Refinement reads only the abstract trace: whichever engine decided
+    // Step 3, the registers it adds are the same.
     const std::vector<GateId> crucial = identify_crucial_registers(
-        m, roots, bad, included, abs_trace, refine_opt, &it.refine);
-    // Proof-driven shrink (Eén/Mishchenko/Amla): the Step-3 bounded-UNSAT
-    // refutation names the registers it needed in its assumption core;
-    // included registers outside that core contributed nothing to refuting
-    // this trace, so drop them before growing with the crucial set. Sound
-    // for any included set — the abstract check over-approximates for every
-    // scope and concrete checks always run on the full design — so this can
-    // change which abstractions the loop visits, never a verdict.
-    if (opt.proof_shrink && sat_conc.status == AtpgStatus::Unsat) {
-      it.shrunk_registers = shrink_abstraction(
-          &included, sat_conc.core_registers, &shrink_sticky);
-      if (it.shrunk_registers > 0) {
-        MetricsRegistry::global()
-            .counter("rfn.shrink_registers")
-            .add(it.shrunk_registers);
-        RFN_INFO("iter %zu: proof shrink dropped %zu registers (now %zu)",
-                 iter, it.shrunk_registers, included.size());
-      }
-    }
+        m, roots, bad, included, abs_trace, {}, &it.refine);
     finish_iteration();
     if (crucial.empty()) {
       result.note = "refinement produced no crucial registers";

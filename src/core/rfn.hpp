@@ -41,10 +41,13 @@ struct RfnOptions {
   ReachOptions reach;
   /// Worker threads for the Step-2 / Step-3 engine races. 0 runs the race
   /// jobs sequentially inline in priority order (BDD reachability before the
-  /// SAT probe and PDR; guided ATPG before SAT BMC and PDR), which keeps the
-  /// pre-portfolio behavior: the other engines only run when the primary
-  /// engine is inconclusive. Verdicts are identical either way — every
-  /// engine is sound — only the winner (and wall time) changes.
+  /// SAT probe and PDR; guided ATPG before SAT BMC and PDR): the other
+  /// engines only run when the primary engine is inconclusive. With workers
+  /// the jobs run concurrently, but a race still returns the first
+  /// conclusive job in that order (core/portfolio.hpp), so the winners, the
+  /// iterations and the final abstraction are the same at any worker count;
+  /// only wall time changes. (One exception, DESIGN.md §6: a sat-bmc win
+  /// after an inconclusive primary engine may decode a different trace.)
   size_t portfolio_workers = 0;
   /// Engines entering the Step-2 / Step-3 races. Empty = all of
   /// {"bdd", "atpg", "sat", "pdr"}; a non-empty list must be a subset of
@@ -63,16 +66,6 @@ struct RfnOptions {
   /// in an otherwise-winnerless race would stall the loop, so it gets its
   /// own limit rather than the probe's fixed budget.
   double race_pdr_time_s = 10.0;
-  /// Proof-based abstraction shrinking (Eén/Mishchenko/Amla): after a
-  /// Step-3 bounded-UNSAT concrete check, drop included registers that the
-  /// proof's assumption core never touched, alternating counterexample-
-  /// driven grow with proof-driven shrink. Sound for any included set — the
-  /// abstract check over-approximates and concrete checks always run on the
-  /// full design — so shrinking can change iteration counts and the final
-  /// register set but never a verdict. Registers from the initial
-  /// abstraction and registers re-added after a previous shrink (sticky)
-  /// are never dropped, which guarantees loop progress.
-  bool proof_shrink = false;
 
   /// True when `name` ("bdd", "atpg", "sat", "pdr") participates in races.
   bool engine_enabled(const char* name) const;
@@ -124,22 +117,17 @@ struct RfnIteration {
   std::string abstract_engine;
   std::string concretize_engine;
   /// SAT BMC activity this iteration (zeros when the engine is disabled):
-  /// solver-stat deltas over the shared incremental instance, the deepest
-  /// frame it was asked, and the size of the Step-3 bounded-UNSAT assumption
-  /// core handed to refinement as hints (0 = no core).
+  /// solver-stat deltas over the shared incremental instance and the
+  /// deepest frame it was asked.
   uint64_t sat_conflicts = 0;
   uint64_t sat_propagations = 0;
   size_t sat_depth = 0;
-  size_t sat_core_size = 0;
   /// IC3/PDR activity this iteration (zeros when the engine is disabled):
   /// totals across this iteration's abstract + concrete runs, and the
   /// highest frame either run opened.
   uint64_t pdr_obligations = 0;
   uint64_t pdr_clauses = 0;
   size_t pdr_frames = 0;
-  /// Registers dropped by proof-based shrink this iteration (0 when
-  /// proof_shrink is off or no bounded-UNSAT proof was available).
-  size_t shrunk_registers = 0;
   /// Wall time of the Step-2 / Step-3 engine races, and the thread-CPU time
   /// their jobs burned (winner, losers and cancelled alike; see
   /// RaceResult::cpu_seconds).

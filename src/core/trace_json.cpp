@@ -54,7 +54,6 @@ json::Value iteration_json(const std::string& property, size_t index,
   sat.set("conflicts", it.sat_conflicts);
   sat.set("propagations", it.sat_propagations);
   sat.set("depth", it.sat_depth);
-  sat.set("core_size", it.sat_core_size);
   o.set("sat", std::move(sat));
 
   // IC3/PDR activity (abstract + concrete runs combined); all-zero when the
@@ -68,13 +67,11 @@ json::Value iteration_json(const std::string& property, size_t index,
   Value refine = Value::object();
   refine.set("conflict_candidates", it.refine.conflict_candidates);
   refine.set("fallback_candidates", it.refine.fallback_candidates);
-  refine.set("hint_candidates", it.refine.hint_candidates);
   refine.set("added_until_unsat", it.refine.added_until_unsat);
   refine.set("removed_by_greedy", it.refine.removed_by_greedy);
   refine.set("final_count", it.refine.final_count);
   refine.set("atpg_calls", it.refine.atpg_calls);
   refine.set("trace_invalidated", it.refine.trace_invalidated);
-  refine.set("shrunk_registers", it.shrunk_registers);
   o.set("refine", std::move(refine));
 
   // Portfolio outcome per race: the winning engine ("" = inconclusive) and

@@ -24,12 +24,11 @@
 //              "atpg_rejects":..},
 //    "trace_cycles":..,
 //    "concretize":{"status":"sat|unsat|abort"},
-//    "sat":{"conflicts":..,"propagations":..,"depth":..,"core_size":..},
+//    "sat":{"conflicts":..,"propagations":..,"depth":..},
 //    "pdr":{"obligations":..,"clauses":..,"frames":..},
 //    "refine":{"conflict_candidates":..,"fallback_candidates":..,
-//              "hint_candidates":..,"added_until_unsat":..,
-//              "removed_by_greedy":..,"final_count":..,"atpg_calls":..,
-//              "trace_invalidated":..,"shrunk_registers":..},
+//              "added_until_unsat":..,"removed_by_greedy":..,
+//              "final_count":..,"atpg_calls":..,"trace_invalidated":..},
 //    "engines":{"abstract":{"winner":"..","seconds":..,"cpu_seconds":..},
 //               "concretize":{"winner":"..","seconds":..,"cpu_seconds":..}},
 //    "seconds":..}

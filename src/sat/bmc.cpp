@@ -30,7 +30,6 @@ SatBmcResult SatBmc::check(GateId bad, size_t max_depth,
     if (std::binary_search(included.begin(), included.end(), r))
       enables.push_back(enc_.enable(r));
 
-  std::vector<GateId> core;
   size_t k = 0;
   for (k = 1; k <= max_depth; ++k) {
     if (should_stop(cancel)) break;
@@ -47,19 +46,11 @@ SatBmcResult SatBmc::check(GateId bad, size_t max_depth,
       result.trace = enc_.decode_trace(k, included);
       break;
     }
-    // UNSAT at depth k: harvest the enable assumptions the refutation used.
-    for (const Lit l : solver_.final_conflict()) {
-      const GateId reg = enc_.register_of_enable(l);
-      if (reg != kNullGate) core.push_back(reg);
-    }
   }
   if (result.status != AtpgStatus::Sat) {
     if (k > max_depth) {
       result.status = AtpgStatus::Unsat;
       result.depth = max_depth;
-      std::sort(core.begin(), core.end());
-      core.erase(std::unique(core.begin(), core.end()), core.end());
-      result.core_registers = std::move(core);
     } else {
       result.status = AtpgStatus::Abort;  // cancelled mid-deepening
       result.depth = k > 0 ? k - 1 : 0;
@@ -82,8 +73,6 @@ SatBmcResult SatBmc::check(GateId bad, size_t max_depth,
   reg.gauge("sat.heap_bytes").set(static_cast<int64_t>(solver_.heap_bytes()));
   reg.gauge("sat.heap_bytes")
       .record_max(static_cast<int64_t>(solver_.heap_bytes_peak()));
-  if (result.status == AtpgStatus::Unsat)
-    reg.counter("sat.core_registers").add(result.core_registers.size());
   // Same spelling as core/status.hpp's to_string(AtpgStatus) without the
   // include: sat/ stays self-contained below core/.
   span.annotate("status", result.status == AtpgStatus::Sat     ? "sat"

@@ -1,6 +1,6 @@
 #pragma once
 // SAT-based bounded model checking over one long-lived incremental solver —
-// the portfolio's fourth engine.
+// the sat-bmc engine of the Step-2 and Step-3 races.
 //
 // A SatBmc owns one Solver plus one BmcEncoder for one design and answers
 // repeated bounded questions "can `bad` rise within k cycles of the
@@ -17,9 +17,6 @@
 //   Unsat  — no trace of length <= max_depth exists. A *bounded* result:
 //            conclusive for Step-3 concretization (the abstract trace's
 //            length bounds the question) but never a Holds verdict.
-//            core_registers carries the refinement hint: registers whose
-//            enable assumptions the refutation used (hints only, never
-//            verdicts — the same contract as the session ReuseCache).
 //   Abort  — cancelled (lost the race / watchdog).
 
 #include <cstddef>
@@ -39,9 +36,6 @@ struct SatBmcResult {
   Trace trace;
   /// Sat: trace length (the first SAT depth). Unsat: the proven bound.
   size_t depth = 0;
-  /// Unsat: registers named by the UNSAT assumption cores, union over all
-  /// depths up to the bound, sorted. Subset of the `included` argument.
-  std::vector<GateId> core_registers;
 };
 
 /// Single-owner like a BddMgr: the instance may move between portfolio

@@ -178,12 +178,6 @@ Lit BmcEncoder::trigger(GateId root, size_t frame) {
   return t;
 }
 
-GateId BmcEncoder::register_of_enable(Lit l) const {
-  for (const GateId r : cone_regs_)
-    if (enable_[r] == l) return r;
-  return kNullGate;
-}
-
 Trace BmcEncoder::decode_trace(size_t depth,
                                const std::vector<GateId>& included) const {
   RFN_CHECK(depth >= 1 && depth <= frames_, "decode depth out of range");

@@ -23,10 +23,9 @@
 // Nothing else constrains r@f, so solving without assuming enable(r) leaves
 // r free at every frame — exactly the pseudo-input semantics a register gets
 // when excluded from an abstract model (netlist/subcircuit.hpp). Excluding a
-// register from the abstraction is therefore one assumption flip, and the
-// final_conflict() of an UNSAT answer names the registers the bounded
-// refutation needed. X-initialized registers get no frame-1 constraint (free
-// either way, matching unroll.cpp's fresh-input treatment).
+// register from the abstraction is therefore one assumption flip.
+// X-initialized registers get no frame-1 constraint (free either way,
+// matching unroll.cpp's fresh-input treatment).
 //
 // The property side uses per-(root, frame) *trigger* assumption literals:
 // trigger(g, f) -> g@f. Assuming the trigger asks "can g rise at frame f";
@@ -68,10 +67,6 @@ class BmcEncoder {
   /// Registers inside the stable cone, sorted by GateId.
   const std::vector<GateId>& cone_registers() const { return cone_regs_; }
   bool in_cone(GateId g) const { return g < cone_.size() && cone_[g]; }
-
-  /// Maps an enable literal from a final conflict back to its register;
-  /// kNullGate when the literal is not an enable.
-  GateId register_of_enable(Lit l) const;
 
   /// Decodes the solver's model into a `depth`-cycle error trace over the
   /// design's signals. Registers in `included` (sorted) land in the state

@@ -229,9 +229,7 @@ TEST(TraceJson, CliGoldenSchema) {
       ASSERT_NE(it.find(key), nullptr) << key << " missing at line " << i;
     EXPECT_GE(it.find_path("abstraction.regs")->as_uint(), 1u);
     EXPECT_GT(it.find_path("bdd.peak_nodes")->as_uint(), 0u);
-    for (const char* key : {"sat.conflicts", "sat.depth", "sat.core_size",
-                            "refine.hint_candidates",
-                            "refine.shrunk_registers"})
+    for (const char* key : {"sat.conflicts", "sat.depth", "refine.final_count"})
       ASSERT_NE(it.find_path(key), nullptr) << key << " missing at line " << i;
     ASSERT_NE(it.find_path("engines.abstract.winner"), nullptr);
     ASSERT_NE(it.find_path("engines.abstract.seconds"), nullptr);
@@ -271,7 +269,7 @@ TEST(TraceJson, CliRejectsRemovedFlags) {
     EXPECT_NE(err.str().find("was removed"), std::string::npos) << err.str();
   }
   // Knobs deleted with their mechanism are plain unknown flags.
-  for (const char* flag : {"--no-approx", "--traces 2"}) {
+  for (const char* flag : {"--no-approx", "--traces 2", "--proof-shrink"}) {
     const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
                             " --bad bad_q " + flag + " > /dev/null 2> " + out;
     const int rc = std::system(cmd.c_str());

@@ -1,8 +1,7 @@
 // Tests for the IC3/PDR engine (src/pdr): unbounded Holds with the
 // inductive frame discharged through the independent rfn-cert-v1 checker,
 // counterexample traces that replay, pseudo-input abstraction semantics,
-// frame/cancellation limits, the session-level `pdr` racer, and the
-// proof-based shrink step it unlocks in core/refine.
+// frame/cancellation limits, and the session-level `pdr` racer.
 
 #include "pdr/pdr.hpp"
 
@@ -14,7 +13,6 @@
 
 #include "cert/check.hpp"
 #include "core/certificate.hpp"
-#include "core/refine.hpp"
 #include "core/rfn.hpp"
 #include "designs/builtin.hpp"
 #include "netlist/builder.hpp"
@@ -189,82 +187,6 @@ TEST(Pdr, SessionPdrOnlyFindsConcreteCex) {
   const CertificateArtifact art = certify_with_witness(
       m, bad, "bad", res.verdict, res.error_trace, res.final_registers);
   EXPECT_TRUE(art.checked) << art.obligation << ": " << art.detail;
-}
-
-TEST(Refine, ShrinkDropsNonCoreAndMarksSticky) {
-  std::vector<GateId> included = {1, 3, 5, 7};
-  std::vector<bool> sticky(10, false);
-  sticky[1] = true;  // initial-abstraction register: never droppable
-  const std::vector<GateId> core = {5};
-  EXPECT_EQ(shrink_abstraction(&included, core, &sticky), 2u);
-  EXPECT_EQ(included, (std::vector<GateId>{1, 5}));
-  // Dropped registers became sticky so a later re-add can never re-drop.
-  EXPECT_TRUE(sticky[3]);
-  EXPECT_TRUE(sticky[7]);
-  EXPECT_FALSE(sticky[5]);
-
-  included = {1, 3, 5};  // refinement re-added 3
-  EXPECT_EQ(shrink_abstraction(&included, {}, &sticky), 1u);
-  EXPECT_EQ(included, (std::vector<GateId>{1, 3}));  // 3 survived via sticky
-}
-
-TEST(Refine, ProofShrinkDropsRegistersOnProcessor) {
-  // The acceptance run: the processor mutex property refines through a
-  // dozen-plus iterations, and with proof_shrink the bounded-UNSAT cores
-  // demonstrably drop registers the proofs never touched — with the same
-  // final verdict. workers = 0 keeps the race order (and so the exact
-  // shrink count) deterministic.
-  bool ok = false;
-  Netlist m = designs::make_builtin("processor", &ok);
-  ASSERT_TRUE(ok);
-  const GateId bad = m.output("bad_mutex");
-  RfnOptions opt;
-  opt.engines = {"bdd", "sat"};
-  opt.portfolio_workers = 0;
-  opt.proof_shrink = true;
-  const RfnResult res = run_property(m, bad, opt);
-  EXPECT_EQ(res.verdict, Verdict::Holds);
-  size_t total_shrunk = 0;
-  for (const RfnIteration& it : res.per_iteration)
-    total_shrunk += it.shrunk_registers;
-  EXPECT_GE(total_shrunk, 1u)
-      << "proof shrink never dropped a register on the processor CEGAR run";
-}
-
-TEST(Refine, ProofShrinkNeverFlipsVerdicts) {
-  // The property-tested invariant: grow/shrink and grow-only agree on every
-  // verdict. Exercised on designs that refine (input-driven chains fail,
-  // constant chains hold) plus a builtin with a non-trivial CEGAR loop.
-  struct Case {
-    Netlist m;
-    GateId bad;
-  };
-  std::vector<Case> cases;
-  {
-    GateId bad;
-    Netlist m = make_chain(5, false, &bad);
-    cases.push_back({std::move(m), bad});
-  }
-  {
-    GateId bad;
-    Netlist m = make_chain(4, true, &bad);
-    cases.push_back({std::move(m), bad});
-  }
-  {
-    bool ok = false;
-    Netlist m = designs::make_builtin("processor", &ok);
-    ASSERT_TRUE(ok);
-    const GateId bad = m.output("bad_mutex");
-    cases.push_back({std::move(m), bad});
-  }
-  for (auto& c : cases) {
-    RfnOptions grow_only;
-    RfnOptions grow_shrink;
-    grow_shrink.proof_shrink = true;
-    const RfnResult ra = run_property(c.m, c.bad, grow_only);
-    const RfnResult rb = run_property(c.m, c.bad, grow_shrink);
-    EXPECT_EQ(ra.verdict, rb.verdict);
-  }
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Portfolio scheduler tests: racing semantics, cancellation latency,
+// Portfolio scheduler tests: the race rule (the first conclusive job in
+// lineup order wins at every worker count), cancellation latency,
 // sequential degradation, per-engine cancellation hooks, and the
 // one-BddMgr-per-worker ownership rule (exercised under TSan via
 // -DRFN_SANITIZE=thread).
@@ -54,36 +55,110 @@ Netlist make_counter_safe() {
   return b.take();
 }
 
+/// A job that polls its token every millisecond for up to `ms` and returns
+/// `verdict`, or false as soon as it sees the token raised (setting
+/// `*saw_cancel`).
+PortfolioJob polling_job(const char* name, int ms, bool verdict,
+                         std::atomic<bool>* saw_cancel) {
+  return {name, -1.0, [=](const CancelToken& token) {
+            for (int i = 0; i < ms; ++i) {
+              if (token.cancelled()) {
+                *saw_cancel = true;
+                return false;
+              }
+              sleep_ms(1);
+            }
+            return verdict;
+          }};
+}
+
 TEST(Portfolio, FastConclusiveJobCancelsSlowJob) {
-  Portfolio p(2);
-  std::atomic<bool> slow_saw_cancel{false};
-  std::vector<PortfolioJob> jobs;
-  jobs.push_back({"slow", -1.0, [&](const CancelToken& token) {
-                    // Would run ~5 s; must be cut short by the winner well
-                    // within its 1 ms polling granularity.
-                    for (int i = 0; i < 5000; ++i) {
-                      if (token.cancelled()) {
-                        slow_saw_cancel = true;
-                        return false;
-                      }
-                      sleep_ms(1);
-                    }
-                    return false;
-                  }});
-  jobs.push_back({"fast", -1.0, [&](const CancelToken&) {
-                    sleep_ms(10);
-                    return true;
-                  }});
-  const RaceResult r = p.race(jobs);
-  EXPECT_TRUE(r.conclusive);
-  EXPECT_EQ(r.winner, 1u);
-  EXPECT_EQ(r.winner_name, "fast");
-  EXPECT_TRUE(slow_saw_cancel.load());
-  // Cancellation latency: the race ends when the loser notices the token,
-  // which is bounded by its poll period, not by its 5 s natural runtime.
-  EXPECT_LT(r.seconds, 1.0);
-  EXPECT_EQ(r.launched, 2u);
-  EXPECT_EQ(r.cancelled, 1u);
+  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}}) {
+    Portfolio p(workers);
+    std::atomic<bool> slow_saw_cancel{false};
+    std::vector<PortfolioJob> jobs;
+    jobs.push_back({"fast", -1.0, [&](const CancelToken&) {
+                      sleep_ms(10);
+                      return true;
+                    }});
+    // Would run ~5 s; must be cut short by the winner ahead of it well
+    // within its 1 ms polling granularity.
+    jobs.push_back(polling_job("slow", 5000, false, &slow_saw_cancel));
+    const RaceResult r = p.race(jobs);
+    EXPECT_TRUE(r.conclusive) << "workers=" << workers;
+    EXPECT_EQ(r.winner, 0u) << "workers=" << workers;
+    EXPECT_EQ(r.winner_name, "fast") << "workers=" << workers;
+    // Cancellation latency: the race ends when the slow job notices the
+    // token, which is bounded by its poll period, not by its 5 s natural
+    // runtime. Sequentially the slow job never starts.
+    EXPECT_LT(r.seconds, 1.0) << "workers=" << workers;
+    EXPECT_EQ(r.cancelled, 1u) << "workers=" << workers;
+    EXPECT_EQ(r.launched, workers < 2 ? 1u : 2u) << "workers=" << workers;
+    EXPECT_EQ(slow_saw_cancel.load(), workers >= 2) << "workers=" << workers;
+  }
+}
+
+TEST(Portfolio, ConclusiveJobWaitsForRunningJobAhead) {
+  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}}) {
+    Portfolio p(workers);
+    std::atomic<bool> ahead_saw_cancel{false};
+    std::atomic<bool> ahead_done{false};
+    std::vector<PortfolioJob> jobs;
+    jobs.push_back({"ahead", -1.0, [&](const CancelToken& token) {
+                      sleep_ms(50);
+                      ahead_saw_cancel = token.cancelled();
+                      ahead_done = true;
+                      return false;
+                    }});
+    jobs.push_back({"behind", -1.0, [](const CancelToken&) { return true; }});
+    const RaceResult r = p.race(jobs);
+    EXPECT_TRUE(ahead_done.load()) << "workers=" << workers;
+    EXPECT_FALSE(ahead_saw_cancel.load()) << "workers=" << workers;
+    EXPECT_EQ(r.winner, 1u) << "workers=" << workers;
+    EXPECT_GE(r.seconds, 0.05) << "workers=" << workers;
+    EXPECT_EQ(r.launched, 2u) << "workers=" << workers;
+    EXPECT_EQ(r.cancelled, 0u) << "workers=" << workers;
+  }
+}
+
+TEST(Portfolio, EarlierConclusiveJobBeatsLaterOneThatFinishedFirst) {
+  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}}) {
+    Portfolio p(workers);
+    std::atomic<bool> saw_cancel{false};
+    std::vector<PortfolioJob> jobs;
+    jobs.push_back(polling_job("slow-verdict", 50, true, &saw_cancel));
+    jobs.push_back({"fast-verdict", -1.0,
+                    [](const CancelToken&) { return true; }});
+    const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+    const RaceResult r = p.race(jobs);
+    const MetricsSnapshot d =
+        MetricsRegistry::global().snapshot().delta(before);
+    EXPECT_FALSE(saw_cancel.load()) << "workers=" << workers;
+    EXPECT_EQ(r.winner, 0u) << "workers=" << workers;
+    EXPECT_EQ(r.winner_name, "slow-verdict") << "workers=" << workers;
+    // Threaded, the later verdict arrives first and is discarded;
+    // sequentially it is never computed.
+    EXPECT_EQ(r.cancelled, 1u) << "workers=" << workers;
+    EXPECT_EQ(d.value("portfolio.wins.fast-verdict"), 0.0)
+        << "workers=" << workers;
+  }
+}
+
+TEST(Portfolio, WinnerNeverCancelsJobsAhead) {
+  for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}}) {
+    Portfolio p(workers);
+    std::atomic<bool> ahead_saw_cancel{false};
+    std::atomic<bool> behind_saw_cancel{false};
+    std::vector<PortfolioJob> jobs;
+    jobs.push_back(polling_job("ahead", 50, false, &ahead_saw_cancel));
+    jobs.push_back({"winner", -1.0, [](const CancelToken&) { return true; }});
+    jobs.push_back(polling_job("behind", 5000, false, &behind_saw_cancel));
+    const RaceResult r = p.race(jobs);
+    EXPECT_FALSE(ahead_saw_cancel.load()) << "workers=" << workers;
+    EXPECT_EQ(r.winner, 1u) << "workers=" << workers;
+    EXPECT_LT(r.seconds, 1.0) << "workers=" << workers;
+    EXPECT_EQ(r.cancelled, 1u) << "workers=" << workers;
+  }
 }
 
 TEST(Portfolio, SequentialDegradationRunsInPriorityOrder) {
@@ -234,8 +309,8 @@ TEST(Portfolio, EngineCancellationHooks) {
   EXPECT_EQ(simulate_trace(m, found.trace, bad, &tok), Tri::X);
 }
 
-// Race real engines against each other: every engine is sound, so whichever
-// wins must report a verdict consistent with the design's ground truth.
+// Race real engines against each other: every engine is sound, so the
+// winner's verdict and any loser's finished result match the ground truth.
 TEST(Portfolio, EngineRaceVerdictsAgree) {
   for (const bool fails : {true, false}) {
     const Netlist m = fails ? make_counter_fail() : make_counter_safe();
@@ -270,17 +345,17 @@ TEST(Portfolio, EngineRaceVerdictsAgree) {
                       }});
       const RaceResult r = p.race(jobs);
       ASSERT_TRUE(r.conclusive) << "fails=" << fails << " workers=" << workers;
-      if (r.winner == 0) {
-        EXPECT_EQ(reach.status, fails ? ReachStatus::BadReachable
-                                      : ReachStatus::Proved);
-      } else {
+      // The formal engine leads the lineup and concludes on both designs, so
+      // it wins at every worker count.
+      EXPECT_EQ(r.winner_name, "bdd-reach") << "workers=" << workers;
+      EXPECT_EQ(reach.status,
+                fails ? ReachStatus::BadReachable : ReachStatus::Proved);
+      // A threaded seq-atpg that found a trace before its cancellation
+      // found a real one.
+      if (!atpg.trace.empty()) {
         EXPECT_TRUE(fails);
         EXPECT_EQ(simulate_trace(m, atpg.trace, bad), Tri::T);
       }
-      // Only the formal engine can conclude on a safe design.
-      if (!fails) EXPECT_EQ(r.winner_name, "bdd-reach");
-      // Sequentially, priority order makes the formal engine the winner.
-      if (workers == 0) EXPECT_EQ(r.winner_name, "bdd-reach");
     }
   }
 }
@@ -325,44 +400,64 @@ TEST(Portfolio, RfnPortfolioAgreesWithSequential) {
             << "case " << ci;
     }
     EXPECT_EQ(results[0].verdict, results[1].verdict) << "case " << ci;
+    EXPECT_EQ(results[0].iterations, results[1].iterations) << "case " << ci;
+    EXPECT_EQ(results[0].final_registers, results[1].final_registers)
+        << "case " << ci;
   }
 }
 
 // The RFN races field bdd-reach / sat-bmc / pdr in Step 2 and guided-atpg /
 // sat-bmc / pdr in Step 3, nothing else. With workers every job of a race
 // launches, so a job outside the lineup would leave a CPU timer behind even
-// if it never won.
+// if it never won. A race returns what the sequential order returns, so the
+// threaded run must also walk the same abstractions as the inline one.
 TEST(Portfolio, ThreadedRunRacesOnlyTheLineup) {
   bool ok = false;
   const Netlist m = designs::make_builtin("processor", &ok);
   ASSERT_TRUE(ok);
-  MetricsRegistry::global().reset();
-  RfnOptions opt;
-  opt.portfolio_workers = 4;
-  opt.time_limit_s = 120.0;
-  const RfnResult res = run_property(m, m.output("bad_mutex"), opt);
-  EXPECT_EQ(res.verdict, Verdict::Holds) << res.note;
-
-  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
-  EXPECT_GT(s.value("engine.cpu.bdd-reach.count"), 0.0);
-  for (const std::string job : {"rand-sim", "seq-atpg"}) {
-    EXPECT_EQ(s.value("engine.cpu." + job + ".count"), 0.0) << job;
-    EXPECT_EQ(s.value("portfolio.wins." + job), 0.0) << job;
-  }
-  // An iteration that ends in Step 2 has no Step-3 winner.
   const std::vector<std::string> step2 = {"bdd-reach", "sat-bmc", "pdr"};
   const std::vector<std::string> step3 = {"", "guided-atpg", "sat-bmc", "pdr"};
   const auto in = [](const std::vector<std::string>& lineup,
                      const std::string& winner) {
     return std::find(lineup.begin(), lineup.end(), winner) != lineup.end();
   };
-  ASSERT_FALSE(res.per_iteration.empty());
-  for (size_t i = 0; i < res.per_iteration.size(); ++i) {
-    const RfnIteration& it = res.per_iteration[i];
-    EXPECT_TRUE(in(step2, it.abstract_engine))
-        << "iteration " << i << " abstract winner " << it.abstract_engine;
-    EXPECT_TRUE(in(step3, it.concretize_engine))
-        << "iteration " << i << " concretize winner " << it.concretize_engine;
+  using Engines = std::vector<std::string>;
+  for (const Engines& engines : {Engines{}, Engines{"bdd", "sat", "pdr"}}) {
+    SCOPED_TRACE(engines.empty() ? "default lineup" : "bdd,sat,pdr");
+    RfnOptions opt;
+    opt.engines = engines;
+    opt.time_limit_s = 120.0;
+    const RfnResult inline_res = run_property(m, m.output("bad_mutex"), opt);
+    MetricsRegistry::global().reset();
+    opt.portfolio_workers = 4;
+    const RfnResult res = run_property(m, m.output("bad_mutex"), opt);
+    EXPECT_EQ(res.verdict, Verdict::Holds) << res.note;
+    EXPECT_EQ(res.verdict, inline_res.verdict);
+    EXPECT_EQ(res.iterations, inline_res.iterations);
+    EXPECT_EQ(res.final_registers, inline_res.final_registers);
+
+    const MetricsSnapshot s = MetricsRegistry::global().snapshot();
+    EXPECT_GT(s.value("engine.cpu.bdd-reach.count"), 0.0);
+    for (const std::string job : {"rand-sim", "seq-atpg"}) {
+      EXPECT_EQ(s.value("engine.cpu." + job + ".count"), 0.0) << job;
+      EXPECT_EQ(s.value("portfolio.wins." + job), 0.0) << job;
+    }
+    // An iteration that ends in Step 2 has no Step-3 winner. Every race has
+    // the winner it has inline.
+    ASSERT_FALSE(res.per_iteration.empty());
+    ASSERT_EQ(res.per_iteration.size(), inline_res.per_iteration.size());
+    for (size_t i = 0; i < res.per_iteration.size(); ++i) {
+      const RfnIteration& it = res.per_iteration[i];
+      EXPECT_TRUE(in(step2, it.abstract_engine))
+          << "iteration " << i << " abstract winner " << it.abstract_engine;
+      EXPECT_TRUE(in(step3, it.concretize_engine))
+          << "iteration " << i << " concretize winner " << it.concretize_engine;
+      EXPECT_EQ(it.abstract_engine, inline_res.per_iteration[i].abstract_engine)
+          << "iteration " << i;
+      EXPECT_EQ(it.concretize_engine,
+                inline_res.per_iteration[i].concretize_engine)
+          << "iteration " << i;
+    }
   }
 }
 

@@ -180,9 +180,10 @@ job_sanitize() { # <thread|address,undefined>
 # --- job: bench-gate --------------------------------------------------------
 # Release bench run diffed against the checked-in BENCH_portfolio.json
 # (>20% wall-time or >10% BDD peak-node growth fails; see
-# tools/bench_gate.py for re-baselining), plus the certified batch runs of
-# every shipped design, the end-to-end benchmark's self-test and the memory
-# gate against BENCH_prof.json. Every gate is followed by a synthetic
+# tools/bench_gate.py for re-baselining), plus the inline-vs-threaded
+# trajectory gate, the certified batch runs of every shipped design, the
+# end-to-end benchmark's self-test and the memory gate against
+# BENCH_prof.json. Every gate is followed by a synthetic
 # regression that must fail it: a gate that cannot fail gates nothing.
 job_bench_gate() {
   local d=build-ci-bench
@@ -192,11 +193,38 @@ job_bench_gate() {
 
   note "bench-gate: trace tooling self-check"
   python3 tools/trace_report.py --self-check
-  # A threaded run launches every job of every race, so its trace is where
-  # a race won outside the Step-2/Step-3 lineups would show.
-  "./$d/tools/rfn" verify builtin:processor --bad bad_mutex --bad error_flag \
-    --workers 4 --trace-json "$d/threaded-processor.jsonl"
-  python3 tools/trace_report.py --batch "$d/threaded-processor.jsonl"
+  # Trajectory gate: a race returns what the sequential order returns, so
+  # every run of a lineup, inline or threaded, must report the same
+  # per-property iterations and final abstraction size. A threaded run also
+  # launches every job of every race, so its trace is where a race won
+  # outside the Step-2/Step-3 lineups would show (--batch validates that).
+  # No wall-time bound: threaded races still wait for cancelled jobs.
+  note "bench-gate: threaded runs walk the inline trajectory"
+  processor_run() { # <trace> <rfn verify args...>
+    local trace=$1; shift
+    "./$d/tools/rfn" verify builtin:processor --bad bad_mutex \
+      --bad error_flag "$@" --trace-json "$trace" >/dev/null
+    python3 tools/trace_report.py --batch "$trace" >/dev/null
+  }
+  local lineup workers traces
+  for lineup in default bdd,sat,pdr; do
+    local engine=()
+    [ "$lineup" = default ] || engine=(--engine "$lineup")
+    traces=()
+    for workers in 0 0 0 4 4 4 4 4; do
+      traces+=("$d/trajectory-$lineup-${#traces[@]}-w$workers.jsonl")
+      processor_run "${traces[-1]}" --workers "$workers" "${engine[@]}"
+    done
+    python3 tools/trace_report.py --trajectory "${traces[@]}"
+  done
+  # Negative self-check: the default lineup and bdd,sat end on different
+  # abstractions (13/19 against 12/18 registers), so the gate must refuse.
+  processor_run "$d/trajectory-bdd,sat.jsonl" --engine bdd,sat
+  if python3 tools/trace_report.py --trajectory \
+      "$d/trajectory-default-0-w0.jsonl" "$d/trajectory-bdd,sat.jsonl" \
+      2>/dev/null; then
+    fail "trajectory gate accepted runs of two different lineups"
+  fi
 
   # Traces are recorded before the gate so a failing gate still leaves a
   # profile behind (CI uploads it): the first question about a perf

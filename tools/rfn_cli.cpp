@@ -20,7 +20,9 @@
 // flag not listed here, before the design loads. Common options:
 //   --time-limit S     wall-clock budget (default 300; negative: unlimited)
 //   --max-iterations N abstraction-refinement iterations (default 1000)
-//   --workers N        engine-portfolio worker threads (default 0: sequential)
+//   --workers N        engine-portfolio worker threads (default 0: sequential;
+//                      any count gives the same verdicts, iterations and
+//                      final abstraction, only the wall time differs)
 //   --engine LIST      engines entering the races, comma-separated subset of
 //                      bdd,atpg,sat,pdr (repeatable; default: all four).
 //                      Unknown names, and lists without one of bdd,sat,pdr
@@ -28,9 +30,6 @@
 //                      Step-3 guided concretization only. Only bdd and pdr
 //                      can prove HOLDS; a list without either can only
 //                      falsify.
-//   --proof-shrink     proof-based abstraction shrinking: drop included
-//                      registers a Step-3 bounded-UNSAT core never touched
-//                      (alternating grow/shrink; never changes a verdict)
 //   --pdr-max-frames N IC3/PDR frame bound per race (default 128)
 //   --pdr-time S       IC3/PDR wall budget per race (default 10, 0=unlimited)
 //   --certify          build an rfn-cert-v1 witness for every HOLDS/VIOLATED

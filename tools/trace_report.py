@@ -23,18 +23,22 @@ certification names its failing obligation (and a successful one does
 not), and that the summary's property/verdict/certificate counts match the
 records. Per iteration record it checks that every engine block is
 present — including the IC3/PDR activity block (obligations/clauses/
-frames, nonnegative numbers) and the refine block's proof-shrink column
-(shrunk_registers, bounded by the abstraction size) — that each race's
-winner is in its step's lineup (bdd-reach/sat-bmc/pdr for the abstract
-race, guided-atpg/sat-bmc/pdr for concretize), that it names the
-property it follows, that iterations are numbered densely from 0, and that
-their count equals the property's `iterations`. A clustered property
+frames, nonnegative numbers) — that each race's winner is in its step's
+lineup (bdd-reach/sat-bmc/pdr for the abstract race, guided-atpg/sat-bmc/
+pdr for concretize), that it names the property it follows, that
+iterations are numbered densely from 0, and that their count equals the
+property's `iterations`. A clustered property
 answered by a run shared with an earlier member carries no iteration
 records of its own (the shared run's records follow the first member). It
-then prints a per-property table, a per-iteration table with the PDR and
-shrink columns, a certification summary line when certificates were
-recorded, and a SAT-engine activity line (checks, conflicts,
-refinement-hint registers) when the sat engine ran.
+then prints a per-property table, a per-iteration table with the PDR
+columns, a certification summary line when certificates were recorded,
+and a SAT-engine activity line (checks, conflicts, wins) when the sat
+engine ran.
+
+With `--trajectory A B ...` the inputs are several rfn-trace-v2 files of
+the same property set (say, one run inline and several threaded): each is
+validated as for --batch, and the tool exits nonzero unless every file
+reports the same per-property `iterations` and `final_abstract_regs`.
 
 With `--corpus` the input is an rfn-corpus-v1 or -v2 summary from
 tools/corpus_run.py. The validator checks the schema tag, the per-file and
@@ -95,8 +99,7 @@ BATCH_TRACE_VERSION = "rfn-trace-v2"
 ITERATION_KEYS = ("property", "iter", "abstraction", "reach", "bdd", "hybrid",
                   "trace_cycles", "concretize", "sat", "pdr", "refine",
                   "engines", "seconds")
-# The IC3/PDR activity block and the proof-shrink column of the refine
-# block, both added with the pdr engine.
+# The IC3/PDR activity block, added with the pdr engine.
 PDR_ITER_KEYS = ("obligations", "clauses", "frames")
 # The engines racing Step 2 (abstract) and Step 3 (concretize) of the RFN
 # loop, src/core/rfn.cpp. "" is a race with no winner: inconclusive, or an
@@ -210,20 +213,8 @@ def validate_iteration(r, where):
         if not _nonneg_number(value):
             fail(f"{where}: pdr.{key} is {value!r}, expected a nonnegative "
                  f"number")
-    refine = r["refine"]
-    if not isinstance(refine, dict):
+    if not isinstance(r["refine"], dict):
         fail(f"{where}: refine block is not an object")
-    shrunk = refine.get("shrunk_registers")
-    if not _nonneg_number(shrunk):
-        fail(f"{where}: refine.shrunk_registers is {shrunk!r}, expected a "
-             f"nonnegative number")
-    # A shrink that dropped more registers than the abstraction held is
-    # arithmetically impossible — a corrupted or miscounted record.
-    regs = r.get("abstraction", {})
-    if (isinstance(regs, dict) and _nonneg_number(regs.get("regs")) and
-            shrunk > regs["regs"]):
-        fail(f"{where}: refine.shrunk_registers={shrunk} exceeds the "
-             f"abstraction's {regs['regs']} registers")
 
 
 def validate_batch(records):
@@ -697,23 +688,64 @@ def sat_summary_line(summary):
         return None
     return (f"sat: checks={checks} conflicts={counters.get('sat.conflicts', 0)} "
             f"solve_calls={counters.get('sat.solve_calls', 0)} "
-            f"core_registers={counters.get('sat.core_registers', 0)} "
-            f"hint_registers={counters.get('rfn.sat_hint_registers', 0)} "
             f"wins={counters.get('portfolio.wins.sat-bmc', 0)}")
+
+
+def read_batch(path):
+    """Parses an rfn-trace-v2 JSON Lines file into its record list."""
+    records = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError as err:
+                fail(f"line {lineno}: not JSON ({err})")
+    return records
+
+
+def trajectory(records):
+    """Per-property (iterations, final_abstract_regs) of a validated
+    rfn-trace-v2 record list, keyed by property name."""
+    props = validate_batch(records)[0]
+    for r in props:
+        if not _nonneg_number(r.get("final_abstract_regs")):
+            fail(f"property {r['name']!r} lacks final_abstract_regs")
+    return {r["name"]: (r["iterations"], r["final_abstract_regs"])
+            for r in props}
+
+
+def check_same_trajectory(runs):
+    """Fails unless every (label, records) run has the first run's
+    per-property trajectory."""
+    label0, want = runs[0][0], trajectory(runs[0][1])
+    for label, records in runs[1:]:
+        got = trajectory(records)
+        if got != want:
+            fail(f"{label} diverges from {label0}: {got} vs {want}")
+    return want
+
+
+def report_trajectory(paths):
+    """Requires every rfn-trace-v2 file in `paths` to report the same
+    per-property iterations and final abstraction size."""
+    try:
+        runs = [(path, read_batch(path)) for path in paths]
+    except OSError as err:
+        print(f"trace_report: cannot read {err.filename}: {err}",
+              file=sys.stderr)
+        return 1
+    want = check_same_trajectory(runs)
+    print(f"trajectory: {len(runs)} runs agree: " + " ".join(
+        f"{name}={iters}/{regs}" for name, (iters, regs) in sorted(want.items())))
+    return 0
 
 
 def report_batch(path):
     """Validates and summarizes an rfn-trace-v2 batch JSONL file."""
-    records = []
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as err:
-                    fail(f"line {lineno}: not JSON ({err})")
+        records = read_batch(path)
     except OSError as err:
         print(f"trace_report: cannot read {path}: {err}", file=sys.stderr)
         return 1
@@ -734,7 +766,7 @@ def report_batch(path):
     if iters:
         print(f"\n{'property':<24} {'iter':>4} {'regs':>5} {'reach':<14} "
               f"{'abs-winner':<12} {'pdr-obl':>8} {'pdr-cls':>8} "
-              f"{'frames':>6} {'shrunk':>6} {'seconds':>9}")
+              f"{'frames':>6} {'seconds':>9}")
         for r in iters:
             winner = r["engines"].get("abstract", {}).get("winner", "")
             print(f"{r['property']:<24} {r['iter']:>4} "
@@ -744,12 +776,7 @@ def report_batch(path):
                   f"{r['pdr']['obligations']:>8.0f} "
                   f"{r['pdr']['clauses']:>8.0f} "
                   f"{r['pdr']['frames']:>6.0f} "
-                  f"{r['refine']['shrunk_registers']:>6.0f} "
                   f"{r['seconds']:>9.3f}")
-        total_shrunk = sum(r["refine"]["shrunk_registers"] for r in iters)
-        if total_shrunk:
-            print(f"\nproof_shrink: dropped {total_shrunk:.0f} register(s) "
-                  f"across {len(iters)} iteration(s)")
     if certs:
         kinds = collections.Counter(r["kind"] for r in certs)
         ok = sum(1 for r in certs if r["ok"])
@@ -914,7 +941,7 @@ def synthetic_trace():
                           "dropped_events": 0}}
 
 
-def synthetic_iteration(prop, i, regs, shrunk):
+def synthetic_iteration(prop, i, regs):
     """One well-formed rfn-trace-v2 iteration record for --self-check."""
     return {
         "type": "iteration", "property": prop, "iter": i,
@@ -927,14 +954,12 @@ def synthetic_iteration(prop, i, regs, shrunk):
                    "atpg_rejects": 0},
         "trace_cycles": 4 if i == 0 else 0,
         "concretize": {"status": "unsat" if i == 0 else "none"},
-        "sat": {"conflicts": 7, "propagations": 90, "depth": 4,
-                "core_size": 2},
+        "sat": {"conflicts": 7, "propagations": 90, "depth": 4},
         "pdr": {"obligations": 12, "clauses": 5, "frames": 3},
         "refine": {"conflict_candidates": 1, "fallback_candidates": 0,
-                   "hint_candidates": 2, "added_until_unsat": 1,
-                   "removed_by_greedy": 0, "final_count": regs,
-                   "atpg_calls": 1, "trace_invalidated": False,
-                   "shrunk_registers": shrunk},
+                   "added_until_unsat": 1, "removed_by_greedy": 0,
+                   "final_count": regs, "atpg_calls": 1,
+                   "trace_invalidated": False},
         "engines": {"abstract": {"winner": "pdr", "seconds": 0.01,
                                  "cpu_seconds": 0.01},
                     "concretize": {"winner": "sat-bmc", "seconds": 0.02,
@@ -957,12 +982,12 @@ def synthetic_batch_trace():
             "obligation": "", "seconds": 0.01}
     return [
         dict(prop, name="p0", verdict="T"),
-        synthetic_iteration("p0", 0, 3, 0),
-        synthetic_iteration("p0", 1, 4, 1),
+        synthetic_iteration("p0", 0, 3),
+        synthetic_iteration("p0", 1, 4),
         dict(prop, name="p2", verdict="T", bad=8),
         dict(prop, name="p1", verdict="F", bad=9, cluster=1, clustered=False,
              iterations=1, error_trace_cycles=4),
-        synthetic_iteration("p1", 0, 3, 0),
+        synthetic_iteration("p1", 0, 3),
         dict(cert, property="p0", kind="holds-invariant", ok=True, clauses=5),
         dict(cert, property="p1", kind="fails-trace", ok=False,
              trace_cycles=4, obligation="trace-replay"),
@@ -973,7 +998,6 @@ def synthetic_batch_trace():
          "seconds": 0.5,
          "metrics": {"counters": {"sat.checks": 3, "sat.conflicts": 17,
                                   "sat.solve_calls": 9,
-                                  "rfn.sat_hint_registers": 2,
                                   "portfolio.wins.sat-bmc": 1}}},
     ]
 
@@ -1099,7 +1123,7 @@ def self_check():
         return f"self-check: {expect} not detected"
 
     sat_line = sat_summary_line(good_batch[-1])
-    if not sat_line or "checks=3" not in sat_line or "hint_registers=2" not in sat_line:
+    if not sat_line or "checks=3" not in sat_line or "wins=1" not in sat_line:
         failures.append("self-check: SAT batch summary line malformed: "
                         f"{sat_line!r}")
     if sat_summary_line({"metrics": {"counters": {}}}) is not None:
@@ -1149,12 +1173,6 @@ def self_check():
                       "negative pdr clause count"),
         corrupt_batch(lambda d: d[1]["pdr"].update(frames="three"),
                       "non-numeric pdr frame count"),
-        corrupt_batch(lambda d: d[2]["refine"].pop("shrunk_registers"),
-                      "refine block missing shrunk_registers"),
-        corrupt_batch(lambda d: d[2]["refine"].update(shrunk_registers=-1),
-                      "negative shrunk_registers"),
-        corrupt_batch(lambda d: d[2]["refine"].update(shrunk_registers=99),
-                      "shrink larger than the abstraction"),
         corrupt_batch(lambda d: d[1]["engines"]["abstract"].update(
                           winner="rand-sim"),
                       "abstract race won by an engine outside the lineup"),
@@ -1184,6 +1202,21 @@ def self_check():
                       "second-round run of a cluster missing its iteration "
                       "records (same wall time)"),
     ) if f]
+
+    # The trajectory gate: a copy of a run agrees with it, a run that ended
+    # on a different abstraction does not.
+    diverged = json.loads(json.dumps(good_batch))
+    diverged[4]["final_abstract_regs"] = 5  # p1, a solo run
+    try:
+        check_same_trajectory([("a", good_batch),
+                               ("b", json.loads(json.dumps(good_batch)))])
+    except TraceError as err:
+        failures.append(f"self-check: identical trajectories rejected: {err}")
+    try:
+        check_same_trajectory([("a", good_batch), ("b", diverged)])
+        failures.append("self-check: diverging final abstraction not detected")
+    except TraceError:
+        pass
 
     good_corpus = synthetic_corpus()
     try:
@@ -1358,6 +1391,9 @@ def main():
     ap.add_argument("--prof", action="store_true",
                     help="TRACE is an rfn-prof-v1 resource profile from "
                          "rfn verify --prof-json")
+    ap.add_argument("--trajectory", nargs="+", metavar="TRACE",
+                    help="rfn-trace-v2 files that must agree on every "
+                         "property's iterations and final abstraction size")
     ap.add_argument("--serve", action="store_true",
                     help="TRACE is an rfn_serve session log (streamed "
                          "records + rfn-resp-v1 lines from one connection)")
@@ -1365,6 +1401,13 @@ def main():
 
     if args.self_check:
         return self_check()
+    if args.trajectory:
+        try:
+            return report_trajectory(args.trajectory)
+        except TraceError as err:
+            print(f"trace_report: trajectory mismatch or invalid trace: {err}",
+                  file=sys.stderr)
+            return 1
     if not args.trace:
         ap.error("a trace file is required (or --self-check)")
     if args.serve:
