@@ -221,28 +221,25 @@ void export_portfolio_counters(benchmark::State& state) {
   state.counters["bdd_peak_nodes"] = s.value("bdd.peak_live_nodes.max");
   // Byte-exact arena peaks (see util/prof and DESIGN.md "Resource
   // profiling"). Informational in the per-bench counters — the CI byte gate
-  // runs on rfn-prof-v1 artifacts from deterministic --workers 0 CLI runs
+  // runs on rfn-prof-v1 artifacts from deterministic CLI runs
   // (tools/bench_gate.py --prof-baseline), not on these.
   state.counters["bdd_peak_heap_bytes"] = s.value("bdd.heap_bytes.max");
   state.counters["sat_peak_heap_bytes"] = s.value("sat.heap_bytes.max");
 }
 
-// Full RFN runs on the FIFO psh_full property, sequential (workers = 0)
-// vs portfolio: the same verdict either way, the arg only changes who
-// races whom in Steps 2 and 3.
+// Full RFN runs on the FIFO psh_full property with the default race lineup.
 void BM_RfnPortfolioFifo(benchmark::State& state) {
   const rfn::designs::FifoDesign fifo =
       rfn::designs::make_fifo({.addr_bits = 3, .data_bits = 2});
   MetricsRegistry::global().reset();
   for (auto _ : state) {
     RfnOptions opt;
-    opt.portfolio_workers = static_cast<size_t>(state.range(0));
     const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
   export_portfolio_counters(state);
 }
-BENCHMARK(BM_RfnPortfolioFifo)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RfnPortfolioFifo)->Unit(benchmark::kMillisecond);
 
 // The batch-session workload: the three FIFO occupancy-flag properties
 // plus the composite "some flag errs" line (their disjunction — the kind of
@@ -330,7 +327,6 @@ void BM_PortfolioPdrFifo(benchmark::State& state) {
   for (auto _ : state) {
     RfnOptions opt;
     opt.engines = {"pdr"};
-    opt.portfolio_workers = static_cast<size_t>(state.range(0));
     const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
     if (!res.pdr_invariant.present)
@@ -341,7 +337,7 @@ void BM_PortfolioPdrFifo(benchmark::State& state) {
   state.counters["pdr_clauses"] = s.value("pdr.clauses");
   export_portfolio_counters(state);
 }
-BENCHMARK(BM_PortfolioPdrFifo)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PortfolioPdrFifo)->Unit(benchmark::kMillisecond);
 
 // The SAT BMC engine in isolation: one fresh incremental instance per
 // iteration answering the concrete bounded question on the FIFO psh_full
@@ -376,7 +372,6 @@ void BM_PortfolioWithSatFifo(benchmark::State& state) {
   for (auto _ : state) {
     RfnOptions opt;
     opt.engines = {"bdd", "sat"};
-    opt.portfolio_workers = static_cast<size_t>(state.range(0));
     const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
@@ -385,16 +380,15 @@ void BM_PortfolioWithSatFifo(benchmark::State& state) {
   state.counters["sat_checks"] = s.value("sat.checks");
   export_portfolio_counters(state);
 }
-BENCHMARK(BM_PortfolioWithSatFifo)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PortfolioWithSatFifo)->Unit(benchmark::kMillisecond);
 
 // The Step-2 race in isolation on the USB packet-engine abstraction:
-// bounded BDD reachability vs iterative-deepening ATPG chasing a coverage
-// register, sequential vs four workers.
+// bounded BDD reachability, then iterative-deepening ATPG chasing a coverage
+// register.
 void BM_PortfolioRaceUsb(benchmark::State& state) {
   const rfn::designs::UsbDesign usb = rfn::designs::make_usb({});
   const Subcircuit sub = extract_abstract_model(usb.netlist, usb.usb2, usb.usb2);
   const GateId target = sub.to_new(usb.usb2.front());
-  Portfolio portfolio(static_cast<size_t>(state.range(0)));
   MetricsRegistry::global().reset();
   for (auto _ : state) {
     BddMgr mgr;
@@ -423,7 +417,7 @@ void BM_PortfolioRaceUsb(benchmark::State& state) {
                       }
                       return false;
                     }});
-    const RaceResult r = portfolio.race(jobs);
+    const RaceResult r = race(jobs);
     benchmark::DoNotOptimize(r.conclusive);
     // This bench owns the iteration's manager, so it flushes the BDD stats
     // (once per manager, same as the CEGAR loop does for its own managers).
@@ -431,7 +425,7 @@ void BM_PortfolioRaceUsb(benchmark::State& state) {
   }
   export_portfolio_counters(state);
 }
-BENCHMARK(BM_PortfolioRaceUsb)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PortfolioRaceUsb)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally captures every run for the
 /// rfn-bench-v1 JSON document.

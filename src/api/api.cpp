@@ -175,8 +175,6 @@ const std::vector<Knob>& knobs() {
       {"options", "max-iterations",
        [](R r) -> F { return &r.options.max_iterations; },
        [](O o) -> V { return &o.max_iterations; }},
-      {"options", "workers",
-       [](R r) -> F { return &r.options.portfolio_workers; }},
       {"options", "engines",
        [](R r) -> F { return &r.options.engines; }, nullptr, "engine"},
       {"options", "pdr-max-frames",

@@ -97,7 +97,7 @@ struct Knob {
   std::string cli_flag() const { return flag != nullptr ? flag : key; }
 };
 
-/// The knob list: 9 "options" knobs, then 5 "session" knobs.
+/// The knob list: 8 "options" knobs, then 5 "session" knobs.
 const std::vector<Knob>& knobs();
 
 /// A verification request: rfn-req-v1.

@@ -107,12 +107,9 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   result.metrics_baseline = epoch.baseline();
   Span run_span("rfn.run");
   const Deadline deadline(opt.time_limit_s);
-  // CPU attribution: this thread's CPU over the whole run, plus — when
-  // portfolio workers race off-thread — the CPU their jobs burned. With zero
-  // workers the jobs run inline on this thread and are already in the first
-  // term, so adding race CPU again would double-count.
+  // CPU attribution: this thread's CPU over the whole run (the engine races
+  // run inline on it).
   const int64_t run_cpu0 = prof::thread_cpu_ns();
-  double off_thread_race_cpu_s = 0.0;
 
   // Session seeding: the saved variable order and crucial-register hints of
   // earlier properties. Both are hints — they shape which abstract models
@@ -157,8 +154,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   if (opt.engine_enabled("sat")) {
     // The pooled instance carries learned clauses and unrolled frames across
     // runs; without a pool the instance still persists across this run's
-    // iterations and races (the race barrier is the happens-before edge —
-    // single-owner, like a BddMgr).
+    // iterations and races.
     if (hooks.sat_bmc != nullptr) {
       sat_bmc = &hooks.sat_bmc->get(m);
     } else {
@@ -185,10 +181,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   // the profiler's RSS sampler: it can never trip, so cancellation stays on
   // the caller's token.
   if (budgeted || wd_opt.sample_rss) watchdog.start();
-
-  // One scheduler (and thread pool) for the whole run; with zero workers the
-  // races run their jobs sequentially inline, in priority order.
-  Portfolio portfolio(opt.portfolio_workers);
 
   for (size_t iter = 0; iter < opt.max_iterations; ++iter) {
     if (deadline.expired()) {
@@ -319,14 +311,10 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
     // Up to three engines race the abstract obligation, in priority order:
     // BDD reachability, the SAT BMC probe and PDR. The BDD fixpoint and PDR
     // can *prove*; the SAT probe can only *find* an abstract error trace.
-    // The race returns the first conclusive engine in that order at any
-    // worker count, so the later engines decide only when the fixpoint
-    // runs out of resources.
-    // The BddMgr above is owned by the bdd-reach job for the duration of the
-    // race (single-owner rule), and so is the incremental SAT instance by
-    // the sat-bmc job; PDR touches only the immutable netlist. Jobs carry
-    // engine tags because the lineup depends on opt.engines — winner indices
-    // alone say nothing.
+    // The race returns the first conclusive engine in that order, so the
+    // later engines run only when the fixpoint runs out of resources. Jobs
+    // carry engine tags because the lineup depends on opt.engines — winner
+    // indices alone say nothing.
     enum class Eng { Bdd, Atpg, Sat, Pdr };
     ReachResult reach;
     std::vector<PortfolioJob> jobs;
@@ -368,11 +356,10 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
                       }});
       tags.push_back(Eng::Pdr);
     }
-    const RaceResult abs_race = portfolio.race(jobs, cancel);
+    const RaceResult abs_race = race(jobs, cancel);
     it.abstract_engine = abs_race.winner_name;
     it.abstract_race_seconds = abs_race.seconds;
     it.abstract_race_cpu_seconds = abs_race.cpu_seconds;
-    if (opt.portfolio_workers > 0) off_thread_race_cpu_s += abs_race.cpu_seconds;
     it.reach_status = use_bdd ? reach.status : ReachStatus::ResourceOut;
     it.reach_steps = reach.steps;
 
@@ -475,11 +462,10 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       ctags.push_back(Eng::Pdr);
     }
     RaceResult conc_race;
-    if (!cjobs.empty()) conc_race = portfolio.race(cjobs, cancel);
+    if (!cjobs.empty()) conc_race = race(cjobs, cancel);
     it.concretize_engine = conc_race.winner_name;
     it.concretize_race_seconds = conc_race.seconds;
     it.concretize_race_cpu_seconds = conc_race.cpu_seconds;
-    if (opt.portfolio_workers > 0) off_thread_race_cpu_s += conc_race.cpu_seconds;
     if (conc_race.conclusive) {
       const Eng w = ctags[conc_race.winner];
       if (w == Eng::Sat) {
@@ -539,8 +525,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   result.final_abstract_regs = result.final_registers.size();
   result.seconds = deadline.elapsed_seconds();
   result.cpu_seconds =
-      static_cast<double>(prof::thread_cpu_ns() - run_cpu0) * 1e-9 +
-      off_thread_race_cpu_s;
+      static_cast<double>(prof::thread_cpu_ns() - run_cpu0) * 1e-9;
   if (hooks.order_io != nullptr) *hooks.order_io = std::move(saved_order);
 
   // Joining the monitor thread is the happens-before edge for reading the

@@ -27,7 +27,7 @@
 #include "core/refine.hpp"
 #include "mc/reach.hpp"
 #include "netlist/netlist.hpp"
-#include "util/executor.hpp"
+#include "util/cancel.hpp"
 #include "util/metrics.hpp"
 #include "util/stopwatch.hpp"
 
@@ -39,16 +39,6 @@ struct RfnOptions {
   size_t max_iterations = 1000;
   /// Per-iteration reachability budget on the abstract model.
   ReachOptions reach;
-  /// Worker threads for the Step-2 / Step-3 engine races. 0 runs the race
-  /// jobs sequentially inline in priority order (BDD reachability before the
-  /// SAT probe and PDR; guided ATPG before SAT BMC and PDR): the other
-  /// engines only run when the primary engine is inconclusive. With workers
-  /// the jobs run concurrently, but a race still returns the first
-  /// conclusive job in that order (core/portfolio.hpp), so the winners, the
-  /// iterations and the final abstraction are the same at any worker count;
-  /// only wall time changes. (One exception, DESIGN.md §6: a sat-bmc win
-  /// after an inconclusive primary engine may decode a different trace.)
-  size_t portfolio_workers = 0;
   /// Engines entering the Step-2 / Step-3 races. Empty = all of
   /// {"bdd", "atpg", "sat", "pdr"}; a non-empty list must be a subset of
   /// those names and name at least one Step-2 engine ("bdd", "sat" or
@@ -129,8 +119,7 @@ struct RfnIteration {
   uint64_t pdr_clauses = 0;
   size_t pdr_frames = 0;
   /// Wall time of the Step-2 / Step-3 engine races, and the thread-CPU time
-  /// their jobs burned (winner, losers and cancelled alike; see
-  /// RaceResult::cpu_seconds).
+  /// the jobs that ran burned (see RaceResult::cpu_seconds).
   double abstract_race_seconds = 0.0;
   double concretize_race_seconds = 0.0;
   double abstract_race_cpu_seconds = 0.0;
@@ -168,9 +157,8 @@ struct RfnResult {
   /// abstract model. Lets callers resume refinement or seed a later run.
   std::vector<GateId> final_registers;
   double seconds = 0.0;
-  /// Thread-CPU seconds attributable to this run: the calling thread's CPU
-  /// over the run plus, when portfolio workers raced off-thread, the CPU their
-  /// jobs burned (sequential runs execute jobs inline, already counted).
+  /// Thread-CPU seconds of this run: the calling thread's CPU over the run,
+  /// engine races included (they run inline on it).
   double cpu_seconds = 0.0;
   std::vector<RfnIteration> per_iteration;
   std::string note;  // diagnostic for Unknown/ResourceOut verdicts

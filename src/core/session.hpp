@@ -111,8 +111,7 @@ struct SessionOptions {
   /// Upper bound on properties answered by one disjunction run.
   size_t max_cluster_size = 4;
   /// Worker threads running cluster jobs concurrently (0 = inline,
-  /// deterministic cluster order). Independent of the per-run
-  /// RfnOptions::portfolio_workers engine races.
+  /// deterministic cluster order).
   size_t workers = 0;
   /// Whole-batch wall budget, split fair-share across properties: each
   /// cluster run gets (budget / #properties) * #members, enforced through
@@ -173,8 +172,8 @@ class SubcircuitMemo {
 /// across every solve it answers, so handing the same instance to every run
 /// on a design is where the incremental formulation pays off. Like
 /// SubcircuitMemo it is single-threaded by design: each cluster job owns one
-/// pool, and within a run the portfolio's race barrier is the happens-before
-/// edge between uses (same single-owner rule as a BddMgr).
+/// pool, and a run's engine races use it one job at a time on the run's
+/// thread (same single-owner rule as a BddMgr).
 class SatBmcPool {
  public:
   /// Returns the pooled instance for `m`, creating it on first use. The

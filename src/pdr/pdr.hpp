@@ -88,9 +88,8 @@ struct PdrResult {
   PdrStats stats;
 };
 
-/// Single-owner like a BddMgr or SatBmc: the instance may move between
-/// portfolio worker threads across races, but no two concurrent jobs may
-/// share it.
+/// Single-owner like a BddMgr or SatBmc: no two threads may use the
+/// instance at once.
 class Pdr {
  public:
   /// `included` must be sorted ascending (the session's invariant for

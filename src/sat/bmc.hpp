@@ -38,9 +38,7 @@ struct SatBmcResult {
   size_t depth = 0;
 };
 
-/// Single-owner like a BddMgr: the instance may move between portfolio
-/// worker threads across races (race() is the happens-before edge) but no
-/// two concurrent jobs may share it.
+/// Single-owner like a BddMgr: no two threads may use the instance at once.
 class SatBmc {
  public:
   explicit SatBmc(const Netlist& m);

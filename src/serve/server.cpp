@@ -275,8 +275,8 @@ void Server::process(Conn& conn, const api::VerifyRequest& req,
   std::string err;
   bool ok;
   {
-    // Per-request metrics isolation: the whole run — executor workers,
-    // portfolio jobs, and the watchdog included, via binding propagation —
+    // Per-request metrics isolation: the whole run — executor workers and
+    // the watchdog included, via binding propagation —
     // records into a registry this request owns, so the batch summary's
     // metrics block is request-relative even with concurrent requests
     // in flight. Server-level metrics (queue, warm cache) are recorded

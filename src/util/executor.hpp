@@ -1,12 +1,12 @@
 #pragma once
-// Fixed-size worker pool for the engine-portfolio scheduler.
+// Fixed-size worker pool for session cluster jobs and rfn_serve's queue.
 //
 // A deliberately small executor: N std::threads draining one FIFO work
 // queue. Submitted jobs are fire-and-forget; completion signalling is the
-// caller's business (Portfolio::race layers a countdown latch on top). With
-// zero workers the executor runs every job inline inside submit(), which is
-// what lets a portfolio degrade to plain sequential execution — same code
-// path, no threads, deterministic order.
+// caller's business (VerifySession::run layers a countdown latch on top).
+// With zero workers the executor runs every job inline inside submit(),
+// which is what lets a session degrade to plain sequential execution — same
+// code path, no threads, deterministic order.
 
 #include <atomic>
 #include <condition_variable>

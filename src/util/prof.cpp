@@ -111,12 +111,11 @@ std::vector<RssSample> RssLog::samples() const {
 
 json::Value build_prof_json(const MetricsSnapshot& baseline,
                             const MetricsSnapshot& now, double wall_s,
-                            double cpu_s, size_t workers) {
+                            double cpu_s) {
   json::Value doc = json::Value::object();
   doc.set("format", "rfn-prof-v1");
   doc.set("wall_ms", wall_s * 1e3);
   doc.set("total_cpu_ms", cpu_s * 1e3);
-  doc.set("workers", static_cast<uint64_t>(workers));
 
   // Per-engine CPU: every `engine.cpu.<name>.seconds` timer total, relative
   // to the run's baseline. std::map keys are sorted, so row order is stable.

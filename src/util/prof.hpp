@@ -4,9 +4,8 @@
 //
 // Three independent meters feed this layer:
 //   * CPU — thread_cpu_ns() reads CLOCK_THREAD_CPUTIME_ID so the portfolio
-//     can attribute CPU seconds to each engine job no matter which executor
-//     worker ran it. The deltas land in `engine.cpu.<name>` timers (flushed
-//     once per race, like every portfolio metric).
+//     can attribute CPU seconds to each engine job it runs. The deltas land
+//     in `engine.cpu.<name>` timers.
 //   * Heap — BddMgr and sat::Solver keep byte-exact tallies of their arena
 //     capacities (node pool + unique table + computed cache; clause arena +
 //     watch lists) and their owners flush them as `bdd.heap_bytes` /
@@ -90,13 +89,13 @@ class RssLog {
 /// Assembles the rfn-prof-v1 document from a run's baseline-relative
 /// metrics. `baseline`/`now` bracket the run (MetricsEpoch discipline);
 /// `wall_s` is the run's wall time, `cpu_s` the process-CPU delta over the
-/// same interval, `workers` the portfolio worker count. Engine rows come
+/// same interval. Engine rows come
 /// from the `engine.cpu.<name>` timers, subsystem peaks from the
 /// `bdd.heap_bytes` / `sat.heap_bytes` gauges, and the RSS block from
 /// RssLog::global().
 json::Value build_prof_json(const MetricsSnapshot& baseline,
                             const MetricsSnapshot& now, double wall_s,
-                            double cpu_s, size_t workers);
+                            double cpu_s);
 
 /// Renders a Chrome trace-event document (SpanTracer::to_chrome_json) as
 /// collapsed stacks: one "thread;outer;inner <self-microseconds>" line per

@@ -116,28 +116,6 @@ void SpanTracer::instant(const char* name, const char* arg_name,
   emit(e);
 }
 
-uint64_t SpanTracer::flow_out(const char* name) {
-  if (!enabled()) return 0;
-  const uint64_t id = flow_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-  SpanEvent e;
-  e.phase = SpanPhase::FlowOut;
-  e.name = name;
-  e.ts_ns = now_ns();
-  e.flow_id = id;
-  emit(e);
-  return id;
-}
-
-void SpanTracer::flow_in(const char* name, uint64_t id) {
-  if (!enabled() || id == 0) return;
-  SpanEvent e;
-  e.phase = SpanPhase::FlowIn;
-  e.name = name;
-  e.ts_ns = now_ns();
-  e.flow_id = id;
-  emit(e);
-}
-
 json::Value SpanTracer::to_chrome_json() {
   json::Value events = json::Value::array();
   uint64_t dropped = 0;
@@ -201,17 +179,6 @@ json::Value SpanTracer::to_chrome_json() {
           ev.set("ph", "i");
           ev.set("cat", "rfn");
           ev.set("s", "g");
-          break;
-        case SpanPhase::FlowOut:
-          ev.set("ph", "s");
-          ev.set("cat", "flow");
-          ev.set("id", e.flow_id);
-          break;
-        case SpanPhase::FlowIn:
-          ev.set("ph", "f");
-          ev.set("cat", "flow");
-          ev.set("id", e.flow_id);
-          ev.set("bp", "e");
           break;
       }
       ev.set("pid", 1);

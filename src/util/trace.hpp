@@ -5,8 +5,9 @@
 //
 // The metrics registry (util/metrics) answers *how much*; spans answer
 // *where the wall-clock went*: which engine stalled a portfolio race, which
-// BDD reordering blocked an image step, how long a race loser burned before
-// it noticed cancellation. The cost model mirrors the registry's two tiers:
+// BDD reordering blocked an image step, how long an inconclusive engine ran
+// before the next one took over. The cost model mirrors the registry's two
+// tiers:
 //   * disabled (the default), every recording call is one relaxed atomic
 //     load — engines keep their spans compiled in unconditionally;
 //   * enabled, a span begin/end is a steady_clock read plus one store into
@@ -15,15 +16,12 @@
 //     through SpanTracer::intern (a mutex, at setup boundaries only).
 //
 // Causality. Within a thread, parent/child is the begin/end nesting the
-// Chrome format derives from B/E pairs. Across threads — the portfolio
-// scheduler handing a job to an executor worker — the submitting thread
-// emits a flow-origin event (flow_out) and the worker binds its job span to
-// the same id (flow_in); Perfetto draws the arrow.
+// Chrome format derives from B/E pairs; each thread is its own track.
 //
 // Thread-safety contract: enable(), disable() and the exporters must run at
 // quiescent points — no concurrent emission. Emission itself is safe from
 // any thread. The exporter re-reads every thread's buffer; the caller's
-// synchronization with those threads (Portfolio::race joining its started
+// synchronization with those threads (VerifySession waiting out its cluster
 // jobs, Watchdog::stop joining the monitor) is what makes that race-free.
 //
 // Export (schema "rfn-spans-v1"): {"traceEvents":[...], "displayTimeUnit":
@@ -46,7 +44,7 @@
 
 namespace rfn {
 
-enum class SpanPhase : uint8_t { Begin, End, Instant, FlowOut, FlowIn };
+enum class SpanPhase : uint8_t { Begin, End, Instant };
 
 /// One ring-buffer record. `name`, `arg_name` and `arg_str` must be string
 /// literals or pointers obtained from SpanTracer::intern — only the pointer
@@ -55,7 +53,6 @@ struct SpanEvent {
   SpanPhase phase = SpanPhase::Instant;
   const char* name = nullptr;
   uint64_t ts_ns = 0;      // since the tracer's enable() epoch
-  uint64_t flow_id = 0;    // FlowOut / FlowIn correlation id
   const char* arg_name = nullptr;  // optional single key/value payload
   const char* arg_str = nullptr;
   double arg_num = 0.0;
@@ -97,11 +94,6 @@ class SpanTracer {
   void instant(const char* name, const char* arg_name = nullptr,
                const char* arg_str = nullptr, double arg_num = 0.0,
                bool arg_is_num = false);
-  /// Emits a flow origin bound to a fresh id on the calling thread and
-  /// returns the id (0 while disabled — flow_in ignores 0).
-  uint64_t flow_out(const char* name);
-  /// Binds the calling thread's enclosing span to flow `id`.
-  void flow_in(const char* name, uint64_t id);
 
   // --- export (quiescent callers only) ---
 
@@ -123,7 +115,6 @@ class SpanTracer {
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> generation_{0};  // bumped by enable(); invalidates TLS
-  std::atomic<uint64_t> flow_counter_{0};
   std::atomic<int64_t> epoch_ns_{0};  // steady_clock at enable()
 
   mutable std::mutex mu_;  // buffers_, interned_, capacity_, next_tid_

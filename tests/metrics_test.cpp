@@ -269,7 +269,8 @@ TEST(TraceJson, CliRejectsRemovedFlags) {
     EXPECT_NE(err.str().find("was removed"), std::string::npos) << err.str();
   }
   // Knobs deleted with their mechanism are plain unknown flags.
-  for (const char* flag : {"--no-approx", "--traces 2", "--proof-shrink"}) {
+  for (const char* flag :
+       {"--no-approx", "--traces 2", "--proof-shrink", "--workers 4"}) {
     const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
                             " --bad bad_q " + flag + " > /dev/null 2> " + out;
     const int rc = std::system(cmd.c_str());

@@ -13,8 +13,8 @@
 //   * the BFS coverage baseline: with the full register set its
 //     unreachable-state count matches exhaustive enumeration of the BDD
 //     fixpoint;
-//   * the full RFN loop, sequential vs portfolio: same verdict, iteration
-//     count and final abstraction.
+//   * the full RFN loop: the ground-truth verdict, a replaying error trace,
+//     and a certificate the independent checker accepts.
 //
 // Disagreements dump the failing netlist (BLIF + generator seed) into
 // RFN_FUZZ_DUMP_DIR for offline triage.
@@ -277,68 +277,55 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
         << "BFS baseline unreachable count disagrees with BDD enumeration";
   }
 
-  // Full RFN loop, sequential vs portfolio: the acceptance criterion.
-  // Expensive relative to the checks above, so sample every 8th netlist.
-  // A race returns what the sequential order returns, so the threaded run
-  // must walk the same abstractions, not only reach the same verdict.
+  // Full RFN loop: the acceptance criterion. Expensive relative to the
+  // checks above, so sample every 8th netlist.
   if (round % 8 == 0) {
     const Verdict expect = reach.status == ReachStatus::BadReachable
                                ? Verdict::Fails
                                : Verdict::Holds;
-    std::vector<RfnResult> runs;
-    for (const size_t workers : {size_t{0}, size_t{2}}) {
-      RfnOptions opt;
-      opt.portfolio_workers = workers;
-      runs.push_back(run_property(m, bad, opt));
-      const RfnResult& res = runs.back();
-      EXPECT_EQ(res.verdict, expect)
-          << "RFN (workers=" << workers << ") disagrees with the BDD ground "
-          << "truth; note: " << res.note;
-      if (res.verdict == Verdict::Fails) {
-        EXPECT_EQ(simulate_trace(m, res.error_trace, bad), Tri::T)
-            << "RFN error trace (workers=" << workers << ") does not replay";
-      }
-
-      // Certificate round trip on the concluded verdict: extraction,
-      // serialize + reparse, and the independent SAT checker must accept
-      // the witness the verdict earned...
-      if (res.verdict != expect) continue;
-      const CertificateBuild built =
-          res.verdict == Verdict::Holds
-              ? build_holds_certificate(m, bad, "bad", res.final_registers)
-              : build_fails_certificate(m, bad, "bad", res.error_trace);
-      ASSERT_TRUE(built.ok) << "workers=" << workers << ": " << built.detail;
-      cert::Certificate back;
-      std::string cert_err;
-      ASSERT_TRUE(
-          cert::from_json(cert::to_json(built.certificate), &back, &cert_err))
-          << cert_err;
-      const cert::CheckResult chk = cert::check_certificate(m, back);
-      EXPECT_TRUE(chk.ok) << "workers=" << workers << ", verdict "
-                          << to_string(res.verdict) << ": obligation "
-                          << chk.obligation << ": " << chk.detail;
-
-      // ...and a deliberately mutated invariant must be refused. Weakening
-      // Inv to `true` on a design whose bad is truly reachable leaves the
-      // safety obligation nothing to stand on.
-      if (res.verdict == Verdict::Fails) {
-        cert::Certificate mutated;
-        mutated.kind = cert::CertKind::HoldsInvariant;
-        mutated.design_hash = design_hash(m);
-        mutated.design_regs = m.num_regs();
-        mutated.property_name = "bad";
-        mutated.bad = bad;
-        mutated.registers = m.regs();
-        const cert::CheckResult rej = cert::check_certificate(m, mutated);
-        EXPECT_FALSE(rej.ok)
-            << "checker accepted a holds witness for a violated property";
-        EXPECT_EQ(rej.obligation, cert::kObligationSafety);
-      }
+    const RfnResult res = run_property(m, bad, RfnOptions{});
+    EXPECT_EQ(res.verdict, expect)
+        << "RFN disagrees with the BDD ground truth; note: " << res.note;
+    if (res.verdict == Verdict::Fails) {
+      EXPECT_EQ(simulate_trace(m, res.error_trace, bad), Tri::T)
+          << "RFN error trace does not replay";
     }
-    EXPECT_EQ(runs[0].iterations, runs[1].iterations)
-        << "workers=2 took a different number of iterations";
-    EXPECT_EQ(runs[0].final_registers, runs[1].final_registers)
-        << "workers=2 ended on a different abstraction";
+    if (res.verdict != expect) return;
+
+    // Certificate round trip on the concluded verdict: extraction,
+    // serialize + reparse, and the independent SAT checker must accept
+    // the witness the verdict earned...
+    const CertificateBuild built =
+        res.verdict == Verdict::Holds
+            ? build_holds_certificate(m, bad, "bad", res.final_registers)
+            : build_fails_certificate(m, bad, "bad", res.error_trace);
+    ASSERT_TRUE(built.ok) << built.detail;
+    cert::Certificate back;
+    std::string cert_err;
+    ASSERT_TRUE(
+        cert::from_json(cert::to_json(built.certificate), &back, &cert_err))
+        << cert_err;
+    const cert::CheckResult chk = cert::check_certificate(m, back);
+    EXPECT_TRUE(chk.ok) << "verdict " << to_string(res.verdict)
+                        << ": obligation " << chk.obligation << ": "
+                        << chk.detail;
+
+    // ...and a deliberately mutated invariant must be refused. Weakening
+    // Inv to `true` on a design whose bad is truly reachable leaves the
+    // safety obligation nothing to stand on.
+    if (res.verdict == Verdict::Fails) {
+      cert::Certificate mutated;
+      mutated.kind = cert::CertKind::HoldsInvariant;
+      mutated.design_hash = design_hash(m);
+      mutated.design_regs = m.num_regs();
+      mutated.property_name = "bad";
+      mutated.bad = bad;
+      mutated.registers = m.regs();
+      const cert::CheckResult rej = cert::check_certificate(m, mutated);
+      EXPECT_FALSE(rej.ok)
+          << "checker accepted a holds witness for a violated property";
+      EXPECT_EQ(rej.obligation, cert::kObligationSafety);
+    }
   }
 }
 

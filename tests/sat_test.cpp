@@ -238,7 +238,6 @@ TEST(SatLoop, SatAndAtpgConcretizationAgreeOnVerdicts) {
     for (const bool sat : {false, true}) {
       RfnOptions opt;
       opt.engines = {"bdd", sat ? "sat" : "atpg"};
-      opt.portfolio_workers = 0;
       verdicts[sat ? 1 : 0] = run_property(m, bad, opt).verdict;
     }
     EXPECT_EQ(verdicts[0], verdicts[1]) << "sat and atpg disagree (round "

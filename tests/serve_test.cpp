@@ -411,7 +411,7 @@ TEST(RequestCodec, EveryDoorSetsEveryKnob) {
     for (size_t d = 1; d < doors.size(); ++d)
       EXPECT_EQ(doors[d], doors[0]) << "door " << d;
   }
-  EXPECT_EQ(api::knobs().size(), 14u);
+  EXPECT_EQ(api::knobs().size(), 13u);
   EXPECT_EQ(overridable, 5u);
   std::remove(props.c_str());
 }
@@ -474,7 +474,8 @@ TEST(RequestCodec, RefusesRemovedOptionKeys) {
   const std::pair<const char*, json::Value> removed[] = {
       {"traces", json::Value(2.0)},
       {"approx-fallback", json::Value(false)},
-      {"proof-shrink", json::Value(true)}};
+      {"proof-shrink", json::Value(true)},
+      {"workers", json::Value(4.0)}};
   for (const auto& [key, value] : removed) {
     json::Value options = json::Value::object();
     options.set(key, value);

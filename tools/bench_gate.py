@@ -41,7 +41,7 @@ and fails when a subsystem's peak_bytes grew past --byte-tolerance (default
 25%) over the baseline, or when a baseline subsystem is missing from the
 current artifact. The arena byte counters (bdd node pool + unique-table
 buckets + computed cache; SAT clause arena + watch lists) are byte-exact
-and — for a fixed workload run with `--workers 0` — fully deterministic, so
+and — for a fixed workload — fully deterministic, so
 the generous tolerance only absorbs allocator capacity-doubling
 granularity, not noise. Engine CPU, wall time, and RSS are deliberately NOT
 gated here: they are machine-dependent (the wall gate above already covers
@@ -50,7 +50,7 @@ engine list keeps both arenas exercised — bdd-reach proves bad_mutex, the
 SAT engine concretizes error_flag's counterexample):
 
   ./build/tools/rfn verify builtin:processor --bad bad_mutex \
-      --bad error_flag --workers 0 --engine bdd,sat \
+      --bad error_flag --engine bdd,sat \
       --prof-json BENCH_prof.json
 
 and commit BENCH_prof.json with the change that moved it, saying why.

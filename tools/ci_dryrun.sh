@@ -106,21 +106,22 @@ job_build_test() { # <gcc|clang> <Debug|Release>
 
 # --- job: sanitize ----------------------------------------------------------
 # RFN_SANITIZE instruments the whole tree, then the engines' racing and
-# cancellation paths run once more under it. TSan is the portfolio
-# scheduler's lock-in: the concurrency suites are re-run explicitly so a
-# discovery hiccup can never silently drop them.
+# cancellation paths run once more under it. Under TSan the suites that
+# exercise threads (executor, watchdog, serve) and the engines' cancellation
+# paths are re-run explicitly so a discovery hiccup can never silently drop
+# them.
 job_sanitize() { # <thread|address,undefined>
   local san=$1
   local dir="build-ci-sanitize-${san//,/-}"
   note "sanitize ($san)"
   build_and_test "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRFN_SANITIZE="$san"
   # A budgeted bdd+sat run must finish conclusive and certified with the
-  # instrumentation quiet (the solver arena and the portfolio hand-off of
-  # the pooled instance are the interesting surfaces).
+  # instrumentation quiet (the solver arena and the watchdog beside the
+  # races are the interesting surfaces).
   note "sanitize ($san): SAT engine suite + budgeted bdd+sat run"
   "./$dir/tests/sat_test"
   "./$dir/tools/rfn" verify builtin:processor --bad error_flag \
-    --engine bdd,sat --workers 3 --budget-ms 5000 --certify
+    --engine bdd,sat --budget-ms 5000 --certify
   # A PDR Holds must surface as an rfn-cert-v1 invariant the checker
   # accepts, with the solver arena and race cancellation instrumented.
   note "sanitize ($san): PDR suite + budgeted bdd+sat+pdr certify runs"
@@ -130,7 +131,7 @@ job_sanitize() { # <thread|address,undefined>
               "iu iu0" "usb bad_se1"; do
     read -r design prop <<<"$spec"
     "./$dir/tools/rfn" verify "builtin:$design" --bad "$prop" \
-      --engine bdd,sat,pdr --workers 3 --budget-ms 10000 --certify
+      --engine bdd,sat,pdr --budget-ms 10000 --certify
   done
   # Witnesses of both polarities: the cut-cone Tseitin encoder and the Sim3
   # trace replay (accepting and refusing) are the surfaces watched here.
@@ -158,7 +159,7 @@ job_sanitize() { # <thread|address,undefined>
   # budget-trip span.
   note "sanitize (thread): budgeted resource-out run"
   local rc=0
-  "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad --workers 3 \
+  "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad \
     --budget-ms 300 --trace-spans "$dir/tsan-spans.json" || rc=$?
   [[ $rc == 1 ]] || fail "budgeted run exited $rc (expected 1: resource-out)"
   python3 tools/trace_report.py "$dir/tsan-spans.json" | grep budget_trip
@@ -168,11 +169,11 @@ job_sanitize() { # <thread|address,undefined>
   # engines by design; TSan watches the trip hand-off.
   note "sanitize (thread): memory-budget resource-out run"
   rc=0
-  "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad --workers 3 \
+  "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad \
     --budget-mem-mb 1 --trace-json "$dir/tsan-mem-trace.jsonl" || rc=$?
   [[ $rc == 1 ]] || fail "memory-budgeted run exited $rc (expected 1)"
   grep -q '"reason":"mem-budget"' "$dir/tsan-mem-trace.jsonl"
-  "./$dir/tools/rfn" verify tests/data/demo.v --bad bad_q --workers 3 \
+  "./$dir/tools/rfn" verify tests/data/demo.v --bad bad_q \
     --prof-json "$dir/tsan-prof.json" --prof-folded "$dir/tsan-prof.folded"
   python3 tools/trace_report.py --prof "$dir/tsan-prof.json"
 }
@@ -180,8 +181,8 @@ job_sanitize() { # <thread|address,undefined>
 # --- job: bench-gate --------------------------------------------------------
 # Release bench run diffed against the checked-in BENCH_portfolio.json
 # (>20% wall-time or >10% BDD peak-node growth fails; see
-# tools/bench_gate.py for re-baselining), plus the inline-vs-threaded
-# trajectory gate, the certified batch runs of every shipped design, the
+# tools/bench_gate.py for re-baselining), plus the trajectory gate, the
+# certified batch runs of every shipped design, the
 # end-to-end benchmark's self-test and the memory gate against
 # BENCH_prof.json. Every gate is followed by a synthetic
 # regression that must fail it: a gate that cannot fail gates nothing.
@@ -193,27 +194,26 @@ job_bench_gate() {
 
   note "bench-gate: trace tooling self-check"
   python3 tools/trace_report.py --self-check
-  # Trajectory gate: a race returns what the sequential order returns, so
-  # every run of a lineup, inline or threaded, must report the same
-  # per-property iterations and final abstraction size. A threaded run also
-  # launches every job of every race, so its trace is where a race won
-  # outside the Step-2/Step-3 lineups would show (--batch validates that).
-  # No wall-time bound: threaded races still wait for cancelled jobs.
-  note "bench-gate: threaded runs walk the inline trajectory"
+  # Trajectory gate: a race runs its lineup in order and keeps the first
+  # verdict, so every run of a lineup must report the same per-property
+  # iterations and final abstraction size. The per-job wall budgets (2 s
+  # for the SAT probe, 10 s for PDR) are what could still make runs drift.
+  # --batch checks that every race winner is in its step's lineup.
+  note "bench-gate: repeated runs walk one trajectory"
   processor_run() { # <trace> <rfn verify args...>
     local trace=$1; shift
     "./$d/tools/rfn" verify builtin:processor --bad bad_mutex \
       --bad error_flag "$@" --trace-json "$trace" >/dev/null
     python3 tools/trace_report.py --batch "$trace" >/dev/null
   }
-  local lineup workers traces
+  local lineup run traces
   for lineup in default bdd,sat,pdr; do
     local engine=()
     [ "$lineup" = default ] || engine=(--engine "$lineup")
     traces=()
-    for workers in 0 0 0 4 4 4 4 4; do
-      traces+=("$d/trajectory-$lineup-${#traces[@]}-w$workers.jsonl")
-      processor_run "${traces[-1]}" --workers "$workers" "${engine[@]}"
+    for run in 0 1 2; do
+      traces+=("$d/trajectory-$lineup-$run.jsonl")
+      processor_run "${traces[-1]}" "${engine[@]}"
     done
     python3 tools/trace_report.py --trajectory "${traces[@]}"
   done
@@ -221,7 +221,7 @@ job_bench_gate() {
   # abstractions (13/19 against 12/18 registers), so the gate must refuse.
   processor_run "$d/trajectory-bdd,sat.jsonl" --engine bdd,sat
   if python3 tools/trace_report.py --trajectory \
-      "$d/trajectory-default-0-w0.jsonl" "$d/trajectory-bdd,sat.jsonl" \
+      "$d/trajectory-default-0.jsonl" "$d/trajectory-bdd,sat.jsonl" \
       2>/dev/null; then
     fail "trajectory gate accepted runs of two different lineups"
   fi
@@ -231,7 +231,7 @@ job_bench_gate() {
   # regression is "where did the time go", and the span trace answers it
   # offline (Perfetto or trace_report.py).
   note "bench-gate: record run traces"
-  "./$d/tools/rfn" verify tests/data/demo.v --bad bad_q --workers 3 \
+  "./$d/tools/rfn" verify tests/data/demo.v --bad bad_q \
     --trace-spans "$d/run-spans.json" --trace-json "$d/run-trace.jsonl"
   python3 tools/trace_report.py "$d/run-spans.json"
   python3 tools/trace_report.py --batch "$d/run-trace.jsonl"
@@ -243,8 +243,8 @@ job_bench_gate() {
   # inductive invariant for Holds) that the independent rfn_check binary
   # re-validates against a fresh elaboration. Each rfn-trace-v2 artifact is
   # re-validated by trace_report.py, and each rfn-prof-v1 artifact too,
-  # including the CPU-consistency bound (no engine set can burn more CPU
-  # than race-wall x workers allows).
+  # including the CPU-consistency bound (the engines cannot burn more CPU
+  # than the race wall time allows).
   note "bench-gate: batch verification of the shipped designs"
   run_batch() { # <design> <property args...>
     local design=$1; shift
@@ -291,12 +291,12 @@ EOF
     fail "bench_gate accepted a 25% regression"
   fi
 
-  # The profile is recorded sequentially (--workers 0): the arena
-  # capacities are then run-to-run identical, so the gate's 25% tolerance
-  # only absorbs allocator doubling granularity, not noise.
+  # The arena capacities of a fixed run are run-to-run identical, so the
+  # gate's 25% tolerance only absorbs allocator doubling granularity, not
+  # noise.
   note "bench-gate: prof gate against BENCH_prof.json"
   "./$d/tools/rfn" verify builtin:processor --bad bad_mutex \
-    --bad error_flag --workers 0 --engine bdd,sat \
+    --bad error_flag --engine bdd,sat \
     --prof-json "$d/prof-current.json"
   python3 tools/trace_report.py --prof "$d/prof-current.json"
   python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \

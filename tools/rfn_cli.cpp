@@ -20,11 +20,11 @@
 // flag not listed here, before the design loads. Common options:
 //   --time-limit S     wall-clock budget (default 300; negative: unlimited)
 //   --max-iterations N abstraction-refinement iterations (default 1000)
-//   --workers N        engine-portfolio worker threads (default 0: sequential;
-//                      any count gives the same verdicts, iterations and
-//                      final abstraction, only the wall time differs)
 //   --engine LIST      engines entering the races, comma-separated subset of
 //                      bdd,atpg,sat,pdr (repeatable; default: all four).
+//                      A race runs the enabled engines in the fixed order
+//                      bdd,sat,pdr (Step 2) or atpg,sat,pdr (Step 3) and
+//                      stops at the first verdict.
 //                      Unknown names, and lists without one of bdd,sat,pdr
 //                      (the Step-2 engines), are rejected up front. atpg is
 //                      Step-3 guided concretization only. Only bdd and pdr
@@ -166,12 +166,12 @@ bool write_text_file(const std::string& path, const std::string& body) {
 /// baseline, and writes it.
 bool write_prof_json_file(const std::string& path,
                           const MetricsSnapshot& baseline, double wall_s,
-                          double cpu_s, size_t workers) {
+                          double cpu_s) {
   prof::RssLog::global().sample();
   prof::RssLog::global().disable();
   const MetricsSnapshot now = MetricsRegistry::global().snapshot();
   const json::Value doc =
-      prof::build_prof_json(baseline, now, wall_s, cpu_s, workers);
+      prof::build_prof_json(baseline, now, wall_s, cpu_s);
   std::ofstream out(path);
   if (out) out << doc.dump(2) << "\n";
   if (!out) std::fprintf(stderr, "rfn: cannot write %s\n", path.c_str());
@@ -211,8 +211,7 @@ struct ProfScope {
 
   /// Writes the span/prof artifacts; call once after the run's threads have
   /// joined (the span buffers are quiescent then). False on I/O errors.
-  bool finish(const MetricsSnapshot& baseline, double wall_s, double cpu_s,
-              size_t workers) {
+  bool finish(const MetricsSnapshot& baseline, double wall_s, double cpu_s) {
     if (trace_spans) {
       SpanTracer::global().disable();
       if (!span_path.empty()) {
@@ -228,8 +227,7 @@ struct ProfScope {
         return false;
     }
     if (!prof_json_path.empty() &&
-        !write_prof_json_file(prof_json_path, baseline, wall_s, cpu_s,
-                              workers))
+        !write_prof_json_file(prof_json_path, baseline, wall_s, cpu_s))
       return false;
     return true;
   }
@@ -270,9 +268,7 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
     std::fprintf(stderr, "rfn: %s\n", error.c_str());
     return 2;
   }
-  if (!prof.finish(out.baseline, out.seconds, prof.cpu_seconds(),
-                   req.options.portfolio_workers))
-    return 2;
+  if (!prof.finish(out.baseline, out.seconds, prof.cpu_seconds())) return 2;
 
   // --cert-dir: run_verify built and checked the witnesses (they are already
   // in the rfn-trace-v2 records); writing them to disk is CLI business.
@@ -346,14 +342,12 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
         std::fputs(trace_to_string(design.netlist, r.trace).c_str(), stdout);
     }
   }
-  // Engine effort and race outcomes come from the metrics registry, so they
-  // are reported for sequential (--workers 0) runs too — the races still
-  // happen, just inline in priority order.
+  // Engine effort and race outcomes come from the metrics registry.
   const MetricsSnapshot metrics =
       MetricsRegistry::global().snapshot().delta(out.baseline);
   std::printf("engines:\n");
   std::fputs(format_engine_stats(metrics).c_str(), stdout);
-  std::printf("portfolio (%zu workers):\n", req.options.portfolio_workers);
+  std::printf("portfolio:\n");
   std::fputs(format_portfolio_stats(metrics).c_str(), stdout);
   for (size_t i = 0; i < out.cert_records.size(); ++i) {
     const CertificateRecord& rec = out.cert_records[i];

@@ -7,7 +7,7 @@ per-engine / per-iteration wall-time breakdown:
     tools/trace_report.py spans.json [--top N]
 
 Validates the file first (schema "rfn-spans-v1": version tag, per-thread
-monotonic timestamps, balanced begin/end pairs, flow pairing) and exits
+monotonic timestamps, balanced begin/end pairs, known phases) and exits
 nonzero with a diagnostic on a malformed trace, so it doubles as the format
 checker in tests and CI. `--self-check` runs the validators against
 built-in good and bad synthetic traces and needs no input file.
@@ -36,7 +36,7 @@ and a SAT-engine activity line (checks, conflicts, wins) when the sat
 engine ran.
 
 With `--trajectory A B ...` the inputs are several rfn-trace-v2 files of
-the same property set (say, one run inline and several threaded): each is
+the same property set (say, repeated runs of one lineup): each is
 validated as for --batch, and the tool exits nonzero unless every file
 reports the same per-property `iterations` and `final_abstract_regs`.
 
@@ -64,8 +64,8 @@ the CI serve job greps to prove cross-request state reuse happened.
 With `--prof` the input is an rfn-prof-v1 resource profile from
 `rfn verify ... --prof-json FILE`. The validator checks the format tag,
 that every per-engine CPU figure is nonnegative and their sum is
-consistent with the portfolio's race wall time for the recorded worker
-count (CPU cannot exceed wall x workers, modulo slack for clock
+consistent with the portfolio's race wall time (the races run their jobs
+on one thread, so CPU cannot exceed wall, modulo slack for clock
 granularity), that each subsystem's peak bytes dominate its live bytes,
 and that the RSS timeline has monotone timestamps with its peak no
 smaller than any sample, then prints a per-engine/per-subsystem digest.
@@ -124,9 +124,9 @@ REJECT_REASONS = ("queue-full", "time-oversubscribed", "mem-oversubscribed",
 WARM_CACHE_KEYS = ("enabled", "hit", "hits", "misses", "evictions",
                    "entries", "bytes", "order_warm", "sat_pool_entries")
 PROF_SCHEMA = "rfn-prof-v1"
-# Sum of per-engine thread-CPU can exceed race wall time only through
-# parallelism: bound it by wall x workers, with headroom for clock
-# granularity and the slice of engine work that runs outside races.
+# Per-engine thread-CPU is burned inside the races, one job at a time, so
+# its sum is bounded by the race wall time, with headroom for clock
+# granularity.
 PROF_CPU_SLACK = 1.25
 PROF_CPU_SLACK_MS = 50.0
 
@@ -153,7 +153,6 @@ def validate(doc):
 
     last_ts = {}
     depth = collections.defaultdict(int)
-    flows = collections.defaultdict(dict)
     for i, e in enumerate(events):
         ph = e.get("ph")
         if ph is None:
@@ -175,19 +174,11 @@ def validate(doc):
                 fail(f"event {i} ({e.get('name')!r}): end without begin on "
                      f"tid {tid}")
             depth[tid] -= 1
-        elif ph in ("s", "f"):
-            fid = e.get("id")
-            if fid is None:
-                fail(f"event {i}: flow event without id")
-            flows[fid][ph] = tid
         elif ph != "i":
             fail(f"event {i}: unknown phase {ph!r}")
     for tid, d in depth.items():
         if d != 0:
             fail(f"tid {tid} has {d} unclosed span(s)")
-    for fid, ends in flows.items():
-        if set(ends) != {"s", "f"}:
-            fail(f"flow {fid} is unpaired (has {sorted(ends)})")
     return events
 
 
@@ -416,11 +407,6 @@ def validate_prof(doc):
     for key in ("wall_ms", "total_cpu_ms"):
         if not _nonneg_number(doc.get(key)):
             fail(f"{key!r} missing or not a nonnegative number")
-    workers = doc.get("workers")
-    if not isinstance(workers, int) or isinstance(workers, bool) or \
-            workers < 0:
-        fail("'workers' missing or not a nonnegative integer")
-
     engines = doc.get("engines")
     if not isinstance(engines, list):
         fail("'engines' missing or not a list")
@@ -443,16 +429,12 @@ def validate_prof(doc):
     for key in ("race_wall_ms", "race_cpu_ms"):
         if not _nonneg_number(portfolio.get(key)):
             fail(f"portfolio.{key} missing or negative")
-    # CPU-vs-wall sanity: N threads can burn at most N seconds of CPU per
-    # wall second. Slack covers clock granularity and engine work that runs
-    # outside the races (e.g. setup inside the job wrapper).
-    bound = portfolio["race_wall_ms"] * max(1, workers) * PROF_CPU_SLACK \
-        + PROF_CPU_SLACK_MS
+    # CPU-vs-wall sanity: the jobs run one at a time on the racing thread,
+    # so together they burn at most one second of CPU per race wall second.
+    bound = portfolio["race_wall_ms"] * PROF_CPU_SLACK + PROF_CPU_SLACK_MS
     if engine_cpu_ms > bound:
-        fail(f"engine cpu_ms sum {engine_cpu_ms:.3f} exceeds "
-             f"race_wall_ms x workers bound {bound:.3f} "
-             f"(wall {portfolio['race_wall_ms']:.3f} ms x {max(1, workers)} "
-             f"workers)")
+        fail(f"engine cpu_ms sum {engine_cpu_ms:.3f} exceeds the race wall "
+             f"bound {bound:.3f} (wall {portfolio['race_wall_ms']:.3f} ms)")
 
     subsystems = doc.get("subsystems")
     if not isinstance(subsystems, dict):
@@ -633,8 +615,7 @@ def report_prof(path):
         return 1
     validate_prof(doc)
     print("== resource profile ==")
-    print(f"wall_ms={doc['wall_ms']:.3f} total_cpu_ms={doc['total_cpu_ms']:.3f} "
-          f"workers={doc['workers']}")
+    print(f"wall_ms={doc['wall_ms']:.3f} total_cpu_ms={doc['total_cpu_ms']:.3f}")
     portfolio = doc["portfolio"]
     print(f"races: wall_ms={portfolio['race_wall_ms']:.3f} "
           f"cpu_ms={portfolio['race_cpu_ms']:.3f}")
@@ -883,10 +864,10 @@ def report(doc, top_n):
             print(f"{run!s:>4} {idx!s:>4} {s['start'] / 1e3:>10.3f} "
                   f"{s['dur'] / 1e3:>10.3f}")
 
-    # Race arms carry an "outcome" annotation; everything the race discarded
-    # (cancelled losers, inconclusive probes) is wall time the portfolio
-    # spent buying latency. High %cancelled with the right winner is the
-    # design working; high %inconclusive is budget misallocation.
+    # Race arms carry an "outcome" annotation; a job that ran without a
+    # verdict (inconclusive, or cut short by the run's token) is wall time
+    # the race spent before the next engine took over. High %inconclusive
+    # is budget misallocation.
     jobs = [s for s in spans if "outcome" in s["args"]]
     if jobs:
         outcomes = collections.defaultdict(lambda: [0, 0.0])
@@ -921,15 +902,11 @@ def synthetic_trace():
          "ts": 0.0},
         {"name": "rfn.iteration", "ph": "B", "cat": "rfn", "pid": 1,
          "tid": 1, "ts": 1.0},
-        {"name": "job", "ph": "s", "cat": "flow", "id": 1, "pid": 1,
-         "tid": 1, "ts": 2.0},
-        {"name": "job", "ph": "B", "cat": "rfn", "pid": 1, "tid": 2,
+        {"name": "job", "ph": "B", "cat": "rfn", "pid": 1, "tid": 1,
          "ts": 3.0},
-        {"name": "job", "ph": "f", "cat": "flow", "id": 1, "bp": "e",
-         "pid": 1, "tid": 2, "ts": 3.5},
         {"name": "budget-trip", "ph": "i", "cat": "rfn", "s": "g", "pid": 1,
          "tid": 3, "ts": 4.0, "args": {"reason": "wall-budget"}},
-        {"name": "job", "ph": "E", "cat": "rfn", "pid": 1, "tid": 2,
+        {"name": "job", "ph": "E", "cat": "rfn", "pid": 1, "tid": 1,
          "ts": 5.0, "args": {"outcome": "won"}},
         {"name": "rfn.iteration", "ph": "E", "cat": "rfn", "pid": 1,
          "tid": 1, "ts": 6.0, "args": {"iter": 0}},
@@ -1057,13 +1034,12 @@ def synthetic_prof():
     return {
         "format": PROF_SCHEMA,
         "wall_ms": 120.0,
-        "total_cpu_ms": 180.0,
-        "workers": 2,
+        "total_cpu_ms": 115.0,
         "engines": [
-            {"name": "bdd-reach", "cpu_ms": 80.0},
-            {"name": "sat-bmc", "cpu_ms": 60.0},
+            {"name": "bdd-reach", "cpu_ms": 60.0},
+            {"name": "sat-bmc", "cpu_ms": 30.0},
         ],
-        "portfolio": {"race_wall_ms": 100.0, "race_cpu_ms": 140.0},
+        "portfolio": {"race_wall_ms": 100.0, "race_cpu_ms": 90.0},
         "subsystems": {
             "bdd": {"live_bytes": 2 << 20, "peak_bytes": 2 << 20},
             "sat": {"live_bytes": 1 << 20, "peak_bytes": 3 << 20},
@@ -1101,8 +1077,10 @@ def self_check():
                 "unbalanced begin/end"),
         corrupt(lambda d: d["traceEvents"][2].update(ts=100.0),
                 "non-monotonic timestamps"),
-        corrupt(lambda d: d["traceEvents"].__delitem__(5),  # drop flow-end
-                "unpaired flow"),
+        corrupt(lambda d: d["traceEvents"].insert(
+                    3, {"name": "job", "ph": "s", "cat": "flow", "id": 1,
+                        "pid": 1, "tid": 1, "ts": 2.0}),
+                "flow event (unknown phase)"),
     ) if f]
 
     good_batch = synthetic_batch_trace()
@@ -1297,7 +1275,7 @@ def self_check():
         corrupt_prof(lambda d: d["engines"].append(dict(d["engines"][0])),
                      "duplicate engine record"),
         corrupt_prof(lambda d: d["engines"][0].update(cpu_ms=1e6),
-                     "engine CPU sum exceeding wall x workers"),
+                     "engine CPU sum exceeding race wall"),
         corrupt_prof(lambda d: d["subsystems"]["sat"].update(peak_bytes=1),
                      "subsystem peak below live"),
         corrupt_prof(lambda d: d["subsystems"].pop("bdd"),
@@ -1308,8 +1286,6 @@ def self_check():
                      "rss sample above declared peak"),
         corrupt_prof(lambda d: d["rss"].pop("samples"),
                      "missing rss samples"),
-        corrupt_prof(lambda d: d.update(workers="two"),
-                     "non-integer workers"),
     ) if f]
 
     good_serve = synthetic_serve_log()
