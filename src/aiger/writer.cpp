@@ -67,9 +67,10 @@ std::string write_aiger(const Netlist& n, bool binary) {
 
   for (GateId g = 0; g < n.size(); ++g) {
     if (lit[g] != kUnassigned) continue;  // inputs and registers
-    const Gate& gate = n.gate(g);
-    auto f = [&](size_t i) { return lit[gate.fanins[i]]; };
-    switch (gate.type) {
+    const GateType type = n.type(g);
+    const std::span<const GateId> fanins = n.fanins(g);
+    auto f = [&](size_t i) { return lit[fanins[i]]; };
+    switch (type) {
       case GateType::Const0:
         lit[g] = 0;
         break;
@@ -85,16 +86,16 @@ std::string write_aiger(const Netlist& n, bool binary) {
       case GateType::And:
       case GateType::Nand: {
         uint64_t acc = f(0);
-        for (size_t i = 1; i < gate.fanins.size(); ++i) acc = mk_and(acc, f(i));
-        lit[g] = gate.type == GateType::Nand ? acc ^ 1 : acc;
+        for (size_t i = 1; i < fanins.size(); ++i) acc = mk_and(acc, f(i));
+        lit[g] = type == GateType::Nand ? acc ^ 1 : acc;
         break;
       }
       case GateType::Or:
       case GateType::Nor: {
         uint64_t acc = f(0) ^ 1;
-        for (size_t i = 1; i < gate.fanins.size(); ++i)
+        for (size_t i = 1; i < fanins.size(); ++i)
           acc = mk_and(acc, f(i) ^ 1);
-        lit[g] = gate.type == GateType::Nor ? acc : acc ^ 1;
+        lit[g] = type == GateType::Nor ? acc : acc ^ 1;
         break;
       }
       case GateType::Xor:
@@ -102,7 +103,7 @@ std::string write_aiger(const Netlist& n, bool binary) {
         const uint64_t a = f(0), b = f(1);
         const uint64_t x =
             mk_and(mk_and(a, b ^ 1) ^ 1, mk_and(a ^ 1, b) ^ 1) ^ 1;
-        lit[g] = gate.type == GateType::Xnor ? x ^ 1 : x;
+        lit[g] = type == GateType::Xnor ? x ^ 1 : x;
         break;
       }
       case GateType::Mux: {
@@ -113,7 +114,7 @@ std::string write_aiger(const Netlist& n, bool binary) {
       case GateType::Input:
       case GateType::Reg:
         RFN_CHECK(false, "gate %u of type %s has no literal", g,
-                  gate_type_name(gate.type));
+                  gate_type_name(type));
         break;
     }
   }

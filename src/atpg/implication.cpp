@@ -1,7 +1,5 @@
 #include "atpg/implication.hpp"
 
-#include "netlist/analysis.hpp"
-
 namespace rfn {
 
 ImplicationEngine::ImplicationEngine(const Netlist& n)

@@ -14,6 +14,7 @@
 #include <deque>
 #include <vector>
 
+#include "netlist/analysis.hpp"
 #include "netlist/netlist.hpp"
 
 namespace rfn {
@@ -54,6 +55,9 @@ class ImplicationEngine {
   /// justified() evaluations find_unjustified() has made so far.
   uint64_t frontier_checks() const { return frontier_checks_; }
 
+  /// The fanout table implication walks (one CSR table per engine).
+  const FanoutTable& fanouts() const { return fanouts_; }
+
  private:
   bool set_value(GateId g, Tri v);  // trail + queue bookkeeping; false = conflict
   bool imply_gate(GateId g);        // local forward+backward rules
@@ -66,7 +70,7 @@ class ImplicationEngine {
   std::vector<GateId> trail_;
   std::deque<GateId> queue_;
   std::vector<uint8_t> in_queue_;
-  std::vector<std::vector<GateId>> fanouts_;
+  FanoutTable fanouts_;
 
   // J-frontier checkpoints, increasing in both fields: when the trail had
   // `trail_size` entries, trail_[0, justified) were all justified.

@@ -22,10 +22,23 @@ Unrolled unroll_cone(const Netlist& m, size_t frames,
     cone[f - 1] = comb_fanin_cone(m, roots);
   }
 
+  // Size the flat model exactly: every cone cell but an aliased register
+  // becomes one flat cell, and only combinational cells carry fanins.
+  size_t cells = 0, pool = 0;
+  for (size_t f = 1; f <= frames; ++f) {
+    for (GateId g = 0; g < m.size(); ++g) {
+      if (!cone[f - 1][g] || (f > 1 && m.is_reg(g))) continue;
+      ++cells;
+      if (m.is_comb(g)) pool += m.fanins(g).size();
+    }
+  }
+
   Unrolled u;
   u.frames = frames;
   u.map.assign(frames, std::vector<GateId>(m.size(), kNullGate));
+  u.net.reserve(cells, pool);
   const std::vector<GateId> order = topo_order(m);
+  std::vector<GateId> fanins;  // one gate's flat fanins, reused
 
   for (size_t f = 1; f <= frames; ++f) {
     auto& map_f = u.map[f - 1];
@@ -65,13 +78,12 @@ Unrolled unroll_cone(const Netlist& m, size_t frames,
           break;
         }
         default: {  // combinational gate
-          std::vector<GateId> fanins;
-          fanins.reserve(m.fanins(g).size());
+          fanins.clear();
           for (GateId fi : m.fanins(g)) {
             RFN_CHECK(map_f[fi] != kNullGate, "fanin %u missing at frame %zu", fi, f);
             fanins.push_back(map_f[fi]);
           }
-          map_f[g] = u.net.add(m.type(g), std::move(fanins));
+          map_f[g] = u.net.add(m.type(g), fanins);
           break;
         }
       }

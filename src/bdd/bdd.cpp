@@ -215,7 +215,8 @@ uint32_t BddMgr::find_or_add(BddVar v, uint32_t lo, uint32_t hi) {
 }
 
 void BddMgr::free_dead_node(uint32_t root) {
-  std::vector<uint32_t> work{root};
+  std::vector<uint32_t>& work = free_work_;
+  work.assign(1, root);
   while (!work.empty()) {
     const uint32_t id = work.back();
     work.pop_back();

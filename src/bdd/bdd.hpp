@@ -346,6 +346,13 @@ class BddMgr {
   void sift_var(BddVar v, size_t& best_live);
   void free_dead_node(uint32_t node);  // node with rc==0: unlink + cascade
 
+  // Scratch reused across calls (swap_levels runs millions of times per
+  // sift pass): x's subtable snapshot, children that may have died, and
+  // free_dead_node's cascade stack. Not part of the tracked arena.
+  std::vector<uint32_t> swap_snapshot_;
+  std::vector<uint32_t> swap_dead_;
+  std::vector<uint32_t> free_work_;
+
   std::vector<Node> nodes_;
   uint32_t free_head_ = kNil;
   size_t free_count_ = 0;

@@ -20,15 +20,24 @@ size_t BddMgr::swap_levels(uint32_t lvl) {
   RFN_CHECK(lvl + 1 < num_vars(), "swap_levels at bottom");
   const BddVar x = invperm_[lvl];      // upper variable, moves down
   const BddVar y = invperm_[lvl + 1];  // lower variable, moves up
+  auto permute = [&] {
+    std::swap(perm_[x], perm_[y]);
+    invperm_[lvl] = y;
+    invperm_[lvl + 1] = x;
+    return stats_.live_nodes;
+  };
+  // With either level empty no x node depends on y: only the order changes.
+  if (subtables_[x].count == 0 || subtables_[y].count == 0) return permute();
 
   // Snapshot x's subtable: the loop below inserts new x nodes (which never
   // depend on y) into the same table.
-  std::vector<uint32_t> snapshot;
-  snapshot.reserve(subtables_[x].count);
+  std::vector<uint32_t>& snapshot = swap_snapshot_;
+  snapshot.clear();
   for (uint32_t head : subtables_[x].buckets)
     for (uint32_t n = head; n != kNil; n = nodes_[n].next) snapshot.push_back(n);
 
-  std::vector<uint32_t> maybe_dead;
+  std::vector<uint32_t>& maybe_dead = swap_dead_;
+  maybe_dead.clear();
   for (const uint32_t id : snapshot) {
     const uint32_t lo = nodes_[id].lo;
     const uint32_t hi = nodes_[id].hi;
@@ -65,14 +74,13 @@ size_t BddMgr::swap_levels(uint32_t lvl) {
     n.hi = n1;
     subtable_insert(subtables_[y], id);
   }
+  // The moved nodes may have overloaded y's chains; x's grew in find_or_add.
+  maybe_grow(subtables_[y]);
 
   for (uint32_t d : maybe_dead)
     if (nodes_[d].var != kInvalidVar && nodes_[d].rc == 0) free_dead_node(d);
 
-  std::swap(perm_[x], perm_[y]);
-  invperm_[lvl] = y;
-  invperm_[lvl + 1] = x;
-  return stats_.live_nodes;
+  return permute();
 }
 
 void BddMgr::sift_var(BddVar v, size_t& best_live) {

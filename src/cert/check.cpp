@@ -67,19 +67,20 @@ class CutEncoder {
         stack.pop_back();
         continue;
       }
-      const Gate& gate = m_.gate(g);
-      if (gate.type == GateType::Input || gate.type == GateType::Reg) {
+      const GateType type = m_.type(g);
+      const std::span<const GateId> fanins = m_.fanins(g);
+      if (type == GateType::Input || type == GateType::Reg) {
         lit_[g] = fresh();  // free cut variable
         stack.pop_back();
         continue;
       }
-      if (gate.type == GateType::Const0 || gate.type == GateType::Const1) {
-        lit_[g] = gate.type == GateType::Const1 ? true_lit() : ~true_lit();
+      if (type == GateType::Const0 || type == GateType::Const1) {
+        lit_[g] = type == GateType::Const1 ? true_lit() : ~true_lit();
         stack.pop_back();
         continue;
       }
       bool ready = true;
-      for (GateId in : gate.fanins) {
+      for (GateId in : fanins) {
         if (lit_[in] == sat::kUndefLit) {
           stack.push_back(in);
           ready = false;
@@ -88,10 +89,10 @@ class CutEncoder {
       if (!ready) continue;
       stack.pop_back();
       std::vector<Lit> ins;
-      ins.reserve(gate.fanins.size());
-      for (GateId in : gate.fanins) ins.push_back(lit_[in]);
+      ins.reserve(fanins.size());
+      for (GateId in : fanins) ins.push_back(lit_[in]);
       const Lit out = fresh();
-      switch (gate.type) {
+      switch (type) {
         case GateType::Buf:
           s_.add_clause({~out, ins[0]});
           s_.add_clause({out, ~ins[0]});

@@ -52,15 +52,12 @@ std::shared_ptr<const Subcircuit> SubcircuitMemo::get(
 }
 
 int64_t SubcircuitMemo::approx_bytes() const {
-  // Structural estimate: each memoized Subcircuit owns a netlist copy plus
-  // two id maps sized by the ORIGINAL design. A nominal per-gate footprint
-  // (gate record + fanin vector) over both keeps the figure monotone in the
-  // cached volume, which is all the warm-state byte budget needs.
-  constexpr int64_t kPerGate = 48;
+  // Each memoized Subcircuit owns a netlist plus two id maps sized by the
+  // ORIGINAL design.
   int64_t total = 0;
   for (const auto& [key, sub] : map_) {
     total += static_cast<int64_t>(key.size());
-    total += static_cast<int64_t>(sub->net.size()) * kPerGate;
+    total += static_cast<int64_t>(sub->net.heap_bytes());
     total += static_cast<int64_t>(sub->old_of_new.size()) * sizeof(GateId) * 2;
   }
   return total;

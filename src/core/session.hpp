@@ -155,8 +155,8 @@ class SubcircuitMemo {
   size_t hits() const { return hits_; }
   size_t misses() const { return misses_; }
 
-  /// Rough resident-byte estimate of the memoized subcircuits (structural:
-  /// gates x a nominal per-gate footprint plus the id maps). Feeds the
+  /// Resident-byte estimate of the memoized subcircuits (each netlist's
+  /// Netlist::heap_bytes() plus the id maps and keys). Feeds the
   /// server's warm-state byte budget; exactness is not required there, only
   /// monotonicity in the cached volume.
   int64_t approx_bytes() const;

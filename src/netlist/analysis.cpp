@@ -27,8 +27,9 @@ std::vector<GateId> topo_order(const Netlist& n) {
         stack.pop_back();
         continue;
       }
-      if (next < n.fanins(g).size()) {
-        const GateId f = n.fanins(g)[next++];
+      const std::span<const GateId> fi = n.fanins(g);
+      if (next < fi.size()) {
+        const GateId f = fi[next++];
         if (!done[f]) stack.emplace_back(f, 0);
       } else {
         done[g] = 1;
@@ -40,11 +41,22 @@ std::vector<GateId> topo_order(const Netlist& n) {
   return order;
 }
 
-std::vector<std::vector<GateId>> fanout_lists(const Netlist& n) {
-  std::vector<std::vector<GateId>> fanouts(n.size());
+FanoutTable fanout_lists(const Netlist& n) {
+  // Count each driver's fanouts, turn the counts into range ends, then fill
+  // every range back to front from the highest reader down: each list ends
+  // up ascending and each offset at its range's start. Unpatched register
+  // placeholders (kNullGate) have no driver to list.
+  FanoutTable t;
+  t.offsets.assign(n.size() + 1, 0);
   for (GateId g = 0; g < n.size(); ++g)
-    for (GateId f : n.fanins(g)) fanouts[f].push_back(g);
-  return fanouts;
+    for (GateId f : n.fanins(g))
+      if (f != kNullGate) ++t.offsets[f];
+  for (size_t g = 1; g <= n.size(); ++g) t.offsets[g] += t.offsets[g - 1];
+  t.edges.resize(t.offsets[n.size()]);
+  for (GateId g = static_cast<GateId>(n.size()); g-- > 0;)
+    for (GateId f : n.fanins(g))
+      if (f != kNullGate) t.edges[--t.offsets[f]] = g;
+  return t;
 }
 
 std::vector<bool> comb_fanin_cone(const Netlist& n, const std::vector<GateId>& roots) {
@@ -202,11 +214,10 @@ uint64_t design_hash(const Netlist& n) {
   Fnv1a f;
   f.u32(static_cast<uint32_t>(n.size()));
   for (GateId g = 0; g < n.size(); ++g) {
-    const Gate& gate = n.gate(g);
-    f.byte(static_cast<uint8_t>(gate.type));
-    f.byte(gate.type == GateType::Reg ? static_cast<uint8_t>(gate.init) : 0);
-    f.u32(static_cast<uint32_t>(gate.fanins.size()));
-    for (GateId in : gate.fanins) f.u32(in);
+    f.byte(static_cast<uint8_t>(n.type(g)));
+    f.byte(n.is_reg(g) ? static_cast<uint8_t>(n.reg_init(g)) : 0);
+    f.u32(static_cast<uint32_t>(n.fanins(g).size()));
+    for (GateId in : n.fanins(g)) f.u32(in);
   }
   f.u32(static_cast<uint32_t>(n.outputs().size()));
   for (const auto& [name, g] : n.outputs()) {

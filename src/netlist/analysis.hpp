@@ -6,6 +6,7 @@
 // RFN), COI reduction for the plain-MC baseline, and the BFS abstraction
 // baseline of Ho et al. [8].
 
+#include <span>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -18,9 +19,25 @@ namespace rfn {
 /// before its fanout.
 std::vector<GateId> topo_order(const Netlist& n);
 
-/// Fanout adjacency: fanouts[g] lists every cell that has g as a fanin
-/// (register data inputs included).
-std::vector<std::vector<GateId>> fanout_lists(const Netlist& n);
+/// Fanout adjacency in compressed-sparse-row form: fanouts[g] lists, in
+/// ascending id order, every cell that has g as a fanin (register data
+/// inputs included; a cell that reads g twice is listed twice). Two
+/// allocations in all: 4 B per cell plus 4 B per fanin edge. Views stay
+/// valid as long as the table; the table does not follow later edits of
+/// the netlist.
+struct FanoutTable {
+  std::vector<uint32_t> offsets;  // size()+1 entries into `edges`
+  std::vector<GateId> edges;
+
+  std::span<const GateId> operator[](GateId g) const {
+    return {edges.data() + offsets[g], offsets[g + 1] - offsets[g]};
+  }
+  size_t heap_bytes() const {
+    return offsets.capacity() * sizeof(uint32_t) + edges.capacity() * sizeof(GateId);
+  }
+};
+
+FanoutTable fanout_lists(const Netlist& n);
 
 /// Transitive fanin of `roots` *through combinational gates only*: traversal
 /// stops at (and includes) registers, primary inputs, and constants.

@@ -1,6 +1,7 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace rfn {
 
@@ -51,27 +52,47 @@ bool arity_ok(GateType t, size_t n) {
 
 }  // namespace
 
-GateId Netlist::add(GateType type, std::vector<GateId> fanins, Tri init) {
+GateId Netlist::add(GateType type, std::initializer_list<GateId> fanins, Tri init) {
+  return add(type, std::span<const GateId>(fanins.begin(), fanins.size()), init);
+}
+
+GateId Netlist::add(GateType type, std::span<const GateId> fanins, Tri init) {
   // Registers may be created with a placeholder data input (kNullGate) that
   // is patched later via set_reg_data; everything else must be fully wired.
-  if (type == GateType::Reg && fanins.empty()) fanins.push_back(kNullGate);
-  RFN_CHECK(arity_ok(type, fanins.size()), "bad arity %zu for %s", fanins.size(),
-            gate_type_name(type));
-  const GateId id = static_cast<GateId>(gates_.size());
-  Gate g;
-  g.type = type;
-  g.init = type == GateType::Reg ? init : Tri::F;
-  g.fanins = std::move(fanins);
-  gates_.push_back(std::move(g));
+  const bool placeholder = type == GateType::Reg && fanins.empty();
+  const size_t arity = placeholder ? 1 : fanins.size();
+  RFN_CHECK(arity_ok(type, arity), "bad arity %zu for %s", arity, gate_type_name(type));
+  RFN_CHECK(pool_.size() + arity <= UINT32_MAX, "fanin pool overflow");
+  const GateId id = static_cast<GateId>(size());
+  const Tri reg_init = type == GateType::Reg ? init : Tri::F;
+  kinds_.push_back(static_cast<uint8_t>(static_cast<uint8_t>(type) |
+                                        static_cast<uint8_t>(reg_init) << 4));
+  if (placeholder) {
+    pool_.push_back(kNullGate);
+  } else if (!pool_.empty() && std::less_equal<>()(pool_.data(), fanins.data()) &&
+             std::less<>()(fanins.data(), pool_.data() + pool_.size())) {
+    // A view of this pool: copy by index, since growing the pool moves it.
+    const size_t from = static_cast<size_t>(fanins.data() - pool_.data());
+    for (size_t i = 0; i < arity; ++i) pool_.push_back(pool_[from + i]);
+  } else {
+    pool_.insert(pool_.end(), fanins.begin(), fanins.end());
+  }
+  ends_.push_back(static_cast<uint32_t>(pool_.size()));
   if (type == GateType::Input) inputs_.push_back(id);
   if (type == GateType::Reg) regs_.push_back(id);
   return id;
 }
 
+void Netlist::reserve(size_t cells, size_t fanins) {
+  kinds_.reserve(kinds_.size() + cells);
+  ends_.reserve(ends_.size() + cells);
+  pool_.reserve(pool_.size() + fanins);
+}
+
 void Netlist::set_reg_data(GateId reg, GateId data) {
   RFN_CHECK(is_reg(reg), "set_reg_data on non-register %u", reg);
-  RFN_CHECK(data < gates_.size(), "dangling data fanin %u", data);
-  gates_[reg].fanins[0] = data;
+  RFN_CHECK(data < size(), "dangling data fanin %u", data);
+  pool_[ends_[reg] - 1] = data;
 }
 
 void Netlist::set_name(GateId g, const std::string& name) {
@@ -80,7 +101,7 @@ void Netlist::set_name(GateId g, const std::string& name) {
 }
 
 void Netlist::add_output(const std::string& name, GateId g) {
-  RFN_CHECK(g < gates_.size(), "output %s references dangling gate", name.c_str());
+  RFN_CHECK(g < size(), "output %s references dangling gate", name.c_str());
   outputs_.emplace_back(name, g);
   // Give the gate the output's name only if it has none: a register named
   // "state" exported as output "p" keeps its own name.
@@ -89,9 +110,28 @@ void Netlist::add_output(const std::string& name, GateId g) {
 
 size_t Netlist::num_gates() const {
   size_t n = 0;
-  for (GateId g = 0; g < gates_.size(); ++g)
+  for (GateId g = 0; g < size(); ++g)
     if (is_comb(g)) ++n;
   return n;
+}
+
+size_t Netlist::heap_bytes() const {
+  // Per hash-map entry: the node (next pointer, key/value pair, cached hash)
+  // plus its bucket slot; string payloads only past the small-string buffer.
+  auto str_bytes = [](const std::string& s) {
+    return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+  };
+  size_t bytes = kinds_.capacity() + ends_.capacity() * sizeof(uint32_t) +
+                 pool_.capacity() * sizeof(GateId) +
+                 (inputs_.capacity() + regs_.capacity()) * sizeof(GateId) +
+                 outputs_.capacity() * sizeof(outputs_[0]);
+  for (const auto& [name, g] : outputs_) bytes += str_bytes(name);
+  bytes += names_.bucket_count() * sizeof(void*) + by_name_.bucket_count() * sizeof(void*);
+  for (const auto& [g, name] : names_)
+    bytes += 2 * sizeof(void*) + sizeof(std::pair<const GateId, std::string>) + str_bytes(name);
+  for (const auto& [name, g] : by_name_)
+    bytes += 2 * sizeof(void*) + sizeof(std::pair<const std::string, GateId>) + str_bytes(name);
+  return bytes;
 }
 
 const std::string& Netlist::name(GateId g) const {
@@ -114,27 +154,27 @@ GateId Netlist::output(const std::string& name) const {
 }
 
 void Netlist::check() const {
-  for (GateId g = 0; g < gates_.size(); ++g) {
-    const Gate& gate = gates_[g];
-    RFN_CHECK(arity_ok(gate.type, gate.fanins.size()), "gate %u (%s) has arity %zu", g,
-              gate_type_name(gate.type), gate.fanins.size());
-    for (GateId f : gate.fanins)
-      RFN_CHECK(f < gates_.size(), "gate %u has dangling fanin %u", g, f);
+  for (GateId g = 0; g < size(); ++g) {
+    const std::span<const GateId> fi = fanins(g);
+    RFN_CHECK(arity_ok(type(g), fi.size()), "gate %u (%s) has arity %zu", g,
+              gate_type_name(type(g)), fi.size());
+    for (GateId f : fi) RFN_CHECK(f < size(), "gate %u has dangling fanin %u", g, f);
   }
   // Combinational acyclicity via iterative DFS over comb gates only
   // (register data inputs break the cycles by construction: we do not
   // traverse *through* a register's output here, we start from every gate).
   enum : uint8_t { White, Grey, Black };
-  std::vector<uint8_t> color(gates_.size(), White);
+  std::vector<uint8_t> color(size(), White);
   std::vector<std::pair<GateId, size_t>> stack;
-  for (GateId root = 0; root < gates_.size(); ++root) {
+  for (GateId root = 0; root < size(); ++root) {
     if (color[root] != White || !is_comb(root)) continue;
     stack.emplace_back(root, 0);
     color[root] = Grey;
     while (!stack.empty()) {
       auto& [g, next] = stack.back();
-      if (next < gates_[g].fanins.size()) {
-        const GateId f = gates_[g].fanins[next++];
+      const std::span<const GateId> fi = fanins(g);
+      if (next < fi.size()) {
+        const GateId f = fi[next++];
         if (!is_comb(f)) continue;
         RFN_CHECK(color[f] != Grey, "combinational cycle through gate %u", f);
         if (color[f] == White) {

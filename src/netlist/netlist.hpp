@@ -11,6 +11,8 @@
 // (see subcircuit.hpp).
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,17 +49,6 @@ enum class GateType : uint8_t {
 
 const char* gate_type_name(GateType t);
 
-/// One cell (gate, register, or primary input). The cell's output signal has
-/// the same id as the cell itself.
-struct Gate {
-  GateType type = GateType::Input;
-  /// Register initial value. Tri::X means the register powers up
-  /// unconstrained, i.e. the set of initial states is a cube, not a single
-  /// state. Ignored for non-registers.
-  Tri init = Tri::F;
-  std::vector<GateId> fanins;
-};
-
 /// A literal: signal `signal` carries value `value`.
 struct Literal {
   GateId signal = kNullGate;
@@ -88,13 +79,37 @@ struct Trace {
 
 /// Gate-level design. Construction happens through NetBuilder (builder.hpp)
 /// or the RTL frontend; analyses live in analysis.hpp / subcircuit.hpp.
+///
+/// Storage: a cell (gate, register, or primary input; its output signal has
+/// the cell's id) costs one byte of kind (type and register initial value)
+/// and one 4-byte pool offset, and the fanin lists of all cells sit back to
+/// back in one pool, in cell order: cell g's fanins end where cell g+1's
+/// begin. A design therefore costs 5 B per cell plus 4 B per fanin (a
+/// million-gate time-frame expansion averages about 14 B per gate), and
+/// adding a cell allocates nothing once reserve() has sized the vectors.
+///
+/// Lifetime rule: fanins(g) is a view into the pool. add() may reallocate
+/// the pool and so invalidates every view of this netlist; set_reg_data()
+/// writes a register's single slot in place and invalidates none.
 class Netlist {
  public:
   Netlist() = default;
 
   // --- construction (used by NetBuilder / subcircuit extraction) ---
 
-  GateId add(GateType type, std::vector<GateId> fanins = {}, Tri init = Tri::F);
+  /// Appends a cell. Registers may omit their data input (a kNullGate
+  /// placeholder is stored and patched later by set_reg_data). `init` is the
+  /// register initial value: Tri::X means the register powers up
+  /// unconstrained, i.e. the set of initial states is a cube, not a single
+  /// state. Ignored for non-registers.
+  GateId add(GateType type, std::initializer_list<GateId> fanins = {}, Tri init = Tri::F);
+  /// Same, from any contiguous fanin list (it may be a view of this
+  /// netlist's own fanins).
+  GateId add(GateType type, std::span<const GateId> fanins, Tri init = Tri::F);
+
+  /// Pre-sizes storage for `cells` more cells with `fanins` more fanins in
+  /// total, so the adds that follow never reallocate.
+  void reserve(size_t cells, size_t fanins);
 
   /// Rebinds a register's data input. Registers are created before their
   /// next-state logic exists (sequential loops), so the data fanin is
@@ -107,26 +122,28 @@ class Netlist {
 
   // --- structure access ---
 
-  size_t size() const { return gates_.size(); }
-  const Gate& gate(GateId g) const { return gates_[g]; }
-  GateType type(GateId g) const { return gates_[g].type; }
-  const std::vector<GateId>& fanins(GateId g) const { return gates_[g].fanins; }
+  size_t size() const { return kinds_.size(); }
+  GateType type(GateId g) const { return static_cast<GateType>(kinds_[g] & 0xF); }
+  std::span<const GateId> fanins(GateId g) const {
+    const uint32_t begin = g == 0 ? 0 : ends_[g - 1];
+    return {pool_.data() + begin, ends_[g] - begin};
+  }
 
-  bool is_input(GateId g) const { return gates_[g].type == GateType::Input; }
-  bool is_reg(GateId g) const { return gates_[g].type == GateType::Reg; }
+  bool is_input(GateId g) const { return type(g) == GateType::Input; }
+  bool is_reg(GateId g) const { return type(g) == GateType::Reg; }
   bool is_const(GateId g) const {
-    return gates_[g].type == GateType::Const0 || gates_[g].type == GateType::Const1;
+    return type(g) == GateType::Const0 || type(g) == GateType::Const1;
   }
   /// Combinational gate: not an input, register, or constant.
   bool is_comb(GateId g) const { return !is_input(g) && !is_reg(g) && !is_const(g); }
 
   GateId reg_data(GateId reg) const {
     RFN_CHECK(is_reg(reg), "gate %u is not a register", reg);
-    return gates_[reg].fanins[0];
+    return pool_[ends_[reg] - 1];
   }
   Tri reg_init(GateId reg) const {
     RFN_CHECK(is_reg(reg), "gate %u is not a register", reg);
-    return gates_[reg].init;
+    return static_cast<Tri>(kinds_[reg] >> 4);
   }
 
   const std::vector<GateId>& inputs() const { return inputs_; }
@@ -153,8 +170,16 @@ class Netlist {
   /// construction in tests and frontends.
   void check() const;
 
+  /// Heap bytes held by the structure, from the vectors' capacities: cell
+  /// records, fanin pool, input/register/output lists, and an estimate of
+  /// the two name maps (one node per entry plus the bucket array; names
+  /// that fit the small-string buffer add nothing).
+  size_t heap_bytes() const;
+
  private:
-  std::vector<Gate> gates_;
+  std::vector<uint8_t> kinds_;  // GateType in the low nibble, register init above
+  std::vector<uint32_t> ends_;  // one past each cell's last fanin in pool_
+  std::vector<GateId> pool_;
   std::vector<GateId> inputs_;
   std::vector<GateId> regs_;
   std::unordered_map<GateId, std::string> names_;

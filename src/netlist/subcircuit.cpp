@@ -79,16 +79,16 @@ Subcircuit extract_abstract_model(const Netlist& m,
   }
 
   // Pass 2: combinational gates in topological order.
+  std::vector<GateId> fanins;  // one gate's new fanins, reused
   for (GateId g : topo_order(m)) {
     if (!cone[g] || !m.is_comb(g)) continue;
-    std::vector<GateId> fanins;
-    fanins.reserve(m.fanins(g).size());
+    fanins.clear();
     for (GateId f : m.fanins(g)) {
       const GateId nf = sub.to_new(f);
       RFN_CHECK(nf != kNullGate, "cone gate %u has unmapped fanin %u", g, f);
       fanins.push_back(nf);
     }
-    map_new(g, sub.net.add(m.type(g), std::move(fanins)));
+    map_new(g, sub.net.add(m.type(g), fanins));
   }
 
   // Pass 3: patch register data inputs.
@@ -164,16 +164,16 @@ Subcircuit extract_with_cut(const Netlist& m, const std::vector<GateId>& roots,
       sub.kept_regs_old.push_back(g);
     }
   }
+  std::vector<GateId> fanins;  // one gate's new fanins, reused
   for (GateId g : topo_order(m)) {
     if (!in_model[g] || !m.is_comb(g) || is_cut[g]) continue;
-    std::vector<GateId> fanins;
-    fanins.reserve(m.fanins(g).size());
+    fanins.clear();
     for (GateId f : m.fanins(g)) {
       const GateId nf = sub.to_new(f);
       RFN_CHECK(nf != kNullGate, "cut-extraction gate %u missing fanin %u", g, f);
       fanins.push_back(nf);
     }
-    map_new(g, sub.net.add(m.type(g), std::move(fanins)));
+    map_new(g, sub.net.add(m.type(g), fanins));
   }
   for (GateId r : sub.kept_regs_old) {
     const GateId data_new = sub.to_new(m.reg_data(r));
@@ -192,7 +192,7 @@ GateId append_disjunction(Netlist& n, const std::vector<GateId>& signals,
   const GateId root =
       signals.size() == 1
           ? n.add(GateType::Buf, {signals.front()})
-          : n.add(GateType::Or, std::vector<GateId>(signals.begin(), signals.end()));
+          : n.add(GateType::Or, signals);
   if (!name.empty()) {
     n.set_name(root, name);
     n.add_output(name, root);

@@ -3,17 +3,9 @@
 #include <utility>
 
 namespace rfn::serve {
-namespace {
-
-// Structural netlist footprint: gates x a nominal per-gate cost (fanin
-// vector, name-map share). Same convention as SubcircuitMemo::approx_bytes.
-constexpr int64_t kPerGateBytes = 48;
-
-}  // namespace
 
 int64_t WarmStateCache::entry_bytes(const Entry& e) const {
-  return static_cast<int64_t>(e.design.netlist.size()) * kPerGateBytes +
-         e.cache.approx_bytes();
+  return static_cast<int64_t>(e.design.netlist.heap_bytes()) + e.cache.approx_bytes();
 }
 
 WarmStateCache::Lease WarmStateCache::acquire(api::LoadedDesign fresh) {

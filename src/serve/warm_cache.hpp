@@ -24,9 +24,9 @@
 //
 // Byte budget: each entry is charged its ReuseCache::approx_bytes() —
 // solver arenas byte-exact via the util/prof heap accounting behind
-// sat::Solver::heap_bytes() — plus a structural netlist estimate. When the
-// total exceeds the budget, least-recently-used idle entries are evicted;
-// entries with live or waiting leases are never evicted.
+// sat::Solver::heap_bytes() — plus the design's Netlist::heap_bytes().
+// When the total exceeds the budget, least-recently-used idle entries are
+// evicted; entries with live or waiting leases are never evicted.
 
 #include <cstdint>
 #include <memory>

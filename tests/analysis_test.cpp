@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "netlist/builder.hpp"
+#include "util/rng.hpp"
 
 namespace rfn {
 namespace {
@@ -54,13 +58,49 @@ TEST(Analysis, TopoOrderRespectsDependencies) {
 
 TEST(Analysis, FanoutListsAreInverseOfFanins) {
   const Pipeline p = make_pipeline();
-  const auto fanouts = fanout_lists(p.n);
+  const FanoutTable fanouts = fanout_lists(p.n);
   for (GateId g = 0; g < p.n.size(); ++g) {
     for (GateId f : p.n.fanins(g)) {
-      const auto& fo = fanouts[f];
+      const std::span<const GateId> fo = fanouts[f];
       EXPECT_NE(std::find(fo.begin(), fo.end(), g), fo.end());
     }
   }
+}
+
+TEST(Analysis, CsrFanoutsInvertFanins) {
+  // Wide gates, repeated fanins, a register and dead ends: a few hundred
+  // cells, each reading random earlier cells.
+  Netlist n;
+  for (int i = 0; i < 8; ++i) n.add(GateType::Input);
+  const GateId r = n.add(GateType::Reg);
+  Rng rng(7);
+  for (int i = 0; i < 300; ++i) {
+    const GateId a = static_cast<GateId>(rng.below(n.size()));
+    const GateId b = static_cast<GateId>(rng.below(n.size()));
+    if (i % 5 == 0)
+      n.add(GateType::Or, {a, b, a, r});
+    else if (i % 5 == 1)
+      n.add(GateType::Not, {a});
+    else
+      n.add(GateType::And, {a, b});
+  }
+  n.set_reg_data(r, static_cast<GateId>(n.size() - 1));
+  n.check();
+
+  std::vector<std::vector<GateId>> naive(n.size());
+  for (GateId g = 0; g < n.size(); ++g)
+    for (GateId f : n.fanins(g)) naive[f].push_back(g);
+  const FanoutTable fanouts = fanout_lists(n);
+  ASSERT_EQ(fanouts.offsets.size(), n.size() + 1);
+  size_t edges = 0;
+  for (GateId g = 0; g < n.size(); ++g) {
+    const std::span<const GateId> fo = fanouts[g];
+    EXPECT_EQ(std::vector<GateId>(fo.begin(), fo.end()), naive[g]) << "gate " << g;
+    EXPECT_TRUE(std::is_sorted(fo.begin(), fo.end())) << "gate " << g;
+    edges += naive[g].size();
+  }
+  EXPECT_EQ(fanouts.edges.size(), edges);
+  EXPECT_EQ(fanouts.heap_bytes(), (n.size() + 1 + edges) * sizeof(GateId));
 }
 
 TEST(Analysis, CombFaninConeStopsAtRegisters) {

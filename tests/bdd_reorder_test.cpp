@@ -12,6 +12,18 @@ namespace rfn {
 class BddReorderTestPeer {
  public:
   static size_t swap_levels(BddMgr& mgr, uint32_t lvl) { return mgr.swap_levels(lvl); }
+
+  /// Every node record plus every unique-table bucket, flattened.
+  static std::vector<uint32_t> tables(const BddMgr& mgr) {
+    std::vector<uint32_t> out;
+    for (const BddMgr::Node& n : mgr.nodes_)
+      out.insert(out.end(), {n.var, n.lo, n.hi, n.next, n.rc});
+    for (const BddMgr::Subtable& st : mgr.subtables_) {
+      out.push_back(st.count);
+      out.insert(out.end(), st.buckets.begin(), st.buckets.end());
+    }
+    return out;
+  }
 };
 
 namespace {
@@ -55,6 +67,30 @@ TEST(BddReorder, SwapUpdatesPermutation) {
   EXPECT_EQ(mgr.var_at_level(1), 0u);
   EXPECT_EQ(mgr.level_of(0), 1u);
   EXPECT_EQ(mgr.level_of(1), 0u);
+}
+
+TEST(BddReorder, SwapPastEmptyLevelOnlyPermutes) {
+  // Variable 1 labels no node, so swapping it with a neighbour, from above
+  // or from below, must leave every node and bucket as it was and change
+  // only the order.
+  BddMgr mgr(4);
+  const Bdd f = (mgr.var(0) & mgr.var(2)) | mgr.var(3);
+  const auto tt = truth_table(mgr, f, 4);
+  const std::vector<uint32_t> before = BddReorderTestPeer::tables(mgr);
+  const size_t live = mgr.live_nodes();
+  const std::vector<std::vector<BddVar>> orders = {
+      {1, 0, 2, 3}, {0, 1, 2, 3}, {0, 2, 1, 3}, {0, 1, 2, 3}};
+  const uint32_t levels[] = {0, 0, 1, 1};
+  for (size_t i = 0; i < orders.size(); ++i) {
+    EXPECT_EQ(BddReorderTestPeer::swap_levels(mgr, levels[i]), live);
+    for (uint32_t lvl = 0; lvl < 4; ++lvl) {
+      EXPECT_EQ(mgr.var_at_level(lvl), orders[i][lvl]) << "swap " << i;
+      EXPECT_EQ(mgr.level_of(orders[i][lvl]), lvl) << "swap " << i;
+    }
+    EXPECT_EQ(BddReorderTestPeer::tables(mgr), before) << "swap " << i;
+    mgr.check_integrity();
+    EXPECT_EQ(truth_table(mgr, f, 4), tt);
+  }
 }
 
 TEST(BddReorder, SiftingShrinksInterleavedComparator) {

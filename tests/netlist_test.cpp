@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace rfn {
 namespace {
 
@@ -53,6 +56,48 @@ TEST(Netlist, NumGatesExcludesSourcesAndConstants) {
   n.add(GateType::Not, {a});
   EXPECT_EQ(n.num_gates(), 1u);
   EXPECT_EQ(n.num_regs(), 1u);
+}
+
+TEST(Netlist, FaninPoolSurvivesGrowthAndSetRegData) {
+  Netlist n;
+  const GateId a = n.add(GateType::Input);
+  const GateId b = n.add(GateType::Input);
+  const GateId r = n.add(GateType::Reg, {}, Tri::X);
+  const GateId m = n.add(GateType::Mux, {a, b, r});
+  const GateId w = n.add(GateType::Or, {a, b, m, r});
+  // Enough adds to reallocate the pool many times over; half of them copy
+  // a view of the pool itself, which add() must read before growing it.
+  GateId last = w;
+  for (int i = 0; i < 10000; ++i)
+    last = i % 2 ? n.add(GateType::And, {last, a}) : n.add(GateType::And, n.fanins(w));
+  EXPECT_EQ(n.size(), 10005u);
+  EXPECT_EQ(std::vector<GateId>(n.fanins(m).begin(), n.fanins(m).end()),
+            (std::vector<GateId>{a, b, r}));
+  EXPECT_EQ(std::vector<GateId>(n.fanins(w).begin(), n.fanins(w).end()),
+            (std::vector<GateId>{a, b, m, r}));
+  EXPECT_EQ(std::vector<GateId>(n.fanins(w + 1).begin(), n.fanins(w + 1).end()),
+            (std::vector<GateId>{a, b, m, r}));
+  EXPECT_EQ(n.reg_data(r), kNullGate);  // the placeholder slot
+
+  // set_reg_data writes the register's one slot in place: live views stay
+  // valid and every neighbouring fanin list is untouched.
+  const std::span<const GateId> view = n.fanins(m);
+  n.set_reg_data(r, last);
+  EXPECT_EQ(n.reg_data(r), last);
+  ASSERT_EQ(n.fanins(r).size(), 1u);
+  EXPECT_EQ(view[2], r);
+  EXPECT_EQ(n.fanins(m)[2], r);
+  EXPECT_EQ(n.fanins(w)[3], r);
+  EXPECT_EQ(n.fanins(last)[1], a);
+  n.check();
+
+  EXPECT_GE(n.heap_bytes(), n.size() * 5 + 2 * 10000 * sizeof(GateId));
+  EXPECT_DEATH(
+      {
+        n.add(GateType::Not, {static_cast<GateId>(n.size() + 7)});
+        n.check();
+      },
+      "dangling fanin");
 }
 
 TEST(EvalGate3, BasicTruthTables) {

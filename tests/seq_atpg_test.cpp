@@ -7,8 +7,10 @@
 #include <string>
 #include <vector>
 
+#include "atpg/implication.hpp"
 #include "atpg/unroll.hpp"
 #include "designs/builtin.hpp"
+#include "designs/processor.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
 #include "util/rng.hpp"
@@ -255,6 +257,24 @@ std::vector<SearchPin> seq_trajectories() {
     run(n, cubes);
   }
   return out;
+}
+
+// Memory guard for Step-3 concretization: the flat model of the paper-scale
+// processor's error_flag cone over 28 frames (the depth of its error trace)
+// is about a million gates, so the bytes each flat gate and each fanout
+// entry cost decide the verifier's peak RSS.
+TEST(Unroll, PaperScaleErrorFlagConeStaysCompact) {
+  const designs::ProcessorDesign d = designs::make_processor(designs::paper_scale_processor());
+  constexpr size_t kFrames = 28;
+  std::vector<std::vector<GateId>> needed(kFrames);
+  needed.back() = {d.error_flag};
+  const Unrolled u = unroll_cone(d.netlist, kFrames, needed);
+  ASSERT_GE(u.net.size(), 500000u);
+  EXPECT_LE(u.net.heap_bytes(), 16 * u.net.size());
+
+  const ImplicationEngine eng(u.net);
+  ASSERT_GE(eng.fanouts().edges.size(), u.net.size());
+  EXPECT_LE(eng.fanouts().heap_bytes(), 16 * eng.fanouts().edges.size());
 }
 
 // Recorded before the J-frontier became incremental and the trace rebuild

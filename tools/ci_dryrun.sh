@@ -126,6 +126,14 @@ job_sanitize() { # <thread|address,undefined>
   # accepts, with the solver arena and race cancellation instrumented.
   note "sanitize ($san): PDR suite + budgeted bdd+sat+pdr certify runs"
   "./$dir/tests/pdr_test"
+  # Netlist fanins and CSR fanouts are views into shared pools: the suites
+  # that build, unroll and walk them (ATPG, min-cut) run once more by name.
+  note "sanitize ($san): netlist storage suites"
+  local t
+  for t in netlist_test analysis_test implication_test comb_atpg_test \
+           seq_atpg_test mincut_test; do
+    "./$dir/tests/$t"
+  done
   local spec design prop
   for spec in "fifo bad_full_q" "processor bad_mutex" \
               "iu iu0" "usb bad_se1"; do
@@ -143,7 +151,6 @@ job_sanitize() { # <thread|address,undefined>
   [[ $san == thread ]] || return 0
 
   note "sanitize (thread): concurrency suites"
-  local t
   for t in portfolio_test netlist_fuzz_test trace_span_test prof_test \
            sat_test serve_test pdr_test; do
     "./$dir/tests/$t"
