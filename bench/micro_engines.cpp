@@ -14,12 +14,10 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <string_view>
 
 #include "atpg/comb_atpg.hpp"
 #include "atpg/seq_atpg.hpp"
 #include "bdd/bdd.hpp"
-#include "core/portfolio.hpp"
 #include "core/rfn.hpp"
 #include "core/session.hpp"
 #include "designs/fifo.hpp"
@@ -29,7 +27,6 @@
 #include "mc/reach.hpp"
 #include "mincut/mincut.hpp"
 #include "netlist/builder.hpp"
-#include "sat/bmc.hpp"
 #include "sim/sim3.hpp"
 #include "sim/sim64.hpp"
 #include "util/json.hpp"
@@ -192,42 +189,20 @@ void BM_PostImage(benchmark::State& state) {
 }
 BENCHMARK(BM_PostImage);
 
-// The portfolio benches reset the global registry up front, so the raw
-// snapshot at the end is this benchmark's own tally. bdd_peak_nodes is the
+// The RFN benches reset the global registry up front, so the raw snapshot
+// at the end is this benchmark's own tally. bdd_peak_nodes is the
 // deterministic capacity counter the CI regression gate keys on.
-void export_portfolio_counters(benchmark::State& state) {
+void export_run_counters(benchmark::State& state) {
   const MetricsSnapshot s = MetricsRegistry::global().snapshot();
-  // Win counters are exported generically from the portfolio.wins.* keys,
-  // so a new engine (job name) surfaces as wins_<short> with no bench
-  // change. The known job names map to their historical short names; an
-  // unknown job falls back to its raw name with '-' normalized to '_'.
-  static const std::map<std::string, std::string> kShortNames = {
-      {"bdd-reach", "bdd"}, {"seq-atpg", "atpg"}, {"sat-bmc", "sat"},
-      {"pdr", "pdr"},
-  };
-  for (const auto& [k, v] : kShortNames)
-    state.counters["wins_" + v] = s.value("portfolio.wins." + k);
-  constexpr std::string_view kWinsPrefix = "portfolio.wins.";
-  for (const auto& [key, value] : s.values) {
-    if (key.rfind(kWinsPrefix, 0) != 0) continue;
-    std::string job = key.substr(kWinsPrefix.size());
-    const auto it = kShortNames.find(job);
-    if (it == kShortNames.end()) {
-      for (char& c : job) c = c == '-' ? '_' : c;
-      state.counters["wins_" + job] = value;
-    }
-  }
-  state.counters["jobs_cancelled"] = s.value("portfolio.jobs_cancelled");
   state.counters["bdd_peak_nodes"] = s.value("bdd.peak_live_nodes.max");
-  // Byte-exact arena peaks (see util/prof and DESIGN.md "Resource
+  // Byte-exact arena peak (see util/prof and DESIGN.md "Resource
   // profiling"). Informational in the per-bench counters — the CI byte gate
   // runs on rfn-prof-v1 artifacts from deterministic CLI runs
   // (tools/bench_gate.py --prof-baseline), not on these.
   state.counters["bdd_peak_heap_bytes"] = s.value("bdd.heap_bytes.max");
-  state.counters["sat_peak_heap_bytes"] = s.value("sat.heap_bytes.max");
 }
 
-// Full RFN runs on the FIFO psh_full property with the default race lineup.
+// Full RFN runs on the FIFO psh_full property.
 void BM_RfnPortfolioFifo(benchmark::State& state) {
   const rfn::designs::FifoDesign fifo =
       rfn::designs::make_fifo({.addr_bits = 3, .data_bits = 2});
@@ -237,7 +212,7 @@ void BM_RfnPortfolioFifo(benchmark::State& state) {
     const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
     if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
   }
-  export_portfolio_counters(state);
+  export_run_counters(state);
 }
 BENCHMARK(BM_RfnPortfolioFifo)->Unit(benchmark::kMillisecond);
 
@@ -279,7 +254,7 @@ void BM_SessionIndependentFifo(benchmark::State& state) {
         state.SkipWithError("fifo suite must hold");
     }
   }
-  export_portfolio_counters(state);
+  export_run_counters(state);
 }
 BENCHMARK(BM_SessionIndependentFifo)->Unit(benchmark::kMillisecond);
 
@@ -311,121 +286,9 @@ void BM_SessionBatchFifo(benchmark::State& state) {
   const MetricsSnapshot s = MetricsRegistry::global().snapshot();
   state.counters["clustered_verdicts"] = s.value("session.clustered_verdicts");
   state.counters["memo_hits"] = s.value("session.subcircuit_memo.hits");
-  export_portfolio_counters(state);
+  export_run_counters(state);
 }
 BENCHMARK(BM_SessionBatchFifo)->Unit(benchmark::kMillisecond);
-
-// Full RFN runs with the race lineup pinned to IC3/PDR alone: the clause-
-// learning prover carries both the abstract probe and the concrete check,
-// proving psh_full unboundedly with no BDD fixpoint. Every race has one
-// racer, so wins_pdr counts both races per iteration — the counter
-// bench_gate.py requires to stay >= 1.
-void BM_PortfolioPdrFifo(benchmark::State& state) {
-  const rfn::designs::FifoDesign fifo =
-      rfn::designs::make_fifo({.addr_bits = 3, .data_bits = 2});
-  MetricsRegistry::global().reset();
-  for (auto _ : state) {
-    RfnOptions opt;
-    opt.engines = {"pdr"};
-    const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
-    if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
-    if (!res.pdr_invariant.present)
-      state.SkipWithError("pdr verdict must carry its inductive frame");
-  }
-  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
-  state.counters["pdr_obligations"] = s.value("pdr.obligations");
-  state.counters["pdr_clauses"] = s.value("pdr.clauses");
-  export_portfolio_counters(state);
-}
-BENCHMARK(BM_PortfolioPdrFifo)->Unit(benchmark::kMillisecond);
-
-// The SAT BMC engine in isolation: one fresh incremental instance per
-// iteration answering the concrete bounded question on the FIFO psh_full
-// property (all registers enabled, bound 12 — the property holds, so every
-// depth is UNSAT). Measures encode + solve from cold; the incremental
-// reuse across depths is inside the single check() call.
-void BM_SatBmcFifo(benchmark::State& state) {
-  const rfn::designs::FifoDesign fifo =
-      rfn::designs::make_fifo({.addr_bits = 3, .data_bits = 2});
-  const std::vector<GateId> regs = fifo.netlist.regs();
-  MetricsRegistry::global().reset();
-  for (auto _ : state) {
-    SatBmc bmc(fifo.netlist);
-    const SatBmcResult r = bmc.check(fifo.bad_push_full, 12, regs);
-    if (r.status != AtpgStatus::Unsat)
-      state.SkipWithError("psh_full must be bounded-UNSAT");
-    benchmark::DoNotOptimize(r.depth);
-  }
-  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
-  state.counters["sat_conflicts"] = s.value("sat.conflicts");
-  state.counters["sat_checks"] = s.value("sat.checks");
-}
-BENCHMARK(BM_SatBmcFifo)->Unit(benchmark::kMillisecond);
-
-// Full RFN runs with the race lineup pinned to bdd + sat: the SAT engine
-// carries the whole falsification side (abstract probes and concretization)
-// that it shares with guided-atpg in the default portfolio.
-void BM_PortfolioWithSatFifo(benchmark::State& state) {
-  const rfn::designs::FifoDesign fifo =
-      rfn::designs::make_fifo({.addr_bits = 3, .data_bits = 2});
-  MetricsRegistry::global().reset();
-  for (auto _ : state) {
-    RfnOptions opt;
-    opt.engines = {"bdd", "sat"};
-    const RfnResult res = run_property(fifo.netlist, fifo.bad_push_full, opt);
-    if (res.verdict != Verdict::Holds) state.SkipWithError("psh_full must hold");
-  }
-  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
-  state.counters["sat_conflicts"] = s.value("sat.conflicts");
-  state.counters["sat_checks"] = s.value("sat.checks");
-  export_portfolio_counters(state);
-}
-BENCHMARK(BM_PortfolioWithSatFifo)->Unit(benchmark::kMillisecond);
-
-// The Step-2 race in isolation on the USB packet-engine abstraction:
-// bounded BDD reachability, then iterative-deepening ATPG chasing a coverage
-// register.
-void BM_PortfolioRaceUsb(benchmark::State& state) {
-  const rfn::designs::UsbDesign usb = rfn::designs::make_usb({});
-  const Subcircuit sub = extract_abstract_model(usb.netlist, usb.usb2, usb.usb2);
-  const GateId target = sub.to_new(usb.usb2.front());
-  MetricsRegistry::global().reset();
-  for (auto _ : state) {
-    BddMgr mgr;
-    Encoder enc(mgr, sub.net);
-    mgr.set_auto_reorder(true);
-    ImageComputer img(enc);
-    const Bdd bad_set = mgr.exists(enc.signal_fn(target), enc.input_vars());
-    std::vector<PortfolioJob> jobs;
-    jobs.push_back({"bdd-reach", -1.0, [&](const CancelToken& token) {
-                      ReachOptions ro;
-                      ro.max_steps = 32;
-                      ro.cancel = &token;
-                      const ReachResult r =
-                          forward_reach(img, enc.initial_states(), bad_set, ro);
-                      return r.status != ReachStatus::ResourceOut;
-                    }});
-    jobs.push_back({"seq-atpg", 1.0, [&](const CancelToken& token) {
-                      AtpgOptions ao;
-                      ao.max_backtracks = 1u << 14;
-                      ao.cancel = &token;
-                      for (size_t k = 1; k <= 16; ++k) {
-                        if (token.cancelled()) return false;
-                        if (reach_target(sub.net, k, target, true, {}, ao).status ==
-                            AtpgStatus::Sat)
-                          return true;
-                      }
-                      return false;
-                    }});
-    const RaceResult r = race(jobs);
-    benchmark::DoNotOptimize(r.conclusive);
-    // This bench owns the iteration's manager, so it flushes the BDD stats
-    // (once per manager, same as the CEGAR loop does for its own managers).
-    publish_bdd_metrics(mgr.stats());
-  }
-  export_portfolio_counters(state);
-}
-BENCHMARK(BM_PortfolioRaceUsb)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally captures every run for the
 /// rfn-bench-v1 JSON document.

@@ -81,8 +81,7 @@ int main(int argc, char** argv) {
     // T).
     const CertificateArtifact cert = certify_with_witness(
         *row.design, row.bad, row.name, r.verdict, r.error_trace,
-        r.final_registers, {},
-        r.pdr_invariant.present ? &r.pdr_invariant : nullptr);
+        r.final_registers);
     table.add_row({row.name, fmt_int(static_cast<int64_t>(coi_regs)),
                    fmt_int(static_cast<int64_t>(coi_gates)), fmt_double(r.seconds, 1),
                    to_string(r.verdict),

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "cert/format.hpp"
+#include "util/log.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rfn::api {
@@ -43,13 +44,6 @@ const char* decode(const json::Value& v, T* out) {
   } else if constexpr (std::is_same_v<T, std::string>) {
     if (!v.is_string()) return "a string";
     *out = v.as_string();
-  } else if constexpr (std::is_same_v<T, std::vector<std::string>>) {
-    const auto& items = v.items();
-    const auto is_name = [](const json::Value& e) { return e.is_string(); };
-    if (!v.is_array() || !std::all_of(items.begin(), items.end(), is_name))
-      return "an array of engine names";
-    out->clear();
-    for (const json::Value& e : items) out->push_back(e.as_string());
   } else {  // an override slot: std::optional<U>
     typename T::value_type value{};
     if (const char* type = decode(v, &value)) return type;
@@ -70,14 +64,6 @@ json::Value from_text(const std::string& text, bool*) {
   if (text == "1" || text == "true" || text == "yes") return true;
   if (text == "0" || text == "false" || text == "no") return false;
   return text;
-}
-
-json::Value from_text(const std::string& text, std::vector<std::string>*) {
-  json::Value names = json::Value::array();
-  std::stringstream ss(text);
-  for (std::string name; std::getline(ss, name, ',');)
-    if (!name.empty()) names.push(name);
-  return names;
 }
 
 template <class T>
@@ -111,12 +97,6 @@ bool want_text(const Slot& slot, const std::string& text,
 template <class T>
 json::Value encode(const T& v) {
   return v;
-}
-
-json::Value encode(const std::vector<std::string>& names) {
-  json::Value arr = json::Value::array();
-  for (const std::string& n : names) arr.push(n);
-  return arr;
 }
 
 /// A knob's slots for reading only (the table's accessors bind mutable
@@ -175,12 +155,6 @@ const std::vector<Knob>& knobs() {
       {"options", "max-iterations",
        [](R r) -> F { return &r.options.max_iterations; },
        [](O o) -> V { return &o.max_iterations; }},
-      {"options", "engines",
-       [](R r) -> F { return &r.options.engines; }, nullptr, "engine"},
-      {"options", "pdr-max-frames",
-       [](R r) -> F { return &r.options.race_pdr_max_frames; }},
-      {"options", "pdr-time",
-       [](R r) -> F { return &r.options.race_pdr_time_s; }},
       {"options", "budget-ms",
        [](R r) -> F { return &r.options.budget_ms; },
        [](O o) -> V { return &o.budget_ms; }},
@@ -480,14 +454,9 @@ bool VerifyRequest::from_flags(const Options& opts,
     const std::string flag = k.cli_flag();
     const std::vector<std::string> given = opts.get_all(flag);
     if (given.empty()) continue;
-    // Scalars keep the last value; an engine list gathers every one.
-    std::string text = given.back();
+    // A repeated flag keeps its last value.
     const Knob::Field field = k.field(*out);
-    if (std::holds_alternative<std::vector<std::string>*>(field)) {
-      text.clear();
-      for (const std::string& g : given) text += g + ",";
-    }
-    if (!want_text(field, text, "--" + flag, error)) return false;
+    if (!want_text(field, given.back(), "--" + flag, error)) return false;
     bool* const* b = std::get_if<bool*>(&field);
     if (b != nullptr && flag.rfind("no-", 0) == 0) **b = !**b;
   }
@@ -590,7 +559,6 @@ json::Value VerifyResponse::to_json() const {
   warm_o.set("entries", warm.entries);
   warm_o.set("bytes", warm.bytes);
   warm_o.set("order_warm", warm.order_warm);
-  warm_o.set("sat_pool_entries", warm.sat_pool_entries);
   o.set("warm_cache", std::move(warm_o));
   o.set("seconds", seconds);
   return o;
@@ -663,9 +631,10 @@ CertificateArtifact certify_property(const Netlist& design, GateId bad,
                                      const std::vector<GateId>& final_registers,
                                      CertificateRecord* rec,
                                      const PdrInvariantWitness* pdr_invariant) {
-  CertificateArtifact art =
-      certify_with_witness(design, bad, name, verdict, trace, final_registers,
-                           {}, pdr_invariant);
+  RFN_CHECK(pdr_invariant == nullptr || !pdr_invariant->present,
+            "no engine produces an invariant witness");
+  CertificateArtifact art = certify_with_witness(design, bad, name, verdict,
+                                                 trace, final_registers);
   rec->property = name;
   rec->kind = cert::cert_kind_name(art.certificate.kind);
   rec->ok = art.checked;
@@ -737,10 +706,7 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
       CertificateRecord rec;
       CertificateArtifact art =
           certify_property(design.netlist, r.bad, r.name, r.verdict, r.trace,
-                           r.stats.final_registers, &rec,
-                           r.stats.pdr_invariant.present
-                               ? &r.stats.pdr_invariant
-                               : nullptr);
+                           r.stats.final_registers, &rec);
       out->cert_records.push_back(std::move(rec));
       out->cert_artifacts.push_back(std::move(art));
     }

@@ -71,12 +71,9 @@ struct VerifyRequest;
 /// "session" object. The key is also the knob's --props / "overrides" key
 /// and, unless `flag` says otherwise, its CLI flag (--key). The knob's type
 /// is the C++ type of the field it sets: double a number, size_t a
-/// non-negative integer count, int64_t an integer, bool a boolean, and
-/// std::vector<std::string> an engine list (a JSON array of names; on the
-/// command line a comma list, and the flag may repeat).
+/// non-negative integer count, int64_t an integer and bool a boolean.
 struct Knob {
-  using Field = std::variant<double*, size_t*, int64_t*, bool*,
-                             std::vector<std::string>*>;
+  using Field = std::variant<double*, size_t*, int64_t*, bool*>;
   using Override =
       std::variant<std::optional<double>*, std::optional<size_t>*,
                    std::optional<int64_t>*>;
@@ -97,7 +94,7 @@ struct Knob {
   std::string cli_flag() const { return flag != nullptr ? flag : key; }
 };
 
-/// The knob list: 8 "options" knobs, then 5 "session" knobs.
+/// The knob list: 5 "options" knobs, then 5 "session" knobs.
 const std::vector<Knob>& knobs();
 
 /// A verification request: rfn-req-v1.
@@ -190,9 +187,8 @@ struct WarmCacheInfo {
   size_t entries = 0;
   int64_t bytes = 0;
   /// Pre-existing warm state the run could reuse: a saved BDD variable
-  /// order, and pooled incremental SAT instances.
+  /// order.
   bool order_warm = false;
-  size_t sat_pool_entries = 0;
 };
 
 /// The final verdict document: rfn-resp-v1.
@@ -207,7 +203,7 @@ struct WarmCacheInfo {
 ///    ["certificates":{"ok":..,"failed":..[,"docs":[..]]},]  // certify only
 ///    "warm_cache":{"enabled":..,"hit":..,"hits":..,"misses":..,
 ///                  "evictions":..,"entries":..,"bytes":..,
-///                  "order_warm":..,"sat_pool_entries":..},
+///                  "order_warm":..},
 ///    "seconds":..}
 struct VerifyResponse {
   std::string id;
@@ -248,10 +244,9 @@ bool resolve_properties(const Netlist& n,
 
 /// Builds + checks the witness for one concluded property and flattens the
 /// outcome into the rfn-trace-v2 certificate record (no file I/O — callers
-/// owning a --cert-dir write the artifact themselves). When the run's PDR
-/// engine concluded Holds, pass its invariant (RfnResult::pdr_invariant) so
-/// the witness comes from the inductive frame instead of a recomputed BDD
-/// fixpoint — the frame's register scope may not support one.
+/// owning a --cert-dir write the artifact themselves). The trailing
+/// parameter is kept only so older callers compile: no engine produces an
+/// invariant witness, and a present one is refused.
 CertificateArtifact certify_property(const Netlist& design, GateId bad,
                                      const std::string& name, Verdict verdict,
                                      const Trace& trace,

@@ -33,7 +33,7 @@ struct AtpgOptions {
   /// Cooperative should-stop hook, polled per backtrack and per decision
   /// batch; a cancelled search reports Abort. Flows through every engine
   /// built on this options struct (sequential ATPG, hybrid trace engine,
-  /// concretization), which is how the portfolio scheduler cuts them short.
+  /// concretization), which is how a run's budget cuts them short.
   const CancelToken* cancel = nullptr;
 };
 

@@ -89,7 +89,9 @@ Unrolled unroll_cone(const Netlist& m, size_t frames,
       }
     }
   }
-  u.net.check();
+  // Valid by construction: add() checks every gate's arity, and every flat
+  // fanin is a gate added earlier (the RFN_CHECKs above), so the model is
+  // acyclic.
   return u;
 }
 
@@ -97,26 +99,6 @@ Unrolled unroll_full(const Netlist& m, size_t frames) {
   std::vector<GateId> all;
   for (GateId g = 0; g < m.size(); ++g) all.push_back(g);
   return unroll_cone(m, frames, std::vector<std::vector<GateId>>(frames, all));
-}
-
-std::vector<bool> stable_frame_cone(const Netlist& m,
-                                    const std::vector<GateId>& roots) {
-  // One backward pass per newly discovered register layer; terminates because
-  // the register set only grows.
-  std::vector<GateId> all_roots = roots;
-  std::vector<bool> in_roots(m.size(), false);
-  for (GateId r : roots) in_roots[r] = true;
-  for (;;) {
-    const std::vector<bool> cone = comb_fanin_cone(m, all_roots);
-    bool grew = false;
-    for (GateId r : m.regs()) {
-      if (!cone[r] || in_roots[m.reg_data(r)]) continue;
-      in_roots[m.reg_data(r)] = true;
-      all_roots.push_back(m.reg_data(r));
-      grew = true;
-    }
-    if (!grew) return cone;
-  }
 }
 
 }  // namespace rfn

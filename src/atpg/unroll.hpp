@@ -43,15 +43,4 @@ Unrolled unroll_cone(const Netlist& m, size_t frames,
 /// Full unroll: every signal materialized in every frame.
 Unrolled unroll_full(const Netlist& m, size_t frames);
 
-/// Frame-invariant materialization set for an *incrementally extended*
-/// unrolling: the fixpoint of "combinational cone of `roots` plus the data
-/// cones of every register already in the set" (equivalently, the COI of the
-/// roots). unroll_cone computes the minimal per-frame cones for a fixed
-/// depth — those shrink toward the first frame, so appending frame k+1 would
-/// disturb frames 1..k. A consumer that keeps one growing unrolling alive
-/// (the SAT BMC encoder's single-instance formulation) materializes this set
-/// in every frame instead: appending a frame then never touches the ones
-/// before it. Returns a membership mask indexed by GateId.
-std::vector<bool> stable_frame_cone(const Netlist& m, const std::vector<GateId>& roots);
-
 }  // namespace rfn

@@ -130,7 +130,7 @@ struct BddStats {
 /// for the node high-water marks). BddMgr itself never touches the global
 /// registry — its counters are plain fields on the hot path — so owners
 /// flush exactly once per manager, at a natural boundary (RFN flushes the
-/// per-iteration Step-2 manager after the race; benches flush before
+/// per-iteration Step-2 manager when the iteration ends; benches flush before
 /// exporting counters).
 void publish_bdd_metrics(const BddStats& s);
 

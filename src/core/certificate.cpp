@@ -116,37 +116,11 @@ CertificateBuild build_fails_certificate(const Netlist& m, GateId bad,
   return res;
 }
 
-CertificateBuild build_holds_certificate_from_invariant(
-    const Netlist& m, GateId bad, const std::string& property_name,
-    const PdrInvariantWitness& inv) {
-  CertificateBuild res;
-  res.certificate.kind = cert::CertKind::HoldsInvariant;
-  fill_design(m, bad, property_name, &res.certificate);
-  if (!inv.present)
-    return failed(std::move(res), "no PDR invariant in the result");
-  if (!std::is_sorted(inv.registers.begin(), inv.registers.end()))
-    return failed(std::move(res), "PDR invariant scope is not sorted");
-  for (const std::vector<int32_t>& clause : inv.clauses) {
-    if (clause.empty())
-      return failed(std::move(res), "PDR invariant contains an empty clause");
-    for (int32_t lit : clause) {
-      const auto idx = static_cast<size_t>(lit < 0 ? -lit : lit);
-      if (idx == 0 || idx > inv.registers.size())
-        return failed(std::move(res), "PDR invariant literal out of scope");
-    }
-  }
-  res.certificate.registers = inv.registers;
-  res.certificate.clauses = inv.clauses;
-  res.ok = true;
-  return res;
-}
-
 CertificateArtifact certify_with_witness(const Netlist& m, GateId bad,
                                          const std::string& property_name,
                                          Verdict verdict, const Trace& error_trace,
                                          const std::vector<GateId>& final_registers,
-                                         const ReachOptions& opt,
-                                         const PdrInvariantWitness* pdr_invariant) {
+                                         const ReachOptions& opt) {
   MetricsRegistry& reg = MetricsRegistry::global();
   CertificateArtifact art;
   if (verdict != Verdict::Holds && verdict != Verdict::Fails) {
@@ -157,15 +131,10 @@ CertificateArtifact certify_with_witness(const Netlist& m, GateId bad,
   Stopwatch total;
   {
     Stopwatch build;
-    const bool from_pdr = verdict == Verdict::Holds &&
-                          pdr_invariant != nullptr && pdr_invariant->present;
     CertificateBuild b =
-        from_pdr ? build_holds_certificate_from_invariant(m, bad, property_name,
-                                                          *pdr_invariant)
-        : verdict == Verdict::Holds
+        verdict == Verdict::Holds
             ? build_holds_certificate(m, bad, property_name, final_registers, opt)
             : build_fails_certificate(m, bad, property_name, error_trace);
-    if (from_pdr) reg.counter("cert.from_pdr").add();
     reg.timer("cert.build").record(build.seconds());
     if (!b.ok) {
       reg.counter("cert.build_failed").add();

@@ -50,16 +50,6 @@ CertificateBuild build_fails_certificate(const Netlist& m, GateId bad,
                                          const std::string& property_name,
                                          const Trace& trace);
 
-/// Packages a PDR inductive frame (RfnResult::pdr_invariant) as a
-/// holds-invariant witness without recomputing anything: the engine already
-/// emits its clauses in the rfn-cert-v1 convention over a sorted register
-/// scope, so this is a format fill plus validation. Used when PDR concluded
-/// Holds — the frame's scope may be a register set no BDD fixpoint was ever
-/// run on, so the recompute path of build_holds_certificate would not apply.
-CertificateBuild build_holds_certificate_from_invariant(
-    const Netlist& m, GateId bad, const std::string& property_name,
-    const PdrInvariantWitness& inv);
-
 /// A built-and-checked certificate for one concluded property: what the CLI
 /// emits and what lands in the rfn-trace-v2 `certificate` record.
 struct CertificateArtifact {
@@ -80,14 +70,10 @@ struct CertificateArtifact {
 /// cert.build_failed / cert.check_ok / cert.check_failed / cert.clauses,
 /// timers cert.build / cert.check. Inconclusive verdicts return an
 /// unbuilt artifact with a diagnostic: they carry no certificate.
-/// `pdr_invariant` (optional): when present and the verdict is Holds, the
-/// witness comes from the PDR frame instead of a recomputed BDD fixpoint —
-/// the self-check through the independent checker still runs either way.
 CertificateArtifact certify_with_witness(const Netlist& m, GateId bad,
                                          const std::string& property_name,
                                          Verdict verdict, const Trace& error_trace,
                                          const std::vector<GateId>& final_registers,
-                                         const ReachOptions& opt = {},
-                                         const PdrInvariantWitness* pdr_invariant = nullptr);
+                                         const ReachOptions& opt = {});
 
 }  // namespace rfn

@@ -12,11 +12,11 @@
 //      register minimization.
 // RFN never performs symbolic image computation on the original design.
 //
-// run_property() is the one entry point to this loop. Steps 2 and 3 are
-// engine races (core/portfolio.hpp): bdd-reach, sat-bmc and pdr for Step 2,
-// guided-atpg, sat-bmc and pdr for Step 3; RunHooks lets a caller seed the run and
-// collect its hints, which is how VerifySession (core/session.hpp) adds
-// batching, cone clustering and cross-property reuse on top.
+// run_property() is the one entry point to this loop. Step 2 calls the BDD
+// fixpoint and then the hybrid walk, Step 3 calls guided concretization;
+// RunHooks lets a caller seed the run and collect its hints, which is how
+// VerifySession (core/session.hpp) adds batching, cone clustering and
+// cross-property reuse on top.
 
 #include <string>
 #include <vector>
@@ -39,28 +39,8 @@ struct RfnOptions {
   size_t max_iterations = 1000;
   /// Per-iteration reachability budget on the abstract model.
   ReachOptions reach;
-  /// Engines entering the Step-2 / Step-3 races. Empty = all of
-  /// {"bdd", "atpg", "sat", "pdr"}; a non-empty list must be a subset of
-  /// those names and name at least one Step-2 engine ("bdd", "sat" or
-  /// "pdr"; validate() rejects anything else). "atpg" is Step-3 guided
-  /// concretization only. Only "bdd" and "pdr" can prove Holds, so a list
-  /// with neither restricts the loop to falsification: a run that finds no
-  /// error trace ends Unknown.
-  std::vector<std::string> engines;
-  /// Frame bound for the IC3/PDR engine in both races. PDR is complete —
-  /// given enough frames it always converges — so this is purely a resource
-  /// valve against designs whose inductive proofs are deep.
-  size_t race_pdr_max_frames = 128;
-  /// Wall budget (seconds) per race for the PDR engine (0 = unlimited).
-  /// Unlike the SAT probe, PDR can conclude Holds, but an unlimited PDR job
-  /// in an otherwise-winnerless race would stall the loop, so it gets its
-  /// own limit rather than the probe's fixed budget.
-  double race_pdr_time_s = 10.0;
-
-  /// True when `name` ("bdd", "atpg", "sat", "pdr") participates in races.
-  bool engine_enabled(const char* name) const;
   /// External cancellation of the whole run: polled at iteration boundaries
-  /// and chained into every engine race.
+  /// and passed to every engine call.
   const CancelToken* cancel = nullptr;
   /// Resource-watchdog budgets. When either is positive a monitor thread
   /// polls the run and cancels it on overrun; the run then degrades to the
@@ -103,27 +83,10 @@ struct RfnIteration {
   AtpgStatus concretize_status{};   // meaningful when a trace was found
   RefineStats refine;
   HybridTraceStats hybrid;
-  /// Which engine won each race (empty = race had no conclusive winner).
-  std::string abstract_engine;
-  std::string concretize_engine;
-  /// SAT BMC activity this iteration (zeros when the engine is disabled):
-  /// solver-stat deltas over the shared incremental instance and the
-  /// deepest frame it was asked.
-  uint64_t sat_conflicts = 0;
-  uint64_t sat_propagations = 0;
-  size_t sat_depth = 0;
-  /// IC3/PDR activity this iteration (zeros when the engine is disabled):
-  /// totals across this iteration's abstract + concrete runs, and the
-  /// highest frame either run opened.
-  uint64_t pdr_obligations = 0;
-  uint64_t pdr_clauses = 0;
-  size_t pdr_frames = 0;
-  /// Wall time of the Step-2 / Step-3 engine races, and the thread-CPU time
-  /// the jobs that ran burned (see RaceResult::cpu_seconds).
-  double abstract_race_seconds = 0.0;
-  double concretize_race_seconds = 0.0;
-  double abstract_race_cpu_seconds = 0.0;
-  double concretize_race_cpu_seconds = 0.0;
+  /// Wall time of the Step-2 fixpoint and of the Step-3 concretization (0
+  /// when the step did not run).
+  double reach_seconds = 0.0;
+  double concretize_seconds = 0.0;
   double seconds = 0.0;
 };
 
@@ -136,15 +99,11 @@ struct BudgetTrip {
   int64_t rss_bytes = 0;   // process RSS at the trip (0 when not sampled)
 };
 
-/// Inductive invariant carried out of a PDR Holds so certification can emit
-/// an rfn-cert-v1 witness without recomputing a BDD fixpoint (the PDR frame
-/// may hold over a register scope no BDD traversal was ever run on).
-/// `registers` is sorted ascending; `clauses` already use the rfn-cert-v1
-/// convention: literal ±(index into `registers` + 1).
+/// Kept only so out-of-tree callers that read RfnResult::pdr_invariant
+/// still compile: no engine produces an invariant witness, so `present` is
+/// always false.
 struct PdrInvariantWitness {
   bool present = false;
-  std::vector<GateId> registers;
-  std::vector<std::vector<int32_t>> clauses;
 };
 
 struct RfnResult {
@@ -157,8 +116,8 @@ struct RfnResult {
   /// abstract model. Lets callers resume refinement or seed a later run.
   std::vector<GateId> final_registers;
   double seconds = 0.0;
-  /// Thread-CPU seconds of this run: the calling thread's CPU over the run,
-  /// engine races included (they run inline on it).
+  /// Thread-CPU seconds of this run: the calling thread's CPU over the run
+  /// (every engine runs inline on it).
   double cpu_seconds = 0.0;
   std::vector<RfnIteration> per_iteration;
   std::string note;  // diagnostic for Unknown/ResourceOut verdicts
@@ -169,13 +128,11 @@ struct RfnResult {
   /// several runs share the process.
   MetricsSnapshot metrics_baseline;
   uint64_t metrics_epoch = 0;
-  /// Set when a PDR run concluded the verdict Holds: the inductive frame
-  /// certification should turn into the witness (see PdrInvariantWitness).
+  /// Never set (see PdrInvariantWitness).
   PdrInvariantWitness pdr_invariant;
 };
 
 class SubcircuitMemo;
-class SatBmcPool;
 struct SavedOrder;
 
 /// Optional hooks run_property() threads through one run; all fields may be
@@ -198,9 +155,6 @@ struct RunHooks {
   /// Out: every crucial register chosen by Step 4, appended in discovery
   /// order (duplicates possible across iterations are not re-added).
   std::vector<GateId>* crucial_out = nullptr;
-  /// Pooled incremental SAT BMC instances; null makes the run build its own
-  /// per-run instance when the "sat" engine is enabled.
-  SatBmcPool* sat_bmc = nullptr;
 };
 
 /// Verifies "`bad` never rises" on `m`: `bad` is a signal of `m`, and safety

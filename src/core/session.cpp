@@ -64,31 +64,10 @@ int64_t SubcircuitMemo::approx_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// SatBmcPool
-
-SatBmc& SatBmcPool::get(const Netlist& m) {
-  MetricsRegistry& reg = MetricsRegistry::global();
-  const auto it = map_.find(&m);
-  if (it != map_.end()) {
-    reg.counter("session.sat_pool.hits").add(1);
-    return *it->second;
-  }
-  reg.counter("session.sat_pool.misses").add(1);
-  return *map_.emplace(&m, std::make_unique<SatBmc>(m)).first->second;
-}
-
-int64_t SatBmcPool::heap_bytes() const {
-  int64_t total = 0;
-  for (const auto& [net, bmc] : map_)
-    total += static_cast<int64_t>(bmc->solver_heap_bytes());
-  return total;
-}
-
-// ---------------------------------------------------------------------------
 // ReuseCache
 
 int64_t ReuseCache::approx_bytes() const {
-  return sat_bmc.heap_bytes() + subcircuits.approx_bytes() +
+  return subcircuits.approx_bytes() +
          static_cast<int64_t>(order.tokens.size() * sizeof(SavedOrder::Token)) +
          static_cast<int64_t>(crucial_hints.size() * sizeof(GateId));
 }
@@ -166,7 +145,7 @@ void VerifySession::run_cluster(const std::vector<PropertyRequest>& props,
                                 std::vector<PropertyResult>& results) const {
   // Cluster-local state, plus — when the caller provided a cross-session
   // warm cache and the session runs inline — the shared base cache. The
-  // workers == 0 restriction is load-bearing: memo, pool, and order are
+  // workers == 0 restriction is load-bearing: memo and order are
   // single-threaded by design, and concurrent cluster jobs would race on
   // them.
   ReuseCache local;
@@ -185,18 +164,15 @@ void VerifySession::run_cluster(const std::vector<PropertyRequest>& props,
     RunHooks hooks;
     std::vector<GateId> seeds;
     if (opt_.reuse) {
-      // Memo and pool must match the netlist the run sees: a pooled SatBmc
-      // references its netlist by address, and memo keys reuse gate ids —
-      // entries for an augmented disjunction copy would dangle (the copy
-      // dies with the cluster) or collide with a later copy's coincident
-      // ids. So only base-netlist runs touch the possibly-shared base
+      // The memo must match the netlist the run sees: its keys reuse gate
+      // ids, so entries for an augmented disjunction copy would collide
+      // with a later copy's coincident ids. So only base-netlist runs touch the possibly-shared base
       // cache; the order and hints are original-design ids, portable across
       // both netlists, and always shared.
       ReuseCache& structural = &net == m_ ? *base_cache : local;
       for (GateId r : base_cache->crucial_hints)
         if (std::binary_search(cone.begin(), cone.end(), r)) seeds.push_back(r);
       hooks.subcircuits = &structural.subcircuits;
-      hooks.sat_bmc = &structural.sat_bmc;
       hooks.order_io = &base_cache->order;
       hooks.order_seeded = order_seeded;
       hooks.seed_registers = &seeds;

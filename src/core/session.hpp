@@ -40,7 +40,6 @@
 #include "core/rfn.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/subcircuit.hpp"
-#include "sat/bmc.hpp"
 
 namespace rfn {
 
@@ -131,13 +130,12 @@ struct SessionOptions {
   std::function<void(const PropertyResult&)> on_property;
   /// Cross-request warm state (the server's per-design cache entry): the
   /// session reads and writes this ReuseCache instead of a per-cluster one,
-  /// so SavedOrder / SatBmcPool / SubcircuitMemo survive into the next
-  /// session on the same design. Honored only when workers == 0 (the memo,
-  /// pool, and order are single-threaded by design); runs on augmented
-  /// disjunction copies still use cluster-local memo/pool — their netlists
-  /// die with the cluster, and a pooled SatBmc must never outlive the
-  /// netlist it references. The caller must construct every warmed session
-  /// over the SAME Netlist instance (pool entries are keyed by address).
+  /// so SavedOrder / SubcircuitMemo survive into the next session on the
+  /// same design. Honored only when workers == 0 (the memo and order are
+  /// single-threaded by design); runs on augmented disjunction copies still
+  /// use a cluster-local memo, whose keys would collide with a later copy's
+  /// gate ids. The caller must construct every warmed session over the
+  /// SAME Netlist instance.
   ReuseCache* shared_cache = nullptr;
 };
 
@@ -167,36 +165,9 @@ class SubcircuitMemo {
   size_t misses_ = 0;
 };
 
-/// Pool of long-lived incremental SAT BMC instances keyed by design
-/// identity. One instance accumulates learned clauses and unrolled frames
-/// across every solve it answers, so handing the same instance to every run
-/// on a design is where the incremental formulation pays off. Like
-/// SubcircuitMemo it is single-threaded by design: each cluster job owns one
-/// pool, and a run's engine races use it one job at a time on the run's
-/// thread (same single-owner rule as a BddMgr).
-class SatBmcPool {
- public:
-  /// Returns the pooled instance for `m`, creating it on first use. The
-  /// netlist is keyed by address and must stay alive (and only grow — see
-  /// BmcEncoder) for the pool's lifetime.
-  SatBmc& get(const Netlist& m);
-
-  size_t size() const { return map_.size(); }
-
-  /// Byte-exact heap footprint of the pooled solvers (sum of each
-  /// instance's tracked clause-arena + watch-list bytes; see
-  /// sat::Solver::heap_bytes). The dominant term of a warm cache entry.
-  int64_t heap_bytes() const;
-
- private:
-  std::unordered_map<const Netlist*, std::unique_ptr<SatBmc>> map_;
-};
-
 /// Cross-property reuse state carried along one cluster's runs.
 struct ReuseCache {
   SubcircuitMemo subcircuits;
-  /// Incremental SAT BMC instances shared across the cluster's runs.
-  SatBmcPool sat_bmc;
   /// Final variable order of the previous run (original-design ids —
   /// portable across the augmented and original netlists, whose ids
   /// coincide).
@@ -205,8 +176,8 @@ struct ReuseCache {
   /// discovery order.
   std::vector<GateId> crucial_hints;
 
-  /// Resident-byte estimate of the whole cache: exact solver arenas plus
-  /// structural estimates for the memo, order, and hints. The server's
+  /// Resident-byte estimate of the whole cache: structural estimates for
+  /// the memo, order, and hints. The server's
   /// WarmStateCache charges each design entry by this figure.
   int64_t approx_bytes() const;
 };

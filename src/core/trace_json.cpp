@@ -21,6 +21,7 @@ json::Value iteration_json(const std::string& property, size_t index,
   Value reach = Value::object();
   reach.set("status", to_string(it.reach_status));
   reach.set("steps", it.reach_steps);
+  reach.set("seconds", it.reach_seconds);
   o.set("reach", std::move(reach));
 
   Value bdd = Value::object();
@@ -46,23 +47,8 @@ json::Value iteration_json(const std::string& property, size_t index,
 
   Value conc = Value::object();
   conc.set("status", to_string(it.concretize_status));
+  conc.set("seconds", it.concretize_seconds);
   o.set("concretize", std::move(conc));
-
-  // SAT BMC activity (solver-stat deltas over the shared incremental
-  // instance); all-zero when the engine is disabled.
-  Value sat = Value::object();
-  sat.set("conflicts", it.sat_conflicts);
-  sat.set("propagations", it.sat_propagations);
-  sat.set("depth", it.sat_depth);
-  o.set("sat", std::move(sat));
-
-  // IC3/PDR activity (abstract + concrete runs combined); all-zero when the
-  // engine is disabled.
-  Value pdr = Value::object();
-  pdr.set("obligations", it.pdr_obligations);
-  pdr.set("clauses", it.pdr_clauses);
-  pdr.set("frames", it.pdr_frames);
-  o.set("pdr", std::move(pdr));
 
   Value refine = Value::object();
   refine.set("conflict_candidates", it.refine.conflict_candidates);
@@ -73,21 +59,6 @@ json::Value iteration_json(const std::string& property, size_t index,
   refine.set("atpg_calls", it.refine.atpg_calls);
   refine.set("trace_invalidated", it.refine.trace_invalidated);
   o.set("refine", std::move(refine));
-
-  // Portfolio outcome per race: the winning engine ("" = inconclusive) and
-  // the race's wall time.
-  Value engines = Value::object();
-  Value abs_race = Value::object();
-  abs_race.set("winner", it.abstract_engine);
-  abs_race.set("seconds", it.abstract_race_seconds);
-  abs_race.set("cpu_seconds", it.abstract_race_cpu_seconds);
-  engines.set("abstract", std::move(abs_race));
-  Value conc_race = Value::object();
-  conc_race.set("winner", it.concretize_engine);
-  conc_race.set("seconds", it.concretize_race_seconds);
-  conc_race.set("cpu_seconds", it.concretize_race_cpu_seconds);
-  engines.set("concretize", std::move(conc_race));
-  o.set("engines", std::move(engines));
 
   o.set("seconds", it.seconds);
   return o;

@@ -17,20 +17,17 @@
 //                                                          // one per property
 //   {"type":"iteration","property":"..","iter":k,        // after its property
 //    "abstraction":{"regs":..,"inputs":..,"gates":..},
-//    "reach":{"status":"proved|bad-reachable|resource-out","steps":..},
+//    "reach":{"status":"proved|bad-reachable|resource-out","steps":..,
+//             "seconds":..},
 //    "bdd":{"peak_nodes":..,"cache_lookups":..,"cache_hits":..,
 //           "cache_hit_rate":..,"reorderings":..},
 //    "hybrid":{"nocut_cubes":..,"mincut_cubes":..,"atpg_calls":..,
 //              "atpg_rejects":..},
 //    "trace_cycles":..,
-//    "concretize":{"status":"sat|unsat|abort"},
-//    "sat":{"conflicts":..,"propagations":..,"depth":..},
-//    "pdr":{"obligations":..,"clauses":..,"frames":..},
+//    "concretize":{"status":"sat|unsat|abort","seconds":..},
 //    "refine":{"conflict_candidates":..,"fallback_candidates":..,
 //              "added_until_unsat":..,"removed_by_greedy":..,
 //              "final_count":..,"atpg_calls":..,"trace_invalidated":..},
-//    "engines":{"abstract":{"winner":"..","seconds":..,"cpu_seconds":..},
-//               "concretize":{"winner":"..","seconds":..,"cpu_seconds":..}},
 //    "seconds":..}
 //   {"type":"certificate",...}              // --certify only, see below
 //   {"type":"batch-summary","trace_version":"rfn-trace-v2",

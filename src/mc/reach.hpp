@@ -18,7 +18,7 @@ struct ReachOptions {
   /// Abort after this many image steps.
   size_t max_steps = 1u << 20;
   /// Cooperative should-stop hook, polled once per image step; a cancelled
-  /// fixpoint reports ResourceOut. Used by the portfolio scheduler.
+  /// fixpoint reports ResourceOut. The RFN loop passes its run token.
   const CancelToken* cancel = nullptr;
 };
 

@@ -33,7 +33,7 @@ Solver::Solver() = default;
 Var Solver::new_var() {
   const Var v = static_cast<Var>(assigns_.size());
   assigns_.push_back(LBool::Undef);
-  phase_.push_back(0);  // default polarity false: BMC models are mostly zeros
+  phase_.push_back(0);  // default polarity false
   level_.push_back(0);
   reason_.push_back(kNullClause);
   activity_.push_back(0.0);

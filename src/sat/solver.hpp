@@ -1,15 +1,15 @@
 #pragma once
-// Incremental CDCL SAT solver (MiniSat lineage) for the BMC engine.
+// Incremental CDCL SAT solver (MiniSat lineage) behind the certificate
+// checker (cert/check.hpp), which discharges each holds-invariant obligation
+// as one UNSAT query.
 //
-// Feature set matches what the single-instance BMC formulation needs and
-// nothing more: two-watched-literal propagation, VSIDS variable activities
+// Feature set: two-watched-literal propagation, VSIDS variable activities
 // with phase saving, first-UIP clause learning, Luby restarts, activity-based
-// learnt-clause reduction, and — the load-bearing part — *incremental solving
-// under assumptions*. Clauses persist across solve() calls; each call takes a
-// list of assumption literals that are decided before any free variable, and
-// an UNSAT answer exposes final_conflict(): the subset of assumptions the
-// refutation actually used. The BMC encoder maps register-enable assumptions
-// back through that core to name the registers a bounded proof needed.
+// learnt-clause reduction, and *incremental solving under assumptions*.
+// Clauses persist across solve() calls; each call takes a list of
+// assumption literals that are decided before any free variable, and an
+// UNSAT answer exposes final_conflict(): the subset of assumptions the
+// refutation actually used.
 //
 // Cancellation is cooperative, like every engine in this codebase: solve()
 // polls its CancelToken at propagation boundaries (never mid-propagation), so
@@ -113,8 +113,8 @@ class Solver {
 
   // Clause arena. Layout per clause: [header][activity][lit0 ... litN-1]
   // where header = size << 2 | learnt << 1 | deleted. Deleted learnt clauses
-  // leave holes until the instance dies — BMC instances are per-design and
-  // per-session, so the arena's lifetime is bounded and relocation would buy
+  // leave holes until the instance dies — a checker instance lives for one
+  // certificate, so the arena's lifetime is bounded and relocation would buy
   // complexity, not memory that matters here.
   uint32_t clause_size(ClauseRef c) const { return arena_[c] >> 2; }
   bool clause_learnt(ClauseRef c) const { return (arena_[c] & 2u) != 0; }

@@ -267,7 +267,6 @@ void Server::process(Conn& conn, const api::VerifyRequest& req,
     cache = lease.cache;
     info.hit = lease.warm;
     info.order_warm = lease.order_warm;
-    info.sat_pool_entries = lease.sat_pool_entries;
   }
   api::CallbackTraceSink sink(
       [this, &conn](const json::Value& rec) { write_line(conn, rec.dump()); });

@@ -36,7 +36,6 @@ WarmStateCache::Lease WarmStateCache::acquire(api::LoadedDesign fresh) {
   lease.cache = &e->cache;
   lease.warm = warm;
   lease.order_warm = !e->cache.order.tokens.empty();
-  lease.sat_pool_entries = e->cache.sat_bmc.size();
   lease.entry_ = e;
   return lease;
 }
@@ -45,10 +44,10 @@ void WarmStateCache::release(Lease& lease) {
   Entry* e = lease.entry_;
   if (e == nullptr) return;
   lease = Lease{};
-  // The recharge walks the entry's ReuseCache containers (SatBmcPool,
-  // SubcircuitMemo), so it must happen while run_mu still serializes the
-  // entry: the moment run_mu drops, a waiter in acquire() may start a run
-  // that mutates those same containers. Taking mu_ while holding run_mu is
+  // The recharge walks the entry's ReuseCache containers (SubcircuitMemo),
+  // so it must happen while run_mu still serializes the entry: the moment
+  // run_mu drops, a waiter in acquire() may start a run that mutates those
+  // same containers. Taking mu_ while holding run_mu is
   // deadlock-free because acquire() never holds mu_ while waiting on
   // run_mu.
   const int64_t now = entry_bytes(*e);

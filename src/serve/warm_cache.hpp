@@ -4,27 +4,24 @@
 //
 // The server's whole reason to stay resident is that the second request on
 // a design should not start cold: the ReuseCache a VerifySession warms up —
-// pooled incremental SAT instances with their learned clauses, the final
-// BDD variable order, memoized subcircuit extractions, crucial-register
-// hints — all key off one Netlist instance, so keeping that instance (and
-// its cache) alive across requests is what turns a request stream into an
-// incremental workload.
+// the final BDD variable order, memoized subcircuit extractions,
+// crucial-register hints — all key off one Netlist instance, so keeping
+// that instance (and its cache) alive across requests is what turns a
+// request stream into an incremental workload.
 //
 // Entries are keyed by design_hash_hex (netlist/analysis): two requests
 // naming the same design — by path, builtin:, or inline text — land on the
 // same entry because the hash is over the elaborated netlist, not the
 // spelling. The cost is that every request elaborates its design before
 // lookup; on a hit the fresh load is discarded and the CACHED instance runs
-// the session, because the SatBmcPool inside the entry references that
-// instance by address.
+// the session, the one the entry's warm state was built on.
 //
 // Leases serialize runs per design (ReuseCache is single-threaded by
 // design): a second request on a busy design blocks until the first
 // releases. Distinct designs run concurrently.
 //
-// Byte budget: each entry is charged its ReuseCache::approx_bytes() —
-// solver arenas byte-exact via the util/prof heap accounting behind
-// sat::Solver::heap_bytes() — plus the design's Netlist::heap_bytes().
+// Byte budget: each entry is charged its ReuseCache::approx_bytes() plus
+// the design's Netlist::heap_bytes().
 // When the total exceeds the budget, least-recently-used idle entries are
 // evicted; entries with live or waiting leases are never evicted.
 
@@ -62,10 +59,8 @@ class WarmStateCache {
     ReuseCache* cache = nullptr;
     /// The entry existed before this acquire (a cache hit).
     bool warm = false;
-    /// Pre-run reusable state: a saved BDD variable order, and how many
-    /// pooled incremental SAT instances the entry carries.
+    /// Pre-run reusable state: a saved BDD variable order.
     bool order_warm = false;
-    size_t sat_pool_entries = 0;
 
    private:
     friend class WarmStateCache;

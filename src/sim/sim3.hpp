@@ -24,7 +24,7 @@ class Sim3 {
   /// Installs a cooperative should-stop hook (nullptr to clear). eval()
   /// polls it at gate-batch boundaries and returns early when cancelled;
   /// callers that install a token must check stopped() before trusting
-  /// values. Used by the portfolio scheduler to cut long replays short.
+  /// values. Lets a cancelled run cut long replays short.
   void set_should_stop(const CancelToken* token) { cancel_ = token; }
   /// True when the last eval() was cut short by the hook.
   bool stopped() const { return stopped_; }

@@ -1,10 +1,10 @@
 #pragma once
-// Cooperative cancellation for the engine portfolio.
+// Cooperative cancellation for the engines.
 //
 // A CancelToken is an atomic flag engines poll at their step boundaries (per
 // image step, per ATPG backtrack batch, per simulated cycle). Tokens can
 // carry a wall-clock budget and chain to a parent token, so one poll answers
-// "was I cancelled, did my budget expire, or was the whole race called off".
+// "was I cancelled, did my budget expire, or was the whole run called off".
 // Engines never block on a token and never get interrupted mid-step: all
 // cancellation in this codebase is polling-based, which keeps every engine's
 // data structures in a sane state when it unwinds.
@@ -44,7 +44,7 @@ class CancelToken {
 
 /// Null-safe poll helper for the optional `cancel` members of engine option
 /// structs: engines carry a `const CancelToken*` that defaults to nullptr so
-/// non-racing callers pay nothing.
+/// callers without a budget pay nothing.
 inline bool should_stop(const CancelToken* token) {
   return token != nullptr && token->cancelled();
 }

@@ -3,20 +3,19 @@
 // named counters, gauges and histogram timers.
 //
 // Every engine layer (BDD manager flushes, image/reach steps, ATPG
-// backtracks, hybrid cut-cube classification, portfolio races, the RFN loop
-// itself) records into one process-global registry. The design splits the
+// backtracks, hybrid cut-cube classification, the RFN loop itself) records into one process-global registry. The design splits the
 // cost into two tiers:
 //   * the hot path — Counter::add / Gauge::record_max / Timer::record — is
 //     a single relaxed atomic RMW, safe from any executor thread;
 //   * registration — MetricsRegistry::counter("name") — takes a mutex, so
-//     call sites either run at step boundaries (once per race / per ATPG
+//     call sites either run at step boundaries (once per reach / per ATPG
 //     call) or cache the returned reference in a function-local static.
 // Metric objects are never deallocated while the registry lives, and
 // reset() zeroes values without invalidating references, so cached
 // references stay valid across test cases and bench repetitions.
 //
 // Snapshots flatten the registry into name -> double for delta arithmetic
-// (per-race win counts in benches, per-test assertions) and to_json()
+// (per-bench counters, per-test assertions) and to_json()
 // serializes the whole registry for `rfn --metrics`, the per-run summary
 // object of the JSON event trace, and the bench regression gate.
 
@@ -200,7 +199,7 @@ class MetricsScope {
 
 /// Per-run isolation guard for a shared registry. Resetting the registry
 /// between runs would break callers that hold snapshot/delta pairs across a
-/// run (portfolio tests) or accumulate across bench repetitions, so an
+/// run (metrics tests) or accumulate across bench repetitions, so an
 /// epoch instead captures a baseline snapshot at run start; serializing the
 /// run's summary through to_json(&epoch.baseline()) subtracts everything
 /// recorded before this run began. Two run_rfn calls in one process thus

@@ -109,55 +109,20 @@ std::vector<RssSample> RssLog::samples() const {
   return samples_;
 }
 
-json::Value build_prof_json(const MetricsSnapshot& baseline,
-                            const MetricsSnapshot& now, double wall_s,
+json::Value build_prof_json(const MetricsSnapshot& now, double wall_s,
                             double cpu_s) {
   json::Value doc = json::Value::object();
   doc.set("format", "rfn-prof-v1");
   doc.set("wall_ms", wall_s * 1e3);
   doc.set("total_cpu_ms", cpu_s * 1e3);
 
-  // Per-engine CPU: every `engine.cpu.<name>.seconds` timer total, relative
-  // to the run's baseline. std::map keys are sorted, so row order is stable.
-  const std::string prefix = "engine.cpu.";
-  const std::string suffix = ".seconds";
-  json::Value engines = json::Value::array();
-  double engine_cpu_s = 0.0;
-  for (const auto& [name, value] : now.values) {
-    if (name.rfind(prefix, 0) != 0) continue;
-    if (name.size() <= prefix.size() + suffix.size()) continue;
-    if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0)
-      continue;
-    const double cpu =
-        std::max(0.0, value - baseline.value(name));
-    const std::string engine =
-        name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-    json::Value row = json::Value::object();
-    row.set("name", engine);
-    row.set("cpu_ms", cpu * 1e3);
-    engines.push(std::move(row));
-    engine_cpu_s += cpu;
-  }
-  doc.set("engines", std::move(engines));
-
-  json::Value portfolio = json::Value::object();
-  portfolio.set("race_wall_ms",
-                std::max(0.0, now.value("portfolio.race.seconds") -
-                                  baseline.value("portfolio.race.seconds")) *
-                    1e3);
-  portfolio.set("race_cpu_ms", engine_cpu_s * 1e3);
-  doc.set("portfolio", std::move(portfolio));
-
   // Subsystem heap peaks are gauge maxima — not baseline-differenced (a
   // high-water mark is not additive across runs), read raw like every gauge.
   json::Value subsystems = json::Value::object();
-  for (const char* sub : {"bdd", "sat"}) {
-    const std::string gauge = std::string(sub) + ".heap_bytes";
-    json::Value s = json::Value::object();
-    s.set("live_bytes", now.value(gauge));
-    s.set("peak_bytes", now.value(gauge + ".max"));
-    subsystems.set(sub, std::move(s));
-  }
+  json::Value bdd = json::Value::object();
+  bdd.set("live_bytes", now.value("bdd.heap_bytes"));
+  bdd.set("peak_bytes", now.value("bdd.heap_bytes.max"));
+  subsystems.set("bdd", std::move(bdd));
   doc.set("subsystems", std::move(subsystems));
 
   json::Value rss = json::Value::object();

@@ -3,14 +3,13 @@
 // the rfn-prof-v1 artifact.
 //
 // Three independent meters feed this layer:
-//   * CPU — thread_cpu_ns() reads CLOCK_THREAD_CPUTIME_ID so the portfolio
-//     can attribute CPU seconds to each engine job it runs. The deltas land
-//     in `engine.cpu.<name>` timers.
-//   * Heap — BddMgr and sat::Solver keep byte-exact tallies of their arena
-//     capacities (node pool + unique table + computed cache; clause arena +
-//     watch lists) and their owners flush them as `bdd.heap_bytes` /
-//     `sat.heap_bytes` gauges. The counters live in those subsystems; this
-//     header only defines where they are aggregated.
+//   * CPU — thread_cpu_ns() reads CLOCK_THREAD_CPUTIME_ID, which is how a
+//     run reports the CPU seconds of the thread it ran on;
+//     process_cpu_ns() covers a whole CLI invocation.
+//   * Heap — BddMgr keeps a byte-exact tally of its arena capacity (node
+//     pool + unique table + computed cache) and flushes it as the
+//     `bdd.heap_bytes` gauge. The counter lives in the BDD package; this
+//     header only defines where it is aggregated.
 //   * RSS — read_rss_bytes() reads /proc/self/statm; the watchdog's monitor
 //     thread samples it into the process-global RssLog each poll, which both
 //     backs --budget-mem-mb enforcement and the artifact's RSS timeline.
@@ -86,15 +85,12 @@ class RssLog {
   std::vector<RssSample> samples_;
 };
 
-/// Assembles the rfn-prof-v1 document from a run's baseline-relative
-/// metrics. `baseline`/`now` bracket the run (MetricsEpoch discipline);
-/// `wall_s` is the run's wall time, `cpu_s` the process-CPU delta over the
-/// same interval. Engine rows come
-/// from the `engine.cpu.<name>` timers, subsystem peaks from the
-/// `bdd.heap_bytes` / `sat.heap_bytes` gauges, and the RSS block from
-/// RssLog::global().
-json::Value build_prof_json(const MetricsSnapshot& baseline,
-                            const MetricsSnapshot& now, double wall_s,
+/// Assembles the rfn-prof-v1 document from the registry snapshot `now`
+/// taken after the run: `wall_s` is the run's wall time, `cpu_s` the
+/// process-CPU delta over the same interval. The BDD subsystem's peak comes
+/// from the `bdd.heap_bytes` gauge (a high-water mark, so never
+/// baseline-differenced), and the RSS block from RssLog::global().
+json::Value build_prof_json(const MetricsSnapshot& now, double wall_s,
                             double cpu_s);
 
 /// Renders a Chrome trace-event document (SpanTracer::to_chrome_json) as

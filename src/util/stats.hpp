@@ -36,17 +36,10 @@ class Table {
 std::string fmt_int(int64_t v);
 std::string fmt_double(double v, int precision = 1);
 
-/// Renders the portfolio scheduler's metrics ("portfolio.*" in the given
-/// snapshot — typically a delta over one run) as a table: one summary row
-/// (races, jobs launched/cancelled/inconclusive, wall time) plus one row per
-/// engine in the winner histogram. The CLI and bench binaries print this to
-/// report engine efficiency next to their timing rows.
-std::string format_portfolio_stats(const MetricsSnapshot& s);
-
 /// Renders per-engine effort from the registry snapshot as a table: one row
 /// per engine namespace (BDD reachability, combinational/sequential ATPG,
 /// hybrid trace extraction) with calls, search effort and wall time where
-/// recorded. Printed by the CLI after every verify run, portfolio or not.
+/// recorded. Printed by the CLI after every verify run.
 std::string format_engine_stats(const MetricsSnapshot& s);
 
 }  // namespace rfn

@@ -76,8 +76,8 @@ class SpanTracer {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Copies `s` into tracer-owned storage and returns a stable pointer,
-  /// deduplicated per distinct string. For dynamic span names (engine names
-  /// from PortfolioJob); literals need no interning.
+  /// deduplicated per distinct string. For dynamic span names; literals
+  /// need no interning.
   const char* intern(std::string_view s);
 
   /// Names the calling thread's track in the exported trace. No-op while

@@ -4,9 +4,9 @@
 // that outgrows its budget degrades to a clean `resource-out` verdict
 // instead of dying on an allocator limit or hanging past its deadline.
 //
-// Enforcement is cooperative — the same polling-based cancellation the
-// portfolio scheduler already uses: the watchdog only sets the token, and
-// engines notice at their step boundaries. The node budget reads a relaxed
+// Enforcement is cooperative — the polling-based cancellation every engine
+// already honors: the watchdog only sets the token, and engines notice at
+// their step boundaries. The node budget reads a relaxed
 // atomic probe the BDD manager publishes (BddMgr::set_live_node_probe);
 // the watchdog never touches manager internals, so there is no data race
 // with the allocator (TSan-clean by construction). The memory budget reads

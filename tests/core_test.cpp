@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include "atpg/seq_atpg.hpp"
 #include "core/bfs_baseline.hpp"
 #include "core/concretize.hpp"
 #include "core/coverage.hpp"
+#include "core/hybrid_trace.hpp"
 #include "core/plain_mc.hpp"
 #include "core/refine.hpp"
 #include "core/rfn.hpp"
+#include "mc/image.hpp"
+#include "mc/reach.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
 #include "util/rng.hpp"
@@ -301,10 +305,10 @@ TEST(Coverage, RefinementTightensClassification) {
   EXPECT_EQ(res.state_class[0], 2u);  // (0,0) witnessed reachable
 }
 
-TEST(Rfn, PdrProvesWhenExactFixpointIsCut) {
+TEST(Rfn, CutFixpointEndsUnknown) {
   // Many independent wrap-at-4 counters; `bad` = counter 0 reaches 6. The
-  // exact fixpoint is cut off by a tiny step budget, so the proof comes
-  // from the IC3 engine racing it.
+  // exact fixpoint is cut off by a tiny step budget, and a Step-2 fixpoint
+  // that runs out of resources ends the run.
   NetBuilder b;
   std::vector<Word> counters;
   for (int c = 0; c < 8; ++c) {
@@ -327,16 +331,64 @@ TEST(Rfn, PdrProvesWhenExactFixpointIsCut) {
   // ~2 steps), but the full model's fixpoint needs 5+ image steps.
   opt.reach.max_steps = 3;
   opt.max_iterations = 60;
-  const RfnResult res = run_property(m, m.output("bad"), opt);
-  EXPECT_EQ(res.verdict, Verdict::Holds) << res.note;
-  EXPECT_TRUE(res.pdr_invariant.present);
-
-  // Without PDR the Step-2 race eventually has no winner, which ends the
-  // run.
-  opt.engines = {"bdd", "atpg", "sat"};
   const RfnResult cut = run_property(m, m.output("bad"), opt);
   EXPECT_EQ(cut.verdict, Verdict::Unknown);
   EXPECT_EQ(cut.note, "abstract fixpoint exceeded resources");
+  ASSERT_FALSE(cut.per_iteration.empty());
+  EXPECT_EQ(cut.per_iteration.back().reach_status, ReachStatus::ResourceOut);
+}
+
+// Every engine the loop calls polls the run's token: a cancelled token
+// stops each of them with its own inconclusive answer.
+TEST(Engines, CancellationHooks) {
+  // Mod-8 counter with no inputs: `bad` = r0 & r1 & r2 first rises at
+  // cycle 8.
+  NetBuilder b;
+  const GateId r0 = b.reg("r0", Tri::F);
+  const GateId r1 = b.reg("r1", Tri::F);
+  const GateId r2 = b.reg("r2", Tri::F);
+  b.set_next(r0, b.not_(r0));
+  b.set_next(r1, b.xor_(r1, r0));
+  b.set_next(r2, b.xor_(r2, b.and_(r1, r0)));
+  b.output("bad", b.and_(r2, b.and_(r1, r0)));
+  const Netlist m = b.take();
+  const GateId bad = m.output("bad");
+  CancelToken tok;
+  tok.cancel();
+
+  BddMgr mgr;
+  Encoder enc(mgr, m);
+  ImageComputer img(enc);
+  const Bdd bad_set = mgr.exists(enc.signal_fn(bad), enc.input_vars());
+
+  // BDD reachability: a cancelled fixpoint reports ResourceOut.
+  ReachOptions ro;
+  ro.cancel = &tok;
+  EXPECT_EQ(forward_reach(img, enc.initial_states(), bad_set, ro).status,
+            ReachStatus::ResourceOut);
+
+  // Sequential ATPG: a cancelled search reports Abort.
+  AtpgOptions ao;
+  ao.cancel = &tok;
+  EXPECT_EQ(reach_target(m, 8, bad, true, {}, ao).status, AtpgStatus::Abort);
+
+  // Hybrid trace engine: a cancelled walk yields no trace.
+  const ReachResult reach = forward_reach(img, enc.initial_states(), bad_set);
+  ASSERT_EQ(reach.status, ReachStatus::BadReachable);
+  HybridTraceOptions ho;
+  ho.cancel = &tok;
+  EXPECT_TRUE(hybrid_error_trace(enc, m, reach, bad_set, ho).empty());
+
+  // 3-valued simulation: a cancelled eval() reports stopped(), and a
+  // cancelled trace replay answers X.
+  Sim3 sim(m);
+  sim.set_should_stop(&tok);
+  sim.load_initial_state();
+  sim.eval();
+  EXPECT_TRUE(sim.stopped());
+  const SeqAtpgResult found = reach_target(m, 8, bad, true);
+  ASSERT_EQ(found.status, AtpgStatus::Sat);
+  EXPECT_EQ(simulate_trace(m, found.trace, bad, &tok), Tri::X);
 }
 
 TEST(Rfn, FindsBugBehindSpuriousCutRegisterChoice) {

@@ -1,13 +1,10 @@
 // Deterministic cross-engine fuzzing: ~200 seeded random netlists, each
-// checked for agreement between every engine of the portfolio —
+// checked for agreement between every engine —
 //
 //   * BDD forward reachability (ground truth, onion rings);
 //   * sequential ATPG by iterative deepening: first Sat depth must equal
 //     the first bad ring index + 1, and Proved designs are Unsat at every
 //     depth within the diameter;
-//   * SAT BMC with every register enabled: same shortest-trace depth as the
-//     BDD rings, decoded traces replay and certify, safe designs are Unsat
-//     within the diameter;
 //   * 64-way random simulation: every visited state lies in the BDD
 //     fixpoint, hits imply BadReachable at a consistent depth;
 //   * the BFS coverage baseline: with the full register set its
@@ -36,8 +33,6 @@
 #include "netlist/analysis.hpp"
 #include "netlist/blif.hpp"
 #include "netlist/builder.hpp"
-#include "pdr/pdr.hpp"
-#include "sat/bmc.hpp"
 #include "sim/sim3.hpp"
 #include "sim/sim64.hpp"
 #include "util/rng.hpp"
@@ -159,72 +154,6 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
   else
     EXPECT_EQ(atpg_first_sat, 0u)
         << "ATPG found a trace on a design the BDD engine proved safe";
-
-  // SAT BMC with the full register set: a concrete bounded check whose
-  // first Sat depth is pinned by the same ring index, and whose decoded
-  // trace must replay and certify. Safe designs are Unsat through the
-  // diameter + 1.
-  {
-    SatBmc bmc(m);
-    const SatBmcResult r = bmc.check(bad, full.rings.size() + 1, m.regs());
-    ASSERT_NE(r.status, AtpgStatus::Abort);
-    if (reach.status == ReachStatus::BadReachable) {
-      EXPECT_EQ(r.status, AtpgStatus::Sat)
-          << "SAT BMC missed a trace the BDD engine found";
-      if (r.status == AtpgStatus::Sat) {
-        EXPECT_EQ(r.depth, reach.steps + 1)
-            << "SAT BMC minimal depth disagrees with the first bad ring";
-        EXPECT_EQ(r.trace.cycles(), r.depth);
-        EXPECT_EQ(simulate_trace(m, r.trace, bad), Tri::T)
-            << "SAT BMC trace does not replay";
-        EXPECT_TRUE(certify_with_witness(m, bad, "bad", Verdict::Fails,
-                                         r.trace, {})
-                        .checked)
-            << "SAT BMC trace fails certification";
-      }
-    } else {
-      EXPECT_EQ(r.status, AtpgStatus::Unsat)
-          << "SAT BMC found a trace on a design the BDD engine proved safe";
-    }
-  }
-
-  // IC3/PDR with the full register set: an unbounded concrete verdict in
-  // both polarities, so it must mirror the BDD ground truth exactly. A
-  // Holds frame is discharged through the independent rfn-cert-v1 checker
-  // (the acceptance bar for PDR certificates); a Cex trace must replay.
-  {
-    std::vector<GateId> regs(m.regs().begin(), m.regs().end());
-    std::sort(regs.begin(), regs.end());
-    Pdr pdr(m, bad, std::move(regs));
-    const PdrResult r = pdr.run();
-    ASSERT_TRUE(r.status == PdrStatus::Holds || r.status == PdrStatus::Cex)
-        << "PDR did not converge on a tiny netlist: " << to_string(r.status);
-    if (reach.status == ReachStatus::BadReachable) {
-      EXPECT_EQ(r.status, PdrStatus::Cex)
-          << "PDR proved a design the BDD engine found a trace for";
-      if (r.status == PdrStatus::Cex) {
-        EXPECT_EQ(simulate_trace(m, r.trace, bad), Tri::T)
-            << "PDR counterexample does not replay";
-        EXPECT_GE(r.trace.cycles(), reach.steps + 1)
-            << "PDR trace shorter than the BDD shortest trace";
-      }
-    } else {
-      EXPECT_EQ(r.status, PdrStatus::Holds)
-          << "PDR found a trace on a design the BDD engine proved safe";
-      if (r.status == PdrStatus::Holds) {
-        PdrInvariantWitness inv;
-        inv.present = true;
-        inv.registers = r.scope;
-        inv.clauses = r.clauses;
-        const CertificateBuild built =
-            build_holds_certificate_from_invariant(m, bad, "bad", inv);
-        ASSERT_TRUE(built.ok) << built.detail;
-        const cert::CheckResult chk = cert::check_certificate(m, built.certificate);
-        EXPECT_TRUE(chk.ok) << "PDR frame refused by the checker: obligation "
-                            << chk.obligation << ": " << chk.detail;
-      }
-    }
-  }
 
   // Random simulation: every visited state must lie inside the fixpoint,
   // and a bad hit at cycle c implies a trace of c+1 cycles, which the BDD

@@ -1,35 +1,15 @@
-// SAT subsystem tests: the CDCL solver's incremental-assumption contract,
-// the BMC encoder's enable/trigger semantics on hand-built netlists, and the
-// engine's integration contract with the CEGAR loop —
-//
-//   * solver: models, UNSAT assumption cores (final_conflict), incremental
-//     re-solving after new clauses/variables, level-0 inconsistency (ok()),
-//     cooperative cancellation that leaves the instance usable;
-//   * BMC: exact shortest-trace depths on a counter, pseudo-input semantics
-//     of excluded registers (abstraction by assumption flips), bounded
-//     UNSAT, trace replay and certification, one instance reused across
-//     depths, register sets and roots;
-//   * loop: Step-3 concretization by SAT BMC and by guided ATPG reaches
-//     the same verdict on random designs, and RfnOptions::validate rejects
-//     unknown engine names.
+// SAT solver tests: the CDCL solver's incremental-assumption contract that
+// the certificate checker (cert/check.hpp) relies on — models, UNSAT
+// assumption cores (final_conflict), incremental re-solving after new
+// clauses/variables, level-0 inconsistency (ok()), and cooperative
+// cancellation that leaves the instance usable.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
-#include "core/certificate.hpp"
-#include "core/rfn.hpp"
-#include "netlist/builder.hpp"
-#include "sat/bmc.hpp"
-#include "sat/cnf.hpp"
 #include "sat/solver.hpp"
-#include "sim/sim3.hpp"
 #include "util/cancel.hpp"
-#include "util/rng.hpp"
-
-#include "random_netlist.hpp"
 
 namespace rfn {
 namespace {
@@ -127,168 +107,6 @@ TEST(SatSolver, CancellationLeavesInstanceUsable) {
 
   CancelToken open;
   EXPECT_EQ(s.solve({}, &open), Solver::Result::Unsat);
-}
-
-/// 2-bit binary counter starting at 0; "bad" is the all-ones state, first
-/// reached at cycle 4 (state after 3 steps). b1's next-state depends on b0,
-/// so freeing b0 (excluding it from the abstraction) shortens the trace.
-Netlist counter2() {
-  NetBuilder b;
-  const GateId b0 = b.reg("b0", Tri::F);
-  const GateId b1 = b.reg("b1", Tri::F);
-  b.set_next(b0, b.not_(b0));
-  b.set_next(b1, b.xor_(b1, b0));
-  b.output("bad", b.and_(b0, b1));
-  return b.take();
-}
-
-TEST(SatBmcTest, CounterDepthsMatchStateDistance) {
-  const Netlist m = counter2();
-  const GateId bad = m.output("bad");
-  SatBmc bmc(m);
-  const std::vector<GateId> all = m.regs();
-
-  // Full abstraction: 11 is the 4th counter state (frames are 1-based).
-  const SatBmcResult full = bmc.check(bad, 8, all);
-  ASSERT_EQ(full.status, AtpgStatus::Sat);
-  EXPECT_EQ(full.depth, 4u);
-  EXPECT_EQ(full.trace.cycles(), 4u);
-  EXPECT_EQ(simulate_trace(m, full.trace, bad), Tri::T);
-  EXPECT_TRUE(certify_with_witness(m, bad, "bad", Verdict::Fails, full.trace, {})
-                  .checked);
-
-  // b1 free: bad needs only b0 = 1 with b1 chosen 1, reachable at cycle 2.
-  std::vector<GateId> only_b0 = {all[0]};
-  const SatBmcResult abs = bmc.check(bad, 8, only_b0);
-  ASSERT_EQ(abs.status, AtpgStatus::Sat);
-  EXPECT_EQ(abs.depth, 2u);
-
-  // Both free: cycle 1.
-  const SatBmcResult free_all = bmc.check(bad, 8, {});
-  ASSERT_EQ(free_all.status, AtpgStatus::Sat);
-  EXPECT_EQ(free_all.depth, 1u);
-}
-
-TEST(SatBmcTest, BoundedUnsatThenDeeperSat) {
-  const Netlist m = counter2();
-  const GateId bad = m.output("bad");
-  SatBmc bmc(m);
-  const std::vector<GateId> all = m.regs();
-
-  // No trace of length <= 3 exists with both registers constrained.
-  const SatBmcResult r = bmc.check(bad, 3, all);
-  ASSERT_EQ(r.status, AtpgStatus::Unsat);
-  EXPECT_EQ(r.depth, 3u);
-
-  // Same instance, deeper bound: the learned clauses stay valid and the
-  // answer flips to Sat at the true distance.
-  const SatBmcResult deeper = bmc.check(bad, 4, all);
-  ASSERT_EQ(deeper.status, AtpgStatus::Sat);
-  EXPECT_EQ(deeper.depth, 4u);
-}
-
-TEST(SatBmcTest, CancelledCheckAborts) {
-  const Netlist m = counter2();
-  SatBmc bmc(m);
-  CancelToken cancelled;
-  cancelled.cancel();
-  const SatBmcResult r = bmc.check(m.output("bad"), 8, m.regs(), &cancelled);
-  EXPECT_EQ(r.status, AtpgStatus::Abort);
-  // The instance survives cancellation and answers the next call.
-  const SatBmcResult again = bmc.check(m.output("bad"), 8, m.regs());
-  EXPECT_EQ(again.status, AtpgStatus::Sat);
-  EXPECT_EQ(again.depth, 4u);
-}
-
-TEST(SatBmcTest, OneInstanceServesMultipleRoots) {
-  // Two properties of one design answered by one instance: adding the
-  // second root back-fills its cone into the frames the first root built.
-  NetBuilder b;
-  const GateId b0 = b.reg("b0", Tri::F);
-  const GateId b1 = b.reg("b1", Tri::F);
-  b.set_next(b0, b.not_(b0));
-  b.set_next(b1, b.xor_(b1, b0));
-  const GateId bad_both = b.and_(b0, b1);
-  b.output("bad_both", bad_both);
-  const GateId bad_b1 = b.and_(b1, b.not_(b0));
-  b.output("bad_b1", bad_b1);
-  const Netlist m = b.take();
-
-  SatBmc bmc(m);
-  const SatBmcResult r1 = bmc.check(m.output("bad_both"), 8, m.regs());
-  ASSERT_EQ(r1.status, AtpgStatus::Sat);
-  EXPECT_EQ(r1.depth, 4u);
-  // 10 is the 3rd counter state.
-  const SatBmcResult r2 = bmc.check(m.output("bad_b1"), 8, m.regs());
-  ASSERT_EQ(r2.status, AtpgStatus::Sat);
-  EXPECT_EQ(r2.depth, 3u);
-  EXPECT_EQ(simulate_trace(m, r2.trace, m.output("bad_b1")), Tri::T);
-}
-
-TEST(SatLoop, SatAndAtpgConcretizationAgreeOnVerdicts) {
-  // With the race lineup pinned to bdd+sat, Step 3 is decided by SAT BMC;
-  // with bdd+atpg, by guided ATPG. Both are sound, so the verdicts agree.
-  Rng rng(20260805);
-  for (int round = 0; round < 12; ++round) {
-    const Netlist m =
-        random_netlist(rng, 1 + rng.below(3), 4 + rng.below(3),
-                       12 + static_cast<int>(rng.below(10)));
-    const GateId bad = m.output("bad");
-    Verdict verdicts[2];
-    for (const bool sat : {false, true}) {
-      RfnOptions opt;
-      opt.engines = {"bdd", sat ? "sat" : "atpg"};
-      verdicts[sat ? 1 : 0] = run_property(m, bad, opt).verdict;
-    }
-    EXPECT_EQ(verdicts[0], verdicts[1]) << "sat and atpg disagree (round "
-                                        << round << ")";
-    EXPECT_NE(verdicts[0], Verdict::Unknown) << "round " << round;
-  }
-}
-
-TEST(SatOptions, ValidateRejectsUnknownEngines) {
-  RfnOptions opt;
-  opt.engines = {"bdd", "sat"};
-  EXPECT_TRUE(opt.validate().empty());
-
-  opt.engines = {"bdd", "bogus"};
-  const std::vector<std::string> msgs = opt.validate();
-  ASSERT_EQ(msgs.size(), 1u);
-  EXPECT_NE(msgs.front().find("unknown engine \"bogus\""), std::string::npos);
-  // The rejection must spell out the whole valid engine set so a typo is
-  // self-correcting from the message alone.
-  for (const char* engine : {"bdd", "atpg", "sat", "pdr"})
-    EXPECT_NE(msgs.front().find(engine), std::string::npos)
-        << "message does not name engine \"" << engine
-        << "\": " << msgs.front();
-
-  // "sim" is not an engine name.
-  opt.engines = {"bdd", "sim"};
-  const std::vector<std::string> sim = opt.validate();
-  ASSERT_EQ(sim.size(), 1u);
-  EXPECT_NE(sim.front().find("unknown engine \"sim\""), std::string::npos);
-
-  // A list with no Step-2 engine could only end Unknown: refused, naming
-  // the engines that can run Step 2.
-  opt.engines = {"atpg"};
-  const std::vector<std::string> empty_step2 = opt.validate();
-  ASSERT_EQ(empty_step2.size(), 1u);
-  EXPECT_NE(empty_step2.front().find("Step 2"), std::string::npos);
-  EXPECT_NE(empty_step2.front().find("bdd,sat,pdr"), std::string::npos)
-      << empty_step2.front();
-  for (const char* step2 : {"bdd", "sat", "pdr"}) {
-    opt.engines = {"atpg", step2};
-    EXPECT_TRUE(opt.validate().empty()) << step2;
-  }
-}
-
-TEST(SatOptions, EngineEnabledDefaultsToAll) {
-  RfnOptions opt;
-  EXPECT_TRUE(opt.engine_enabled("bdd"));
-  EXPECT_TRUE(opt.engine_enabled("sat"));
-  opt.engines = {"sat"};
-  EXPECT_TRUE(opt.engine_enabled("sat"));
-  EXPECT_FALSE(opt.engine_enabled("bdd"));
 }
 
 }  // namespace

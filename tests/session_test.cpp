@@ -34,12 +34,12 @@ TEST(RfnOptionsValidate, DefaultsAreValid) {
 TEST(RfnOptionsValidate, ReportsEveryProblemAtOnce) {
   RfnOptions opt;
   opt.max_iterations = 0;
-  opt.race_pdr_max_frames = 0;
+  opt.budget_mem_mb = -1;
   opt.budget_bdd_nodes = -1;
   const auto errors = opt.validate();
   EXPECT_EQ(errors.size(), 3u);
   EXPECT_TRUE(any_error_contains(errors, "max_iterations"));
-  EXPECT_TRUE(any_error_contains(errors, "race_pdr_max_frames"));
+  EXPECT_TRUE(any_error_contains(errors, "budget_mem_mb"));
   EXPECT_TRUE(any_error_contains(errors, "budget_bdd_nodes"));
 }
 

@@ -416,8 +416,6 @@ TEST(MetricsEpoch, SpanCountsCrossCheckRegistry) {
             static_cast<int>(delta.value("mc.reach.calls")));
   EXPECT_EQ(count_events(doc, "rfn.iteration").begins,
             static_cast<int>(delta.value("rfn.iterations")));
-  EXPECT_EQ(count_events(doc, "portfolio.race").begins,
-            static_cast<int>(delta.value("portfolio.races")));
 }
 
 #ifdef RFN_CLI_PATH
@@ -458,7 +456,7 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   const json::Value doc = parse_file(spans);
   expect_well_formed(doc);
 
-  // Engine races run on the calling thread: the CLI's one "main" track
+  // Every engine runs on the calling thread: the CLI's one "main" track
   // holds every span, and nothing crosses threads (no flow events).
   std::set<std::string> tracks;
   std::set<uint64_t> tids_with_spans;
@@ -469,7 +467,8 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   }
   EXPECT_EQ(tracks, std::set<std::string>{"main"});
   EXPECT_EQ(tids_with_spans.size(), 1u);
-  EXPECT_GT(count_events(doc, "portfolio.race").begins, 0);
+  EXPECT_GT(count_events(doc, "mc.reach").begins, 0);
+  EXPECT_EQ(count_events(doc, "portfolio.race").begins, 0);
   EXPECT_EQ(count_events(doc).flows_out, 0);
   EXPECT_EQ(count_events(doc).flows_in, 0);
 

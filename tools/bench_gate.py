@@ -21,14 +21,14 @@ tolerance; the BDD peak-node counter is deterministic for a fixed workload
 and is the gate's sharp edge.
 
 Usage:
-  bench/micro_engines --benchmark_filter='Portfolio|Session|SatBmc' --json current.json
+  bench/micro_engines --benchmark_filter='Portfolio|Session' --json current.json
   tools/bench_gate.py --baseline BENCH_portfolio.json --current current.json
 
 Re-baselining (after an intentional perf change): regenerate the baseline
 from a Release build and commit it together with the change that moved it:
 
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
-  ./build/bench/micro_engines --benchmark_filter='Portfolio|Session|SatBmc' \
+  ./build/bench/micro_engines --benchmark_filter='Portfolio|Session' \
       --json BENCH_portfolio.json
 
 and say why in the commit message.
@@ -39,19 +39,16 @@ Prof mode diffs two rfn-prof-v1 documents (from `rfn verify --prof-json`):
 
 and fails when a subsystem's peak_bytes grew past --byte-tolerance (default
 25%) over the baseline, or when a baseline subsystem is missing from the
-current artifact. The arena byte counters (bdd node pool + unique-table
-buckets + computed cache; SAT clause arena + watch lists) are byte-exact
-and — for a fixed workload — fully deterministic, so
-the generous tolerance only absorbs allocator capacity-doubling
-granularity, not noise. Engine CPU, wall time, and RSS are deliberately NOT
-gated here: they are machine-dependent (the wall gate above already covers
-time). Re-baselining after an intentional memory-footprint change (the
-engine list keeps both arenas exercised — bdd-reach proves bad_mutex, the
-SAT engine concretizes error_flag's counterexample):
+current artifact. The BDD arena byte counter (node pool + unique-table
+buckets + computed cache) is byte-exact and — for a fixed workload —
+fully deterministic, so the generous tolerance only absorbs allocator
+capacity-doubling granularity, not noise. CPU, wall time, and RSS are
+deliberately NOT gated here: they are machine-dependent (the wall gate
+above already covers time). Re-baselining after an intentional
+memory-footprint change:
 
   ./build/tools/rfn verify builtin:processor --bad bad_mutex \
-      --bad error_flag --engine bdd,sat \
-      --prof-json BENCH_prof.json
+      --bad error_flag --prof-json BENCH_prof.json
 
 and commit BENCH_prof.json with the change that moved it, saying why.
 
@@ -65,9 +62,9 @@ checkouts keep gating):
 and fails on any semantic drift: a baseline file or property missing from
 the current run, a file status that degraded (ok -> resource-out/error), a
 verdict flip, or a certification regression (certified true -> false).
-Wall-clock seconds, engine_wins, and the v2 peak_rss_bytes/cpu_ms fields
-are deliberately NOT gated — races are timing-dependent and RSS/CPU are
-machine-dependent; the verdicts and certificates are not. New files or
+Wall-clock seconds and the v2 peak_rss_bytes/cpu_ms fields are
+deliberately NOT gated — they are machine-dependent; the verdicts and
+certificates are not. New files or
 properties in the current run are reported but do not fail the gate (they
 fail corpus_run's own totals check if broken); commit a regenerated
 baseline to start gating them.
@@ -83,17 +80,12 @@ PROF_SCHEMA = "rfn-prof-v1"
 # The subsystems whose byte-exact arena peaks the prof gate covers. A
 # subsystem present in the baseline but absent from the current artifact is
 # a schema break, not a memory win.
-PROF_SUBSYSTEMS = ("bdd", "sat")
+PROF_SUBSYSTEMS = ("bdd",)
 
 # The batch-session pair: one VerifySession over the FIFO flag suite vs
 # the same properties as independent run_property runs.
 BATCH_BENCH = "BM_SessionBatchFifo"
 INDEPENDENT_BENCH = "BM_SessionIndependentFifo"
-
-# The IC3/PDR engine must actually win races somewhere in the current
-# artifact (wins_pdr >= 1 on at least one benchmark) — a portfolio whose
-# unbounded prover never concludes is a wiring regression, not noise.
-PDR_WINS_COUNTER = "wins_pdr"
 
 
 def load(path):
@@ -332,24 +324,6 @@ def main():
             print(f"bench_gate: batch wall ok ({batch_t * 1e3:.3f} vs "
                   f"{indep_t * 1e3:.3f} ms/iter independent, "
                   f"{(1.0 - batch_t / indep_t) * 100.0:.1f}% saved)")
-
-    # Like the batch invariant, the PDR-wins floor is checked within the
-    # current artifact: some benchmark must report wins_pdr >= 1. Skipped
-    # only when no current benchmark exports the counter at all (a filtered
-    # run that excluded the portfolio benches).
-    pdr_benches = {name: b.get("counters", {}).get(PDR_WINS_COUNTER)
-                   for name, b in current.items()
-                   if PDR_WINS_COUNTER in b.get("counters", {})}
-    if pdr_benches:
-        best = max(pdr_benches.values())
-        if best < 1:
-            failures.append(
-                f"{PDR_WINS_COUNTER} < 1 on every benchmark that exports it "
-                f"({', '.join(sorted(pdr_benches))}) — the IC3/PDR racer "
-                f"never won a race")
-        else:
-            winner = max(pdr_benches, key=pdr_benches.get)
-            print(f"bench_gate: {PDR_WINS_COUNTER} ok ({winner}: {best:.0f})")
 
     if failures:
         print("bench_gate: FAILED", file=sys.stderr)

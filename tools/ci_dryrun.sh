@@ -105,27 +105,15 @@ job_build_test() { # <gcc|clang> <Debug|Release>
 }
 
 # --- job: sanitize ----------------------------------------------------------
-# RFN_SANITIZE instruments the whole tree, then the engines' racing and
-# cancellation paths run once more under it. Under TSan the suites that
-# exercise threads (executor, watchdog, serve) and the engines' cancellation
-# paths are re-run explicitly so a discovery hiccup can never silently drop
-# them.
+# RFN_SANITIZE instruments the whole tree, then the engines' cancellation
+# paths run once more under it. Under TSan the suites that exercise threads
+# (executor, watchdog, serve) are re-run explicitly so a discovery hiccup
+# can never silently drop them.
 job_sanitize() { # <thread|address,undefined>
   local san=$1
   local dir="build-ci-sanitize-${san//,/-}"
   note "sanitize ($san)"
   build_and_test "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRFN_SANITIZE="$san"
-  # A budgeted bdd+sat run must finish conclusive and certified with the
-  # instrumentation quiet (the solver arena and the watchdog beside the
-  # races are the interesting surfaces).
-  note "sanitize ($san): SAT engine suite + budgeted bdd+sat run"
-  "./$dir/tests/sat_test"
-  "./$dir/tools/rfn" verify builtin:processor --bad error_flag \
-    --engine bdd,sat --budget-ms 5000 --certify
-  # A PDR Holds must surface as an rfn-cert-v1 invariant the checker
-  # accepts, with the solver arena and race cancellation instrumented.
-  note "sanitize ($san): PDR suite + budgeted bdd+sat+pdr certify runs"
-  "./$dir/tests/pdr_test"
   # Netlist fanins and CSR fanouts are views into shared pools: the suites
   # that build, unroll and walk them (ATPG, min-cut) run once more by name.
   note "sanitize ($san): netlist storage suites"
@@ -134,12 +122,16 @@ job_sanitize() { # <thread|address,undefined>
            seq_atpg_test mincut_test; do
     "./$dir/tests/$t"
   done
+  # A budgeted, certified run per builtin design must finish conclusive
+  # with the instrumentation quiet (the watchdog beside the engines is the
+  # interesting surface).
+  note "sanitize ($san): budgeted certify runs"
   local spec design prop
   for spec in "fifo bad_full_q" "processor bad_mutex" \
               "iu iu0" "usb bad_se1"; do
     read -r design prop <<<"$spec"
     "./$dir/tools/rfn" verify "builtin:$design" --bad "$prop" \
-      --engine bdd,sat,pdr --budget-ms 10000 --certify
+      --budget-ms 10000 --certify
   done
   # Witnesses of both polarities: the cut-cone Tseitin encoder and the Sim3
   # trace replay (accepting and refusing) are the surfaces watched here.
@@ -151,8 +143,8 @@ job_sanitize() { # <thread|address,undefined>
   [[ $san == thread ]] || return 0
 
   note "sanitize (thread): concurrency suites"
-  for t in portfolio_test netlist_fuzz_test trace_span_test prof_test \
-           sat_test serve_test pdr_test; do
+  for t in netlist_fuzz_test trace_span_test prof_test sat_test \
+           serve_test; do
     "./$dir/tests/$t"
   done
   # Accept loop, connection threads, fair-share queue, executor workers
@@ -201,11 +193,9 @@ job_bench_gate() {
 
   note "bench-gate: trace tooling self-check"
   python3 tools/trace_report.py --self-check
-  # Trajectory gate: a race runs its lineup in order and keeps the first
-  # verdict, so every run of a lineup must report the same per-property
-  # iterations and final abstraction size. The per-job wall budgets (2 s
-  # for the SAT probe, 10 s for PDR) are what could still make runs drift.
-  # --batch checks that every race winner is in its step's lineup.
+  # Trajectory gate: the loop calls its engines in a fixed order on one
+  # thread, so every run of the same options must report the same
+  # per-property iterations and final abstraction size.
   note "bench-gate: repeated runs walk one trajectory"
   processor_run() { # <trace> <rfn verify args...>
     local trace=$1; shift
@@ -213,24 +203,19 @@ job_bench_gate() {
       --bad error_flag "$@" --trace-json "$trace" >/dev/null
     python3 tools/trace_report.py --batch "$trace" >/dev/null
   }
-  local lineup run traces
-  for lineup in default bdd,sat,pdr; do
-    local engine=()
-    [ "$lineup" = default ] || engine=(--engine "$lineup")
-    traces=()
-    for run in 0 1 2; do
-      traces+=("$d/trajectory-$lineup-$run.jsonl")
-      processor_run "${traces[-1]}" "${engine[@]}"
-    done
-    python3 tools/trace_report.py --trajectory "${traces[@]}"
+  local run traces=()
+  for run in 0 1 2; do
+    traces+=("$d/trajectory-default-$run.jsonl")
+    processor_run "${traces[-1]}"
   done
-  # Negative self-check: the default lineup and bdd,sat end on different
-  # abstractions (13/19 against 12/18 registers), so the gate must refuse.
-  processor_run "$d/trajectory-bdd,sat.jsonl" --engine bdd,sat
+  python3 tools/trace_report.py --trajectory "${traces[@]}"
+  # Negative self-check: clustered and unclustered runs end on different
+  # abstractions (13/19 against 11/7 registers), so the gate must refuse.
+  processor_run "$d/trajectory-overlap0.jsonl" --cluster-overlap 0
   if python3 tools/trace_report.py --trajectory \
-      "$d/trajectory-default-0.jsonl" "$d/trajectory-bdd,sat.jsonl" \
+      "$d/trajectory-default-0.jsonl" "$d/trajectory-overlap0.jsonl" \
       2>/dev/null; then
-    fail "trajectory gate accepted runs of two different lineups"
+    fail "trajectory gate accepted runs of two different clusterings"
   fi
 
   # Traces are recorded before the gate so a failing gate still leaves a
@@ -249,9 +234,7 @@ job_bench_gate() {
   # verdict turned into an rfn-cert-v1 witness (a trace for Fails, an
   # inductive invariant for Holds) that the independent rfn_check binary
   # re-validates against a fresh elaboration. Each rfn-trace-v2 artifact is
-  # re-validated by trace_report.py, and each rfn-prof-v1 artifact too,
-  # including the CPU-consistency bound (the engines cannot burn more CPU
-  # than the race wall time allows).
+  # re-validated by trace_report.py, and each rfn-prof-v1 artifact too.
   note "bench-gate: batch verification of the shipped designs"
   run_batch() { # <design> <property args...>
     local design=$1; shift
@@ -278,8 +261,8 @@ job_bench_gate() {
   note "bench-gate: end-to-end benchmark self-test"
   CARGO_TARGET_DIR="$d" python3 e2ebench/selftest.py
 
-  note "bench-gate: portfolio + session benches against BENCH_portfolio.json"
-  "./$d/bench/micro_engines" --benchmark_filter='Portfolio|Session|SatBmc' \
+  note "bench-gate: RFN + session benches against BENCH_portfolio.json"
+  "./$d/bench/micro_engines" --benchmark_filter='Portfolio|Session' \
     --json "$d/bench-current.json"
   python3 tools/bench_gate.py --baseline BENCH_portfolio.json \
     --current "$d/bench-current.json"
@@ -303,8 +286,7 @@ EOF
   # noise.
   note "bench-gate: prof gate against BENCH_prof.json"
   "./$d/tools/rfn" verify builtin:processor --bad bad_mutex \
-    --bad error_flag --engine bdd,sat \
-    --prof-json "$d/prof-current.json"
+    --bad error_flag --prof-json "$d/prof-current.json"
   python3 tools/trace_report.py --prof "$d/prof-current.json"
   python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
     --prof-current "$d/prof-current.json"
@@ -351,8 +333,8 @@ job_serve() {
 # re-checks every emitted certificate with rfn_check against the same AIGER
 # file; the gate diffs the rfn-corpus-v2 summary against
 # tests/corpus/baseline.json (verdict flips, certification regressions and
-# missing entries fail; wall time, engine wins and the per-file RSS/CPU
-# profile fields do not). An injected verdict flip must then fail the gate.
+# missing entries fail; wall time and the per-file RSS/CPU profile fields
+# do not). An injected verdict flip must then fail the gate.
 job_corpus() {
   local d=build-ci-bench
   note "corpus gate"

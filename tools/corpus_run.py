@@ -14,8 +14,7 @@ same AIGER file, and writes an rfn-corpus-v2 JSON summary:
               "peak_rss_bytes": 23318528,
               "cpu_ms": 9.31,
               "properties": [{"name": "both_high", "verdict": "T",
-                              "certified": true}, ...],
-              "engine_wins": {"bdd-reach": 2, ...}}, ...],
+                              "certified": true}, ...]}, ...],
    "totals": {"files": N, "properties": M,
               "verdicts": {"T": ..., "F": ..., "?": ..., "resource-out": ...},
               "certified": K}}
@@ -28,14 +27,12 @@ when the property's certificate exists AND rfn_check accepted it — a
 conclusive verdict without a valid certificate is a gating failure waiting
 to happen, not a soft state.
 
-`engine_wins` (the portfolio.wins.* counters) are informational: races are
-timing-dependent, so tools/bench_gate.py --corpus-baseline ignores them and
-gates only on the file set, statuses, verdicts, and certification bits.
+tools/bench_gate.py --corpus-baseline gates only on the file set,
+statuses, verdicts, and certification bits.
 
 `peak_rss_bytes`/`cpu_ms` (new in v2) come from the rfn-prof-v1 artifact the
 CLI emits per file (`--prof-json`): process-wide RSS high-water mark and
-process CPU for the whole run. Like seconds and engine_wins they are
-informational — machine-dependent, never gated. Both are 0 when the run
+process CPU for the whole run. Like seconds they are informational — machine-dependent, never gated. Both are 0 when the run
 timed out, crashed, or the prof artifact was unreadable.
 tools/trace_report.py --corpus still accepts rfn-corpus-v1 baselines
 (without the two fields) so older committed baselines keep validating.
@@ -63,7 +60,6 @@ import time
 
 SCHEMA = "rfn-corpus-v2"
 AIGER_SUFFIXES = (".aag", ".aig")
-ENGINE_WIN_PREFIX = "portfolio.wins."
 
 
 def sanitize_file_stem(name):
@@ -72,8 +68,8 @@ def sanitize_file_stem(name):
 
 
 def parse_trace(path):
-    """Reads an rfn-trace-v2 JSONL file; returns (property_records,
-    engine_wins) or raises ValueError on a malformed artifact."""
+    """Reads an rfn-trace-v2 JSONL file; returns its property records or
+    raises ValueError on a malformed artifact."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -93,10 +89,7 @@ def parse_trace(path):
     for r in props:
         if "name" not in r or "verdict" not in r:
             raise ValueError("property record lacks name/verdict")
-    counters = summary.get("metrics", {}).get("counters", {})
-    wins = {k[len(ENGINE_WIN_PREFIX):]: v for k, v in sorted(counters.items())
-            if k.startswith(ENGINE_WIN_PREFIX) and v}
-    return props, wins
+    return props
 
 
 def read_prof(path, name):
@@ -137,7 +130,7 @@ def run_file(cli, check, path, workdir, timeout):
         return {"file": name, "status": "resource-out",
                 "seconds": round(time.monotonic() - start, 3),
                 "peak_rss_bytes": 0, "cpu_ms": 0,
-                "properties": [], "engine_wins": {}}
+                "properties": []}
     seconds = round(time.monotonic() - start, 3)
     peak_rss_bytes, cpu_ms = read_prof(prof, name)
 
@@ -149,14 +142,14 @@ def run_file(cli, check, path, workdir, timeout):
               f"{proc.stderr.strip()}", file=sys.stderr)
         return {"file": name, "status": "error", "seconds": seconds,
                 "peak_rss_bytes": peak_rss_bytes, "cpu_ms": cpu_ms,
-                "properties": [], "engine_wins": {}}
+                "properties": []}
     try:
-        props, wins = parse_trace(trace)
+        props = parse_trace(trace)
     except (OSError, ValueError) as err:
         print(f"corpus_run: {name}: {err}", file=sys.stderr)
         return {"file": name, "status": "error", "seconds": seconds,
                 "peak_rss_bytes": peak_rss_bytes, "cpu_ms": cpu_ms,
-                "properties": [], "engine_wins": {}}
+                "properties": []}
 
     properties = []
     for r in props:
@@ -181,7 +174,7 @@ def run_file(cli, check, path, workdir, timeout):
                            "certified": certified})
     return {"file": name, "status": "ok", "seconds": seconds,
             "peak_rss_bytes": peak_rss_bytes, "cpu_ms": cpu_ms,
-            "properties": properties, "engine_wins": wins}
+            "properties": properties}
 
 
 def main():

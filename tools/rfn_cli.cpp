@@ -20,18 +20,6 @@
 // flag not listed here, before the design loads. Common options:
 //   --time-limit S     wall-clock budget (default 300; negative: unlimited)
 //   --max-iterations N abstraction-refinement iterations (default 1000)
-//   --engine LIST      engines entering the races, comma-separated subset of
-//                      bdd,atpg,sat,pdr (repeatable; default: all four).
-//                      A race runs the enabled engines in the fixed order
-//                      bdd,sat,pdr (Step 2) or atpg,sat,pdr (Step 3) and
-//                      stops at the first verdict.
-//                      Unknown names, and lists without one of bdd,sat,pdr
-//                      (the Step-2 engines), are rejected up front. atpg is
-//                      Step-3 guided concretization only. Only bdd and pdr
-//                      can prove HOLDS; a list without either can only
-//                      falsify.
-//   --pdr-max-frames N IC3/PDR frame bound per race (default 128)
-//   --pdr-time S       IC3/PDR wall budget per race (default 10, 0=unlimited)
 //   --certify          build an rfn-cert-v1 witness for every HOLDS/VIOLATED
 //                      verdict (an inductive invariant for HOLDS, the error
 //                      trace for VIOLATED; see src/cert/format.hpp) and
@@ -58,9 +46,9 @@
 //   --budget-mem-mb N  watchdog budget on process RSS (MiB, sampled from
 //                      /proc/self/statm); on overrun the run degrades to
 //                      resource-out with the trip named "mem-budget"
-//   --prof-json FILE   write an rfn-prof-v1 resource profile: per-engine
-//                      thread-CPU, per-subsystem (bdd/sat) peak arena bytes,
-//                      and the RSS timeline sampled by the watchdog thread
+//   --prof-json FILE   write an rfn-prof-v1 resource profile: wall and
+//                      process-CPU totals, the BDD arena's peak bytes, and
+//                      the RSS timeline sampled by the watchdog thread
 //                      (see src/util/prof.hpp for the schema; validate with
 //                      tools/trace_report.py --prof FILE)
 //   --prof-folded FILE write collapsed-stack self-time lines aggregated from
@@ -162,16 +150,13 @@ bool write_text_file(const std::string& path, const std::string& body) {
 
 /// --prof-json epilogue: appends one final direct RSS sample (so the
 /// timeline is never empty for runs shorter than a watchdog poll), stops the
-/// log, assembles the rfn-prof-v1 document against the run's metrics
-/// baseline, and writes it.
-bool write_prof_json_file(const std::string& path,
-                          const MetricsSnapshot& baseline, double wall_s,
+/// log, assembles the rfn-prof-v1 document and writes it.
+bool write_prof_json_file(const std::string& path, double wall_s,
                           double cpu_s) {
   prof::RssLog::global().sample();
   prof::RssLog::global().disable();
-  const MetricsSnapshot now = MetricsRegistry::global().snapshot();
-  const json::Value doc =
-      prof::build_prof_json(baseline, now, wall_s, cpu_s);
+  const json::Value doc = prof::build_prof_json(
+      MetricsRegistry::global().snapshot(), wall_s, cpu_s);
   std::ofstream out(path);
   if (out) out << doc.dump(2) << "\n";
   if (!out) std::fprintf(stderr, "rfn: cannot write %s\n", path.c_str());
@@ -211,7 +196,7 @@ struct ProfScope {
 
   /// Writes the span/prof artifacts; call once after the run's threads have
   /// joined (the span buffers are quiescent then). False on I/O errors.
-  bool finish(const MetricsSnapshot& baseline, double wall_s, double cpu_s) {
+  bool finish(double wall_s, double cpu_s) {
     if (trace_spans) {
       SpanTracer::global().disable();
       if (!span_path.empty()) {
@@ -227,7 +212,7 @@ struct ProfScope {
         return false;
     }
     if (!prof_json_path.empty() &&
-        !write_prof_json_file(prof_json_path, baseline, wall_s, cpu_s))
+        !write_prof_json_file(prof_json_path, wall_s, cpu_s))
       return false;
     return true;
   }
@@ -268,7 +253,7 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
     std::fprintf(stderr, "rfn: %s\n", error.c_str());
     return 2;
   }
-  if (!prof.finish(out.baseline, out.seconds, prof.cpu_seconds())) return 2;
+  if (!prof.finish(out.seconds, prof.cpu_seconds())) return 2;
 
   // --cert-dir: run_verify built and checked the witnesses (they are already
   // in the rfn-trace-v2 records); writing them to disk is CLI business.
@@ -342,13 +327,11 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
         std::fputs(trace_to_string(design.netlist, r.trace).c_str(), stdout);
     }
   }
-  // Engine effort and race outcomes come from the metrics registry.
+  // Engine effort comes from the metrics registry.
   const MetricsSnapshot metrics =
       MetricsRegistry::global().snapshot().delta(out.baseline);
   std::printf("engines:\n");
   std::fputs(format_engine_stats(metrics).c_str(), stdout);
-  std::printf("portfolio:\n");
-  std::fputs(format_portfolio_stats(metrics).c_str(), stdout);
   for (size_t i = 0; i < out.cert_records.size(); ++i) {
     const CertificateRecord& rec = out.cert_records[i];
     if (rec.ok) {

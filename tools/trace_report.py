@@ -21,22 +21,19 @@ engine run that answered it, then — for --certify runs — one
 shape, the verdict and certificate-kind spellings, that a failed
 certification names its failing obligation (and a successful one does
 not), and that the summary's property/verdict/certificate counts match the
-records. Per iteration record it checks that every engine block is
-present — including the IC3/PDR activity block (obligations/clauses/
-frames, nonnegative numbers) — that each race's winner is in its step's
-lineup (bdd-reach/sat-bmc/pdr for the abstract race, guided-atpg/sat-bmc/
-pdr for concretize), that it names the property it follows, that
-iterations are numbered densely from 0, and that their count equals the
-property's `iterations`. A clustered property
-answered by a run shared with an earlier member carries no iteration
-records of its own (the shared run's records follow the first member). It
-then prints a per-property table, a per-iteration table with the PDR
-columns, a certification summary line when certificates were recorded,
-and a SAT-engine activity line (checks, conflicts, wins) when the sat
-engine ran.
+records. Per iteration record it checks that every block is present, that
+the Step-2 reach and Step-3 concretize wall times (`reach.seconds`,
+`concretize.seconds`) are nonnegative numbers, that it names the property
+it follows, that iterations are numbered densely from 0, and that their
+count equals the property's `iterations`. A clustered property answered
+by a run shared with an earlier member carries no iteration records of
+its own (the shared run's records follow the first member). It then
+prints a per-property table, a per-iteration table with the reach and
+concretize times, and a certification summary line when certificates were
+recorded.
 
 With `--trajectory A B ...` the inputs are several rfn-trace-v2 files of
-the same property set (say, repeated runs of one lineup): each is
+the same property set (say, repeated runs of one command): each is
 validated as for --batch, and the tool exits nonzero unless every file
 reports the same per-property `iterations` and `final_abstract_regs`.
 
@@ -63,12 +60,10 @@ the CI serve job greps to prove cross-request state reuse happened.
 
 With `--prof` the input is an rfn-prof-v1 resource profile from
 `rfn verify ... --prof-json FILE`. The validator checks the format tag,
-that every per-engine CPU figure is nonnegative and their sum is
-consistent with the portfolio's race wall time (the races run their jobs
-on one thread, so CPU cannot exceed wall, modulo slack for clock
-granularity), that each subsystem's peak bytes dominate its live bytes,
-and that the RSS timeline has monotone timestamps with its peak no
-smaller than any sample, then prints a per-engine/per-subsystem digest.
+that the wall and CPU totals are nonnegative, that the BDD subsystem's
+peak bytes dominate its live bytes, and that the RSS timeline has
+monotone timestamps with its peak no smaller than any sample, then prints
+a per-subsystem digest.
 
 Report sections:
   * run summary — total wall time from the session.run span, or the
@@ -78,9 +73,7 @@ Report sections:
   * top-N hottest spans by self time (time in the span minus time in its
     children on the same thread);
   * per-iteration timeline (rfn.iteration spans), grouped by the rfn.run
-    that contains them;
-  * race outcomes — wins per engine and % of job wall time that was
-    cancelled or inconclusive (work the race discarded).
+    that contains them.
 """
 
 import argparse
@@ -94,18 +87,12 @@ signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 TRACE_VERSION = "rfn-spans-v1"
 BATCH_TRACE_VERSION = "rfn-trace-v2"
-# Per-iteration record shape in rfn-trace-v2: every engine block is always
-# present, zeroed when the engine is disabled.
+# Per-iteration record shape in rfn-trace-v2: every block is always present.
 ITERATION_KEYS = ("property", "iter", "abstraction", "reach", "bdd", "hybrid",
-                  "trace_cycles", "concretize", "sat", "pdr", "refine",
-                  "engines", "seconds")
-# The IC3/PDR activity block, added with the pdr engine.
-PDR_ITER_KEYS = ("obligations", "clauses", "frames")
-# The engines racing Step 2 (abstract) and Step 3 (concretize) of the RFN
-# loop, src/core/rfn.cpp. "" is a race with no winner: inconclusive, or an
-# iteration that ended before Step 3.
-RACE_LINEUPS = (("abstract", ("", "bdd-reach", "sat-bmc", "pdr")),
-                ("concretize", ("", "guided-atpg", "sat-bmc", "pdr")))
+                  "trace_cycles", "concretize", "refine", "seconds")
+# The blocks that carry their step's wall time (0 when the step did not
+# run): Step 2's fixpoint and Step 3's concretization.
+TIMED_STEPS = ("reach", "concretize")
 VERDICTS = ("T", "F", "?", "resource-out")
 PROPERTY_KEYS = ("name", "bad", "verdict", "cluster", "clustered",
                  "iterations", "seconds")
@@ -122,13 +109,8 @@ RESPONSE_VERSION = "rfn-resp-v1"
 REJECT_REASONS = ("queue-full", "time-oversubscribed", "mem-oversubscribed",
                   "bdd-oversubscribed", "load-failed", "bad-request")
 WARM_CACHE_KEYS = ("enabled", "hit", "hits", "misses", "evictions",
-                   "entries", "bytes", "order_warm", "sat_pool_entries")
+                   "entries", "bytes", "order_warm")
 PROF_SCHEMA = "rfn-prof-v1"
-# Per-engine thread-CPU is burned inside the races, one job at a time, so
-# its sum is bounded by the race wall time, with headroom for clock
-# granularity.
-PROF_CPU_SLACK = 1.25
-PROF_CPU_SLACK_MS = 50.0
 
 
 class TraceError(Exception):
@@ -183,27 +165,18 @@ def validate(doc):
 
 
 def validate_iteration(r, where):
-    """Checks one rfn-trace-v2 iteration record's engine blocks."""
+    """Checks one rfn-trace-v2 iteration record's blocks."""
     for key in ITERATION_KEYS:
         if key not in r:
             fail(f"{where} lacks {key!r}")
-    engines = r["engines"]
-    if not isinstance(engines, dict):
-        fail(f"{where}: engines block is not an object")
-    for race, lineup in RACE_LINEUPS:
-        block = engines.get(race)
-        winner = block.get("winner") if isinstance(block, dict) else None
-        if winner not in lineup:
-            fail(f"{where}: engines.{race}.winner is {winner!r}, not one of "
-                 f"{', '.join(w for w in lineup if w)} (or none)")
-    pdr = r["pdr"]
-    if not isinstance(pdr, dict):
-        fail(f"{where}: pdr block is not an object")
-    for key in PDR_ITER_KEYS:
-        value = pdr.get(key)
+    for step in TIMED_STEPS:
+        block = r[step]
+        if not isinstance(block, dict):
+            fail(f"{where}: {step} block is not an object")
+        value = block.get("seconds")
         if not _nonneg_number(value):
-            fail(f"{where}: pdr.{key} is {value!r}, expected a nonnegative "
-                 f"number")
+            fail(f"{where}: {step}.seconds is {value!r}, expected a "
+                 f"nonnegative number")
     if not isinstance(r["refine"], dict):
         fail(f"{where}: refine block is not an object")
 
@@ -407,39 +380,10 @@ def validate_prof(doc):
     for key in ("wall_ms", "total_cpu_ms"):
         if not _nonneg_number(doc.get(key)):
             fail(f"{key!r} missing or not a nonnegative number")
-    engines = doc.get("engines")
-    if not isinstance(engines, list):
-        fail("'engines' missing or not a list")
-    seen = set()
-    engine_cpu_ms = 0.0
-    for i, e in enumerate(engines):
-        name = e.get("name") if isinstance(e, dict) else None
-        if not name or not isinstance(name, str):
-            fail(f"engine record {i} lacks a name")
-        if name in seen:
-            fail(f"engine record {i}: duplicate engine {name!r}")
-        seen.add(name)
-        if not _nonneg_number(e.get("cpu_ms")):
-            fail(f"engine {name!r}: cpu_ms missing or negative")
-        engine_cpu_ms += e["cpu_ms"]
-
-    portfolio = doc.get("portfolio")
-    if not isinstance(portfolio, dict):
-        fail("'portfolio' missing or not an object")
-    for key in ("race_wall_ms", "race_cpu_ms"):
-        if not _nonneg_number(portfolio.get(key)):
-            fail(f"portfolio.{key} missing or negative")
-    # CPU-vs-wall sanity: the jobs run one at a time on the racing thread,
-    # so together they burn at most one second of CPU per race wall second.
-    bound = portfolio["race_wall_ms"] * PROF_CPU_SLACK + PROF_CPU_SLACK_MS
-    if engine_cpu_ms > bound:
-        fail(f"engine cpu_ms sum {engine_cpu_ms:.3f} exceeds the race wall "
-             f"bound {bound:.3f} (wall {portfolio['race_wall_ms']:.3f} ms)")
-
     subsystems = doc.get("subsystems")
     if not isinstance(subsystems, dict):
         fail("'subsystems' missing or not an object")
-    for sub in ("bdd", "sat"):
+    for sub in ("bdd",):
         rec = subsystems.get(sub)
         if not isinstance(rec, dict):
             fail(f"subsystems.{sub} missing or not an object")
@@ -537,8 +481,7 @@ def validate_serve(lines):
         for key in WARM_CACHE_KEYS:
             if key not in warm:
                 fail(f"{where}: warm_cache lacks {key!r}")
-        for key in ("hits", "misses", "evictions", "entries", "bytes",
-                    "sat_pool_entries"):
+        for key in ("hits", "misses", "evictions", "entries", "bytes"):
             if not _nonneg_number(warm[key]):
                 fail(f"{where}: warm_cache.{key} not a nonnegative number")
         if warm["hit"] and not warm["enabled"]:
@@ -616,13 +559,6 @@ def report_prof(path):
     validate_prof(doc)
     print("== resource profile ==")
     print(f"wall_ms={doc['wall_ms']:.3f} total_cpu_ms={doc['total_cpu_ms']:.3f}")
-    portfolio = doc["portfolio"]
-    print(f"races: wall_ms={portfolio['race_wall_ms']:.3f} "
-          f"cpu_ms={portfolio['race_cpu_ms']:.3f}")
-    if doc["engines"]:
-        print(f"\n{'engine':<16} {'cpu_ms':>10}")
-        for e in sorted(doc["engines"], key=lambda e: -e["cpu_ms"]):
-            print(f"{e['name']:<16} {e['cpu_ms']:>10.3f}")
     print(f"\n{'subsystem':<10} {'live_bytes':>12} {'peak_bytes':>12}")
     for sub, rec in sorted(doc["subsystems"].items()):
         print(f"{sub:<10} {rec['live_bytes']:>12} {rec['peak_bytes']:>12}")
@@ -658,18 +594,6 @@ def report_corpus(path):
               f"{counts.get('F', 0):>3} {cert:>4} "
               f"{rec.get('seconds', 0.0):>8.2f}")
     return 0
-
-
-def sat_summary_line(summary):
-    """One-line SAT-engine activity digest from the batch-summary metrics,
-    or None when the sat engine never ran in this batch."""
-    counters = summary.get("metrics", {}).get("counters", {})
-    checks = counters.get("sat.checks", 0)
-    if not checks:
-        return None
-    return (f"sat: checks={checks} conflicts={counters.get('sat.conflicts', 0)} "
-            f"solve_calls={counters.get('sat.solve_calls', 0)} "
-            f"wins={counters.get('portfolio.wins.sat-bmc', 0)}")
 
 
 def read_batch(path):
@@ -746,17 +670,15 @@ def report_batch(path):
               f"{r['iterations']:>5} {r['seconds']:>9.3f}")
     if iters:
         print(f"\n{'property':<24} {'iter':>4} {'regs':>5} {'reach':<14} "
-              f"{'abs-winner':<12} {'pdr-obl':>8} {'pdr-cls':>8} "
-              f"{'frames':>6} {'seconds':>9}")
+              f"{'reach_s':>9} {'concretize':<10} {'conc_s':>9} "
+              f"{'seconds':>9}")
         for r in iters:
-            winner = r["engines"].get("abstract", {}).get("winner", "")
             print(f"{r['property']:<24} {r['iter']:>4} "
                   f"{r['abstraction'].get('regs', 0):>5} "
                   f"{r['reach'].get('status', ''):<14} "
-                  f"{(winner or '-'):<12} "
-                  f"{r['pdr']['obligations']:>8.0f} "
-                  f"{r['pdr']['clauses']:>8.0f} "
-                  f"{r['pdr']['frames']:>6.0f} "
+                  f"{r['reach']['seconds']:>9.3f} "
+                  f"{r['concretize'].get('status', ''):<10} "
+                  f"{r['concretize']['seconds']:>9.3f} "
                   f"{r['seconds']:>9.3f}")
     if certs:
         kinds = collections.Counter(r["kind"] for r in certs)
@@ -770,9 +692,6 @@ def report_batch(path):
             if not r["ok"]:
                 print(f"  FAILED {r['property']}: obligation "
                       f"{r['obligation']}")
-    sat_line = sat_summary_line(summary)
-    if sat_line:
-        print(f"\n{sat_line}")
     return 0
 
 
@@ -864,32 +783,6 @@ def report(doc, top_n):
             print(f"{run!s:>4} {idx!s:>4} {s['start'] / 1e3:>10.3f} "
                   f"{s['dur'] / 1e3:>10.3f}")
 
-    # Race arms carry an "outcome" annotation; a job that ran without a
-    # verdict (inconclusive, or cut short by the run's token) is wall time
-    # the race spent before the next engine took over. High %inconclusive
-    # is budget misallocation.
-    jobs = [s for s in spans if "outcome" in s["args"]]
-    if jobs:
-        outcomes = collections.defaultdict(lambda: [0, 0.0])
-        wins = collections.Counter()
-        for s in jobs:
-            o = s["args"]["outcome"]
-            outcomes[o][0] += 1
-            outcomes[o][1] += s["dur"]
-            if o == "won":
-                wins[s["name"]] += 1
-        job_total = sum(s["dur"] for s in jobs)
-        print("\n== race outcomes ==")
-        print(f"{'outcome':<14} {'jobs':>5} {'wall_ms':>10} {'%job_time':>10}")
-        for o, (count, dur) in sorted(outcomes.items()):
-            pct = 100.0 * dur / job_total if job_total else 0.0
-            print(f"{o:<14} {count:>5} {dur / 1e3:>10.3f} {pct:>9.1f}%")
-        for name, count in wins.most_common():
-            print(f"  wins: {name} x{count}")
-        discarded = sum(outcomes[o][1] for o in ("cancelled", "inconclusive")
-                        if o in outcomes)
-        pct = 100.0 * discarded / job_total if job_total else 0.0
-        print(f"cancelled_or_inconclusive_pct={pct:.1f}")
     return 0
 
 
@@ -902,12 +795,12 @@ def synthetic_trace():
          "ts": 0.0},
         {"name": "rfn.iteration", "ph": "B", "cat": "rfn", "pid": 1,
          "tid": 1, "ts": 1.0},
-        {"name": "job", "ph": "B", "cat": "rfn", "pid": 1, "tid": 1,
+        {"name": "mc.reach", "ph": "B", "cat": "rfn", "pid": 1, "tid": 1,
          "ts": 3.0},
         {"name": "budget-trip", "ph": "i", "cat": "rfn", "s": "g", "pid": 1,
          "tid": 3, "ts": 4.0, "args": {"reason": "wall-budget"}},
-        {"name": "job", "ph": "E", "cat": "rfn", "pid": 1, "tid": 1,
-         "ts": 5.0, "args": {"outcome": "won"}},
+        {"name": "mc.reach", "ph": "E", "cat": "rfn", "pid": 1, "tid": 1,
+         "ts": 5.0, "args": {"status": "proved"}},
         {"name": "rfn.iteration", "ph": "E", "cat": "rfn", "pid": 1,
          "tid": 1, "ts": 6.0, "args": {"iter": 0}},
         {"name": "rfn.run", "ph": "E", "cat": "rfn", "pid": 1, "tid": 1,
@@ -924,23 +817,18 @@ def synthetic_iteration(prop, i, regs):
         "type": "iteration", "property": prop, "iter": i,
         "abstraction": {"regs": regs, "inputs": 2, "gates": 30},
         "reach": {"status": "bad-reachable" if i == 0 else "proved",
-                  "steps": 3},
+                  "steps": 3, "seconds": 0.01},
         "bdd": {"peak_nodes": 100, "cache_lookups": 10, "cache_hits": 5,
                 "cache_hit_rate": 0.5, "reorderings": 0},
         "hybrid": {"nocut_cubes": 0, "mincut_cubes": 0, "atpg_calls": 0,
                    "atpg_rejects": 0},
         "trace_cycles": 4 if i == 0 else 0,
-        "concretize": {"status": "unsat" if i == 0 else "none"},
-        "sat": {"conflicts": 7, "propagations": 90, "depth": 4},
-        "pdr": {"obligations": 12, "clauses": 5, "frames": 3},
+        "concretize": {"status": "unsat" if i == 0 else "none",
+                       "seconds": 0.02 if i == 0 else 0.0},
         "refine": {"conflict_candidates": 1, "fallback_candidates": 0,
                    "added_until_unsat": 1, "removed_by_greedy": 0,
                    "final_count": regs, "atpg_calls": 1,
                    "trace_invalidated": False},
-        "engines": {"abstract": {"winner": "pdr", "seconds": 0.01,
-                                 "cpu_seconds": 0.01},
-                    "concretize": {"winner": "sat-bmc", "seconds": 0.02,
-                                   "cpu_seconds": 0.02}},
         "seconds": 0.05,
     }
 
@@ -973,9 +861,7 @@ def synthetic_batch_trace():
          "verdicts": {"T": 2, "F": 1, "?": 0, "resource-out": 0},
          "certificates": {"ok": 1, "failed": 1},
          "seconds": 0.5,
-         "metrics": {"counters": {"sat.checks": 3, "sat.conflicts": 17,
-                                  "sat.solve_calls": 9,
-                                  "portfolio.wins.sat-bmc": 1}}},
+         "metrics": {"counters": {"rfn.runs": 2}}},
     ]
 
 
@@ -990,11 +876,10 @@ def synthetic_corpus():
              "properties": [
                  {"name": "p0", "verdict": "T", "certified": True},
                  {"name": "p1", "verdict": "F", "certified": True},
-             ],
-             "engine_wins": {"bdd-reach": 2}},
+             ]},
             {"file": "b.aig", "status": "resource-out", "seconds": 120.0,
              "peak_rss_bytes": 128 << 20, "cpu_ms": 119000.0,
-             "properties": [], "engine_wins": {}},
+             "properties": []},
         ],
         "totals": {"files": 2, "properties": 2,
                    "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
@@ -1013,7 +898,7 @@ def synthetic_serve_log():
                 "warm_cache": {"enabled": True, "hit": hit, "hits": hits,
                                "misses": misses, "evictions": 0,
                                "entries": 1, "bytes": 15232,
-                               "order_warm": hit, "sat_pool_entries": 0},
+                               "order_warm": hit},
                 "seconds": 0.5}
 
     records = synthetic_batch_trace()
@@ -1035,14 +920,8 @@ def synthetic_prof():
         "format": PROF_SCHEMA,
         "wall_ms": 120.0,
         "total_cpu_ms": 115.0,
-        "engines": [
-            {"name": "bdd-reach", "cpu_ms": 60.0},
-            {"name": "sat-bmc", "cpu_ms": 30.0},
-        ],
-        "portfolio": {"race_wall_ms": 100.0, "race_cpu_ms": 90.0},
         "subsystems": {
-            "bdd": {"live_bytes": 2 << 20, "peak_bytes": 2 << 20},
-            "sat": {"live_bytes": 1 << 20, "peak_bytes": 3 << 20},
+            "bdd": {"live_bytes": 2 << 20, "peak_bytes": 3 << 20},
         },
         "rss": {"peak_bytes": 30 << 20, "samples": [
             {"t_ms": 10.0, "bytes": 20 << 20},
@@ -1100,14 +979,6 @@ def self_check():
             return None
         return f"self-check: {expect} not detected"
 
-    sat_line = sat_summary_line(good_batch[-1])
-    if not sat_line or "checks=3" not in sat_line or "wins=1" not in sat_line:
-        failures.append("self-check: SAT batch summary line malformed: "
-                        f"{sat_line!r}")
-    if sat_summary_line({"metrics": {"counters": {}}}) is not None:
-        failures.append("self-check: SAT summary line printed for a batch "
-                        "where the sat engine never ran")
-
     failures += [f for f in (
         corrupt_batch(lambda d: d[-1].update(trace_version="rfn-trace-v3"),
                       "wrong batch trace_version"),
@@ -1140,23 +1011,17 @@ def self_check():
                       "certificate records without summary counts"),
         corrupt_batch(lambda d: d.insert(7, dict(d[0])),
                       "property record after certificate records"),
-        # Iteration records: the engine blocks, numbering and counts.
-        corrupt_batch(lambda d: d[1].pop("pdr"),
-                      "iteration record missing the pdr block"),
-        corrupt_batch(lambda d: d[1].update(pdr=[1, 2]),
-                      "non-object pdr block"),
-        corrupt_batch(lambda d: d[1]["pdr"].pop("obligations"),
-                      "pdr block missing a counter"),
-        corrupt_batch(lambda d: d[1]["pdr"].update(clauses=-3),
-                      "negative pdr clause count"),
-        corrupt_batch(lambda d: d[1]["pdr"].update(frames="three"),
-                      "non-numeric pdr frame count"),
-        corrupt_batch(lambda d: d[1]["engines"]["abstract"].update(
-                          winner="rand-sim"),
-                      "abstract race won by an engine outside the lineup"),
-        corrupt_batch(lambda d: d[1]["engines"]["concretize"].update(
-                          winner="seq-atpg"),
-                      "concretize race won by an engine outside the lineup"),
+        # Iteration records: the blocks, step times, numbering and counts.
+        corrupt_batch(lambda d: d[1].pop("refine"),
+                      "iteration record missing the refine block"),
+        corrupt_batch(lambda d: d[1].update(reach=[1, 2]),
+                      "non-object reach block"),
+        corrupt_batch(lambda d: d[1]["reach"].pop("seconds"),
+                      "reach block missing its wall time"),
+        corrupt_batch(lambda d: d[1]["concretize"].update(seconds=-0.5),
+                      "negative concretize wall time"),
+        corrupt_batch(lambda d: d[1]["concretize"].update(seconds="fast"),
+                      "non-numeric concretize wall time"),
         corrupt_batch(lambda d: d[2].update(iter=5),
                       "non-sequential iteration numbering"),
         corrupt_batch(lambda d: d[0].update(iterations=3),
@@ -1270,13 +1135,9 @@ def self_check():
     failures += [f for f in (
         corrupt_prof(lambda d: d.update(format="rfn-prof-v0"),
                      "wrong prof format tag"),
-        corrupt_prof(lambda d: d["engines"][0].update(cpu_ms=-5.0),
-                     "negative engine cpu_ms"),
-        corrupt_prof(lambda d: d["engines"].append(dict(d["engines"][0])),
-                     "duplicate engine record"),
-        corrupt_prof(lambda d: d["engines"][0].update(cpu_ms=1e6),
-                     "engine CPU sum exceeding race wall"),
-        corrupt_prof(lambda d: d["subsystems"]["sat"].update(peak_bytes=1),
+        corrupt_prof(lambda d: d.update(total_cpu_ms=-5.0),
+                     "negative total cpu_ms"),
+        corrupt_prof(lambda d: d["subsystems"]["bdd"].update(peak_bytes=1),
                      "subsystem peak below live"),
         corrupt_prof(lambda d: d["subsystems"].pop("bdd"),
                      "missing bdd subsystem record"),
