@@ -19,7 +19,6 @@
 #include "atpg/seq_atpg.hpp"
 #include "bdd/bdd.hpp"
 #include "core/rfn.hpp"
-#include "core/session.hpp"
 #include "designs/fifo.hpp"
 #include "designs/iu.hpp"
 #include "designs/usb.hpp"
@@ -215,80 +214,6 @@ void BM_RfnPortfolioFifo(benchmark::State& state) {
   export_run_counters(state);
 }
 BENCHMARK(BM_RfnPortfolioFifo)->Unit(benchmark::kMillisecond);
-
-// The batch-session workload: the three FIFO occupancy-flag properties
-// plus the composite "some flag errs" line (their disjunction — the kind of
-// any-error output industrial testbenches expose). Four properties, one
-// heavily shared register cone, all Holds. Verified independently the
-// composite costs a full proof of its own; a session recognizes the cone
-// overlap and answers the whole suite with shared abstraction runs.
-struct SessionSuite {
-  Netlist design;
-  std::vector<std::pair<const char*, GateId>> props;
-};
-
-SessionSuite fifo_session_suite() {
-  rfn::designs::FifoDesign fifo =
-      rfn::designs::make_fifo({.addr_bits = 3, .data_bits = 2});
-  SessionSuite suite;
-  const GateId any = append_disjunction(
-      fifo.netlist, {fifo.bad_push_full, fifo.bad_push_af, fifo.bad_push_hf},
-      "bad_any");
-  suite.props = {{"bad_full", fifo.bad_push_full},
-                 {"bad_af", fifo.bad_push_af},
-                 {"bad_hf", fifo.bad_push_hf},
-                 {"bad_any", any}};
-  suite.design = std::move(fifo.netlist);
-  return suite;
-}
-
-// The suite verified independently: four fresh run_property runs, nothing
-// shared. This is the baseline the batch session below must beat;
-// bench_gate.py enforces batch < independent on every run.
-void BM_SessionIndependentFifo(benchmark::State& state) {
-  const SessionSuite suite = fifo_session_suite();
-  MetricsRegistry::global().reset();
-  for (auto _ : state) {
-    for (const auto& [name, bad] : suite.props) {
-      if (run_property(suite.design, bad, RfnOptions{}).verdict != Verdict::Holds)
-        state.SkipWithError("fifo suite must hold");
-    }
-  }
-  export_run_counters(state);
-}
-BENCHMARK(BM_SessionIndependentFifo)->Unit(benchmark::kMillisecond);
-
-// The same four properties through one VerifySession: one cone cluster,
-// answered by shared disjunction runs with the cross-property reuse cache.
-// Per-property seconds land in the JSON artifact as counters (for a
-// clustered property that is the answering run's wall time).
-void BM_SessionBatchFifo(benchmark::State& state) {
-  const SessionSuite suite = fifo_session_suite();
-  MetricsRegistry::global().reset();
-  std::vector<PropertyResult> results;
-  size_t clusters = 0;
-  for (auto _ : state) {
-    VerifySession session(suite.design, SessionOptions{});
-    std::vector<PropertyRequest> requests;
-    for (const auto& [name, bad] : suite.props)
-      requests.push_back({name, bad, {}});
-    results = session.run(requests);
-    clusters = session.clusters().size();
-    for (const PropertyResult& r : results)
-      if (r.verdict != Verdict::Holds)
-        state.SkipWithError("fifo suite must hold");
-  }
-  state.counters["clusters"] = static_cast<double>(clusters);
-  for (const PropertyResult& r : results) {
-    state.counters["seconds_" + r.name] = r.stats.seconds;
-    state.counters["clustered_" + r.name] = r.clustered ? 1.0 : 0.0;
-  }
-  const MetricsSnapshot s = MetricsRegistry::global().snapshot();
-  state.counters["clustered_verdicts"] = s.value("session.clustered_verdicts");
-  state.counters["memo_hits"] = s.value("session.subcircuit_memo.hits");
-  export_run_counters(state);
-}
-BENCHMARK(BM_SessionBatchFifo)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally captures every run for the
 /// rfn-bench-v1 JSON document.

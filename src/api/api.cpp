@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -164,10 +163,6 @@ const std::vector<Knob>& knobs() {
       {"options", "budget-mem-mb",
        [](R r) -> F { return &r.options.budget_mem_mb; },
        [](O o) -> V { return &o.budget_mem_mb; }},
-      {"session", "cluster-overlap",
-       [](R r) -> F { return &r.cluster_overlap; }},
-      {"session", "max-cluster",
-       [](R r) -> F { return &r.max_cluster_size; }},
       {"session", "workers",
        [](R r) -> F { return &r.session_workers; }, nullptr, "session-workers"},
       {"session", "batch-budget-ms",
@@ -190,9 +185,8 @@ GateId find_signal(const Netlist& n, const std::string& name) {
 std::vector<std::string> VerifyRequest::validate() const {
   // The single choke point: the engine knobs' own validation, of the
   // defaults and then of every property's merged options (what its run
-  // will see), prefixed with the property's origin. Session knobs are
-  // self-clamping by construction (cluster_by_cone_overlap treats
-  // max_cluster_size 0 as 1; non-positive overlap disables clustering).
+  // will see), prefixed with the property's origin. Every value of a
+  // session knob is valid.
   std::vector<std::string> errors = options.validate();
   for (std::string& e : errors) {
     // The defaults are valid, so a knob that raises the error on top of
@@ -517,7 +511,6 @@ json::Value VerifyResponse::to_json() const {
   }
   o.set("design_hash", design_hash);
   o.set("properties", properties);
-  o.set("clusters", clusters);
   Value verdicts = Value::object();
   verdicts.set(to_string(Verdict::Holds), holds);
   verdicts.set(to_string(Verdict::Fails), fails);
@@ -529,8 +522,6 @@ json::Value VerifyResponse::to_json() const {
     Value e = Value::object();
     e.set("name", r.name);
     e.set("verdict", r.verdict);
-    e.set("cluster", r.cluster);
-    e.set("clustered", r.clustered);
     e.set("order_seeded", r.order_seeded);
     e.set("seeded_registers", r.seeded_registers);
     e.set("iterations", r.iterations);
@@ -662,23 +653,14 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
 
   SessionOptions sopt;
   sopt.defaults = req.options;
-  sopt.cluster_overlap = req.cluster_overlap;
-  sopt.max_cluster_size = req.max_cluster_size;
   sopt.workers = req.session_workers;
   sopt.batch_budget_ms = req.batch_budget_ms;
   sopt.reuse = req.reuse;
   sopt.shared_cache = warm;
   // One property's records: the property record, then the iteration records
-  // of the engine run that answered it. Clustered members of one shared run
-  // hold copies of the same RfnResult (same cluster, same metrics epoch);
-  // that run's iterations go out once, under the first member written. The
-  // file and streaming modes both write through this.
-  std::set<std::pair<size_t, uint64_t>> shared_runs;
+  // of its run. The file and streaming modes both write through this.
   const auto write_property = [&](const PropertyResult& r) {
     sink->record(property_json(r));
-    if (r.clustered &&
-        !shared_runs.insert({r.cluster, r.stats.metrics_epoch}).second)
-      return;
     for (size_t i = 0; i < r.stats.per_iteration.size(); ++i)
       sink->record(iteration_json(r.name, i, r.stats.per_iteration[i]));
   };
@@ -694,7 +676,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   VerifySession session(design.netlist, sopt);
   out->results = session.run(props);
   out->seconds = watch.seconds();
-  out->clusters = session.clusters().size();
 
   // Certification happens before the batch summary is rendered so the
   // summary's metrics dump includes the checker's work — the ordering the
@@ -719,8 +700,7 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
       for (const PropertyResult& r : out->results) write_property(r);
     for (const CertificateRecord& rec : out->cert_records)
       sink->record(certificate_json(rec));
-    sink->record(batch_summary_json(out->results, out->clusters, out->seconds,
-                                    &out->baseline,
+    sink->record(batch_summary_json(out->results, out->seconds, &out->baseline,
                                     do_certify ? &out->cert_records : nullptr));
   }
 
@@ -729,7 +709,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   resp.ok = true;
   resp.design_hash = design.hash_hex;
   resp.properties = out->results.size();
-  resp.clusters = out->clusters;
   resp.seconds = out->seconds;
   for (const PropertyResult& r : out->results) {
     switch (r.verdict) {
@@ -741,8 +720,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
     PropertyVerdict pv;
     pv.name = r.name;
     pv.verdict = to_string(r.verdict);
-    pv.cluster = r.cluster;
-    pv.clustered = r.clustered;
     pv.order_seeded = r.order_seeded;
     pv.seeded_registers = r.seeded_registers;
     pv.iterations = r.stats.iterations;

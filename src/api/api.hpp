@@ -94,7 +94,7 @@ struct Knob {
   std::string cli_flag() const { return flag != nullptr ? flag : key; }
 };
 
-/// The knob list: 5 "options" knobs, then 5 "session" knobs.
+/// The knob list: 5 "options" knobs, then 3 "session" knobs.
 const std::vector<Knob>& knobs();
 
 /// A verification request: rfn-req-v1.
@@ -127,8 +127,6 @@ struct VerifyRequest {
     return o;
   }();
   // Session knobs (SessionOptions sans defaults/hooks).
-  double cluster_overlap = 0.5;
-  size_t max_cluster_size = 4;
   size_t session_workers = 0;
   double batch_budget_ms = -1.0;
   bool reuse = true;
@@ -136,6 +134,11 @@ struct VerifyRequest {
   bool certify = false;
   /// Ship each built rfn-cert-v1 document inline in the response.
   bool inline_certificates = false;
+
+  // Unread shims for out-of-tree callers that still read the removed cone-
+  // clustering knobs: no door sets them and no run reads them.
+  double cluster_overlap = 0.5;
+  size_t max_cluster_size = 4;
 
   /// The one validation choke point: RfnOptions::validate() of the
   /// defaults, each error prefixed with the knob that alone raises it, then
@@ -164,8 +167,6 @@ struct VerifyRequest {
 struct PropertyVerdict {
   std::string name;
   std::string verdict;  // "T" | "F" | "?" | "resource-out"
-  size_t cluster = 0;
-  bool clustered = false;
   bool order_seeded = false;
   size_t seeded_registers = 0;
   size_t iterations = 0;
@@ -195,11 +196,11 @@ struct WarmCacheInfo {
 ///
 ///   {"type":"response","version":"rfn-resp-v1","id":"..","ok":..,
 ///    ["error":"..","reject_reason":"..",]              // failures only
-///    "design_hash":"..","properties":..,"clusters":..,
+///    "design_hash":"..","properties":..,
 ///    "verdicts":{"T":..,"F":..,"?":..,"resource-out":..},
-///    "results":[{"name":..,"verdict":..,"cluster":..,"clustered":..,
-///                "order_seeded":..,"seeded_registers":..,"iterations":..,
-///                "seconds":..,"note":..}],
+///    "results":[{"name":..,"verdict":..,"order_seeded":..,
+///                "seeded_registers":..,"iterations":..,"seconds":..,
+///                "note":..}],
 ///    ["certificates":{"ok":..,"failed":..[,"docs":[..]]},]  // certify only
 ///    "warm_cache":{"enabled":..,"hit":..,"hits":..,"misses":..,
 ///                  "evictions":..,"entries":..,"bytes":..,
@@ -216,7 +217,6 @@ struct VerifyResponse {
   std::string reject_reason;
   std::string design_hash;
   size_t properties = 0;
-  size_t clusters = 0;
   size_t holds = 0, fails = 0, unknown = 0, resource_out = 0;
   std::vector<PropertyVerdict> results;
   bool certified = false;
@@ -262,7 +262,6 @@ struct RunOutput {
   /// Parallel arrays: one record + artifact per certified property.
   std::vector<CertificateRecord> cert_records;
   std::vector<CertificateArtifact> cert_artifacts;
-  size_t clusters = 0;
   double seconds = 0.0;
   /// Metrics snapshot taken when the run started (scopes the batch-summary
   /// metrics dump and the CLI's --prof-json epilogue).
@@ -273,8 +272,8 @@ struct RunOutput {
 /// resolve properties → VerifySession → certify → emit rfn-trace-v2 through
 /// `sink` (null skips emission).
 ///
-/// Each property record is followed by the iteration records of the run
-/// that answered it (once per shared run; see core/trace_json.hpp).
+/// Each property record is followed by the iteration records of its run
+/// (see core/trace_json.hpp).
 /// `stream_properties` false (the CLI) emits them post-run in request
 /// order; true (the server) emits them as each verdict lands (completion
 /// order). Certificates and the batch summary follow post-run either way.

@@ -15,8 +15,8 @@
 // run_property() is the one entry point to this loop. Step 2 calls the BDD
 // fixpoint and then the hybrid walk, Step 3 calls guided concretization;
 // RunHooks lets a caller seed the run and collect its hints, which is how
-// VerifySession (core/session.hpp) adds batching, cone clustering and
-// cross-property reuse on top.
+// VerifySession (core/session.hpp) threads rfn_serve's warm cache through
+// the runs of a batch.
 
 #include <string>
 #include <vector>
@@ -79,8 +79,11 @@ struct RfnIteration {
   size_t bdd_cache_lookups = 0;
   size_t bdd_cache_hits = 0;
   size_t bdd_reorderings = 0;
-  size_t trace_cycles = 0;          // abstract error trace length (0 = none)
-  AtpgStatus concretize_status{};   // meaningful when a trace was found
+  /// Abstract error trace length; 0 when Step 2 found none, and then Step 3
+  /// did not run and concretize_status means nothing (trace-v2 writes
+  /// "none").
+  size_t trace_cycles = 0;
+  AtpgStatus concretize_status{};
   RefineStats refine;
   HybridTraceStats hybrid;
   /// Wall time of the Step-2 fixpoint and of the Step-3 concretization (0

@@ -6,7 +6,6 @@
 #include <mutex>
 
 #include "netlist/analysis.hpp"
-#include "sim/sim3.hpp"
 #include "util/executor.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
@@ -73,35 +72,6 @@ int64_t ReuseCache::approx_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// Clustering
-
-std::vector<std::vector<size_t>> cluster_by_cone_overlap(
-    const std::vector<std::vector<GateId>>& cones, double threshold,
-    size_t max_cluster_size, const std::vector<bool>& solo) {
-  std::vector<std::vector<size_t>> clusters;
-  if (max_cluster_size == 0) max_cluster_size = 1;
-  for (size_t i = 0; i < cones.size(); ++i) {
-    const bool force_solo =
-        threshold <= 0.0 || (i < solo.size() && solo[i]);
-    bool placed = false;
-    if (!force_solo) {
-      for (auto& cluster : clusters) {
-        if (cluster.size() >= max_cluster_size) continue;
-        const size_t rep = cluster.front();
-        if (rep < solo.size() && solo[rep]) continue;
-        if (jaccard_overlap(cones[rep], cones[i]) >= threshold) {
-          cluster.push_back(i);
-          placed = true;
-          break;
-        }
-      }
-    }
-    if (!placed) clusters.push_back({i});
-  }
-  return clusters;
-}
-
-// ---------------------------------------------------------------------------
 // VerifySession
 
 RfnOptions merge_overrides(const RfnOptions& defaults,
@@ -115,196 +85,57 @@ RfnOptions merge_overrides(const RfnOptions& defaults,
   return r;
 }
 
-namespace {
-
-/// Applies the fair-share wall budget for a run answering `props_covered`
-/// properties: the run may never exceed its members' combined share (an
-/// explicit per-run budget can only tighten it further).
-void apply_fair_share(RfnOptions& opt, double share_ms, size_t props_covered) {
-  if (share_ms <= 0.0) return;
-  const double run_budget = share_ms * static_cast<double>(props_covered);
-  opt.budget_ms = opt.budget_ms > 0.0 ? std::min(opt.budget_ms, run_budget)
-                                      : run_budget;
-}
-
-}  // namespace
-
 VerifySession::VerifySession(const Netlist& m, SessionOptions opt)
     : m_(&m), opt_(std::move(opt)) {}
 
-void VerifySession::notify(const PropertyResult& r) const {
-  if (!opt_.on_property) return;
-  std::lock_guard<std::mutex> lk(emit_mu_);
-  opt_.on_property(r);
+std::vector<std::vector<size_t>> VerifySession::clusters() const {
+  std::vector<std::vector<size_t>> singletons(last_batch_);
+  for (size_t i = 0; i < last_batch_; ++i) singletons[i] = {i};
+  return singletons;
 }
 
-void VerifySession::run_cluster(const std::vector<PropertyRequest>& props,
-                                const std::vector<std::vector<GateId>>& cones,
-                                const std::vector<size_t>& members,
-                                size_t cluster_id, double share_ms,
-                                std::vector<PropertyResult>& results) const {
-  // Cluster-local state, plus — when the caller provided a cross-session
-  // warm cache and the session runs inline — the shared base cache. The
-  // workers == 0 restriction is load-bearing: memo and order are
-  // single-threaded by design, and concurrent cluster jobs would race on
-  // them.
-  ReuseCache local;
-  ReuseCache* base_cache = (opt_.shared_cache != nullptr && opt_.workers == 0)
-                               ? opt_.shared_cache
-                               : &local;
+void VerifySession::run_one(const PropertyRequest& p, double share_ms,
+                            PropertyResult& out) const {
+  RfnOptions ro = merge_overrides(opt_.defaults, p.overrides);
+  // The fair share may only tighten an explicit per-run budget.
+  if (share_ms > 0.0)
+    ro.budget_ms = ro.budget_ms > 0.0 ? std::min(ro.budget_ms, share_ms) : share_ms;
 
-  // One engine run with the reuse cache wired in. `cone` filters the
-  // crucial-register hints down to registers that can actually influence
-  // this run's property (seeding anything else would only bloat the
-  // abstraction).
-  const auto run_one = [&](const Netlist& net, GateId bad_sig,
-                           const RfnOptions& ro,
-                           const std::vector<GateId>& cone,
-                           bool* order_seeded, size_t* seeded) -> RfnResult {
-    RunHooks hooks;
-    std::vector<GateId> seeds;
-    if (opt_.reuse) {
-      // The memo must match the netlist the run sees: its keys reuse gate
-      // ids, so entries for an augmented disjunction copy would collide
-      // with a later copy's coincident ids. So only base-netlist runs touch the possibly-shared base
-      // cache; the order and hints are original-design ids, portable across
-      // both netlists, and always shared.
-      ReuseCache& structural = &net == m_ ? *base_cache : local;
-      for (GateId r : base_cache->crucial_hints)
-        if (std::binary_search(cone.begin(), cone.end(), r)) seeds.push_back(r);
-      hooks.subcircuits = &structural.subcircuits;
-      hooks.order_io = &base_cache->order;
-      hooks.order_seeded = order_seeded;
-      hooks.seed_registers = &seeds;
-      hooks.crucial_out = &base_cache->crucial_hints;
-    }
-    if (seeded != nullptr) *seeded = seeds.size();
-    return run_property(net, bad_sig, ro, hooks);
-  };
-
-  const auto run_solo = [&](size_t idx, size_t fair_share_props) {
-    const PropertyRequest& p = props[idx];
-    RfnOptions ro = merge_overrides(opt_.defaults, p.overrides);
-    apply_fair_share(ro, share_ms, fair_share_props);
-    PropertyResult& out = results[idx];
-    out.cluster = cluster_id;
-    out.clustered = false;
-    RfnResult rr = run_one(*m_, p.bad, ro, cones[idx], &out.order_seeded,
-                           &out.seeded_registers);
-    out.verdict = rr.verdict;
-    out.trace = rr.error_trace;
-    out.stats = std::move(rr);
-    notify(out);
-  };
-
-  if (members.size() == 1) {
-    run_solo(members.front(), 1);
-    return;
+  // The warm cache is single-threaded, so only an inline session uses it.
+  ReuseCache* cache = opt_.reuse && opt_.workers == 0 ? opt_.shared_cache : nullptr;
+  RunHooks hooks;
+  std::vector<GateId> seeds;
+  if (cache != nullptr) {
+    // Seed only the crucial-register hints that can influence this property
+    // (anything else would only bloat the abstraction).
+    std::vector<GateId> cone = coi_registers(*m_, {p.bad});
+    std::sort(cone.begin(), cone.end());
+    for (GateId r : cache->crucial_hints)
+      if (std::binary_search(cone.begin(), cone.end(), r)) seeds.push_back(r);
+    hooks.subcircuits = &cache->subcircuits;
+    hooks.order_io = &cache->order;
+    hooks.order_seeded = &out.order_seeded;
+    hooks.seed_registers = &seeds;
+    hooks.crucial_out = &cache->crucial_hints;
   }
-
-  // Shared run: one disjunction root answers the whole cluster at once. The
-  // augmented design is a copy of the original plus OR gates above the
-  // member properties, so every original GateId — and with it traces, cones,
-  // hints, and saved variable orders — stays valid on both.
-  Netlist aug = *m_;
-  std::vector<size_t> remaining = members;
-  // Cluster runs never carry per-property overrides (such properties are
-  // forced solo by the clustering), so the shared run uses the defaults.
-  for (size_t round = 0; !remaining.empty(); ++round) {
-    // The union cone bounds which hint registers a shared run may seed.
-    std::vector<GateId> union_cone;
-    std::vector<GateId> bads;
-    for (size_t idx : remaining) {
-      bads.push_back(props[idx].bad);
-      union_cone.insert(union_cone.end(), cones[idx].begin(), cones[idx].end());
-    }
-    std::sort(union_cone.begin(), union_cone.end());
-    union_cone.erase(std::unique(union_cone.begin(), union_cone.end()),
-                     union_cone.end());
-    const GateId bad_any = append_disjunction(
-        aug, bads,
-        "session_any_c" + std::to_string(cluster_id) + "_r" + std::to_string(round));
-
-    RfnOptions ro = opt_.defaults;
-    apply_fair_share(ro, share_ms, remaining.size());
-    bool order_seeded = false;
-    size_t seeded = 0;
-    RfnResult rr = run_one(aug, bad_any, ro, union_cone, &order_seeded, &seeded);
-    MetricsRegistry::global().counter("session.cluster_runs").add(1);
-
-    if (rr.verdict == Verdict::Holds) {
-      // The disjunction never rises, so no member ever rises.
-      for (size_t idx : remaining) {
-        PropertyResult& out = results[idx];
-        out.verdict = Verdict::Holds;
-        out.stats = rr;
-        out.cluster = cluster_id;
-        out.clustered = true;
-        out.order_seeded = order_seeded;
-        out.seeded_registers = seeded;
-        notify(out);
-      }
-      return;
-    }
-
-    if (rr.verdict == Verdict::Fails) {
-      // Attribute the concrete error trace: a member fails iff its own bad
-      // signal is a definite 1 at the trace's final cycle under 3-valued
-      // replay (at least one must be — the disjunction is).
-      std::vector<size_t> keep;
-      size_t attributed = 0;
-      for (size_t idx : remaining) {
-        if (simulate_trace(aug, rr.error_trace, props[idx].bad) == Tri::T) {
-          PropertyResult& out = results[idx];
-          out.verdict = Verdict::Fails;
-          out.trace = rr.error_trace;
-          out.stats = rr;
-          out.cluster = cluster_id;
-          out.clustered = true;
-          out.order_seeded = order_seeded;
-          out.seeded_registers = seeded;
-          notify(out);
-          ++attributed;
-        } else {
-          keep.push_back(idx);
-        }
-      }
-      if (attributed == 0) {
-        // Replay could not pin the failure on any member (an X-heavy trace);
-        // the shared run is inconclusive for attribution — answer the rest
-        // independently rather than loop forever.
-        RFN_WARN("cluster %zu: error trace attribution failed; falling back",
-                 cluster_id);
-        break;
-      }
-      remaining = std::move(keep);
-      // The survivors re-run on a fresh disjunction (minus the failed
-      // members), inheriting the cache the failed run warmed up.
-      continue;
-    }
-
-    // Unknown / ResourceOut: the shared run could not answer the cluster;
-    // fall back to independent per-property runs (still cache-warmed).
-    break;
-  }
-
-  MetricsRegistry::global().counter("session.cluster_fallbacks").add(!remaining.empty());
-  for (size_t idx : remaining) run_solo(idx, 1);
+  out.seeded_registers = seeds.size();
+  RfnResult rr = run_property(*m_, p.bad, ro, hooks);
+  out.verdict = rr.verdict;
+  out.trace = rr.error_trace;
+  out.stats = std::move(rr);
+  if (!opt_.on_property) return;
+  std::lock_guard<std::mutex> lk(emit_mu_);
+  opt_.on_property(out);
 }
 
 std::vector<PropertyResult> VerifySession::run(
     const std::vector<PropertyRequest>& props) {
   std::vector<PropertyResult> results(props.size());
-  clusters_.clear();
+  last_batch_ = props.size();
   if (props.empty()) return results;
 
   Span span("session.run");
   const Stopwatch watch;
-
-  // Resolve names and register cones; properties carrying overrides are
-  // pinned solo so the override applies to exactly one run.
-  std::vector<std::vector<GateId>> cones(props.size());
-  std::vector<bool> solo(props.size(), false);
   for (size_t i = 0; i < props.size(); ++i) {
     const PropertyRequest& p = props[i];
     RFN_CHECK(p.bad != kNullGate && p.bad < m_->size(),
@@ -313,32 +144,25 @@ std::vector<PropertyResult> VerifySession::run(
     results[i].name = !p.name.empty()        ? p.name
                       : m_->has_name(p.bad)  ? m_->name(p.bad)
                                              : "p" + std::to_string(i);
-    cones[i] = coi_registers(*m_, {p.bad});
-    std::sort(cones[i].begin(), cones[i].end());
-    solo[i] = p.overrides.any();
   }
-
-  clusters_ = cluster_by_cone_overlap(cones, opt_.cluster_overlap,
-                                      opt_.max_cluster_size, solo);
   const double share_ms =
       opt_.batch_budget_ms > 0.0
           ? opt_.batch_budget_ms / static_cast<double>(props.size())
           : -1.0;
-  RFN_INFO("session: %zu properties in %zu clusters (overlap >= %.2f)",
-           props.size(), clusters_.size(), opt_.cluster_overlap);
+  RFN_INFO("session: %zu properties", props.size());
 
-  // Cluster jobs across the shared executor. Each job writes only its own
-  // members' result slots, so the vector needs no locking; the latch below
-  // is the completion barrier (inline execution with zero workers).
+  // One job per property across the executor. Each job writes only its own
+  // result slot, so the vector needs no locking; the latch below is the
+  // completion barrier (inline execution with zero workers).
   Executor exec(opt_.workers);
   std::mutex mu;
   std::condition_variable cv;
-  size_t pending = clusters_.size();
-  for (size_t ci = 0; ci < clusters_.size(); ++ci) {
-    exec.submit([&, ci] {
-      Span job_span("session.cluster");
-      job_span.annotate("cluster", static_cast<double>(ci));
-      run_cluster(props, cones, clusters_[ci], ci, share_ms, results);
+  size_t pending = props.size();
+  for (size_t i = 0; i < props.size(); ++i) {
+    exec.submit([&, i] {
+      Span job_span("session.property");
+      job_span.annotate("property", static_cast<double>(i));
+      run_one(props[i], share_ms, results[i]);
       std::lock_guard<std::mutex> lk(mu);
       if (--pending == 0) cv.notify_all();
     });
@@ -351,15 +175,12 @@ std::vector<PropertyResult> VerifySession::run(
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.counter("session.batches").add(1);
   reg.counter("session.properties").add(props.size());
-  reg.counter("session.clusters").add(clusters_.size());
   for (const PropertyResult& r : results) {
-    reg.counter("session.clustered_verdicts").add(r.clustered ? 1 : 0);
     reg.counter("session.order_seeded").add(r.order_seeded ? 1 : 0);
     reg.counter("session.seeded_registers").add(r.seeded_registers);
   }
   reg.timer("session.run").record(watch.seconds());
   span.annotate("properties", static_cast<double>(props.size()));
-  span.annotate("clusters", static_cast<double>(clusters_.size()));
   return results;
 }
 

@@ -1,32 +1,23 @@
 #pragma once
 // Batch verification sessions: many unreachability properties of one design
-// answered by one stateful run (the paper's industrial workload — Table 1
-// verifies whole property suites on a single gate-level netlist).
+// answered in one call (the paper's industrial workload — Table 1 verifies
+// whole property suites on a single gate-level netlist, each property on its
+// own).
 //
 // A VerifySession accepts a design plus a list of PropertyRequests and
-// returns per-property PropertyResults. Internally it:
+// returns per-property PropertyResults. Every property is one run_property()
+// call (core/rfn.hpp) under the session defaults merged with its overrides,
+// and one executor job: with SessionOptions::workers > 0 the jobs run
+// concurrently, each on its own abstraction, so the results do not depend
+// on completion order. A whole-batch wall budget is split fair-share across
+// the properties (enforced by the per-run resource watchdog), so one hard
+// property cannot starve the batch.
 //
-//   1. computes each property's register cone (coi_registers) and greedily
-//      clusters properties whose cones overlap above a Jaccard threshold;
-//   2. answers each cluster through ONE abstraction-refinement run on the
-//      design extended with a disjunction root "any member fails"
-//      (append_disjunction): a Holds there proves every member; a Fails is
-//      attributed to the members whose bad signal the concrete error trace
-//      raises (3-valued replay) and the cluster re-runs on the rest; an
-//      inconclusive run falls back to independent per-property runs;
-//   3. carries a cross-property ReuseCache inside each cluster — memoized
-//      subcircuit extraction keyed by (roots, register set), the final BDD
-//      variable order of property k seeding property k+1's first manager,
-//      and the crucial registers that mattered for property k seeding
-//      property k+1's initial abstraction. The cache carries *hints* only
-//      (orders, refinement seeds), never verdicts, so disabling it can only
-//      change wall time, not results;
-//   4. schedules cluster jobs across util/executor with fair-share wall/BDD
-//      budgets per property (enforced by the per-run resource watchdog), so
-//      one hard property cannot starve the batch.
-//
-// Every run here, solo or shared, is one run_property() call (core/rfn.hpp)
-// with the reuse cache wired in through RunHooks.
+// The one cross-run state is SessionOptions::shared_cache, rfn_serve's
+// per-design warm cache: a memoized subcircuit extraction, the last run's
+// BDD variable order and the crucial registers refinement chose, carried
+// from one property (and one request) to the next. It carries hints only,
+// never verdicts.
 
 #include <functional>
 #include <memory>
@@ -52,8 +43,7 @@ struct PropertyRequest {
   /// Property signal of the session's design.
   GateId bad = kNullGate;
   /// Per-property overrides on top of SessionOptions::defaults; unset
-  /// fields inherit. A property with any override set is never clustered
-  /// (it runs solo), so the override applies to exactly this property.
+  /// fields inherit.
   struct Overrides {
     std::optional<double> time_limit_s;
     std::optional<size_t> max_iterations;
@@ -81,21 +71,18 @@ struct PropertyResult {
   Verdict verdict = Verdict::Unknown;
   /// Error trace on the session's design (Fails only).
   Trace trace;
-  /// The full run record behind the verdict. For a property answered by a
-  /// cluster's shared run this describes that shared run (its iterations,
-  /// budget trip, metrics baseline); wall time of the run, not of the
-  /// property alone.
+  /// The property's own run record behind the verdict.
   RfnResult stats;
-  /// Index of the cone cluster the property was grouped into.
-  size_t cluster = 0;
-  /// True when the verdict came from the cluster's shared disjunction run;
-  /// false for solo and fallback runs.
-  bool clustered = false;
-  /// Reuse-cache effects: whether this run's first BDD manager was seeded
-  /// with an earlier property's variable order, and how many crucial-
-  /// register hints from earlier properties seeded the initial abstraction.
+  /// Warm-cache effects (SessionOptions::shared_cache): whether this run's
+  /// first BDD manager was seeded with an earlier run's variable order, and
+  /// how many crucial-register hints from earlier runs seeded the initial
+  /// abstraction.
   bool order_seeded = false;
   size_t seeded_registers = 0;
+
+  // Unread shim for out-of-tree readers that still expect cone clustering:
+  // every property runs solo, so this is always false.
+  bool clustered = false;
 };
 
 struct ReuseCache;
@@ -103,45 +90,42 @@ struct ReuseCache;
 struct SessionOptions {
   /// Baseline RfnOptions each property run starts from.
   RfnOptions defaults;
-  /// Cluster two properties when the Jaccard overlap of their register
-  /// cones reaches this threshold; <= 0 disables clustering (every property
-  /// runs solo), > 1 can never trigger.
-  double cluster_overlap = 0.5;
-  /// Upper bound on properties answered by one disjunction run.
-  size_t max_cluster_size = 4;
-  /// Worker threads running cluster jobs concurrently (0 = inline,
-  /// deterministic cluster order).
+  /// Worker threads running property jobs concurrently (0 = inline, in
+  /// request order).
   size_t workers = 0;
   /// Whole-batch wall budget, split fair-share across properties: each
-  /// cluster run gets (budget / #properties) * #members, enforced through
-  /// the per-run resource watchdog, so one hard property cannot starve the
-  /// batch. <= 0: no batch budget (defaults.budget_ms still applies per
-  /// run).
+  /// property run gets budget / #properties, enforced through the per-run
+  /// resource watchdog, so one hard property cannot starve the batch.
+  /// <= 0: no batch budget (defaults.budget_ms still applies per run).
   double batch_budget_ms = -1.0;
-  /// Enables the cross-property reuse cache (subcircuit memo, variable-
-  /// order seeding, crucial-register hints). Hints only — never verdicts —
-  /// so this is a performance switch, not a soundness one.
+  /// Lets the runs read and write shared_cache. Hints only — never
+  /// verdicts — so this is a performance switch, not a soundness one.
   bool reuse = true;
   /// Invoked once per property, as its result is finalized (completion
-  /// order, which for workers == 0 is cluster order, not request order).
+  /// order, which for workers == 0 is request order).
   /// Runs under the session's emission mutex, so the callback itself needs
   /// no locking. This is how rfn_serve streams rfn-trace-v2 property
   /// records mid-run; null keeps the historical collect-then-report shape.
   std::function<void(const PropertyResult&)> on_property;
-  /// Cross-request warm state (the server's per-design cache entry): the
-  /// session reads and writes this ReuseCache instead of a per-cluster one,
-  /// so SavedOrder / SubcircuitMemo survive into the next session on the
-  /// same design. Honored only when workers == 0 (the memo and order are
-  /// single-threaded by design); runs on augmented disjunction copies still
-  /// use a cluster-local memo, whose keys would collide with a later copy's
-  /// gate ids. The caller must construct every warmed session over the
-  /// SAME Netlist instance.
+  /// Cross-request warm state (the server's per-design cache entry): with
+  /// `reuse` on, every run reads and writes this ReuseCache, so SavedOrder /
+  /// SubcircuitMemo / crucial hints survive into the next property and the
+  /// next session on the same design. Honored only when workers == 0 (the
+  /// memo and order are single-threaded by design). The caller must
+  /// construct every warmed session over the SAME Netlist instance. Null:
+  /// every run starts cold.
   ReuseCache* shared_cache = nullptr;
+
+  // Unread shims for out-of-tree callers that still set the removed cone-
+  // clustering knobs: every property runs solo whatever they hold.
+  double cluster_overlap = 0.5;
+  size_t max_cluster_size = 4;
 };
 
 /// Memoized subcircuit extraction keyed by (property roots, included
-/// register set). Single-threaded by design: each cluster job owns one
-/// cache; caches are never shared across executor threads.
+/// register set). Single-threaded by design: only an inline session
+/// (workers == 0) touches one, so it is never shared across executor
+/// threads.
 class SubcircuitMemo {
  public:
   /// Returns the memoized extraction for (roots, included) or runs
@@ -165,12 +149,10 @@ class SubcircuitMemo {
   size_t misses_ = 0;
 };
 
-/// Cross-property reuse state carried along one cluster's runs.
+/// Cross-run reuse state: rfn_serve's per-design warm cache.
 struct ReuseCache {
   SubcircuitMemo subcircuits;
-  /// Final variable order of the previous run (original-design ids —
-  /// portable across the augmented and original netlists, whose ids
-  /// coincide).
+  /// Final variable order of the previous run (original-design ids).
   SavedOrder order;
   /// Union of crucial registers identified by refinement so far, in
   /// discovery order.
@@ -181,15 +163,6 @@ struct ReuseCache {
   /// WarmStateCache charges each design entry by this figure.
   int64_t approx_bytes() const;
 };
-
-/// Greedy cone clustering (exposed for tests): walks properties in index
-/// order, joining property i to the first cluster whose representative
-/// (first member) cone has Jaccard overlap >= threshold, subject to
-/// max_cluster_size; otherwise i starts a new cluster. `cones[i]` must be
-/// sorted. `solo[i]` (optional) forces property i into its own cluster.
-std::vector<std::vector<size_t>> cluster_by_cone_overlap(
-    const std::vector<std::vector<GateId>>& cones, double threshold,
-    size_t max_cluster_size, const std::vector<bool>& solo = {});
 
 class VerifySession {
  public:
@@ -202,22 +175,19 @@ class VerifySession {
   /// ones.
   std::vector<PropertyResult> run(const std::vector<PropertyRequest>& props);
 
-  /// Clusters computed by the last run(): request indices per cluster.
-  const std::vector<std::vector<size_t>>& clusters() const { return clusters_; }
+  // Unread shim for out-of-tree callers that still expect cone clustering:
+  // one singleton {i} per property of the last run().
+  std::vector<std::vector<size_t>> clusters() const;
 
  private:
-  void run_cluster(const std::vector<PropertyRequest>& props,
-                   const std::vector<std::vector<GateId>>& cones,
-                   const std::vector<size_t>& members, size_t cluster_id,
-                   double share_ms, std::vector<PropertyResult>& results) const;
-
-  /// Fires SessionOptions::on_property under emit_mu_ (no-op when unset).
-  void notify(const PropertyResult& r) const;
+  /// Answers `p` with one run_property() call into `out`, then notifies.
+  void run_one(const PropertyRequest& p, double share_ms,
+               PropertyResult& out) const;
 
   const Netlist* m_;
   SessionOptions opt_;
-  std::vector<std::vector<size_t>> clusters_;
-  /// Serializes SessionOptions::on_property across cluster jobs.
+  size_t last_batch_ = 0;
+  /// Serializes SessionOptions::on_property across property jobs.
   mutable std::mutex emit_mu_;
 };
 

@@ -46,7 +46,7 @@ json::Value iteration_json(const std::string& property, size_t index,
   o.set("trace_cycles", it.trace_cycles);
 
   Value conc = Value::object();
-  conc.set("status", to_string(it.concretize_status));
+  conc.set("status", it.trace_cycles == 0 ? "none" : to_string(it.concretize_status));
   conc.set("seconds", it.concretize_seconds);
   o.set("concretize", std::move(conc));
 
@@ -71,8 +71,6 @@ json::Value property_json(const PropertyResult& r) {
   o.set("name", r.name);
   o.set("bad", static_cast<size_t>(r.bad));
   o.set("verdict", to_string(r.verdict));
-  o.set("cluster", r.cluster);
-  o.set("clustered", r.clustered);
   o.set("order_seeded", r.order_seeded);
   o.set("seeded_registers", r.seeded_registers);
   o.set("iterations", r.stats.iterations);
@@ -107,7 +105,7 @@ json::Value certificate_json(const CertificateRecord& r) {
 }
 
 json::Value batch_summary_json(const std::vector<PropertyResult>& results,
-                               size_t num_clusters, double seconds,
+                               double seconds,
                                const MetricsSnapshot* baseline,
                                const std::vector<CertificateRecord>* certificates) {
   using json::Value;
@@ -127,7 +125,6 @@ json::Value batch_summary_json(const std::vector<PropertyResult>& results,
   o.set("type", "batch-summary");
   o.set("trace_version", "rfn-trace-v2");
   o.set("properties", results.size());
-  o.set("clusters", num_clusters);
   Value verdicts = Value::object();
   verdicts.set(to_string(Verdict::Holds), holds);
   verdicts.set(to_string(Verdict::Fails), fails);

@@ -9,7 +9,7 @@
 // Schema:
 //   {"type":"property","name":"..","bad":..,
 //    "verdict":"T|F|?|resource-out",
-//    "cluster":..,"clustered":..,"order_seeded":..,"seeded_registers":..,
+//    "order_seeded":..,"seeded_registers":..,
 //    "iterations":..,"final_abstract_regs":..,"error_trace_cycles":..,
 //    "seconds":..,"cpu_ms":..,"note":"..",
 //    ["budget_trip":{"reason":"wall-budget|bdd-node-budget|mem-budget",
@@ -24,28 +24,25 @@
 //    "hybrid":{"nocut_cubes":..,"mincut_cubes":..,"atpg_calls":..,
 //              "atpg_rejects":..},
 //    "trace_cycles":..,
-//    "concretize":{"status":"sat|unsat|abort","seconds":..},
+//    "concretize":{"status":"sat|unsat|abort|none","seconds":..},
 //    "refine":{"conflict_candidates":..,"fallback_candidates":..,
 //              "added_until_unsat":..,"removed_by_greedy":..,
 //              "final_count":..,"atpg_calls":..,"trace_invalidated":..},
 //    "seconds":..}
 //   {"type":"certificate",...}              // --certify only, see below
 //   {"type":"batch-summary","trace_version":"rfn-trace-v2",
-//    "properties":..,"clusters":..,
+//    "properties":..,
 //    "verdicts":{"T":..,"F":..,"?":..,"resource-out":..},
 //    ["certificates":{"ok":..,"failed":..},]
 //    "seconds":..,
 //    "metrics":{<MetricsRegistry::to_json(run baseline)>}}
 //
-// Each property record is followed by the iteration records of the engine
-// run that answered it, numbered densely from 0, exactly "iterations" of
-// them. A clustered property's verdict comes from a run shared with the
-// other members of its cluster; that run's iterations are written once,
-// after the first member's record, and the later members' records are
-// followed by none. A property's "seconds" is the wall time of the run that
-// answered it (shared for clustered members). "metrics" is serialized
-// relative to the snapshot taken when the run started, so two runs in one
-// process do not conflate.
+// Each property record is followed by the iteration records of its run,
+// numbered densely from 0, exactly "iterations" of them. A property's
+// "seconds" is the wall time of its run. An iteration's concretize status is
+// "none" when Step 3 did not run (no abstract error trace: trace_cycles 0).
+// "metrics" is serialized relative to the snapshot taken when the run
+// started, so two runs in one process do not conflate.
 
 #include <string>
 #include <vector>
@@ -87,7 +84,7 @@ json::Value certificate_json(const CertificateRecord& r);
 /// and the metrics dump against `baseline`. The last record of every
 /// rfn-trace-v2 document (api::run_verify writes it).
 json::Value batch_summary_json(const std::vector<PropertyResult>& results,
-                               size_t num_clusters, double seconds,
+                               double seconds,
                                const MetricsSnapshot* baseline = nullptr,
                                const std::vector<CertificateRecord>* certificates = nullptr);
 

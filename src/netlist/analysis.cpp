@@ -175,24 +175,6 @@ std::vector<GateId> closest_registers(const Netlist& n, const std::vector<GateId
   return regs;
 }
 
-double jaccard_overlap(const std::vector<GateId>& a, const std::vector<GateId>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  size_t inter = 0, i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  const size_t uni = a.size() + b.size() - inter;
-  return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 namespace {
 
 struct Fnv1a {

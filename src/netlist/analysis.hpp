@@ -75,11 +75,6 @@ std::vector<int> register_bfs_distance(const Netlist& n, const std::vector<GateI
 std::vector<GateId> closest_registers(const Netlist& n, const std::vector<GateId>& roots,
                                       size_t k);
 
-/// Jaccard overlap |a ∩ b| / |a ∪ b| of two *sorted, duplicate-free* id
-/// sets; 1.0 when both are empty. The session layer clusters properties by
-/// the overlap of their register cones (coi_registers).
-double jaccard_overlap(const std::vector<GateId>& a, const std::vector<GateId>& b);
-
 /// FNV-1a structural fingerprint of a design: gate types, fanin lists,
 /// register initial values, and the named-output table. Two elaborations of
 /// the same source hash equal, and any edit that can change verification

@@ -184,20 +184,4 @@ Subcircuit extract_with_cut(const Netlist& m, const std::vector<GateId>& roots,
   return sub;
 }
 
-GateId append_disjunction(Netlist& n, const std::vector<GateId>& signals,
-                          const std::string& name) {
-  RFN_CHECK(!signals.empty(), "disjunction over no signals");
-  for (GateId s : signals)
-    RFN_CHECK(s < n.size(), "disjunction signal %u out of range", s);
-  const GateId root =
-      signals.size() == 1
-          ? n.add(GateType::Buf, {signals.front()})
-          : n.add(GateType::Or, signals);
-  if (!name.empty()) {
-    n.set_name(root, name);
-    n.add_output(name, root);
-  }
-  return root;
-}
-
 }  // namespace rfn

@@ -72,13 +72,4 @@ Subcircuit coi_reduce(const Netlist& m, const std::vector<GateId>& property_root
 Subcircuit extract_with_cut(const Netlist& m, const std::vector<GateId>& roots,
                             const std::vector<GateId>& cut_signals);
 
-/// Appends a disjunction gate over `signals` to `n` (a Buf for a single
-/// signal) and names it `name`; returns the new root. Existing gate ids are
-/// untouched, so state/input cubes, traces, and saved variable orders of the
-/// original design remain valid on the extended one — the property a batch
-/// session relies on when it answers a cone cluster through one
-/// "any property fails" root and maps the artifacts back per property.
-GateId append_disjunction(Netlist& n, const std::vector<GateId>& signals,
-                          const std::string& name);
-
 }  // namespace rfn

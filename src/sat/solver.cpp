@@ -40,11 +40,8 @@ Var Solver::new_var() {
   heap_pos_.push_back(kNoHeapPos);
   seen_.push_back(0);
   model_.push_back(LBool::Undef);
-  const size_t before = watches_.capacity();
   watches_.emplace_back();
   watches_.emplace_back();
-  heap_track(before * sizeof(std::vector<Watch>),
-             watches_.capacity() * sizeof(std::vector<Watch>));
   heap_insert(v);
   return v;
 }
@@ -59,33 +56,16 @@ void Solver::set_clause_activity(ClauseRef c, float a) {
 
 Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits, bool learnt) {
   const ClauseRef c = static_cast<ClauseRef>(arena_.size());
-  const size_t before = arena_.capacity();
   arena_.push_back(static_cast<uint32_t>(lits.size()) << 2 | (learnt ? 2u : 0u));
   arena_.push_back(std::bit_cast<uint32_t>(0.0f));
   for (const Lit l : lits) arena_.push_back(l.x);
-  heap_track(before * sizeof(uint32_t), arena_.capacity() * sizeof(uint32_t));
   return c;
-}
-
-size_t Solver::heap_bytes_recomputed() const {
-  size_t bytes = arena_.capacity() * sizeof(uint32_t) +
-                 watches_.capacity() * sizeof(std::vector<Watch>);
-  for (const std::vector<Watch>& ws : watches_)
-    bytes += ws.capacity() * sizeof(Watch);
-  return bytes;
-}
-
-void Solver::watch_push(uint32_t lit_index, Watch w) {
-  std::vector<Watch>& ws = watches_[lit_index];
-  const size_t before = ws.capacity();
-  ws.push_back(w);
-  heap_track(before * sizeof(Watch), ws.capacity() * sizeof(Watch));
 }
 
 void Solver::attach_clause(ClauseRef c) {
   const Lit* lits = clause_lits(c);
-  watch_push((~lits[0]).index(), {c, lits[1]});
-  watch_push((~lits[1]).index(), {c, lits[0]});
+  watches_[(~lits[0]).index()].push_back({c, lits[1]});
+  watches_[(~lits[1]).index()].push_back({c, lits[0]});
 }
 
 void Solver::detach_clause(ClauseRef c) {
@@ -176,7 +156,7 @@ Solver::ClauseRef Solver::propagate() {
       for (uint32_t k = 2; k < size; ++k) {
         if (assign_value(lits[k]) != LBool::False) {
           std::swap(lits[1], lits[k]);
-          watch_push((~lits[1]).index(), {c, lits[0]});
+          watches_[(~lits[1]).index()].push_back({c, lits[0]});
           moved = true;
           break;
         }

@@ -96,17 +96,6 @@ class Solver {
   bool ok() const { return ok_; }
   const SolverStats& stats() const { return stats_; }
 
-  /// Byte-exact footprint of the two dominant heaps: the clause arena's
-  /// capacity plus the watch lists' capacities (outer vector and every inner
-  /// list). Maintained incrementally at the growth sites;
-  /// heap_bytes_recomputed() walks the containers and must agree exactly
-  /// (prof_test pins this). Watch lists can be compacted by propagation but
-  /// never release capacity, so live == peak within one instance; both are
-  /// kept for vocabulary parity with BddMgr and rfn-prof-v1.
-  size_t heap_bytes() const { return heap_bytes_; }
-  size_t heap_bytes_peak() const { return heap_peak_bytes_; }
-  size_t heap_bytes_recomputed() const;
-
  private:
   using ClauseRef = uint32_t;
   static constexpr ClauseRef kNullClause = 0xFFFFFFFFu;
@@ -142,14 +131,6 @@ class Solver {
 
   void attach_clause(ClauseRef c);
   void detach_clause(ClauseRef c);
-  /// push_back onto watches_[lit_index] that keeps heap_bytes_ exact across
-  /// the inner vector's capacity growth. Every watch insertion goes through
-  /// here; removals (swap-with-back, resize) never change capacity.
-  void watch_push(uint32_t lit_index, Watch w);
-  void heap_track(size_t before_bytes, size_t after_bytes) {
-    heap_bytes_ += after_bytes - before_bytes;
-    if (heap_bytes_ > heap_peak_bytes_) heap_peak_bytes_ = heap_bytes_;
-  }
   void enqueue(Lit l, ClauseRef reason);
   ClauseRef propagate();
   void cancel_until(uint32_t level);
@@ -197,8 +178,6 @@ class Solver {
 
   bool ok_ = true;
   SolverStats stats_;
-  size_t heap_bytes_ = 0;
-  size_t heap_peak_bytes_ = 0;
 };
 
 }  // namespace rfn::sat

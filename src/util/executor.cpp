@@ -33,7 +33,7 @@ void Executor::submit(std::function<void()> fn) {
   }
   // Metrics binding travels with the task: a worker records into the
   // registry the submitter was bound to (rfn_serve's per-request isolation
-  // depends on this — session cluster jobs run here).
+  // depends on this — session property jobs run here).
   MetricsRegistry* bound = MetricsRegistry::current_binding();
   std::function<void()> task = std::move(fn);
   if (bound != nullptr)

@@ -1,5 +1,5 @@
 #pragma once
-// Fixed-size worker pool for session cluster jobs and rfn_serve's queue.
+// Fixed-size worker pool for session property jobs and rfn_serve's queue.
 //
 // A deliberately small executor: N std::threads draining one FIFO work
 // queue. Submitted jobs are fire-and-forget; completion signalling is the

@@ -21,7 +21,7 @@
 // Thread-safety contract: enable(), disable() and the exporters must run at
 // quiescent points — no concurrent emission. Emission itself is safe from
 // any thread. The exporter re-reads every thread's buffer; the caller's
-// synchronization with those threads (VerifySession waiting out its cluster
+// synchronization with those threads (VerifySession waiting out its property
 // jobs, Watchdog::stop joining the monitor) is what makes that race-free.
 //
 // Export (schema "rfn-spans-v1"): {"traceEvents":[...], "displayTimeUnit":

@@ -273,7 +273,8 @@ TEST(TraceJson, CliRejectsRemovedFlags) {
   // Knobs deleted with their mechanism are plain unknown flags.
   for (const char* flag :
        {"--no-approx", "--traces 2", "--proof-shrink", "--workers 4",
-        "--engine bdd", "--pdr-max-frames 64", "--pdr-time 5"}) {
+        "--engine bdd", "--pdr-max-frames 64", "--pdr-time 5",
+        "--cluster-overlap 0", "--max-cluster 4"}) {
     const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
                             " --bad bad_q " + flag + " > /dev/null 2> " + out;
     const int rc = std::system(cmd.c_str());

@@ -1,6 +1,6 @@
 // Resource-profiler tests (util/prof and its consumers): CPU clock
-// monotonicity, byte-exact arena accounting in the BDD manager and the SAT
-// solver (tracked == recomputed from the live containers), RssLog thinning
+// monotonicity, byte-exact arena accounting in the BDD manager (tracked ==
+// recomputed from the live containers), RssLog thinning
 // with an exact peak, per-task executor CPU attribution, folded-stack self-time balance, the watchdog's memory
 // budget, end-to-end --budget-mem-mb degradation to resource-out, and a
 // golden check of the CLI's rfn-prof-v1 artifact cross-validated with
@@ -23,7 +23,6 @@
 #include "core/rfn.hpp"
 #include "core/trace_json.hpp"
 #include "netlist/builder.hpp"
-#include "sat/solver.hpp"
 #include "util/cancel.hpp"
 #include "util/executor.hpp"
 #include "util/json.hpp"
@@ -34,9 +33,6 @@
 
 namespace rfn {
 namespace {
-
-using sat::Lit;
-using sat::Solver;
 
 /// Burns CPU (not wall) until the calling thread's CPU clock has advanced
 /// by at least `ns` — the way to make CPU-attribution tests deterministic
@@ -134,28 +130,6 @@ TEST(BddArena, TrackedBytesMatchRecomputed) {
   // The arena never shrinks (freed nodes go to the free list), so within
   // one manager live == peak — the documented BddStats contract.
   EXPECT_EQ(mgr.stats().heap_bytes, mgr.stats().heap_peak_bytes);
-}
-
-TEST(SatArena, TrackedBytesMatchRecomputed) {
-  Solver s;
-  EXPECT_EQ(s.heap_bytes(), s.heap_bytes_recomputed());
-  // A ring of implications plus pigeonhole-style conflicts: enough clauses
-  // to grow the arena and the watch lists through several reallocations.
-  std::vector<Lit> lits;
-  for (int i = 0; i < 64; ++i) lits.push_back(Lit::make(s.new_var()));
-  for (int i = 0; i < 64; ++i)
-    ASSERT_TRUE(s.add_clause({~lits[i], lits[(i + 1) % 64]}));
-  for (int i = 0; i < 32; ++i)
-    for (int j = i + 1; j < 32; ++j)
-      ASSERT_TRUE(s.add_clause({~lits[i], ~lits[j], lits[63 - i]}));
-  EXPECT_GT(s.heap_bytes(), 0u);
-  EXPECT_EQ(s.heap_bytes(), s.heap_bytes_recomputed());
-
-  ASSERT_EQ(s.solve(), Solver::Result::Sat);
-  // Solving attaches learnt clauses and swaps watches; the tally must
-  // still be byte-exact against the live containers.
-  EXPECT_EQ(s.heap_bytes(), s.heap_bytes_recomputed());
-  EXPECT_EQ(s.heap_bytes(), s.heap_bytes_peak());  // capacities never shrink
 }
 
 TEST(ExecutorCpu, AccumulatesTaskCpuAcrossWorkers) {

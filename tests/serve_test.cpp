@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -400,7 +401,7 @@ TEST(RequestCodec, EveryDoorSetsEveryKnob) {
     for (size_t d = 1; d < doors.size(); ++d)
       EXPECT_EQ(doors[d], doors[0]) << "door " << d;
   }
-  EXPECT_EQ(api::knobs().size(), 10u);
+  EXPECT_EQ(api::knobs().size(), 8u);
   EXPECT_EQ(overridable, 5u);
   std::remove(props.c_str());
 }
@@ -460,23 +461,25 @@ TEST(RequestCodec, RefusesFractionalCounts) {
 
 TEST(RequestCodec, RefusesRemovedOptionKeys) {
   // Knobs deleted with their mechanism are unknown keys, not ignored ones.
-  const std::pair<const char*, json::Value> removed[] = {
-      {"traces", json::Value(2.0)},
-      {"approx-fallback", json::Value(false)},
-      {"proof-shrink", json::Value(true)},
-      {"workers", json::Value(4.0)},
-      {"engines", json::Value::array()},
-      {"pdr-max-frames", json::Value(64.0)},
-      {"pdr-time", json::Value(5.0)}};
-  for (const auto& [key, value] : removed) {
-    json::Value options = json::Value::object();
-    options.set(key, value);
+  const std::tuple<const char*, const char*, json::Value> removed[] = {
+      {"options", "traces", json::Value(2.0)},
+      {"options", "approx-fallback", json::Value(false)},
+      {"options", "proof-shrink", json::Value(true)},
+      {"options", "workers", json::Value(4.0)},
+      {"options", "engines", json::Value::array()},
+      {"options", "pdr-max-frames", json::Value(64.0)},
+      {"options", "pdr-time", json::Value(5.0)},
+      {"session", "cluster-overlap", json::Value(0.5)},
+      {"session", "max-cluster", json::Value(4.0)}};
+  for (const auto& [group, key, value] : removed) {
+    json::Value members = json::Value::object();
+    members.set(key, value);
     json::Value doc = minimal_doc();
-    doc.set("options", std::move(options));
+    doc.set(group, std::move(members));
     api::VerifyRequest out;
     std::string error;
     EXPECT_FALSE(api::VerifyRequest::from_json(doc, &out, &error)) << key;
-    EXPECT_NE(error.find("unknown key 'options." + std::string(key) + "'"),
+    EXPECT_NE(error.find("unknown key '" + std::string(group) + "." + key + "'"),
               std::string::npos)
         << error;
   }
@@ -521,7 +524,7 @@ TEST(RequestCodec, RejectsMalformedDocuments) {
   {
     json::Value v = valid_request_doc();
     json::Value sess = json::Value::object();
-    sess.set("cluster-overlap", "lots");
+    sess.set("batch-budget-ms", "lots");
     v.set("session", std::move(sess));
     bad.push_back(v);
   }
@@ -925,8 +928,7 @@ TEST(ServeEndToEnd, CliAndServerAgreeThroughSharedApi) {
   ASSERT_TRUE(resp.find("ok")->as_bool()) << resp.dump();
   server.stop();
 
-  // Same verdicts per property, same cluster assignment, regardless of the
-  // emission mode (the server streams in completion order; compare as maps).
+  // Same verdicts per property regardless of the emission mode (the server streams in completion order; compare as maps).
   auto verdicts_of = [](const std::vector<json::Value>& records) {
     std::vector<std::pair<std::string, std::string>> out;
     for (const json::Value& rec : records) {

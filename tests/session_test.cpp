@@ -1,7 +1,9 @@
 // Batch-session tests: options validation, the consolidated status strings,
-// cone clustering, the subcircuit memo, and — the acceptance check — batch
-// verdicts identical to independent single-property run_property runs on
-// designs with identical / nested / overlapping / disjoint property cones.
+// the subcircuit memo, the cone-clustering compatibility view (every
+// property is its own cluster, whatever the knobs hold), and — the
+// acceptance check — every property of a batch walks the same trajectory as
+// an independent run_property run, on CI's four builtin suites, inline and
+// with session workers.
 
 #include "core/session.hpp"
 
@@ -16,6 +18,7 @@
 #include "designs/iu.hpp"
 #include "netlist/analysis.hpp"
 #include "netlist/builder.hpp"
+#include "sim/sim3.hpp"
 
 namespace rfn {
 namespace {
@@ -68,48 +71,6 @@ TEST(StatusStrings, CanonicalSpellings) {
   EXPECT_STREQ(to_string(AtpgStatus::Abort), "abort");
 }
 
-TEST(ConeClustering, JaccardOverlap) {
-  EXPECT_DOUBLE_EQ(jaccard_overlap({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(jaccard_overlap({1, 2, 3}, {1, 2, 3}), 1.0);
-  EXPECT_DOUBLE_EQ(jaccard_overlap({1, 2}, {3, 4}), 0.0);
-  EXPECT_DOUBLE_EQ(jaccard_overlap({1, 2, 3, 4}, {3, 4, 5, 6}), 2.0 / 6.0);
-  EXPECT_DOUBLE_EQ(jaccard_overlap({1, 2, 3, 4}, {1, 2}), 0.5);  // nested
-}
-
-TEST(ConeClustering, IdenticalNestedOverlappingDisjoint) {
-  const std::vector<std::vector<GateId>> cones = {
-      {1, 2, 3, 4},  // 0
-      {1, 2, 3, 4},  // 1: identical to 0 -> same cluster
-      {1, 2},        // 2: nested in 0, jaccard 0.5 -> joins at threshold
-      {3, 4, 5, 6},  // 3: overlap 2/6 with 0 -> below 0.5, new cluster
-      {7, 8},        // 4: disjoint -> own cluster
-  };
-  const auto clusters = cluster_by_cone_overlap(cones, 0.5, 8);
-  ASSERT_EQ(clusters.size(), 3u);
-  EXPECT_EQ(clusters[0], (std::vector<size_t>{0, 1, 2}));
-  EXPECT_EQ(clusters[1], (std::vector<size_t>{3}));
-  EXPECT_EQ(clusters[2], (std::vector<size_t>{4}));
-}
-
-TEST(ConeClustering, RespectsMaxClusterSizeAndSolo) {
-  const std::vector<std::vector<GateId>> cones = {{1}, {1}, {1}, {1}};
-  const auto capped = cluster_by_cone_overlap(cones, 0.5, 2);
-  ASSERT_EQ(capped.size(), 2u);
-  EXPECT_EQ(capped[0].size(), 2u);
-
-  // A solo-pinned property never joins (or anchors) a shared cluster.
-  const auto pinned =
-      cluster_by_cone_overlap(cones, 0.5, 8, {false, true, false, false});
-  ASSERT_EQ(pinned.size(), 2u);
-  EXPECT_EQ(pinned[0], (std::vector<size_t>{0, 2, 3}));
-  EXPECT_EQ(pinned[1], (std::vector<size_t>{1}));
-}
-
-TEST(ConeClustering, ThresholdZeroDisablesClustering) {
-  const std::vector<std::vector<GateId>> cones = {{1}, {1}, {1}};
-  EXPECT_EQ(cluster_by_cone_overlap(cones, 0.0, 8).size(), 3u);
-}
-
 TEST(SubcircuitMemoTest, HitsOnRepeatedExtraction) {
   NetBuilder b;
   const GateId in = b.input("in");
@@ -133,11 +94,8 @@ TEST(SubcircuitMemoTest, HitsOnRepeatedExtraction) {
 }
 
 // A 3-bit counter that counts 0..5 under an enable and wraps, with one
-// reachable property (cnt == 3) and one unreachable one (cnt == 7). Both
-// cones are the whole counter, so the two properties land in one cluster
-// and exercise the Fails-attribution path: the shared disjunction run finds
-// the cnt == 3 trace, attributes it to bad_a alone, and the re-run on the
-// remainder proves bad_b.
+// reachable property (cnt == 3) and one unreachable one (cnt == 7) over the
+// same register cone.
 struct Counter {
   Netlist n;
   GateId bad_a, bad_b;
@@ -161,24 +119,155 @@ Counter make_counter() {
   return c;
 }
 
-TEST(VerifySessionTest, AttributesFailureWithinCluster) {
+std::vector<size_t> abstract_regs_per_iteration(const RfnResult& r) {
+  std::vector<size_t> v;
+  for (const RfnIteration& it : r.per_iteration) v.push_back(it.abstract_regs);
+  return v;
+}
+
+/// Expects each result of `batch` to walk the trajectory of a standalone
+/// run_property run of its property under the session defaults: verdict,
+/// iteration count, per-iteration abstraction size and final register set.
+void expect_solo_trajectories(const Netlist& n, const SessionOptions& sopt,
+                              const std::vector<PropertyRequest>& props,
+                              const std::vector<PropertyResult>& batch) {
+  ASSERT_EQ(batch.size(), props.size());
+  for (size_t i = 0; i < props.size(); ++i) {
+    const RfnResult solo =
+        run_property(n, props[i].bad, merge_overrides(sopt.defaults, props[i].overrides));
+    const RfnResult& got = batch[i].stats;
+    EXPECT_EQ(batch[i].verdict, solo.verdict) << props[i].name;
+    EXPECT_EQ(got.iterations, solo.iterations) << props[i].name;
+    EXPECT_EQ(abstract_regs_per_iteration(got), abstract_regs_per_iteration(solo))
+        << props[i].name;
+    EXPECT_EQ(got.final_registers, solo.final_registers) << props[i].name;
+    EXPECT_FALSE(batch[i].clustered) << props[i].name;
+  }
+}
+
+/// The compatibility view VerifySession::clusters() gives of a batch of
+/// `count` properties: one singleton per property, in request order.
+std::vector<std::vector<size_t>> singletons(size_t count) {
+  std::vector<std::vector<size_t>> v;
+  for (size_t i = 0; i < count; ++i) v.push_back({i});
+  return v;
+}
+
+std::vector<GateId> sorted_coi(const Netlist& n, GateId bad) {
+  std::vector<GateId> cone = coi_registers(n, {bad});
+  std::sort(cone.begin(), cone.end());
+  return cone;
+}
+
+TEST(ConeClustering, IdenticalNestedOverlappingDisjoint) {
+  // Five properties whose register cones are identical, nested, overlapping
+  // and disjoint. The session never merges cones: each property is its own
+  // cluster and walks its standalone trajectory, even with the clustering
+  // knobs set to values that once merged the first three.
+  NetBuilder b;
+  const GateId t = b.reg("t");
+  b.set_next(t, b.not_(t));  // 0,1,0,1,...
+  const GateId u = b.reg("u");
+  b.set_next(u, b.or_(u, t));  // rises once t has been 1
+  const GateId w = b.reg("w");
+  b.set_next(w, b.and_(w, t));  // stays 0
+  const GateId v = b.reg("v");
+  b.set_next(v, v);  // stays 0
+  const GateId u_and_t = b.and_(u, t);
+  const GateId t_and_w = b.and_(t, w);
+  const Netlist n = b.take();
+
+  const std::vector<PropertyRequest> props = {
+      {"u", u, {}},              // cone {t, u}
+      {"u_and_t", u_and_t, {}},  // identical to u's
+      {"t", t, {}},              // nested in u's
+      {"t_and_w", t_and_w, {}},  // overlaps u's in t
+      {"v", v, {}},              // disjoint
+  };
+  EXPECT_EQ(sorted_coi(n, u), sorted_coi(n, u_and_t));
+  EXPECT_EQ(sorted_coi(n, t).size(), 1u);
+  EXPECT_EQ(sorted_coi(n, t_and_w).size(), 2u);
+  EXPECT_NE(sorted_coi(n, t_and_w), sorted_coi(n, u));
+
+  SessionOptions sopt;
+  sopt.cluster_overlap = 0.5;
+  sopt.max_cluster_size = 8;
+  VerifySession session(n, sopt);
+  const auto results = session.run(props);
+  EXPECT_EQ(session.clusters(), singletons(props.size()));
+  expect_solo_trajectories(n, sopt, props, results);
+  const std::vector<Verdict> expected = {Verdict::Fails, Verdict::Fails,
+                                         Verdict::Fails, Verdict::Holds,
+                                         Verdict::Holds};
+  for (size_t i = 0; i < props.size(); ++i)
+    EXPECT_EQ(results[i].verdict, expected[i]) << props[i].name;
+}
+
+TEST(ConeClustering, RespectsMaxClusterSizeAndSolo) {
+  // Four properties over one counter cone, one of them with its own
+  // options: every cluster is a singleton (within any max_cluster_size),
+  // and the property with overrides runs under its merged options.
   const Counter c = make_counter();
-  VerifySession session(c.n, {});
-  const auto results =
-      session.run({{"", c.bad_a, {}}, {"", c.bad_b, {}}});
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_EQ(session.clusters().size(), 1u);  // identical cones
+  Netlist n = c.n;
+  // cnt == 3 and cnt == 7 at once: unreachable.
+  const GateId both = n.add(GateType::And, {c.bad_a, c.bad_b});
+  std::vector<PropertyRequest> props = {
+      {"a", c.bad_a, {}}, {"b", c.bad_b, {}}, {"a2", c.bad_a, {}}, {"ab", both, {}}};
+  props[1].overrides.max_iterations = 30;
+  SessionOptions sopt;
+  sopt.max_cluster_size = 2;
+  VerifySession session(n, sopt);
+  const auto results = session.run(props);
+  const auto clusters = session.clusters();
+  EXPECT_EQ(clusters, singletons(props.size()));
+  for (const auto& cluster : clusters) EXPECT_LE(cluster.size(), 2u);
+  expect_solo_trajectories(n, sopt, props, results);
   EXPECT_EQ(results[0].verdict, Verdict::Fails);
   EXPECT_EQ(results[1].verdict, Verdict::Holds);
-  EXPECT_TRUE(results[0].clustered);
-  EXPECT_TRUE(results[1].clustered);
+  EXPECT_EQ(results[2].verdict, Verdict::Fails);
+  EXPECT_EQ(results[3].verdict, Verdict::Holds);
+}
+
+TEST(ConeClustering, ThresholdZeroDisablesClustering) {
+  // The overlap threshold no longer selects anything: at 0 and at 1 every
+  // property runs solo, with the same results.
+  const Counter c = make_counter();
+  const std::vector<PropertyRequest> props = {
+      {"a", c.bad_a, {}}, {"b", c.bad_b, {}}, {"a2", c.bad_a, {}}};
+  std::vector<std::vector<PropertyResult>> runs;
+  for (const double overlap : {0.0, 1.0}) {
+    SessionOptions sopt;
+    sopt.cluster_overlap = overlap;
+    VerifySession session(c.n, sopt);
+    runs.push_back(session.run(props));
+    EXPECT_EQ(session.clusters(), singletons(props.size())) << overlap;
+    expect_solo_trajectories(c.n, sopt, props, runs.back());
+  }
+  for (size_t i = 0; i < props.size(); ++i) {
+    EXPECT_EQ(runs[0][i].verdict, runs[1][i].verdict) << props[i].name;
+    EXPECT_EQ(runs[0][i].stats.final_registers, runs[1][i].stats.final_registers)
+        << props[i].name;
+  }
+}
+
+TEST(VerifySessionTest, AttributesFailureWithinCluster) {
+  // bad_a and bad_b share one register cone; the counterexample belongs to
+  // bad_a alone and replays to it on the design, while bad_b is proved.
+  const Counter c = make_counter();
+  VerifySession session(c.n, {});
+  const auto results = session.run({{"", c.bad_a, {}}, {"", c.bad_b, {}}});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(session.clusters(), singletons(2));
   EXPECT_EQ(results[0].name, "bad_a");
   EXPECT_EQ(results[1].name, "bad_b");
-  EXPECT_GT(results[0].trace.cycles(), 0u);
+  EXPECT_EQ(results[0].verdict, Verdict::Fails);
+  EXPECT_EQ(results[1].verdict, Verdict::Holds);
+  EXPECT_FALSE(results[0].clustered);
+  EXPECT_FALSE(results[1].clustered);
+  ASSERT_GT(results[0].trace.cycles(), 0u);
+  EXPECT_EQ(simulate_trace(c.n, results[0].trace, c.bad_a), Tri::T);
+  EXPECT_EQ(simulate_trace(c.n, results[0].trace, c.bad_b), Tri::F);
   EXPECT_EQ(results[1].trace.cycles(), 0u);
-  // The second round's first BDD manager starts from the first round's
-  // saved variable order.
-  EXPECT_TRUE(results[1].order_seeded);
 }
 
 TEST(VerifySessionTest, DisjointConesRunIndependently) {
@@ -193,11 +282,8 @@ TEST(VerifySessionTest, DisjointConesRunIndependently) {
 
   VerifySession session(m, {});
   const auto results = session.run({{"", r1, {}}, {"", r2, {}}});
-  EXPECT_EQ(session.clusters().size(), 2u);
   EXPECT_EQ(results[0].verdict, Verdict::Fails);
   EXPECT_EQ(results[1].verdict, Verdict::Holds);
-  EXPECT_FALSE(results[0].clustered);
-  EXPECT_FALSE(results[1].clustered);
 }
 
 TEST(VerifySessionTest, OverridesForceSoloRuns) {
@@ -205,13 +291,20 @@ TEST(VerifySessionTest, OverridesForceSoloRuns) {
   PropertyRequest pa{"a", c.bad_a, {}};
   PropertyRequest pb{"b", c.bad_b, {}};
   pb.overrides.max_iterations = 30;
-  VerifySession session(c.n, {});
+  SessionOptions sopt;
+  sopt.defaults.max_iterations = 1;
+  VerifySession session(c.n, sopt);
   const auto results = session.run({pa, pb});
-  // Identical cones, but the override pins b into its own cluster.
-  EXPECT_EQ(session.clusters().size(), 2u);
-  EXPECT_FALSE(results[0].clustered);
-  EXPECT_FALSE(results[1].clustered);
-  EXPECT_EQ(results[0].verdict, Verdict::Fails);
+  // Identical cones, but each property runs under its own merged options:
+  // the same trajectory as a standalone run under those options.
+  for (size_t i = 0; i < 2; ++i) {
+    const PropertyRequest& p = i == 0 ? pa : pb;
+    const RfnResult ref = run_property(
+        c.n, p.bad, merge_overrides(sopt.defaults, p.overrides));
+    EXPECT_EQ(results[i].verdict, ref.verdict) << p.name;
+    EXPECT_EQ(results[i].stats.iterations, ref.iterations) << p.name;
+  }
+  EXPECT_EQ(results[0].stats.iterations, 1u);
   EXPECT_EQ(results[1].verdict, Verdict::Holds);
 }
 
@@ -219,7 +312,6 @@ TEST(VerifySessionTest, EmptyBatch) {
   const Counter c = make_counter();
   VerifySession session(c.n, {});
   EXPECT_TRUE(session.run({}).empty());
-  EXPECT_TRUE(session.clusters().empty());
 }
 
 TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
@@ -229,9 +321,8 @@ TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
   // flags plus their disjunction ("some flag errs"), the composite any-error
   // line testbenches expose.
   designs::FifoDesign fifo = designs::make_fifo({.addr_bits = 2, .data_bits = 2});
-  const GateId any = append_disjunction(
-      fifo.netlist, {fifo.bad_push_full, fifo.bad_push_af, fifo.bad_push_hf},
-      "bad_any");
+  const GateId any = fifo.netlist.add(
+      GateType::Or, {fifo.bad_push_full, fifo.bad_push_af, fifo.bad_push_hf});
   const std::vector<GateId> bads = {fifo.bad_push_full, fifo.bad_push_af,
                                     fifo.bad_push_hf, any};
 
@@ -244,18 +335,6 @@ TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
   for (GateId bad : bads) props.push_back({"", bad, {}});
   const auto batch = session.run(props);
 
-  // The session's clustering must be exactly what the exposed heuristic
-  // computes from the cones.
-  std::vector<std::vector<GateId>> cones;
-  for (GateId bad : bads) {
-    cones.push_back(coi_registers(fifo.netlist, {bad}));
-    std::sort(cones.back().begin(), cones.back().end());
-  }
-  EXPECT_EQ(session.clusters(),
-            cluster_by_cone_overlap(cones, sopt.cluster_overlap,
-                                    sopt.max_cluster_size,
-                                    std::vector<bool>(bads.size(), false)));
-
   for (size_t i = 0; i < bads.size(); ++i) {
     const RfnResult ref = run_property(fifo.netlist, bads[i], opt);
     EXPECT_EQ(batch[i].verdict, ref.verdict) << "property " << batch[i].name;
@@ -263,24 +342,77 @@ TEST(VerifySessionTest, MatchesSingleRunsOnFifo) {
   }
 }
 
+/// CI's four builtin suites, as tools/ci_dryrun.sh verifies them.
+const std::vector<std::pair<std::string, std::vector<std::string>>>& ci_suites() {
+  static const std::vector<std::pair<std::string, std::vector<std::string>>> k = {
+      {"fifo", {"bad_full_q", "bad_af_q", "bad_hf_q"}},
+      {"processor", {"bad_mutex", "error_flag"}},
+      {"iu", {"bad_dec", "iu0", "iu1", "iu2", "iu3", "iu4"}},
+      {"usb", {"bad_se1", "usb1_0", "usb1_1", "usb2_0", "usb2_1"}},
+  };
+  return k;
+}
+
+TEST(VerifySessionTest, BatchEqualsSoloRuns) {
+  // The batch oracle: every property of a session, inline or on two
+  // workers, walks exactly the trajectory of a standalone run_property run
+  // — verdict, iteration count, per-iteration abstraction size and final
+  // register set.
+  RfnOptions opt;
+  opt.time_limit_s = 60.0;
+  for (const auto& [name, signals] : ci_suites()) {
+    api::DesignRef ref;
+    ref.path = "builtin:" + name;
+    api::LoadedDesign design;
+    std::string error;
+    ASSERT_TRUE(api::load_design(ref, &design, &error)) << error;
+    std::vector<api::PropertySpec> specs;
+    for (const std::string& s : signals) specs.push_back({s, "", {}, ""});
+    std::vector<PropertyRequest> props;
+    ASSERT_TRUE(api::resolve_properties(design.netlist, {}, specs, &props, &error))
+        << error;
+    std::vector<RfnResult> solo;
+    for (const PropertyRequest& p : props)
+      solo.push_back(run_property(design.netlist, p.bad, opt));
+    for (const size_t workers : {size_t{0}, size_t{2}}) {
+      SessionOptions sopt;
+      sopt.defaults = opt;
+      sopt.workers = workers;
+      const auto batch = VerifySession(design.netlist, sopt).run(props);
+      ASSERT_EQ(batch.size(), props.size());
+      for (size_t i = 0; i < props.size(); ++i) {
+        const std::string where =
+            name + "/" + props[i].name + " workers=" + std::to_string(workers);
+        const RfnResult& got = batch[i].stats;
+        EXPECT_EQ(batch[i].verdict, solo[i].verdict) << where;
+        EXPECT_EQ(got.iterations, solo[i].iterations) << where;
+        EXPECT_EQ(abstract_regs_per_iteration(got),
+                  abstract_regs_per_iteration(solo[i]))
+            << where;
+        EXPECT_EQ(got.final_registers, solo[i].final_registers) << where;
+      }
+    }
+  }
+}
+
 TEST(VerifySessionTest, IuCoverageRegistersShareOneCluster) {
   // The IU control is strongly connected: coverage registers from different
   // sets have identical COIs (designs_test asserts this), so as properties
-  // they must cluster together.
+  // they share one register cone. Each is still answered by its own run,
+  // on its standalone trajectory.
   const designs::IuDesign iu = designs::make_iu({});
-  std::vector<GateId> bads = {iu.coverage_sets[0][0], iu.coverage_sets[1][0],
-                              iu.coverage_sets[2][0], iu.coverage_sets[3][0]};
-  std::vector<std::vector<GateId>> cones;
-  std::vector<bool> solo(bads.size(), false);
-  for (GateId bad : bads) {
-    cones.push_back(coi_registers(iu.netlist, {bad}));
-    std::sort(cones.back().begin(), cones.back().end());
-  }
-  for (size_t i = 1; i < cones.size(); ++i)
-    EXPECT_DOUBLE_EQ(jaccard_overlap(cones[0], cones[i]), 1.0);
-  const auto clusters = cluster_by_cone_overlap(cones, 0.5, 8, solo);
-  ASSERT_EQ(clusters.size(), 1u);
-  EXPECT_EQ(clusters[0].size(), bads.size());
+  std::vector<PropertyRequest> props;
+  for (size_t k = 0; k < 4; ++k)
+    props.push_back({"iu" + std::to_string(k), iu.coverage_sets[k][0], {}});
+  for (size_t k = 1; k < props.size(); ++k)
+    EXPECT_EQ(sorted_coi(iu.netlist, props[k].bad),
+              sorted_coi(iu.netlist, props[0].bad));
+  SessionOptions sopt;
+  sopt.defaults.time_limit_s = 60.0;
+  VerifySession session(iu.netlist, sopt);
+  const auto results = session.run(props);
+  EXPECT_EQ(session.clusters(), singletons(props.size()));
+  expect_solo_trajectories(iu.netlist, sopt, props, results);
 }
 
 /// Runs `signals` of `n` through api::run_verify and returns the records
@@ -305,30 +437,42 @@ std::string type_of(const json::Value& rec) {
   return rec.find("type")->as_string();
 }
 
-TEST(VerifySessionTest, BatchTraceV2HasOneRecordPerProperty) {
-  // bad_a and bad_b share a cluster, but bad_a's failure is attributed
-  // first and bad_b is answered by a later run: each property record is
-  // followed by the iteration records of its own run.
-  const Counter c = make_counter();
-  const auto records = run_trace(c.n, {"bad_a", "bad_b"}, false);
-  ASSERT_GE(records.size(), 3u);
+/// Every property record of `records` is followed by exactly its own
+/// `iterations` iteration records, numbered from 0. Returns the number of
+/// property records.
+size_t check_iterations_follow_properties(const std::vector<json::Value>& records) {
   size_t props = 0;
   for (size_t i = 0; i < records.size(); ++i) {
     if (type_of(records[i]) != "property") continue;
     ++props;
     const size_t iterations = records[i].find("iterations")->as_uint();
-    ASSERT_GE(iterations, 1u);
-    ASSERT_LT(i + iterations, records.size());
+    EXPECT_GE(iterations, 1u);
+    if (i + iterations >= records.size()) {
+      ADD_FAILURE() << "property record " << i << " runs past the trace";
+      break;
+    }
     for (size_t k = 0; k < iterations; ++k) {
       const json::Value& it = records[i + 1 + k];
-      ASSERT_EQ(type_of(it), "iteration");
+      if (type_of(it) != "iteration") {
+        ADD_FAILURE() << "record " << i + 1 + k << " is not an iteration";
+        return props;
+      }
       EXPECT_EQ(it.find("property")->as_string(),
                 records[i].find("name")->as_string());
       EXPECT_EQ(it.find("iter")->as_uint(), k);
     }
     EXPECT_NE(type_of(records[i + 1 + iterations]), "iteration");
   }
-  EXPECT_EQ(props, 2u);
+  return props;
+}
+
+TEST(VerifySessionTest, BatchTraceV2HasOneRecordPerProperty) {
+  // Each property record is followed by the iteration records of its own
+  // run, even where two properties share a register cone.
+  const Counter c = make_counter();
+  const auto records = run_trace(c.n, {"bad_a", "bad_b"}, false);
+  ASSERT_GE(records.size(), 3u);
+  EXPECT_EQ(check_iterations_follow_properties(records), 2u);
   EXPECT_EQ(records[0].find("name")->as_string(), "bad_a");
   EXPECT_EQ(records[0].find("verdict")->as_string(), "F");
   EXPECT_EQ(type_of(records.back()), "batch-summary");
@@ -340,15 +484,17 @@ TEST(VerifySessionTest, BatchTraceV2HasOneRecordPerProperty) {
   ASSERT_EQ(streamed.size(), records.size());
   for (size_t i = 0; i + 1 < records.size(); ++i) {
     EXPECT_EQ(type_of(streamed[i]), type_of(records[i])) << i;
-    if (type_of(records[i]) == "iteration")
+    if (type_of(records[i]) == "iteration") {
       EXPECT_EQ(streamed[i].find("property")->as_string(),
                 records[i].find("property")->as_string());
+    }
   }
 }
 
 TEST(VerifySessionTest, SharedRunIterationsWrittenOnce) {
-  // Two properties that hold with identical cones: one shared run answers
-  // both, so its iterations follow the first member only.
+  // Two properties that hold with identical cones: each iteration record is
+  // written once, after the record of the property whose run it belongs
+  // to, in the file and streaming modes.
   NetBuilder b;
   const GateId en = b.input("en");
   const Word cnt = b.reg_word("cnt", 3, 0);
@@ -358,24 +504,44 @@ TEST(VerifySessionTest, SharedRunIterationsWrittenOnce) {
   b.output("bad6", b.eq_const(cnt, 6));
   b.output("bad7", b.eq_const(cnt, 7));
   const Netlist n = b.take();
-
   for (const bool stream : {false, true}) {
-    const auto records = run_trace(n, {"bad6", "bad7"}, stream);
-    ASSERT_GE(records.size(), 4u);
-    ASSERT_EQ(type_of(records[0]), "property");
-    EXPECT_TRUE(records[0].find("clustered")->as_bool());
-    EXPECT_EQ(records[0].find("verdict")->as_string(), "T");
-    const size_t iterations = records[0].find("iterations")->as_uint();
-    ASSERT_GE(iterations, 1u);
-    ASSERT_EQ(records.size(), iterations + 3) << "stream=" << stream;
-    for (size_t k = 0; k < iterations; ++k)
-      EXPECT_EQ(records[1 + k].find("property")->as_string(), "bad6");
-    const json::Value& second = records[1 + iterations];
-    ASSERT_EQ(type_of(second), "property");
-    EXPECT_EQ(second.find("name")->as_string(), "bad7");
-    EXPECT_EQ(second.find("iterations")->as_uint(), iterations);
-    EXPECT_EQ(type_of(records.back()), "batch-summary");
+    const auto holds = run_trace(n, {"bad6", "bad7"}, stream);
+    EXPECT_EQ(check_iterations_follow_properties(holds), 2u) << "stream=" << stream;
+    size_t iterations = 0, iteration_records = 0;
+    for (const json::Value& rec : holds) {
+      if (type_of(rec) == "property") {
+        EXPECT_EQ(rec.find("verdict")->as_string(), "T");
+        EXPECT_FALSE(rec.find("clustered"));
+        iterations += rec.find("iterations")->as_uint();
+      }
+      iteration_records += type_of(rec) == "iteration";
+    }
+    EXPECT_EQ(iteration_records, iterations) << "stream=" << stream;
+    ASSERT_EQ(holds.size(), iterations + 3) << "stream=" << stream;
+    EXPECT_EQ(type_of(holds.back()), "batch-summary");
   }
+}
+
+TEST(VerifySessionTest, ConcretizeStatusIsNoneWithoutStep3) {
+  // An iteration that ends in Step 2 (here the proof of bad_b) never runs
+  // Step 3, and its trace-v2 record says so; one with an abstract trace
+  // names the concretization outcome.
+  const Counter c = make_counter();
+  const auto records = run_trace(c.n, {"bad_a", "bad_b"}, false);
+  size_t proved = 0, concretized = 0;
+  for (const json::Value& rec : records) {
+    if (type_of(rec) != "iteration") continue;
+    const std::string status = rec.find_path("concretize.status")->as_string();
+    if (rec.find("trace_cycles")->as_uint() == 0) {
+      EXPECT_EQ(status, "none");
+      proved += rec.find_path("reach.status")->as_string() == "proved";
+    } else {
+      EXPECT_NE(status, "none");
+      ++concretized;
+    }
+  }
+  EXPECT_GE(proved, 1u);
+  EXPECT_GE(concretized, 1u);
 }
 
 TEST(VerifySessionTest, InvalidDefaultsDie) {

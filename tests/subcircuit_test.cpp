@@ -4,9 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "netlist/analysis.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim64.hpp"
 #include "util/rng.hpp"
@@ -175,47 +172,6 @@ TEST(Subcircuit, MultiSinkSupersetOfSingleSink) {
   for (GateId nw = 0; nw < only_a.net.size(); ++nw)
     EXPECT_TRUE(both.contains_old(only_a.to_old(nw)));
   EXPECT_FALSE(only_a.contains_old(t.rb));
-}
-
-TEST(Subcircuit, AppendDisjunctionKeepsExistingIds) {
-  const TwoProps t = make_two_props();
-  Netlist aug = t.n;
-  const size_t before = aug.size();
-  const GateId root = append_disjunction(aug, {t.prop_a, t.prop_b}, "bad_any");
-  EXPECT_EQ(root, before);  // appended, nothing renumbered
-  EXPECT_EQ(aug.size(), before + 1);
-  EXPECT_EQ(aug.output("bad_any"), root);
-  for (GateId g = 0; g < before; ++g) EXPECT_EQ(aug.type(g), t.n.type(g));
-  // Cones computed on the original stay valid on the augmented design, and
-  // the disjunction's cone is their union.
-  const auto cone_a = coi_registers(t.n, {t.prop_a});
-  const auto cone_any = coi_registers(aug, {root});
-  for (GateId r : cone_a)
-    EXPECT_NE(std::find(cone_any.begin(), cone_any.end(), r), cone_any.end());
-}
-
-TEST(Subcircuit, AppendDisjunctionSemantics) {
-  const TwoProps t = make_two_props();
-  Netlist aug = t.n;
-  const GateId root = append_disjunction(aug, {t.prop_a, t.prop_b}, "bad_any");
-  Sim64 sim(aug);
-  Rng rng(11);
-  Rng init(5);
-  sim.load_initial_state(init);
-  for (int cycle = 0; cycle < 16; ++cycle) {
-    sim.set(aug.find("in"), rng.next());
-    sim.eval();
-    EXPECT_EQ(sim.value(root), sim.value(t.prop_a) | sim.value(t.prop_b));
-    sim.step();
-  }
-}
-
-TEST(Subcircuit, AppendDisjunctionSingleSignalIsBuffer) {
-  const TwoProps t = make_two_props();
-  Netlist aug = t.n;
-  const GateId root = append_disjunction(aug, {t.prop_a}, "only");
-  EXPECT_EQ(aug.type(root), GateType::Buf);
-  EXPECT_EQ(aug.output("only"), root);
 }
 
 TEST(Subcircuit, AbstractionIsMonotone) {

@@ -365,8 +365,7 @@ TEST(MetricsEpoch, TwoRunsDoNotConflateSummaries) {
   // Summaries are serialized at run end, like the CLI's --trace-json path:
   // the baseline subtraction scopes out *earlier* runs in the process.
   const auto summarize = [](const RfnResult& res) {
-    return batch_summary_json({as_property(res)}, 1, res.seconds,
-                              &res.metrics_baseline);
+    return batch_summary_json({as_property(res)}, res.seconds, &res.metrics_baseline);
   };
   const RfnResult first = run_once();
   const json::Value first_summary = summarize(first);

@@ -10,25 +10,19 @@ benchmark regressed:
     --node-tolerance (default 10%),
   * or a baseline benchmark is missing from the current run.
 
-It additionally enforces the batch-session invariant on the current run:
-BM_SessionBatchFifo (one VerifySession over the four-property FIFO flag
-suite, whose cones overlap) must finish in less wall time than
-BM_SessionIndependentFifo (the same properties as independent runs) — the
-whole point of batching.
-
 Wall time is noisy on shared CI runners, hence the generous default
 tolerance; the BDD peak-node counter is deterministic for a fixed workload
 and is the gate's sharp edge.
 
 Usage:
-  bench/micro_engines --benchmark_filter='Portfolio|Session' --json current.json
+  bench/micro_engines --benchmark_filter=Portfolio --json current.json
   tools/bench_gate.py --baseline BENCH_portfolio.json --current current.json
 
 Re-baselining (after an intentional perf change): regenerate the baseline
 from a Release build and commit it together with the change that moved it:
 
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
-  ./build/bench/micro_engines --benchmark_filter='Portfolio|Session' \
+  ./build/bench/micro_engines --benchmark_filter=Portfolio \
       --json BENCH_portfolio.json
 
 and say why in the commit message.
@@ -81,11 +75,6 @@ PROF_SCHEMA = "rfn-prof-v1"
 # subsystem present in the baseline but absent from the current artifact is
 # a schema break, not a memory win.
 PROF_SUBSYSTEMS = ("bdd",)
-
-# The batch-session pair: one VerifySession over the FIFO flag suite vs
-# the same properties as independent run_property runs.
-BATCH_BENCH = "BM_SessionBatchFifo"
-INDEPENDENT_BENCH = "BM_SessionIndependentFifo"
 
 
 def load(path):
@@ -306,24 +295,6 @@ def main():
             else:
                 print(f"bench_gate: {name}: {counter} ok "
                       f"({cur_c:.0f} vs {base_c:.0f})")
-
-    # The batch invariant is checked within the *current* artifact (not
-    # against the baseline), so it holds on this machine regardless of how
-    # the baseline host was loaded when the baseline was recorded.
-    batch = current.get(BATCH_BENCH)
-    indep = current.get(INDEPENDENT_BENCH)
-    if batch is not None and indep is not None:
-        batch_t = batch.get("real_seconds_per_iter", 0.0)
-        indep_t = indep.get("real_seconds_per_iter", 0.0)
-        if indep_t > 0 and batch_t >= indep_t:
-            failures.append(
-                f"{BATCH_BENCH}: batch wall {batch_t * 1e3:.3f} ms/iter is not "
-                f"below independent runs ({INDEPENDENT_BENCH}: "
-                f"{indep_t * 1e3:.3f} ms/iter) — batching stopped paying off")
-        elif indep_t > 0:
-            print(f"bench_gate: batch wall ok ({batch_t * 1e3:.3f} vs "
-                  f"{indep_t * 1e3:.3f} ms/iter independent, "
-                  f"{(1.0 - batch_t / indep_t) * 100.0:.1f}% saved)")
 
     if failures:
         print("bench_gate: FAILED", file=sys.stderr)

@@ -143,7 +143,7 @@ job_sanitize() { # <thread|address,undefined>
   [[ $san == thread ]] || return 0
 
   note "sanitize (thread): concurrency suites"
-  for t in netlist_fuzz_test trace_span_test prof_test sat_test \
+  for t in netlist_fuzz_test trace_span_test prof_test sat_test session_test \
            serve_test; do
     "./$dir/tests/$t"
   done
@@ -209,13 +209,24 @@ job_bench_gate() {
     processor_run "${traces[-1]}"
   done
   python3 tools/trace_report.py --trajectory "${traces[@]}"
-  # Negative self-check: clustered and unclustered runs end on different
-  # abstractions (13/19 against 11/7 registers), so the gate must refuse.
-  processor_run "$d/trajectory-overlap0.jsonl" --cluster-overlap 0
+  # Negative self-check: a copy of the first run in which one property
+  # ended on one more register must be refused.
+  python3 - "$d" <<'EOF'
+import json, sys
+d = sys.argv[1]
+out, bumped = [], False
+for line in open(f"{d}/trajectory-default-0.jsonl"):
+    rec = json.loads(line)
+    if rec.get("type") == "property" and not bumped:
+        rec["final_abstract_regs"] += 1
+        bumped = True
+    out.append(json.dumps(rec))
+open(f"{d}/trajectory-bumped.jsonl", "w").write("\n".join(out) + "\n")
+EOF
   if python3 tools/trace_report.py --trajectory \
-      "$d/trajectory-default-0.jsonl" "$d/trajectory-overlap0.jsonl" \
+      "$d/trajectory-default-0.jsonl" "$d/trajectory-bumped.jsonl" \
       2>/dev/null; then
-    fail "trajectory gate accepted runs of two different clusterings"
+    fail "trajectory gate accepted a run with a different final abstraction"
   fi
 
   # Traces are recorded before the gate so a failing gate still leaves a
@@ -261,8 +272,8 @@ job_bench_gate() {
   note "bench-gate: end-to-end benchmark self-test"
   CARGO_TARGET_DIR="$d" python3 e2ebench/selftest.py
 
-  note "bench-gate: RFN + session benches against BENCH_portfolio.json"
-  "./$d/bench/micro_engines" --benchmark_filter='Portfolio|Session' \
+  note "bench-gate: RFN benches against BENCH_portfolio.json"
+  "./$d/bench/micro_engines" --benchmark_filter=Portfolio \
     --json "$d/bench-current.json"
   python3 tools/bench_gate.py --baseline BENCH_portfolio.json \
     --current "$d/bench-current.json"

@@ -61,15 +61,14 @@
 //   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [budget-ms=N]
 //          [budget-bdd-nodes=N] [budget-mem-mb=N]
 //                                                    (# starts a comment)
-// A property is named by its LABEL, else by its signal as written.
-// Properties carrying per-line overrides run solo; the rest are clustered
-// by register-cone overlap and answered through shared abstraction runs.
+// A property is named by its LABEL, else by its signal as written. Every
+// property is verified on its own, by one abstraction-refinement run.
 // Session options:
-//   --cluster-overlap X   Jaccard cone-overlap threshold (default 0.5)
-//   --max-cluster N       max properties per shared run (default 4)
-//   --session-workers N   cluster jobs run concurrently (default 0: inline)
+//   --session-workers N   properties verified concurrently (default 0:
+//                         inline, in order)
 //   --batch-budget-ms N   whole-run wall budget, split fair-share
-//   --no-reuse            disable the cross-property reuse cache
+//   --no-reuse            accepted for rfn-req-v1 parity; only rfn_serve's
+//                         warm cache reads it
 //
 // AIGER-specific options:
 //   --aiger               treat <design> as AIGER regardless of extension
@@ -298,15 +297,14 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
     }
   }
 
-  std::printf("batch: %zu properties in %zu clusters, %.2f s\n",
-              out.results.size(), out.clusters, out.seconds);
-  std::printf("%-24s %-12s %7s %9s %5s %6s %8s\n", "property", "verdict",
-              "cluster", "clustered", "iters", "regs", "seconds");
+  std::printf("batch: %zu properties, %.2f s\n", out.results.size(),
+              out.seconds);
+  std::printf("%-24s %-12s %5s %6s %8s\n", "property", "verdict", "iters",
+              "regs", "seconds");
   bool all_conclusive = true;
   for (const PropertyResult& r : out.results) {
-    std::printf("%-24s %-12s %7zu %9s %5zu %6zu %8.2f\n", r.name.c_str(),
-                verdict_word(r.verdict), r.cluster,
-                r.clustered ? "yes" : "no", r.stats.iterations,
+    std::printf("%-24s %-12s %5zu %6zu %8.2f\n", r.name.c_str(),
+                verdict_word(r.verdict), r.stats.iterations,
                 r.stats.final_abstract_regs, r.stats.seconds);
     if (r.verdict != Verdict::Holds && r.verdict != Verdict::Fails)
       all_conclusive = false;

@@ -14,8 +14,8 @@ built-in good and bad synthetic traces and needs no input file.
 
 With `--batch` the input is instead an rfn-trace-v2 JSON Lines file from
 `rfn verify ... --trace-json FILE` (one property or many): one "property"
-record per property, each followed by the "iteration" records of the
-engine run that answered it, then — for --certify runs — one
+record per property, each followed by the "iteration" records of its
+run, then — for --certify runs — one
 "certificate" record per conclusive property, plus a final
 "batch-summary". The validator checks the version tag, the per-record
 shape, the verdict and certificate-kind spellings, that a failed
@@ -25,12 +25,12 @@ records. Per iteration record it checks that every block is present, that
 the Step-2 reach and Step-3 concretize wall times (`reach.seconds`,
 `concretize.seconds`) are nonnegative numbers, that it names the property
 it follows, that iterations are numbered densely from 0, and that their
-count equals the property's `iterations`. A clustered property answered
-by a run shared with an earlier member carries no iteration records of
-its own (the shared run's records follow the first member). It then
-prints a per-property table, a per-iteration table with the reach and
-concretize times, and a certification summary line when certificates were
-recorded.
+count equals the property's `iterations`; and that an iteration without
+an abstract error trace (`trace_cycles` 0, so Step 3 did not run) has
+concretize status `none`, while one with a trace names Step 3's outcome
+(`sat`, `unsat` or `abort`). It then prints a per-property table, a
+per-iteration table with the reach and concretize times, and a
+certification summary line when certificates were recorded.
 
 With `--trajectory A B ...` the inputs are several rfn-trace-v2 files of
 the same property set (say, repeated runs of one command): each is
@@ -93,9 +93,10 @@ ITERATION_KEYS = ("property", "iter", "abstraction", "reach", "bdd", "hybrid",
 # The blocks that carry their step's wall time (0 when the step did not
 # run): Step 2's fixpoint and Step 3's concretization.
 TIMED_STEPS = ("reach", "concretize")
+# Step 3's outcomes; "none" marks an iteration in which Step 3 did not run.
+CONCRETIZE_STATUSES = ("sat", "unsat", "abort")
 VERDICTS = ("T", "F", "?", "resource-out")
-PROPERTY_KEYS = ("name", "bad", "verdict", "cluster", "clustered",
-                 "iterations", "seconds")
+PROPERTY_KEYS = ("name", "bad", "verdict", "iterations", "seconds")
 CERTIFICATE_KEYS = ("property", "kind", "ok", "clauses", "trace_cycles",
                     "obligation", "seconds")
 CERTIFICATE_KINDS = ("holds-invariant", "fails-trace")
@@ -179,6 +180,14 @@ def validate_iteration(r, where):
                  f"nonnegative number")
     if not isinstance(r["refine"], dict):
         fail(f"{where}: refine block is not an object")
+    status = r["concretize"].get("status")
+    if r["trace_cycles"] == 0 and status != "none":
+        fail(f"{where}: concretize status is {status!r} without an abstract "
+             f"trace (trace_cycles 0), expected 'none'")
+    if r["trace_cycles"] != 0 and status not in CONCRETIZE_STATUSES:
+        fail(f"{where}: concretize status is {status!r} after a "
+             f"{r['trace_cycles']}-cycle abstract trace, expected one of "
+             f"{', '.join(CONCRETIZE_STATUSES)}")
 
 
 def validate_batch(records):
@@ -233,19 +242,7 @@ def validate_batch(records):
                  f"{verdict!r}")
         counts[verdict] += 1
         have = len(runs[i])
-        if have == r["iterations"]:
-            continue
-        # A clustered member answered by a run shared with an earlier member
-        # carries no iteration records; that member's group holds them. The
-        # members copy one RfnResult, so its iteration count, wall time and
-        # final abstraction size all match; a later round of the same
-        # cluster is a different run with records of its own.
-        shared = r["clustered"] and have == 0 and any(
-            q["clustered"] and q["cluster"] == r["cluster"] and runs[k] and
-            all(q[key] == r[key] for key in
-                ("iterations", "seconds", "final_abstract_regs"))
-            for k, q in enumerate(props[:i]))
-        if not shared:
+        if have != r["iterations"]:
             fail(f"property record {i} ({r['name']!r}) counts "
                  f"{r['iterations']} iterations, {have} iteration records "
                  f"follow it")
@@ -657,17 +654,15 @@ def report_batch(path):
     props, iters, certs, summary = validate_batch(records)
 
     print("== batch summary ==")
-    print(f"properties={len(props)} clusters={summary.get('clusters')} "
+    print(f"properties={len(props)} "
           f"total_wall_s={summary.get('seconds', 0.0):.6f}")
     declared = summary.get("verdicts", {})
     print("verdicts: " + " ".join(
         f"{v}={declared.get(v, 0)}" for v in VERDICTS))
-    print(f"\n{'property':<24} {'verdict':<12} {'cluster':>7} "
-          f"{'clustered':>9} {'iters':>5} {'seconds':>9}")
+    print(f"\n{'property':<24} {'verdict':<12} {'iters':>5} {'seconds':>9}")
     for r in props:
-        print(f"{r['name']:<24} {r['verdict']:<12} {r['cluster']:>7} "
-              f"{('yes' if r['clustered'] else 'no'):>9} "
-              f"{r['iterations']:>5} {r['seconds']:>9.3f}")
+        print(f"{r['name']:<24} {r['verdict']:<12} {r['iterations']:>5} "
+              f"{r['seconds']:>9.3f}")
     if iters:
         print(f"\n{'property':<24} {'iter':>4} {'regs':>5} {'reach':<14} "
               f"{'reach_s':>9} {'concretize':<10} {'conc_s':>9} "
@@ -811,8 +806,9 @@ def synthetic_trace():
                           "dropped_events": 0}}
 
 
-def synthetic_iteration(prop, i, regs):
-    """One well-formed rfn-trace-v2 iteration record for --self-check."""
+def synthetic_iteration(prop, i, regs, conc="unsat"):
+    """One well-formed rfn-trace-v2 iteration record for --self-check:
+    iteration 0 finds a trace whose Step 3 ends `conc`, later ones prove."""
     return {
         "type": "iteration", "property": prop, "iter": i,
         "abstraction": {"regs": regs, "inputs": 2, "gates": 30},
@@ -823,7 +819,7 @@ def synthetic_iteration(prop, i, regs):
         "hybrid": {"nocut_cubes": 0, "mincut_cubes": 0, "atpg_calls": 0,
                    "atpg_rejects": 0},
         "trace_cycles": 4 if i == 0 else 0,
-        "concretize": {"status": "unsat" if i == 0 else "none",
+        "concretize": {"status": conc if i == 0 else "none",
                        "seconds": 0.02 if i == 0 else 0.0},
         "refine": {"conflict_candidates": 1, "fallback_candidates": 0,
                    "added_until_unsat": 1, "removed_by_greedy": 0,
@@ -834,31 +830,28 @@ def synthetic_iteration(prop, i, regs):
 
 
 def synthetic_batch_trace():
-    """A minimal well-formed rfn-trace-v2 record list for --self-check:
-    p0 and p2 answered by one shared run (its iterations follow p0 only),
-    p1 by a solo run, then two certificates and the summary. Indices: 0 p0,
-    1-2 p0's iterations, 3 p2, 4 p1, 5 p1's iteration, 6-7 certificates,
-    8 summary."""
-    prop = {"type": "property", "bad": 7, "cluster": 0, "clustered": True,
-            "order_seeded": False, "seeded_registers": 0, "iterations": 2,
-            "final_abstract_regs": 4, "error_trace_cycles": 0,
-            "seconds": 0.25, "note": ""}
+    """A minimal well-formed rfn-trace-v2 record list for --self-check: p0
+    holds after two iterations, p1 fails in one, then two certificates and
+    the summary. Indices: 0 p0, 1-2 p0's iterations, 3 p1, 4 p1's
+    iteration, 5-6 certificates, 7 summary."""
+    prop = {"type": "property", "bad": 7, "order_seeded": False,
+            "seeded_registers": 0, "iterations": 2, "final_abstract_regs": 4,
+            "error_trace_cycles": 0, "seconds": 0.25, "note": ""}
     cert = {"type": "certificate", "clauses": 0, "trace_cycles": 0,
             "obligation": "", "seconds": 0.01}
     return [
         dict(prop, name="p0", verdict="T"),
         synthetic_iteration("p0", 0, 3),
         synthetic_iteration("p0", 1, 4),
-        dict(prop, name="p2", verdict="T", bad=8),
-        dict(prop, name="p1", verdict="F", bad=9, cluster=1, clustered=False,
-             iterations=1, error_trace_cycles=4),
-        synthetic_iteration("p1", 0, 3),
+        dict(prop, name="p1", verdict="F", bad=9, iterations=1,
+             error_trace_cycles=4),
+        synthetic_iteration("p1", 0, 3, conc="sat"),
         dict(cert, property="p0", kind="holds-invariant", ok=True, clauses=5),
         dict(cert, property="p1", kind="fails-trace", ok=False,
              trace_cycles=4, obligation="trace-replay"),
         {"type": "batch-summary", "trace_version": BATCH_TRACE_VERSION,
-         "properties": 3, "clusters": 2,
-         "verdicts": {"T": 2, "F": 1, "?": 0, "resource-out": 0},
+         "properties": 2,
+         "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
          "certificates": {"ok": 1, "failed": 1},
          "seconds": 0.5,
          "metrics": {"counters": {"rfn.runs": 2}}},
@@ -892,9 +885,8 @@ def synthetic_serve_log():
     two verify requests (cold miss then warm hit), and a reject."""
     def verify_response(rid, hit, hits, misses):
         return {"type": "response", "version": RESPONSE_VERSION, "id": rid,
-                "ok": True, "design_hash": "deadbeef", "properties": 3,
-                "clusters": 2,
-                "verdicts": {"T": 2, "F": 1, "?": 0, "resource-out": 0},
+                "ok": True, "design_hash": "deadbeef", "properties": 2,
+                "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
                 "warm_cache": {"enabled": True, "hit": hit, "hits": hits,
                                "misses": misses, "evictions": 0,
                                "entries": 1, "bytes": 15232,
@@ -986,10 +978,7 @@ def self_check():
                       "non-object summary metrics"),
         corrupt_batch(lambda d: d.pop(),  # drop the batch-summary
                       "missing batch-summary"),
-        # Drop p2 (no iteration records of its own) and fix the verdict
-        # counts, so only the summary's property count is wrong.
-        corrupt_batch(lambda d: (d.__delitem__(3),
-                                 d[-1]["verdicts"].update(T=1)),
+        corrupt_batch(lambda d: d[-1].update(properties=3),
                       "summary/record property-count mismatch"),
         corrupt_batch(lambda d: d[0].update(verdict="HOLDS"),
                       "non-canonical verdict spelling"),
@@ -997,19 +986,19 @@ def self_check():
                       "property record missing a key"),
         corrupt_batch(lambda d: d[-1]["verdicts"].update(T=3),
                       "summary verdict-count mismatch"),
-        corrupt_batch(lambda d: d[6].update(kind="holds-magic"),
+        corrupt_batch(lambda d: d[5].update(kind="holds-magic"),
                       "unknown certificate kind"),
-        corrupt_batch(lambda d: d[6].update(obligation="safety"),
+        corrupt_batch(lambda d: d[5].update(obligation="safety"),
                       "ok certificate naming a failing obligation"),
-        corrupt_batch(lambda d: d[7].update(obligation=""),
+        corrupt_batch(lambda d: d[6].update(obligation=""),
                       "failed certificate without an obligation"),
-        corrupt_batch(lambda d: d[6].pop("clauses"),
+        corrupt_batch(lambda d: d[5].pop("clauses"),
                       "certificate record missing a key"),
         corrupt_batch(lambda d: d[-1]["certificates"].update(ok=2),
                       "summary certificate-count mismatch"),
         corrupt_batch(lambda d: d[-1].pop("certificates"),
                       "certificate records without summary counts"),
-        corrupt_batch(lambda d: d.insert(7, dict(d[0])),
+        corrupt_batch(lambda d: d.insert(6, dict(d[0])),
                       "property record after certificate records"),
         # Iteration records: the blocks, step times, numbering and counts.
         corrupt_batch(lambda d: d[1].pop("refine"),
@@ -1026,30 +1015,25 @@ def self_check():
                       "non-sequential iteration numbering"),
         corrupt_batch(lambda d: d[0].update(iterations=3),
                       "property/iteration-record count mismatch"),
-        corrupt_batch(lambda d: d.__delitem__(5),
-                      "solo run missing its iteration records"),
+        corrupt_batch(lambda d: d.__delitem__(4),
+                      "run missing its iteration records"),
         corrupt_batch(lambda d: d[2].update(property="p1"),
                       "iteration record naming another property"),
         corrupt_batch(lambda d: d.insert(0, dict(d[1])),
                       "iteration record before any property"),
-        corrupt_batch(lambda d: d.insert(7, dict(d[5])),
+        corrupt_batch(lambda d: d.insert(6, dict(d[4])),
                       "iteration record after certificate records"),
-        corrupt_batch(lambda d: d[3].update(cluster=1),
-                      "shared-run member without an earlier shared run"),
-        # A later round of cluster 0 (after a Fails round) with the same
-        # iteration count: a different run, so its records must be there.
-        corrupt_batch(lambda d: d[3].update(seconds=0.5),
-                      "second-round run of a cluster missing its iteration "
-                      "records"),
-        corrupt_batch(lambda d: d[3].update(final_abstract_regs=6),
-                      "second-round run of a cluster missing its iteration "
-                      "records (same wall time)"),
+        # Step 3 runs exactly when Step 2 produced an abstract trace.
+        corrupt_batch(lambda d: d[2]["concretize"].update(status="sat"),
+                      "concretize status on an iteration without a trace"),
+        corrupt_batch(lambda d: d[1]["concretize"].update(status="none"),
+                      "iteration with a trace but no concretize status"),
     ) if f]
 
     # The trajectory gate: a copy of a run agrees with it, a run that ended
     # on a different abstraction does not.
     diverged = json.loads(json.dumps(good_batch))
-    diverged[4]["final_abstract_regs"] = 5  # p1, a solo run
+    diverged[3]["final_abstract_regs"] = 5  # p1
     try:
         check_same_trajectory([("a", good_batch),
                                ("b", json.loads(json.dumps(good_batch)))])
