@@ -12,15 +12,16 @@ namespace {
 /// Walks from an unjustified gate objective down an X-path to a free signal
 /// decision (signal, value). The chosen value is a heuristic; the search
 /// explores the flip on conflict.
-std::pair<GateId, bool> backtrace(const ImplicationEngine& eng, GateId g, bool v) {
-  const Netlist& n = eng.netlist();
+template <class Graph>
+std::pair<GateId, bool> backtrace(const ImplicationEngine<Graph>& eng, GateId g, bool v) {
+  const Graph& n = eng.graph();
   while (!eng.is_free(g)) {
-    const auto& fi = n.fanins(g);
+    const auto fi = n.fanins(g);
     GateId next = kNullGate;
     bool next_v = v;
     auto first_x = [&]() {
-      for (GateId f : fi)
-        if (eng.value(f) == Tri::X) return f;
+      for (size_t i = 0; i < fi.size(); ++i)
+        if (eng.value(fi[i]) == Tri::X) return fi[i];
       return kNullGate;
     };
     switch (n.type(g)) {
@@ -94,7 +95,8 @@ std::pair<GateId, bool> backtrace(const ImplicationEngine& eng, GateId g, bool v
   return {g, v};
 }
 
-CombAtpgResult justify_impl(ImplicationEngine& eng, const Cube& targets,
+template <class Graph>
+CombAtpgResult justify_impl(ImplicationEngine<Graph>& eng, const Cube& targets,
                             const AtpgOptions& opt) {
   CombAtpgResult res;
   const Deadline deadline(opt.time_limit_s);
@@ -167,11 +169,11 @@ CombAtpgResult justify_impl(ImplicationEngine& eng, const Cube& targets,
   }
 }
 
-}  // namespace
-
-CombAtpgResult justify(const Netlist& n, const Cube& targets, const AtpgOptions& opt) {
+template <class Graph>
+CombAtpgResult justify_graph(const Graph& graph, const Cube& targets,
+                             const AtpgOptions& opt) {
   Span span("atpg.comb");
-  ImplicationEngine eng(n);
+  ImplicationEngine eng(graph);
   CombAtpgResult res = justify_impl(eng, targets, opt);
   res.frontier_checks = eng.frontier_checks();
   span.annotate("status", to_string(res.status));
@@ -183,6 +185,17 @@ CombAtpgResult justify(const Netlist& n, const Cube& targets, const AtpgOptions&
   m.counter("atpg.comb.frontier_checks").add(res.frontier_checks);
   if (res.status == AtpgStatus::Abort) m.counter("atpg.comb.aborts").add(1);
   return res;
+}
+
+}  // namespace
+
+CombAtpgResult justify(const Netlist& n, const Cube& targets, const AtpgOptions& opt) {
+  return justify_graph(NetlistGraph(n), targets, opt);
+}
+
+CombAtpgResult justify(const FrameView& view, const Cube& targets,
+                       const AtpgOptions& opt) {
+  return justify_graph(view, targets, opt);
 }
 
 }  // namespace rfn

@@ -42,7 +42,7 @@ struct CombAtpgResult {
   /// Assignment of free signals only (Sat only). Free signals the search
   /// never constrained are omitted and may take any value.
   Cube free_assignment;
-  /// Full implied valuation indexed by GateId (Sat only).
+  /// Full implied valuation indexed by node id (Sat only).
   std::vector<Tri> valuation;
   uint64_t backtracks = 0;
   uint64_t decisions = 0;
@@ -53,6 +53,10 @@ struct CombAtpgResult {
 
 /// Finds an assignment of free signals satisfying all literals of `targets`.
 CombAtpgResult justify(const Netlist& n, const Cube& targets,
+                       const AtpgOptions& opt = {});
+/// The same search over a time-frame view: targets, free_assignment and
+/// valuation are indexed by the view's node ids.
+CombAtpgResult justify(const FrameView& view, const Cube& targets,
                        const AtpgOptions& opt = {});
 
 }  // namespace rfn

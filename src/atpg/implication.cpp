@@ -2,37 +2,31 @@
 
 namespace rfn {
 
-ImplicationEngine::ImplicationEngine(const Netlist& n)
-    : n_(&n),
-      vals_(n.size(), Tri::X),
-      in_queue_(n.size(), 0),
-      fanouts_(fanout_lists(n)) {
-  bool have_consts = false;
-  for (GateId g = 0; g < n.size(); ++g) {
-    if (n.type(g) == GateType::Const0) vals_[g] = Tri::F;
-    if (n.type(g) == GateType::Const1) vals_[g] = Tri::T;
-    have_consts |= n.is_const(g);
-  }
-  if (have_consts) {
-    // Propagate the constant cones up front: gates fed (transitively) by
-    // constants must carry their implied values before any search starts,
-    // otherwise backtrace could chase an X path into a constant.
-    for (GateId g = 0; g < n.size(); ++g) {
-      if (!n.is_const(g)) continue;
-      for (GateId fo : fanouts_[g]) {
-        if (n.is_comb(fo) && !in_queue_[fo]) {
-          in_queue_[fo] = 1;
-          queue_.push_back(fo);
-        }
-      }
-    }
-    const bool ok = propagate();
-    RFN_CHECK(ok, "constant propagation conflict");
+template <class Graph>
+ImplicationEngine<Graph>::ImplicationEngine(const Graph& graph)
+    : g_(&graph), vals_(graph.slots(), Tri::X), in_queue_(graph.slots(), 0) {
+  graph.for_each_const([&](GateId c) {
+    vals_[c] = graph.type(c) == GateType::Const1 ? Tri::T : Tri::F;
+  });
+  // Propagate the constant cones up front: gates fed (transitively) by
+  // constants must carry their implied values before any search starts,
+  // otherwise backtrace could chase an X path into a constant.
+  graph.for_each_const([&](GateId c) { graph.for_each_fanout(c, [&](GateId fo) { enqueue(fo); }); });
+  const bool ok = propagate();
+  RFN_CHECK(ok, "constant propagation conflict");
+}
+
+template <class Graph>
+void ImplicationEngine<Graph>::enqueue(GateId g) {
+  if (is_comb(g) && !in_queue_[g]) {
+    in_queue_[g] = 1;
+    queue_.push_back(g);
   }
 }
 
-Tri ImplicationEngine::forward_value(GateId g) const {
-  const auto& fi = n_->fanins(g);
+template <class Graph>
+Tri ImplicationEngine<Graph>::forward_value(GateId g) const {
+  const auto fi = g_->fanins(g);
   Tri buf[8];
   std::vector<Tri> wide;
   const Tri* vals;
@@ -41,35 +35,29 @@ Tri ImplicationEngine::forward_value(GateId g) const {
     vals = buf;
   } else {
     wide.reserve(fi.size());
-    for (GateId f : fi) wide.push_back(vals_[f]);
+    for (size_t i = 0; i < fi.size(); ++i) wide.push_back(vals_[fi[i]]);
     vals = wide.data();
   }
-  return eval_gate3(n_->type(g), vals, fi.size());
+  return eval_gate3(g_->type(g), vals, fi.size());
 }
 
-bool ImplicationEngine::set_value(GateId g, Tri v) {
+template <class Graph>
+bool ImplicationEngine<Graph>::set_value(GateId g, Tri v) {
   RFN_CHECK(v != Tri::X, "set_value with X");
   if (vals_[g] != Tri::X) return vals_[g] == v;
   vals_[g] = v;
   trail_.push_back(g);
   // Re-examine the driving gate (backward rules may now fire) and all
   // fanout gates (forward rules).
-  if (n_->is_comb(g) && !in_queue_[g]) {
-    in_queue_[g] = 1;
-    queue_.push_back(g);
-  }
-  for (GateId fo : fanouts_[g]) {
-    if (n_->is_comb(fo) && !in_queue_[fo]) {
-      in_queue_[fo] = 1;
-      queue_.push_back(fo);
-    }
-  }
+  enqueue(g);
+  g_->for_each_fanout(g, [&](GateId fo) { enqueue(fo); });
   return true;
 }
 
-bool ImplicationEngine::imply_gate(GateId g) {
-  const GateType t = n_->type(g);
-  const auto& fi = n_->fanins(g);
+template <class Graph>
+bool ImplicationEngine<Graph>::imply_gate(GateId g) {
+  const GateType t = g_->type(g);
+  const auto fi = g_->fanins(g);
   const Tri out = vals_[g];
 
   // Forward: fanins determine the output.
@@ -93,13 +81,14 @@ bool ImplicationEngine::imply_gate(GateId g) {
       const bool conj = t == GateType::And ? v : !v;
       if (conj) {
         // Output of the conjunction is 1: every fanin must be 1.
-        for (GateId f : fi)
-          if (!need(f, true)) return false;
+        for (size_t i = 0; i < fi.size(); ++i)
+          if (!need(fi[i], true)) return false;
       } else {
         // Conjunction is 0: if exactly one fanin is X and the rest are 1,
         // the X fanin must be 0.
         GateId unknown = kNullGate;
-        for (GateId f : fi) {
+        for (size_t i = 0; i < fi.size(); ++i) {
+          const GateId f = fi[i];
           if (vals_[f] == Tri::F) return true;  // already justified
           if (vals_[f] == Tri::X) {
             if (unknown != kNullGate) return true;  // two unknowns: no implication
@@ -115,11 +104,12 @@ bool ImplicationEngine::imply_gate(GateId g) {
     case GateType::Nor: {
       const bool disj = t == GateType::Or ? v : !v;
       if (!disj) {
-        for (GateId f : fi)
-          if (!need(f, false)) return false;
+        for (size_t i = 0; i < fi.size(); ++i)
+          if (!need(fi[i], false)) return false;
       } else {
         GateId unknown = kNullGate;
-        for (GateId f : fi) {
+        for (size_t i = 0; i < fi.size(); ++i) {
+          const GateId f = fi[i];
           if (vals_[f] == Tri::T) return true;
           if (vals_[f] == Tri::X) {
             if (unknown != kNullGate) return true;
@@ -134,24 +124,26 @@ bool ImplicationEngine::imply_gate(GateId g) {
     case GateType::Xor:
     case GateType::Xnor: {
       const bool parity = t == GateType::Xor ? v : !v;  // fanin0 ^ fanin1 == parity
-      const Tri a = vals_[fi[0]], b = vals_[fi[1]];
-      if (a != Tri::X && b == Tri::X) return need(fi[1], (a == Tri::T) != parity);
-      if (b != Tri::X && a == Tri::X) return need(fi[0], (b == Tri::T) != parity);
+      const GateId f0 = fi[0], f1 = fi[1];
+      const Tri a = vals_[f0], b = vals_[f1];
+      if (a != Tri::X && b == Tri::X) return need(f1, (a == Tri::T) != parity);
+      if (b != Tri::X && a == Tri::X) return need(f0, (b == Tri::T) != parity);
       return true;
     }
     case GateType::Mux: {
-      const Tri sel = vals_[fi[0]], d0 = vals_[fi[1]], d1 = vals_[fi[2]];
-      if (sel == Tri::F) return need(fi[1], v);
-      if (sel == Tri::T) return need(fi[2], v);
+      const GateId s = fi[0], f0 = fi[1], f1 = fi[2];
+      const Tri sel = vals_[s], d0 = vals_[f0], d1 = vals_[f1];
+      if (sel == Tri::F) return need(f0, v);
+      if (sel == Tri::T) return need(f1, v);
       // sel unknown: a data input that already disagrees with the output
       // forces the select to the other branch.
       if (d0 != Tri::X && (d0 == Tri::T) != v) {
-        if (!need(fi[0], true)) return false;
-        return need(fi[2], v);
+        if (!need(s, true)) return false;
+        return need(f1, v);
       }
       if (d1 != Tri::X && (d1 == Tri::T) != v) {
-        if (!need(fi[0], false)) return false;
-        return need(fi[1], v);
+        if (!need(s, false)) return false;
+        return need(f0, v);
       }
       return true;
     }
@@ -164,7 +156,8 @@ bool ImplicationEngine::imply_gate(GateId g) {
   return true;
 }
 
-bool ImplicationEngine::propagate() {
+template <class Graph>
+bool ImplicationEngine<Graph>::propagate() {
   while (!queue_.empty()) {
     const GateId g = queue_.front();
     queue_.pop_front();
@@ -181,12 +174,14 @@ bool ImplicationEngine::propagate() {
   return true;
 }
 
-bool ImplicationEngine::assign(GateId g, bool value) {
+template <class Graph>
+bool ImplicationEngine<Graph>::assign(GateId g, bool value) {
   if (!set_value(g, tri_of(value))) return false;
   return propagate();
 }
 
-void ImplicationEngine::undo_to(size_t mark) {
+template <class Graph>
+void ImplicationEngine<Graph>::undo_to(size_t mark) {
   RFN_CHECK(mark <= trail_.size(), "undo_to beyond trail");
   while (trail_.size() > mark) {
     vals_[trail_.back()] = Tri::X;
@@ -196,13 +191,15 @@ void ImplicationEngine::undo_to(size_t mark) {
     checkpoints_.pop_back();
 }
 
-bool ImplicationEngine::justified(GateId g) const {
-  if (!n_->is_comb(g)) return true;
+template <class Graph>
+bool ImplicationEngine<Graph>::justified(GateId g) const {
+  if (!is_comb(g)) return true;
   if (vals_[g] == Tri::X) return true;
   return forward_value(g) == vals_[g];
 }
 
-GateId ImplicationEngine::find_unjustified() const {
+template <class Graph>
+GateId ImplicationEngine<Graph>::find_unjustified() const {
   size_t i = checkpoints_.empty() ? 0 : checkpoints_.back().justified;
   for (; i < trail_.size(); ++i) {
     ++frontier_checks_;
@@ -214,5 +211,14 @@ GateId ImplicationEngine::find_unjustified() const {
     checkpoints_.push_back({trail_.size(), i});
   return i < trail_.size() ? trail_[i] : kNullGate;
 }
+
+template <class Graph>
+size_t ImplicationEngine<Graph>::heap_bytes() const {
+  return vals_.capacity() * sizeof(Tri) + in_queue_.capacity() +
+         trail_.capacity() * sizeof(GateId) + checkpoints_.capacity() * sizeof(Checkpoint);
+}
+
+template class ImplicationEngine<NetlistGraph>;
+template class ImplicationEngine<FrameView>;
 
 }  // namespace rfn

@@ -1,6 +1,6 @@
 #include "atpg/seq_atpg.hpp"
 
-#include "atpg/unroll.hpp"
+#include "atpg/frame_view.hpp"
 #include "core/status.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -31,67 +31,63 @@ SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, const std::vector<Cube>& 
   const size_t k = cubes.size();
   RFN_CHECK(k >= 1, "solve_cycle_cubes with no cycles");
 
-  // Step-boundary should-stop poll before the (potentially large) time-frame
-  // expansion; the justification search polls the same token per backtrack.
+  // Step-boundary should-stop poll before the time-frame view is built; the
+  // justification search polls the same token per backtrack.
   if (should_stop(opt.cancel)) return res;  // status stays Abort
 
   std::vector<std::vector<GateId>> needed(k);
   for (size_t f = 0; f < k; ++f)
     for (const Literal& lit : cubes[f]) needed[f].push_back(lit.signal);
 
-  const Unrolled u = unroll_cone(m, k, needed);
+  const FrameView view(m, needed);
 
-  // Map the cycle cubes into the flat model. Constant-folded literals are
-  // checked immediately; a mismatch with a register's hard initial value (or
-  // a constant) is a definitive Unsat.
-  Cube flat;
+  // Map the cycle cubes onto the view's nodes. A literal on a constant node
+  // (a constant of M, or a register's hard initial value) is checked
+  // immediately; a mismatch is a definitive Unsat.
+  Cube targets;
   for (size_t f = 1; f <= k; ++f) {
     for (const Literal& lit : cubes[f - 1]) {
-      const GateId g = u.at(f, lit.signal);
-      RFN_CHECK(g != kNullGate, "needed signal not materialized");
-      if (u.net.type(g) == GateType::Const0 || u.net.type(g) == GateType::Const1) {
-        if ((u.net.type(g) == GateType::Const1) != lit.value) {
+      const GateId node = view.node(f, lit.signal);
+      RFN_CHECK(node != kNullGate, "needed signal outside the frame cone");
+      const GateType t = view.type(node);
+      if (t == GateType::Const0 || t == GateType::Const1) {
+        if ((t == GateType::Const1) != lit.value) {
           res.status = AtpgStatus::Unsat;
           return res;
         }
         continue;
       }
-      if (!cube_add(flat, {g, lit.value})) {
-        // Two cycle cubes demand opposite values of the same flat net
-        // (aliasing through registers): unsatisfiable.
+      if (!cube_add(targets, {node, lit.value})) {
+        // Two cycle cubes demand opposite values of the same node (aliasing
+        // through registers): unsatisfiable.
         res.status = AtpgStatus::Unsat;
         return res;
       }
     }
   }
 
-  CombAtpgResult comb = justify(u.net, flat, opt);
+  CombAtpgResult comb = justify(view, targets, opt);
   res.status = comb.status;
   res.backtracks = comb.backtracks;
   res.decisions = comb.decisions;
   if (comb.status != AtpgStatus::Sat) return res;
 
-  // Reconstruct the trace cycle by cycle from the flat valuation. Each loop
-  // visits distinct signals, so the cubes are appended without a lookup.
+  // Reconstruct the trace cycle by cycle from the valuation (constant nodes
+  // carry their values there too). Each loop visits distinct signals, so the
+  // cubes are appended without a lookup.
   res.trace.steps.resize(k);
   for (size_t f = 1; f <= k; ++f) {
     TraceStep& step = res.trace.steps[f - 1];
     for (GateId r : m.regs()) {
-      const GateId g = u.at(f, r);
-      if (g == kNullGate) continue;
-      Tri v;
-      if (u.net.type(g) == GateType::Const0)
-        v = Tri::F;
-      else if (u.net.type(g) == GateType::Const1)
-        v = Tri::T;
-      else
-        v = comb.valuation[g];
+      const GateId node = view.node(f, r);
+      if (node == kNullGate) continue;
+      const Tri v = comb.valuation[node];
       if (v != Tri::X) step.state.push_back({r, v == Tri::T});
     }
     for (GateId in : m.inputs()) {
-      const GateId g = u.at(f, in);
-      if (g == kNullGate) continue;
-      const Tri v = comb.valuation[g];
+      const GateId node = view.node(f, in);
+      if (node == kNullGate) continue;
+      const Tri v = comb.valuation[node];
       if (v != Tri::X) step.inputs.push_back({in, v == Tri::T});
     }
   }

@@ -7,6 +7,13 @@
 // its cycle — reporting Sat (with the trace), Unsat, or Abort on resource
 // exhaustion. Guidance (Step 3) and the refinement satisfiability checks
 // (Step 4) are both expressed through the constraint cubes.
+//
+// Each call builds a FrameView of M over k frames restricted to the cubes'
+// cones (frame_view.hpp) and justifies the cubes' literals on its nodes. A
+// literal on a constant node (a constant of M, or a binary-initialized
+// register at cycle 1, directly or through register aliases) is checked
+// before the search; two literals that alias one node with opposite values
+// are Unsat. The trace is read back from the view's valuation.
 
 #include "atpg/comb_atpg.hpp"
 #include "netlist/netlist.hpp"
@@ -16,9 +23,9 @@ namespace rfn {
 struct SeqAtpgResult {
   AtpgStatus status = AtpgStatus::Abort;
   /// Sat only: a k-cycle trace. Each step's state cube assigns every
-  /// materialized register (binary-initialized registers at cycle 1 take
-  /// their initial value); the input cubes assign the inputs the search
-  /// constrained.
+  /// register of that cycle's cone the search determined (binary-initialized
+  /// registers at cycle 1 take their initial value); the input cubes assign
+  /// the inputs the search constrained.
   Trace trace;
   uint64_t backtracks = 0;
   uint64_t decisions = 0;

@@ -264,9 +264,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   std::sort(included.begin(), included.end());
   result.final_registers = std::move(included);
   result.final_abstract_regs = result.final_registers.size();
-  result.seconds = deadline.elapsed_seconds();
-  result.cpu_seconds =
-      static_cast<double>(prof::thread_cpu_ns() - run_cpu0) * 1e-9;
   if (hooks.order_io != nullptr) *hooks.order_io = std::move(saved_order);
 
   // Joining the monitor thread is the happens-before edge for reading the
@@ -285,6 +282,15 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       result.note = "budget exceeded: " + result.budget_trip.reason;
     }
   }
+  result.cpu_seconds =
+      static_cast<double>(prof::thread_cpu_ns() - run_cpu0) * 1e-9;
+  // The run's wall time and its rfn.run span end together, after the
+  // watchdog join and with no system call between them (a loaded machine
+  // may deschedule the thread on any return from the kernel): both
+  // measure one interval.
+  run_span.annotate("verdict", to_string(result.verdict));
+  result.seconds = deadline.elapsed_seconds();
+  run_span.end();
 
   MetricsRegistry& reg = MetricsRegistry::global();
   reg.counter("rfn.runs").add(1);
@@ -297,7 +303,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       reg.counter("rfn.verdict.resource_out").add(1);
       break;
   }
-  run_span.annotate("verdict", to_string(result.verdict));
   return result;
 }
 

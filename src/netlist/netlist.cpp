@@ -83,12 +83,6 @@ GateId Netlist::add(GateType type, std::span<const GateId> fanins, Tri init) {
   return id;
 }
 
-void Netlist::reserve(size_t cells, size_t fanins) {
-  kinds_.reserve(kinds_.size() + cells);
-  ends_.reserve(ends_.size() + cells);
-  pool_.reserve(pool_.size() + fanins);
-}
-
 void Netlist::set_reg_data(GateId reg, GateId data) {
   RFN_CHECK(is_reg(reg), "set_reg_data on non-register %u", reg);
   RFN_CHECK(data < size(), "dangling data fanin %u", data);

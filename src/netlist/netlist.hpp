@@ -84,9 +84,8 @@ struct Trace {
 /// the cell's id) costs one byte of kind (type and register initial value)
 /// and one 4-byte pool offset, and the fanin lists of all cells sit back to
 /// back in one pool, in cell order: cell g's fanins end where cell g+1's
-/// begin. A design therefore costs 5 B per cell plus 4 B per fanin (a
-/// million-gate time-frame expansion averages about 14 B per gate), and
-/// adding a cell allocates nothing once reserve() has sized the vectors.
+/// begin. A design therefore costs 5 B per cell plus 4 B per fanin, with
+/// no heap block per cell.
 ///
 /// Lifetime rule: fanins(g) is a view into the pool. add() may reallocate
 /// the pool and so invalidates every view of this netlist; set_reg_data()
@@ -106,10 +105,6 @@ class Netlist {
   /// Same, from any contiguous fanin list (it may be a view of this
   /// netlist's own fanins).
   GateId add(GateType type, std::span<const GateId> fanins, Tri init = Tri::F);
-
-  /// Pre-sizes storage for `cells` more cells with `fanins` more fanins in
-  /// total, so the adds that follow never reallocate.
-  void reserve(size_t cells, size_t fanins);
 
   /// Rebinds a register's data input. Registers are created before their
   /// next-state logic exists (sequential loops), so the data fanin is

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/comb_atpg.hpp"
-#include "atpg/unroll.hpp"
+#include "atpg/frame_view.hpp"
 #include "bdd/bdd.hpp"
 #include "core/plain_mc.hpp"
 #include "core/rfn.hpp"
@@ -67,19 +67,26 @@ TEST(EdgeCases, PlainMcOnSingleRegister) {
             Verdict::Holds);
 }
 
-TEST(EdgeCases, UnrollFullMaterializesEverything) {
+TEST(EdgeCases, FrameViewOfEverySignalResolvesEverything) {
   NetBuilder b;
   const GateId in = b.input("in");
   const GateId r = b.reg("r");
-  b.set_next(r, b.xor_(r, in));
+  const GateId next = b.xor_(r, in);
+  b.set_next(r, next);
   Netlist m = b.take();
-  const Unrolled u = unroll_full(m, 3);
+  std::vector<GateId> all;
+  for (GateId g = 0; g < m.size(); ++g) all.push_back(g);
+  const FrameView v(m, std::vector<std::vector<GateId>>(3, all));
   for (size_t f = 1; f <= 3; ++f) {
-    EXPECT_NE(u.at(f, in), kNullGate);
-    EXPECT_NE(u.at(f, r), kNullGate);
+    EXPECT_NE(v.node(f, in), kNullGate);
+    EXPECT_NE(v.node(f, r), kNullGate);
   }
   // Frame 1 register is the init constant; later frames alias comb nets.
-  EXPECT_EQ(u.net.type(u.at(1, r)), GateType::Const0);
+  EXPECT_EQ(v.type(v.node(1, r)), GateType::Const0);
+  EXPECT_EQ(v.node(2, r), v.node(1, next));
+  EXPECT_EQ(v.node(3, r), v.node(2, next));
+  // Every cell in every frame but the two aliased registers is a node.
+  EXPECT_EQ(v.cone_nodes(), 3 * m.size() - 2);
 }
 
 TEST(EdgeCases, JustifyEmptyTargetIsTriviallySat) {

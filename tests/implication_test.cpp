@@ -19,7 +19,8 @@ TEST(Implication, ForwardPropagation) {
   const GateId g = b.and_(a, c);
   const GateId h = b.or_(g, a);
   Netlist n = b.take();
-  ImplicationEngine eng(n);
+  const NetlistGraph graph(n);
+  ImplicationEngine eng(graph);
   EXPECT_TRUE(eng.assign(a, true));
   EXPECT_EQ(eng.value(g), Tri::X);
   EXPECT_EQ(eng.value(h), Tri::T);  // or(x, 1) = 1
@@ -33,7 +34,8 @@ TEST(Implication, BackwardAndRule) {
   const GateId c = b.input("c");
   const GateId g = b.and_(a, c);
   Netlist n = b.take();
-  ImplicationEngine eng(n);
+  const NetlistGraph graph(n);
+  ImplicationEngine eng(graph);
   // and = 1 forces both fanins to 1.
   EXPECT_TRUE(eng.assign(g, true));
   EXPECT_EQ(eng.value(a), Tri::T);
@@ -46,7 +48,8 @@ TEST(Implication, BackwardLastXFanin) {
   const GateId c = b.input("c");
   const GateId g = b.and_(a, c);
   Netlist n = b.take();
-  ImplicationEngine eng(n);
+  const NetlistGraph graph(n);
+  ImplicationEngine eng(graph);
   EXPECT_TRUE(eng.assign(g, false));
   EXPECT_EQ(eng.value(a), Tri::X);  // two unknowns: no implication yet
   EXPECT_TRUE(eng.assign(a, true));
@@ -59,7 +62,8 @@ TEST(Implication, XorBothDirections) {
   const GateId c = b.input("c");
   const GateId g = b.xor_(a, c);
   Netlist n = b.take();
-  ImplicationEngine eng(n);
+  const NetlistGraph graph(n);
+  ImplicationEngine eng(graph);
   EXPECT_TRUE(eng.assign(g, true));
   EXPECT_TRUE(eng.assign(a, true));
   EXPECT_EQ(eng.value(c), Tri::F);
@@ -73,7 +77,8 @@ TEST(Implication, MuxBackward) {
   const GateId g = b.mux(s, d0, d1);
   Netlist n = b.take();
   {
-    ImplicationEngine eng(n);
+    const NetlistGraph graph(n);
+    ImplicationEngine eng(graph);
     EXPECT_TRUE(eng.assign(g, true));
     EXPECT_TRUE(eng.assign(s, false));
     EXPECT_EQ(eng.value(d0), Tri::T);
@@ -81,7 +86,8 @@ TEST(Implication, MuxBackward) {
   }
   {
     // Output 1 with d0=0 forces the select to 1 and d1 to 1.
-    ImplicationEngine eng(n);
+    const NetlistGraph graph(n);
+    ImplicationEngine eng(graph);
     EXPECT_TRUE(eng.assign(g, true));
     EXPECT_TRUE(eng.assign(d0, false));
     EXPECT_EQ(eng.value(s), Tri::T);
@@ -94,7 +100,8 @@ TEST(Implication, ConflictDetection) {
   const GateId a = b.input("a");
   const GateId g = b.not_(a);
   Netlist n = b.take();
-  ImplicationEngine eng(n);
+  const NetlistGraph graph(n);
+  ImplicationEngine eng(graph);
   EXPECT_TRUE(eng.assign(a, true));
   EXPECT_EQ(eng.value(g), Tri::F);
   EXPECT_FALSE(eng.assign(g, true));
@@ -106,7 +113,8 @@ TEST(Implication, TrailUndoRestoresX) {
   const GateId c = b.input("c");
   const GateId g = b.and_(a, c);
   Netlist n = b.take();
-  ImplicationEngine eng(n);
+  const NetlistGraph graph(n);
+  ImplicationEngine eng(graph);
   const size_t m0 = eng.mark();
   EXPECT_TRUE(eng.assign(g, true));
   EXPECT_EQ(eng.value(a), Tri::T);
@@ -123,7 +131,8 @@ TEST(Implication, JustificationFrontier) {
   const GateId c = b.input("c");
   const GateId g = b.or_(a, c);
   Netlist n = b.take();
-  ImplicationEngine eng(n);
+  const NetlistGraph graph(n);
+  ImplicationEngine eng(graph);
   EXPECT_TRUE(eng.assign(g, true));
   // or=1 with both inputs X is unjustified.
   EXPECT_FALSE(eng.justified(g));
@@ -137,7 +146,7 @@ TEST(Implication, JustificationFrontier) {
 // Under random assign/undo_to sequences (conflicting assigns included) it
 // must name exactly the gate a full rescan of the trail names.
 TEST(Implication, IncrementalFrontierMatchesRescan) {
-  const auto rescan = [](const ImplicationEngine& eng) {
+  const auto rescan = [](const ImplicationEngine<NetlistGraph>& eng) {
     for (GateId g : eng.trail())
       if (!eng.justified(g)) return g;
     return kNullGate;
@@ -146,7 +155,8 @@ TEST(Implication, IncrementalFrontierMatchesRescan) {
   for (int round = 0; round < 60; ++round) {
     const Netlist n = random_netlist(rng, 2 + rng.below(6), rng.below(5),
                                      20 + static_cast<int>(rng.below(60)));
-    ImplicationEngine eng(n);
+    const NetlistGraph graph(n);
+    ImplicationEngine eng(graph);
     std::vector<size_t> marks;  // marks of the live assignments, increasing
     for (int step = 0; step < 150; ++step) {
       if (!marks.empty() && rng.below(4) == 0) {

@@ -1,6 +1,7 @@
 #pragma once
 // Seeded random sequential netlists for the property and fuzz tests.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -10,14 +11,19 @@
 namespace rfn {
 
 /// Random sequential netlist whose last gate is exported as the property
-/// signal `bad`. All registers are binary-initialized so every engine agrees
-/// on the (single) initial state.
-inline Netlist random_netlist(Rng& rng, size_t nins, size_t nregs, int gates) {
+/// signal `bad`. By default all registers are binary-initialized so every
+/// engine agrees on the (single) initial state; with `x_init` each register
+/// powers up 0, 1 or X with equal odds. A register's next state is one of
+/// the last eight cells made, so with few gates registers feed registers.
+inline Netlist random_netlist(Rng& rng, size_t nins, size_t nregs, int gates,
+                              bool x_init = false) {
   NetBuilder b;
   std::vector<GateId> regs, pool;
   for (size_t i = 0; i < nins; ++i) pool.push_back(b.input("i" + std::to_string(i)));
   for (size_t i = 0; i < nregs; ++i) {
-    regs.push_back(b.reg("r" + std::to_string(i), rng.flip() ? Tri::F : Tri::T));
+    static constexpr Tri kInits[] = {Tri::F, Tri::T, Tri::X};
+    const Tri init = x_init ? kInits[rng.below(3)] : (rng.flip() ? Tri::F : Tri::T);
+    regs.push_back(b.reg("r" + std::to_string(i), init));
     pool.push_back(regs.back());
   }
   for (int i = 0; i < gates; ++i) {
@@ -32,7 +38,8 @@ inline Netlist random_netlist(Rng& rng, size_t nins, size_t nregs, int gates) {
       case 4: pool.push_back(b.mux(x, y, z)); break;
     }
   }
-  for (GateId r : regs) b.set_next(r, pool[pool.size() - 1 - rng.below(8)]);
+  for (GateId r : regs)
+    b.set_next(r, pool[pool.size() - 1 - rng.below(std::min<size_t>(8, pool.size()))]);
   b.output("bad", pool.back());
   return b.take();
 }

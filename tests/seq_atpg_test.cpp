@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "atpg/implication.hpp"
-#include "atpg/unroll.hpp"
+#include "atpg/frame_view.hpp"
 #include "designs/builtin.hpp"
 #include "designs/processor.hpp"
 #include "netlist/builder.hpp"
@@ -49,15 +49,22 @@ TEST(Unroll, CounterAliasesAndInitConstants) {
 
   std::vector<std::vector<GateId>> needed(6);
   needed[5] = {at5};
-  const Unrolled u = unroll_cone(n, 6, needed);
-  // Frame-1 registers are constants (binary init).
+  const FrameView v(n, needed);
   for (size_t i = 0; i < 3; ++i) {
-    const GateId g = u.at(1, cnt[i]);
+    // Frame-1 registers are constants (binary init).
+    const GateId g = v.node(1, cnt[i]);
     ASSERT_NE(g, kNullGate);
-    EXPECT_EQ(u.net.type(g), GateType::Const0);
+    EXPECT_EQ(v.type(g), GateType::Const0);
+    // A later frame's register is its data net one frame earlier.
+    for (size_t f = 2; f <= 6; ++f) {
+      const GateId alias = v.node(f, cnt[i]);
+      ASSERT_NE(alias, kNullGate);
+      EXPECT_EQ(alias, v.node(f - 1, n.reg_data(cnt[i])));
+    }
   }
-  // The target signal exists in the last frame.
-  EXPECT_NE(u.at(6, at5), kNullGate);
+  // The target signal exists in the last frame only.
+  EXPECT_NE(v.node(6, at5), kNullGate);
+  EXPECT_EQ(v.node(5, at5), kNullGate);
 }
 
 TEST(Unroll, ConeRestrictionSkipsUnneededFrames) {
@@ -70,12 +77,16 @@ TEST(Unroll, ConeRestrictionSkipsUnneededFrames) {
   Netlist n = b.take();
   std::vector<std::vector<GateId>> needed(3);
   needed[2] = {r};
-  const Unrolled u = unroll_cone(n, 3, needed);
+  const FrameView v(n, needed);
   // `other` is never needed.
-  for (size_t f = 1; f <= 3; ++f) EXPECT_EQ(u.at(f, other), kNullGate);
-  // r needed at frame 3 -> in needed at frame 2 only.
-  EXPECT_EQ(u.at(3, in), kNullGate);
-  EXPECT_NE(u.at(2, in), kNullGate);
+  for (size_t f = 1; f <= 3; ++f) EXPECT_EQ(v.node(f, other), kNullGate);
+  // r needed at frame 3 -> in needed at frame 2 only; r@3 is in@2.
+  EXPECT_EQ(v.node(3, in), kNullGate);
+  EXPECT_NE(v.node(2, in), kNullGate);
+  EXPECT_EQ(v.node(3, r), v.node(2, in));
+  EXPECT_EQ(v.node(1, in), kNullGate);
+  // Nodes: r@3 is an alias, so only in@2 is one.
+  EXPECT_EQ(v.cone_nodes(), 1u);
 }
 
 TEST(SeqAtpg, CounterReachesFive) {
@@ -259,22 +270,113 @@ std::vector<SearchPin> seq_trajectories() {
   return out;
 }
 
-// Memory guard for Step-3 concretization: the flat model of the paper-scale
-// processor's error_flag cone over 28 frames (the depth of its error trace)
-// is about a million gates, so the bytes each flat gate and each fanout
-// entry cost decide the verifier's peak RSS.
+// Memory guard for Step-3 concretization: the paper-scale processor's
+// error_flag cone over 28 frames (the depth of its error trace) has about a
+// million (frame, gate) nodes, so the bytes the view and an implication
+// engine over it spend per node decide the verifier's peak RSS.
 TEST(Unroll, PaperScaleErrorFlagConeStaysCompact) {
   const designs::ProcessorDesign d = designs::make_processor(designs::paper_scale_processor());
   constexpr size_t kFrames = 28;
   std::vector<std::vector<GateId>> needed(kFrames);
   needed.back() = {d.error_flag};
-  const Unrolled u = unroll_cone(d.netlist, kFrames, needed);
-  ASSERT_GE(u.net.size(), 500000u);
-  EXPECT_LE(u.net.heap_bytes(), 16 * u.net.size());
+  const FrameView v(d.netlist, needed);
+  ASSERT_GE(v.cone_nodes(), 500000u);
+  EXPECT_LE(v.heap_bytes(), 2 * v.cone_nodes());
 
-  const ImplicationEngine eng(u.net);
-  ASSERT_GE(eng.fanouts().edges.size(), u.net.size());
-  EXPECT_LE(eng.fanouts().heap_bytes(), 16 * eng.fanouts().edges.size());
+  const ImplicationEngine eng(v);
+  EXPECT_LE(eng.heap_bytes(), 8 * v.cone_nodes());
+}
+
+// Oracle for the view on random netlists with X-initialized registers and
+// register-to-register chains, at depths 1-5. Cycle cubes are read off a
+// random simulation, one literal sometimes flipped: every Sat trace must
+// replay through Sim3 and meet every cube, and every Unsat must agree with
+// an exhaustive simulation of all initial states and input sequences.
+TEST(SeqAtpg, RandomViewsAgreeWithExhaustiveSimulation) {
+  Rng rng(20261019);
+  size_t sat = 0, unsat = 0;
+  for (int round = 0; round < 300; ++round) {
+    const Netlist n = random_netlist(rng, 1 + rng.below(2), 2 + rng.below(3),
+                                     static_cast<int>(rng.below(16)), /*x_init=*/true);
+    const size_t k = 1 + rng.below(5);
+    std::vector<GateId> xregs;
+    for (GateId r : n.regs())
+      if (n.reg_init(r) == Tri::X) xregs.push_back(r);
+
+    // Simulates one run: bit i of `xbits` initializes xregs[i], bit
+    // (c * inputs + j) of `inbits` drives input j in cycle c. Returns the
+    // value of every signal in every cycle.
+    const auto simulate = [&](uint64_t xbits, uint64_t inbits) {
+      Sim3 sim(n);
+      sim.load_initial_state();
+      for (size_t i = 0; i < xregs.size(); ++i) sim.set(xregs[i], tri_of((xbits >> i) & 1));
+      std::vector<std::vector<Tri>> vals(k);
+      for (size_t c = 0; c < k; ++c) {
+        for (size_t j = 0; j < n.num_inputs(); ++j)
+          sim.set(n.inputs()[j], tri_of((inbits >> (c * n.num_inputs() + j)) & 1));
+        sim.eval();
+        for (GateId g = 0; g < n.size(); ++g) vals[c].push_back(sim.value(g));
+        sim.step();
+      }
+      return vals;
+    };
+    const uint64_t xcount = uint64_t{1} << xregs.size();
+    const uint64_t incount = uint64_t{1} << (k * n.num_inputs());
+
+    const auto run = simulate(rng.below(xcount), rng.below(incount));
+    std::vector<Cube> cubes(k);
+    for (size_t c = 0; c < k; ++c)
+      for (size_t i = rng.below(3); i > 0; --i) {
+        const GateId g = static_cast<GateId>(rng.below(n.size()));
+        cube_add(cubes[c], {g, run[c][g] == Tri::T});
+      }
+    if (rng.flip()) {
+      const GateId g = static_cast<GateId>(rng.below(n.size()));
+      Cube& last = cubes[rng.below(k)];
+      const Tri old = cube_lookup(last, g);
+      if (old != Tri::X) std::erase(last, Literal{g, old == Tri::T});
+      cube_add(last, {g, old != Tri::T});
+    }
+    const auto meets = [&](const std::vector<std::vector<Tri>>& vals) {
+      for (size_t c = 0; c < k; ++c)
+        for (const Literal& lit : cubes[c])
+          if (vals[c][lit.signal] != tri_of(lit.value)) return false;
+      return true;
+    };
+
+    const SeqAtpgResult res = solve_cycle_cubes(n, cubes);
+    ASSERT_NE(res.status, AtpgStatus::Abort) << "round " << round;
+    if (res.status == AtpgStatus::Sat) {
+      ++sat;
+      // Replay: X-init registers take the trace's first state, every input
+      // the trace leaves open stays X.
+      ASSERT_EQ(res.trace.steps.size(), k);
+      Sim3 sim(n);
+      sim.load_initial_state();
+      for (const Literal& lit : res.trace.steps[0].state) sim.set(lit.signal, tri_of(lit.value));
+      for (size_t c = 0; c < k; ++c) {
+        sim.clear_inputs();
+        sim.set_cube(res.trace.steps[c].inputs);
+        sim.eval();
+        for (const Literal& lit : cubes[c])
+          EXPECT_EQ(sim.value(lit.signal), tri_of(lit.value))
+              << "round " << round << " cycle " << c + 1 << " signal " << lit.signal;
+        for (const Literal& lit : res.trace.steps[c].state)
+          EXPECT_EQ(sim.value(lit.signal), tri_of(lit.value))
+              << "round " << round << " cycle " << c + 1 << " register " << lit.signal;
+        sim.step();
+      }
+    } else {
+      ++unsat;
+      for (uint64_t x = 0; x < xcount; ++x)
+        for (uint64_t in = 0; in < incount; ++in)
+          ASSERT_FALSE(meets(simulate(x, in)))
+              << "round " << round << ": Unsat, but a run meets every cube";
+    }
+  }
+  // Both outcomes occur often enough to mean something (247 and 53).
+  EXPECT_GE(sat, 100u);
+  EXPECT_GE(unsat, 20u);
 }
 
 // Recorded before the J-frontier became incremental and the trace rebuild

@@ -114,12 +114,14 @@ job_sanitize() { # <thread|address,undefined>
   local dir="build-ci-sanitize-${san//,/-}"
   note "sanitize ($san)"
   build_and_test "$dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRFN_SANITIZE="$san"
-  # Netlist fanins and CSR fanouts are views into shared pools: the suites
-  # that build, unroll and walk them (ATPG, min-cut) run once more by name.
-  note "sanitize ($san): netlist storage suites"
+  # Netlist fanins and CSR fanouts are views into shared pools, and the
+  # time-frame view indexes (frame, gate) nodes by shifted ids: the suites
+  # that build and walk them (ATPG over netlists and frame views, min-cut)
+  # run once more by name.
+  note "sanitize ($san): netlist storage and frame view suites"
   local t
   for t in netlist_test analysis_test implication_test comb_atpg_test \
-           seq_atpg_test mincut_test; do
+           seq_atpg_test edge_cases_test mincut_test; do
     "./$dir/tests/$t"
   done
   # A budgeted, certified run per builtin design must finish conclusive
