@@ -196,7 +196,7 @@ void export_run_counters(benchmark::State& state) {
   state.counters["bdd_peak_nodes"] = s.value("bdd.peak_live_nodes.max");
   // Byte-exact arena peak (see util/prof and DESIGN.md "Resource
   // profiling"). Informational in the per-bench counters — the CI byte gate
-  // runs on rfn-prof-v1 artifacts from deterministic CLI runs
+  // runs on the batch summaries of deterministic CLI runs
   // (tools/bench_gate.py --prof-baseline), not on these.
   state.counters["bdd_peak_heap_bytes"] = s.value("bdd.heap_bytes.max");
 }

@@ -9,6 +9,7 @@
 
 #include "cert/format.hpp"
 #include "util/log.hpp"
+#include "util/prof.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rfn::api {
@@ -672,6 +673,7 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   // so server-mode summary metrics are process-cumulative, not per-request
   // (documented in DESIGN.md §15).
   out->baseline = MetricsRegistry::global().snapshot();
+  const int64_t cpu0 = prof::process_cpu_ns();
   const Stopwatch watch;
   VerifySession session(design.netlist, sopt);
   out->results = session.run(props);
@@ -700,7 +702,10 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
       for (const PropertyResult& r : out->results) write_property(r);
     for (const CertificateRecord& rec : out->cert_records)
       sink->record(certificate_json(rec));
-    sink->record(batch_summary_json(out->results, out->seconds, &out->baseline,
+    const double cpu_ms =
+        static_cast<double>(prof::process_cpu_ns() - cpu0) * 1e-6;
+    sink->record(batch_summary_json(out->results, out->seconds, cpu_ms,
+                                    &out->baseline,
                                     do_certify ? &out->cert_records : nullptr));
   }
 

@@ -264,7 +264,7 @@ struct RunOutput {
   std::vector<CertificateArtifact> cert_artifacts;
   double seconds = 0.0;
   /// Metrics snapshot taken when the run started (scopes the batch-summary
-  /// metrics dump and the CLI's --prof-json epilogue).
+  /// metrics dump and the CLI's engine table).
   MetricsSnapshot baseline;
 };
 

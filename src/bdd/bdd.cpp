@@ -15,7 +15,7 @@ void publish_bdd_metrics(const BddStats& s) {
   m.counter("bdd.cache_hits").add(s.cache_hits);
   m.gauge("bdd.peak_live_nodes").record_max(static_cast<int64_t>(s.peak_live_nodes));
   // Arena bytes: level = this manager's footprint, max = the largest any
-  // manager reached this run (rfn-prof-v1's bdd.peak_bytes).
+  // manager reached (the batch summary's bdd.heap_bytes max).
   m.gauge("bdd.heap_bytes").set(static_cast<int64_t>(s.heap_bytes));
   m.gauge("bdd.heap_bytes").record_max(static_cast<int64_t>(s.heap_peak_bytes));
 }

@@ -97,15 +97,11 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   wd_opt.wall_budget_s = opt.budget_ms > 0.0 ? opt.budget_ms * 1e-3 : -1.0;
   wd_opt.bdd_node_budget = opt.budget_bdd_nodes;
   wd_opt.mem_budget_mb = opt.budget_mem_mb;
-  wd_opt.sample_rss = opt.sample_rss;
   Watchdog watchdog(wd_opt, &run_token);
   const bool budgeted = wd_opt.wall_budget_s > 0.0 ||
                         wd_opt.bdd_node_budget > 0 || wd_opt.mem_budget_mb > 0;
   const CancelToken* cancel = budgeted ? &run_token : opt.cancel;
-  // With sample_rss but no budget the monitor thread still runs, purely as
-  // the profiler's RSS sampler: it can never trip, so cancellation stays on
-  // the caller's token.
-  if (budgeted || wd_opt.sample_rss) watchdog.start();
+  if (budgeted) watchdog.start();
 
   for (size_t iter = 0; iter < opt.max_iterations; ++iter) {
     if (deadline.expired()) {

@@ -52,10 +52,6 @@ struct RfnOptions {
   double budget_ms = -1.0;
   int64_t budget_bdd_nodes = 0;
   int64_t budget_mem_mb = 0;
-  /// Sample RSS into prof::RssLog on every watchdog poll even when no
-  /// memory budget is set — the monitor thread then runs purely as the
-  /// profiler's sampler (rfn_cli --prof-json sets this).
-  bool sample_rss = false;
 
   /// Checks the options for consistency and returns human-readable errors
   /// (empty = valid) instead of clamping silently at run time. Front doors

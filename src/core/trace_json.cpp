@@ -1,6 +1,7 @@
 #include "core/trace_json.hpp"
 
 #include "util/metrics.hpp"
+#include "util/prof.hpp"
 
 namespace rfn {
 
@@ -105,7 +106,7 @@ json::Value certificate_json(const CertificateRecord& r) {
 }
 
 json::Value batch_summary_json(const std::vector<PropertyResult>& results,
-                               double seconds,
+                               double seconds, double cpu_ms,
                                const MetricsSnapshot* baseline,
                                const std::vector<CertificateRecord>* certificates) {
   using json::Value;
@@ -138,6 +139,8 @@ json::Value batch_summary_json(const std::vector<PropertyResult>& results,
     o.set("certificates", std::move(certs));
   }
   o.set("seconds", seconds);
+  o.set("cpu_ms", cpu_ms);
+  o.set("peak_rss_bytes", prof::peak_rss_bytes());
   o.set("metrics", MetricsRegistry::global().to_json(baseline));
   return o;
 }

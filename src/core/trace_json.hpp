@@ -34,7 +34,7 @@
 //    "properties":..,
 //    "verdicts":{"T":..,"F":..,"?":..,"resource-out":..},
 //    ["certificates":{"ok":..,"failed":..},]
-//    "seconds":..,
+//    "seconds":..,"cpu_ms":..,"peak_rss_bytes":..,
 //    "metrics":{<MetricsRegistry::to_json(run baseline)>}}
 //
 // Each property record is followed by the iteration records of its run,
@@ -43,6 +43,14 @@
 // "none" when Step 3 did not run (no abstract error trace: trace_cycles 0).
 // "metrics" is serialized relative to the snapshot taken when the run
 // started, so two runs in one process do not conflate.
+//
+// The batch summary is where a run reports what it cost: "seconds" is the
+// batch's wall time and "cpu_ms" the process CPU over the same interval
+// (api::run_verify, certification included); "peak_rss_bytes" is the
+// process's resident-set high-water mark (getrusage ru_maxrss), and the
+// BDD arena's peak bytes are metrics.gauges["bdd.heap_bytes"].max. Under
+// rfn_serve, where requests share one process, "cpu_ms" and
+// "peak_rss_bytes" are process-wide, not per request.
 
 #include <string>
 #include <vector>
@@ -81,10 +89,11 @@ json::Value certificate_json(const CertificateRecord& r);
 
 /// The batch-summary record (`"type":"batch-summary"`): verdict counts over
 /// `results`, certificate ok/failed counts when `certificates` is non-null,
-/// and the metrics dump against `baseline`. The last record of every
-/// rfn-trace-v2 document (api::run_verify writes it).
+/// the batch's wall `seconds` and process `cpu_ms`, the process's peak RSS
+/// read now, and the metrics dump against `baseline`. The last record of
+/// every rfn-trace-v2 document (api::run_verify writes it).
 json::Value batch_summary_json(const std::vector<PropertyResult>& results,
-                               double seconds,
+                               double seconds, double cpu_ms,
                                const MetricsSnapshot* baseline = nullptr,
                                const std::vector<CertificateRecord>* certificates = nullptr);
 

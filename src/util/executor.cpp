@@ -1,7 +1,6 @@
 #include "util/executor.hpp"
 
 #include "util/metrics.hpp"
-#include "util/prof.hpp"
 
 namespace rfn {
 
@@ -20,15 +19,9 @@ Executor::~Executor() {
   for (std::thread& t : threads_) t.join();
 }
 
-void Executor::run_task(std::function<void()>& fn) {
-  const int64_t cpu0 = prof::thread_cpu_ns();
-  fn();
-  cpu_ns_.fetch_add(prof::thread_cpu_ns() - cpu0, std::memory_order_relaxed);
-}
-
 void Executor::submit(std::function<void()> fn) {
   if (threads_.empty()) {
-    run_task(fn);
+    fn();
     return;
   }
   // Metrics binding travels with the task: a worker records into the
@@ -58,7 +51,7 @@ void Executor::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    run_task(job);
+    job();
   }
 }
 

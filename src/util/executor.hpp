@@ -8,17 +8,13 @@
 // which is what lets a session degrade to plain sequential execution — same
 // code path, no threads, deterministic order.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/cancel.hpp"
 
 namespace rfn {
 
@@ -36,24 +32,14 @@ class Executor {
   /// Enqueues `fn` (runs it before returning when the pool has no workers).
   void submit(std::function<void()> fn);
 
-  /// Total thread-CPU seconds consumed by submitted tasks so far — each
-  /// task's CLOCK_THREAD_CPUTIME_ID delta, accumulated whether it ran on a
-  /// worker or inline. Monotone; read at quiescent points (after the jobs
-  /// whose cost you want have finished) for exact attribution.
-  double cpu_seconds() const {
-    return static_cast<double>(cpu_ns_.load(std::memory_order_relaxed)) * 1e-9;
-  }
-
  private:
   void worker_loop();
-  void run_task(std::function<void()>& fn);
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
   std::vector<std::thread> threads_;
-  std::atomic<int64_t> cpu_ns_{0};
 };
 
 }  // namespace rfn

@@ -16,8 +16,8 @@
 //
 // Snapshots flatten the registry into name -> double for delta arithmetic
 // (per-bench counters, per-test assertions) and to_json()
-// serializes the whole registry for `rfn --metrics`, the per-run summary
-// object of the JSON event trace, and the bench regression gate.
+// serializes the whole registry for the batch summary of the JSON event
+// trace and the bench regression gate.
 
 #include <atomic>
 #include <cstdint>

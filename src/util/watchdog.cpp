@@ -11,7 +11,7 @@ namespace rfn {
 
 void Watchdog::start() {
   if (opt_.wall_budget_s <= 0.0 && opt_.bdd_node_budget <= 0 &&
-      opt_.mem_budget_mb <= 0 && !opt_.sample_rss)
+      opt_.mem_budget_mb <= 0)
     return;
   started_ = true;
   // The monitor inherits the starter's metrics binding so its trip/poll
@@ -47,13 +47,8 @@ void Watchdog::run() {
 
     const double elapsed = watch.seconds();
     const int64_t nodes = bdd_nodes_.load(std::memory_order_relaxed);
-    // RSS is a syscall-backed read, so it only happens when something
-    // consumes it: the memory budget, or the profiler's timeline.
-    int64_t rss = 0;
-    if (opt_.mem_budget_mb > 0 || opt_.sample_rss) {
-      rss = prof::read_rss_bytes();
-      prof::RssLog::global().record(rss);
-    }
+    // RSS is a syscall-backed read, so only the memory budget pays for it.
+    const int64_t rss = opt_.mem_budget_mb > 0 ? prof::read_rss_bytes() : 0;
     const char* reason = nullptr;
     if (opt_.wall_budget_s > 0.0 && elapsed >= opt_.wall_budget_s)
       reason = "wall-budget";

@@ -10,9 +10,7 @@
 // atomic probe the BDD manager publishes (BddMgr::set_live_node_probe);
 // the watchdog never touches manager internals, so there is no data race
 // with the allocator (TSan-clean by construction). The memory budget reads
-// process RSS (util/prof's /proc/self/statm reader) each poll; the same
-// poll feeds the profiler's RSS timeline (prof::RssLog) when sampling is
-// requested, so --prof-json gets its timeline for free on budgeted runs.
+// process RSS (util/prof's /proc/self/statm reader) each poll.
 //
 // Lifecycle: construct with budgets + victim token, start(), and stop()
 // (idempotent, also run by the destructor) before reading trip state or
@@ -33,9 +31,6 @@ struct WatchdogOptions {
   double wall_budget_s = -1.0;    // <= 0: no wall budget
   int64_t bdd_node_budget = 0;    // <= 0: no node budget
   int64_t mem_budget_mb = 0;      // <= 0: no RSS budget
-  /// Sample RSS into prof::RssLog each poll even with no budget set — the
-  /// monitor thread then runs purely as the profiler's sampler.
-  bool sample_rss = false;
   double poll_interval_s = 0.01;
 };
 
@@ -49,8 +44,7 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  /// Spawns the monitor thread. No-op when no budget is set and RSS
-  /// sampling was not requested.
+  /// Spawns the monitor thread. No-op when no budget is set.
   void start();
   /// Joins the monitor thread; idempotent.
   void stop();

@@ -259,8 +259,9 @@ TEST(TraceJson, CliGoldenSchema) {
 TEST(TraceJson, CliRejectsRemovedFlags) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
   const std::string out = ::testing::TempDir() + "/removed_flag.out";
-  for (const char* flag : {"--cert-out x.json", "--aiger-witness x.wit",
-                           "--batch"}) {
+  for (const char* flag :
+       {"--cert-out x.json", "--aiger-witness x.wit", "--batch",
+        "--prof-json x.json", "--prof-folded x.folded", "--metrics"}) {
     const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
                             " --bad bad_q " + flag + " > /dev/null 2> " + out;
     const int rc = std::system(cmd.c_str());

@@ -1,14 +1,12 @@
-// Resource-profiler tests (util/prof and its consumers): CPU clock
-// monotonicity, byte-exact arena accounting in the BDD manager (tracked ==
-// recomputed from the live containers), RssLog thinning
-// with an exact peak, per-task executor CPU attribution, folded-stack self-time balance, the watchdog's memory
-// budget, end-to-end --budget-mem-mb degradation to resource-out, and a
-// golden check of the CLI's rfn-prof-v1 artifact cross-validated with
-// tools/trace_report.py --prof when python3 is available.
+// Resource-meter tests (util/prof and its consumers): CPU clock
+// monotonicity, RSS reads, byte-exact arena accounting in the BDD manager
+// (tracked == recomputed from the live containers), the per-thread balance
+// of trace_report.py --folded on a two-thread span trace, the watchdog's
+// memory budget, end-to-end --budget-mem-mb degradation to resource-out,
+// and a golden check of the cost fields of the CLI's batch summary.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,7 +22,6 @@
 #include "core/trace_json.hpp"
 #include "netlist/builder.hpp"
 #include "util/cancel.hpp"
-#include "util/executor.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/prof.hpp"
@@ -73,37 +70,21 @@ TEST(ProfClock, RssReadableOnLinux) {
 #endif
 }
 
-TEST(RssLog, PeakExactUnderThinningAndTimelineBounded) {
-  prof::RssLog& log = prof::RssLog::global();
-  log.enable();
-  // 5x the capacity, with the spike at an index a doubled stride will skip:
-  // the timeline must thin, the peak must survive exactly.
-  constexpr int64_t kSpike = int64_t{1} << 40;
-  const size_t n = prof::RssLog::kMaxSamples * 5;
-  for (size_t i = 0; i < n; ++i)
-    log.record(i == n / 2 + 3 ? kSpike : static_cast<int64_t>(i));
-  log.disable();
-  EXPECT_EQ(log.peak_bytes(), kSpike);
-  const std::vector<prof::RssSample> samples = log.samples();
-  ASSERT_FALSE(samples.empty());
-  EXPECT_LE(samples.size(), prof::RssLog::kMaxSamples);
-  for (size_t i = 1; i < samples.size(); ++i)
-    EXPECT_GE(samples[i].t_ms, samples[i - 1].t_ms) << "sample " << i;
-  for (const prof::RssSample& s : samples) EXPECT_LE(s.bytes, log.peak_bytes());
-}
-
-TEST(RssLog, DisabledRecordsNothingAndEnableResets) {
-  prof::RssLog& log = prof::RssLog::global();
-  log.enable();
-  log.record(123);
-  log.disable();
-  log.record(1 << 30);  // dropped: disabled
-  EXPECT_EQ(log.peak_bytes(), 123);
-  EXPECT_EQ(log.sample(), 0);  // sample() is also a no-op when disabled
-  log.enable();  // a new epoch drops the previous timeline
-  EXPECT_EQ(log.peak_bytes(), 0);
-  EXPECT_TRUE(log.samples().empty());
-  log.disable();
+TEST(ProfClock, PeakRssIsAHighWaterMark) {
+#if defined(__linux__)
+  // Touching 32 MiB lifts the high-water mark past it, and freeing the
+  // block does not lower it.
+  constexpr size_t kBlock = size_t{32} << 20;
+  {
+    std::vector<char> block(kBlock, 1);
+    EXPECT_EQ(block[kBlock / 2], 1);
+  }
+  const int64_t peak = prof::peak_rss_bytes();
+  EXPECT_GE(peak, static_cast<int64_t>(kBlock));
+  EXPECT_GE(prof::peak_rss_bytes(), peak);
+#else
+  EXPECT_EQ(prof::peak_rss_bytes(), 0);
+#endif
 }
 
 TEST(BddArena, TrackedBytesMatchRecomputed) {
@@ -132,24 +113,22 @@ TEST(BddArena, TrackedBytesMatchRecomputed) {
   EXPECT_EQ(mgr.stats().heap_bytes, mgr.stats().heap_peak_bytes);
 }
 
-TEST(ExecutorCpu, AccumulatesTaskCpuAcrossWorkers) {
-  Executor exec(2);
-  for (int i = 0; i < 4; ++i)
-    exec.submit([] { burn_thread_cpu(2'000'000); });
-  // Quiesce: enqueue nothing more and wait for the counter to reach the
-  // total (each task adds its delta as it finishes).
-  for (int spin = 0; spin < 2000 && exec.cpu_seconds() < 0.008; ++spin)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_GE(exec.cpu_seconds(), 0.008);  // 4 tasks x 2 ms
+#ifdef RFN_TOOLS_DIR
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line))
+    if (!line.empty()) lines.push_back(line);
+  return lines;
 }
 
-TEST(ExecutorCpu, InlineModeCountsToo) {
-  Executor exec(0);  // no workers: submit() runs inline
-  exec.submit([] { burn_thread_cpu(2'000'000); });
-  EXPECT_GE(exec.cpu_seconds(), 0.002);
-}
-
+// Spans recorded on two named threads, exported as a Chrome trace and
+// folded by trace_report.py --folded: per thread, the self times of the
+// collapsed stacks sum to that thread's root-span durations.
 TEST(FoldedStacks, SelfTimesSumToRootDurationsPerThread) {
+  if (std::system("python3 --version > /dev/null 2>&1") != 0)
+    GTEST_SKIP() << "python3 unavailable";
   SpanTracer::global().enable(1u << 12);
   SpanTracer::global().set_thread_name("prof-main");
   {
@@ -170,21 +149,27 @@ TEST(FoldedStacks, SelfTimesSumToRootDurationsPerThread) {
   t.join();
   SpanTracer::global().disable();
   const json::Value doc = SpanTracer::global().to_chrome_json();
-  const std::string folded = prof::folded_stacks(doc);
+
+  const std::string spans = ::testing::TempDir() + "/folded_spans.json";
+  const std::string folded = ::testing::TempDir() + "/folded_spans.folded";
+  {
+    std::ofstream out(spans);
+    SpanTracer::global().write_chrome_json(out);
+  }
+  const std::string cmd = std::string("python3 ") + RFN_TOOLS_DIR +
+                          "/trace_report.py --folded " + spans + " > " +
+                          folded;
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 
   // Parse "thread;frame;... <us>" lines.
   std::map<std::string, long long> self_us;
-  std::istringstream in(folded);
-  std::string line;
-  size_t lines = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
+  const std::vector<std::string> lines = read_lines(folded);
+  for (const std::string& line : lines) {
     const size_t space = line.rfind(' ');
     ASSERT_NE(space, std::string::npos) << line;
     self_us[line.substr(0, space)] = std::stoll(line.substr(space + 1));
-    ++lines;
   }
-  ASSERT_GT(lines, 0u);
+  ASSERT_GT(lines.size(), 0u);
   EXPECT_TRUE(self_us.count("prof-main;outer"));
   EXPECT_TRUE(self_us.count("prof-main;outer;inner"));
   EXPECT_TRUE(self_us.count("prof-worker;task"));
@@ -208,6 +193,7 @@ TEST(FoldedStacks, SelfTimesSumToRootDurationsPerThread) {
     if (ph == "E" && --depth[tid] == 0)
       root_us[tid] += e.find("ts")->as_double() - begin_ts[tid];
   }
+  EXPECT_EQ(root_us.size(), 2u);
   for (const auto& [tid, total_us] : root_us) {
     ASSERT_TRUE(thread_names.count(tid));
     const std::string& prefix = thread_names[tid];
@@ -215,10 +201,13 @@ TEST(FoldedStacks, SelfTimesSumToRootDurationsPerThread) {
     for (const auto& [key, us] : self_us)
       if (key.rfind(prefix + ";", 0) == 0) folded_total += us;
     EXPECT_NEAR(static_cast<double>(folded_total), total_us,
-                static_cast<double>(lines) + 1.0)
+                static_cast<double>(lines.size()) + 1.0)
         << "thread " << prefix;
   }
+  std::remove(spans.c_str());
+  std::remove(folded.c_str());
 }
+#endif  // RFN_TOOLS_DIR
 
 TEST(Watchdog, MemBudgetTripsOnResidentSet) {
   // Any live test process is resident well past 1 MiB, so the first poll
@@ -236,24 +225,6 @@ TEST(Watchdog, MemBudgetTripsOnResidentSet) {
   EXPECT_TRUE(token.cancelled());
   EXPECT_STREQ(dog.trip_reason(), "mem-budget");
   EXPECT_GE(dog.trip_rss_bytes(), int64_t{1} << 20);
-}
-
-TEST(Watchdog, SampleRssAloneNeverTrips) {
-  prof::RssLog::global().enable();
-  CancelToken token;
-  WatchdogOptions opt;
-  opt.sample_rss = true;  // no budgets: the monitor runs purely as sampler
-  opt.poll_interval_s = 0.005;
-  Watchdog dog(opt, &token);
-  dog.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  dog.stop();
-  prof::RssLog::global().disable();
-  EXPECT_FALSE(dog.tripped());
-  EXPECT_FALSE(token.cancelled());
-  const std::vector<prof::RssSample> samples = prof::RssLog::global().samples();
-  ASSERT_FALSE(samples.empty());
-  EXPECT_GT(samples.front().bytes, 0);
 }
 
 /// 24-bit free-running counter (same design as tests/data/slow24.v): every
@@ -303,16 +274,6 @@ std::string read_first_line(const std::string& path) {
   return line;
 }
 
-json::Value parse_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string err;
-  json::Value doc = json::parse(buf.str(), &err);
-  EXPECT_TRUE(err.empty()) << path << ": " << err;
-  return doc;
-}
-
 // End-to-end --budget-mem-mb through the CLI on the committed slow design:
 // exit 1 (resource-out is inconclusive, never a crash or a hang) and the
 // tripped budget named in the rfn-trace-v2 property record.
@@ -337,59 +298,51 @@ TEST(ProfCli, MemBudgetTripNamedInTrace) {
   std::remove(trace.c_str());
 }
 
-// Golden check of the rfn-prof-v1 artifact and the folded-stack export on
-// the committed demo design, cross-validated with trace_report.py --prof.
+// Golden check of what a run reports it cost, on the committed demo design:
+// the rfn-trace-v2 batch summary carries the process CPU, the process's
+// peak RSS and the BDD arena's peak bytes (the bdd.heap_bytes gauge), and
+// trace_report.py --batch accepts the file.
 TEST(ProfCli, ProfArtifactGoldenSchema) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
-  const std::string prof = ::testing::TempDir() + "/prof.json";
-  const std::string folded = ::testing::TempDir() + "/prof.folded";
+  const std::string trace = ::testing::TempDir() + "/trace_cost.jsonl";
   const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
-                          " --bad bad_q --prof-json " + prof +
-                          " --prof-folded " + folded + " > /dev/null";
+                          " --bad bad_q --trace-json " + trace + " > /dev/null";
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
 
-  const json::Value doc = parse_file(prof);
-  EXPECT_EQ(doc.find("format")->as_string(), "rfn-prof-v1");
-  EXPECT_GT(doc.find("wall_ms")->as_double(), 0.0);
-  EXPECT_GT(doc.find("total_cpu_ms")->as_double(), 0.0);
-  for (const char* gone : {"workers", "engines", "portfolio"})
-    EXPECT_EQ(doc.find(gone), nullptr) << gone;
-  EXPECT_EQ(doc.find_path("subsystems.sat"), nullptr);
+  std::ifstream in(trace);
+  std::string line, last;
+  while (std::getline(in, line))
+    if (!line.empty()) last = line;
+  std::string err;
+  const json::Value summary = json::parse(last, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  ASSERT_EQ(summary.find("type")->as_string(), "batch-summary");
+  EXPECT_GT(summary.find("seconds")->as_double(), 0.0);
+  ASSERT_NE(summary.find("cpu_ms"), nullptr);
+  EXPECT_GT(summary.find("cpu_ms")->as_double(), 0.0);
+  ASSERT_NE(summary.find("peak_rss_bytes"), nullptr);
+  EXPECT_GT(summary.find("peak_rss_bytes")->as_double(), 0.0);
+  for (const char* gone : {"workers", "engines", "portfolio", "rss"})
+    EXPECT_EQ(summary.find(gone), nullptr) << gone;
   // The demo run exercises the BDD engine; its arena peak must be real.
-  EXPECT_GT(doc.find_path("subsystems.bdd.peak_bytes")->as_double(), 0.0);
-  EXPECT_GE(doc.find_path("subsystems.bdd.peak_bytes")->as_double(),
-            doc.find_path("subsystems.bdd.live_bytes")->as_double());
-  EXPECT_GT(doc.find_path("rss.peak_bytes")->as_double(), 0.0);
-  ASSERT_NE(doc.find_path("rss.samples"), nullptr);
-  EXPECT_FALSE(doc.find_path("rss.samples")->items().empty());
-
-  // The folded export: every line is "thread;frame[;frame...] <integer>".
-  std::ifstream fin(folded);
-  std::string line;
-  size_t folded_lines = 0;
-  while (std::getline(fin, line)) {
-    if (line.empty()) continue;
-    const size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    EXPECT_NE(line.find(';'), std::string::npos) << line;
-    EXPECT_GE(std::stoll(line.substr(space + 1)), 0) << line;
-    ++folded_lines;
-  }
-  EXPECT_GT(folded_lines, 0u);
+  const json::Value* gauges = summary.find_path("metrics.gauges");
+  ASSERT_NE(gauges, nullptr);
+  const json::Value* heap = gauges->find("bdd.heap_bytes");
+  ASSERT_NE(heap, nullptr);
+  EXPECT_GT(heap->find("max")->as_double(), 0.0);
+  EXPECT_GE(heap->find("max")->as_double(), heap->find("value")->as_double());
 
 #ifdef RFN_TOOLS_DIR
   if (std::system("python3 --version > /dev/null 2>&1") != 0) {
-    std::remove(prof.c_str());
-    std::remove(folded.c_str());
+    std::remove(trace.c_str());
     GTEST_SKIP() << "python3 unavailable";
   }
   const std::string py_cmd = std::string("python3 ") + RFN_TOOLS_DIR +
-                             "/trace_report.py --prof " + prof +
+                             "/trace_report.py --batch " + trace +
                              " > /dev/null";
   EXPECT_EQ(std::system(py_cmd.c_str()), 0) << py_cmd;
 #endif  // RFN_TOOLS_DIR
-  std::remove(prof.c_str());
-  std::remove(folded.c_str());
+  std::remove(trace.c_str());
 }
 #endif  // RFN_CLI_PATH
 

@@ -365,7 +365,8 @@ TEST(MetricsEpoch, TwoRunsDoNotConflateSummaries) {
   // Summaries are serialized at run end, like the CLI's --trace-json path:
   // the baseline subtraction scopes out *earlier* runs in the process.
   const auto summarize = [](const RfnResult& res) {
-    return batch_summary_json({as_property(res)}, res.seconds, &res.metrics_baseline);
+    return batch_summary_json({as_property(res)}, res.seconds,
+                              res.cpu_seconds * 1e3, &res.metrics_baseline);
   };
   const RfnResult first = run_once();
   const json::Value first_summary = summarize(first);
@@ -437,12 +438,14 @@ json::Value parse_file(const std::string& path) {
 }
 
 // Golden-schema check of the CLI's span export on the committed demo
-// design: Chrome-trace-format validity, >= 3 engine threads, flow linkage,
-// wall-time agreement between the rfn.run span and the property record,
-// and between the session.run span (as tools/trace_report.py reports it)
-// and the batch summary. A second input, a processor suite with one HOLDS
-// and one VIOLATED property, checks that the report prints one verdict per
-// run and a non-empty iterations table.
+// design: Chrome-trace-format validity, one "main" track without flow
+// events, wall-time agreement between the rfn.run span and the property
+// record, and between the session.run span (as tools/trace_report.py
+// reports it) and the batch summary, and the collapsed stacks of
+// trace_report.py --folded, whose self times sum to the root-span
+// durations. A second input, a processor suite with one HOLDS and one
+// VIOLATED property, checks that the report prints one verdict per run and
+// a non-empty iterations table.
 TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   const std::string design = std::string(RFN_TEST_DATA_DIR) + "/demo.v";
   const std::string spans = ::testing::TempDir() + "/spans.json";
@@ -517,6 +520,37 @@ TEST(TraceSpansCli, GoldenSchemaAndWallTimeAgreement) {
   }
   ASSERT_GT(reported_s, 0.0) << "total_wall_s line missing from report";
   EXPECT_NEAR(reported_s, summary_s, summary_s * 0.05 + 0.002);
+
+  // Collapsed stacks: every line is "main;frame[;frame...] <self-us>", and
+  // the lines sum to the root spans' durations (self = duration minus
+  // children) within 1 us of rounding per line.
+  const std::string folded_cmd = std::string("python3 ") + RFN_TOOLS_DIR +
+                                 "/trace_report.py --folded " + spans + " > " +
+                                 report;
+  ASSERT_EQ(std::system(folded_cmd.c_str()), 0) << folded_cmd;
+  long long folded_us = 0;
+  size_t folded_lines = 0;
+  for (const std::string& line : read_lines(report)) {
+    if (line.empty()) continue;
+    const size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    EXPECT_EQ(line.rfind("main;", 0), 0u) << line;
+    const long long us = std::stoll(line.substr(space + 1));
+    EXPECT_GE(us, 0) << line;
+    folded_us += us;
+    ++folded_lines;
+  }
+  ASSERT_GT(folded_lines, 0u);
+  double root_us = 0.0, root_begin = 0.0;
+  int depth = 0;
+  for (const json::Value& e : doc.find("traceEvents")->items()) {
+    const std::string& ph = e.find("ph")->as_string();
+    if (ph == "B" && depth++ == 0) root_begin = e.find("ts")->as_double();
+    if (ph == "E" && --depth == 0)
+      root_us += e.find("ts")->as_double() - root_begin;
+  }
+  EXPECT_NEAR(static_cast<double>(folded_us), root_us,
+              static_cast<double>(folded_lines) + 1.0);
 
   // A suite whose runs end in different verdicts: one verdict line per
   // rfn.run, and the iterations table grouped by run.

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Bench regression gate for rfn-bench-v1, rfn-corpus, and rfn-prof-v1 JSON.
+"""Bench regression gate for rfn-bench-v1, rfn-corpus and rfn-trace-v2 runs.
 
 Bench mode compares a fresh `bench/micro_engines --json` run against the
 checked-in baseline (BENCH_portfolio.json) and exits nonzero when a
@@ -27,24 +27,28 @@ from a Release build and commit it together with the change that moved it:
 
 and say why in the commit message.
 
-Prof mode diffs two rfn-prof-v1 documents (from `rfn verify --prof-json`):
+Prof mode diffs the BDD arena's peak bytes between two rfn-trace-v2 batch
+summaries (the last record of an `rfn verify --trace-json` file):
 
-  tools/bench_gate.py --prof-baseline BENCH_prof.json --prof-current prof.json
+  tools/bench_gate.py --prof-baseline BENCH_bdd_heap.jsonl \
+      --prof-current trace.jsonl
 
-and fails when a subsystem's peak_bytes grew past --byte-tolerance (default
-25%) over the baseline, or when a baseline subsystem is missing from the
-current artifact. The BDD arena byte counter (node pool + unique-table
-buckets + computed cache) is byte-exact and — for a fixed workload —
-fully deterministic, so the generous tolerance only absorbs allocator
-capacity-doubling granularity, not noise. CPU, wall time, and RSS are
-deliberately NOT gated here: they are machine-dependent (the wall gate
-above already covers time). Re-baselining after an intentional
-memory-footprint change:
+and fails when the summary's metrics.gauges["bdd.heap_bytes"].max grew past
+--byte-tolerance (default 25%) over the baseline, or is missing from the
+current run. The BDD arena byte counter (node pool + unique-table buckets +
+computed cache) is byte-exact and — for a fixed workload — fully
+deterministic, so the generous tolerance only absorbs allocator
+capacity-doubling granularity, not noise. The summary's cpu_ms and
+peak_rss_bytes are deliberately NOT gated here: they are machine-dependent
+(the wall gate above already covers time). BENCH_bdd_heap.jsonl holds the
+peak of `builtin:processor --bad bad_mutex --bad error_flag`. Re-baselining
+after an intentional memory-footprint change:
 
   ./build/tools/rfn verify builtin:processor --bad bad_mutex \
-      --bad error_flag --prof-json BENCH_prof.json
+      --bad error_flag --trace-json trace.jsonl
+  tail -n 1 trace.jsonl > BENCH_bdd_heap.jsonl
 
-and commit BENCH_prof.json with the change that moved it, saying why.
+and commit BENCH_bdd_heap.jsonl with the change that moved it, saying why.
 
 Corpus mode diffs two corpus documents (from tools/corpus_run.py;
 rfn-corpus-v2, with rfn-corpus-v1 baselines still accepted so pre-profiler
@@ -70,11 +74,8 @@ import sys
 
 GATED_COUNTERS = ("bdd_peak_nodes",)
 CORPUS_SCHEMAS = ("rfn-corpus-v2", "rfn-corpus-v1")
-PROF_SCHEMA = "rfn-prof-v1"
-# The subsystems whose byte-exact arena peaks the prof gate covers. A
-# subsystem present in the baseline but absent from the current artifact is
-# a schema break, not a memory win.
-PROF_SUBSYSTEMS = ("bdd",)
+# The byte-exact arena gauge the prof gate covers.
+HEAP_GAUGE = "bdd.heap_bytes"
 
 
 def load(path):
@@ -159,57 +160,36 @@ def corpus_gate(baseline_path, current_path):
     return 0
 
 
-def load_prof(path):
+def load_heap_peak(path):
+    """The BDD arena's peak bytes from the batch summary on the last line of
+    an rfn-trace-v2 file."""
     with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != PROF_SCHEMA:
-        sys.exit(f"bench_gate: {path}: not an {PROF_SCHEMA} document "
-                 f"(format={doc.get('format')!r})")
-    subsystems = doc.get("subsystems")
-    if not isinstance(subsystems, dict):
-        sys.exit(f"bench_gate: {path}: no \"subsystems\" object "
-                 f"— malformed artifact, not a regression")
-    return subsystems
+        lines = [line for line in f if line.strip()]
+    summary = json.loads(lines[-1]) if lines else {}
+    if summary.get("type") != "batch-summary":
+        sys.exit(f"bench_gate: {path}: last record is not an rfn-trace-v2 "
+                 f"batch summary (type={summary.get('type')!r})")
+    gauge = summary.get("metrics", {}).get("gauges", {}).get(HEAP_GAUGE)
+    if not isinstance(gauge, dict) or gauge.get("max") is None:
+        sys.exit(f"bench_gate: {path}: no {HEAP_GAUGE} gauge max in the "
+                 f"batch summary — malformed artifact, not a regression")
+    return gauge["max"]
 
 
 def prof_gate(baseline_path, current_path, tolerance):
-    baseline = load_prof(baseline_path)
-    current = load_prof(current_path)
-
-    failures = []
-    for name in PROF_SUBSYSTEMS:
-        base = baseline.get(name)
-        if base is None:
-            # A baseline from before a subsystem was instrumented: nothing
-            # to gate against, and re-baselining is the forward path.
-            print(f"bench_gate: {name}: not in the prof baseline "
-                  f"(re-baseline to start gating it)")
-            continue
-        base_peak = base.get("peak_bytes", 0)
-        cur = current.get(name)
-        if cur is None or cur.get("peak_bytes") is None:
-            failures.append(f"{name}: peak_bytes missing from current "
-                            f"artifact (malformed or schema break)")
-            continue
-        cur_peak = cur["peak_bytes"]
-        if base_peak > 0 and cur_peak > base_peak * (1.0 + tolerance):
-            failures.append(
-                f"{name}: peak_bytes {cur_peak} vs baseline {base_peak} "
-                f"(+{(cur_peak / base_peak - 1.0) * 100.0:.1f}% > "
-                f"{tolerance * 100.0:.0f}%)")
-        else:
-            print(f"bench_gate: {name}: peak_bytes ok "
-                  f"({cur_peak} vs {base_peak})")
-
-    if failures:
+    base_peak = load_heap_peak(baseline_path)
+    cur_peak = load_heap_peak(current_path)
+    if base_peak > 0 and cur_peak > base_peak * (1.0 + tolerance):
         print("bench_gate: prof FAILED", file=sys.stderr)
-        for f in failures:
-            print(f"bench_gate:   {f}", file=sys.stderr)
+        print(f"bench_gate:   {HEAP_GAUGE} max {cur_peak} vs baseline "
+              f"{base_peak} (+{(cur_peak / base_peak - 1.0) * 100.0:.1f}% > "
+              f"{tolerance * 100.0:.0f}%)", file=sys.stderr)
         print("bench_gate: if the footprint growth is intentional, "
-              "regenerate BENCH_prof.json (see the module docstring)",
+              "regenerate BENCH_bdd_heap.jsonl (see the module docstring)",
               file=sys.stderr)
         return 1
-    print(f"bench_gate: prof PASSED ({len(PROF_SUBSYSTEMS)} subsystems)")
+    print(f"bench_gate: prof PASSED ({HEAP_GAUGE} max {cur_peak} vs "
+          f"{base_peak})")
     return 0
 
 
@@ -222,15 +202,17 @@ def main():
     ap.add_argument("--corpus-current",
                     help="freshly generated rfn-corpus JSON (corpus mode)")
     ap.add_argument("--prof-baseline",
-                    help="checked-in rfn-prof-v1 JSON (prof mode)")
+                    help="checked-in batch summary, BENCH_bdd_heap.jsonl "
+                         "(prof mode)")
     ap.add_argument("--prof-current",
-                    help="freshly generated rfn-prof-v1 JSON (prof mode)")
+                    help="fresh rfn-trace-v2 file from rfn verify "
+                         "--trace-json (prof mode)")
     ap.add_argument("--time-tolerance", type=float, default=0.20,
                     help="allowed relative wall-time growth (default 0.20)")
     ap.add_argument("--node-tolerance", type=float, default=0.10,
                     help="allowed relative bdd_peak_nodes growth (default 0.10)")
     ap.add_argument("--byte-tolerance", type=float, default=0.25,
-                    help="allowed relative subsystem peak_bytes growth in "
+                    help="allowed relative bdd.heap_bytes peak growth in "
                          "prof mode (default 0.25)")
     args = ap.parse_args()
 

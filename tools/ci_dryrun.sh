@@ -174,9 +174,12 @@ job_sanitize() { # <thread|address,undefined>
     --budget-mem-mb 1 --trace-json "$dir/tsan-mem-trace.jsonl" || rc=$?
   [[ $rc == 1 ]] || fail "memory-budgeted run exited $rc (expected 1)"
   grep -q '"reason":"mem-budget"' "$dir/tsan-mem-trace.jsonl"
+  # Span export from an instrumented run, folded into collapsed stacks.
   "./$dir/tools/rfn" verify tests/data/demo.v --bad bad_q \
-    --prof-json "$dir/tsan-prof.json" --prof-folded "$dir/tsan-prof.folded"
-  python3 tools/trace_report.py --prof "$dir/tsan-prof.json"
+    --trace-spans "$dir/tsan-spans-demo.json"
+  python3 tools/trace_report.py --folded "$dir/tsan-spans-demo.json" \
+    >"$dir/tsan-spans-demo.folded"
+  [[ -s "$dir/tsan-spans-demo.folded" ]] || fail "empty folded stacks"
 }
 
 # --- job: bench-gate --------------------------------------------------------
@@ -185,7 +188,7 @@ job_sanitize() { # <thread|address,undefined>
 # tools/bench_gate.py for re-baselining), plus the trajectory gate, the
 # certified batch runs of every shipped design, the
 # end-to-end benchmark's self-test and the memory gate against
-# BENCH_prof.json. Every gate is followed by a synthetic
+# BENCH_bdd_heap.jsonl. Every gate is followed by a synthetic
 # regression that must fail it: a gate that cannot fail gates nothing.
 job_bench_gate() {
   local d=build-ci-bench
@@ -247,15 +250,14 @@ EOF
   # verdict turned into an rfn-cert-v1 witness (a trace for Fails, an
   # inductive invariant for Holds) that the independent rfn_check binary
   # re-validates against a fresh elaboration. Each rfn-trace-v2 artifact is
-  # re-validated by trace_report.py, and each rfn-prof-v1 artifact too.
+  # re-validated by trace_report.py, its batch summary's cost fields
+  # (cpu_ms, peak_rss_bytes) included.
   note "bench-gate: batch verification of the shipped designs"
   run_batch() { # <design> <property args...>
     local design=$1; shift
     "./$d/tools/rfn" verify "builtin:$design" "$@" \
-      --trace-json "$d/batch-$design.jsonl" --cert-dir "$d/certs-$design" \
-      --prof-json "$d/prof-$design.json"
+      --trace-json "$d/batch-$design.jsonl" --cert-dir "$d/certs-$design"
     python3 tools/trace_report.py --batch "$d/batch-$design.jsonl"
-    python3 tools/trace_report.py --prof "$d/prof-$design.json"
     local cert
     for cert in "$d/certs-$design"/*.cert.json; do
       "./$d/tools/rfn_check" "$cert" "builtin:$design"
@@ -294,27 +296,28 @@ EOF
     fail "bench_gate accepted a 25% regression"
   fi
 
-  # The arena capacities of a fixed run are run-to-run identical, so the
-  # gate's 25% tolerance only absorbs allocator doubling granularity, not
-  # noise.
-  note "bench-gate: prof gate against BENCH_prof.json"
+  # The gate reads the BDD arena's peak bytes (the batch summary's
+  # bdd.heap_bytes gauge max). The arena capacities of a fixed run are
+  # run-to-run identical, so the gate's 25% tolerance only absorbs
+  # allocator doubling granularity, not noise.
+  note "bench-gate: prof gate against BENCH_bdd_heap.jsonl"
   "./$d/tools/rfn" verify builtin:processor --bad bad_mutex \
-    --bad error_flag --prof-json "$d/prof-current.json"
-  python3 tools/trace_report.py --prof "$d/prof-current.json"
-  python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
-    --prof-current "$d/prof-current.json"
+    --bad error_flag --trace-json "$d/prof-current.jsonl"
+  python3 tools/trace_report.py --batch "$d/prof-current.jsonl"
+  python3 tools/bench_gate.py --prof-baseline BENCH_bdd_heap.jsonl \
+    --prof-current "$d/prof-current.jsonl"
 
   note "prof gate self-check (injected byte regression must exit nonzero)"
   python3 - "$d" <<'EOF'
 import json, sys
 d = sys.argv[1]
-doc = json.load(open(f"{d}/prof-current.json"))
-bdd = doc["subsystems"]["bdd"]
-bdd["peak_bytes"] = int(bdd["peak_bytes"] * 1.5)
-json.dump(doc, open(f"{d}/prof-regressed.json", "w"))
+summary = json.loads(open(f"{d}/prof-current.jsonl").read().splitlines()[-1])
+heap = summary["metrics"]["gauges"]["bdd.heap_bytes"]
+heap["max"] = int(heap["max"] * 1.5)
+open(f"{d}/prof-regressed.jsonl", "w").write(json.dumps(summary) + "\n")
 EOF
-  if python3 tools/bench_gate.py --prof-baseline BENCH_prof.json \
-      --prof-current "$d/prof-regressed.json"; then
+  if python3 tools/bench_gate.py --prof-baseline BENCH_bdd_heap.jsonl \
+      --prof-current "$d/prof-regressed.jsonl"; then
     fail "prof gate accepted an injected byte regression"
   fi
 }
@@ -346,7 +349,7 @@ job_serve() {
 # re-checks every emitted certificate with rfn_check against the same AIGER
 # file; the gate diffs the rfn-corpus-v2 summary against
 # tests/corpus/baseline.json (verdict flips, certification regressions and
-# missing entries fail; wall time and the per-file RSS/CPU profile fields
+# missing entries fail; wall time and the per-file RSS/CPU fields
 # do not). An injected verdict flip must then fail the gate.
 job_corpus() {
   local d=build-ci-bench

@@ -30,10 +30,11 @@ to happen, not a soft state.
 tools/bench_gate.py --corpus-baseline gates only on the file set,
 statuses, verdicts, and certification bits.
 
-`peak_rss_bytes`/`cpu_ms` (new in v2) come from the rfn-prof-v1 artifact the
-CLI emits per file (`--prof-json`): process-wide RSS high-water mark and
-process CPU for the whole run. Like seconds they are informational — machine-dependent, never gated. Both are 0 when the run
-timed out, crashed, or the prof artifact was unreadable.
+`peak_rss_bytes`/`cpu_ms` (new in v2) come from the batch summary of the
+file's `--trace-json` trace: the process's RSS high-water mark and its CPU
+over the run. Like seconds they are informational — machine-dependent,
+never gated. Both are 0 when the run timed out or crashed, or its trace was
+unreadable.
 tools/trace_report.py --corpus still accepts rfn-corpus-v1 baselines
 (without the two fields) so older committed baselines keep validating.
 
@@ -68,8 +69,8 @@ def sanitize_file_stem(name):
 
 
 def parse_trace(path):
-    """Reads an rfn-trace-v2 JSONL file; returns its property records or
-    raises ValueError on a malformed artifact."""
+    """Reads an rfn-trace-v2 JSONL file; returns (property records,
+    batch summary) or raises ValueError on a malformed artifact."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -89,25 +90,10 @@ def parse_trace(path):
     for r in props:
         if "name" not in r or "verdict" not in r:
             raise ValueError("property record lacks name/verdict")
-    return props
-
-
-def read_prof(path, name):
-    """Harvests (peak_rss_bytes, cpu_ms) from an rfn-prof-v1 artifact;
-    returns (0, 0) — never raises — when the file is missing or garbled, so
-    a prof hiccup degrades the two informational fields instead of turning
-    a perfectly good verify run into an "error" record."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("format") != "rfn-prof-v1":
-            raise ValueError(f"format {doc.get('format')!r} is not rfn-prof-v1")
-        return (int(doc["rss"]["peak_bytes"]),
-                round(float(doc["total_cpu_ms"]), 3))
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"corpus_run: {name}: unusable prof artifact ({err})",
-              file=sys.stderr)
-        return 0, 0
+    for key in ("peak_rss_bytes", "cpu_ms"):
+        if not isinstance(summary.get(key), (int, float)):
+            raise ValueError(f"batch summary lacks {key}")
+    return props, summary
 
 
 def run_file(cli, check, path, workdir, timeout):
@@ -116,10 +102,7 @@ def run_file(cli, check, path, workdir, timeout):
     stem = sanitize_file_stem(name)
     cert_dir = os.path.join(workdir, stem + ".certs")
     trace = os.path.join(workdir, stem + ".jsonl")
-    prof = os.path.join(workdir, stem + ".prof.json")
-    cmd = [cli, "verify", path,
-           "--cert-dir", cert_dir, "--trace-json", trace,
-           "--prof-json", prof]
+    cmd = [cli, "verify", path, "--cert-dir", cert_dir, "--trace-json", trace]
     start = time.monotonic()
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True,
@@ -132,7 +115,6 @@ def run_file(cli, check, path, workdir, timeout):
                 "peak_rss_bytes": 0, "cpu_ms": 0,
                 "properties": []}
     seconds = round(time.monotonic() - start, 3)
-    peak_rss_bytes, cpu_ms = read_prof(prof, name)
 
     # Exit 0: all verdicts conclusive. Exit 1: at least one inconclusive /
     # resource-out property — still a parseable run, the verdicts tell the
@@ -141,15 +123,13 @@ def run_file(cli, check, path, workdir, timeout):
         print(f"corpus_run: {name}: verify exited {proc.returncode}:\n"
               f"{proc.stderr.strip()}", file=sys.stderr)
         return {"file": name, "status": "error", "seconds": seconds,
-                "peak_rss_bytes": peak_rss_bytes, "cpu_ms": cpu_ms,
-                "properties": []}
+                "peak_rss_bytes": 0, "cpu_ms": 0, "properties": []}
     try:
-        props = parse_trace(trace)
+        props, summary = parse_trace(trace)
     except (OSError, ValueError) as err:
         print(f"corpus_run: {name}: {err}", file=sys.stderr)
         return {"file": name, "status": "error", "seconds": seconds,
-                "peak_rss_bytes": peak_rss_bytes, "cpu_ms": cpu_ms,
-                "properties": []}
+                "peak_rss_bytes": 0, "cpu_ms": 0, "properties": []}
 
     properties = []
     for r in props:
@@ -173,7 +153,8 @@ def run_file(cli, check, path, workdir, timeout):
         properties.append({"name": r["name"], "verdict": r["verdict"],
                            "certified": certified})
     return {"file": name, "status": "ok", "seconds": seconds,
-            "peak_rss_bytes": peak_rss_bytes, "cpu_ms": cpu_ms,
+            "peak_rss_bytes": int(summary["peak_rss_bytes"]),
+            "cpu_ms": round(float(summary["cpu_ms"]), 3),
             "properties": properties}
 
 

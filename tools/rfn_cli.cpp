@@ -34,27 +34,20 @@
 //   --trace-json FILE  write the rfn-trace-v2 run trace as JSON Lines: one
 //                      "property" record per property, each followed by the
 //                      iteration records of the run that answered it, then
-//                      certificates and a "batch-summary" (schema in
-//                      src/core/trace_json.hpp; validate with
-//                      tools/trace_report.py --batch FILE)
+//                      certificates and a "batch-summary" that also
+//                      reports the run's wall time, process CPU, peak RSS
+//                      and metrics (schema in src/core/trace_json.hpp;
+//                      validate with tools/trace_report.py --batch FILE)
 //   --trace-spans FILE write a causal span trace in Chrome trace-event JSON
 //                      (open in Perfetto / chrome://tracing, or analyze with
-//                      tools/trace_report.py)
+//                      tools/trace_report.py; collapsed stacks for
+//                      flamegraph.pl come from trace_report.py --folded)
 //   --budget-ms N      resource-watchdog wall budget; on overrun the run
 //                      degrades to the resource-out verdict
 //   --budget-bdd-nodes N  watchdog budget on BDD live nodes (memory proxy)
 //   --budget-mem-mb N  watchdog budget on process RSS (MiB, sampled from
 //                      /proc/self/statm); on overrun the run degrades to
 //                      resource-out with the trip named "mem-budget"
-//   --prof-json FILE   write an rfn-prof-v1 resource profile: wall and
-//                      process-CPU totals, the BDD arena's peak bytes, and
-//                      the RSS timeline sampled by the watchdog thread
-//                      (see src/util/prof.hpp for the schema; validate with
-//                      tools/trace_report.py --prof FILE)
-//   --prof-folded FILE write collapsed-stack self-time lines aggregated from
-//                      the span rings (flamegraph.pl input; implies span
-//                      tracing for the run even without --trace-spans)
-//   --metrics          dump the full metrics registry as JSON on stdout
 //
 // Property sets: --bad may repeat, and --props names a file with one
 // property per line:
@@ -85,8 +78,8 @@
 // decoder), design loading is api::load_design, and the run is
 // api::run_verify (the same run path rfn_serve drives from the socket — a
 // command line and an rfn-req-v1 document are the same computation). What
-// remains here is the stdout report and the file epilogues (span/prof
-// artifacts, cert/witness exports).
+// remains here is the stdout report and the file epilogues (the span
+// trace, cert/witness exports).
 
 #include <cstdio>
 #include <filesystem>
@@ -101,7 +94,6 @@
 #include "netlist/blif.hpp"
 #include "netlist/writer.hpp"
 #include "util/options.hpp"
-#include "util/prof.hpp"
 #include "util/stats.hpp"
 #include "util/trace.hpp"
 
@@ -147,72 +139,28 @@ bool write_text_file(const std::string& path, const std::string& body) {
   return static_cast<bool>(out);
 }
 
-/// --prof-json epilogue: appends one final direct RSS sample (so the
-/// timeline is never empty for runs shorter than a watchdog poll), stops the
-/// log, assembles the rfn-prof-v1 document and writes it.
-bool write_prof_json_file(const std::string& path, double wall_s,
-                          double cpu_s) {
-  prof::RssLog::global().sample();
-  prof::RssLog::global().disable();
-  const json::Value doc = prof::build_prof_json(
-      MetricsRegistry::global().snapshot(), wall_s, cpu_s);
-  std::ofstream out(path);
-  if (out) out << doc.dump(2) << "\n";
-  if (!out) std::fprintf(stderr, "rfn: cannot write %s\n", path.c_str());
-  return static_cast<bool>(out);
-}
+/// --trace-spans around a run: tracing is enabled before the run and the
+/// Chrome trace written once it has finished.
+struct SpanScope {
+  std::string path;
 
-/// --prof-folded: collapsed-stack self-time lines from the span rings
-/// (tracing must have been enabled for the run and disabled again).
-bool write_prof_folded_file(const std::string& path) {
-  return write_text_file(
-      path, prof::folded_stacks(SpanTracer::global().to_chrome_json()));
-}
-
-/// Span/prof instrumentation around a run: the flags are epilogue artifacts,
-/// enabled before the run and written once it has finished.
-struct ProfScope {
-  std::string span_path, prof_json_path, prof_folded_path;
-  bool trace_spans = false;
-  int64_t pcpu0 = 0;
-
-  explicit ProfScope(const Options& opts) {
-    span_path = opts.get("trace-spans", "");
-    prof_json_path = opts.get("prof-json", "");
-    prof_folded_path = opts.get("prof-folded", "");
-    trace_spans = !span_path.empty() || !prof_folded_path.empty();
-    if (trace_spans) {
-      SpanTracer::global().enable();
-      SpanTracer::global().set_thread_name("main");
-    }
-    if (!prof_json_path.empty()) prof::RssLog::global().enable();
-    pcpu0 = prof::process_cpu_ns();
+  explicit SpanScope(const Options& opts) : path(opts.get("trace-spans", "")) {
+    if (path.empty()) return;
+    SpanTracer::global().enable();
+    SpanTracer::global().set_thread_name("main");
   }
 
-  double cpu_seconds() const {
-    return static_cast<double>(prof::process_cpu_ns() - pcpu0) * 1e-9;
-  }
-
-  /// Writes the span/prof artifacts; call once after the run's threads have
-  /// joined (the span buffers are quiescent then). False on I/O errors.
-  bool finish(double wall_s, double cpu_s) {
-    if (trace_spans) {
-      SpanTracer::global().disable();
-      if (!span_path.empty()) {
-        std::ofstream out(span_path);
-        if (!out) {
-          std::fprintf(stderr, "rfn: cannot write %s\n", span_path.c_str());
-          return false;
-        }
-        SpanTracer::global().write_chrome_json(out);
-      }
-      if (!prof_folded_path.empty() &&
-          !write_prof_folded_file(prof_folded_path))
-        return false;
-    }
-    if (!prof_json_path.empty() &&
-        !write_prof_json_file(prof_json_path, wall_s, cpu_s))
+  /// Writes the span trace; call once after the run's threads have joined
+  /// (the span buffers are quiescent then). False on I/O errors.
+  bool finish() {
+    if (path.empty()) return true;
+    SpanTracer::global().disable();
+    std::ofstream out(path);
+    if (!out) {
+      std::fprintf(stderr, "rfn: cannot write %s\n", path.c_str());
       return false;
+    }
+    SpanTracer::global().write_chrome_json(out);
     return true;
   }
 };
@@ -244,7 +192,7 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
   }
   api::StreamTraceSink file_sink(trace_out);
 
-  ProfScope prof(opts);
+  SpanScope spans(opts);
   api::RunOutput out;
   std::string error;
   if (!api::run_verify(design, req, trace_path.empty() ? nullptr : &file_sink,
@@ -252,7 +200,7 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
     std::fprintf(stderr, "rfn: %s\n", error.c_str());
     return 2;
   }
-  if (!prof.finish(out.seconds, prof.cpu_seconds())) return 2;
+  if (!spans.finish()) return 2;
 
   // --cert-dir: run_verify built and checked the witnesses (they are already
   // in the rfn-trace-v2 records); writing them to disk is CLI business.
@@ -341,9 +289,6 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
                   out.cert_artifacts[i].detail.c_str());
     }
   }
-  if (opts.get_bool("metrics", false))
-    std::printf("metrics: %s\n",
-                MetricsRegistry::global().to_json(&out.baseline).dump(2).c_str());
   if (!cert_io_ok || !wit_io_ok) return 2;
   if (!certified_ok) return 3;
   return all_conclusive ? 0 : 1;
@@ -382,13 +327,21 @@ bool request_from_flags(const Options& opts,
 
 int cmd_verify(const Options& opts) {
   // Pointers for the flags of the retired single-property path (--cert-out
-  // used to turn on certification).
+  // used to turn on certification) and of the retired profile artifacts,
+  // whose figures the --trace-json batch summary carries.
   static const struct {
     const char* flag;
     const char* instead;
-  } kRemoved[] = {{"batch", "every verify run is a batch"},
-                  {"cert-out", "use --cert-dir DIR"},
-                  {"aiger-witness", "use --witness-dir DIR"}};
+  } kRemoved[] = {
+      {"batch", "every verify run is a batch"},
+      {"cert-out", "use --cert-dir DIR"},
+      {"aiger-witness", "use --witness-dir DIR"},
+      {"prof-json",
+       "the --trace-json batch summary carries cpu_ms, peak_rss_bytes and "
+       "the bdd.heap_bytes gauge"},
+      {"prof-folded",
+       "use --trace-spans FILE, then tools/trace_report.py --folded FILE"},
+      {"metrics", "the --trace-json batch summary carries the metrics"}};
   for (const auto& [flag, instead] : kRemoved) {
     if (opts.has(flag)) {
       std::fprintf(stderr, "rfn: --%s was removed; %s\n", flag, instead);
@@ -398,12 +351,9 @@ int cmd_verify(const Options& opts) {
   api::VerifyRequest req;
   if (!request_from_flags(opts,
                           {"witness-dir", "trace-json", "trace-spans",
-                           "prof-json", "prof-folded", "metrics", "dump-trace"},
+                           "dump-trace"},
                           &req))
     return 2;
-  // --prof-json wants the RSS timeline: the watchdog monitor thread samples
-  // /proc/self/statm each poll even when no budget is set.
-  req.options.sample_rss = opts.has("prof-json");
   api::LoadedDesign design;
   if (!load(req.design, &design)) return 2;
   return run_request(design, opts, std::move(req));

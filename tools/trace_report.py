@@ -12,6 +12,12 @@ nonzero with a diagnostic on a malformed trace, so it doubles as the format
 checker in tests and CI. `--self-check` runs the validators against
 built-in good and bad synthetic traces and needs no input file.
 
+With `--folded` the span file is instead rendered as collapsed stacks for
+flamegraph.pl: one "thread;outer;inner <self-microseconds>" line per
+distinct stack, sorted. A span's self time is its duration minus its
+children's, so per thread the lines sum to the durations of that thread's
+root spans (`--self-check` checks this on a two-thread synthetic trace).
+
 With `--batch` the input is instead an rfn-trace-v2 JSON Lines file from
 `rfn verify ... --trace-json FILE` (one property or many): one "property"
 record per property, each followed by the "iteration" records of its
@@ -20,9 +26,11 @@ run, then — for --certify runs — one
 "batch-summary". The validator checks the version tag, the per-record
 shape, the verdict and certificate-kind spellings, that a failed
 certification names its failing obligation (and a successful one does
-not), and that the summary's property/verdict/certificate counts match the
-records. Per iteration record it checks that every block is present, that
-the Step-2 reach and Step-3 concretize wall times (`reach.seconds`,
+not), that the summary's property/verdict/certificate counts match the
+records, and that the summary reports what the run cost: its process CPU
+(`cpu_ms`) and peak RSS (`peak_rss_bytes`) as nonnegative numbers. Per
+iteration record it checks that every block is present, that the Step-2
+reach and Step-3 concretize wall times (`reach.seconds`,
 `concretize.seconds`) are nonnegative numbers, that it names the property
 it follows, that iterations are numbered densely from 0, and that their
 count equals the property's `iterations`; and that an iteration without
@@ -30,7 +38,9 @@ an abstract error trace (`trace_cycles` 0, so Step 3 did not run) has
 concretize status `none`, while one with a trace names Step 3's outcome
 (`sat`, `unsat` or `abort`). It then prints a per-property table, a
 per-iteration table with the reach and concretize times, and a
-certification summary line when certificates were recorded.
+certification summary line when certificates were recorded. The BDD
+arena's peak bytes are printed from the summary's
+`metrics.gauges["bdd.heap_bytes"].max` when the metrics carry it.
 
 With `--trajectory A B ...` the inputs are several rfn-trace-v2 files of
 the same property set (say, repeated runs of one command): each is
@@ -57,13 +67,6 @@ that rejected requests name a known reject_reason and streamed nothing,
 that the warm_cache block is complete with monotone cumulative counters,
 then prints a per-request table and a machine-readable `warm_hits=` line
 the CI serve job greps to prove cross-request state reuse happened.
-
-With `--prof` the input is an rfn-prof-v1 resource profile from
-`rfn verify ... --prof-json FILE`. The validator checks the format tag,
-that the wall and CPU totals are nonnegative, that the BDD subsystem's
-peak bytes dominate its live bytes, and that the RSS timeline has
-monotone timestamps with its peak no smaller than any sample, then prints
-a per-subsystem digest.
 
 Report sections:
   * run summary — total wall time from the session.run span, or the
@@ -97,6 +100,8 @@ TIMED_STEPS = ("reach", "concretize")
 CONCRETIZE_STATUSES = ("sat", "unsat", "abort")
 VERDICTS = ("T", "F", "?", "resource-out")
 PROPERTY_KEYS = ("name", "bad", "verdict", "iterations", "seconds")
+# What a batch cost: process CPU and the process's peak resident set.
+SUMMARY_COST_KEYS = ("cpu_ms", "peak_rss_bytes")
 CERTIFICATE_KEYS = ("property", "kind", "ok", "clauses", "trace_cycles",
                     "obligation", "seconds")
 CERTIFICATE_KINDS = ("holds-invariant", "fails-trace")
@@ -104,14 +109,13 @@ CORPUS_SCHEMA = "rfn-corpus-v2"
 CORPUS_SCHEMA_V1 = "rfn-corpus-v1"
 CORPUS_STATUSES = ("ok", "resource-out", "error")
 CORPUS_PROPERTY_KEYS = ("name", "verdict", "certified")
-# v2 adds per-file resource columns recorded from each file's prof artifact.
+# v2 adds per-file resource columns, read from each file's batch summary.
 CORPUS_V2_FILE_KEYS = ("peak_rss_bytes", "cpu_ms")
 RESPONSE_VERSION = "rfn-resp-v1"
 REJECT_REASONS = ("queue-full", "time-oversubscribed", "mem-oversubscribed",
                   "bdd-oversubscribed", "load-failed", "bad-request")
 WARM_CACHE_KEYS = ("enabled", "hit", "hits", "misses", "evictions",
                    "entries", "bytes", "order_warm")
-PROF_SCHEMA = "rfn-prof-v1"
 
 
 class TraceError(Exception):
@@ -279,6 +283,10 @@ def validate_batch(records):
             if declared_certs.get(key, 0) != cert_counts[key]:
                 fail(f"summary says {declared_certs.get(key, 0)} {key} "
                      f"certificate(s), records say {cert_counts[key]}")
+    for key in SUMMARY_COST_KEYS:
+        if not _nonneg_number(summary.get(key)):
+            fail(f"summary {key} is {summary.get(key)!r}, expected a "
+                 f"nonnegative number")
     metrics = summary.get("metrics")
     if metrics is not None:
         if not isinstance(metrics, dict):
@@ -366,51 +374,6 @@ def validate_corpus(doc):
 def _nonneg_number(value):
     return isinstance(value, (int, float)) and \
         not isinstance(value, bool) and value >= 0
-
-
-def validate_prof(doc):
-    """Checks an rfn-prof-v1 resource profile; returns the document."""
-    if not isinstance(doc, dict):
-        fail("top level is not an object")
-    if doc.get("format") != PROF_SCHEMA:
-        fail(f"format is {doc.get('format')!r}, expected {PROF_SCHEMA!r}")
-    for key in ("wall_ms", "total_cpu_ms"):
-        if not _nonneg_number(doc.get(key)):
-            fail(f"{key!r} missing or not a nonnegative number")
-    subsystems = doc.get("subsystems")
-    if not isinstance(subsystems, dict):
-        fail("'subsystems' missing or not an object")
-    for sub in ("bdd",):
-        rec = subsystems.get(sub)
-        if not isinstance(rec, dict):
-            fail(f"subsystems.{sub} missing or not an object")
-        for key in ("live_bytes", "peak_bytes"):
-            if not _nonneg_number(rec.get(key)):
-                fail(f"subsystems.{sub}.{key} missing or negative")
-        if rec["peak_bytes"] < rec["live_bytes"]:
-            fail(f"subsystems.{sub}: peak_bytes {rec['peak_bytes']} below "
-                 f"live_bytes {rec['live_bytes']}")
-
-    rss = doc.get("rss")
-    if not isinstance(rss, dict):
-        fail("'rss' missing or not an object")
-    if not _nonneg_number(rss.get("peak_bytes")):
-        fail("rss.peak_bytes missing or negative")
-    samples = rss.get("samples")
-    if not isinstance(samples, list):
-        fail("rss.samples missing or not a list")
-    last_t = -1.0
-    for i, s in enumerate(samples):
-        if not isinstance(s, dict) or not _nonneg_number(s.get("t_ms")) or \
-                not _nonneg_number(s.get("bytes")):
-            fail(f"rss sample {i} malformed (needs nonnegative t_ms/bytes)")
-        if s["t_ms"] < last_t:
-            fail(f"rss sample {i}: timestamp {s['t_ms']} goes backwards")
-        last_t = s["t_ms"]
-        if s["bytes"] > rss["peak_bytes"]:
-            fail(f"rss sample {i}: {s['bytes']} bytes above declared peak "
-                 f"{rss['peak_bytes']}")
-    return doc
 
 
 def validate_serve(lines):
@@ -545,26 +508,6 @@ def report_serve(path):
     return 0
 
 
-def report_prof(path):
-    """Validates and summarizes an rfn-prof-v1 resource profile."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        print(f"trace_report: cannot read {path}: {err}", file=sys.stderr)
-        return 1
-    validate_prof(doc)
-    print("== resource profile ==")
-    print(f"wall_ms={doc['wall_ms']:.3f} total_cpu_ms={doc['total_cpu_ms']:.3f}")
-    print(f"\n{'subsystem':<10} {'live_bytes':>12} {'peak_bytes':>12}")
-    for sub, rec in sorted(doc["subsystems"].items()):
-        print(f"{sub:<10} {rec['live_bytes']:>12} {rec['peak_bytes']:>12}")
-    rss = doc["rss"]
-    print(f"\nrss: peak_bytes={rss['peak_bytes']} "
-          f"samples={len(rss['samples'])}")
-    return 0
-
-
 def report_corpus(path):
     """Validates and summarizes an rfn-corpus-v1 summary file."""
     try:
@@ -655,7 +598,13 @@ def report_batch(path):
 
     print("== batch summary ==")
     print(f"properties={len(props)} "
-          f"total_wall_s={summary.get('seconds', 0.0):.6f}")
+          f"total_wall_s={summary.get('seconds', 0.0):.6f} "
+          f"cpu_ms={summary['cpu_ms']:.3f} "
+          f"peak_rss_bytes={summary['peak_rss_bytes']}")
+    heap = (summary.get("metrics") or {}).get("gauges", {}).get(
+        "bdd.heap_bytes")
+    if isinstance(heap, dict) and "max" in heap:
+        print(f"bdd_heap_peak_bytes={heap['max']}")
     declared = summary.get("verdicts", {})
     print("verdicts: " + " ".join(
         f"{v}={declared.get(v, 0)}" for v in VERDICTS))
@@ -692,17 +641,19 @@ def report_batch(path):
 
 def fold_spans(events):
     """Reconstructs spans from B/E pairs. Returns a list of dicts with
-    name, tid, start, dur, self (all in microseconds), args, depth."""
+    name, tid, start, dur, self (all in microseconds), args, depth and
+    stack (the span names from its thread's root down to it)."""
     spans = []
     stacks = collections.defaultdict(list)
     for e in events:
         ph = e.get("ph")
         tid = e.get("tid")
         if ph == "B":
+            parent = stacks[tid][-1]["stack"] if stacks[tid] else ()
             stacks[tid].append({
                 "name": e["name"], "tid": tid, "start": e["ts"],
                 "dur": 0.0, "child": 0.0, "args": {},
-                "depth": len(stacks[tid]),
+                "depth": len(stacks[tid]), "stack": parent + (e["name"],),
             })
         elif ph == "E":
             s = stacks[tid].pop()
@@ -713,6 +664,50 @@ def fold_spans(events):
                 stacks[tid][-1]["child"] += s["dur"]
             spans.append(s)
     return spans
+
+
+def thread_names(events):
+    """tid -> thread name, from the exporter's thread_name metadata."""
+    return {e.get("tid"): e.get("args", {}).get("name")
+            for e in events
+            if e.get("ph") == "M" and e.get("name") == "thread_name"}
+
+
+def collapsed_stacks(events):
+    """Collapsed stacks of validated span events: {"thread;outer;inner":
+    self microseconds}, summed over every span with that stack."""
+    names = thread_names(events)
+    self_us = collections.defaultdict(float)
+    for s in fold_spans(events):
+        thread = names.get(s["tid"]) or f"tid-{s['tid']}"
+        self_us[";".join((thread,) + s["stack"])] += max(0.0, s["self"])
+    return self_us
+
+
+def root_durations(events):
+    """Thread name -> summed duration (microseconds) of its root spans,
+    read off the raw B/E events."""
+    names = thread_names(events)
+    depth = collections.defaultdict(int)
+    begin = {}
+    total = collections.defaultdict(float)
+    for e in events:
+        tid = e.get("tid")
+        if e.get("ph") == "B":
+            if depth[tid] == 0:
+                begin[tid] = e["ts"]
+            depth[tid] += 1
+        elif e.get("ph") == "E":
+            depth[tid] -= 1
+            if depth[tid] == 0:
+                total[names.get(tid) or f"tid-{tid}"] += e["ts"] - begin[tid]
+    return total
+
+
+def report_folded(doc):
+    for key, us in sorted(collapsed_stacks(validate(doc)).items()):
+        print(f"{key} {int(us + 0.5)}")
+    return 0
 
 
 def report(doc, top_n):
@@ -853,8 +848,10 @@ def synthetic_batch_trace():
          "properties": 2,
          "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
          "certificates": {"ok": 1, "failed": 1},
-         "seconds": 0.5,
-         "metrics": {"counters": {"rfn.runs": 2}}},
+         "seconds": 0.5, "cpu_ms": 480.0, "peak_rss_bytes": 30 << 20,
+         "metrics": {"counters": {"rfn.runs": 2},
+                     "gauges": {"bdd.heap_bytes": {"value": 2 << 20,
+                                                   "max": 3 << 20}}}},
     ]
 
 
@@ -906,23 +903,6 @@ def synthetic_serve_log():
     return log
 
 
-def synthetic_prof():
-    """A minimal well-formed rfn-prof-v1 profile for --self-check."""
-    return {
-        "format": PROF_SCHEMA,
-        "wall_ms": 120.0,
-        "total_cpu_ms": 115.0,
-        "subsystems": {
-            "bdd": {"live_bytes": 2 << 20, "peak_bytes": 3 << 20},
-        },
-        "rss": {"peak_bytes": 30 << 20, "samples": [
-            {"t_ms": 10.0, "bytes": 20 << 20},
-            {"t_ms": 60.0, "bytes": 30 << 20},
-            {"t_ms": 110.0, "bytes": 28 << 20},
-        ]},
-    }
-
-
 def self_check():
     """The validators must accept good traces and reject each corruption."""
     good = synthetic_trace()
@@ -953,6 +933,39 @@ def self_check():
                         "pid": 1, "tid": 1, "ts": 2.0}),
                 "flow event (unknown phase)"),
     ) if f]
+
+    # --folded: per thread, the collapsed stacks' self times sum to the
+    # root-span durations. A second thread with nested spans joins the
+    # synthetic trace.
+    threaded = synthetic_trace()
+    threaded["traceEvents"] += [
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": 2,
+         "args": {"name": "worker"}},
+        {"name": "task", "ph": "B", "pid": 1, "tid": 2, "ts": 2.0},
+        {"name": "leaf", "ph": "B", "pid": 1, "tid": 2, "ts": 2.5},
+        {"name": "leaf", "ph": "E", "pid": 1, "tid": 2, "ts": 3.0},
+        {"name": "leaf", "ph": "B", "pid": 1, "tid": 2, "ts": 3.5},
+        {"name": "leaf", "ph": "E", "pid": 1, "tid": 2, "ts": 4.0},
+        {"name": "task", "ph": "E", "pid": 1, "tid": 2, "ts": 4.5},
+        {"name": "task", "ph": "B", "pid": 1, "tid": 2, "ts": 5.0},
+        {"name": "task", "ph": "E", "pid": 1, "tid": 2, "ts": 6.0},
+    ]
+    events = validate(threaded)
+    folded = collapsed_stacks(events)
+    for key, us in (("main;rfn.run;rfn.iteration;mc.reach", 2.0),
+                    ("worker;task;leaf", 1.0), ("worker;task", 2.5)):
+        if folded.get(key) != us:
+            failures.append(f"self-check: folded {key!r} is "
+                            f"{folded.get(key)!r}, expected {us}")
+    roots = root_durations(events)
+    if sorted(roots) != ["main", "worker"]:
+        failures.append(f"self-check: root spans on threads {sorted(roots)}")
+    for thread, total in roots.items():
+        got = sum(us for key, us in folded.items()
+                  if key.startswith(thread + ";"))
+        if abs(got - total) > 1e-9:
+            failures.append(f"self-check: folded self times on {thread} sum "
+                            f"to {got}, its root spans last {total}")
 
     good_batch = synthetic_batch_trace()
     try:
@@ -1000,6 +1013,15 @@ def self_check():
                       "certificate records without summary counts"),
         corrupt_batch(lambda d: d.insert(6, dict(d[0])),
                       "property record after certificate records"),
+        # The summary reports what the run cost.
+        corrupt_batch(lambda d: d[-1].pop("cpu_ms"),
+                      "summary without cpu_ms"),
+        corrupt_batch(lambda d: d[-1].update(cpu_ms=-5.0),
+                      "negative summary cpu_ms"),
+        corrupt_batch(lambda d: d[-1].pop("peak_rss_bytes"),
+                      "summary without peak_rss_bytes"),
+        corrupt_batch(lambda d: d[-1].update(peak_rss_bytes=-1),
+                      "negative summary peak_rss_bytes"),
         # Iteration records: the blocks, step times, numbering and counts.
         corrupt_batch(lambda d: d[1].pop("refine"),
                       "iteration record missing the refine block"),
@@ -1099,40 +1121,6 @@ def self_check():
     except TraceError as err:
         failures.append(f"self-check: v1 corpus baseline rejected: {err}")
 
-    good_prof = synthetic_prof()
-    try:
-        validate_prof(good_prof)
-    except TraceError as err:
-        print(f"self-check: valid prof artifact rejected: {err}",
-              file=sys.stderr)
-        return 1
-
-    def corrupt_prof(mutate, expect):
-        doc = json.loads(json.dumps(good_prof))
-        mutate(doc)
-        try:
-            validate_prof(doc)
-        except TraceError:
-            return None
-        return f"self-check: {expect} not detected"
-
-    failures += [f for f in (
-        corrupt_prof(lambda d: d.update(format="rfn-prof-v0"),
-                     "wrong prof format tag"),
-        corrupt_prof(lambda d: d.update(total_cpu_ms=-5.0),
-                     "negative total cpu_ms"),
-        corrupt_prof(lambda d: d["subsystems"]["bdd"].update(peak_bytes=1),
-                     "subsystem peak below live"),
-        corrupt_prof(lambda d: d["subsystems"].pop("bdd"),
-                     "missing bdd subsystem record"),
-        corrupt_prof(lambda d: d["rss"]["samples"][1].update(t_ms=1.0),
-                     "non-monotone rss timestamps"),
-        corrupt_prof(lambda d: d["rss"].update(peak_bytes=1),
-                     "rss sample above declared peak"),
-        corrupt_prof(lambda d: d["rss"].pop("samples"),
-                     "missing rss samples"),
-    ) if f]
-
     good_serve = synthetic_serve_log()
     try:
         validate_serve(good_serve)
@@ -1209,9 +1197,9 @@ def main():
     ap.add_argument("--corpus", action="store_true",
                     help="TRACE is an rfn-corpus-v1/-v2 summary from "
                          "tools/corpus_run.py")
-    ap.add_argument("--prof", action="store_true",
-                    help="TRACE is an rfn-prof-v1 resource profile from "
-                         "rfn verify --prof-json")
+    ap.add_argument("--folded", action="store_true",
+                    help="print TRACE (a span file) as collapsed stacks with "
+                         "self microseconds, for flamegraph.pl")
     ap.add_argument("--trajectory", nargs="+", metavar="TRACE",
                     help="rfn-trace-v2 files that must agree on every "
                          "property's iterations and final abstraction size")
@@ -1238,13 +1226,6 @@ def main():
             print(f"trace_report: invalid serve session log: {err}",
                   file=sys.stderr)
             return 1
-    if args.prof:
-        try:
-            return report_prof(args.trace)
-        except TraceError as err:
-            print(f"trace_report: invalid prof artifact: {err}",
-                  file=sys.stderr)
-            return 1
     if args.corpus:
         try:
             return report_corpus(args.trace)
@@ -1266,7 +1247,7 @@ def main():
               file=sys.stderr)
         return 1
     try:
-        return report(doc, args.top)
+        return report_folded(doc) if args.folded else report(doc, args.top)
     except TraceError as err:
         print(f"trace_report: invalid trace: {err}", file=sys.stderr)
         return 1
