@@ -60,12 +60,6 @@ json::Value from_text(const std::string& text, T*) {
   return v.is_number() ? v : json::Value(text);
 }
 
-json::Value from_text(const std::string& text, bool*) {
-  if (text == "1" || text == "true" || text == "yes") return true;
-  if (text == "0" || text == "false" || text == "no") return false;
-  return text;
-}
-
 template <class T>
 json::Value from_text(const std::string& text, std::optional<T>*) {
   return from_text(text, static_cast<T*>(nullptr));
@@ -168,8 +162,6 @@ const std::vector<Knob>& knobs() {
        [](R r) -> F { return &r.session_workers; }, nullptr, "session-workers"},
       {"session", "batch-budget-ms",
        [](R r) -> F { return &r.batch_budget_ms; }},
-      {"session", "reuse",
-       [](R r) -> F { return &r.reuse; }, nullptr, "no-reuse"},
   };
   return kKnobs;
 }
@@ -450,10 +442,8 @@ bool VerifyRequest::from_flags(const Options& opts,
     const std::vector<std::string> given = opts.get_all(flag);
     if (given.empty()) continue;
     // A repeated flag keeps its last value.
-    const Knob::Field field = k.field(*out);
-    if (!want_text(field, given.back(), "--" + flag, error)) return false;
-    bool* const* b = std::get_if<bool*>(&field);
-    if (b != nullptr && flag.rfind("no-", 0) == 0) **b = !**b;
+    if (!want_text(k.field(*out), given.back(), "--" + flag, error))
+      return false;
   }
 
   // The property set: every --bad, then every --props line (none: the
@@ -523,8 +513,6 @@ json::Value VerifyResponse::to_json() const {
     Value e = Value::object();
     e.set("name", r.name);
     e.set("verdict", r.verdict);
-    e.set("order_seeded", r.order_seeded);
-    e.set("seeded_registers", r.seeded_registers);
     e.set("iterations", r.iterations);
     e.set("seconds", r.seconds);
     e.set("note", r.note);
@@ -542,16 +530,6 @@ json::Value VerifyResponse::to_json() const {
     }
     o.set("certificates", std::move(certs));
   }
-  Value warm_o = Value::object();
-  warm_o.set("enabled", warm.enabled);
-  warm_o.set("hit", warm.hit);
-  warm_o.set("hits", warm.hits);
-  warm_o.set("misses", warm.misses);
-  warm_o.set("evictions", warm.evictions);
-  warm_o.set("entries", warm.entries);
-  warm_o.set("bytes", warm.bytes);
-  warm_o.set("order_warm", warm.order_warm);
-  o.set("warm_cache", std::move(warm_o));
   o.set("seconds", seconds);
   return o;
 }
@@ -639,8 +617,8 @@ CertificateArtifact certify_property(const Netlist& design, GateId bad,
 }
 
 bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
-                TraceSink* sink, bool stream_properties, ReuseCache* warm,
-                RunOutput* out, std::string* error) {
+                TraceSink* sink, bool stream_properties, RunOutput* out,
+                std::string* error) {
   *out = RunOutput{};
   const std::vector<std::string> errors = req.validate();
   if (!errors.empty()) {
@@ -656,8 +634,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
   sopt.defaults = req.options;
   sopt.workers = req.session_workers;
   sopt.batch_budget_ms = req.batch_budget_ms;
-  sopt.reuse = req.reuse;
-  sopt.shared_cache = warm;
   // One property's records: the property record, then the iteration records
   // of its run. The file and streaming modes both write through this.
   const auto write_property = [&](const PropertyResult& r) {
@@ -725,8 +701,6 @@ bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
     PropertyVerdict pv;
     pv.name = r.name;
     pv.verdict = to_string(r.verdict);
-    pv.order_seeded = r.order_seeded;
-    pv.seeded_registers = r.seeded_registers;
     pv.iterations = r.stats.iterations;
     pv.seconds = r.stats.seconds;
     pv.note = r.stats.note;

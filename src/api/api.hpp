@@ -20,7 +20,7 @@
 //                     the server's mid-run streaming).
 //   VerifyResponse  — the final verdict document (rfn-resp-v1): per-
 //                     property verdicts, verdict counts, certificate
-//                     outcomes, warm-cache effects, wall time.
+//                     outcomes, wall time.
 //
 // The schemas are versioned ("rfn-req-v1"/"rfn-resp-v1") and the codecs are
 // strict: unknown keys are rejected, so a typo'd option fails the request
@@ -28,6 +28,7 @@
 // one entry of knobs() below; the flag, --props and JSON codecs all walk
 // that list, so the doors cannot drift apart.
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <variant>
@@ -71,9 +72,9 @@ struct VerifyRequest;
 /// "session" object. The key is also the knob's --props / "overrides" key
 /// and, unless `flag` says otherwise, its CLI flag (--key). The knob's type
 /// is the C++ type of the field it sets: double a number, size_t a
-/// non-negative integer count, int64_t an integer and bool a boolean.
+/// non-negative integer count and int64_t an integer.
 struct Knob {
-  using Field = std::variant<double*, size_t*, int64_t*, bool*>;
+  using Field = std::variant<double*, size_t*, int64_t*>;
   using Override =
       std::variant<std::optional<double>*, std::optional<size_t>*,
                    std::optional<int64_t>*>;
@@ -87,14 +88,13 @@ struct Knob {
   /// The per-property slot a --props line or an "overrides" object sets;
   /// null when the knob is request-wide only.
   Override (*override_field)(PropertyRequest::Overrides&) = nullptr;
-  /// CLI spelling when it is not the key. A bool flag spelled no-X clears
-  /// the knob.
+  /// CLI spelling when it is not the key.
   const char* flag = nullptr;
 
   std::string cli_flag() const { return flag != nullptr ? flag : key; }
 };
 
-/// The knob list: 5 "options" knobs, then 3 "session" knobs.
+/// The knob list: 5 "options" knobs, then 2 "session" knobs.
 const std::vector<Knob>& knobs();
 
 /// A verification request: rfn-req-v1.
@@ -126,19 +126,20 @@ struct VerifyRequest {
     o.time_limit_s = 300.0;
     return o;
   }();
-  // Session knobs (SessionOptions sans defaults/hooks).
+  // Session knobs (SessionOptions sans defaults/on_property).
   size_t session_workers = 0;
   double batch_budget_ms = -1.0;
-  bool reuse = true;
   /// Certify every conclusive verdict through the independent SAT checker.
   bool certify = false;
   /// Ship each built rfn-cert-v1 document inline in the response.
   bool inline_certificates = false;
 
   // Unread shims for out-of-tree callers that still read the removed cone-
-  // clustering knobs: no door sets them and no run reads them.
+  // clustering knobs and the removed warm-state switch: no door sets them
+  // and no run reads them.
   double cluster_overlap = 0.5;
   size_t max_cluster_size = 4;
+  bool reuse = true;
 
   /// The one validation choke point: RfnOptions::validate() of the
   /// defaults, each error prefixed with the knob that alone raises it, then
@@ -167,29 +168,9 @@ struct VerifyRequest {
 struct PropertyVerdict {
   std::string name;
   std::string verdict;  // "T" | "F" | "?" | "resource-out"
-  bool order_seeded = false;
-  size_t seeded_registers = 0;
   size_t iterations = 0;
   double seconds = 0.0;
   std::string note;
-};
-
-/// Warm-state effects of a served request (filled by rfn_serve; all-default
-/// for CLI runs, where every request is cold by construction).
-struct WarmCacheInfo {
-  bool enabled = false;
-  /// The design's cache entry existed before this request.
-  bool hit = false;
-  /// Cache-level lookup counters, cumulative over the server's lifetime.
-  size_t hits = 0;
-  size_t misses = 0;
-  size_t evictions = 0;
-  /// Entries and charged bytes after this request.
-  size_t entries = 0;
-  int64_t bytes = 0;
-  /// Pre-existing warm state the run could reuse: a saved BDD variable
-  /// order.
-  bool order_warm = false;
 };
 
 /// The final verdict document: rfn-resp-v1.
@@ -198,13 +179,9 @@ struct WarmCacheInfo {
 ///    ["error":"..","reject_reason":"..",]              // failures only
 ///    "design_hash":"..","properties":..,
 ///    "verdicts":{"T":..,"F":..,"?":..,"resource-out":..},
-///    "results":[{"name":..,"verdict":..,"order_seeded":..,
-///                "seeded_registers":..,"iterations":..,"seconds":..,
+///    "results":[{"name":..,"verdict":..,"iterations":..,"seconds":..,
 ///                "note":..}],
 ///    ["certificates":{"ok":..,"failed":..[,"docs":[..]]},]  // certify only
-///    "warm_cache":{"enabled":..,"hit":..,"hits":..,"misses":..,
-///                  "evictions":..,"entries":..,"bytes":..,
-///                  "order_warm":..},
 ///    "seconds":..}
 struct VerifyResponse {
   std::string id;
@@ -223,7 +200,6 @@ struct VerifyResponse {
   size_t cert_ok = 0, cert_failed = 0;
   /// Inline rfn-cert-v1 documents (VerifyRequest::inline_certificates).
   std::vector<json::Value> certificates;
-  WarmCacheInfo warm;
   double seconds = 0.0;
 
   json::Value to_json() const;
@@ -278,13 +254,18 @@ struct RunOutput {
 /// order; true (the server) emits them as each verdict lands (completion
 /// order). Certificates and the batch summary follow post-run either way.
 ///
-/// `warm` (optional) is the server's per-design warm cache entry, passed to
-/// SessionOptions::shared_cache; honored only when session_workers == 0.
-///
 /// Returns false — with a one-line `error` and nothing emitted — on invalid
 /// options or unresolvable properties; the design is assumed loaded.
 bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
-                TraceSink* sink, bool stream_properties, ReuseCache* warm,
-                RunOutput* out, std::string* error);
+                TraceSink* sink, bool stream_properties, RunOutput* out,
+                std::string* error);
+
+// Unread shim for out-of-tree callers that still pass the removed warm-state
+// argument (always null): forwards to the form above.
+inline bool run_verify(const LoadedDesign& design, const VerifyRequest& req,
+                       TraceSink* sink, bool stream_properties, std::nullptr_t,
+                       RunOutput* out, std::string* error) {
+  return run_verify(design, req, sink, stream_properties, out, error);
+}
 
 }  // namespace rfn::api

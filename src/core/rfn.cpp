@@ -1,14 +1,11 @@
 #include "core/rfn.hpp"
 
 #include <algorithm>
-#include <memory>
-#include <unordered_set>
 
 #include "atpg/seq_atpg.hpp"
 #include "bdd/bdd.hpp"
 #include "core/abstraction.hpp"
 #include "core/concretize.hpp"
-#include "core/session.hpp"
 #include "mc/image.hpp"
 #include "util/log.hpp"
 #include "util/prof.hpp"
@@ -44,8 +41,7 @@ std::string join_errors(const std::vector<std::string>& errors) {
 // ---------------------------------------------------------------------------
 // The abstraction-refinement loop
 
-RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
-                       const RunHooks& hooks) {
+RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
   RFN_CHECK(bad < m.size(), "bad signal out of range");
   const std::vector<std::string> errors = opt.validate();
   RFN_CHECK(errors.empty(), "invalid options: %s", join_errors(errors).c_str());
@@ -61,33 +57,12 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
   // runs inline on it).
   const int64_t run_cpu0 = prof::thread_cpu_ns();
 
-  // Session seeding: the saved variable order and crucial-register hints of
-  // earlier properties. Both are hints — they shape which abstract models
-  // and orders the run visits, never what a verdict means.
+  // The variable order the last conclusive reach left behind: it seeds the
+  // next iteration's manager (Section 2.2), and dies with the run.
   SavedOrder saved_order;
-  if (hooks.order_io != nullptr) saved_order = *hooks.order_io;
-  if (hooks.order_seeded != nullptr)
-    *hooks.order_seeded = !saved_order.empty();
 
   const std::vector<GateId> roots{bad};
   std::vector<GateId> included = initial_abstraction_registers(m, roots);
-  if (hooks.seed_registers != nullptr && !hooks.seed_registers->empty()) {
-    std::vector<bool> have(m.size(), false);
-    for (GateId r : included) have[r] = true;
-    for (GateId r : *hooks.seed_registers) {
-      if (have[r]) continue;
-      have[r] = true;
-      included.push_back(r);
-    }
-  }
-
-  const auto note_crucial = [&hooks](const std::vector<GateId>& regs) {
-    if (hooks.crucial_out == nullptr) return;
-    const std::unordered_set<GateId> seen(hooks.crucial_out->begin(),
-                                          hooks.crucial_out->end());
-    for (GateId r : regs)
-      if (seen.find(r) == seen.end()) hooks.crucial_out->push_back(r);
-  };
 
   // Resource watchdog: when a budget is set, the run is cancelled through
   // run_token (chaining any external token), and every cancellation point
@@ -120,12 +95,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
 
     // --- Step 1: abstract model ---
     std::sort(included.begin(), included.end());
-    std::shared_ptr<const Subcircuit> sub_owned =
-        hooks.subcircuits != nullptr
-            ? hooks.subcircuits->get(m, roots, included)
-            : std::make_shared<const Subcircuit>(
-                  extract_abstract_model(m, roots, included));
-    const Subcircuit& sub = *sub_owned;
+    const Subcircuit sub = extract_abstract_model(m, roots, included);
     it.abstract_regs = sub.net.num_regs();
     it.abstract_inputs = sub.net.num_inputs();
     it.abstract_gates = sub.net.num_gates();
@@ -253,14 +223,12 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
       break;
     }
     RFN_INFO("iter %zu: refining with %zu crucial registers", iter, crucial.size());
-    note_crucial(crucial);
     for (GateId r : crucial) included.push_back(r);
   }
 
   std::sort(included.begin(), included.end());
   result.final_registers = std::move(included);
   result.final_abstract_regs = result.final_registers.size();
-  if (hooks.order_io != nullptr) *hooks.order_io = std::move(saved_order);
 
   // Joining the monitor thread is the happens-before edge for reading the
   // trip state (and, in the CLI, for exporting the span trace).

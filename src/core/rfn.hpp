@@ -13,10 +13,10 @@
 // RFN never performs symbolic image computation on the original design.
 //
 // run_property() is the one entry point to this loop. Step 2 calls the BDD
-// fixpoint and then the hybrid walk, Step 3 calls guided concretization;
-// RunHooks lets a caller seed the run and collect its hints, which is how
-// VerifySession (core/session.hpp) threads rfn_serve's warm cache through
-// the runs of a batch.
+// fixpoint and then the hybrid walk, Step 3 calls guided concretization.
+// Every run starts from the property's initial abstraction and keeps no
+// state past its return: the same design and options walk the same
+// trajectory, whoever calls.
 
 #include <string>
 #include <vector>
@@ -112,7 +112,7 @@ struct RfnResult {
   size_t iterations = 0;
   size_t final_abstract_regs = 0;
   /// The included register set when the run ended (sorted): the final
-  /// abstract model. Lets callers resume refinement or seed a later run.
+  /// abstract model, which the holds-invariant certificate is built on.
   std::vector<GateId> final_registers;
   double seconds = 0.0;
   /// Thread-CPU seconds of this run: the calling thread's CPU over the run
@@ -131,38 +131,11 @@ struct RfnResult {
   PdrInvariantWitness pdr_invariant;
 };
 
-class SubcircuitMemo;
-struct SavedOrder;
-
-/// Optional hooks run_property() threads through one run; all fields may be
-/// null. This is how the session injects its reuse cache without the loop
-/// knowing about sessions.
-struct RunHooks {
-  /// Memoized Step-1 subcircuit extraction.
-  SubcircuitMemo* subcircuits = nullptr;
-  /// In: initial variable-order seed (may be empty). Out: the final saved
-  /// order of the run.
-  SavedOrder* order_io = nullptr;
-  /// Out: set true when a non-empty seed order was applied to the first
-  /// iteration's manager.
-  bool* order_seeded = nullptr;
-  /// Registers unioned into the initial abstraction: refinement seeds from
-  /// earlier properties, or an earlier run's final_registers to resume
-  /// from. Sound: a larger register set only tightens the
-  /// over-approximation.
-  const std::vector<GateId>* seed_registers = nullptr;
-  /// Out: every crucial register chosen by Step 4, appended in discovery
-  /// order (duplicates possible across iterations are not re-added).
-  std::vector<GateId>* crucial_out = nullptr;
-};
-
 /// Verifies "`bad` never rises" on `m`: `bad` is a signal of `m`, and safety
 /// properties are modeled by a watchdog whose output (or state) is `bad`
 /// (paper Section 3). Aborts with the RfnOptions::validate() messages on
 /// invalid options. The result's final_registers is the final abstract
-/// model; passing it back as RunHooks::seed_registers resumes refinement
-/// from there.
-RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt,
-                       const RunHooks& hooks = {});
+/// model.
+RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt);
 
 }  // namespace rfn

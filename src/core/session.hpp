@@ -13,24 +13,18 @@
 // the properties (enforced by the per-run resource watchdog), so one hard
 // property cannot starve the batch.
 //
-// The one cross-run state is SessionOptions::shared_cache, rfn_serve's
-// per-design warm cache: a memoized subcircuit extraction, the last run's
-// BDD variable order and the crucial registers refinement chose, carried
-// from one property (and one request) to the next. It carries hints only,
-// never verdicts.
+// A session keeps no state across runs: each property starts from its own
+// initial abstraction, so its trajectory is that of a lone run_property()
+// call, whatever ran before it in this session or this process.
 
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "core/abstraction.hpp"
 #include "core/rfn.hpp"
 #include "netlist/netlist.hpp"
-#include "netlist/subcircuit.hpp"
 
 namespace rfn {
 
@@ -73,19 +67,11 @@ struct PropertyResult {
   Trace trace;
   /// The property's own run record behind the verdict.
   RfnResult stats;
-  /// Warm-cache effects (SessionOptions::shared_cache): whether this run's
-  /// first BDD manager was seeded with an earlier run's variable order, and
-  /// how many crucial-register hints from earlier runs seeded the initial
-  /// abstraction.
-  bool order_seeded = false;
-  size_t seeded_registers = 0;
 
   // Unread shim for out-of-tree readers that still expect cone clustering:
   // every property runs solo, so this is always false.
   bool clustered = false;
 };
-
-struct ReuseCache;
 
 struct SessionOptions {
   /// Baseline RfnOptions each property run starts from.
@@ -98,70 +84,19 @@ struct SessionOptions {
   /// resource watchdog, so one hard property cannot starve the batch.
   /// <= 0: no batch budget (defaults.budget_ms still applies per run).
   double batch_budget_ms = -1.0;
-  /// Lets the runs read and write shared_cache. Hints only — never
-  /// verdicts — so this is a performance switch, not a soundness one.
-  bool reuse = true;
   /// Invoked once per property, as its result is finalized (completion
   /// order, which for workers == 0 is request order).
   /// Runs under the session's emission mutex, so the callback itself needs
   /// no locking. This is how rfn_serve streams rfn-trace-v2 property
   /// records mid-run; null keeps the historical collect-then-report shape.
   std::function<void(const PropertyResult&)> on_property;
-  /// Cross-request warm state (the server's per-design cache entry): with
-  /// `reuse` on, every run reads and writes this ReuseCache, so SavedOrder /
-  /// SubcircuitMemo / crucial hints survive into the next property and the
-  /// next session on the same design. Honored only when workers == 0 (the
-  /// memo and order are single-threaded by design). The caller must
-  /// construct every warmed session over the SAME Netlist instance. Null:
-  /// every run starts cold.
-  ReuseCache* shared_cache = nullptr;
 
   // Unread shims for out-of-tree callers that still set the removed cone-
-  // clustering knobs: every property runs solo whatever they hold.
+  // clustering knobs and the removed warm-state switch: every property runs
+  // solo and cold whatever they hold.
   double cluster_overlap = 0.5;
   size_t max_cluster_size = 4;
-};
-
-/// Memoized subcircuit extraction keyed by (property roots, included
-/// register set). Single-threaded by design: only an inline session
-/// (workers == 0) touches one, so it is never shared across executor
-/// threads.
-class SubcircuitMemo {
- public:
-  /// Returns the memoized extraction for (roots, included) or runs
-  /// extract_abstract_model and stores it. `included` must be sorted.
-  std::shared_ptr<const Subcircuit> get(const Netlist& m,
-                                        const std::vector<GateId>& roots,
-                                        const std::vector<GateId>& included);
-
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
-  /// Resident-byte estimate of the memoized subcircuits (each netlist's
-  /// Netlist::heap_bytes() plus the id maps and keys). Feeds the
-  /// server's warm-state byte budget; exactness is not required there, only
-  /// monotonicity in the cached volume.
-  int64_t approx_bytes() const;
-
- private:
-  std::unordered_map<std::string, std::shared_ptr<const Subcircuit>> map_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
-};
-
-/// Cross-run reuse state: rfn_serve's per-design warm cache.
-struct ReuseCache {
-  SubcircuitMemo subcircuits;
-  /// Final variable order of the previous run (original-design ids).
-  SavedOrder order;
-  /// Union of crucial registers identified by refinement so far, in
-  /// discovery order.
-  std::vector<GateId> crucial_hints;
-
-  /// Resident-byte estimate of the whole cache: structural estimates for
-  /// the memo, order, and hints. The server's
-  /// WarmStateCache charges each design entry by this figure.
-  int64_t approx_bytes() const;
+  bool reuse = true;
 };
 
 class VerifySession {

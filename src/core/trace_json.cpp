@@ -72,8 +72,6 @@ json::Value property_json(const PropertyResult& r) {
   o.set("name", r.name);
   o.set("bad", static_cast<size_t>(r.bad));
   o.set("verdict", to_string(r.verdict));
-  o.set("order_seeded", r.order_seeded);
-  o.set("seeded_registers", r.seeded_registers);
   o.set("iterations", r.stats.iterations);
   o.set("final_abstract_regs", r.stats.final_abstract_regs);
   o.set("error_trace_cycles", r.trace.cycles());

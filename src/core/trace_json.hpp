@@ -9,7 +9,6 @@
 // Schema:
 //   {"type":"property","name":"..","bad":..,
 //    "verdict":"T|F|?|resource-out",
-//    "order_seeded":..,"seeded_registers":..,
 //    "iterations":..,"final_abstract_regs":..,"error_trace_cycles":..,
 //    "seconds":..,"cpu_ms":..,"note":"..",
 //    ["budget_trip":{"reason":"wall-budget|bdd-node-budget|mem-budget",

@@ -16,9 +16,7 @@
 namespace rfn::serve {
 
 Server::Server(ServerOptions opt)
-    : opt_(std::move(opt)),
-      warm_(opt_.warm_budget_bytes),
-      queue_(opt_.admission) {
+    : opt_(std::move(opt)), queue_(opt_.admission) {
   if (opt_.workers < 1) opt_.workers = 1;
 }
 
@@ -234,7 +232,7 @@ void Server::handle_request(Conn& conn, const json::Value& doc) {
                      .to_json()
                      .dump());
     } else {
-      process(conn, *req, std::move(design));
+      process(conn, *req, design);
     }
     done->set_value();
   };
@@ -255,19 +253,7 @@ void Server::handle_request(Conn& conn, const json::Value& doc) {
 }
 
 void Server::process(Conn& conn, const api::VerifyRequest& req,
-                     api::LoadedDesign design) {
-  api::WarmCacheInfo info;
-  info.enabled = opt_.warm_enabled && req.session_workers == 0;
-  WarmStateCache::Lease lease;
-  const api::LoadedDesign* d = &design;
-  ReuseCache* cache = nullptr;
-  if (info.enabled) {
-    lease = warm_.acquire(std::move(design));
-    d = lease.design;
-    cache = lease.cache;
-    info.hit = lease.warm;
-    info.order_warm = lease.order_warm;
-  }
+                     const api::LoadedDesign& design) {
   api::CallbackTraceSink sink(
       [this, &conn](const json::Value& rec) { write_line(conn, rec.dump()); });
   api::RunOutput out;
@@ -278,27 +264,16 @@ void Server::process(Conn& conn, const api::VerifyRequest& req,
     // the watchdog included, via binding propagation —
     // records into a registry this request owns, so the batch summary's
     // metrics block is request-relative even with concurrent requests
-    // in flight. Server-level metrics (queue, warm cache) are recorded
-    // outside this scope and stay process-cumulative.
+    // in flight. Server-level metrics (the queue) are recorded outside
+    // this scope and stay process-cumulative.
     MetricsRegistry request_metrics;
     MetricsScope scope(&request_metrics);
-    ok = api::run_verify(*d, req, &sink, /*stream_properties=*/true, cache,
+    ok = api::run_verify(design, req, &sink, /*stream_properties=*/true,
                          &out, &err);
   }
-  if (info.enabled) warm_.release(lease);
-  api::VerifyResponse resp;
-  if (ok) {
-    resp = std::move(out.response);
-    WarmStats ws = warm_.stats();
-    info.hits = ws.hits;
-    info.misses = ws.misses;
-    info.evictions = ws.evictions;
-    info.entries = ws.entries;
-    info.bytes = ws.bytes;
-    resp.warm = info;
-  } else {
-    resp = api::VerifyResponse::reject(req.id, "bad-request", err);
-  }
+  const api::VerifyResponse resp =
+      ok ? std::move(out.response)
+         : api::VerifyResponse::reject(req.id, "bad-request", err);
   // Counted before the response line goes out, so a client that has read
   // its response observes the request as served.
   served_.fetch_add(1);

@@ -29,22 +29,21 @@
 // design — up to 64 MB of inline Verilog/AIGER to parse and elaborate —
 // happens on the worker, after admission, so a rejected or flooding
 // request costs microseconds, never an elaboration ("load-failed" is
-// written by the worker). The worker then exchanges the fresh load for a
-// WarmStateCache lease — the second request on a design hash runs on the
-// cached netlist instance with its warm SAT pool / BDD order / subcircuit
-// memo — runs api::run_verify with a streaming sink, stamps the warm-cache
-// effects into the response, and writes the final line.
+// written by the worker). The worker then runs api::run_verify on its own
+// load with a streaming sink and writes the final line. The server keeps no
+// per-design state: every request runs cold, exactly as `rfn verify` runs
+// it, so two in-flight requests on one design run in parallel and a repeat
+// request walks the first one's trajectory.
 //
 // Each request's run_verify executes under a MetricsScope binding a
 // registry the request owns (the binding propagates to executor workers and
 // the watchdog), so the batch-summary's metrics block is request-relative
 // even with concurrent requests in flight — the same single-run reading the
-// CLI gives. Server-level metrics (admission queue, warm cache) are
-// recorded outside the scope and stay process-cumulative on purpose.
+// CLI gives. Server-level metrics (the admission queue) are recorded
+// outside the scope and stay process-cumulative on purpose.
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -52,7 +51,6 @@
 #include <vector>
 
 #include "serve/queue.hpp"
-#include "serve/warm_cache.hpp"
 #include "util/executor.hpp"
 
 namespace rfn::serve {
@@ -69,10 +67,6 @@ struct ServerOptions {
   /// connection thread against its own future).
   size_t workers = 1;
   AdmissionLimits admission;
-  /// Warm-state byte budget (<= 0: unbounded); warm_enabled false serves
-  /// every request cold.
-  int64_t warm_budget_bytes = 256ll << 20;
-  bool warm_enabled = true;
   /// Longest accepted request line (inline designs included).
   size_t max_line_bytes = 64u << 20;
 };
@@ -100,7 +94,6 @@ class Server {
   /// Actual TCP port after start() (ephemeral binds resolve here).
   int tcp_port() const { return tcp_port_; }
 
-  WarmStats warm_stats() const { return warm_.stats(); }
   size_t served() const { return served_.load(); }
 
  private:
@@ -124,12 +117,11 @@ class Server {
   /// One request line, already parsed. Writes every reply itself.
   void handle_request(Conn& conn, const json::Value& doc);
   void process(Conn& conn, const api::VerifyRequest& req,
-               api::LoadedDesign design);
+               const api::LoadedDesign& design);
   void write_line(Conn& conn, const std::string& line);
   void request_stop();
 
   ServerOptions opt_;
-  WarmStateCache warm_;
   FairQueue queue_;
   std::unique_ptr<Executor> exec_;
 

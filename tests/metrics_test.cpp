@@ -261,7 +261,8 @@ TEST(TraceJson, CliRejectsRemovedFlags) {
   const std::string out = ::testing::TempDir() + "/removed_flag.out";
   for (const char* flag :
        {"--cert-out x.json", "--aiger-witness x.wit", "--batch",
-        "--prof-json x.json", "--prof-folded x.folded", "--metrics"}) {
+        "--prof-json x.json", "--prof-folded x.folded", "--metrics",
+        "--no-reuse"}) {
     const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
                             " --bad bad_q " + flag + " > /dev/null 2> " + out;
     const int rc = std::system(cmd.c_str());

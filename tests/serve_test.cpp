@@ -1,7 +1,7 @@
-// rfn_serve tests: fair-share scheduling, admission control, the warm-state
-// cache, strict rfn-req-v1 rejection, and — the acceptance check — CLI-vs-
-// server equivalence through the shared rfn::api run path, plus the warm
-// SavedOrder reuse a repeat request must show.
+// rfn_serve tests: fair-share scheduling, admission control, strict
+// rfn-req-v1 rejection, and — the acceptance check — CLI-vs-server
+// equivalence through the shared rfn::api run path: every request, repeated
+// or concurrent, walks the trajectory of the cold CLI run.
 
 #include "serve/server.hpp"
 
@@ -22,7 +22,6 @@
 
 #include "api/api.hpp"
 #include "serve/queue.hpp"
-#include "serve/warm_cache.hpp"
 
 namespace rfn {
 namespace {
@@ -148,83 +147,6 @@ TEST(FairQueue, DemandFallsBackToTimeLimitThenDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// WarmStateCache
-
-api::LoadedDesign load_builtin_fifo() {
-  api::DesignRef ref;
-  ref.path = "builtin:fifo";
-  api::LoadedDesign d;
-  std::string error;
-  EXPECT_TRUE(api::load_design(ref, &d, &error)) << error;
-  return d;
-}
-
-TEST(WarmStateCache, HitMissCountersAcrossRepeatAcquires) {
-  serve::WarmStateCache cache(/*byte_budget=*/0);
-  auto lease1 = cache.acquire(load_builtin_fifo());
-  EXPECT_FALSE(lease1.warm);
-  EXPECT_FALSE(lease1.order_warm);
-  const Netlist* first_instance = &lease1.design->netlist;
-  // Warm the entry the way a session would: a saved variable order.
-  lease1.cache->order.tokens.push_back({});
-  cache.release(lease1);
-
-  auto lease2 = cache.acquire(load_builtin_fifo());
-  EXPECT_TRUE(lease2.warm);
-  EXPECT_TRUE(lease2.order_warm);
-  // The cached instance answers the repeat request — the entry's warm state
-  // was built on it, so instance stability is the contract.
-  EXPECT_EQ(&lease2.design->netlist, first_instance);
-  cache.release(lease2);
-
-  const serve::WarmStats s = cache.stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 1u);
-  EXPECT_EQ(s.evictions, 0u);
-  EXPECT_GT(s.bytes, 0);
-}
-
-TEST(WarmStateCache, EvictsLruUnderByteBudget) {
-  // A 1-byte budget cannot hold any entry: release evicts immediately.
-  serve::WarmStateCache tiny(1);
-  auto lease = tiny.acquire(load_builtin_fifo());
-  tiny.release(lease);
-  serve::WarmStats s = tiny.stats();
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.entries, 0u);
-  EXPECT_EQ(s.bytes, 0);
-
-  // The next acquire on the same design is a miss again.
-  auto again = tiny.acquire(load_builtin_fifo());
-  EXPECT_FALSE(again.warm);
-  tiny.release(again);
-}
-
-TEST(WarmStateCache, NeverEvictsALiveLease) {
-  serve::WarmStateCache tiny(1);
-  auto lease = tiny.acquire(load_builtin_fifo());
-  // Over budget but in use: the entry must survive until release.
-  EXPECT_EQ(tiny.stats().entries, 1u);
-  EXPECT_EQ(tiny.stats().evictions, 0u);
-  tiny.release(lease);
-  EXPECT_EQ(tiny.stats().entries, 0u);
-}
-
-TEST(WarmStateCache, UnboundedBudgetKeepsEverything) {
-  serve::WarmStateCache cache(0);
-  for (int i = 0; i < 3; ++i) {
-    auto lease = cache.acquire(load_builtin_fifo());
-    cache.release(lease);
-  }
-  const serve::WarmStats s = cache.stats();
-  EXPECT_EQ(s.entries, 1u);  // same design hash: one entry
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.evictions, 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Strict rfn-req-v1 rejection
 
 json::Value valid_request_doc() {
@@ -243,9 +165,7 @@ json::Value non_default(const api::Knob& k) {
   return std::visit(
       [](auto* p) -> json::Value {
         using T = std::decay_t<decltype(*p)>;
-        if constexpr (std::is_same_v<T, bool>) {
-          return !*p;
-        } else if constexpr (std::is_same_v<T, size_t>) {
+        if constexpr (std::is_same_v<T, size_t>) {
           return static_cast<uint64_t>(*p + 3);
         } else {
           return *p + 3;
@@ -363,15 +283,8 @@ TEST(RequestCodec, EveryDoorSetsEveryKnob) {
     const json::Value v = non_default(k);
     std::vector<std::string> doors;
 
-    const std::string flag = "--" + k.cli_flag();
     std::vector<std::string> args = bad;
-    if (v.is_bool()) {
-      const bool cleared = k.cli_flag().rfind("no-", 0) == 0;
-      args.insert(args.end(),
-                  {flag, v.as_bool() != cleared ? "true" : "false"});
-    } else {
-      args.insert(args.end(), {flag, v.dump()});
-    }
+    args.insert(args.end(), {"--" + k.cli_flag(), v.dump()});
     ASSERT_TRUE(request_from_args(args, &req, &error)) << error;
     doors.push_back(effective(req));
 
@@ -401,7 +314,7 @@ TEST(RequestCodec, EveryDoorSetsEveryKnob) {
     for (size_t d = 1; d < doors.size(); ++d)
       EXPECT_EQ(doors[d], doors[0]) << "door " << d;
   }
-  EXPECT_EQ(api::knobs().size(), 8u);
+  EXPECT_EQ(api::knobs().size(), 7u);
   EXPECT_EQ(overridable, 5u);
   std::remove(props.c_str());
 }
@@ -433,7 +346,7 @@ TEST(RequestCodec, FlagsAreStrict) {
       {{"verify", "D", "--time-limt", "5"}, "--time-limt"},
       {{"verify", "D", "--time-limit", "abc"}, "--time-limit"},
       {{"verify", "D", "--max-iterations", "1.7"}, "--max-iterations"},
-      {{"verify", "D", "--no-reuse", "maybe"}, "--no-reuse"},
+      {{"verify", "D", "--no-reuse"}, "unknown flag --no-reuse"},
       {{"verify"}, "missing design"},
   };
   for (const auto& [args, named] : refused) {
@@ -470,7 +383,8 @@ TEST(RequestCodec, RefusesRemovedOptionKeys) {
       {"options", "pdr-max-frames", json::Value(64.0)},
       {"options", "pdr-time", json::Value(5.0)},
       {"session", "cluster-overlap", json::Value(0.5)},
-      {"session", "max-cluster", json::Value(4.0)}};
+      {"session", "max-cluster", json::Value(4.0)},
+      {"session", "reuse", json::Value(false)}};
   for (const auto& [group, key, value] : removed) {
     json::Value members = json::Value::object();
     members.set(key, value);
@@ -590,8 +504,7 @@ TEST(RequestCodec, ValidatesEachPropertysMergedOptions) {
     ASSERT_EQ(errors.size(), 1u) << key;
     EXPECT_EQ(errors[0].rfind("props[0]: ", 0), 0u) << errors[0];
     api::RunOutput out;
-    EXPECT_FALSE(api::run_verify(design, req, nullptr, false, nullptr, &out,
-                                 &error))
+    EXPECT_FALSE(api::run_verify(design, req, nullptr, false, &out, &error))
         << key;
     EXPECT_NE(error.find("props[0]"), std::string::npos) << error;
     EXPECT_TRUE(out.results.empty()) << key;
@@ -688,17 +601,68 @@ class Client {
   std::string buf_;
 };
 
-json::Value fifo_request(const std::string& id, const std::string& tenant) {
+const std::vector<std::string> kFifoSignals = {"bad_full_q", "bad_af_q",
+                                               "bad_hf_q"};
+
+api::VerifyRequest verify_request(const std::string& design,
+                                  const std::vector<std::string>& signals) {
   api::VerifyRequest req;
-  req.id = id;
-  req.tenant = tenant;
-  req.design.path = "builtin:fifo";
-  for (const char* sig : {"bad_full_q", "bad_af_q", "bad_hf_q"}) {
+  req.design.path = design;
+  for (const std::string& sig : signals) {
     api::PropertySpec spec;
     spec.signal = sig;
     req.props.push_back(spec);
   }
+  return req;
+}
+
+json::Value fifo_request(const std::string& id, const std::string& tenant) {
+  api::VerifyRequest req = verify_request("builtin:fifo", kFifoSignals);
+  req.id = id;
+  req.tenant = tenant;
   return req.to_json();
+}
+
+/// `v` without its timing members ("seconds", "cpu_ms"), at any depth.
+json::Value untimed(const json::Value& v) {
+  if (v.is_array()) {
+    json::Value a = json::Value::array();
+    for (const json::Value& item : v.items()) a.push(untimed(item));
+    return a;
+  }
+  if (!v.is_object()) return v;
+  json::Value o = json::Value::object();
+  for (const auto& [key, val] : v.members())
+    if (key != "seconds" && key != "cpu_ms") o.set(key, untimed(val));
+  return o;
+}
+
+/// The trajectory a trace-v2 stream records: its property and iteration
+/// records in order, timing aside, one dump per record.
+std::vector<std::string> trajectory(const std::vector<json::Value>& records) {
+  std::vector<std::string> out;
+  for (const json::Value& rec : records) {
+    const std::string& type = rec.find("type")->as_string();
+    if (type == "property" || type == "iteration")
+      out.push_back(untimed(rec).dump());
+  }
+  return out;
+}
+
+/// The records `rfn verify DESIGN --bad S... --trace-json` writes: the cold
+/// CLI run of `signals`.
+std::vector<json::Value> cold_cli_records(
+    const std::string& design, const std::vector<std::string>& signals) {
+  const api::VerifyRequest req = verify_request(design, signals);
+  api::LoadedDesign loaded;
+  std::string error;
+  EXPECT_TRUE(api::load_design(req.design, &loaded, &error)) << error;
+  api::CollectTraceSink sink;
+  api::RunOutput out;
+  EXPECT_TRUE(api::run_verify(loaded, req, &sink, /*stream_properties=*/false,
+                              &out, &error))
+      << error;
+  return sink.records();
 }
 
 double num_at(const json::Value& doc, const char* path) {
@@ -707,7 +671,20 @@ double num_at(const json::Value& doc, const char* path) {
   return v != nullptr && v->is_number() ? v->as_double() : -1.0;
 }
 
-TEST(ServeEndToEnd, WarmRepeatRequestsAndNamedRejects) {
+TEST(ServeEndToEnd, RepeatRequestsWalkTheColdTrajectory) {
+  // The server keeps no state across requests: bad_mutex, then error_flag,
+  // then bad_mutex again, each its own request on one design, walk exactly
+  // the trajectories of the cold CLI runs — verdict, iterations, every
+  // iteration record and the final abstraction, timing aside.
+  const std::vector<json::Value> mutex_cold =
+      cold_cli_records("builtin:processor", {"bad_mutex"});
+  const std::vector<json::Value> flag_cold =
+      cold_cli_records("builtin:processor", {"error_flag"});
+  ASSERT_FALSE(mutex_cold.empty());
+  ASSERT_FALSE(flag_cold.empty());
+  EXPECT_EQ(num_at(mutex_cold[0], "final_abstract_regs"), 11.0);
+  EXPECT_EQ(num_at(flag_cold[0], "final_abstract_regs"), 7.0);
+
   serve::ServerOptions opt;
   opt.tcp_port = 0;  // ephemeral
   opt.admission.mem_window_mb = 100;
@@ -726,44 +703,34 @@ TEST(ServeEndToEnd, WarmRepeatRequestsAndNamedRejects) {
   json::Value pong = client.transact(ping);
   EXPECT_TRUE(pong.find("ok")->as_bool());
 
-  // First verify: a cold miss.
-  std::vector<json::Value> rec1;
-  json::Value r1 = client.transact(fifo_request("r1", "a"), &rec1);
-  ASSERT_TRUE(r1.find("ok") != nullptr && r1.find("ok")->as_bool())
-      << r1.dump();
-  EXPECT_EQ(num_at(r1, "verdicts.T"), 3.0);
-  EXPECT_EQ(r1.find_path("warm_cache.hit")->as_bool(), false);
-  EXPECT_EQ(num_at(r1, "warm_cache.misses"), 1.0);
+  const std::pair<const char*, const std::vector<json::Value>*> sequence[] = {
+      {"bad_mutex", &mutex_cold},
+      {"error_flag", &flag_cold},
+      {"bad_mutex", &mutex_cold}};
+  for (size_t i = 0; i < std::size(sequence); ++i) {
+    const auto& [signal, cold] = sequence[i];
+    SCOPED_TRACE("request " + std::to_string(i) + " (" + signal + ")");
+    api::VerifyRequest req = verify_request("builtin:processor", {signal});
+    req.id = "r" + std::to_string(i);
+    std::vector<json::Value> records;
+    json::Value resp = client.transact(req.to_json(), &records);
+    ASSERT_TRUE(resp.find("ok") != nullptr && resp.find("ok")->as_bool())
+        << resp.dump();
+    EXPECT_EQ(resp.find("warm_cache"), nullptr);
+    EXPECT_EQ(trajectory(records), trajectory(*cold));
 
-  // Streamed records arrive before the response: three property records
-  // and the batch summary.
-  size_t props = 0, summaries = 0;
-  for (const json::Value& rec : rec1) {
-    const json::Value* type = rec.find("type");
-    ASSERT_NE(type, nullptr) << rec.dump();
-    props += type->as_string() == "property";
-    summaries += type->as_string() == "batch-summary";
+    // Streamed records arrive before the response: one property record,
+    // its iterations and the batch summary.
+    size_t props = 0, summaries = 0;
+    for (const json::Value& rec : records) {
+      const json::Value* type = rec.find("type");
+      ASSERT_NE(type, nullptr) << rec.dump();
+      props += type->as_string() == "property";
+      summaries += type->as_string() == "batch-summary";
+    }
+    EXPECT_EQ(props, 1u);
+    EXPECT_EQ(summaries, 1u);
   }
-  EXPECT_EQ(props, 3u);
-  EXPECT_EQ(summaries, 1u);
-
-  // Repeat request on the same design hash: a warm hit that reuses the
-  // saved BDD variable order (the SavedOrder survived in the cache entry).
-  json::Value r2 = client.transact(fifo_request("r2", "a"));
-  ASSERT_TRUE(r2.find("ok")->as_bool()) << r2.dump();
-  EXPECT_TRUE(r2.find_path("warm_cache.hit")->as_bool());
-  EXPECT_TRUE(r2.find_path("warm_cache.order_warm")->as_bool());
-  EXPECT_GE(num_at(r2, "warm_cache.hits"), 1.0);
-  EXPECT_GT(num_at(r2, "warm_cache.bytes"), 0.0);
-
-  // The warm order actually seeds the repeat run: some member reports
-  // order_seeded (the first property of the warmed session).
-  bool any_seeded = false;
-  const json::Value* results = r2.find("results");
-  ASSERT_NE(results, nullptr);
-  for (const json::Value& res : results->items())
-    any_seeded |= res.find("order_seeded")->as_bool();
-  EXPECT_TRUE(any_seeded);
 
   // Admission: a request whose declared mem budget oversubscribes the
   // window is rejected by name, before any engine work.
@@ -800,9 +767,6 @@ TEST(ServeEndToEnd, WarmRepeatRequestsAndNamedRejects) {
   EXPECT_FALSE(lf.find("ok")->as_bool());
   EXPECT_EQ(lf.find("reject_reason")->as_string(), "load-failed");
   EXPECT_NE(lf.find("error")->as_string().find("fifo"), std::string::npos);
-
-  const serve::WarmStats ws = server.warm_stats();
-  EXPECT_GE(ws.hits, 1u);
   server.stop();
 }
 
@@ -898,21 +862,14 @@ TEST(ServeEndToEnd, ConcurrentSummariesStayRequestRelative) {
 TEST(ServeEndToEnd, CliAndServerAgreeThroughSharedApi) {
   // The CLI path: api::run_verify with a collecting sink, post-run emission
   // (request order) — exactly what `rfn verify --trace-json` writes.
-  api::VerifyRequest req;
-  req.design.path = "builtin:fifo";
-  for (const char* sig : {"bad_full_q", "bad_af_q", "bad_hf_q"}) {
-    api::PropertySpec spec;
-    spec.signal = sig;
-    req.props.push_back(spec);
-  }
+  api::VerifyRequest req = verify_request("builtin:fifo", kFifoSignals);
   api::LoadedDesign design;
   std::string error;
   ASSERT_TRUE(api::load_design(req.design, &design, &error)) << error;
   api::CollectTraceSink cli_sink;
   api::RunOutput cli_out;
   ASSERT_TRUE(api::run_verify(design, req, &cli_sink,
-                              /*stream_properties=*/false, nullptr, &cli_out,
-                              &error))
+                              /*stream_properties=*/false, &cli_out, &error))
       << error;
 
   // The server path: the same request over a socket.
@@ -964,6 +921,13 @@ TEST(ServeEndToEnd, CliAndServerAgreeThroughSharedApi) {
 }
 
 TEST(ServeEndToEnd, ConcurrentRequestsOnOneDesignHash) {
+  // Both requests of a round are in flight before either response is read,
+  // so the two workers run the same design at once (watched under TSan).
+  // Nothing is shared between them: each gives the cold CLI run's verdicts,
+  // iterations and final registers.
+  const std::vector<std::string> cold =
+      trajectory(cold_cli_records("builtin:fifo", kFifoSignals));
+  ASSERT_FALSE(cold.empty());
   serve::ServerOptions opt;
   opt.tcp_port = 0;
   opt.workers = 2;
@@ -974,23 +938,20 @@ TEST(ServeEndToEnd, ConcurrentRequestsOnOneDesignHash) {
   Client a(server.tcp_port()), b(server.tcp_port());
   ASSERT_TRUE(a.connected());
   ASSERT_TRUE(b.connected());
-  // Both requests are in flight before either response is read, so both
-  // workers contend for the same warm entry: one lease runs while the
-  // other waits on the entry's run mutex, and each release recharges the
-  // byte accounting as the waiter takes over — the hand-off the cache must
-  // survive (watched under TSan).
   for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
     const std::string r = std::to_string(round);
     a.send_line(fifo_request("a" + r, "a").dump());
     b.send_line(fifo_request("b" + r, "b").dump());
-    json::Value ra = a.read_response();
-    json::Value rb = b.read_response();
+    std::vector<json::Value> rec_a, rec_b;
+    json::Value ra = a.read_response(&rec_a);
+    json::Value rb = b.read_response(&rec_b);
     ASSERT_TRUE(ra.find("ok")->as_bool()) << ra.dump();
     ASSERT_TRUE(rb.find("ok")->as_bool()) << rb.dump();
+    EXPECT_EQ(trajectory(rec_a), cold);
+    EXPECT_EQ(trajectory(rec_b), cold);
   }
-  const serve::WarmStats ws = server.warm_stats();
-  EXPECT_EQ(ws.misses, 1u);  // one design hash: everything after is warm
-  EXPECT_EQ(ws.hits, 5u);
+  EXPECT_EQ(server.served(), 6u);
   server.stop();
 }
 

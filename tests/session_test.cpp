@@ -1,9 +1,8 @@
 // Batch-session tests: options validation, the consolidated status strings,
-// the subcircuit memo, the cone-clustering compatibility view (every
-// property is its own cluster, whatever the knobs hold), and — the
-// acceptance check — every property of a batch walks the same trajectory as
-// an independent run_property run, on CI's four builtin suites, inline and
-// with session workers.
+// the cone-clustering compatibility view (every property is its own cluster,
+// whatever the knobs hold), and — the acceptance check — every property of
+// a batch walks the same trajectory as an independent run_property run, on
+// CI's four builtin suites, inline and with session workers.
 
 #include "core/session.hpp"
 
@@ -69,28 +68,6 @@ TEST(StatusStrings, CanonicalSpellings) {
   EXPECT_STREQ(to_string(AtpgStatus::Sat), "sat");
   EXPECT_STREQ(to_string(AtpgStatus::Unsat), "unsat");
   EXPECT_STREQ(to_string(AtpgStatus::Abort), "abort");
-}
-
-TEST(SubcircuitMemoTest, HitsOnRepeatedExtraction) {
-  NetBuilder b;
-  const GateId in = b.input("in");
-  const GateId r1 = b.reg("r1");
-  const GateId r2 = b.reg("r2");
-  b.set_next(r1, in);
-  b.set_next(r2, b.not_(r1));
-  b.output("p", r2);
-  const Netlist m = b.take();
-
-  SubcircuitMemo memo;
-  const auto a = memo.get(m, {r2}, {r2});
-  const auto b2 = memo.get(m, {r2}, {r2});
-  EXPECT_EQ(a.get(), b2.get());
-  EXPECT_EQ(memo.hits(), 1u);
-  EXPECT_EQ(memo.misses(), 1u);
-  // A different register set is a different model.
-  const auto c = memo.get(m, {r2}, {r1, r2});
-  EXPECT_NE(c.get(), a.get());
-  EXPECT_EQ(memo.misses(), 2u);
 }
 
 // A 3-bit counter that counts 0..5 under an enable and wraps, with one
@@ -427,8 +404,7 @@ std::vector<json::Value> run_trace(const Netlist& n,
   api::CollectTraceSink sink;
   api::RunOutput out;
   std::string error;
-  EXPECT_TRUE(
-      api::run_verify(design, req, &sink, stream, nullptr, &out, &error))
+  EXPECT_TRUE(api::run_verify(design, req, &sink, stream, &out, &error))
       << error;
   return sink.records();
 }
@@ -568,23 +544,6 @@ TEST(RunProperty, InvalidOptionsDie) {
   RfnOptions opt;
   opt.max_iterations = 0;
   EXPECT_DEATH(run_property(c.n, c.bad_a, opt), "max_iterations");
-}
-
-TEST(RunProperty, RerunResumesFromRefinedAbstraction) {
-  const Counter c = make_counter();
-  const RfnResult first = run_property(c.n, c.bad_b, {});
-  EXPECT_EQ(first.verdict, Verdict::Holds);
-  // A second run seeded with the first one's final abstraction starts from
-  // the refined set: it must reach the same verdict without shrinking it.
-  RunHooks hooks;
-  hooks.seed_registers = &first.final_registers;
-  const RfnResult second = run_property(c.n, c.bad_b, {}, hooks);
-  EXPECT_EQ(second.verdict, Verdict::Holds);
-  EXPECT_EQ(second.iterations, 1u);
-  EXPECT_GE(second.final_registers.size(), first.final_registers.size());
-  for (GateId r : first.final_registers)
-    EXPECT_TRUE(std::binary_search(second.final_registers.begin(),
-                                   second.final_registers.end(), r));
 }
 
 }  // namespace

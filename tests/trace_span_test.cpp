@@ -305,7 +305,7 @@ TEST(TraceJsonEdge, ZeroIterationRunWritesSummaryOnly) {
   api::RunOutput out;
   std::string error;
   ASSERT_TRUE(api::run_verify(design, req, &sink, /*stream_properties=*/false,
-                              nullptr, &out, &error))
+                              &out, &error))
       << error;
   std::vector<json::Value> lines;
   for (const json::Value& rec : sink.records()) {

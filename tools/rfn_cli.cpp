@@ -60,8 +60,6 @@
 //   --session-workers N   properties verified concurrently (default 0:
 //                         inline, in order)
 //   --batch-budget-ms N   whole-run wall budget, split fair-share
-//   --no-reuse            accepted for rfn-req-v1 parity; only rfn_serve's
-//                         warm cache reads it
 //
 // AIGER-specific options:
 //   --aiger               treat <design> as AIGER regardless of extension
@@ -196,7 +194,7 @@ int run_request(const api::LoadedDesign& design, const Options& opts,
   api::RunOutput out;
   std::string error;
   if (!api::run_verify(design, req, trace_path.empty() ? nullptr : &file_sink,
-                       /*stream_properties=*/false, nullptr, &out, &error)) {
+                       /*stream_properties=*/false, &out, &error)) {
     std::fprintf(stderr, "rfn: %s\n", error.c_str());
     return 2;
   }
@@ -327,8 +325,9 @@ bool request_from_flags(const Options& opts,
 
 int cmd_verify(const Options& opts) {
   // Pointers for the flags of the retired single-property path (--cert-out
-  // used to turn on certification) and of the retired profile artifacts,
-  // whose figures the --trace-json batch summary carries.
+  // used to turn on certification), of the retired profile artifacts, whose
+  // figures the --trace-json batch summary carries, and of the retired
+  // warm-state switch.
   static const struct {
     const char* flag;
     const char* instead;
@@ -341,7 +340,8 @@ int cmd_verify(const Options& opts) {
        "the bdd.heap_bytes gauge"},
       {"prof-folded",
        "use --trace-spans FILE, then tools/trace_report.py --folded FILE"},
-      {"metrics", "the --trace-json batch summary carries the metrics"}};
+      {"metrics", "the --trace-json batch summary carries the metrics"},
+      {"no-reuse", "every run is cold"}};
   for (const auto& [flag, instead] : kRemoved) {
     if (opts.has(flag)) {
       std::fprintf(stderr, "rfn: --%s was removed; %s\n", flag, instead);

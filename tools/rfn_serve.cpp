@@ -7,11 +7,9 @@
 // rfn-resp-v1 verdict line out per request (see serve/server.hpp for the
 // protocol, including the "ping" and "shutdown" control types).
 //
-// What staying resident buys: a WarmStateCache keyed by design hash keeps
-// each design's netlist instance and its ReuseCache — pooled incremental
-// SAT solvers, the final BDD variable order, the subcircuit memo — alive
-// across requests, so a repeat request on the same design starts warm. The
-// cache is bounded by --warm-mb and evicts LRU. A bounded FairQueue
+// The server keeps no per-design state: every request loads its design and
+// runs cold, exactly as `rfn verify` runs it, so the same request gives the
+// same trajectory whatever the server served before. A bounded FairQueue
 // schedules admitted jobs fair-share by tenant and rejects fast, with a
 // named reason, when the declared watchdog budgets would oversubscribe the
 // configured windows.
@@ -50,10 +48,7 @@ int usage() {
       "  --admit-bdd-nodes N  admission window over outstanding\n"
       "                       budget-bdd-nodes demands (default off)\n"
       "  --default-demand-ms X  time demand assumed for requests that\n"
-      "                       declare no budget (default 300000)\n"
-      "  --warm-mb N          warm-state cache byte budget in MB\n"
-      "                       (default 256; 0 = unbounded)\n"
-      "  --no-warm            serve every request cold\n");
+      "                       declare no budget (default 300000)\n");
   return 2;
 }
 
@@ -101,11 +96,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--default-demand-ms") {
       if (!value(&num)) return 2;
       opt.admission.default_demand_ms = num;
-    } else if (arg == "--warm-mb") {
-      if (!value(&num)) return 2;
-      opt.warm_budget_bytes = static_cast<int64_t>(num) << 20;
-    } else if (arg == "--no-warm") {
-      opt.warm_enabled = false;
     } else {
       std::fprintf(stderr, "rfn_serve: unknown option '%s'\n", arg.c_str());
       return usage();
@@ -130,10 +120,6 @@ int main(int argc, char** argv) {
   std::fflush(stderr);
   server.wait();
   server.stop();
-  serve::WarmStats ws = server.warm_stats();
-  std::fprintf(stderr,
-               "rfn_serve: served %zu requests (warm hits %zu, misses %zu, "
-               "evictions %zu)\n",
-               server.served(), ws.hits, ws.misses, ws.evictions);
+  std::fprintf(stderr, "rfn_serve: served %zu requests\n", server.served());
   return 0;
 }

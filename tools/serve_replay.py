@@ -3,8 +3,8 @@
 
 The CI serve job's client: connects to an rfn_serve instance (Unix socket
 or loopback TCP), replays a three-tenant request mix over the builtin
-designs — with repeats, so the warm-state cache must show hits — and
-captures every received line (streamed rfn-trace-v2 records and the
+designs — with repeats, which must walk their first request's
+trajectory — and captures every received line (streamed rfn-trace-v2 records and the
 rfn-resp-v1 responses) into a session log that trace_report.py --serve
 validates afterwards:
 
@@ -13,13 +13,14 @@ validates afterwards:
     tools/trace_report.py --serve serve.jsonl
 
 Exits nonzero when any request that must succeed fails, when the expected
-admission rejection does not happen, or when the repeat requests finish
-with zero warm-cache hits (the whole point of a resident server).
+admission rejection does not happen, or when a repeat request reports
+other verdicts, iteration counts or final abstraction sizes than its first
+request: the server keeps no per-design state, so every request runs cold.
 
 The mix (one connection; requests are served in order):
   * ping — readiness;
-  * tenant alpha: builtin:fifo x3 properties, twice (cold miss, warm hit);
-  * tenant beta: builtin:processor bad_mutex, twice;
+  * tenant alpha: builtin:fifo x3 properties, twice (a1, a2);
+  * tenant beta: builtin:processor bad_mutex, twice (b1, b2);
   * tenant gamma: builtin:iu anchor, then builtin:usb crc_err;
   * tenant alpha: a request whose declared budget-mem-mb oversubscribes
     any admission window below 100000 MB — expected reject when the server
@@ -51,6 +52,9 @@ def request(rid, tenant, path, signals, mem_mb=None):
     return req
 
 
+# Each repeat request and the first request it must match.
+REPEATS = {"a2": "a1", "b2": "b1"}
+
 MIX = [
     ("a1", "alpha", "builtin:fifo", ["bad_full_q", "bad_af_q", "bad_hf_q"]),
     ("b1", "beta", "builtin:processor", ["bad_mutex"]),
@@ -66,9 +70,10 @@ class Connection:
         self.file = sock.makefile("rw")
         self.log = log
 
-    def transact(self, req):
+    def transact(self, req, records=None):
         """Sends one request line; returns the response, logging every
-        received line on the way."""
+        received line on the way and appending the streamed records to
+        `records`."""
         self.file.write(json.dumps(req) + "\n")
         self.file.flush()
         while True:
@@ -82,6 +87,16 @@ class Connection:
             doc = json.loads(line)
             if doc.get("type") == "response":
                 return doc
+            if records is not None:
+                records.append(doc)
+
+
+def outcomes(records):
+    """(name, verdict, iterations, final_abstract_regs) of each streamed
+    property record, sorted by name."""
+    return sorted((r.get("name"), r.get("verdict"), r.get("iterations"),
+                   r.get("final_abstract_regs"))
+                  for r in records if r.get("type") == "property")
 
 
 def main():
@@ -108,26 +123,26 @@ def main():
     if not pong.get("ok"):
         failures.append(f"ping failed: {pong}")
 
-    warm_hits = 0
+    seen = {}
     for rid, tenant, path, signals in MIX:
-        resp = conn.transact(request(rid, tenant, path, signals))
+        records = []
+        resp = conn.transact(request(rid, tenant, path, signals), records)
         if not resp.get("ok"):
             failures.append(f"{rid} ({tenant}, {path}) failed: "
                             f"{resp.get('error')}")
             continue
-        warm = resp.get("warm_cache", {})
-        warm_hits = max(warm_hits, warm.get("hits", 0))
+        seen[rid] = outcomes(records)
         verdicts = resp.get("verdicts", {})
         print(f"serve_replay: {rid} ({tenant}, {path}) ok "
-              f"verdicts={verdicts} warm_hit={warm.get('hit')} "
-              f"seconds={resp.get('seconds', 0.0):.3f}")
+              f"verdicts={verdicts} seconds={resp.get('seconds', 0.0):.3f}")
 
-    # Repeats of fifo (a2) and processor (b2) must have found their design's
-    # entry resident: a server that reloads cold every time is just a slow
-    # CLI.
-    if warm_hits < 2:
-        failures.append(f"expected >= 2 warm-cache hits from the repeat "
-                        f"requests, saw {warm_hits}")
+    # A repeat request walks its first request's trajectory: the same
+    # design and options give the same verdicts, iterations and final
+    # abstractions, whatever the server ran in between.
+    for repeat, first in REPEATS.items():
+        if repeat in seen and first in seen and seen[repeat] != seen[first]:
+            failures.append(f"{repeat} reported {seen[repeat]}, its first "
+                            f"request {first} reported {seen[first]}")
 
     # Admission: a demand no sane window admits. Only asserted when the
     # server actually rejected it — an unlimited server admits everything.
@@ -153,7 +168,7 @@ def main():
         print(f"serve_replay: FAIL: {f}", file=sys.stderr)
     if not failures:
         print(f"serve_replay: ok ({len(MIX)} verify requests, "
-              f"warm_hits={warm_hits})")
+              f"{len(REPEATS)} repeats matched)")
     return 1 if failures else 0
 
 

@@ -64,9 +64,10 @@ response's version tag and shape, that each ok verify response's preceding
 record group is a well-formed rfn-trace-v2 stream (reusing the --batch
 validator) whose property counts and verdicts match the response document,
 that rejected requests name a known reject_reason and streamed nothing,
-that the warm_cache block is complete with monotone cumulative counters,
-then prints a per-request table and a machine-readable `warm_hits=` line
-the CI serve job greps to prove cross-request state reuse happened.
+and that no response or streamed property record carries a field of the
+removed warm-state cache (`warm_cache`, `order_seeded`,
+`seeded_registers`): the server runs every request cold. It then prints a
+per-request table.
 
 Report sections:
   * run summary — total wall time from the session.run span, or the
@@ -114,8 +115,10 @@ CORPUS_V2_FILE_KEYS = ("peak_rss_bytes", "cpu_ms")
 RESPONSE_VERSION = "rfn-resp-v1"
 REJECT_REASONS = ("queue-full", "time-oversubscribed", "mem-oversubscribed",
                   "bdd-oversubscribed", "load-failed", "bad-request")
-WARM_CACHE_KEYS = ("enabled", "hit", "hits", "misses", "evictions",
-                   "entries", "bytes", "order_warm")
+# Fields of the deleted warm-state cache: a response carrying one comes from
+# a server that does not run every request cold.
+WARM_RESPONSE_KEYS = ("warm_cache",)
+WARM_PROPERTY_KEYS = ("order_seeded", "seeded_registers")
 
 
 class TraceError(Exception):
@@ -395,7 +398,6 @@ def validate_serve(lines):
     if not requests:
         fail("no response lines in the session log")
 
-    last_hits = last_misses = 0
     for idx, (resp, records) in enumerate(requests):
         where = f"response {idx} (id {resp.get('id')!r})"
         if resp.get("version") != RESPONSE_VERSION:
@@ -435,25 +437,17 @@ def validate_serve(lines):
                      f"streamed records say {counts[v]}")
         if not resp.get("design_hash"):
             fail(f"{where}: ok verify response without a design_hash")
-        warm = resp.get("warm_cache")
-        if not isinstance(warm, dict):
-            fail(f"{where}: warm_cache missing or not an object")
-        for key in WARM_CACHE_KEYS:
-            if key not in warm:
-                fail(f"{where}: warm_cache lacks {key!r}")
-        for key in ("hits", "misses", "evictions", "entries", "bytes"):
-            if not _nonneg_number(warm[key]):
-                fail(f"{where}: warm_cache.{key} not a nonnegative number")
-        if warm["hit"] and not warm["enabled"]:
-            fail(f"{where}: warm_cache reports a hit while disabled")
-        # The hit/miss counters are cumulative over the server's lifetime:
-        # they can only grow as the session progresses.
-        if warm["enabled"]:
-            if warm["hits"] < last_hits or warm["misses"] < last_misses:
-                fail(f"{where}: cumulative warm counters went backwards "
-                     f"(hits {last_hits}->{warm['hits']}, misses "
-                     f"{last_misses}->{warm['misses']})")
-            last_hits, last_misses = warm["hits"], warm["misses"]
+        # Every request runs cold: no warm-state field may come back.
+        carriers = [("response", resp, WARM_RESPONSE_KEYS)]
+        carriers += [(f"results[{i}]", r, WARM_PROPERTY_KEYS)
+                     for i, r in enumerate(resp.get("results", []))]
+        carriers += [(f"property record {r.get('name')!r}", r,
+                      WARM_PROPERTY_KEYS) for r in props]
+        for what, doc, keys in carriers:
+            for key in keys:
+                if key in doc:
+                    fail(f"{where}: {what} carries {key!r} of the removed "
+                         f"warm-state cache")
     return requests
 
 
@@ -475,36 +469,28 @@ def report_serve(path):
     requests = validate_serve(lines)
 
     n_ok = n_rejected = n_control = 0
-    warm_hits = 0
     print("== serve session ==")
     print(f"{'id':<12} {'kind':<8} {'ok':<3} {'verdicts/reason':<24} "
-          f"{'warm':<5} {'seconds':>8}")
+          f"{'seconds':>8}")
     for resp, _records in requests:
         rid = str(resp.get("id", ""))
         if not resp["ok"]:
             n_rejected += 1
             print(f"{rid:<12} {'reject':<8} {'no':<3} "
-                  f"{resp['reject_reason']:<24} {'':<5} {'':>8}")
+                  f"{resp['reject_reason']:<24} {'':>8}")
             continue
         if "verdicts" not in resp:
             n_control += 1
-            print(f"{rid:<12} {'control':<8} {'yes':<3} {'':<24} {'':<5} "
-                  f"{'':>8}")
+            print(f"{rid:<12} {'control':<8} {'yes':<3} {'':<24} {'':>8}")
             continue
         n_ok += 1
         declared = resp["verdicts"]
         verdicts = " ".join(f"{v}={declared.get(v, 0)}" for v in VERDICTS
                             if declared.get(v, 0))
-        warm = resp["warm_cache"]
-        warm_hits = max(warm_hits, warm["hits"])
         print(f"{rid:<12} {'verify':<8} {'yes':<3} {verdicts:<24} "
-              f"{('hit' if warm['hit'] else 'miss'):<5} "
               f"{resp.get('seconds', 0.0):>8.3f}")
     print(f"\nrequests={len(requests)} verified={n_ok} "
           f"rejected={n_rejected} control={n_control}")
-    # Machine-readable: the CI serve job greps this to prove repeat requests
-    # actually reused warm state.
-    print(f"warm_hits={warm_hits}")
     return 0
 
 
@@ -829,9 +815,9 @@ def synthetic_batch_trace():
     holds after two iterations, p1 fails in one, then two certificates and
     the summary. Indices: 0 p0, 1-2 p0's iterations, 3 p1, 4 p1's
     iteration, 5-6 certificates, 7 summary."""
-    prop = {"type": "property", "bad": 7, "order_seeded": False,
-            "seeded_registers": 0, "iterations": 2, "final_abstract_regs": 4,
-            "error_trace_cycles": 0, "seconds": 0.25, "note": ""}
+    prop = {"type": "property", "bad": 7, "iterations": 2,
+            "final_abstract_regs": 4, "error_trace_cycles": 0,
+            "seconds": 0.25, "note": ""}
     cert = {"type": "certificate", "clauses": 0, "trace_cycles": 0,
             "obligation": "", "seconds": 0.01}
     return [
@@ -879,24 +865,24 @@ def synthetic_corpus():
 
 def synthetic_serve_log():
     """A minimal well-formed rfn_serve session log for --self-check: a ping,
-    two verify requests (cold miss then warm hit), and a reject."""
-    def verify_response(rid, hit, hits, misses):
+    two verify requests, and a reject."""
+    def verify_response(rid):
         return {"type": "response", "version": RESPONSE_VERSION, "id": rid,
                 "ok": True, "design_hash": "deadbeef", "properties": 2,
                 "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
-                "warm_cache": {"enabled": True, "hit": hit, "hits": hits,
-                               "misses": misses, "evictions": 0,
-                               "entries": 1, "bytes": 15232,
-                               "order_warm": hit},
+                "results": [{"name": "p0", "verdict": "T", "iterations": 2,
+                             "seconds": 0.25, "note": ""},
+                            {"name": "p1", "verdict": "F", "iterations": 1,
+                             "seconds": 0.25, "note": ""}],
                 "seconds": 0.5}
 
     records = synthetic_batch_trace()
     log = [{"type": "response", "version": RESPONSE_VERSION, "id": "p",
             "ok": True}]
     log += records
-    log.append(verify_response("r1", hit=False, hits=0, misses=1))
+    log.append(verify_response("r1"))
     log += records
-    log.append(verify_response("r2", hit=True, hits=1, misses=1))
+    log.append(verify_response("r2"))
     log.append({"type": "response", "version": RESPONSE_VERSION, "id": "big",
                 "ok": False, "reject_reason": "mem-oversubscribed",
                 "error": "0 MB outstanding + 200 MB demanded > 100 MB window"})
@@ -1139,27 +1125,29 @@ def self_check():
         return f"self-check: {expect} not detected"
 
     # Indices into the synthetic log: 0 = ping response, then one record
-    # group, the cold verify response, a second group, the warm verify
+    # group, the first verify response, a second group, the second verify
     # response, and the reject response.
     group = len(synthetic_batch_trace())
-    cold, warm, reject = 1 + group, 2 + 2 * group, 3 + 2 * group
+    first, second, reject = 1 + group, 2 + 2 * group, 3 + 2 * group
     failures += [f for f in (
-        corrupt_serve(lambda d: d[cold].update(version="rfn-resp-v0"),
+        corrupt_serve(lambda d: d[first].update(version="rfn-resp-v0"),
                       "wrong response version"),
-        corrupt_serve(lambda d: d.pop(cold),  # records with no response
+        corrupt_serve(lambda d: d.pop(first),  # records with no response
                       "record group folded into the next request"),
-        corrupt_serve(lambda d: d[cold]["verdicts"].update(T=3),
+        corrupt_serve(lambda d: d[first]["verdicts"].update(T=3),
                       "response/stream verdict mismatch"),
-        corrupt_serve(lambda d: d[cold].update(properties=4),
+        corrupt_serve(lambda d: d[first].update(properties=4),
                       "response/stream property-count mismatch"),
-        corrupt_serve(lambda d: d[cold].pop("design_hash"),
+        corrupt_serve(lambda d: d[first].pop("design_hash"),
                       "ok verify response without design_hash"),
-        corrupt_serve(lambda d: d[cold]["warm_cache"].pop("order_warm"),
-                      "incomplete warm_cache block"),
-        corrupt_serve(lambda d: d[cold]["warm_cache"].update(hits=5),
-                      "cumulative warm counters going backwards"),
-        corrupt_serve(lambda d: d[warm]["warm_cache"].update(enabled=False),
-                      "warm hit while disabled"),
+        corrupt_serve(lambda d: d[second].update(warm_cache={"hit": True}),
+                      "a warm_cache block"),
+        corrupt_serve(lambda d: d[second]["results"][0].update(
+                          order_seeded=True),
+                      "order_seeded in a response's results"),
+        # second - group: the first property record of the second group.
+        corrupt_serve(lambda d: d[second - group].update(seeded_registers=3),
+                      "seeded_registers in a streamed property record"),
         corrupt_serve(lambda d: d[reject].update(reject_reason="tuesday"),
                       "unknown reject reason"),
         corrupt_serve(lambda d: d[reject].pop("error"),
