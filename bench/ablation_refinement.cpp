@@ -61,7 +61,7 @@ LoopTotals run_instrumented(const char* name, const Netlist& m, GateId bad, Tabl
     const Trace abs_trace_n = hybrid_error_trace(enc, sub.net, reach, bad_set);
     if (abs_trace_n.empty()) break;
     const Trace abs_trace = sub.trace_to_old(abs_trace_n);
-    const ConcretizeResult conc = concretize_trace(m, abs_trace, bad);
+    const SeqAtpgResult conc = solve_abstract_trace(m, m.regs(), abs_trace, bad, {});
     if (conc.status == AtpgStatus::Sat) {
       totals.verdict = Verdict::Fails;
       break;
@@ -70,7 +70,7 @@ LoopTotals run_instrumented(const char* name, const Netlist& m, GateId bad, Tabl
     if (greedy) {
       RefineStats st;
       const std::vector<GateId> crucial =
-          identify_crucial_registers(m, roots, bad, included, abs_trace, {}, &st);
+          identify_crucial_registers(m, bad, included, abs_trace, {}, &st);
       table.add_row({std::string(name) + " iter " + std::to_string(iter),
                      fmt_int(static_cast<int64_t>(abs_trace.cycles())),
                      fmt_int(static_cast<int64_t>(st.conflict_candidates)),
@@ -81,7 +81,7 @@ LoopTotals run_instrumented(const char* name, const Netlist& m, GateId bad, Tabl
       for (GateId r : crucial) included.push_back(r);
     } else {
       const std::vector<GateId> candidates =
-          crucial_candidates_by_simulation(m, abs_trace, included, 8);
+          crucial_candidates_by_simulation(m, abs_trace, included);
       if (candidates.empty()) break;
       for (GateId r : candidates) included.push_back(r);
     }

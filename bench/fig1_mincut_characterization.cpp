@@ -77,7 +77,7 @@ void characterize(const char* design_name, const Netlist& m, GateId bad, Table& 
     if (reach.status != ReachStatus::BadReachable || abs_trace_n.empty()) break;
     const Trace abs_trace = sub.trace_to_old(abs_trace_n);
     const std::vector<GateId> crucial =
-        identify_crucial_registers(m, roots, bad, included, abs_trace);
+        identify_crucial_registers(m, bad, included, abs_trace, {});
     if (crucial.empty()) break;
     for (GateId r : crucial) included.push_back(r);
   }

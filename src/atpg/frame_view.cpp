@@ -6,28 +6,34 @@
 
 namespace rfn {
 
-FrameView::FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& needed)
-    : m_(&m), frames_(needed.size()) {
+FrameView::FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& needed,
+                     std::span<const GateId> kept)
+    : m_(&m), frames_(needed.size()), kept_(m.size(), false) {
   RFN_CHECK(frames_ >= 1, "frame view of zero frames");
   shift_ = static_cast<unsigned>(std::bit_width(m.size() > 1 ? m.size() - 1 : 1));
   mask_ = static_cast<GateId>((size_t{1} << shift_) - 1);
   RFN_CHECK((frames_ << shift_) < kNullGate, "%zu frames of %zu cells overflow node ids",
             frames_, m.size());
 
-  // Backward pass: a register in frame f's cone needs its data net in frame
-  // f-1's cone.
+  for (GateId r : kept) {
+    RFN_CHECK(m.is_reg(r), "kept gate %u is not a register", r);
+    kept_[r] = true;
+  }
+
+  // Backward pass: a kept register in frame f's cone needs its data net in
+  // frame f-1's cone.
   cone_.resize(frames_);
   for (size_t f0 = frames_; f0-- > 0;) {
     std::vector<GateId> roots = needed[f0];
     if (f0 + 1 < frames_) {
       for (GateId r : m.regs())
-        if (cone_[f0 + 1][r]) roots.push_back(m.reg_data(r));
+        if (kept_[r] && cone_[f0 + 1][r]) roots.push_back(m.reg_data(r));
     }
     cone_[f0] = comb_fanin_cone(m, roots);
   }
   for (size_t f0 = 0; f0 < frames_; ++f0)
     for (GateId g = 0; g < m.size(); ++g)
-      if (cone_[f0][g] && !(f0 > 0 && m.is_reg(g))) ++cone_nodes_;
+      if (cone_[f0][g] && !(f0 > 0 && kept_[g])) ++cone_nodes_;
 
   // One CSR table of readers over M, each list in topo rank order.
   const std::vector<GateId> order = topo_order(m);
@@ -43,7 +49,7 @@ FrameView::FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& n
     for (GateId f : m.fanins(g)) readers_[fill[f]++] = g;
 
   for (GateId g = 0; g < m.size(); ++g)
-    if (m.is_const(g) || (m.is_reg(g) && m.reg_init(g) != Tri::X))
+    if (m.is_const(g) || (kept_[g] && m.reg_init(g) != Tri::X))
       const_sources_.push_back(g);
 }
 
@@ -54,7 +60,7 @@ GateId FrameView::node(size_t frame, GateId g) const {
 }
 
 size_t FrameView::heap_bytes() const {
-  size_t bytes = cone_.capacity() * sizeof(std::vector<bool>);
+  size_t bytes = cone_.capacity() * sizeof(std::vector<bool>) + (kept_.capacity() + 7) / 8;
   for (const std::vector<bool>& c : cone_) bytes += (c.capacity() + 7) / 8;
   bytes += rank_.capacity() * sizeof(uint32_t) + offsets_.capacity() * sizeof(uint32_t) +
            readers_.capacity() * sizeof(GateId) + const_sources_.capacity() * sizeof(GateId);

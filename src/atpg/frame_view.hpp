@@ -5,17 +5,25 @@
 // k cycles of a sequential design M are read as a combinational graph whose
 // nodes are pairs (frame f, gate g of M), 1 <= f <= k. Nothing of M is
 // copied: fanins come from M's own fanin pool and are resolved on the fly.
+// A view keeps a set of M's registers: all of them for M itself, an
+// abstraction's included registers for an abstract model read in place.
 // Resolution rules:
-//   * a register's output at frame f > 1 is its data net at frame f-1: an
-//     alias, not a node of its own (a chain of registers resolves through as
-//     many frames as it spans);
-//   * a register at frame 1 is its initial value: a constant node for a
+//   * a kept register's output at frame f > 1 is its data net at frame f-1:
+//     an alias, not a node of its own (a chain of kept registers resolves
+//     through as many frames as it spans);
+//   * a kept register at frame 1 is its initial value: a constant node for a
 //     binary init, a free input node for an X init;
+//   * a register outside the set is a free input node at every frame, frame
+//     1 included, as a pseudo-input of an extracted abstract model is
+//     (subcircuit.hpp): it never aliases its data net, never reads as its
+//     initial value, and never pulls its data net into the cone of the frame
+//     before;
 //   * every other cell of M at frame f (input, constant, gate) is a node.
 // Only the backward cone of the signals needed at each frame belongs to the
 // view: frame f's cone is the combinational fanin of needed[f-1] plus the
-// data nets of the registers in frame f+1's cone. Membership is one bitset
-// per frame; node(f, g) is kNullGate outside it.
+// data nets of the kept registers in frame f+1's cone. Membership is one
+// bitset per frame; node(f, g) is kNullGate outside it. With every register
+// kept, the cones, ids and fanout order are those of the unmasked view.
 //
 // Node ids are (f-1) * 2^s + g with 2^s >= |M|, so engines index their
 // per-node state by id in slots() = k * 2^s entries. Fanouts come from one
@@ -44,8 +52,13 @@ class FrameView {
  public:
   /// A view of `m` over needed.size() frames, restricted per frame to the
   /// cone of `needed[f-1]` (signals required at frame f) plus whatever the
-  /// later frames need from it. `m` must outlive the view.
-  FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& needed);
+  /// later frames need from it. The view keeps the registers in `kept`;
+  /// every other register is a free input. `m` must outlive the view.
+  FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& needed,
+            std::span<const GateId> kept);
+  /// The view of M itself: every register kept.
+  FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& needed)
+      : FrameView(m, needed, m.regs()) {}
 
   /// The node carrying signal g of M at 1-based `frame`, resolving register
   /// aliases; kNullGate when g is outside that frame's cone.
@@ -54,19 +67,22 @@ class FrameView {
   /// Nodes of the view: cone members of every frame except aliased
   /// registers.
   size_t cone_nodes() const { return cone_nodes_; }
-  /// Heap bytes held by the view (cone bitsets, CSR table, ranks).
+  /// Heap bytes held by the view (cone bitsets, CSR table, ranks, register
+  /// set).
   size_t heap_bytes() const;
 
   // --- graph interface of the ATPG engines (see NetlistGraph) ---
 
   /// Bound on node ids: frames() * 2^s.
   size_t slots() const { return frames_ << shift_; }
-  /// M's gate type, except that a frame-1 register reads as its initial
-  /// value: Const0, Const1, or Input when X-initialized.
+  /// M's gate type, except that a register outside the set reads as Input
+  /// and a kept (frame-1) register as its initial value: Const0, Const1, or
+  /// Input when X-initialized.
   GateType type(GateId node) const {
     const GateId g = gate_of(node);
     const GateType t = m_->type(g);
     if (t != GateType::Reg) return t;
+    if (!kept_[g]) return GateType::Input;
     switch (m_->reg_init(g)) {
       case Tri::F: return GateType::Const0;
       case Tri::T: return GateType::Const1;
@@ -97,7 +113,7 @@ class FrameView {
   void for_each_const(F&& fn) const {
     for (size_t f0 = 0; f0 < frames_; ++f0)
       for (GateId g : const_sources_)
-        if ((f0 == 0 || !m_->is_reg(g)) && cone_[f0][g]) fn(id(f0, g));
+        if ((f0 == 0 || !kept_[g]) && cone_[f0][g]) fn(id(f0, g));
   }
 
   /// Calls fn(reader) for every node that has `node` as a fanin, in
@@ -132,24 +148,26 @@ class FrameView {
   GateId id(size_t frame0, GateId g) const {
     return static_cast<GateId>(frame0 << shift_) | g;
   }
-  /// Signal g read at 0-based frame `frame0`, followed through register
+  /// Signal g read at 0-based frame `frame0`, followed through kept-register
   /// aliases to its node.
   GateId resolve(size_t frame0, GateId g) const {
-    while (frame0 > 0 && m_->is_reg(g)) {
+    while (frame0 > 0 && kept_[g]) {
       g = m_->reg_data(g);
       --frame0;
     }
     return id(frame0, g);
   }
   /// Readers of g at frame0: combinational ones in the cone go to fn, the
-  /// registers in the next frame's cone to aliases_.
+  /// kept registers in the next frame's cone to aliases_. A register outside
+  /// the set reads nothing.
   template <class F>
   void visit_readers(size_t frame0, GateId g, F&& fn) const {
     const std::vector<bool>& cone = cone_[frame0];
     for (uint32_t i = offsets_[g]; i < offsets_[g + 1]; ++i) {
       const GateId reader = readers_[i];
       if (m_->is_reg(reader)) {
-        if (frame0 + 1 < frames_ && cone_[frame0 + 1][reader]) aliases_.push_back(reader);
+        if (kept_[reader] && frame0 + 1 < frames_ && cone_[frame0 + 1][reader])
+          aliases_.push_back(reader);
       } else if (cone[reader]) {
         fn(id(frame0, reader));
       }
@@ -161,11 +179,12 @@ class FrameView {
   unsigned shift_ = 0;
   GateId mask_ = 0;
   size_t cone_nodes_ = 0;
+  std::vector<bool> kept_;               // kept_[g]: g is a kept register
   std::vector<std::vector<bool>> cone_;  // cone_[f-1][g]
   std::vector<uint32_t> rank_;           // position in topo_order(M)
   std::vector<uint32_t> offsets_;        // CSR over M: readers of g are
   std::vector<GateId> readers_;          // readers_[offsets_[g], offsets_[g+1])
-  std::vector<GateId> const_sources_;    // Const cells and binary-init registers
+  std::vector<GateId> const_sources_;    // Const cells, binary-init kept registers
   // Buffers for_each_fanout reuses across calls.
   mutable std::vector<GateId> aliases_, next_aliases_, merged_;
 };

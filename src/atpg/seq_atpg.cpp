@@ -25,8 +25,8 @@ void record_seq_metrics(const SeqAtpgResult& res, size_t cycles) {
   }
 }
 
-SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, const std::vector<Cube>& cubes,
-                                     const AtpgOptions& opt) {
+SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, std::span<const GateId> kept,
+                                     const std::vector<Cube>& cubes, const AtpgOptions& opt) {
   SeqAtpgResult res;
   const size_t k = cubes.size();
   RFN_CHECK(k >= 1, "solve_cycle_cubes with no cycles");
@@ -39,10 +39,10 @@ SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, const std::vector<Cube>& 
   for (size_t f = 0; f < k; ++f)
     for (const Literal& lit : cubes[f]) needed[f].push_back(lit.signal);
 
-  const FrameView view(m, needed);
+  const FrameView view(m, needed, kept);
 
   // Map the cycle cubes onto the view's nodes. A literal on a constant node
-  // (a constant of M, or a register's hard initial value) is checked
+  // (a constant of M, or a kept register's hard initial value) is checked
   // immediately; a mismatch is a definitive Unsat.
   Cube targets;
   for (size_t f = 1; f <= k; ++f) {
@@ -96,13 +96,18 @@ SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, const std::vector<Cube>& 
 
 }  // namespace
 
-SeqAtpgResult solve_cycle_cubes(const Netlist& m, const std::vector<Cube>& cubes,
-                                const AtpgOptions& opt) {
+SeqAtpgResult solve_cycle_cubes(const Netlist& m, std::span<const GateId> kept,
+                                const std::vector<Cube>& cubes, const AtpgOptions& opt) {
   Span span("atpg.seq");
-  SeqAtpgResult res = solve_cycle_cubes_impl(m, cubes, opt);
+  SeqAtpgResult res = solve_cycle_cubes_impl(m, kept, cubes, opt);
   span.annotate("status", to_string(res.status));
   record_seq_metrics(res, cubes.size());
   return res;
+}
+
+SeqAtpgResult solve_cycle_cubes(const Netlist& m, const std::vector<Cube>& cubes,
+                                const AtpgOptions& opt) {
+  return solve_cycle_cubes(m, m.regs(), cubes, opt);
 }
 
 SeqAtpgResult reach_target(const Netlist& m, size_t cycles, GateId target, bool value,

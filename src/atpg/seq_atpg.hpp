@@ -5,15 +5,20 @@
 // design M, a cycle count k and a sequence of cubes C_1..C_k, decide whether
 // some k-cycle trace of M from its initial states satisfies every cube at
 // its cycle — reporting Sat (with the trace), Unsat, or Abort on resource
-// exhaustion. Guidance (Step 3) and the refinement satisfiability checks
-// (Step 4) are both expressed through the constraint cubes.
+// exhaustion. The paper asks it twice: Step 3 of M, and Step 4's greedy
+// phase of the abstraction plus candidate registers. Both read M in place:
+// an abstract model is M with the registers outside its set turned into
+// free inputs (core/concretize.hpp builds the cubes from an abstract trace).
 //
-// Each call builds a FrameView of M over k frames restricted to the cubes'
-// cones (frame_view.hpp) and justifies the cubes' literals on its nodes. A
-// literal on a constant node (a constant of M, or a binary-initialized
-// register at cycle 1, directly or through register aliases) is checked
-// before the search; two literals that alias one node with opposite values
-// are Unsat. The trace is read back from the view's valuation.
+// Each call builds a FrameView of M over k frames, keeping the given
+// registers, restricted to the cubes' cones (frame_view.hpp) and justifies
+// the cubes' literals on its nodes. A literal on a constant node (a constant
+// of M, or a binary-initialized kept register at cycle 1, directly or
+// through register aliases) is checked before the search; two literals that
+// alias one node with opposite values are Unsat. The trace is read back from
+// the view's valuation.
+
+#include <span>
 
 #include "atpg/comb_atpg.hpp"
 #include "netlist/netlist.hpp"
@@ -24,15 +29,22 @@ struct SeqAtpgResult {
   AtpgStatus status = AtpgStatus::Abort;
   /// Sat only: a k-cycle trace. Each step's state cube assigns every
   /// register of that cycle's cone the search determined (binary-initialized
-  /// registers at cycle 1 take their initial value); the input cubes assign
-  /// the inputs the search constrained.
+  /// kept registers at cycle 1 take their initial value, a register outside
+  /// the kept set the free value chosen for it); the input cubes assign the
+  /// inputs the search constrained.
   Trace trace;
   uint64_t backtracks = 0;
   uint64_t decisions = 0;
 };
 
 /// cubes[i] is the cube that must hold at cycle i+1 (states and/or inputs
-/// and/or internal signals of that cycle).
+/// and/or internal signals of that cycle). The design read is M with only
+/// the registers in `kept` kept; every other register is a free input at
+/// every cycle, as in an extracted abstract model.
+SeqAtpgResult solve_cycle_cubes(const Netlist& m, std::span<const GateId> kept,
+                                const std::vector<Cube>& cubes, const AtpgOptions& opt = {});
+
+/// The same over M itself: every register kept.
 SeqAtpgResult solve_cycle_cubes(const Netlist& m, const std::vector<Cube>& cubes,
                                 const AtpgOptions& opt = {});
 

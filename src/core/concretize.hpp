@@ -1,37 +1,28 @@
 #pragma once
-// Step 3: searching for an error trace on the original design, guided by the
-// abstract error trace (paper Section 2.3).
+// The one sequential-ATPG question RFN asks of an abstract error trace
+// (paper Sections 2.3 and 2.4), read on the original design M in place.
 //
-// The abstract trace bounds the depth (the real shortest trace is at least
-// as long) and supplies cycle-by-cycle constraint cubes that steer the
-// sequential ATPG search. RFN never performs symbolic image computation on
-// the original design.
+// Step 3 asks it of M: the abstract trace bounds the depth (the real
+// shortest trace is at least as long) and its cycle-by-cycle cubes steer
+// the search, so RFN never computes images on M. Step 4's greedy phase asks
+// it of the abstraction plus candidate registers: a register outside that
+// set is a free input at every cycle, which is what a pseudo-input of the
+// extracted abstract model is. The coverage loop asks both with no property
+// signal, the trace's last state cube being the target.
+
+#include <span>
 
 #include "atpg/seq_atpg.hpp"
-#include "netlist/subcircuit.hpp"
 
 namespace rfn {
 
-struct ConcretizeResult {
-  /// Sat: `trace` violates the property on the original design.
-  /// Unsat: the abstract trace is spurious at this depth under guidance.
-  /// Abort: resource limits hit.
-  AtpgStatus status = AtpgStatus::Abort;
-  Trace trace;
-  uint64_t backtracks = 0;
-  /// True when the abstract trace replayed concretely without any search.
-  bool direct_replay = false;
-};
-
-/// `abs_trace` must be expressed in the original design's signal ids (use
-/// Subcircuit::trace_to_old on the hybrid engine's output). `bad` is the
-/// property signal of `m` that an error trace must raise at its last cycle.
-ConcretizeResult concretize_trace(const Netlist& m, const Trace& abs_trace, GateId bad,
-                                  const AtpgOptions& opt = {});
-
-/// Converts an abstract trace (in M ids) into per-cycle guidance cubes over
-/// M: register literals (both kept registers and cut-register pseudo-input
-/// assignments) form the state cube, primary-input literals the input cube.
-std::vector<Cube> guidance_cubes(const Trace& abs_trace);
+/// Is there a trace of abs_trace.cycles() cycles, over M keeping only the
+/// registers in `kept` (m.regs() for M itself), that meets every literal of
+/// `abs_trace` (state and input cubes, M ids; the input cubes may assign
+/// cut registers) at its cycle and, unless `bad` is kNullGate, raises `bad`
+/// at the last cycle? Sat carries the trace (see SeqAtpgResult).
+SeqAtpgResult solve_abstract_trace(const Netlist& m, std::span<const GateId> kept,
+                                   const Trace& abs_trace, GateId bad,
+                                   const AtpgOptions& opt);
 
 }  // namespace rfn

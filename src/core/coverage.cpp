@@ -5,6 +5,7 @@
 #include "core/abstraction.hpp"
 #include "core/concretize.hpp"
 #include "core/hybrid_trace.hpp"
+#include "core/refine.hpp"
 #include "mc/image.hpp"
 #include "netlist/subcircuit.hpp"
 #include "sim/sim3.hpp"
@@ -13,6 +14,9 @@
 namespace rfn {
 
 namespace {
+
+/// How many candidate traces to concretize per iteration.
+constexpr size_t kTracesPerIteration = 4;
 
 /// Builds the BDD (over the given variables) of the characteristic function
 /// of a bitset: state s is in the set iff bits[s], where bit i of s is the
@@ -159,7 +163,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
     bool refined = false;
     size_t attempts = 0;
     Bdd remaining = targets;
-    while (attempts < opt.traces_per_iteration && !remaining.is_false() &&
+    while (attempts < kTracesPerIteration && !remaining.is_false() &&
            !deadline.expired()) {
       ++attempts;
       // Reuse the rings: find the first ring that hits the remaining
@@ -175,8 +179,8 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
       // Concretize: succeed -> mark reachable states; fail -> refine.
       // The "bad" signal for coverage is implicit (a specific coverage
       // state); concretization targets the final state cube directly.
-      std::vector<Cube> cubes = guidance_cubes(abs_trace);
-      const SeqAtpgResult seq = solve_cycle_cubes(m, cubes, opt.concretize_atpg);
+      const SeqAtpgResult seq =
+          solve_abstract_trace(m, m.regs(), abs_trace, /*bad=*/kNullGate, AtpgOptions{});
       if (seq.status == AtpgStatus::Sat) {
         mark_trace_reachable(seq.trace);
         // Exclude the targeted coverage state from this iteration's
@@ -187,9 +191,8 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
         // Spurious: refine with this trace. The property signal for the
         // refinement replay is not a single wire; pass the coverage target
         // via trace satisfiability on the final state cube only.
-        RefineStats rst;
         const std::vector<GateId> crucial = identify_crucial_registers(
-            m, roots, /*bad=*/kNullGate, included, abs_trace, opt.refine, &rst);
+            m, /*bad=*/kNullGate, included, abs_trace, AtpgOptions{});
         if (!crucial.empty()) {
           for (GateId r : crucial) included.push_back(r);
           refined = true;

@@ -11,8 +11,6 @@
 
 #include <vector>
 
-#include "atpg/comb_atpg.hpp"
-#include "core/refine.hpp"
 #include "mc/reach.hpp"
 #include "netlist/netlist.hpp"
 
@@ -23,10 +21,6 @@ struct CoverageOptions {
   double time_limit_s = 1800.0;
   size_t max_iterations = 1000;
   ReachOptions reach;
-  AtpgOptions concretize_atpg;
-  RefineOptions refine;
-  /// How many candidate traces to concretize per iteration.
-  size_t traces_per_iteration = 4;
 };
 
 struct CoverageResult {

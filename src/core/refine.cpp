@@ -3,16 +3,23 @@
 #include <algorithm>
 #include <map>
 
+#include "core/concretize.hpp"
 #include "sim/sim3.hpp"
-#include "util/log.hpp"
 #include "util/trace.hpp"
 
 namespace rfn {
 
+namespace {
+
+/// Cap on frequency-fallback candidates when phase 1 finds no conflicts.
+constexpr size_t kMaxFallbackCandidates = 8;
+
+}  // namespace
+
 std::vector<GateId> crucial_candidates_by_simulation(const Netlist& m,
                                                      const Trace& abs_trace,
                                                      const std::vector<GateId>& current_regs,
-                                                     size_t max_fallback) {
+                                                     RefineStats* stats) {
   std::vector<bool> in_model(m.size(), false);
   for (GateId r : current_regs) in_model[r] = true;
 
@@ -65,66 +72,40 @@ std::vector<GateId> crucial_candidates_by_simulation(const Netlist& m,
     if (c + 1 < abs_trace.steps.size()) sim.step();
   }
 
-  if (candidates.empty()) {
-    // Fallback: registers appearing most frequently in the trace.
-    std::map<GateId, size_t> freq;
-    for (const TraceStep& step : abs_trace.steps) {
-      for (const Literal& lit : step.state)
-        if (!in_model[lit.signal] && m.is_reg(lit.signal)) ++freq[lit.signal];
-      for (const Literal& lit : step.inputs)
-        if (m.is_reg(lit.signal) && !in_model[lit.signal]) ++freq[lit.signal];
-    }
-    std::vector<std::pair<size_t, GateId>> ranked;
-    for (const auto& [r, f] : freq) ranked.emplace_back(f, r);
-    std::sort(ranked.rbegin(), ranked.rend());
-    for (const auto& [f, r] : ranked) {
-      candidates.push_back(r);
-      if (candidates.size() >= max_fallback) break;
-    }
+  if (!candidates.empty()) {
+    if (stats) stats->conflict_candidates = candidates.size();
+    return candidates;
   }
+  // Fallback: registers appearing most frequently in the trace.
+  std::map<GateId, size_t> freq;
+  for (const TraceStep& step : abs_trace.steps) {
+    for (const Literal& lit : step.state)
+      if (!in_model[lit.signal] && m.is_reg(lit.signal)) ++freq[lit.signal];
+    for (const Literal& lit : step.inputs)
+      if (m.is_reg(lit.signal) && !in_model[lit.signal]) ++freq[lit.signal];
+  }
+  std::vector<std::pair<size_t, GateId>> ranked;
+  for (const auto& [r, f] : freq) ranked.emplace_back(f, r);
+  std::sort(ranked.rbegin(), ranked.rend());
+  for (const auto& [f, r] : ranked) {
+    candidates.push_back(r);
+    if (candidates.size() >= kMaxFallbackCandidates) break;
+  }
+  if (stats) stats->fallback_candidates = candidates.size();
   return candidates;
 }
 
-AtpgStatus trace_satisfiable_on(const Netlist& m,
-                                const std::vector<GateId>& property_roots, GateId bad,
-                                const std::vector<GateId>& regs, const Trace& abs_trace,
-                                const AtpgOptions& opt) {
-  const Subcircuit sub = extract_abstract_model(m, property_roots, regs);
-  std::vector<Cube> cubes(abs_trace.steps.size());
-  for (size_t c = 0; c < abs_trace.steps.size(); ++c) {
-    for (const Literal& lit : abs_trace.steps[c].state) {
-      const GateId nw = sub.to_new(lit.signal);
-      if (nw != kNullGate) cube_add(cubes[c], {nw, lit.value});
-    }
-    for (const Literal& lit : abs_trace.steps[c].inputs) {
-      const GateId nw = sub.to_new(lit.signal);
-      if (nw != kNullGate) cube_add(cubes[c], {nw, lit.value});
-    }
-  }
-  // bad == kNullGate means the trace itself encodes the violation (coverage
-  // analysis: the last state cube is the targeted coverage state).
-  if (bad != kNullGate) {
-    const GateId bad_new = sub.to_new(bad);
-    RFN_CHECK(bad_new != kNullGate, "property signal missing from abstract model");
-    if (!cube_add(cubes.back(), {bad_new, true})) return AtpgStatus::Unsat;
-  }
-  return solve_cycle_cubes(sub.net, cubes, opt).status;
-}
-
-std::vector<GateId> identify_crucial_registers(const Netlist& m,
-                                               const std::vector<GateId>& property_roots,
-                                               GateId bad,
+std::vector<GateId> identify_crucial_registers(const Netlist& m, GateId bad,
                                                const std::vector<GateId>& current_regs,
                                                const Trace& abs_trace,
-                                               const RefineOptions& opt,
+                                               const AtpgOptions& atpg_opt,
                                                RefineStats* stats) {
   Span span("refine");
   RefineStats local;
   RefineStats& st = stats ? *stats : local;
 
-  std::vector<GateId> candidates = crucial_candidates_by_simulation(
-      m, abs_trace, current_regs, opt.max_fallback_candidates);
-  st.conflict_candidates = candidates.size();
+  std::vector<GateId> candidates =
+      crucial_candidates_by_simulation(m, abs_trace, current_regs, &st);
 
   if (candidates.empty()) {
     st.final_count = 0;
@@ -139,8 +120,7 @@ std::vector<GateId> identify_crucial_registers(const Netlist& m,
     added.push_back(r);
     model.push_back(r);
     ++st.atpg_calls;
-    const AtpgStatus s =
-        trace_satisfiable_on(m, property_roots, bad, model, abs_trace, opt.atpg);
+    const AtpgStatus s = solve_abstract_trace(m, model, abs_trace, bad, atpg_opt).status;
     if (s == AtpgStatus::Unsat) {
       invalidated = true;
       break;
@@ -161,8 +141,7 @@ std::vector<GateId> identify_crucial_registers(const Netlist& m,
     for (size_t j = 0; j < added.size(); ++j)
       if (j != i) trial.push_back(added[j]);
     ++st.atpg_calls;
-    const AtpgStatus s =
-        trace_satisfiable_on(m, property_roots, bad, trial, abs_trace, opt.atpg);
+    const AtpgStatus s = solve_abstract_trace(m, trial, abs_trace, bad, atpg_opt).status;
     if (s == AtpgStatus::Unsat) {
       // Still invalidated without added[i]: drop it for good.
       added.erase(added.begin() + static_cast<long>(i));

@@ -196,12 +196,15 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
              abs_trace.cycles());
 
     // --- Step 3: concretize on the original design ---
-    // Guided sequential ATPG: Sat is a real error trace, Unsat a spurious
-    // one; an Abort also goes on to refinement.
+    // Guided sequential ATPG on M: Sat is a real error trace, Unsat a
+    // spurious one; an Abort also goes on to refinement. Steps 3 and 4 run
+    // every ATPG call under the run's token.
     AtpgOptions atpg_opt;
     atpg_opt.cancel = cancel;
     const Stopwatch conc_watch;
-    ConcretizeResult conc = concretize_trace(m, abs_trace, bad, atpg_opt);
+    Span conc_span("concretize");
+    SeqAtpgResult conc = solve_abstract_trace(m, m.regs(), abs_trace, bad, atpg_opt);
+    conc_span.end();
     it.concretize_seconds = conc_watch.seconds();
     it.concretize_status = conc.status;
     if (conc.status == AtpgStatus::Sat) {
@@ -215,8 +218,8 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
       result.note = "cancelled";
       break;
     }
-    const std::vector<GateId> crucial = identify_crucial_registers(
-        m, roots, bad, included, abs_trace, {}, &it.refine);
+    const std::vector<GateId> crucial =
+        identify_crucial_registers(m, bad, included, abs_trace, atpg_opt, &it.refine);
     finish_iteration();
     if (crucial.empty()) {
       result.note = "refinement produced no crucial registers";

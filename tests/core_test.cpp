@@ -131,7 +131,7 @@ TEST(Refine, SimulationFindsConflictingRegister) {
   t.steps[0].inputs = {{r1, false}};
   t.steps[1].inputs = {{r1, true}};  // conflicts: r1 is 0 from cycle 2 on
   t.steps[2].state = {{r2, true}};
-  const auto candidates = crucial_candidates_by_simulation(m, t, {r2}, 8);
+  const auto candidates = crucial_candidates_by_simulation(m, t, {r2});
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0], r1);
 }
@@ -155,23 +155,92 @@ TEST(Refine, GreedyDropsRedundantCandidates) {
   t.steps[1].state = {{r2, true}};
 
   RefineStats st;
-  const auto crucial = identify_crucial_registers(m, {r2}, m.output("bad"), {r2}, t,
-                                                  RefineOptions{}, &st);
+  const auto crucial = identify_crucial_registers(m, m.output("bad"), {r2}, t, {}, &st);
   ASSERT_EQ(crucial.size(), 1u);
   EXPECT_EQ(crucial[0], r1);
   EXPECT_TRUE(st.trace_invalidated);
 }
 
-TEST(Concretize, DirectReplayShortCircuitsAtpg) {
+TEST(Refine, CancelledTokenReachesRefinementAtpg) {
+  // The design of GreedyDropsRedundantCandidates, with a trace on which both
+  // cut registers conflict, refined under a cancelled run token: every
+  // phase-2 ATPG call aborts before it searches, so no prefix invalidates
+  // the trace and every candidate is kept.
+  NetBuilder b;
+  const GateId r1 = b.reg("r1");
+  const GateId junk = b.reg("junk");
+  const GateId r2 = b.reg("r2");
+  b.set_next(r1, b.constant(false));
+  b.set_next(junk, b.constant(true));
+  b.set_next(r2, r1);
+  b.output("bad", r2);
+  Netlist m = b.take();
+
+  Trace t;
+  t.steps.resize(2);
+  t.steps[0].state = {{r2, false}};
+  t.steps[0].inputs = {{r1, true}, {junk, true}};
+  t.steps[1].state = {{r2, true}};
+  t.steps[1].inputs = {{r1, true}, {junk, false}};  // both conflict with the replay
+
+  CancelToken tok;
+  tok.cancel();
+  AtpgOptions ao;
+  ao.cancel = &tok;
+  MetricsRegistry reg;
+  RefineStats st;
+  std::vector<GateId> crucial;
+  {
+    const MetricsScope scope(&reg);
+    crucial = identify_crucial_registers(m, m.output("bad"), {r2}, t, ao, &st);
+  }
+  EXPECT_EQ(st.conflict_candidates, 2u);
+  EXPECT_EQ(crucial.size(), 2u);
+  EXPECT_FALSE(st.trace_invalidated);
+  EXPECT_EQ(st.atpg_calls, 2u);
+  const MetricsSnapshot s = reg.snapshot();
+  EXPECT_EQ(s.value("atpg.seq.aborts"), 2.0);
+  EXPECT_EQ(s.value("atpg.seq.backtracks"), 0.0);
+}
+
+TEST(Refine, FallbackCandidatesAreCountedApart) {
+  // r1 latches an input, so the replay (inputs unassigned) leaves it X and
+  // nothing conflicts: the frequency fallback proposes r1, and the stats
+  // count it as a fallback candidate.
+  NetBuilder b;
+  const GateId in = b.input("in");
+  const GateId r1 = b.reg("r1", Tri::F);
+  const GateId r2 = b.reg("r2", Tri::F);
+  b.set_next(r1, in);
+  b.set_next(r2, r1);
+  b.output("bad", r2);
+  Netlist m = b.take();
+
+  Trace t;  // abstract model {r2}, pseudo-input r1
+  t.steps.resize(3);
+  t.steps[0].state = {{r2, false}};
+  t.steps[1].inputs = {{r1, true}};
+  t.steps[2].state = {{r2, true}};
+
+  RefineStats st;
+  const auto crucial = identify_crucial_registers(m, m.output("bad"), {r2}, t, {}, &st);
+  EXPECT_EQ(st.conflict_candidates, 0u);
+  EXPECT_EQ(st.fallback_candidates, 1u);
+  // The trace is real once r1 is modeled (in=1 at cycle 1), so the fallback
+  // candidate stays.
+  EXPECT_FALSE(st.trace_invalidated);
+  EXPECT_EQ(crucial, std::vector<GateId>{r1});
+}
+
+TEST(Concretize, InputOnlyTraceIsConcreteOnM) {
   GateId bad;
   Netlist m = make_chain(2, /*driver_is_input=*/true, &bad);
   // Abstract trace that assigns only real inputs: in=1@1.
   Trace t;
   t.steps.resize(3);
   t.steps[0].inputs = {{m.find("in"), true}};
-  const ConcretizeResult res = concretize_trace(m, t, bad);
+  const SeqAtpgResult res = solve_abstract_trace(m, m.regs(), t, bad, {});
   ASSERT_EQ(res.status, AtpgStatus::Sat);
-  EXPECT_TRUE(res.direct_replay);
   EXPECT_EQ(replay(m, res.trace, bad), Tri::T);
 }
 

@@ -11,6 +11,7 @@
 #include "atpg/frame_view.hpp"
 #include "designs/builtin.hpp"
 #include "designs/processor.hpp"
+#include "netlist/subcircuit.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
 #include "util/rng.hpp"
@@ -402,6 +403,52 @@ TEST(SeqAtpg, TrajectoriesArePinned) {
       {AtpgStatus::Sat, 4, 0, 0x380018f0f0c4a503ULL},
   };
   expect_pins(seq_trajectories(), expected);
+}
+
+// A view keeping a register set stands for the abstract model extracted
+// over that set: on random netlists with X-initialized registers and
+// register chains, a random kept set and random cycle cubes,
+// solve_cycle_cubes over M keeping the set must answer what it answers on
+// extract_abstract_model(...).net with the cubes mapped into its ids.
+TEST(SeqAtpg, MaskedViewsAgreeWithExtractedModels) {
+  Rng rng(20261020);
+  size_t sat = 0, unsat = 0;
+  for (int round = 0; round < 300; ++round) {
+    const Netlist n = random_netlist(rng, 1 + rng.below(2), 2 + rng.below(4),
+                                     static_cast<int>(rng.below(16)), /*x_init=*/true);
+    std::vector<GateId> kept;
+    for (GateId r : n.regs())
+      if (rng.flip()) kept.push_back(r);
+    const size_t k = 1 + rng.below(5);
+    std::vector<Cube> cubes(k);
+    std::vector<GateId> roots;  // every cube signal, so each maps into the model
+    for (Cube& c : cubes)
+      for (size_t i = rng.below(3); i > 0; --i) {
+        const GateId g = static_cast<GateId>(rng.below(n.size()));
+        if (cube_lookup(c, g) != Tri::X) continue;
+        cube_add(c, {g, rng.flip()});
+        roots.push_back(g);
+      }
+
+    const Subcircuit sub = extract_abstract_model(n, roots, kept);
+    std::vector<Cube> mapped(k);
+    for (size_t c = 0; c < k; ++c)
+      for (const Literal& lit : cubes[c]) {
+        const GateId g = sub.to_new(lit.signal);
+        ASSERT_NE(g, kNullGate) << "round " << round;
+        cube_add(mapped[c], {g, lit.value});
+      }
+
+    const SeqAtpgResult ref = solve_cycle_cubes(sub.net, mapped);
+    const SeqAtpgResult got = solve_cycle_cubes(n, kept, cubes);
+    ASSERT_NE(ref.status, AtpgStatus::Abort) << "round " << round;
+    EXPECT_EQ(got.status, ref.status) << "round " << round << ", " << kept.size() << " of "
+                                      << n.num_regs() << " registers kept";
+    ++(ref.status == AtpgStatus::Sat ? sat : unsat);
+  }
+  // Both outcomes occur often enough to mean something (231 and 69).
+  EXPECT_GE(sat, 100u);
+  EXPECT_GE(unsat, 20u);
 }
 
 }  // namespace

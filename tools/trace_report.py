@@ -187,6 +187,12 @@ def validate_iteration(r, where):
                  f"nonnegative number")
     if not isinstance(r["refine"], dict):
         fail(f"{where}: refine block is not an object")
+    # Phase 1 proposes conflict candidates or, when there are none, the
+    # frequency fallback's: never both.
+    if r["refine"].get("conflict_candidates") and \
+            r["refine"].get("fallback_candidates"):
+        fail(f"{where}: refine block counts both conflict and fallback "
+             f"candidates")
     status = r["concretize"].get("status")
     if r["trace_cycles"] == 0 and status != "none":
         fail(f"{where}: concretize status is {status!r} without an abstract "
@@ -1011,6 +1017,8 @@ def self_check():
         # Iteration records: the blocks, step times, numbering and counts.
         corrupt_batch(lambda d: d[1].pop("refine"),
                       "iteration record missing the refine block"),
+        corrupt_batch(lambda d: d[1]["refine"].update(fallback_candidates=2),
+                      "refine block with conflict and fallback candidates"),
         corrupt_batch(lambda d: d[1].update(reach=[1, 2]),
                       "non-object reach block"),
         corrupt_batch(lambda d: d[1]["reach"].pop("seconds"),
