@@ -136,7 +136,7 @@ bool apply_override(const std::string& key, const std::string& value,
 }  // namespace
 
 // The knob list: an entry's accessors name the field it sets and, for the
-// five overridable knobs, the per-property slot.
+// four overridable knobs, the per-property slot.
 const std::vector<Knob>& knobs() {
   using R = VerifyRequest&;
   using O = PropertyRequest::Overrides&;
@@ -149,9 +149,6 @@ const std::vector<Knob>& knobs() {
       {"options", "max-iterations",
        [](R r) -> F { return &r.options.max_iterations; },
        [](O o) -> V { return &o.max_iterations; }},
-      {"options", "budget-ms",
-       [](R r) -> F { return &r.options.budget_ms; },
-       [](O o) -> V { return &o.budget_ms; }},
       {"options", "budget-bdd-nodes",
        [](R r) -> F { return &r.options.budget_bdd_nodes; },
        [](O o) -> V { return &o.budget_bdd_nodes; }},

@@ -94,7 +94,7 @@ struct Knob {
   std::string cli_flag() const { return flag != nullptr ? flag : key; }
 };
 
-/// The knob list: 5 "options" knobs, then 2 "session" knobs.
+/// The knob list: 4 "options" knobs, then 2 "session" knobs.
 const std::vector<Knob>& knobs();
 
 /// A verification request: rfn-req-v1.

@@ -184,8 +184,10 @@ uint32_t BddMgr::find_or_add(BddVar v, uint32_t lo, uint32_t hi) {
     if (n.lo == lo && n.hi == hi) return node;
   }
   // Allocate (from free list or fresh).
-  if (node_budget_ != 0 && !in_reorder_ && stats_.live_nodes >= node_budget_)
+  if (node_budget_ != 0 && !in_reorder_ && stats_.live_nodes >= node_budget_) {
+    ++stats_.node_budget_refusals;
     throw BudgetExceeded{};
+  }
   uint32_t id;
   if (free_head_ != kNil) {
     id = free_head_;
@@ -208,7 +210,6 @@ uint32_t BddMgr::find_or_add(BddVar v, uint32_t lo, uint32_t hi) {
   ++stats_.live_nodes;
   if (stats_.live_nodes > stats_.peak_live_nodes)
     stats_.peak_live_nodes = stats_.live_nodes;
-  publish_live_nodes();
   subtable_insert(st, id);
   maybe_grow(st);
   return id;
@@ -254,7 +255,6 @@ void BddMgr::garbage_collect() {
   }
   dead_estimate_ = 0;
   ++stats_.gc_runs;
-  publish_live_nodes();
 }
 
 void BddMgr::housekeeping() {

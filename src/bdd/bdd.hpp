@@ -25,7 +25,6 @@
 // collection and reordering run only between public operations, never
 // inside a recursion.
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -109,6 +108,9 @@ struct BddStats {
   size_t reorderings = 0;
   size_t cache_lookups = 0;
   size_t cache_hits = 0;
+  /// Allocations the node cap (BddMgr::set_node_budget) refused; each one
+  /// abandoned a public operation, which returned a null Bdd.
+  size_t node_budget_refusals = 0;
   /// Byte-exact arena footprint: node pool + unique-table buckets +
   /// computed cache, by *capacity* (what the vectors actually hold from the
   /// allocator). The arena never shrinks — freed nodes go to the free list —
@@ -223,8 +225,11 @@ class BddMgr {
   /// Hard cap on live nodes (0 = unlimited). When an operation would grow
   /// the manager past the cap, it is abandoned: the public call returns a
   /// null Bdd, intermediate garbage is collected, and the manager stays
-  /// consistent. This is how resource-bounded runs (plain MC on oversized
-  /// designs, per-iteration limits in RFN) fail gracefully.
+  /// consistent, and stats().node_budget_refusals counts the refusal. This
+  /// is how resource-bounded runs (plain MC on oversized designs, each RFN
+  /// iteration under budget-bdd-nodes) fail gracefully, and since the cap
+  /// is checked in line, the same run is refused at the same allocation
+  /// every time.
   void set_node_budget(size_t max_live_nodes) { node_budget_ = max_live_nodes; }
   size_t node_budget() const { return node_budget_; }
 
@@ -259,16 +264,6 @@ class BddMgr {
     for (const Subtable& st : subtables_)
       bytes += st.buckets.capacity() * sizeof(uint32_t);
     return bytes;
-  }
-
-  /// Telemetry probe for watchers on other threads (the resource watchdog).
-  /// The manager relaxed-stores the current live-node count into `probe`
-  /// whenever it changes; stats() itself is single-threaded state and must
-  /// never be read off-thread. Pass nullptr to detach. The atomic must
-  /// outlive the manager or be detached before it dies.
-  void set_live_node_probe(std::atomic<int64_t>* probe) {
-    live_node_probe_ = probe;
-    publish_live_nodes();
   }
 
   /// Validates internal invariants (canonicity, refcount consistency,
@@ -371,13 +366,6 @@ class BddMgr {
   size_t node_budget_ = 0;
   const Deadline* deadline_ = nullptr;
   uint64_t deadline_tick_ = 0;
-  std::atomic<int64_t>* live_node_probe_ = nullptr;
-
-  void publish_live_nodes() {
-    if (live_node_probe_ != nullptr)
-      live_node_probe_->store(static_cast<int64_t>(stats_.live_nodes),
-                              std::memory_order_relaxed);
-  }
 
   /// Applies a capacity delta (in bytes) from one growth site. Every
   /// mutation that can change a tracked vector's capacity brackets itself

@@ -258,7 +258,10 @@ std::vector<BddLit> BddMgr::shortest_cube(const Bdd& f) {
       if (j != i) without.push_back(lits[j]);
     const Bdd without_bdd = cube(without);
     if (without_bdd.is_null()) break;  // budget exhausted: keep current cube
-    if (without_bdd.implies(f)) {
+    // The cube implies f iff cube & !f is empty.
+    const Bdd excess = without_bdd & !f;
+    if (excess.is_null()) break;
+    if (excess.is_false()) {
       lits = std::move(without);  // dropped; retry same index
     } else {
       ++i;

@@ -136,7 +136,6 @@ void BddMgr::reorder_sift() {
   }
   ++stats_.reorderings;
   in_reorder_ = false;
-  publish_live_nodes();
   span.annotate("live_nodes", static_cast<double>(stats_.live_nodes));
   RFN_DEBUG("reorder: %zu -> %zu live nodes", before, stats_.live_nodes);
 }

@@ -63,7 +63,15 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
   for (GateId r : coverage_regs)
     RFN_CHECK(m.is_reg(r), "coverage signal %u is not a register", r);
 
-  const Deadline deadline(opt.time_limit_s);
+  // One token carries the time limit to every engine call below.
+  const Stopwatch watch;
+  const CancelToken token(opt.time_limit_s);
+  ReachOptions reach_opt = opt.reach;
+  reach_opt.cancel = &token;
+  HybridTraceOptions hybrid_opt;
+  hybrid_opt.cancel = &token;
+  AtpgOptions atpg_opt;
+  atpg_opt.cancel = &token;
   CoverageResult result;
   result.total_states = size_t{1} << coverage_regs.size();
   result.state_class.assign(result.total_states, 0);
@@ -105,7 +113,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
   };
 
   for (size_t iter = 0; iter < opt.max_iterations; ++iter) {
-    if (deadline.expired()) break;
+    if (token.cancelled()) break;
     const size_t unknown_before =
         static_cast<size_t>(std::count(result.state_class.begin(),
                                        result.state_class.end(), 0));
@@ -133,10 +141,6 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
 
     // Full fixpoint on the abstract model (no early stop: the projection of
     // the complete fixpoint is what classifies unreachable states).
-    ReachOptions reach_opt = opt.reach;
-    const double rem = deadline.remaining_seconds();
-    reach_opt.time_limit_s =
-        reach_opt.time_limit_s < 0.0 ? rem : std::min(reach_opt.time_limit_s, rem);
     const ReachResult reach =
         forward_reach(img, enc.initial_states(), mgr.bdd_false(), reach_opt);
     saved_order = save_order(mgr, enc, sub);
@@ -164,7 +168,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
     size_t attempts = 0;
     Bdd remaining = targets;
     while (attempts < kTracesPerIteration && !remaining.is_false() &&
-           !deadline.expired()) {
+           !token.cancelled()) {
       ++attempts;
       // Reuse the rings: find the first ring that hits the remaining
       // targets and extract a hybrid trace to it.
@@ -172,7 +176,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
       ReachResult hit = reach;
       hit.status = ReachStatus::BadReachable;
       const Trace abs_trace_n =
-          hybrid_error_trace(enc, sub.net, hit, remaining, HybridTraceOptions{});
+          hybrid_error_trace(enc, sub.net, hit, remaining, hybrid_opt);
       if (abs_trace_n.empty()) break;
       const Trace abs_trace = sub.trace_to_old(abs_trace_n);
 
@@ -180,7 +184,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
       // The "bad" signal for coverage is implicit (a specific coverage
       // state); concretization targets the final state cube directly.
       const SeqAtpgResult seq =
-          solve_abstract_trace(m, m.regs(), abs_trace, /*bad=*/kNullGate, AtpgOptions{});
+          solve_abstract_trace(m, m.regs(), abs_trace, /*bad=*/kNullGate, atpg_opt);
       if (seq.status == AtpgStatus::Sat) {
         mark_trace_reachable(seq.trace);
         // Exclude the targeted coverage state from this iteration's
@@ -192,7 +196,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
         // refinement replay is not a single wire; pass the coverage target
         // via trace satisfiability on the final state cube only.
         const std::vector<GateId> crucial = identify_crucial_registers(
-            m, /*bad=*/kNullGate, included, abs_trace, AtpgOptions{});
+            m, /*bad=*/kNullGate, included, abs_trace, atpg_opt);
         if (!crucial.empty()) {
           for (GateId r : crucial) included.push_back(r);
           refined = true;
@@ -217,7 +221,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
   }
   result.unknown = result.total_states - result.unreachable - result.reachable;
   result.final_abstract_regs = included.size();
-  result.seconds = deadline.elapsed_seconds();
+  result.seconds = watch.seconds();
   return result;
 }
 

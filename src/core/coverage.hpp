@@ -17,7 +17,8 @@
 namespace rfn {
 
 struct CoverageOptions {
-  /// Wall-clock budget (paper: 1,800 CPU seconds per experiment).
+  /// Wall-clock budget (paper: 1,800 CPU seconds per experiment), carried
+  /// by one CancelToken to every engine call of the analysis.
   double time_limit_s = 1800.0;
   size_t max_iterations = 1000;
   ReachOptions reach;

@@ -85,9 +85,11 @@ class HybridWalker {
   }
 
   /// Walks backward from the shortest cube of the bad intersection; empty
-  /// trace on failure or cancellation.
+  /// trace on failure, cancellation, or a null set (the node budget refused
+  /// an operation).
   Trace walk() {
     BddMgr& mgr = enc_.mgr();
+    if (target_set_.is_null()) return Trace{};
     Trace trace;
     trace.steps.resize(k_ + 1);
     {
@@ -104,6 +106,7 @@ class HybridWalker {
       const Bdd target_bdd = enc_.cube_bdd(target);
       const Bdd pre = img_mc_.pre_image_with_inputs(target_bdd);
       const Bdd step_set = pre & reach_.rings[i];
+      if (step_set.is_null()) return Trace{};
       RFN_CHECK(!step_set.is_false(), "hybrid trace dead-ends at step %zu", i);
 
       // Candidate cubes: the fattest cube first, then path cubes in DFS

@@ -52,7 +52,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
   result.metrics_epoch = epoch.id();
   result.metrics_baseline = epoch.baseline();
   Span run_span("rfn.run");
-  const Deadline deadline(opt.time_limit_s);
+  const Stopwatch run_watch;
   // CPU attribution: this thread's CPU over the whole run (every engine
   // runs inline on it).
   const int64_t run_cpu0 = prof::thread_cpu_ns();
@@ -64,25 +64,27 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
   const std::vector<GateId> roots{bad};
   std::vector<GateId> included = initial_abstraction_registers(m, roots);
 
-  // Resource watchdog: when a budget is set, the run is cancelled through
-  // run_token (chaining any external token), and every cancellation point
-  // below polls `cancel` instead of opt.cancel directly.
-  CancelToken run_token(-1.0, opt.cancel);
+  // One budget per resource, each enforced where it is spent. Wall time:
+  // run_token carries time_limit_s and chains any external token; every
+  // cancellation point below polls it. BDD nodes: each iteration's manager
+  // is capped at the budget. Memory: the watchdog samples RSS and cancels
+  // run_token.
+  CancelToken run_token(opt.time_limit_s, opt.cancel);
+  const CancelToken* cancel = &run_token;
   WatchdogOptions wd_opt;
-  wd_opt.wall_budget_s = opt.budget_ms > 0.0 ? opt.budget_ms * 1e-3 : -1.0;
-  wd_opt.bdd_node_budget = opt.budget_bdd_nodes;
   wd_opt.mem_budget_mb = opt.budget_mem_mb;
   Watchdog watchdog(wd_opt, &run_token);
-  const bool budgeted = wd_opt.wall_budget_s > 0.0 ||
-                        wd_opt.bdd_node_budget > 0 || wd_opt.mem_budget_mb > 0;
-  const CancelToken* cancel = budgeted ? &run_token : opt.cancel;
-  if (budgeted) watchdog.start();
+  watchdog.start();
+  const bool node_budgeted =
+      opt.budget_bdd_nodes > 0 &&
+      static_cast<size_t>(opt.budget_bdd_nodes) <= opt.reach.max_live_nodes;
+  const size_t node_cap = node_budgeted
+                              ? static_cast<size_t>(opt.budget_bdd_nodes)
+                              : opt.reach.max_live_nodes;
+  // Whether the node budget refused an allocation in the last iteration.
+  bool node_budget_hit = false;
 
   for (size_t iter = 0; iter < opt.max_iterations; ++iter) {
-    if (deadline.expired()) {
-      result.note = "time limit exceeded";
-      break;
-    }
     if (should_stop(cancel)) {
       result.note = "cancelled";
       break;
@@ -104,11 +106,10 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
 
     // --- Step 2: prove, or find an abstract error trace ---
     BddMgr mgr;
-    if (budgeted) mgr.set_live_node_probe(watchdog.node_probe());
     Encoder enc(mgr, sub.net);
     apply_saved_order(mgr, enc, sub, saved_order);
     mgr.set_auto_reorder(true);
-    mgr.set_node_budget(opt.reach.max_live_nodes);
+    mgr.set_node_budget(node_cap);
     ImageComputer img(enc);
 
     // Every exit path of this iteration funnels through here: harvest the
@@ -121,6 +122,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
       it.bdd_cache_lookups = bs.cache_lookups;
       it.bdd_cache_hits = bs.cache_hits;
       it.bdd_reorderings = bs.reorderings;
+      node_budget_hit = node_budgeted && bs.node_budget_refusals > 0;
       publish_bdd_metrics(bs);
       it.seconds = iter_watch.seconds();
       MetricsRegistry& reg = MetricsRegistry::global();
@@ -152,12 +154,6 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
 
     ReachOptions reach_opt = opt.reach;
     reach_opt.cancel = cancel;
-    if (opt.time_limit_s >= 0.0) {
-      const double rem = deadline.remaining_seconds();
-      reach_opt.time_limit_s = reach_opt.time_limit_s < 0.0
-                                   ? rem
-                                   : std::min(reach_opt.time_limit_s, rem);
-    }
     const Stopwatch reach_watch;
     const ReachResult reach =
         forward_reach(img, enc.initial_states(), bad_set, reach_opt);
@@ -234,19 +230,35 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
   result.final_abstract_regs = result.final_registers.size();
 
   // Joining the monitor thread is the happens-before edge for reading the
-  // trip state (and, in the CLI, for exporting the span trace).
+  // trip state.
   watchdog.stop();
-  if (watchdog.tripped()) {
-    result.budget_trip.tripped = true;
-    result.budget_trip.reason = watchdog.trip_reason();
-    result.budget_trip.at_seconds = watchdog.trip_seconds();
-    result.budget_trip.bdd_nodes = watchdog.trip_bdd_nodes();
-    result.budget_trip.rss_bytes = watchdog.trip_rss_bytes();
-    // A verdict reached before the trip landed is still sound; only an
-    // undecided run degrades to resource-out.
+  // The verdict rule: an undecided run that a budget stopped is
+  // resource-out, naming the budget; `?` is left for every other stop
+  // (iteration or step limits, an exhausted hybrid walk, no crucial
+  // registers, external cancellation). A verdict reached before a trip
+  // landed is sound and kept.
+  const char* reason = nullptr;
+  if (node_budget_hit)
+    reason = "bdd-node-budget";
+  else if (watchdog.tripped())
+    reason = "mem-budget";
+  else if (result.verdict == Verdict::Unknown && !should_stop(opt.cancel) &&
+           run_token.expired())
+    reason = "wall-budget";
+  if (reason != nullptr) {
+    BudgetTrip& trip = result.budget_trip;
+    trip.tripped = true;
+    trip.reason = reason;
+    trip.at_seconds = run_watch.seconds();
+    trip.bdd_nodes = node_budget_hit ? opt.budget_bdd_nodes : 0;
+    trip.rss_bytes = watchdog.trip_rss_bytes();
+    MetricsRegistry& reg = MetricsRegistry::global();
+    reg.counter("rfn.budget_trips").add(1);
+    reg.counter(std::string("rfn.budget_trips.") + reason).add(1);
+    SpanTracer::global().instant("budget-trip", "reason", reason);
     if (result.verdict == Verdict::Unknown) {
       result.verdict = Verdict::ResourceOut;
-      result.note = "budget exceeded: " + result.budget_trip.reason;
+      result.note = std::string("budget exceeded: ") + reason;
     }
   }
   result.cpu_seconds =
@@ -256,7 +268,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
   // may deschedule the thread on any return from the kernel): both
   // measure one interval.
   run_span.annotate("verdict", to_string(result.verdict));
-  result.seconds = deadline.elapsed_seconds();
+  result.seconds = run_watch.seconds();
   run_span.end();
 
   MetricsRegistry& reg = MetricsRegistry::global();

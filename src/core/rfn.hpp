@@ -34,24 +34,25 @@
 namespace rfn {
 
 struct RfnOptions {
-  /// Overall wall-clock budget (seconds); negative = unlimited.
+  /// Budgets, one per resource, each enforced where the resource is spent.
+  /// A run stopped by one degrades to the ResourceOut verdict with the trip
+  /// recorded in RfnResult::budget_trip.
+  /// time_limit_s bounds wall time (seconds; negative = unlimited): it is
+  /// the run's CancelToken budget, which every engine polls.
   double time_limit_s = -1.0;
+  /// budget_bdd_nodes bounds the live nodes of each iteration's BDD manager
+  /// (<= 0: off): the manager's own cap refuses the allocation past it.
+  int64_t budget_bdd_nodes = 0;
+  /// budget_mem_mb bounds process RSS as sampled from /proc/self/statm by
+  /// the watchdog thread (<= 0: off; no-op off-Linux where RSS reads
+  /// return 0).
+  int64_t budget_mem_mb = 0;
   size_t max_iterations = 1000;
-  /// Per-iteration reachability budget on the abstract model.
+  /// Per-iteration reachability limits on the abstract model.
   ReachOptions reach;
   /// External cancellation of the whole run: polled at iteration boundaries
   /// and passed to every engine call.
   const CancelToken* cancel = nullptr;
-  /// Resource-watchdog budgets. When either is positive a monitor thread
-  /// polls the run and cancels it on overrun; the run then degrades to the
-  /// ResourceOut verdict with the trip recorded in RfnResult::budget_trip.
-  /// budget_ms bounds wall time (<= 0: off); budget_bdd_nodes bounds the
-  /// live-node count of the current iteration's BDD manager (<= 0: off);
-  /// budget_mem_mb bounds process RSS as sampled from /proc/self/statm each
-  /// watchdog poll (<= 0: off; no-op off-Linux where RSS reads return 0).
-  double budget_ms = -1.0;
-  int64_t budget_bdd_nodes = 0;
-  int64_t budget_mem_mb = 0;
 
   /// Checks the options for consistency and returns human-readable errors
   /// (empty = valid) instead of clamping silently at run time. Front doors
@@ -89,13 +90,13 @@ struct RfnIteration {
   double seconds = 0.0;
 };
 
-/// What the resource watchdog observed when it fired (RfnResult::budget_trip).
+/// The budget that stopped a run (RfnResult::budget_trip).
 struct BudgetTrip {
   bool tripped = false;
   std::string reason;      // "wall-budget" | "bdd-node-budget" | "mem-budget"
   double at_seconds = 0.0;
-  int64_t bdd_nodes = 0;   // live nodes at the trip (node-budget trips)
-  int64_t rss_bytes = 0;   // process RSS at the trip (0 when not sampled)
+  int64_t bdd_nodes = 0;   // the cap that refused (node-budget trips)
+  int64_t rss_bytes = 0;   // process RSS at the trip (mem-budget trips)
 };
 
 /// Kept only so out-of-tree callers that read RfnResult::pdr_invariant

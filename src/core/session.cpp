@@ -20,7 +20,6 @@ RfnOptions merge_overrides(const RfnOptions& defaults,
   RfnOptions r = defaults;
   if (o.time_limit_s) r.time_limit_s = *o.time_limit_s;
   if (o.max_iterations) r.max_iterations = *o.max_iterations;
-  if (o.budget_ms) r.budget_ms = *o.budget_ms;
   if (o.budget_bdd_nodes) r.budget_bdd_nodes = *o.budget_bdd_nodes;
   if (o.budget_mem_mb) r.budget_mem_mb = *o.budget_mem_mb;
   return r;
@@ -38,9 +37,12 @@ std::vector<std::vector<size_t>> VerifySession::clusters() const {
 void VerifySession::run_one(const PropertyRequest& p, double share_ms,
                             PropertyResult& out) const {
   RfnOptions ro = merge_overrides(opt_.defaults, p.overrides);
-  // The fair share may only tighten an explicit per-run budget.
-  if (share_ms > 0.0)
-    ro.budget_ms = ro.budget_ms > 0.0 ? std::min(ro.budget_ms, share_ms) : share_ms;
+  // The fair share may only tighten an explicit per-run time limit.
+  if (share_ms > 0.0) {
+    const double share_s = share_ms * 1e-3;
+    ro.time_limit_s =
+        ro.time_limit_s < 0.0 ? share_s : std::min(ro.time_limit_s, share_s);
+  }
 
   RfnResult rr = run_property(*m_, p.bad, ro);
   out.verdict = rr.verdict;

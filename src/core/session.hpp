@@ -41,13 +41,12 @@ struct PropertyRequest {
   struct Overrides {
     std::optional<double> time_limit_s;
     std::optional<size_t> max_iterations;
-    std::optional<double> budget_ms;
     std::optional<int64_t> budget_bdd_nodes;
     std::optional<int64_t> budget_mem_mb;
 
     bool any() const {
-      return time_limit_s || max_iterations || budget_ms ||
-             budget_bdd_nodes || budget_mem_mb;
+      return time_limit_s || max_iterations || budget_bdd_nodes ||
+             budget_mem_mb;
     }
   } overrides;
 };
@@ -80,9 +79,9 @@ struct SessionOptions {
   /// request order).
   size_t workers = 0;
   /// Whole-batch wall budget, split fair-share across properties: each
-  /// property run gets budget / #properties, enforced through the per-run
-  /// resource watchdog, so one hard property cannot starve the batch.
-  /// <= 0: no batch budget (defaults.budget_ms still applies per run).
+  /// property run's time limit is tightened to budget / #properties, so one
+  /// hard property cannot starve the batch. <= 0: no batch budget
+  /// (defaults.time_limit_s still applies per run).
   double batch_budget_ms = -1.0;
   /// Invoked once per property, as its result is finalized (completion
   /// order, which for workers == 0 is request order).

@@ -17,6 +17,12 @@
 namespace rfn {
 
 /// Final outcome of a property run (the CEGAR loop / a session property).
+/// The verdict rule: a run that a budget stopped undecided is ResourceOut,
+/// and its RfnResult::budget_trip names the budget ("wall-budget",
+/// "bdd-node-budget", "mem-budget"); Unknown means the loop stopped for
+/// another reason (iteration or step limits, an exhausted hybrid walk, no
+/// crucial registers, external cancellation) and carries no trip. Holds
+/// and Fails may carry one: a verdict reached before the trip is kept.
 enum class Verdict { Holds, Fails, Unknown, ResourceOut };
 
 constexpr const char* to_string(Verdict v) {

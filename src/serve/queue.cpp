@@ -7,7 +7,6 @@
 namespace rfn::serve {
 
 double request_demand_ms(const api::VerifyRequest& req, double default_ms) {
-  if (req.options.budget_ms > 0) return req.options.budget_ms;
   if (req.options.time_limit_s > 0) return req.options.time_limit_s * 1000.0;
   return default_ms;
 }

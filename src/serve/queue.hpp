@@ -6,9 +6,8 @@
 // oversubscribed server answers in microseconds instead of queueing a
 // request it cannot honor. A request is rejected with a NAMED reason —
 // "queue-full", "time-oversubscribed", "mem-oversubscribed",
-// "bdd-oversubscribed" — computed from the same watchdog budget vocabulary
-// the engines enforce (budget-ms / budget-mem-mb / budget-bdd-nodes): the
-// queue sums the declared demands of every admitted-but-unfinished job and
+// "bdd-oversubscribed" — computed from the same budget knobs the engines
+// enforce (time-limit / budget-mem-mb / budget-bdd-nodes): the queue sums the declared demands of every admitted-but-unfinished job and
 // refuses to let the total cross the configured window.
 //
 // Scheduling is fair-share by tenant: pop_fairest() serves the pending
@@ -43,9 +42,9 @@ struct AdmissionLimits {
   int64_t mem_window_mb = -1;
   /// BDD-node window: sum of outstanding budget-bdd-nodes declarations.
   int64_t bdd_node_window = -1;
-  /// Time demand assumed for a request that declares no budget-ms and no
-  /// time-limit (an unbounded request must still cost something against the
-  /// window, or the window checks nothing).
+  /// Time demand assumed for a request that declares no time-limit (an
+  /// unbounded request must still cost something against the window, or the
+  /// window checks nothing).
   double default_demand_ms = 300000.0;
 };
 
@@ -59,8 +58,7 @@ struct Job {
   std::function<void()> run;
 };
 
-/// A request's declared wall-time demand: budget-ms, else time-limit, else
-/// `default_ms`.
+/// A request's declared wall-time demand: time-limit, else `default_ms`.
 double request_demand_ms(const api::VerifyRequest& req, double default_ms);
 
 class FairQueue {

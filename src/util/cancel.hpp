@@ -36,6 +36,10 @@ class CancelToken {
     return parent_ != nullptr && parent_->cancelled();
   }
 
+  /// True once this token's own wall-clock budget has run out, whatever
+  /// its flag and its parent say.
+  bool expired() const { return deadline_.expired(); }
+
  private:
   std::atomic<bool> flag_{false};
   Deadline deadline_;  // default-constructed: no budget

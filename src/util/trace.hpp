@@ -90,7 +90,7 @@ class SpanTracer {
   void end(const char* name, const char* arg_name = nullptr,
            const char* arg_str = nullptr, double arg_num = 0.0,
            bool arg_is_num = false);
-  /// Point event (scope: global) — e.g. the watchdog's budget trip.
+  /// Point event (scope: global) — e.g. a run's budget trip.
   void instant(const char* name, const char* arg_name = nullptr,
                const char* arg_str = nullptr, double arg_num = 0.0,
                bool arg_is_num = false);

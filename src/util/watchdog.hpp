@@ -1,21 +1,18 @@
 #pragma once
-// Resource watchdog: a monitor thread that enforces per-run wall-clock,
-// BDD-node and process-memory budgets by firing a CancelToken, so a run
-// that outgrows its budget degrades to a clean `resource-out` verdict
-// instead of dying on an allocator limit or hanging past its deadline.
+// Resource watchdog: a monitor thread that enforces a per-run process-memory
+// budget by firing a CancelToken, so a run that outgrows its budget degrades
+// to a clean `resource-out` verdict instead of dying on an allocator limit.
 //
-// Enforcement is cooperative — the polling-based cancellation every engine
-// already honors: the watchdog only sets the token, and engines notice at
-// their step boundaries. The node budget reads a relaxed
-// atomic probe the BDD manager publishes (BddMgr::set_live_node_probe);
-// the watchdog never touches manager internals, so there is no data race
-// with the allocator (TSan-clean by construction). The memory budget reads
-// process RSS (util/prof's /proc/self/statm reader) each poll.
+// Memory is the one budget no engine can check in line: the wall-clock
+// budget rides the run's CancelToken and the BDD-node budget is the BDD
+// manager's own cap (see core/rfn.cpp). The watchdog reads process RSS
+// (util/prof's /proc/self/statm reader) each poll; enforcement is
+// cooperative — it only sets the token, and engines notice at their step
+// boundaries.
 //
-// Lifecycle: construct with budgets + victim token, start(), and stop()
-// (idempotent, also run by the destructor) before reading trip state or
-// exporting spans — stop() joins the monitor thread, which is the
-// happens-before edge for both.
+// Lifecycle: construct with the budget + victim token, start(), and stop()
+// (idempotent, also run by the destructor) before reading trip state —
+// stop() joins the monitor thread, which is the happens-before edge.
 
 #include <atomic>
 #include <condition_variable>
@@ -28,8 +25,6 @@
 namespace rfn {
 
 struct WatchdogOptions {
-  double wall_budget_s = -1.0;    // <= 0: no wall budget
-  int64_t bdd_node_budget = 0;    // <= 0: no node budget
   int64_t mem_budget_mb = 0;      // <= 0: no RSS budget
   double poll_interval_s = 0.01;
 };
@@ -49,15 +44,9 @@ class Watchdog {
   /// Joins the monitor thread; idempotent.
   void stop();
 
-  /// Engines publish the current BDD live-node count here (the RFN loop
-  /// wires it to BddMgr::set_live_node_probe each iteration).
-  std::atomic<int64_t>* node_probe() { return &bdd_nodes_; }
-
   bool tripped() const { return tripped_.load(std::memory_order_acquire); }
-  // Valid only after tripped() returned true (release/acquire on tripped_).
-  const char* trip_reason() const { return reason_; }
-  double trip_seconds() const { return trip_seconds_; }
-  int64_t trip_bdd_nodes() const { return trip_nodes_; }
+  // Valid after tripped() returned true (release/acquire on tripped_) or
+  // after stop(); 0 while the watchdog has not tripped.
   int64_t trip_rss_bytes() const { return trip_rss_; }
 
  private:
@@ -65,12 +54,8 @@ class Watchdog {
 
   WatchdogOptions opt_;
   CancelToken* victim_;
-  std::atomic<int64_t> bdd_nodes_{0};
 
   std::atomic<bool> tripped_{false};
-  const char* reason_ = "";
-  double trip_seconds_ = 0.0;
-  int64_t trip_nodes_ = 0;
   int64_t trip_rss_ = 0;
 
   std::mutex mu_;

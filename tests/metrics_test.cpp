@@ -262,7 +262,7 @@ TEST(TraceJson, CliRejectsRemovedFlags) {
   for (const char* flag :
        {"--cert-out x.json", "--aiger-witness x.wit", "--batch",
         "--prof-json x.json", "--prof-folded x.folded", "--metrics",
-        "--no-reuse"}) {
+        "--no-reuse", "--budget-ms 150"}) {
     const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
                             " --bad bad_q " + flag + " > /dev/null 2> " + out;
     const int rc = std::system(cmd.c_str());

@@ -223,7 +223,6 @@ TEST(Watchdog, MemBudgetTripsOnResidentSet) {
   dog.stop();
   ASSERT_TRUE(dog.tripped());
   EXPECT_TRUE(token.cancelled());
-  EXPECT_STREQ(dog.trip_reason(), "mem-budget");
   EXPECT_GE(dog.trip_rss_bytes(), int64_t{1} << 20);
 }
 

@@ -137,9 +137,6 @@ TEST(FairQueue, DropsIdleTenantRecords) {
 
 TEST(FairQueue, DemandFallsBackToTimeLimitThenDefault) {
   api::VerifyRequest req;
-  req.options.budget_ms = 250.0;
-  EXPECT_EQ(serve::request_demand_ms(req, 999.0), 250.0);
-  req.options.budget_ms = -1.0;
   req.options.time_limit_s = 2.0;
   EXPECT_EQ(serve::request_demand_ms(req, 999.0), 2000.0);
   req.options.time_limit_s = -1.0;
@@ -314,8 +311,8 @@ TEST(RequestCodec, EveryDoorSetsEveryKnob) {
     for (size_t d = 1; d < doors.size(); ++d)
       EXPECT_EQ(doors[d], doors[0]) << "door " << d;
   }
-  EXPECT_EQ(api::knobs().size(), 7u);
-  EXPECT_EQ(overridable, 5u);
+  EXPECT_EQ(api::knobs().size(), 6u);
+  EXPECT_EQ(overridable, 4u);
   std::remove(props.c_str());
 }
 
@@ -384,6 +381,7 @@ TEST(RequestCodec, RefusesRemovedOptionKeys) {
       {"options", "pdr-time", json::Value(5.0)},
       {"session", "cluster-overlap", json::Value(0.5)},
       {"session", "max-cluster", json::Value(4.0)},
+      {"options", "budget-ms", json::Value(150.0)},
       {"session", "reuse", json::Value(false)}};
   for (const auto& [group, key, value] : removed) {
     json::Value members = json::Value::object();
@@ -397,6 +395,14 @@ TEST(RequestCodec, RefusesRemovedOptionKeys) {
               std::string::npos)
         << error;
   }
+  // The removed wall budget is no per-property override either.
+  json::Value ov = json::Value::object();
+  ov.set("budget-ms", 150.0);
+  api::VerifyRequest out;
+  std::string error;
+  EXPECT_FALSE(
+      api::VerifyRequest::from_json(minimal_doc(std::move(ov)), &out, &error));
+  EXPECT_NE(error.find("unknown key 'budget-ms'"), std::string::npos) << error;
 }
 
 TEST(RequestCodec, RejectsMalformedDocuments) {

@@ -1,6 +1,6 @@
-// Span tracer + resource watchdog tests: ring-buffer balance under
-// overflow, watchdog budget trips (wall and BDD-node), end-to-end
-// resource-out degradation of the verifier, the
+// Span tracer + budget tests: ring-buffer balance under overflow, the
+// watchdog's no-budget no-op, end-to-end resource-out degradation of the
+// verifier under its wall and BDD-node budgets, the
 // rfn-trace-v2 record edge cases, metrics-epoch run isolation, and a
 // golden-schema check of the CLI's --trace-spans Chrome trace export
 // (cross-validated with tools/trace_report.py when python3 is available).
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +16,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/api.hpp"
@@ -157,38 +155,6 @@ TEST(SpanTracer, InternDeduplicates) {
   EXPECT_NE(t.intern("engine-y"), a);
 }
 
-TEST(Watchdog, WallBudgetTripsAndCancels) {
-  CancelToken token;
-  WatchdogOptions opt;
-  opt.wall_budget_s = 0.02;
-  opt.poll_interval_s = 0.005;
-  Watchdog dog(opt, &token);
-  dog.start();
-  for (int i = 0; i < 400 && !token.cancelled(); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  dog.stop();
-  ASSERT_TRUE(dog.tripped());
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_STREQ(dog.trip_reason(), "wall-budget");
-  EXPECT_GE(dog.trip_seconds(), 0.02);
-}
-
-TEST(Watchdog, NodeBudgetTripsOnProbe) {
-  CancelToken token;
-  WatchdogOptions opt;
-  opt.bdd_node_budget = 10;
-  opt.poll_interval_s = 0.005;
-  Watchdog dog(opt, &token);
-  dog.node_probe()->store(1000, std::memory_order_relaxed);
-  dog.start();
-  for (int i = 0; i < 400 && !token.cancelled(); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  dog.stop();
-  ASSERT_TRUE(dog.tripped());
-  EXPECT_STREQ(dog.trip_reason(), "bdd-node-budget");
-  EXPECT_EQ(dog.trip_bdd_nodes(), 1000);
-}
-
 TEST(Watchdog, NoBudgetNeverStartsOrTrips) {
   CancelToken token;
   Watchdog dog(WatchdogOptions{}, &token);
@@ -237,10 +203,20 @@ PropertyResult as_property(const RfnResult& res) {
   return r;
 }
 
+/// `v` without its wall-clock fields: what two runs of one trajectory share.
+json::Value without_timing(const json::Value& v) {
+  if (!v.is_object()) return v;
+  json::Value o = json::Value::object();
+  for (const auto& [key, member] : v.members())
+    if (key != "seconds" && key != "at_seconds" && key != "cpu_ms")
+      o.set(key, without_timing(member));
+  return o;
+}
+
 TEST(ResourceOut, WallBudgetDegradesRun) {
   const Netlist n = slow_counter_netlist();
   RfnOptions opt;
-  opt.budget_ms = 120;
+  opt.time_limit_s = 0.120;
   const RfnResult res = run_property(n, n.output("bad"), opt);
   EXPECT_EQ(res.verdict, Verdict::ResourceOut);
   ASSERT_TRUE(res.budget_trip.tripped);
@@ -282,21 +258,96 @@ TEST(ResourceOut, NodeBudgetDegradesRunAndAnnotatesSpans) {
   EXPECT_TRUE(trip_seen);
 }
 
+TEST(ResourceOut, OneAnswerPerWallOverrun) {
+  // One wall-clock budget, one answer: a time-limit overrun is resource-out
+  // naming the wall budget...
+  const Netlist n = slow_counter_netlist();
+  RfnOptions opt;
+  opt.time_limit_s = 0.15;
+  const RfnResult res = run_property(n, n.output("bad"), opt);
+  EXPECT_EQ(res.verdict, Verdict::ResourceOut);
+  ASSERT_TRUE(res.budget_trip.tripped);
+  EXPECT_EQ(res.budget_trip.reason, "wall-budget");
+  EXPECT_GE(res.budget_trip.at_seconds, 0.15);
+  EXPECT_EQ(res.note, "budget exceeded: wall-budget");
+
+  // ...and an external cancellation stays `?`, time limit or not.
+  CancelToken external;
+  external.cancel();
+  opt.cancel = &external;
+  const RfnResult cancelled = run_property(n, n.output("bad"), opt);
+  EXPECT_EQ(cancelled.verdict, Verdict::Unknown);
+  EXPECT_FALSE(cancelled.budget_trip.tripped);
+  EXPECT_EQ(cancelled.note, "cancelled");
+}
+
+TEST(ResourceOut, NodeBudgetIsDeterministic) {
+  // The node budget is each iteration manager's own cap, checked in line:
+  // every run is refused at the same allocation, so repeats walk one
+  // trajectory, and no manager ever holds more than the budget (sifting,
+  // which the cap exempts, never starts below its 16k trigger).
+  const Netlist n = slow_counter_netlist();
+  RfnOptions opt;
+  opt.budget_bdd_nodes = 2000;
+  std::vector<std::vector<json::Value>> runs;
+  for (int round = 0; round < 3; ++round) {
+    const RfnResult res = run_property(n, n.output("bad"), opt);
+    EXPECT_EQ(res.verdict, Verdict::ResourceOut) << "round " << round;
+    EXPECT_EQ(res.budget_trip.reason, "bdd-node-budget") << "round " << round;
+    EXPECT_EQ(res.budget_trip.bdd_nodes, 2000) << "round " << round;
+    std::vector<json::Value> records{
+        without_timing(property_json(as_property(res)))};
+    for (size_t i = 0; i < res.per_iteration.size(); ++i) {
+      EXPECT_LE(res.per_iteration[i].bdd_peak_nodes, 2000u)
+          << "round " << round << " iteration " << i;
+      records.push_back(
+          without_timing(iteration_json("bad", i, res.per_iteration[i])));
+    }
+    runs.push_back(std::move(records));
+  }
+  for (size_t round = 1; round < runs.size(); ++round) {
+    ASSERT_EQ(runs[round].size(), runs[0].size()) << "round " << round;
+    for (size_t i = 0; i < runs[0].size(); ++i)
+      EXPECT_TRUE(runs[round][i] == runs[0][i])
+          << "round " << round << ": " << runs[round][i].dump() << " vs "
+          << runs[0][i].dump();
+  }
+}
+
 TEST(ResourceOut, VerdictBeforeTripIsKept) {
   // A run that finishes without tripping keeps its verdict even with
   // budgets armed.
   const Netlist n = holds_netlist();
   RfnOptions opt;
-  opt.budget_ms = 60000;
+  opt.time_limit_s = 60.0;
   opt.budget_bdd_nodes = 1 << 24;
   const RfnResult res = run_property(n, n.output("bad"), opt);
   EXPECT_EQ(res.verdict, Verdict::Holds);
   EXPECT_FALSE(res.budget_trip.tripped);
 }
 
+TEST(ResourceOut, BatchBudgetShareTightensTimeLimit) {
+  // The session's fair share of --batch-budget-ms tightens each property's
+  // time limit, so each slow property stops on the wall budget.
+  const Netlist n = slow_counter_netlist();
+  SessionOptions so;
+  so.defaults.time_limit_s = 60.0;
+  so.batch_budget_ms = 200.0;
+  VerifySession session(n, so);
+  const std::vector<PropertyResult> res =
+      session.run({{"a", n.output("bad"), {}}, {"b", n.output("bad"), {}}});
+  ASSERT_EQ(res.size(), 2u);
+  for (const PropertyResult& r : res) {
+    EXPECT_EQ(r.verdict, Verdict::ResourceOut) << r.name;
+    EXPECT_EQ(r.stats.budget_trip.reason, "wall-budget") << r.name;
+    EXPECT_LT(r.stats.seconds, 30.0) << r.name;
+  }
+}
+
 TEST(TraceJsonEdge, ZeroIterationRunWritesSummaryOnly) {
-  // The deadline expires before the first iteration: the trace holds the
-  // property record and the batch summary, and no iteration records.
+  // The time limit expires before the first iteration: the trace holds the
+  // property record, resource-out with its wall-budget trip, and the batch
+  // summary, and no iteration records.
   api::LoadedDesign design;
   design.netlist = holds_netlist();
   api::VerifyRequest req;
@@ -315,9 +366,11 @@ TEST(TraceJsonEdge, ZeroIterationRunWritesSummaryOnly) {
   }
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0].find("type")->as_string(), "property");
-  EXPECT_EQ(lines[0].find("verdict")->as_string(), "?");
+  EXPECT_EQ(lines[0].find("verdict")->as_string(), "resource-out");
   EXPECT_EQ(lines[0].find("iterations")->as_uint(), 0u);
-  EXPECT_EQ(lines[0].find("budget_trip"), nullptr);
+  ASSERT_NE(lines[0].find("budget_trip"), nullptr);
+  EXPECT_EQ(lines[0].find_path("budget_trip.reason")->as_string(),
+            "wall-budget");
   EXPECT_EQ(lines[1].find("type")->as_string(), "batch-summary");
   ASSERT_NE(lines[1].find("metrics"), nullptr);
 }
@@ -598,7 +651,7 @@ TEST(TraceSpansCli, BudgetTripInBothTraceFormats) {
   const std::string spans = ::testing::TempDir() + "/spans_ro.json";
   const std::string trace = ::testing::TempDir() + "/trace_ro.jsonl";
   const std::string cmd = std::string(RFN_CLI_PATH) + " verify " + design +
-                          " --bad bad --budget-ms 150" +
+                          " --bad bad --time-limit 0.15" +
                           " --trace-spans " + spans + " --trace-json " +
                           trace + " > /dev/null";
   const int rc = std::system(cmd.c_str());

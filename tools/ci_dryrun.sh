@@ -124,16 +124,15 @@ job_sanitize() { # <thread|address,undefined>
            seq_atpg_test edge_cases_test mincut_test; do
     "./$dir/tests/$t"
   done
-  # A budgeted, certified run per builtin design must finish conclusive
-  # with the instrumentation quiet (the watchdog beside the engines is the
-  # interesting surface).
+  # A time-limited, certified run per builtin design must finish conclusive
+  # with the instrumentation quiet (every engine polls the run's token).
   note "sanitize ($san): budgeted certify runs"
   local spec design prop
   for spec in "fifo bad_full_q" "processor bad_mutex" \
               "iu iu0" "usb bad_se1"; do
     read -r design prop <<<"$spec"
     "./$dir/tools/rfn" verify "builtin:$design" --bad "$prop" \
-      --budget-ms 10000 --certify
+      --time-limit 10 --certify
   done
   # Witnesses of both polarities: the cut-cone Tseitin encoder and the Sim3
   # trace replay (accepting and refusing) are the surfaces watched here.
@@ -155,14 +154,14 @@ job_sanitize() { # <thread|address,undefined>
   note "sanitize (thread): serve daemon boot + replay"
   serve_replay "$dir" "/tmp/rfn-tsan-$$.sock" "$dir/tsan-serve-session.jsonl"
   python3 tools/trace_report.py --serve "$dir/tsan-serve-session.jsonl"
-  # The watchdog + span exporter: the run must degrade to resource-out
+  # The time limit + span exporter: the run must degrade to resource-out
   # (exit exactly 1: inconclusive verdict, not a TSan abort) with a
   # budget-trip span.
-  note "sanitize (thread): budgeted resource-out run"
+  note "sanitize (thread): time-limited resource-out run"
   local rc=0
   "./$dir/tools/rfn" verify tests/data/slow24.v --bad bad \
-    --budget-ms 300 --trace-spans "$dir/tsan-spans.json" || rc=$?
-  [[ $rc == 1 ]] || fail "budgeted run exited $rc (expected 1: resource-out)"
+    --time-limit 0.3 --trace-spans "$dir/tsan-spans.json" || rc=$?
+  [[ $rc == 1 ]] || fail "time-limited run exited $rc (expected 1: resource-out)"
   python3 tools/trace_report.py "$dir/tsan-spans.json" | grep budget_trip
   # A 1 MiB RSS budget is below any live process's footprint: the run must
   # degrade to resource-out (exit 1, never an OOM kill or a hang) with the

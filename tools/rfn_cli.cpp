@@ -18,7 +18,10 @@
 // the knobs of api::knobs() (src/api/api.hpp), checked and defaulted as
 // their rfn-req-v1 keys are; verify and coverage refuse (exit 2) any other
 // flag not listed here, before the design loads. Common options:
-//   --time-limit S     wall-clock budget (default 300; negative: unlimited)
+//   --time-limit S     wall-clock budget (default 300; negative: unlimited);
+//                      every engine polls it, and on overrun the run
+//                      degrades to resource-out with the trip named
+//                      "wall-budget"
 //   --max-iterations N abstraction-refinement iterations (default 1000)
 //   --certify          build an rfn-cert-v1 witness for every HOLDS/VIOLATED
 //                      verdict (an inductive invariant for HOLDS, the error
@@ -42,16 +45,17 @@
 //                      (open in Perfetto / chrome://tracing, or analyze with
 //                      tools/trace_report.py; collapsed stacks for
 //                      flamegraph.pl come from trace_report.py --folded)
-//   --budget-ms N      resource-watchdog wall budget; on overrun the run
-//                      degrades to the resource-out verdict
-//   --budget-bdd-nodes N  watchdog budget on BDD live nodes (memory proxy)
+//   --budget-bdd-nodes N  cap on each iteration's BDD live nodes (memory
+//                      proxy): the BDD manager refuses the allocation past
+//                      it, the same one every run, and the run degrades to
+//                      resource-out with the trip named "bdd-node-budget"
 //   --budget-mem-mb N  watchdog budget on process RSS (MiB, sampled from
 //                      /proc/self/statm); on overrun the run degrades to
 //                      resource-out with the trip named "mem-budget"
 //
 // Property sets: --bad may repeat, and --props names a file with one
 // property per line:
-//   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N] [budget-ms=N]
+//   SIGNAL [name=LABEL] [time-limit=S] [max-iterations=N]
 //          [budget-bdd-nodes=N] [budget-mem-mb=N]
 //                                                    (# starts a comment)
 // A property is named by its LABEL, else by its signal as written. Every
@@ -59,7 +63,8 @@
 // Session options:
 //   --session-workers N   properties verified concurrently (default 0:
 //                         inline, in order)
-//   --batch-budget-ms N   whole-run wall budget, split fair-share
+//   --batch-budget-ms N   whole-run wall budget, split fair-share: it
+//                         tightens each property's time limit
 //
 // AIGER-specific options:
 //   --aiger               treat <design> as AIGER regardless of extension
@@ -326,8 +331,8 @@ bool request_from_flags(const Options& opts,
 int cmd_verify(const Options& opts) {
   // Pointers for the flags of the retired single-property path (--cert-out
   // used to turn on certification), of the retired profile artifacts, whose
-  // figures the --trace-json batch summary carries, and of the retired
-  // warm-state switch.
+  // figures the --trace-json batch summary carries, of the retired
+  // warm-state switch and of the retired second wall budget.
   static const struct {
     const char* flag;
     const char* instead;
@@ -341,7 +346,8 @@ int cmd_verify(const Options& opts) {
       {"prof-folded",
        "use --trace-spans FILE, then tools/trace_report.py --folded FILE"},
       {"metrics", "the --trace-json batch summary carries the metrics"},
-      {"no-reuse", "every run is cold"}};
+      {"no-reuse", "every run is cold"},
+      {"budget-ms", "use --time-limit S, the one wall-clock budget"}};
   for (const auto& [flag, instead] : kRemoved) {
     if (opts.has(flag)) {
       std::fprintf(stderr, "rfn: --%s was removed; %s\n", flag, instead);

@@ -11,7 +11,7 @@
 // runs cold, exactly as `rfn verify` runs it, so the same request gives the
 // same trajectory whatever the server served before. A bounded FairQueue
 // schedules admitted jobs fair-share by tenant and rejects fast, with a
-// named reason, when the declared watchdog budgets would oversubscribe the
+// named reason, when the declared budgets would oversubscribe the
 // configured windows.
 //
 // Quickstart:
@@ -42,13 +42,13 @@ int usage() {
       "  --workers N          queue-draining worker threads (default 1)\n"
       "  --queue-cap N        admitted-but-unfinished job bound (default 64)\n"
       "  --admit-ms X         wall-time admission window over outstanding\n"
-      "                       budget-ms/time-limit demands (default off)\n"
+      "                       time-limit demands (default off)\n"
       "  --admit-mem-mb N     admission window over outstanding\n"
       "                       budget-mem-mb demands (default off)\n"
       "  --admit-bdd-nodes N  admission window over outstanding\n"
       "                       budget-bdd-nodes demands (default off)\n"
       "  --default-demand-ms X  time demand assumed for requests that\n"
-      "                       declare no budget (default 300000)\n");
+      "                       declare no time-limit (default 300000)\n");
   return 2;
 }
 

@@ -24,7 +24,10 @@ record per property, each followed by the "iteration" records of its
 run, then — for --certify runs — one
 "certificate" record per conclusive property, plus a final
 "batch-summary". The validator checks the version tag, the per-record
-shape, the verdict and certificate-kind spellings, that a failed
+shape, the verdict and certificate-kind spellings, the verdict rule (a
+`resource-out` property names the budget that stopped it in `budget_trip`,
+a `?` property carries none, and `T`/`F` may carry one, as a verdict
+reached before the trip is kept), that a failed
 certification names its failing obligation (and a successful one does
 not), that the summary's property/verdict/certificate counts match the
 records, and that the summary reports what the run cost: its process CPU
@@ -254,6 +257,12 @@ def validate_batch(records):
             fail(f"property record {i} ({r['name']!r}): unknown verdict "
                  f"{verdict!r}")
         counts[verdict] += 1
+        if verdict == "resource-out" and "budget_trip" not in r:
+            fail(f"property record {i} ({r['name']!r}) is resource-out "
+                 f"without a budget_trip naming the budget")
+        if verdict == "?" and "budget_trip" in r:
+            fail(f"property record {i} ({r['name']!r}) is '?' but carries a "
+                 f"budget_trip: a run a budget stopped is resource-out")
         have = len(runs[i])
         if have != r["iterations"]:
             fail(f"property record {i} ({r['name']!r}) counts "
@@ -1044,6 +1053,16 @@ def self_check():
                       "concretize status on an iteration without a trace"),
         corrupt_batch(lambda d: d[1]["concretize"].update(status="none"),
                       "iteration with a trace but no concretize status"),
+        # The verdict rule: resource-out names its budget, `?` has none.
+        corrupt_batch(lambda d: (d[3].update(verdict="resource-out"),
+                                 d[-1]["verdicts"].update(
+                                     F=0, **{"resource-out": 1})),
+                      "resource-out property without a budget_trip"),
+        corrupt_batch(lambda d: (d[3].update(
+                                     verdict="?",
+                                     budget_trip={"reason": "wall-budget"}),
+                                 d[-1]["verdicts"].update(F=0, **{"?": 1})),
+                      "'?' property carrying a budget_trip"),
     ) if f]
 
     # The trajectory gate: a copy of a run agrees with it, a run that ended
