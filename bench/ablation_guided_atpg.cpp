@@ -70,20 +70,23 @@ int main(int argc, char** argv) {
     const size_t depth = static_cast<size_t>(value) + 1;
     Target t = make_target(bits, value, 6);
 
-    AtpgOptions budget;
-    budget.max_backtracks = backtrack_budget;
-    budget.time_limit_s = time_budget;
+    // Each run gets its own backtrack limit and its own time-limited token.
+    const auto run = [&](const std::vector<Cube>& guidance) {
+      const CancelToken token(time_budget);
+      AtpgOptions budget;
+      budget.max_backtracks = backtrack_budget;
+      budget.cancel = &token;
+      return reach_target(t.netlist, depth, t.hit, true, guidance, budget);
+    };
 
     Stopwatch uw;
-    const SeqAtpgResult unguided =
-        reach_target(t.netlist, depth, t.hit, true, {}, budget);
+    const SeqAtpgResult unguided = run({});
     const double ut = uw.seconds();
 
     std::vector<Cube> guidance(depth);
     for (size_t c = 0; c + 1 < depth; ++c) guidance[c] = {{t.en, true}};
     Stopwatch gw;
-    const SeqAtpgResult guided =
-        reach_target(t.netlist, depth, t.hit, true, guidance, budget);
+    const SeqAtpgResult guided = run(guidance);
     const double gt = gw.seconds();
 
     if (unguided.status == AtpgStatus::Sat) deepest_unguided = depth;

@@ -85,8 +85,8 @@ int main(int argc, char** argv) {
     std::string pure_result = "ok";
     double pure_time = 0.0;
     {
-      const Deadline deadline(time_budget);
-      mgr.set_deadline(&deadline);
+      const CancelToken token(time_budget);
+      mgr.set_cancel(&token);
       Stopwatch w;
       ImageComputer img(enc);
       Bdd pre;
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
         pre = img.pre_image_with_inputs(target);
       if (pure_result == "ok" && pre.is_null()) pure_result = "blowup";
       pure_time = w.seconds();
-      mgr.set_deadline(nullptr);
+      mgr.set_cancel(nullptr);
     }
 
     // (b) min-cut pre-image (fresh manager so (a)'s wreckage is not reused).
@@ -108,8 +108,8 @@ int main(int argc, char** argv) {
       mgr2.set_auto_reorder(true);
       mgr2.set_node_budget(node_budget);
       Encoder enc_mc(mgr2, mcr.mc, enc2);
-      const Deadline deadline(time_budget);
-      mgr2.set_deadline(&deadline);
+      const CancelToken token(time_budget);
+      mgr2.set_cancel(&token);
       Stopwatch w;
       ImageComputer img_mc(enc_mc);
       std::vector<BddLit> lits2;
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
         pre = img_mc.pre_image_with_inputs(target2);
       if (mc_result == "ok" && pre.is_null()) mc_result = "blowup";
       mc_time = w.seconds();
-      mgr2.set_deadline(nullptr);
+      mgr2.set_cancel(nullptr);
     }
 
     table.add_row({fmt_int(static_cast<int64_t>(regs)),

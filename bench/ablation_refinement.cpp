@@ -38,27 +38,28 @@ LoopTotals run_instrumented(const char* name, const Netlist& m, GateId bad, Tabl
   LoopTotals totals;
   std::vector<GateId> included = initial_abstraction_registers(m, {bad});
   const std::vector<GateId> roots{bad};
-  const Deadline deadline(time_limit);
+  const CancelToken token(time_limit);
 
-  for (size_t iter = 0; iter < 128 && !deadline.expired(); ++iter) {
+  for (size_t iter = 0; iter < 128 && !token.cancelled(); ++iter) {
     ++totals.iterations;
     std::sort(included.begin(), included.end());
     const Subcircuit sub = extract_abstract_model(m, roots, included);
     BddMgr mgr;
     Encoder enc(mgr, sub.net);
     mgr.set_auto_reorder(true);
+    mgr.set_cancel(&token);
     ImageComputer img(enc);
     const Bdd bad_set =
         mgr.exists(enc.signal_fn(sub.to_new(bad)), enc.input_vars());
     ReachOptions ropt;
-    ropt.time_limit_s = deadline.remaining_seconds();
+    ropt.cancel = &token;
     const ReachResult reach = forward_reach(img, enc.initial_states(), bad_set, ropt);
     if (reach.status == ReachStatus::Proved) {
       totals.verdict = Verdict::Holds;
       break;
     }
     if (reach.status != ReachStatus::BadReachable) break;
-    const Trace abs_trace_n = hybrid_error_trace(enc, sub.net, reach, bad_set);
+    const Trace abs_trace_n = hybrid_error_trace(enc, sub.net, reach, bad_set, &token);
     if (abs_trace_n.empty()) break;
     const Trace abs_trace = sub.trace_to_old(abs_trace_n);
     const SeqAtpgResult conc = solve_abstract_trace(m, m.regs(), abs_trace, bad, {});

@@ -40,9 +40,9 @@ void characterize(const char* design_name, const Netlist& m, GateId bad, Table& 
                   double time_limit) {
   std::vector<GateId> included = initial_abstraction_registers(m, {bad});
   const std::vector<GateId> roots{bad};
-  const Deadline deadline(time_limit);
+  const CancelToken token(time_limit);
 
-  for (size_t iter = 0; iter < 64 && !deadline.expired(); ++iter) {
+  for (size_t iter = 0; iter < 64 && !token.cancelled(); ++iter) {
     std::sort(included.begin(), included.end());
     const Subcircuit sub = extract_abstract_model(m, roots, included);
     const MinCutResult mcr = compute_mincut_design(sub.net);
@@ -50,11 +50,12 @@ void characterize(const char* design_name, const Netlist& m, GateId bad, Table& 
     BddMgr mgr;
     Encoder enc(mgr, sub.net);
     mgr.set_auto_reorder(true);
+    mgr.set_cancel(&token);
     ImageComputer img(enc);
     const GateId bad_new = sub.to_new(bad);
     const Bdd bad_set = mgr.exists(enc.signal_fn(bad_new), enc.input_vars());
     ReachOptions ropt;
-    ropt.time_limit_s = deadline.remaining_seconds();
+    ropt.cancel = &token;
     const ReachResult reach = forward_reach(img, enc.initial_states(), bad_set, ropt);
 
     HybridTraceStats st;
@@ -63,7 +64,7 @@ void characterize(const char* design_name, const Netlist& m, GateId bad, Table& 
     st.mc_inputs = mcr.mc.net.num_inputs();
     Trace abs_trace_n;
     if (reach.status == ReachStatus::BadReachable)
-      abs_trace_n = hybrid_error_trace(enc, sub.net, reach, bad_set, {}, &st);
+      abs_trace_n = hybrid_error_trace(enc, sub.net, reach, bad_set, &token, &st);
 
     table.add_row({std::string(design_name) + " iter " + std::to_string(iter),
                    fmt_int(static_cast<int64_t>(sub.net.num_regs())),

@@ -102,9 +102,9 @@ int main(int argc, char** argv) {
   Table mc_table({"property", "plain MC result", "time (s)", "fixpoint steps"});
   size_t mc_failures = 0;
   for (const Row& row : rows) {
-    ReachOptions mc_opts;
+    PlainMcOptions mc_opts;
     mc_opts.time_limit_s = opts.get_double("mc-time", 60.0);
-    mc_opts.max_live_nodes = static_cast<size_t>(opts.get_int("mc-nodes", 1 << 21));
+    mc_opts.node_cap = static_cast<size_t>(opts.get_int("mc-nodes", 1 << 21));
     const PlainMcResult mc = plain_model_check(*row.design, row.bad, mc_opts);
     if (mc.verdict == Verdict::Unknown) ++mc_failures;
     mc_table.add_row({row.name,

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
 
     BfsBaselineOptions bfs_opts;
     bfs_opts.num_registers = bfs_regs;
-    bfs_opts.reach.time_limit_s = opts.get_double("bfs-time", 300.0);
+    bfs_opts.time_limit_s = opts.get_double("bfs-time", 300.0);
     const BfsBaselineResult bfs = bfs_coverage_analysis(*set.design, *set.signals, bfs_opts);
 
     table.add_row({set.name, fmt_int(static_cast<int64_t>(coi_regs)),

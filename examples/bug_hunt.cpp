@@ -51,10 +51,11 @@ int main(int argc, char** argv) {
   // 2. Unguided sequential ATPG at the same depth, with a bounded budget —
   // the paper's motivation for guidance (Section 2.3).
   const size_t depth = r.error_trace.cycles() ? r.error_trace.cycles() : 30;
+  const CancelToken unguided_token(opts.get_double("unguided-time-limit", 30.0));
   AtpgOptions unguided;
   unguided.max_backtracks =
       static_cast<uint64_t>(opts.get_int("unguided-backtracks", 200000));
-  unguided.time_limit_s = opts.get_double("unguided-time-limit", 30.0);
+  unguided.cancel = &unguided_token;
   Stopwatch atpg_watch;
   const SeqAtpgResult direct =
       reach_target(proc.netlist, depth, proc.error_flag, true, {}, unguided);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   BfsBaselineOptions bfs_opts;
   bfs_opts.num_registers = static_cast<size_t>(opts.get_int("bfs-regs", 60));
-  bfs_opts.reach.time_limit_s = cov_opts.time_limit_s;
+  bfs_opts.time_limit_s = cov_opts.time_limit_s;
   const BfsBaselineResult bfs = bfs_coverage_analysis(usb.netlist, cov, bfs_opts);
   std::printf("BFS:  %zu unreachable (abstract model %zu registers, fixpoint %s, %.1f s)\n",
               bfs.unreachable, bfs.abstract_regs, to_string(bfs.reach_status),

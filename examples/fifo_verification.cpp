@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   table.print();
 
   std::printf("\nFor comparison, plain symbolic model checking with COI reduction:\n");
-  ReachOptions mc_opts;
+  PlainMcOptions mc_opts;
   mc_opts.time_limit_s = opts.get_double("mc-time-limit", 10.0);
   const PlainMcResult mc = plain_model_check(fifo.netlist, fifo.bad_push_full, mc_opts);
   std::printf("psh_full via plain MC: %s after %.2f s (%zu COI registers)\n",

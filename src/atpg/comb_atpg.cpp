@@ -99,7 +99,6 @@ template <class Graph>
 CombAtpgResult justify_impl(ImplicationEngine<Graph>& eng, const Cube& targets,
                             const AtpgOptions& opt) {
   CombAtpgResult res;
-  const Deadline deadline(opt.time_limit_s);
 
   // Assert the target cube. A conflict here is a definitive Unsat.
   for (const Literal& lit : targets) {
@@ -121,8 +120,7 @@ CombAtpgResult justify_impl(ImplicationEngine<Graph>& eng, const Cube& targets,
   for (;;) {
     if (conflict) {
       ++res.backtracks;
-      if (res.backtracks > opt.max_backtracks || deadline.expired() ||
-          should_stop(opt.cancel)) {
+      if (res.backtracks > opt.max_backtracks || should_stop(opt.cancel)) {
         res.status = AtpgStatus::Abort;
         return res;
       }
@@ -161,8 +159,7 @@ CombAtpgResult justify_impl(ImplicationEngine<Graph>& eng, const Cube& targets,
     ++res.decisions;
     stack.push_back({signal, value, false, eng.mark()});
     if (!eng.assign(signal, value)) conflict = true;
-    if ((res.decisions & 0x3FF) == 0 &&
-        (deadline.expired() || should_stop(opt.cancel))) {
+    if ((res.decisions & 0x3FF) == 0 && should_stop(opt.cancel)) {
       res.status = AtpgStatus::Abort;
       return res;
     }

@@ -7,7 +7,7 @@
 //              register outputs) satisfying the cube, plus the implied full
 //              valuation;
 //   * Unsat  — no assignment exists;
-//   * Abort  — a resource limit (backtracks / time) was exceeded.
+//   * Abort  — the backtrack limit was exceeded or the cancel token fired.
 //
 // The search is PODEM-style: decisions are made only on free signals,
 // located by backtracing the current justification objective through an
@@ -17,7 +17,6 @@
 #include "atpg/implication.hpp"
 #include "netlist/netlist.hpp"
 #include "util/cancel.hpp"
-#include "util/stopwatch.hpp"
 
 namespace rfn {
 
@@ -28,12 +27,10 @@ struct AtpgOptions {
   /// Backtrack budget; the engine aborts beyond it (paper: "some resource
   /// limits are exceeded").
   uint64_t max_backtracks = 1u << 20;
-  /// Wall-clock budget in seconds; negative = unlimited.
-  double time_limit_s = -1.0;
-  /// Cooperative should-stop hook, polled per backtrack and per decision
-  /// batch; a cancelled search reports Abort. Flows through every engine
-  /// built on this options struct (sequential ATPG, hybrid trace engine,
-  /// concretization), which is how a run's budget cuts them short.
+  /// The run's stop signal, polled per backtrack and per decision batch; a
+  /// cancelled search reports Abort. Flows through every engine built on
+  /// this options struct (sequential ATPG, concretization, refinement),
+  /// which is how a run's time limit cuts them short.
   const CancelToken* cancel = nullptr;
 };
 

@@ -279,9 +279,11 @@ Bdd BddMgr::make(uint32_t id) {
 
 uint32_t BddMgr::cache_lookup(Op op, uint32_t a, uint32_t b, uint32_t c) {
   ++stats_.cache_lookups;
-  if (deadline_ && !in_reorder_ && (++deadline_tick_ & 0x3FFF) == 0 &&
-      deadline_->expired())
+  if (cancel_ && (stats_.cache_lookups & 0x3FFF) == 0 && !in_reorder_ &&
+      cancel_->cancelled()) {
+    cancel_fired_ = true;
     throw BudgetExceeded{};
+  }
   uint64_t h = (static_cast<uint64_t>(a) * 0x100000001b3ULL) ^
                (static_cast<uint64_t>(b) << 21) ^ (static_cast<uint64_t>(c) << 42) ^
                static_cast<uint64_t>(op);

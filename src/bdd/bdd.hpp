@@ -30,8 +30,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/cancel.hpp"
 #include "util/log.hpp"
-#include "util/stopwatch.hpp"
 
 namespace rfn {
 
@@ -136,6 +136,11 @@ struct BddStats {
 /// exporting counters).
 void publish_bdd_metrics(const BddStats& s);
 
+/// Live-node cap of every manager the engines own when no smaller node
+/// budget is set: RFN and coverage iterations, the BFS baseline, plain MC
+/// and the holds-certificate rebuild (BddMgr::set_node_budget).
+inline constexpr size_t kDefaultNodeBudget = size_t{4} << 20;
+
 class BddMgr {
  public:
   explicit BddMgr(uint32_t initial_vars = 0);
@@ -230,15 +235,22 @@ class BddMgr {
   /// iteration under budget-bdd-nodes) fail gracefully, and since the cap
   /// is checked in line, the same run is refused at the same allocation
   /// every time.
-  void set_node_budget(size_t max_live_nodes) { node_budget_ = max_live_nodes; }
+  void set_node_budget(size_t cap) { node_budget_ = cap; }
   size_t node_budget() const { return node_budget_; }
 
-  /// Wall-clock guard checked inside the recursive operators (every few
-  /// thousand cache probes): an operation that thrashes the lossy computed
-  /// table can burn unbounded CPU without allocating, so the node budget
-  /// alone cannot bound it. Pass nullptr to clear. The Deadline must
-  /// outlive the manager or be cleared before it dies.
-  void set_deadline(const Deadline* deadline) { deadline_ = deadline; }
+  /// The run's stop signal, polled inside the recursive operators (every
+  /// 16,384 computed-table probes) and per variable of a sifting pass: an
+  /// operation that thrashes the lossy computed table can burn unbounded
+  /// CPU without allocating, so the node cap alone cannot bound it. A
+  /// cancelled operation is abandoned like a refused allocation: the public
+  /// call returns a null Bdd and the manager stays consistent; once the
+  /// token has fired, every later operation returns null too. Pass nullptr
+  /// to clear. The token must outlive the manager or be cleared before it
+  /// dies.
+  void set_cancel(const CancelToken* cancel) {
+    cancel_ = cancel;
+    cancel_fired_ = false;
+  }
 
   void garbage_collect();
   /// Runs one sifting pass over all variables. Returns live node delta.
@@ -364,8 +376,8 @@ class BddMgr {
   size_t reorder_threshold_ = 1u << 14;
   bool in_reorder_ = false;
   size_t node_budget_ = 0;
-  const Deadline* deadline_ = nullptr;
-  uint64_t deadline_tick_ = 0;
+  const CancelToken* cancel_ = nullptr;
+  bool cancel_fired_ = false;  // cancel_ was seen cancelled
 
   /// Applies a capacity delta (in bytes) from one growth site. Every
   /// mutation that can change a tracked vector's capacity brackets itself
@@ -377,16 +389,19 @@ class BddMgr {
       stats_.heap_peak_bytes = stats_.heap_bytes;
   }
 
-  /// Thrown by find_or_add when the node budget is exceeded; caught at the
-  /// public operation boundary.
+  /// Thrown by find_or_add when the node budget is exceeded and by
+  /// cache_lookup when the cancel token has fired; caught at the public
+  /// operation boundary.
   struct BudgetExceeded {};
 
-  /// Runs a recursive worker at a public boundary: housekeeping first, wrap
-  /// the raw result in a handle, and convert a blown node budget into a
-  /// null handle (after collecting the abandoned intermediates, which are
+  /// Runs a recursive worker at a public boundary: null at once after the
+  /// cancel token fired, else housekeeping first, wrap the raw result in a
+  /// handle, and convert a blown node budget or a cancellation into a null
+  /// handle (after collecting the abandoned intermediates, which are
   /// all unreferenced and thus reclaimable).
   template <typename Fn>
   Bdd run_guarded(Fn&& fn) {
+    if (cancel_fired_) return Bdd();
     housekeeping();
     try {
       return make(fn());

@@ -97,7 +97,7 @@ Bdd BddMgr::and_exists(const Bdd& f, const Bdd& g, const std::vector<BddVar>& va
 // ---------------------------------------------------------------------------
 
 Bdd BddMgr::rename(const Bdd& f, const std::vector<BddVar>& map) {
-  if (f.is_null()) return Bdd();
+  if (f.is_null() || cancel_fired_) return Bdd();
   RFN_CHECK(f.mgr() == this, "rename: bad operand");
   RFN_CHECK(map.size() >= num_vars(), "rename map too short");
   housekeeping();

@@ -129,7 +129,7 @@ void BddMgr::reorder_sift() {
   });
   const size_t max_vars = std::min<size_t>(order.size(), 1000);
   for (size_t i = 0; i < max_vars; ++i) {
-    if (deadline_ && deadline_->expired()) break;  // finish gracefully
+    if (should_stop(cancel_)) break;  // finish gracefully
     if (subtables_[order[i]].count == 0) continue;
     size_t best = 0;
     sift_var(order[i], best);

@@ -31,15 +31,18 @@ BfsBaselineResult bfs_coverage_analysis(const Netlist& m,
   const Subcircuit sub = extract_abstract_model(m, roots, included);
   res.abstract_regs = sub.net.num_regs();
 
+  // The token outlives the manager that polls it.
+  const CancelToken token(opt.time_limit_s);
   BddMgr mgr;
   Encoder enc(mgr, sub.net);
   mgr.set_auto_reorder(true);
-  mgr.set_node_budget(opt.reach.max_live_nodes);
-  const Deadline deadline(opt.reach.time_limit_s);
-  enc.set_resource_guard(&deadline, opt.reach.max_live_nodes);
+  mgr.set_node_budget(kDefaultNodeBudget);
+  mgr.set_cancel(&token);
   ImageComputer img(enc);
+  ReachOptions reach_opt;
+  reach_opt.cancel = &token;
   const ReachResult reach =
-      forward_reach(img, enc.initial_states(), mgr.bdd_false(), opt.reach);
+      forward_reach(img, enc.initial_states(), mgr.bdd_false(), reach_opt);
   res.reach_status = reach.status;
   if (reach.status != ReachStatus::Proved) {
     res.seconds = watch.seconds();
@@ -52,6 +55,11 @@ BfsBaselineResult bfs_coverage_analysis(const Netlist& m,
     if (std::find(cov_vars.begin(), cov_vars.end(), v) == cov_vars.end())
       non_cov.push_back(v);
   const Bdd projected = mgr.exists(reach.reached, non_cov);
+  if (projected.is_null()) {  // cancelled or refused: classify nothing
+    res.reach_status = ReachStatus::ResourceOut;
+    res.seconds = watch.seconds();
+    return res;
+  }
 
   std::vector<bool> assign(mgr.num_vars(), false);
   for (size_t s = 0; s < res.total_states; ++s) {

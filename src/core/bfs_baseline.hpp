@@ -18,7 +18,10 @@ struct BfsBaselineOptions {
   /// Abstract-model size (paper: 60 registers, "forward fixpoint almost
   /// always completes on an abstract model with 60 registers").
   size_t num_registers = 60;
-  ReachOptions reach;
+  /// Wall-clock limit in seconds (negative = unlimited): the limit of the
+  /// CancelToken the fixpoint and its BDD manager poll. The manager is
+  /// capped at kDefaultNodeBudget.
+  double time_limit_s = -1.0;
 };
 
 struct BfsBaselineResult {

@@ -35,7 +35,6 @@ CertificateBuild failed(CertificateBuild res, std::string detail) {
 CertificateBuild build_holds_certificate(const Netlist& m, GateId bad,
                                          const std::string& property_name,
                                          const std::vector<GateId>& included_regs,
-                                         const ReachOptions& opt,
                                          size_t max_clauses) {
   CertificateBuild res;
   res.certificate.kind = cert::CertKind::HoldsInvariant;
@@ -51,7 +50,7 @@ CertificateBuild build_holds_certificate(const Netlist& m, GateId bad,
   BddMgr mgr;
   Encoder enc(mgr, sub.net);
   mgr.set_auto_reorder(true);
-  mgr.set_node_budget(opt.max_live_nodes);
+  mgr.set_node_budget(kDefaultNodeBudget);
   ImageComputer img(enc);
   if (img.aborted())
     return failed(std::move(res),
@@ -60,7 +59,7 @@ CertificateBuild build_holds_certificate(const Netlist& m, GateId bad,
   if (bad_set.is_null())
     return failed(std::move(res), "resource limit while encoding the bad states");
   const ReachResult reach =
-      forward_reach(img, enc.initial_states(), mgr.bdd_false(), opt);
+      forward_reach(img, enc.initial_states(), mgr.bdd_false());
   if (reach.status != ReachStatus::Proved)
     return failed(std::move(res), "could not recompute the fixpoint within the budget");
   const Bdd inv = reach.reached;
@@ -119,8 +118,7 @@ CertificateBuild build_fails_certificate(const Netlist& m, GateId bad,
 CertificateArtifact certify_with_witness(const Netlist& m, GateId bad,
                                          const std::string& property_name,
                                          Verdict verdict, const Trace& error_trace,
-                                         const std::vector<GateId>& final_registers,
-                                         const ReachOptions& opt) {
+                                         const std::vector<GateId>& final_registers) {
   MetricsRegistry& reg = MetricsRegistry::global();
   CertificateArtifact art;
   if (verdict != Verdict::Holds && verdict != Verdict::Fails) {
@@ -133,7 +131,7 @@ CertificateArtifact certify_with_witness(const Netlist& m, GateId bad,
     Stopwatch build;
     CertificateBuild b =
         verdict == Verdict::Holds
-            ? build_holds_certificate(m, bad, property_name, final_registers, opt)
+            ? build_holds_certificate(m, bad, property_name, final_registers)
             : build_fails_certificate(m, bad, property_name, error_trace);
     reg.timer("cert.build").record(build.seconds());
     if (!b.ok) {

@@ -37,12 +37,11 @@ struct CertificateBuild {
 
 /// Extracts a holds-invariant witness for `bad` from the abstraction over
 /// `included_regs`. Fails (ok = false) when the fixpoint cannot be
-/// recomputed within `opt`'s budget or the ISOP cover overflows
+/// recomputed under kDefaultNodeBudget or the ISOP cover overflows
 /// `max_clauses`.
 CertificateBuild build_holds_certificate(const Netlist& m, GateId bad,
                                          const std::string& property_name,
                                          const std::vector<GateId>& included_regs,
-                                         const ReachOptions& opt = {},
                                          size_t max_clauses = kMaxInvariantClauses);
 
 /// Wraps a concrete error trace as a fails-trace witness.
@@ -73,7 +72,6 @@ struct CertificateArtifact {
 CertificateArtifact certify_with_witness(const Netlist& m, GateId bad,
                                          const std::string& property_name,
                                          Verdict verdict, const Trace& error_trace,
-                                         const std::vector<GateId>& final_registers,
-                                         const ReachOptions& opt = {});
+                                         const std::vector<GateId>& final_registers);
 
 }  // namespace rfn

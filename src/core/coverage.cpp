@@ -63,15 +63,18 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
   for (GateId r : coverage_regs)
     RFN_CHECK(m.is_reg(r), "coverage signal %u is not a register", r);
 
-  // One token carries the time limit to every engine call below.
+  // One token carries the time limit to every engine call and every BDD
+  // manager below.
   const Stopwatch watch;
   const CancelToken token(opt.time_limit_s);
-  ReachOptions reach_opt = opt.reach;
+  ReachOptions reach_opt;
   reach_opt.cancel = &token;
-  HybridTraceOptions hybrid_opt;
-  hybrid_opt.cancel = &token;
   AtpgOptions atpg_opt;
   atpg_opt.cancel = &token;
+  // Why an iteration stopped short: the token, or the manager's node cap.
+  const auto stop_reason = [&](const char* otherwise) {
+    return token.cancelled() ? "cancelled" : otherwise;
+  };
   CoverageResult result;
   result.total_states = size_t{1} << coverage_regs.size();
   result.state_class.assign(result.total_states, 0);
@@ -129,10 +132,12 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
     Encoder enc(mgr, sub.net);
     if (!saved_order.empty()) apply_saved_order(mgr, enc, sub, saved_order);
     mgr.set_auto_reorder(true);
-    mgr.set_node_budget(opt.reach.max_live_nodes);
+    mgr.set_node_budget(kDefaultNodeBudget);
+    mgr.set_cancel(&token);
     ImageComputer img(enc);
     if (img.aborted()) {
-      RFN_WARN("coverage iter %zu: abstract model exceeded node budget", iter);
+      RFN_WARN("coverage iter %zu: %s", iter,
+               stop_reason("abstract model exceeded node budget"));
       break;
     }
 
@@ -145,7 +150,8 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
         forward_reach(img, enc.initial_states(), mgr.bdd_false(), reach_opt);
     saved_order = save_order(mgr, enc, sub);
     if (reach.status != ReachStatus::Proved) {
-      RFN_WARN("coverage iter %zu: abstract fixpoint did not complete", iter);
+      RFN_WARN("coverage iter %zu: %s", iter,
+               stop_reason("abstract fixpoint did not complete"));
       break;
     }
 
@@ -156,6 +162,11 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
       if (std::find(cov_vars.begin(), cov_vars.end(), v) == cov_vars.end())
         non_cov.push_back(v);
     const Bdd projected = mgr.exists(reach.reached, non_cov);
+    if (projected.is_null()) {
+      RFN_WARN("coverage iter %zu: %s", iter,
+               stop_reason("projection exceeded node budget"));
+      break;
+    }
     const std::vector<uint8_t> in_proj = membership(mgr, projected, cov_vars);
     for (size_t s = 0; s < result.total_states; ++s)
       if (!in_proj[s] && result.state_class[s] == 0) result.state_class[s] = 1;
@@ -176,7 +187,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
       ReachResult hit = reach;
       hit.status = ReachStatus::BadReachable;
       const Trace abs_trace_n =
-          hybrid_error_trace(enc, sub.net, hit, remaining, hybrid_opt);
+          hybrid_error_trace(enc, sub.net, hit, remaining, &token);
       if (abs_trace_n.empty()) break;
       const Trace abs_trace = sub.trace_to_old(abs_trace_n);
 

@@ -11,17 +11,16 @@
 
 #include <vector>
 
-#include "mc/reach.hpp"
 #include "netlist/netlist.hpp"
 
 namespace rfn {
 
 struct CoverageOptions {
-  /// Wall-clock budget (paper: 1,800 CPU seconds per experiment), carried
-  /// by one CancelToken to every engine call of the analysis.
+  /// Wall-clock limit (paper: 1,800 CPU seconds per experiment), carried
+  /// by one CancelToken to every engine call and every BDD manager of the
+  /// analysis. Each iteration's manager is capped at kDefaultNodeBudget.
   double time_limit_s = 1800.0;
   size_t max_iterations = 1000;
-  ReachOptions reach;
 };
 
 struct CoverageResult {

@@ -9,6 +9,10 @@ namespace rfn {
 
 namespace {
 
+/// How many path cubes of each pre-image result the walk tries, after the
+/// fattest cube, before giving up on a step.
+constexpr size_t kHybridCubeLimit = 64;
+
 /// One flush per trace-extraction call ("hybrid.*"). The no-cut vs
 /// min-cut split is the paper's Figure-1 quantity: how often the pre-image
 /// cube was usable directly vs routed through combinational ATPG.
@@ -65,15 +69,15 @@ SplitCube split_mc_cube(const Encoder& enc_n, const Encoder& enc_mc,
 class HybridWalker {
  public:
   HybridWalker(Encoder& enc, const Netlist& n, const ReachResult& reach,
-               const Bdd& bad, const HybridTraceOptions& opt, HybridTraceStats& st)
+               const Bdd& bad, const CancelToken* cancel, HybridTraceStats& st)
       : enc_(enc),
         n_(n),
         reach_(reach),
-        opt_(opt),
         st_(st),
         mcr_(compute_mincut_design(n)),
         enc_mc_(enc.mgr(), mcr_.mc, enc),
         img_mc_(enc_mc_) {
+    atpg_.cancel = cancel;
     st_.mc_inputs = mcr_.mc.net.num_inputs();
     st_.model_inputs = n.num_inputs();
     st_.cone_inputs = mcr_.cone_inputs;
@@ -85,7 +89,7 @@ class HybridWalker {
   }
 
   /// Walks backward from the shortest cube of the bad intersection; empty
-  /// trace on failure, cancellation, or a null set (the node budget refused
+  /// trace on failure, cancellation, or a null set (the manager abandoned
   /// an operation).
   Trace walk() {
     BddMgr& mgr = enc_.mgr();
@@ -102,7 +106,7 @@ class HybridWalker {
 
     Cube target = trace.steps[k_].state;
     for (size_t i = k_; i-- > 0;) {
-      if (should_stop(opt_.cancel)) return Trace{};
+      if (should_stop(atpg_.cancel)) return Trace{};
       const Bdd target_bdd = enc_.cube_bdd(target);
       const Bdd pre = img_mc_.pre_image_with_inputs(target_bdd);
       const Bdd step_set = pre & reach_.rings[i];
@@ -113,7 +117,7 @@ class HybridWalker {
       // order.
       std::vector<std::vector<BddLit>> candidates;
       candidates.push_back(mgr.shortest_cube(step_set));
-      for (auto& c : mgr.first_cubes(step_set, opt_.cube_limit))
+      for (auto& c : mgr.first_cubes(step_set, kHybridCubeLimit))
         candidates.push_back(std::move(c));
 
       bool accepted = false;
@@ -135,9 +139,10 @@ class HybridWalker {
         Cube targets = sc.internal;
         for (const Literal& lit : sc.state) cube_add(targets, lit);
         for (const Literal& lit : sc.inputs) cube_add(targets, lit);
-        const CombAtpgResult res = justify(n_, targets, opt_.atpg);
+        const CombAtpgResult res = justify(n_, targets, atpg_);
         if (res.status != AtpgStatus::Sat) {
           ++st_.atpg_rejects;
+          if (should_stop(atpg_.cancel)) return Trace{};
           continue;
         }
         Cube state, inputs;
@@ -171,7 +176,7 @@ class HybridWalker {
   Encoder& enc_;
   const Netlist& n_;
   const ReachResult& reach_;
-  const HybridTraceOptions& opt_;
+  AtpgOptions atpg_;  // default limits, the walk's token
   HybridTraceStats& st_;
   MinCutResult mcr_;
   Encoder enc_mc_;
@@ -183,14 +188,14 @@ class HybridWalker {
 }  // namespace
 
 Trace hybrid_error_trace(Encoder& enc, const Netlist& n, const ReachResult& reach,
-                         const Bdd& bad, const HybridTraceOptions& opt,
+                         const Bdd& bad, const CancelToken* cancel,
                          HybridTraceStats* stats) {
   Span span("hybrid.walk");
   HybridTraceStats local_stats;
   HybridTraceStats& st = stats ? *stats : local_stats;
   RFN_CHECK(reach.status == ReachStatus::BadReachable, "no abstract error trace");
   Trace t;
-  if (!should_stop(opt.cancel)) t = HybridWalker(enc, n, reach, bad, opt, st).walk();
+  if (!should_stop(cancel)) t = HybridWalker(enc, n, reach, bad, cancel, st).walk();
   record_hybrid_metrics(st, t.empty() ? 0 : 1);
   return t;
 }

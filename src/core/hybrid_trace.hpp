@@ -23,16 +23,6 @@
 
 namespace rfn {
 
-struct HybridTraceOptions {
-  /// How many cubes of each pre-image result to try before giving up.
-  size_t cube_limit = 64;
-  AtpgOptions atpg;
-  /// Cooperative should-stop hook, polled per backward pre-image step; a
-  /// cancelled walk returns an empty trace. (The embedded AtpgOptions carry
-  /// their own hook for the justification calls.)
-  const CancelToken* cancel = nullptr;
-};
-
 struct HybridTraceStats {
   size_t mc_inputs = 0;       // primary inputs of the min-cut design
   size_t model_inputs = 0;    // primary inputs of the abstract model
@@ -46,11 +36,14 @@ struct HybridTraceStats {
 /// Extracts an error trace on abstract model `n` from a BadReachable
 /// reachability result, using min-cut pre-image + ATPG justification.
 /// `enc` must be the encoder the rings were computed with. The walk starts
-/// from the shortest cube of the bad intersection. Returns an empty trace if
-/// `opt.cancel` fires or every candidate cube is exhausted (should not
-/// happen: the paper argues a consistent no-cut cube always exists).
+/// from the shortest cube of the bad intersection. `cancel` is the run's
+/// stop signal: the walk polls it per pre-image step and every
+/// justification call polls it too. Returns an empty trace if `cancel`
+/// fires, the manager abandons an operation, or every candidate cube is
+/// exhausted (should not happen: the paper argues a consistent no-cut cube
+/// always exists).
 Trace hybrid_error_trace(Encoder& enc, const Netlist& n, const ReachResult& reach,
-                         const Bdd& bad, const HybridTraceOptions& opt = {},
+                         const Bdd& bad, const CancelToken* cancel = nullptr,
                          HybridTraceStats* stats = nullptr);
 
 }  // namespace rfn

@@ -22,8 +22,6 @@ std::vector<std::string> RfnOptions::validate() const {
     errors.push_back("budget_bdd_nodes must be >= 0 (0 disables the budget)");
   if (budget_mem_mb < 0)
     errors.push_back("budget_mem_mb must be >= 0 (0 disables the budget)");
-  if (reach.max_live_nodes == 0)
-    errors.push_back("reach.max_live_nodes must be >= 1");
   if (reach.max_steps == 0)
     errors.push_back("reach.max_steps must be >= 1");
   return errors;
@@ -66,21 +64,24 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
 
   // One budget per resource, each enforced where it is spent. Wall time:
   // run_token carries time_limit_s and chains any external token; every
-  // cancellation point below polls it. BDD nodes: each iteration's manager
-  // is capped at the budget. Memory: the watchdog samples RSS and cancels
-  // run_token.
+  // engine call and every iteration's BDD manager polls it. BDD nodes: each
+  // iteration's manager is capped at the budget (kDefaultNodeBudget when
+  // none is set). Memory: the watchdog samples RSS and cancels run_token.
   CancelToken run_token(opt.time_limit_s, opt.cancel);
   const CancelToken* cancel = &run_token;
   WatchdogOptions wd_opt;
   wd_opt.mem_budget_mb = opt.budget_mem_mb;
   Watchdog watchdog(wd_opt, &run_token);
   watchdog.start();
-  const bool node_budgeted =
-      opt.budget_bdd_nodes > 0 &&
-      static_cast<size_t>(opt.budget_bdd_nodes) <= opt.reach.max_live_nodes;
+  const bool node_budgeted = opt.budget_bdd_nodes > 0;
   const size_t node_cap = node_budgeted
                               ? static_cast<size_t>(opt.budget_bdd_nodes)
-                              : opt.reach.max_live_nodes;
+                              : kDefaultNodeBudget;
+  // An engine that stopped short (a null BDD, an incomplete fixpoint, an
+  // empty walk) was either cancelled by the token or refused by the cap.
+  const auto stop_note = [&](const char* otherwise) {
+    return should_stop(cancel) ? "cancelled" : otherwise;
+  };
   // Whether the node budget refused an allocation in the last iteration.
   bool node_budget_hit = false;
 
@@ -110,6 +111,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
     apply_saved_order(mgr, enc, sub, saved_order);
     mgr.set_auto_reorder(true);
     mgr.set_node_budget(node_cap);
+    mgr.set_cancel(cancel);
     ImageComputer img(enc);
 
     // Every exit path of this iteration funnels through here: harvest the
@@ -148,7 +150,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
     if (img.aborted() || bad_set.is_null()) {
       it.reach_status = ReachStatus::ResourceOut;
       finish_iteration();
-      result.note = "abstract model exceeded the BDD node budget";
+      result.note = stop_note("abstract model exceeded the BDD node budget");
       break;
     }
 
@@ -162,17 +164,15 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
     it.reach_steps = reach.steps;
     if (reach.status == ReachStatus::ResourceOut) {
       finish_iteration();
-      result.note = "abstract fixpoint exceeded resources";
+      result.note = stop_note("abstract fixpoint exceeded resources");
       break;
     }
 
     Trace abs_trace;  // abstract error trace, original-design ids
     if (reach.status == ReachStatus::BadReachable) {
       // Abstract error trace via the hybrid engine, in sub.net ids.
-      HybridTraceOptions hybrid_opt;
-      hybrid_opt.cancel = cancel;
-      abs_trace = sub.trace_to_old(hybrid_error_trace(
-          enc, sub.net, reach, bad_set, hybrid_opt, &it.hybrid));
+      abs_trace = sub.trace_to_old(
+          hybrid_error_trace(enc, sub.net, reach, bad_set, cancel, &it.hybrid));
     }
     // After a conclusive reach (and the hybrid walk, which may reorder), the
     // manager's variable order seeds the next iteration's (Section 2.2).
@@ -183,7 +183,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
     }
     if (abs_trace.empty()) {
       finish_iteration();
-      result.note = "hybrid trace engine exhausted candidates";
+      result.note = stop_note("hybrid trace engine exhausted candidates");
       break;
     }
 
@@ -218,7 +218,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
         identify_crucial_registers(m, bad, included, abs_trace, atpg_opt, &it.refine);
     finish_iteration();
     if (crucial.empty()) {
-      result.note = "refinement produced no crucial registers";
+      result.note = stop_note("refinement produced no crucial registers");
       break;
     }
     RFN_INFO("iter %zu: refining with %zu crucial registers", iter, crucial.size());

@@ -38,17 +38,20 @@ struct RfnOptions {
   /// A run stopped by one degrades to the ResourceOut verdict with the trip
   /// recorded in RfnResult::budget_trip.
   /// time_limit_s bounds wall time (seconds; negative = unlimited): it is
-  /// the run's CancelToken budget, which every engine polls.
+  /// the limit of the run's CancelToken, which every engine call and every
+  /// iteration's BDD manager polls.
   double time_limit_s = -1.0;
   /// budget_bdd_nodes bounds the live nodes of each iteration's BDD manager
-  /// (<= 0: off): the manager's own cap refuses the allocation past it.
+  /// (<= 0: off, and the manager keeps kDefaultNodeBudget): the manager's
+  /// own cap refuses the allocation past it.
   int64_t budget_bdd_nodes = 0;
   /// budget_mem_mb bounds process RSS as sampled from /proc/self/statm by
   /// the watchdog thread (<= 0: off; no-op off-Linux where RSS reads
   /// return 0).
   int64_t budget_mem_mb = 0;
   size_t max_iterations = 1000;
-  /// Per-iteration reachability limits on the abstract model.
+  /// Per-iteration image-step limit on the abstract model (reach.cancel is
+  /// ignored: the fixpoint polls the run's token).
   ReachOptions reach;
   /// External cancellation of the whole run: polled at iteration boundaries
   /// and passed to every engine call.

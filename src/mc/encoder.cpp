@@ -103,25 +103,12 @@ bool Encoder::is_input_var(BddVar v) const {
   return v < var_kind_.size() && var_kind_[v] == VarKind::Input;
 }
 
-void Encoder::set_resource_guard(const Deadline* deadline, size_t max_live_nodes) {
-  guard_deadline_ = deadline;
-  guard_max_nodes_ = max_live_nodes;
-}
-
 Bdd Encoder::signal_fn(GateId g) {
-  if (guard_tripped_) return Bdd();
   if (signal_ready_[g]) return signal_memo_[g];
   // Iterative bottom-up evaluation over the needed cone (avoids deep
   // recursion on long gate chains).
   std::vector<GateId> stack{g};
-  size_t guard_tick = 0;
   while (!stack.empty()) {
-    if ((++guard_tick & 0xFF) == 0 &&
-        ((guard_deadline_ && guard_deadline_->expired()) ||
-         (guard_max_nodes_ && mgr_->live_nodes() > guard_max_nodes_))) {
-      guard_tripped_ = true;
-      return Bdd();
-    }
     const GateId cur = stack.back();
     if (signal_ready_[cur]) {
       stack.pop_back();
@@ -172,6 +159,7 @@ Bdd Encoder::signal_fn(GateId g) {
                       signal_memo_[n_->fanins(cur)[1]]);
         break;
     }
+    if (r.is_null()) return Bdd();  // the manager abandoned an operation
     signal_memo_[cur] = std::move(r);
     signal_ready_[cur] = 1;
   }

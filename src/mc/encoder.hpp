@@ -18,7 +18,6 @@
 #include "bdd/bdd.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/subcircuit.hpp"
-#include "util/stopwatch.hpp"
 
 namespace rfn {
 
@@ -52,16 +51,12 @@ class Encoder {
   bool is_next_var(BddVar v) const;
   bool is_input_var(BddVar v) const;
 
-  /// Installs a resource guard: when the deadline expires or the manager's
-  /// live node count crosses the cap, signal_fn starts returning null BDDs
-  /// instead of building further. Callers built for big designs (plain MC,
-  /// image construction) treat a null as "resources exceeded" — the paper's
-  /// expected outcome for plain symbolic MC on real-world designs.
-  void set_resource_guard(const Deadline* deadline, size_t max_live_nodes);
-  bool guard_tripped() const { return guard_tripped_; }
-
   /// Symbolic function of a signal over state+input variables (memoized).
-  /// Null when the resource guard has tripped.
+  /// Null, with nothing memoized for the failed gate, when the manager
+  /// abandons an operation (its node cap or its cancel token): callers
+  /// built for big designs (plain MC, image construction) treat a null as
+  /// "resources exceeded" — the paper's expected outcome for plain symbolic
+  /// MC on real-world designs.
   Bdd signal_fn(GateId g);
   /// Next-state function of a register.
   Bdd next_fn(GateId reg) { return signal_fn(netlist().reg_data(reg)); }
@@ -96,9 +91,6 @@ class Encoder {
   std::vector<GateId> var_gate_;       // indexed by BddVar
   std::vector<Bdd> signal_memo_;       // indexed by GateId
   std::vector<uint8_t> signal_ready_;  // indexed by GateId
-  const Deadline* guard_deadline_ = nullptr;
-  size_t guard_max_nodes_ = 0;  // 0 = unlimited
-  bool guard_tripped_ = false;
 };
 
 }  // namespace rfn

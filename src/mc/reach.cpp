@@ -3,6 +3,7 @@
 #include "core/status.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
+#include "util/stopwatch.hpp"
 #include "util/trace.hpp"
 
 namespace rfn {
@@ -29,7 +30,6 @@ namespace {
 ReachResult forward_reach_impl(ImageComputer& img, const Bdd& init, const Bdd& bad,
                                const ReachOptions& opt) {
   BddMgr& mgr = img.encoder().mgr();
-  const Deadline deadline(opt.time_limit_s);
   ReachResult res;
   if (img.aborted() || init.is_null() || bad.is_null()) {
     res.status = ReachStatus::ResourceOut;
@@ -38,46 +38,39 @@ ReachResult forward_reach_impl(ImageComputer& img, const Bdd& init, const Bdd& b
   res.rings.push_back(init);
   res.reached = init;
 
-  if (init.intersects(bad)) {
+  // A null conjunction is an abandoned operation (node cap or token), never
+  // a hit: it ends the fixpoint as ResourceOut.
+  const Bdd init_hit = init & bad;
+  if (init_hit.is_null()) return res;
+  if (!init_hit.is_false()) {
     res.status = ReachStatus::BadReachable;
-    res.seconds = deadline.elapsed_seconds();
     return res;
   }
 
   Bdd frontier = init;
   while (res.steps < opt.max_steps) {
-    if (deadline.expired() || should_stop(opt.cancel) ||
-        mgr.live_nodes() > opt.max_live_nodes) {
-      res.status = ReachStatus::ResourceOut;
-      res.seconds = deadline.elapsed_seconds();
-      return res;
-    }
+    if (should_stop(opt.cancel)) return res;
     const Bdd img_states = img.post_image(frontier);
     const Bdd fresh = img_states.diff(res.reached);
-    if (fresh.is_null()) {  // node budget exhausted mid-step
-      res.status = ReachStatus::ResourceOut;
-      res.seconds = deadline.elapsed_seconds();
-      return res;
-    }
+    if (fresh.is_null()) return res;  // abandoned mid-step
     ++res.steps;
     if (fresh.is_false()) {
       res.status = ReachStatus::Proved;
-      res.seconds = deadline.elapsed_seconds();
       return res;
     }
     res.reached |= fresh;
+    if (res.reached.is_null()) return res;
     res.rings.push_back(fresh);
     RFN_DEBUG("reach step %zu: reached nodes=%zu mgr=%zu", res.steps,
               mgr.node_count(res.reached), mgr.live_nodes());
-    if (fresh.intersects(bad)) {
+    const Bdd hit = fresh & bad;
+    if (hit.is_null()) return res;
+    if (!hit.is_false()) {
       res.status = ReachStatus::BadReachable;
-      res.seconds = deadline.elapsed_seconds();
       return res;
     }
     frontier = fresh;
   }
-  res.status = ReachStatus::ResourceOut;
-  res.seconds = deadline.elapsed_seconds();
   return res;
 }
 
@@ -86,7 +79,9 @@ ReachResult forward_reach_impl(ImageComputer& img, const Bdd& init, const Bdd& b
 ReachResult forward_reach(ImageComputer& img, const Bdd& init, const Bdd& bad,
                           const ReachOptions& opt) {
   Span span("mc.reach");
+  const Stopwatch watch;
   ReachResult res = forward_reach_impl(img, init, bad, opt);
+  res.seconds = watch.seconds();
   span.annotate("status", to_string(res.status));
   record_reach_metrics(res);
   return res;

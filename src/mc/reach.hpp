@@ -6,26 +6,23 @@
 
 #include "mc/image.hpp"
 #include "util/cancel.hpp"
-#include "util/stopwatch.hpp"
 
 namespace rfn {
 
 struct ReachOptions {
-  /// Wall-clock budget in seconds; negative = unlimited.
-  double time_limit_s = -1.0;
-  /// Abort when the manager's live node count exceeds this.
-  size_t max_live_nodes = 4u << 20;
   /// Abort after this many image steps.
   size_t max_steps = 1u << 20;
-  /// Cooperative should-stop hook, polled once per image step; a cancelled
-  /// fixpoint reports ResourceOut. The RFN loop passes its run token.
+  /// The run's stop signal, polled once per image step; a cancelled
+  /// fixpoint reports ResourceOut. Nodes are bounded by the manager's own
+  /// cap (BddMgr::set_node_budget): a refused image also reports
+  /// ResourceOut.
   const CancelToken* cancel = nullptr;
 };
 
 enum class ReachStatus {
   Proved,        // fixpoint reached, no target state reachable
   BadReachable,  // some target state reached at step `steps`
-  ResourceOut,   // time / node / step budget exhausted
+  ResourceOut,   // cancelled, node cap refused an operation, or step limit
 };
 // The canonical spelling lives in core/status.hpp: to_string(ReachStatus).
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace rfn {
 namespace {
 
@@ -206,6 +209,51 @@ TEST_F(BddTest, ImpliesAndIntersects) {
   EXPECT_TRUE(x.intersects(y));
   EXPECT_FALSE(x.intersects(!x));
   EXPECT_EQ(x.diff(y), x & !y);
+}
+
+// Two disjunctions of pairs under an order that separates each pair: both
+// BDDs are exponential in `pairs`, so their XOR makes tens of thousands of
+// computed-table probes.
+std::pair<Bdd, Bdd> separated_pairs(BddMgr& mgr, uint32_t pairs) {
+  Bdd f = mgr.bdd_false(), g = mgr.bdd_false();
+  for (uint32_t i = 0; i < pairs; ++i) {
+    f |= mgr.var(i) & mgr.var(pairs + i);
+    g |= mgr.var(i) & mgr.var(2 * pairs - 1 - i);
+  }
+  return {f, g};
+}
+
+TEST(BddMgrTest, CancelledTokenAbandonsOperations) {
+  constexpr uint32_t kPairs = 13;
+  BddMgr ref(2 * kPairs);
+  const auto [ref_f, ref_g] = separated_pairs(ref, kPairs);
+  const size_t lookups0 = ref.stats().cache_lookups;
+  const Bdd ref_h = ref_f ^ ref_g;
+  ASSERT_GT(ref.stats().cache_lookups - lookups0, size_t{1} << 14)
+      << "the operation must cross the manager's poll interval";
+
+  BddMgr mgr(2 * kPairs);
+  const auto [f, g] = separated_pairs(mgr, kPairs);
+  CancelToken cancelled;
+  cancelled.cancel();
+  mgr.set_cancel(&cancelled);
+  EXPECT_TRUE((f ^ g).is_null());
+  // Once the token has fired, every later operation is abandoned too.
+  EXPECT_TRUE((f & g).is_null());
+  EXPECT_TRUE(mgr.var(0).is_null());
+  // The manager stays consistent: live handles keep their functions.
+  EXPECT_EQ(mgr.node_count(f), ref.node_count(ref_f));
+  EXPECT_EQ(mgr.node_count(g), ref.node_count(ref_g));
+  std::vector<bool> assignment(2 * kPairs, false);
+  assignment[0] = assignment[kPairs] = true;  // x0 & x13: f holds, g not
+  EXPECT_TRUE(mgr.eval(f, assignment));
+  EXPECT_FALSE(mgr.eval(g, assignment));
+
+  mgr.set_cancel(nullptr);
+  const Bdd h = f ^ g;
+  ASSERT_FALSE(h.is_null());
+  EXPECT_EQ(mgr.node_count(h), ref.node_count(ref_h));
+  EXPECT_TRUE(mgr.eval(h, assignment));
 }
 
 TEST(BddMgrTest, NewVarExtendsOrder) {

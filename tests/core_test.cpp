@@ -12,6 +12,7 @@
 #include "core/plain_mc.hpp"
 #include "core/refine.hpp"
 #include "core/rfn.hpp"
+#include "designs/iu.hpp"
 #include "mc/image.hpp"
 #include "mc/reach.hpp"
 #include "netlist/builder.hpp"
@@ -247,10 +248,10 @@ TEST(Concretize, InputOnlyTraceIsConcreteOnM) {
 TEST(PlainMc, AgreesOnSmallDesigns) {
   GateId bad;
   Netlist t = make_chain(3, false, &bad);
-  EXPECT_EQ(plain_model_check(t, bad, ReachOptions{}).verdict, Verdict::Holds);
+  EXPECT_EQ(plain_model_check(t, bad).verdict, Verdict::Holds);
   GateId bad2;
   Netlist f = make_chain(3, true, &bad2);
-  EXPECT_EQ(plain_model_check(f, bad2, ReachOptions{}).verdict, Verdict::Fails);
+  EXPECT_EQ(plain_model_check(f, bad2).verdict, Verdict::Fails);
 }
 
 // Property: RFN and plain MC agree on random small sequential designs.
@@ -287,7 +288,7 @@ TEST_P(RfnVsPlainMc, VerdictsAgree) {
     b.output("bad", bad);
     Netlist m = b.take();
 
-    const PlainMcResult truth = plain_model_check(m, m.output("bad"), ReachOptions{});
+    const PlainMcResult truth = plain_model_check(m, m.output("bad"));
     ASSERT_NE(truth.verdict, Verdict::Unknown);
 
     RfnOptions opt;
@@ -332,6 +333,28 @@ TEST(Coverage, OneHotRingGroundTruth) {
   bopt.num_registers = 3;
   const BfsBaselineResult bfs = bfs_coverage_analysis(m, regs, bopt);
   EXPECT_EQ(bfs.unreachable, 5u);
+}
+
+TEST(Coverage, WallLimitsHold) {
+  // Both coverage methods keep a 0.3 s limit on the paper-scale IU sets
+  // whose first abstract models take seconds to build: the run's token
+  // reaches the BDD manager, so the sifts and image construction inside
+  // an iteration stop too, not only the loop between engine calls.
+  const designs::IuDesign iu = designs::make_iu(designs::paper_scale_iu());
+  for (const size_t set : {size_t{0}, size_t{4}}) {
+    const std::vector<GateId>& regs = iu.coverage_sets[set];
+    CoverageOptions opt;
+    opt.time_limit_s = 0.3;
+    Stopwatch rfn_watch;
+    rfn_coverage_analysis(iu.netlist, regs, opt);
+    EXPECT_LT(rfn_watch.seconds(), 1.0) << "RFN, IU" << set + 1;
+
+    BfsBaselineOptions bopt;
+    bopt.time_limit_s = 0.3;
+    Stopwatch bfs_watch;
+    bfs_coverage_analysis(iu.netlist, regs, bopt);
+    EXPECT_LT(bfs_watch.seconds(), 1.0) << "BFS, IU" << set + 1;
+  }
 }
 
 TEST(Coverage, PublishesBddStatistics) {
@@ -444,9 +467,7 @@ TEST(Engines, CancellationHooks) {
   // Hybrid trace engine: a cancelled walk yields no trace.
   const ReachResult reach = forward_reach(img, enc.initial_states(), bad_set);
   ASSERT_EQ(reach.status, ReachStatus::BadReachable);
-  HybridTraceOptions ho;
-  ho.cancel = &tok;
-  EXPECT_TRUE(hybrid_error_trace(enc, m, reach, bad_set, ho).empty());
+  EXPECT_TRUE(hybrid_error_trace(enc, m, reach, bad_set, &tok).empty());
 
   // 3-valued simulation: a cancelled eval() reports stopped(), and a
   // cancelled trace replay answers X.

@@ -63,7 +63,7 @@ TEST(EdgeCases, PlainMcOnSingleRegister) {
   b.set_next(r, r);
   b.output("bad", r);
   Netlist m = b.take();
-  EXPECT_EQ(plain_model_check(m, m.output("bad"), ReachOptions{}).verdict,
+  EXPECT_EQ(plain_model_check(m, m.output("bad")).verdict,
             Verdict::Holds);
 }
 
@@ -109,16 +109,17 @@ TEST(EdgeCases, JustifyTargetOnInputItself) {
   EXPECT_EQ(cube_lookup(res.free_assignment, x), Tri::T);
 }
 
-TEST(EdgeCases, CombAtpgDeadlineAborts) {
-  // A hard random-ish instance with a zero deadline must abort, not hang.
+TEST(EdgeCases, CombAtpgCancelAborts) {
+  // A hard random-ish instance under an expired token must abort, not hang.
   NetBuilder b;
   std::vector<GateId> xs;
   for (int i = 0; i < 20; ++i) xs.push_back(b.input("x" + std::to_string(i)));
   GateId acc = xs[0];
   for (size_t i = 1; i < xs.size(); ++i) acc = b.xor_(acc, xs[i]);
   Netlist n = b.take();
+  const CancelToken expired(0.0);
   AtpgOptions opt;
-  opt.time_limit_s = 0.0;
+  opt.cancel = &expired;
   opt.max_backtracks = 0;
   const CombAtpgResult res = justify(n, {{acc, true}}, opt);
   // With zero budget the only acceptable outcomes are an instant answer via

@@ -281,6 +281,21 @@ TEST(ResourceOut, OneAnswerPerWallOverrun) {
   EXPECT_EQ(cancelled.note, "cancelled");
 }
 
+TEST(ResourceOut, ExternalStopInsideAnEngineReadsCancelled) {
+  // An external token that fires while an engine runs (mostly the 24-bit
+  // counter's fixpoint; on a loaded machine the walk or an ATPG call) stops
+  // the run as `?` with the note "cancelled", the note of a stop between
+  // iterations, not the engine's own resource note.
+  const Netlist n = slow_counter_netlist();
+  const CancelToken external(0.15);
+  RfnOptions opt;
+  opt.cancel = &external;
+  const RfnResult res = run_property(n, n.output("bad"), opt);
+  EXPECT_EQ(res.verdict, Verdict::Unknown);
+  EXPECT_FALSE(res.budget_trip.tripped);
+  EXPECT_EQ(res.note, "cancelled");
+}
+
 TEST(ResourceOut, NodeBudgetIsDeterministic) {
   // The node budget is each iteration manager's own cap, checked in line:
   // every run is refused at the same allocation, so repeats walk one

@@ -1,10 +1,11 @@
-// Tests for the utility layer: options parsing, tables, RNG, deadlines,
+// Tests for the utility layer: options parsing, tables, RNG, cancel tokens,
 // logging plumbing, and the netlist writers.
 
 #include <gtest/gtest.h>
 
 #include "netlist/builder.hpp"
 #include "netlist/writer.hpp"
+#include "util/cancel.hpp"
 #include "util/log.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -90,16 +91,32 @@ TEST(Rng, DeterministicAndWellDistributed) {
   }
 }
 
-TEST(DeadlineTest, UnlimitedNeverExpires) {
-  Deadline d;
-  EXPECT_FALSE(d.expired());
-  EXPECT_GT(d.remaining_seconds(), 1e20);
+TEST(CancelTokenTest, NoLimitNeverExpires) {
+  const CancelToken plain;
+  EXPECT_FALSE(plain.expired());
+  EXPECT_FALSE(plain.cancelled());
+  const CancelToken unlimited(-1.0);
+  EXPECT_FALSE(unlimited.expired());
+  EXPECT_FALSE(unlimited.cancelled());
+  EXPECT_FALSE(should_stop(&unlimited));
+  EXPECT_FALSE(should_stop(nullptr));
 }
 
-TEST(DeadlineTest, ZeroBudgetExpiresImmediately) {
-  Deadline d(0.0);
-  EXPECT_TRUE(d.expired());
-  EXPECT_EQ(d.remaining_seconds(), 0.0);
+TEST(CancelTokenTest, ZeroLimitExpiresAtOnce) {
+  const CancelToken t(0.0);
+  EXPECT_TRUE(t.expired());
+  EXPECT_TRUE(t.cancelled());
+  EXPECT_TRUE(should_stop(&t));
+}
+
+TEST(CancelTokenTest, CancelledParentCancelsChild) {
+  CancelToken parent;
+  const CancelToken child(-1.0, &parent);
+  EXPECT_FALSE(child.cancelled());
+  parent.cancel();
+  EXPECT_TRUE(child.cancelled());
+  // The child's own limit has not run out: only the parent stopped it.
+  EXPECT_FALSE(child.expired());
 }
 
 TEST(LogLevelTest, SetAndGet) {
