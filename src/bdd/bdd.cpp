@@ -11,6 +11,8 @@ void publish_bdd_metrics(const BddStats& s) {
   m.counter("bdd.managers").add(1);
   m.counter("bdd.gc_runs").add(s.gc_runs);
   m.counter("bdd.reorderings").add(s.reorderings);
+  m.counter("bdd.sift_swaps").add(s.sift_swaps);
+  m.counter("bdd.sift_rollbacks").add(s.sift_rollbacks);
   m.counter("bdd.cache_lookups").add(s.cache_lookups);
   m.counter("bdd.cache_hits").add(s.cache_hits);
   m.gauge("bdd.peak_live_nodes").record_max(static_cast<int64_t>(s.peak_live_nodes));
@@ -114,9 +116,11 @@ BddVar BddMgr::new_var() {
   return v;
 }
 
+template <bool kJournal>
 void BddMgr::inc_rc(uint32_t node) {
   Node& n = nodes_[node];
   if (n.rc >= kMaxRc) return;
+  if constexpr (kJournal) journal_node(node);
   if (n.rc == 0 && n.var != kTermVar && dead_estimate_ > 0) --dead_estimate_;
   ++n.rc;
 }
@@ -136,28 +140,51 @@ size_t BddMgr::hash_pair(uint32_t lo, uint32_t hi, size_t mask) {
   return static_cast<size_t>(h) & mask;
 }
 
-void BddMgr::subtable_insert(Subtable& st, uint32_t node) {
+template <bool kJournal>
+void BddMgr::set_bucket(BddVar v, size_t b, uint32_t head) {
+  std::vector<uint32_t>& buckets = subtables_[v].buckets;
+  if constexpr (kJournal)
+    journal_.heads.push_back({v, static_cast<uint32_t>(b), buckets[b]});
+  buckets[b] = head;
+}
+
+template <bool kJournal>
+void BddMgr::subtable_insert(BddVar v, uint32_t node) {
+  Subtable& st = subtables_[v];
   const size_t b = hash_pair(nodes_[node].lo, nodes_[node].hi, st.buckets.size() - 1);
+  if constexpr (kJournal) journal_node(node);
   nodes_[node].next = st.buckets[b];
-  st.buckets[b] = node;
+  set_bucket<kJournal>(v, b, node);
   ++st.count;
 }
 
-void BddMgr::subtable_remove(Subtable& st, uint32_t node) {
+template <bool kJournal>
+void BddMgr::unlink(BddVar v, size_t b, uint32_t prev, uint32_t node) {
+  if (prev == kNil) {
+    set_bucket<kJournal>(v, b, nodes_[node].next);
+  } else {
+    if constexpr (kJournal) journal_node(prev);
+    nodes_[prev].next = nodes_[node].next;
+  }
+}
+
+template <bool kJournal>
+void BddMgr::subtable_remove(BddVar v, uint32_t node) {
+  Subtable& st = subtables_[v];
   const size_t b = hash_pair(nodes_[node].lo, nodes_[node].hi, st.buckets.size() - 1);
-  uint32_t* link = &st.buckets[b];
-  while (*link != kNil) {
-    if (*link == node) {
-      *link = nodes_[node].next;
-      --st.count;
-      return;
-    }
-    link = &nodes_[*link].next;
+  uint32_t prev = kNil;
+  for (uint32_t cur = st.buckets[b]; cur != kNil; prev = cur, cur = nodes_[cur].next) {
+    if (cur != node) continue;
+    unlink<kJournal>(v, b, prev, node);
+    --st.count;
+    return;
   }
   fatal("subtable_remove: node not found");
 }
 
-void BddMgr::maybe_grow(Subtable& st) {
+template <bool kJournal>
+void BddMgr::maybe_grow(BddVar v) {
+  Subtable& st = subtables_[v];
   if (st.count < st.buckets.size() * 2) return;
   std::vector<uint32_t> old = std::move(st.buckets);
   st.buckets.assign(old.size() * 4, kNil);
@@ -168,13 +195,21 @@ void BddMgr::maybe_grow(Subtable& st) {
     while (head != kNil) {
       const uint32_t next = nodes_[head].next;
       const size_t b = hash_pair(nodes_[head].lo, nodes_[head].hi, mask);
+      if constexpr (kJournal) journal_node(head);
       nodes_[head].next = st.buckets[b];
       st.buckets[b] = head;
       head = next;
     }
   }
+  // A rollback restores the old vector whole, so the writes into the new
+  // one above need no records of their own.
+  if constexpr (kJournal) {
+    journal_.heads.push_back({v, kNil, kNil});
+    journal_.grown.push_back(std::move(old));
+  }
 }
 
+template <bool kJournal>
 uint32_t BddMgr::find_or_add(BddVar v, uint32_t lo, uint32_t hi) {
   if (lo == hi) return lo;
   Subtable& st = subtables_[v];
@@ -191,6 +226,7 @@ uint32_t BddMgr::find_or_add(BddVar v, uint32_t lo, uint32_t hi) {
   uint32_t id;
   if (free_head_ != kNil) {
     id = free_head_;
+    if constexpr (kJournal) journal_node(id);
     free_head_ = nodes_[id].next;
     --free_count_;
   } else {
@@ -204,17 +240,18 @@ uint32_t BddMgr::find_or_add(BddVar v, uint32_t lo, uint32_t hi) {
   n.lo = lo;
   n.hi = hi;
   n.rc = 0;
-  inc_rc(lo);
-  inc_rc(hi);
+  inc_rc<kJournal>(lo);
+  inc_rc<kJournal>(hi);
   ++dead_estimate_;  // born dead until someone references it
   ++stats_.live_nodes;
   if (stats_.live_nodes > stats_.peak_live_nodes)
     stats_.peak_live_nodes = stats_.live_nodes;
-  subtable_insert(st, id);
-  maybe_grow(st);
+  subtable_insert<kJournal>(v, id);
+  maybe_grow<kJournal>(v);
   return id;
 }
 
+template <bool kJournal>
 void BddMgr::free_dead_node(uint32_t root) {
   std::vector<uint32_t>& work = free_work_;
   work.assign(1, root);
@@ -223,7 +260,8 @@ void BddMgr::free_dead_node(uint32_t root) {
     work.pop_back();
     Node& n = nodes_[id];
     if (n.rc != 0 || n.var == kTermVar || n.var == kInvalidVar) continue;
-    subtable_remove(subtables_[n.var], id);
+    subtable_remove<kJournal>(n.var, id);
+    if constexpr (kJournal) journal_node(id);
     const uint32_t lo = n.lo, hi = n.hi;
     n.var = kInvalidVar;
     n.next = free_head_;
@@ -236,6 +274,7 @@ void BddMgr::free_dead_node(uint32_t root) {
       if (c.var == kTermVar) continue;
       if (c.rc < kMaxRc) {
         RFN_CHECK(c.rc > 0, "child refcount underflow");
+        if constexpr (kJournal) journal_node(child);
         --c.rc;
         if (c.rc == 0) {
           ++dead_estimate_;
@@ -508,6 +547,20 @@ void BddMgr::check_integrity() const {
               parents[id]);
   }
 }
+
+// The write primitives, plain and journaled (reorder.cpp's swaps use both).
+template void BddMgr::inc_rc<false>(uint32_t);
+template void BddMgr::inc_rc<true>(uint32_t);
+template uint32_t BddMgr::find_or_add<false>(BddVar, uint32_t, uint32_t);
+template uint32_t BddMgr::find_or_add<true>(BddVar, uint32_t, uint32_t);
+template void BddMgr::subtable_insert<false>(BddVar, uint32_t);
+template void BddMgr::subtable_insert<true>(BddVar, uint32_t);
+template void BddMgr::unlink<false>(BddVar, size_t, uint32_t, uint32_t);
+template void BddMgr::unlink<true>(BddVar, size_t, uint32_t, uint32_t);
+template void BddMgr::maybe_grow<false>(BddVar);
+template void BddMgr::maybe_grow<true>(BddVar);
+template void BddMgr::free_dead_node<false>(uint32_t);
+template void BddMgr::free_dead_node<true>(uint32_t);
 
 std::string lits_to_string(const std::vector<BddLit>& lits) {
   std::string out;

@@ -106,6 +106,10 @@ struct BddStats {
   size_t num_vars = 0;
   size_t gc_runs = 0;
   size_t reorderings = 0;
+  /// Adjacent-level swaps made by sifting, and the times a sift restored
+  /// its undo journal's checkpoint instead of swapping back to it.
+  size_t sift_swaps = 0;
+  size_t sift_rollbacks = 0;
   size_t cache_lookups = 0;
   size_t cache_hits = 0;
   /// Allocations the node cap (BddMgr::set_node_budget) refused; each one
@@ -253,7 +257,8 @@ class BddMgr {
   }
 
   void garbage_collect();
-  /// Runs one sifting pass over all variables. Returns live node delta.
+  /// Runs one sifting pass over all variables, moving each to the level
+  /// that minimizes the live node count.
   void reorder_sift();
   /// Enables automatic sifting when the live node count crosses a growing
   /// threshold (checked at operation boundaries).
@@ -319,12 +324,26 @@ class BddMgr {
   }
   static constexpr uint32_t kTermLevel = 0xFFFFFFFFu;
 
+  // The write primitives a level swap uses. Instantiated with kJournal,
+  // each first saves what it overwrites into the sift journal; the plain
+  // instances, which every other path uses, carry no journal code at all.
+  template <bool kJournal = false>
   void inc_rc(uint32_t node);
   void dec_rc(uint32_t node);
+  template <bool kJournal = false>
   uint32_t find_or_add(BddVar v, uint32_t lo, uint32_t hi);
-  void subtable_insert(Subtable& st, uint32_t node);
-  void subtable_remove(Subtable& st, uint32_t node);
-  void maybe_grow(Subtable& st);
+  template <bool kJournal = false>
+  void subtable_insert(BddVar v, uint32_t node);
+  template <bool kJournal = false>
+  void subtable_remove(BddVar v, uint32_t node);
+  /// Unlinks `node` from chain `b` of v's subtable; `prev` is the node
+  /// before it on the chain, kNil when it is the head. Count unchanged.
+  template <bool kJournal = false>
+  void unlink(BddVar v, size_t b, uint32_t prev, uint32_t node);
+  template <bool kJournal = false>
+  void maybe_grow(BddVar v);
+  template <bool kJournal = false>
+  void set_bucket(BddVar v, size_t b, uint32_t head);
   static size_t hash_pair(uint32_t lo, uint32_t hi, size_t mask);
 
   // cache
@@ -349,16 +368,62 @@ class BddMgr {
   Bdd make(uint32_t id);  // wraps id into a referenced handle
 
   // reordering internals (reorder.cpp)
-  size_t swap_levels(uint32_t lvl);  // swaps lvl and lvl+1; returns live count
-  void sift_var(BddVar v, size_t& best_live);
-  void free_dead_node(uint32_t node);  // node with rc==0: unlink + cascade
+  /// Swaps lvl and lvl+1; returns the live count.
+  template <bool kJournal = false>
+  size_t swap_levels(uint32_t lvl);
+  void sift_var(BddVar v);
+  /// Frees a node with rc == 0: unlink, then cascade to its children.
+  template <bool kJournal = false>
+  void free_dead_node(uint32_t node);
+
+  /// Undo journal of one variable's sift (reorder.cpp). While it is open,
+  /// the journaled write primitives save what they overwrite, so
+  /// journal_rollback() restores the checkpoint at the cost of the writes
+  /// made since.
+  struct SiftJournal {
+    // The checkpoint's scalars, order and subtable counts (O(vars)).
+    size_t pool_size = 0;  // nodes_.size(), 0 while closed; later ids drop
+    uint32_t free_head = 0;
+    size_t free_count = 0;
+    size_t dead_estimate = 0;
+    size_t live_nodes = 0;
+    std::vector<uint32_t> perm, invperm, counts;
+    // Checkpoint records of the pool nodes written since, one bit each in
+    // node_seen while saved.
+    std::vector<std::pair<uint32_t, Node>> nodes;
+    std::vector<uint64_t> node_seen;
+    // Every bucket-head write, oldest first; bucket == kNil marks a table
+    // growth, whose old vector is the next one on `grown`.
+    struct Head {
+      BddVar var;
+      uint32_t bucket;
+      uint32_t old;
+    };
+    std::vector<Head> heads;
+    std::vector<std::vector<uint32_t>> grown;
+  };
+  void journal_open();
+  void journal_rollback();  // back to the checkpoint; stays open
+  void journal_close();     // keeps the writes
+  /// Saves node `id`'s record before its first write since the checkpoint.
+  void journal_node(uint32_t id) {
+    if (id >= journal_.pool_size) return;  // born since: dropped whole
+    uint64_t& word = journal_.node_seen[id >> 6];
+    const uint64_t bit = uint64_t{1} << (id & 63);
+    if (word & bit) return;
+    word |= bit;
+    journal_.nodes.emplace_back(id, nodes_[id]);
+  }
 
   // Scratch reused across calls (swap_levels runs millions of times per
-  // sift pass): x's subtable snapshot, children that may have died, and
-  // free_dead_node's cascade stack. Not part of the tracked arena.
-  std::vector<uint32_t> swap_snapshot_;
+  // sift pass): the x nodes a swap rewrites, children that may have died,
+  // free_dead_node's cascade stack, the live counts of a sift's first
+  // phase, and the journal. Not part of the tracked arena.
+  std::vector<uint32_t> swap_moved_;
   std::vector<uint32_t> swap_dead_;
   std::vector<uint32_t> free_work_;
+  std::vector<size_t> sift_counts_;
+  SiftJournal journal_;
 
   std::vector<Node> nodes_;
   uint32_t free_head_ = kNil;

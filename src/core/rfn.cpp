@@ -22,8 +22,8 @@ std::vector<std::string> RfnOptions::validate() const {
     errors.push_back("budget_bdd_nodes must be >= 0 (0 disables the budget)");
   if (budget_mem_mb < 0)
     errors.push_back("budget_mem_mb must be >= 0 (0 disables the budget)");
-  if (reach.max_steps == 0)
-    errors.push_back("reach.max_steps must be >= 1");
+  if (max_reach_steps == 0)
+    errors.push_back("max_reach_steps must be >= 1");
   return errors;
 }
 
@@ -154,7 +154,8 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
       break;
     }
 
-    ReachOptions reach_opt = opt.reach;
+    ReachOptions reach_opt;
+    reach_opt.max_steps = opt.max_reach_steps;
     reach_opt.cancel = cancel;
     const Stopwatch reach_watch;
     const ReachResult reach =

@@ -50,9 +50,9 @@ struct RfnOptions {
   /// return 0).
   int64_t budget_mem_mb = 0;
   size_t max_iterations = 1000;
-  /// Per-iteration image-step limit on the abstract model (reach.cancel is
-  /// ignored: the fixpoint polls the run's token).
-  ReachOptions reach;
+  /// Per-iteration image-step limit on the abstract model (the fixpoint
+  /// polls the run's token for wall time).
+  size_t max_reach_steps = ReachOptions{}.max_steps;
   /// External cancellation of the whole run: polled at iteration boundaries
   /// and passed to every engine call.
   const CancelToken* cancel = nullptr;

@@ -88,7 +88,8 @@ void SpanTracer::begin(const char* name) {
 }
 
 void SpanTracer::end(const char* name, const char* arg_name,
-                     const char* arg_str, double arg_num, bool arg_is_num) {
+                     const char* arg_str, double arg_num, bool arg_is_num,
+                     const char* arg2_name, double arg2_num) {
   if (!enabled()) return;
   SpanEvent e;
   e.phase = SpanPhase::End;
@@ -98,6 +99,8 @@ void SpanTracer::end(const char* name, const char* arg_name,
   e.arg_str = arg_str;
   e.arg_num = arg_num;
   e.arg_is_num = arg_is_num;
+  e.arg2_name = arg2_name;
+  e.arg2_num = arg2_num;
   emit(e);
 }
 
@@ -190,6 +193,7 @@ json::Value SpanTracer::to_chrome_json() {
           args.set(e.arg_name, e.arg_num);
         else
           args.set(e.arg_name, e.arg_str == nullptr ? "" : e.arg_str);
+        if (e.arg2_name != nullptr) args.set(e.arg2_name, e.arg2_num);
         ev.set("args", std::move(args));
       }
       events.push(std::move(ev));

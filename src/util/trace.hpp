@@ -46,17 +46,19 @@ namespace rfn {
 
 enum class SpanPhase : uint8_t { Begin, End, Instant };
 
-/// One ring-buffer record. `name`, `arg_name` and `arg_str` must be string
-/// literals or pointers obtained from SpanTracer::intern — only the pointer
-/// is stored.
+/// One ring-buffer record. `name`, `arg_name`, `arg_str` and `arg2_name`
+/// must be string literals or pointers obtained from SpanTracer::intern —
+/// only the pointer is stored.
 struct SpanEvent {
   SpanPhase phase = SpanPhase::Instant;
   const char* name = nullptr;
   uint64_t ts_ns = 0;      // since the tracer's enable() epoch
-  const char* arg_name = nullptr;  // optional single key/value payload
+  const char* arg_name = nullptr;  // optional key/value payload
   const char* arg_str = nullptr;
   double arg_num = 0.0;
   bool arg_is_num = false;
+  const char* arg2_name = nullptr;  // optional second, numeric payload
+  double arg2_num = 0.0;
 };
 
 class SpanTracer {
@@ -89,7 +91,8 @@ class SpanTracer {
   void begin(const char* name);
   void end(const char* name, const char* arg_name = nullptr,
            const char* arg_str = nullptr, double arg_num = 0.0,
-           bool arg_is_num = false);
+           bool arg_is_num = false, const char* arg2_name = nullptr,
+           double arg2_num = 0.0);
   /// Point event (scope: global) — e.g. a run's budget trip.
   void instant(const char* name, const char* arg_name = nullptr,
                const char* arg_str = nullptr, double arg_num = 0.0,
@@ -126,8 +129,9 @@ class SpanTracer {
 
 /// RAII span: begin on construction, end at scope exit (or an explicit
 /// end()). A span constructed while the tracer is disabled costs one atomic
-/// load and never emits. annotate() attaches one key/value to the end event
-/// (last call wins) — the exporter renders it as the span's args.
+/// load and never emits. annotate() attaches one key/value, or two numeric
+/// ones, to the end event (last call wins) — the exporter renders them as
+/// the span's args.
 class Span {
  public:
   explicit Span(const char* name)
@@ -142,17 +146,25 @@ class Span {
     arg_name_ = key;
     arg_str_ = interned_value;
     arg_is_num_ = false;
+    arg2_name_ = nullptr;
   }
   void annotate(const char* key, double value) {
     arg_name_ = key;
     arg_num_ = value;
     arg_is_num_ = true;
+    arg2_name_ = nullptr;
+  }
+  void annotate(const char* key, double value, const char* key2, double value2) {
+    annotate(key, value);
+    arg2_name_ = key2;
+    arg2_num_ = value2;
   }
 
   /// Idempotent early end.
   void end() {
     if (name_ == nullptr) return;
-    SpanTracer::global().end(name_, arg_name_, arg_str_, arg_num_, arg_is_num_);
+    SpanTracer::global().end(name_, arg_name_, arg_str_, arg_num_, arg_is_num_,
+                             arg2_name_, arg2_num_);
     name_ = nullptr;
   }
 
@@ -162,6 +174,8 @@ class Span {
   const char* arg_str_ = nullptr;
   double arg_num_ = 0.0;
   bool arg_is_num_ = false;
+  const char* arg2_name_ = nullptr;
+  double arg2_num_ = 0.0;
 };
 
 }  // namespace rfn

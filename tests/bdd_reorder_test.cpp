@@ -4,14 +4,46 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "bdd/bdd.hpp"
 
 namespace rfn {
 
-// Peer with access to the private swap primitive.
+// Peer with access to the private swap and sift primitives.
 class BddReorderTestPeer {
  public:
   static size_t swap_levels(BddMgr& mgr, uint32_t lvl) { return mgr.swap_levels(lvl); }
+  static void sift_var(BddMgr& mgr, BddVar v) { mgr.sift_var(v); }
+
+  /// Truth table of f over the first `nvars` >= 6 variables, one bit per
+  /// assignment (bit i of the index = value of variable i), bit-parallel
+  /// over the node DAG: the eval()-based table is too slow at 16 variables.
+  static std::vector<uint64_t> truth_table(const BddMgr& mgr, const Bdd& f, uint32_t nvars) {
+    const size_t words = (size_t{1} << nvars) / 64;
+    std::vector<std::vector<uint64_t>> memo(mgr.nodes_.size());
+    memo[0].assign(words, 0);
+    memo[1].assign(words, ~uint64_t{0});
+    const auto var_mask = [&](BddVar v, size_t w) {
+      uint64_t m = 0;
+      for (size_t b = 0; b < 64; ++b)
+        if (((w * 64 + b) >> v) & 1) m |= uint64_t{1} << b;
+      return m;
+    };
+    const auto rec = [&](auto&& self, uint32_t id) -> const std::vector<uint64_t>& {
+      if (!memo[id].empty()) return memo[id];
+      const BddMgr::Node& n = mgr.nodes_[id];
+      const std::vector<uint64_t>& lo = self(self, n.lo);
+      const std::vector<uint64_t>& hi = self(self, n.hi);
+      std::vector<uint64_t> out(words);
+      for (size_t w = 0; w < words; ++w) {
+        const uint64_t m = var_mask(n.var, w);
+        out[w] = (lo[w] & ~m) | (hi[w] & m);
+      }
+      return memo[id] = std::move(out);
+    };
+    return rec(rec, f.id());
+  }
 
   /// Every node record plus every unique-table bucket, flattened.
   static std::vector<uint32_t> tables(const BddMgr& mgr) {
@@ -165,6 +197,157 @@ TEST(BddReorder, HandlesRemainValidAfterSift) {
   EXPECT_EQ(f | g, mgr.bdd_true());
   // New operations still canonicalize against reordered nodes.
   EXPECT_EQ(!(!f), f);
+}
+
+// The sift as it was before the journal: phase 0 toward the nearer end,
+// phase 1 back over those levels and on toward the other end, each stopped
+// once the live count exceeds 1.2x the best, then a walk to the best level,
+// all by adjacent swaps. The journaled sift must visit the same levels and
+// park every variable where this one does.
+struct ReferenceSift {
+  uint32_t phase0_swaps = 0;
+  uint32_t swaps = 0;
+  bool at_end = false;             // v started at the top or the bottom
+  bool stopped_on_repass = false;  // phase 1 stopped on a level phase 0 measured
+};
+
+ReferenceSift reference_sift(BddMgr& mgr, BddVar v) {
+  constexpr double kMaxGrowth = 1.2;
+  const uint32_t bottom = mgr.num_vars() - 1;
+  const uint32_t start = mgr.level_of(v);
+  ReferenceSift r;
+  r.at_end = start == 0 || start == bottom;
+  const auto swap = [&](uint32_t lvl) {
+    ++r.swaps;
+    return BddReorderTestPeer::swap_levels(mgr, lvl);
+  };
+  size_t best = mgr.live_nodes();
+  uint32_t best_level = start;
+  const bool down_first = start >= mgr.num_vars() / 2;
+  for (int phase = 0; phase < 2; ++phase) {
+    const bool down = (phase == 0) == down_first;
+    while (down ? mgr.level_of(v) < bottom : mgr.level_of(v) > 0) {
+      const size_t live = swap(down ? mgr.level_of(v) : mgr.level_of(v) - 1);
+      if (live < best) {
+        best = live;
+        best_level = mgr.level_of(v);
+      }
+      if (static_cast<double>(live) > kMaxGrowth * static_cast<double>(best)) {
+        const uint32_t at = mgr.level_of(v);
+        if (phase == 1 && (down_first ? at >= start : at <= start)) r.stopped_on_repass = true;
+        break;
+      }
+    }
+    if (phase == 0) r.phase0_swaps = r.swaps;
+  }
+  while (mgr.level_of(v) > best_level) swap(mgr.level_of(v) - 1);
+  while (mgr.level_of(v) < best_level) swap(mgr.level_of(v));
+  return r;
+}
+
+// A random function of `nvars` variables: a balanced tree of AND / OR / XOR
+// over 2^depth random literals.
+Bdd random_function(BddMgr& mgr, std::mt19937& rng, uint32_t nvars, int depth) {
+  if (depth == 0) return mgr.literal(rng() % nvars, rng() % 2 == 0);
+  const Bdd a = random_function(mgr, rng, nvars, depth - 1);
+  const Bdd b = random_function(mgr, rng, nvars, depth - 1);
+  switch (rng() % 3) {
+    case 0: return a & b;
+    case 1: return a | b;
+    default: return a ^ b;
+  }
+}
+
+// The same random multi-root manager, built twice: the journaled sift runs
+// on `mgr`, the reference on `ref`.
+struct SiftPair {
+  uint32_t nvars;
+  BddMgr mgr, ref;
+  std::vector<Bdd> roots, ref_roots;
+
+  SiftPair(uint32_t seed, uint32_t n) : nvars(n), mgr(n), ref(n) {
+    for (auto [m, out] : {std::pair{&mgr, &roots}, std::pair{&ref, &ref_roots}}) {
+      std::mt19937 rng(seed);
+      const int nroots = 2 + static_cast<int>(rng() % 4);
+      for (int i = 0; i < nroots; ++i) out->push_back(random_function(*m, rng, nvars, 4));
+      m->garbage_collect();  // a sift starts with no dead node
+    }
+  }
+
+  std::vector<std::vector<uint64_t>> truth_tables() const {
+    std::vector<std::vector<uint64_t>> out;
+    for (const Bdd& f : roots) out.push_back(BddReorderTestPeer::truth_table(mgr, f, nvars));
+    return out;
+  }
+
+  /// Sifts v in both managers and checks they agree; returns the reference
+  /// path, with `far_park` set when the journaled sift parked from the far
+  /// end of phase 0 (no rollback, but swaps after phase 0).
+  ReferenceSift sift(BddVar v, bool* far_park) {
+    const size_t swaps0 = mgr.stats().sift_swaps;
+    const size_t rollbacks0 = mgr.stats().sift_rollbacks;
+    const ReferenceSift r = reference_sift(ref, v);
+    BddReorderTestPeer::sift_var(mgr, v);
+    const size_t swaps = mgr.stats().sift_swaps - swaps0;
+    EXPECT_EQ(mgr.current_order(), ref.current_order()) << "var " << v;
+    EXPECT_EQ(mgr.live_nodes(), ref.live_nodes()) << "var " << v;
+    EXPECT_LE(swaps, r.swaps) << "var " << v;
+    *far_park = r.stopped_on_repass && mgr.stats().sift_rollbacks == rollbacks0 &&
+                swaps > r.phase0_swaps;
+    return r;
+  }
+};
+
+TEST(BddReorder, JournaledSiftMatchesSwapOnlySift) {
+  size_t repass_stops = 0, far_parks = 0, at_ends = 0;
+  for (uint32_t seed = 1; seed <= 200; ++seed) {
+    SiftPair p(seed, 8 + seed % 9);
+    const auto tables = p.truth_tables();
+    for (BddVar v = 0; v < p.nvars; ++v) {
+      bool far_park = false;
+      const ReferenceSift r = p.sift(v, &far_park);
+      repass_stops += r.stopped_on_repass;
+      far_parks += far_park;
+      at_ends += r.at_end;
+    }
+    p.mgr.check_integrity();
+    p.ref.check_integrity();
+    EXPECT_EQ(p.truth_tables(), tables) << "seed " << seed;
+    if (testing::Test::HasFailure()) FAIL() << "seed " << seed;
+  }
+  // The sample reaches every path of the journaled sift.
+  EXPECT_GT(repass_stops, 0u);
+  EXPECT_GT(far_parks, 0u);
+  EXPECT_GT(at_ends, 0u);
+}
+
+// One variable of a random manager, sifted from the state its manager
+// reaches after sifting every variable before it; each case pins the path
+// named in its `what`.
+TEST(BddReorder, JournaledSiftBuiltCases) {
+  struct Case {
+    const char* what;
+    uint32_t seed, nvars;
+    BddVar var;
+    bool stopped_on_repass, far_park, at_end;
+  };
+  const Case cases[] = {
+      {"phase 1 stops on a level phase 0 measured", 150, 14, 10, true, false, false},
+      {"parks from the far end of phase 0", 86, 13, 8, true, true, false},
+      {"variable already at an end", 1, 9, 0, false, false, true},
+  };
+  for (const Case& c : cases) {
+    SiftPair p(c.seed, c.nvars);
+    const auto tables = p.truth_tables();
+    bool far_park = false;
+    for (BddVar v = 0; v < c.var; ++v) p.sift(v, &far_park);
+    const ReferenceSift r = p.sift(c.var, &far_park);
+    EXPECT_EQ(r.stopped_on_repass, c.stopped_on_repass) << c.what;
+    EXPECT_EQ(far_park, c.far_park) << c.what;
+    EXPECT_EQ(r.at_end, c.at_end) << c.what;
+    p.mgr.check_integrity();
+    EXPECT_EQ(p.truth_tables(), tables) << c.what;
+  }
 }
 
 TEST(BddReorder, QuantificationAfterReorder) {

@@ -421,7 +421,7 @@ TEST(Rfn, CutFixpointEndsUnknown) {
   opt.time_limit_s = 30.0;
   // Refinement traces stay shallow (any still-free counter violates within
   // ~2 steps), but the full model's fixpoint needs 5+ image steps.
-  opt.reach.max_steps = 3;
+  opt.max_reach_steps = 3;
   opt.max_iterations = 60;
   const RfnResult cut = run_property(m, m.output("bad"), opt);
   EXPECT_EQ(cut.verdict, Verdict::Unknown);

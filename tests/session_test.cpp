@@ -46,13 +46,13 @@ TEST(RfnOptionsValidate, ReportsEveryProblemAtOnce) {
 }
 
 TEST(RfnOptionsValidate, ZeroReachBudgets) {
-  // The step limit is the one reach field a run can set; nodes are the
+  // The step limit is the one reach bound a run sets itself; nodes are the
   // manager's cap (budget_bdd_nodes) and wall time the run's token.
   RfnOptions opt;
-  opt.reach.max_steps = 0;
+  opt.max_reach_steps = 0;
   const auto errors = opt.validate();
   EXPECT_EQ(errors.size(), 1u);
-  EXPECT_TRUE(any_error_contains(errors, "max_steps"));
+  EXPECT_TRUE(any_error_contains(errors, "max_reach_steps"));
 }
 
 TEST(StatusStrings, CanonicalSpellings) {

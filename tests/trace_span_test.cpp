@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "bdd/bdd.hpp"
 #include "core/rfn.hpp"
 #include "core/trace_json.hpp"
 #include "netlist/builder.hpp"
@@ -122,6 +123,32 @@ TEST(SpanTracer, NestedSpansExportBalanced) {
   }
   EXPECT_TRUE(found);
   EXPECT_EQ(doc.find_path("otherData.dropped_events")->as_uint(), 0u);
+}
+
+// A sifting pass reports its work on its own span: the swaps it made and
+// the journal rollbacks that replaced walks back.
+TEST(SpanTracer, ReorderSpanCarriesSiftCounts) {
+  TracerGuard guard;
+  BddMgr mgr(8);
+  Bdd f = mgr.bdd_true();
+  for (BddVar i = 0; i < 4; ++i) f &= !(mgr.var(i) ^ mgr.var(i + 4));
+  mgr.reorder_sift();
+  SpanTracer::global().disable();
+  ASSERT_GT(mgr.stats().sift_swaps, 0u);
+  const json::Value doc = SpanTracer::global().to_chrome_json();
+  size_t ends = 0;
+  for (const json::Value& e : doc.find("traceEvents")->items()) {
+    if (e.find("name")->as_string() != "bdd.reorder") continue;
+    if (e.find("ph")->as_string() != "E") continue;
+    ++ends;
+    ASSERT_NE(e.find_path("args.sift_swaps"), nullptr);
+    ASSERT_NE(e.find_path("args.sift_rollbacks"), nullptr);
+    EXPECT_EQ(e.find_path("args.sift_swaps")->as_double(),
+              static_cast<double>(mgr.stats().sift_swaps));
+    EXPECT_EQ(e.find_path("args.sift_rollbacks")->as_double(),
+              static_cast<double>(mgr.stats().sift_rollbacks));
+  }
+  EXPECT_EQ(ends, 1u);
 }
 
 TEST(SpanTracer, RingOverflowStaysBalancedAndCountsDropped) {

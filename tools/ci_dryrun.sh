@@ -213,25 +213,30 @@ job_bench_gate() {
     processor_run "${traces[-1]}"
   done
   python3 tools/trace_report.py --trajectory "${traces[@]}"
-  # Negative self-check: a copy of the first run in which one property
-  # ended on one more register must be refused.
+  # Negative self-checks: a copy of the first run in which one property
+  # ended on one more register, or one iteration took one more image step,
+  # must be refused.
   python3 - "$d" <<'EOF'
 import json, sys
 d = sys.argv[1]
-out, bumped = [], False
-for line in open(f"{d}/trajectory-default-0.jsonl"):
-    rec = json.loads(line)
-    if rec.get("type") == "property" and not bumped:
-        rec["final_abstract_regs"] += 1
-        bumped = True
-    out.append(json.dumps(rec))
-open(f"{d}/trajectory-bumped.jsonl", "w").write("\n".join(out) + "\n")
+records = [json.loads(line) for line in open(f"{d}/trajectory-default-0.jsonl")]
+def write(name, record_type, mutate):
+    recs = json.loads(json.dumps(records))
+    mutate(next(r for r in recs if r.get("type") == record_type))
+    open(f"{d}/{name}", "w").write("\n".join(json.dumps(r) for r in recs) + "\n")
+write("trajectory-bumped-regs.jsonl", "property",
+      lambda r: r.update(final_abstract_regs=r["final_abstract_regs"] + 1))
+write("trajectory-bumped-steps.jsonl", "iteration",
+      lambda r: r["reach"].update(steps=r["reach"]["steps"] + 1))
 EOF
-  if python3 tools/trace_report.py --trajectory \
-      "$d/trajectory-default-0.jsonl" "$d/trajectory-bumped.jsonl" \
-      2>/dev/null; then
-    fail "trajectory gate accepted a run with a different final abstraction"
-  fi
+  local bumped
+  for bumped in regs steps; do
+    if python3 tools/trace_report.py --trajectory \
+        "$d/trajectory-default-0.jsonl" "$d/trajectory-bumped-$bumped.jsonl" \
+        2>/dev/null; then
+      fail "trajectory gate accepted a run with one more $bumped"
+    fi
+  done
 
   # Traces are recorded before the gate so a failing gate still leaves a
   # profile behind (CI uploads it): the first question about a perf

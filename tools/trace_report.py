@@ -48,7 +48,12 @@ arena's peak bytes are printed from the summary's
 With `--trajectory A B ...` the inputs are several rfn-trace-v2 files of
 the same property set (say, repeated runs of one command): each is
 validated as for --batch, and the tool exits nonzero unless every file
-reports the same per-property `iterations` and `final_abstract_regs`.
+reports the same property records and the same iteration records, field
+by field, and names the first field that differs. Fields that may differ
+between runs of one trajectory are left out: timing (`seconds`, `cpu_ms`,
+`at_seconds`, `rss_bytes`) and the computed-table counts
+(`cache_lookups`, `cache_hits`, `cache_hit_rate`), which follow the BDD
+manager's internal node ids.
 
 With `--corpus` the input is an rfn-corpus-v1 or -v2 summary from
 tools/corpus_run.py. The validator checks the schema tag, the per-file and
@@ -551,15 +556,56 @@ def read_batch(path):
     return records
 
 
+# Record fields a trajectory leaves out: timing, and the computed-table
+# counts, which follow the BDD manager's internal node ids.
+TRAJECTORY_IGNORED = {"seconds", "cpu_ms", "at_seconds", "rss_bytes",
+                      "cache_lookups", "cache_hits", "cache_hit_rate"}
+
+
+def _without_ignored(value):
+    if isinstance(value, dict):
+        return {k: _without_ignored(v) for k, v in value.items()
+                if k not in TRAJECTORY_IGNORED}
+    if isinstance(value, list):
+        return [_without_ignored(v) for v in value]
+    return value
+
+
 def trajectory(records):
-    """Per-property (iterations, final_abstract_regs) of a validated
-    rfn-trace-v2 record list, keyed by property name."""
-    props = validate_batch(records)[0]
+    """Per-property trajectory of a validated rfn-trace-v2 record list,
+    keyed by property name: the property record and its iteration records,
+    without the TRAJECTORY_IGNORED fields."""
+    props, iters = validate_batch(records)[:2]
+    out = {}
     for r in props:
         if not _nonneg_number(r.get("final_abstract_regs")):
             fail(f"property {r['name']!r} lacks final_abstract_regs")
-    return {r["name"]: (r["iterations"], r["final_abstract_regs"])
-            for r in props}
+        out[r["name"]] = {"property": _without_ignored(r), "iterations": []}
+    for it in iters:
+        out[it["property"]]["iterations"].append(_without_ignored(it))
+    return out
+
+
+def _first_difference(got, want, path):
+    """The dotted path and values of the first field where two trajectory
+    values differ, or None."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for k in sorted(set(got) | set(want)):
+            if k not in got or k not in want:
+                return f"{path}.{k}", got.get(k, "<absent>"), want.get(k, "<absent>")
+            diff = _first_difference(got[k], want[k], f"{path}.{k}")
+            if diff:
+                return diff
+        return None
+    if isinstance(got, list) and isinstance(want, list):
+        for i, (g, w) in enumerate(zip(got, want)):
+            diff = _first_difference(g, w, f"{path}[{i}]")
+            if diff:
+                return diff
+        if len(got) != len(want):
+            return f"{path} length", len(got), len(want)
+        return None
+    return None if got == want else (path, got, want)
 
 
 def check_same_trajectory(runs):
@@ -567,9 +613,11 @@ def check_same_trajectory(runs):
     per-property trajectory."""
     label0, want = runs[0][0], trajectory(runs[0][1])
     for label, records in runs[1:]:
-        got = trajectory(records)
-        if got != want:
-            fail(f"{label} diverges from {label0}: {got} vs {want}")
+        diff = _first_difference(trajectory(records), want, "")
+        if diff:
+            where, got_v, want_v = diff
+            fail(f"{label} diverges from {label0} at {where.lstrip('.')}: "
+                 f"{got_v!r} vs {want_v!r}")
     return want
 
 
@@ -584,7 +632,9 @@ def report_trajectory(paths):
         return 1
     want = check_same_trajectory(runs)
     print(f"trajectory: {len(runs)} runs agree: " + " ".join(
-        f"{name}={iters}/{regs}" for name, (iters, regs) in sorted(want.items())))
+        f"{name}={t['property']['iterations']}/"
+        f"{t['property']['final_abstract_regs']}"
+        for name, t in sorted(want.items())))
     return 0
 
 
@@ -1065,20 +1115,32 @@ def self_check():
                       "'?' property carrying a budget_trip"),
     ) if f]
 
-    # The trajectory gate: a copy of a run agrees with it, a run that ended
-    # on a different abstraction does not.
-    diverged = json.loads(json.dumps(good_batch))
-    diverged[3]["final_abstract_regs"] = 5  # p1
+    # The trajectory gate: a copy of a run agrees with it, also when its
+    # timing and computed-table counts differ; a run that ended on a
+    # different abstraction, or took one more image step in one iteration,
+    # does not.
+    retimed = json.loads(json.dumps(good_batch))
+    for rec in retimed[:5]:
+        rec["seconds"] = rec["seconds"] * 2 + 1
+    retimed[1]["reach"]["seconds"] = 9.0
+    retimed[1]["bdd"].update(cache_lookups=11, cache_hits=4,
+                             cache_hit_rate=4 / 11)
     try:
-        check_same_trajectory([("a", good_batch),
-                               ("b", json.loads(json.dumps(good_batch)))])
+        check_same_trajectory([("a", good_batch), ("b", retimed)])
     except TraceError as err:
         failures.append(f"self-check: identical trajectories rejected: {err}")
-    try:
-        check_same_trajectory([("a", good_batch), ("b", diverged)])
-        failures.append("self-check: diverging final abstraction not detected")
-    except TraceError:
-        pass
+    for mutate, what in (
+            (lambda d: d[3].update(final_abstract_regs=5),
+             "diverging final abstraction"),
+            (lambda d: d[2]["reach"].update(steps=4),
+             "diverging iteration reach.steps")):
+        diverged = json.loads(json.dumps(good_batch))
+        mutate(diverged)
+        try:
+            check_same_trajectory([("a", good_batch), ("b", diverged)])
+            failures.append(f"self-check: {what} not detected")
+        except TraceError:
+            pass
 
     good_corpus = synthetic_corpus()
     try:
