@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -18,6 +19,7 @@
 #include "atpg/comb_atpg.hpp"
 #include "atpg/seq_atpg.hpp"
 #include "bdd/bdd.hpp"
+#include "core/abstraction.hpp"
 #include "core/rfn.hpp"
 #include "designs/fifo.hpp"
 #include "designs/iu.hpp"
@@ -25,6 +27,7 @@
 #include "mc/image.hpp"
 #include "mc/reach.hpp"
 #include "mincut/mincut.hpp"
+#include "netlist/analysis.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
 #include "sim/sim64.hpp"
@@ -116,6 +119,48 @@ void BM_BddSift(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BddSift);
+
+// One sifting pass at the scale of table2-iu's first sifts, where BM_BddSift's
+// 24 variables cannot show a change in the swap kernel: the Encoder's gate
+// functions for paper-scale IU1's first coverage abstraction, built in
+// topological order until the manager passes the 16k live nodes at which
+// auto-reorder first fires. The counters are per pass and repeat exactly.
+void BM_BddSiftPaperScale(benchmark::State& state) {
+  const designs::IuDesign iu = designs::make_iu(designs::paper_scale_iu());
+  const std::vector<GateId>& cov = iu.coverage_sets[0];
+  std::vector<GateId> included = initial_abstraction_registers(iu.netlist, cov);
+  included.insert(included.end(), cov.begin(), cov.end());
+  std::sort(included.begin(), included.end());
+  included.erase(std::unique(included.begin(), included.end()), included.end());
+  const Subcircuit sub = extract_abstract_model(iu.netlist, cov, included);
+  const std::vector<GateId> gates = topo_order(sub.net);
+  BddStats pass;
+  size_t vars = 0, live_before = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    BddMgr mgr;
+    Encoder enc(mgr, sub.net);
+    for (GateId g : gates) {
+      enc.signal_fn(g);
+      if (mgr.live_nodes() > (size_t{1} << 14)) break;
+    }
+    mgr.garbage_collect();
+    vars = mgr.num_vars();
+    live_before = mgr.live_nodes();
+    state.ResumeTiming();
+    mgr.reorder_sift();
+    benchmark::DoNotOptimize(mgr.live_nodes());
+    pass = mgr.stats();
+  }
+  state.counters["vars"] = static_cast<double>(vars);
+  state.counters["live_before"] = static_cast<double>(live_before);
+  state.counters["live_after"] = static_cast<double>(pass.live_nodes);
+  state.counters["swaps"] = static_cast<double>(pass.sift_swaps);
+  state.counters["rewrites"] = static_cast<double>(pass.sift_rewrites);
+  state.counters["rollbacks"] = static_cast<double>(pass.sift_rollbacks);
+  state.counters["journal_peak_bytes"] = static_cast<double>(pass.sift_journal_peak_bytes);
+}
+BENCHMARK(BM_BddSiftPaperScale)->Unit(benchmark::kMillisecond);
 
 void BM_Sim3Cycle(benchmark::State& state) {
   const rfn::designs::IuDesign iu = rfn::designs::make_iu({});

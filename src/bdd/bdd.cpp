@@ -13,9 +13,12 @@ void publish_bdd_metrics(const BddStats& s) {
   m.counter("bdd.reorderings").add(s.reorderings);
   m.counter("bdd.sift_swaps").add(s.sift_swaps);
   m.counter("bdd.sift_rollbacks").add(s.sift_rollbacks);
+  m.counter("bdd.sift_rewrites").add(s.sift_rewrites);
   m.counter("bdd.cache_lookups").add(s.cache_lookups);
   m.counter("bdd.cache_hits").add(s.cache_hits);
   m.gauge("bdd.peak_live_nodes").record_max(static_cast<int64_t>(s.peak_live_nodes));
+  m.gauge("bdd.sift_journal_bytes")
+      .record_max(static_cast<int64_t>(s.sift_journal_peak_bytes));
   // Arena bytes: level = this manager's footprint, max = the largest any
   // manager reached (the batch summary's bdd.heap_bytes max).
   m.gauge("bdd.heap_bytes").set(static_cast<int64_t>(s.heap_bytes));
@@ -112,15 +115,12 @@ BddVar BddMgr::new_var() {
   subtables_.emplace_back();
   subtables_.back().buckets.assign(16, kNil);
   heap_track(0, subtables_.back().buckets.capacity() * sizeof(uint32_t));
-  stats_.num_vars = perm_.size();
   return v;
 }
 
-template <bool kJournal>
 void BddMgr::inc_rc(uint32_t node) {
   Node& n = nodes_[node];
   if (n.rc >= kMaxRc) return;
-  if constexpr (kJournal) journal_node(node);
   if (n.rc == 0 && n.var != kTermVar && dead_estimate_ > 0) --dead_estimate_;
   ++n.rc;
 }
@@ -140,28 +140,18 @@ size_t BddMgr::hash_pair(uint32_t lo, uint32_t hi, size_t mask) {
   return static_cast<size_t>(h) & mask;
 }
 
-template <bool kJournal>
-void BddMgr::set_bucket(BddVar v, size_t b, uint32_t head) {
-  std::vector<uint32_t>& buckets = subtables_[v].buckets;
-  if constexpr (kJournal)
-    journal_.heads.push_back({v, static_cast<uint32_t>(b), buckets[b]});
-  buckets[b] = head;
-}
-
-template <bool kJournal>
 void BddMgr::subtable_insert(BddVar v, uint32_t node) {
   Subtable& st = subtables_[v];
   const size_t b = hash_pair(nodes_[node].lo, nodes_[node].hi, st.buckets.size() - 1);
-  if constexpr (kJournal) journal_node(node);
   nodes_[node].next = st.buckets[b];
-  set_bucket<kJournal>(v, b, node);
+  st.buckets[b] = node;
   ++st.count;
 }
 
 template <bool kJournal>
 void BddMgr::unlink(BddVar v, size_t b, uint32_t prev, uint32_t node) {
   if (prev == kNil) {
-    set_bucket<kJournal>(v, b, nodes_[node].next);
+    subtables_[v].buckets[b] = nodes_[node].next;
   } else {
     if constexpr (kJournal) journal_node(prev);
     nodes_[prev].next = nodes_[node].next;
@@ -169,23 +159,9 @@ void BddMgr::unlink(BddVar v, size_t b, uint32_t prev, uint32_t node) {
 }
 
 template <bool kJournal>
-void BddMgr::subtable_remove(BddVar v, uint32_t node) {
+void BddMgr::maybe_grow(BddVar v, size_t gone) {
   Subtable& st = subtables_[v];
-  const size_t b = hash_pair(nodes_[node].lo, nodes_[node].hi, st.buckets.size() - 1);
-  uint32_t prev = kNil;
-  for (uint32_t cur = st.buckets[b]; cur != kNil; prev = cur, cur = nodes_[cur].next) {
-    if (cur != node) continue;
-    unlink<kJournal>(v, b, prev, node);
-    --st.count;
-    return;
-  }
-  fatal("subtable_remove: node not found");
-}
-
-template <bool kJournal>
-void BddMgr::maybe_grow(BddVar v) {
-  Subtable& st = subtables_[v];
-  if (st.count < st.buckets.size() * 2) return;
+  if (st.count + gone < st.buckets.size() * 2) return;
   std::vector<uint32_t> old = std::move(st.buckets);
   st.buckets.assign(old.size() * 4, kNil);
   heap_track(old.capacity() * sizeof(uint32_t),
@@ -200,12 +176,6 @@ void BddMgr::maybe_grow(BddVar v) {
       st.buckets[b] = head;
       head = next;
     }
-  }
-  // A rollback restores the old vector whole, so the writes into the new
-  // one above need no records of their own.
-  if constexpr (kJournal) {
-    journal_.heads.push_back({v, kNil, kNil});
-    journal_.grown.push_back(std::move(old));
   }
 }
 
@@ -228,30 +198,25 @@ uint32_t BddMgr::find_or_add(BddVar v, uint32_t lo, uint32_t hi) {
     id = free_head_;
     if constexpr (kJournal) journal_node(id);
     free_head_ = nodes_[id].next;
-    --free_count_;
   } else {
     id = static_cast<uint32_t>(nodes_.size());
     const size_t before = nodes_.capacity();
     nodes_.push_back({});
     heap_track(before * sizeof(Node), nodes_.capacity() * sizeof(Node));
   }
-  Node& n = nodes_[id];
-  n.var = v;
-  n.lo = lo;
-  n.hi = hi;
-  n.rc = 0;
-  inc_rc<kJournal>(lo);
-  inc_rc<kJournal>(hi);
+  nodes_[id] = {v, lo, hi, st.buckets[b], 0};
+  st.buckets[b] = id;
+  ++st.count;
+  inc_rc(lo);
+  inc_rc(hi);
   ++dead_estimate_;  // born dead until someone references it
   ++stats_.live_nodes;
   if (stats_.live_nodes > stats_.peak_live_nodes)
     stats_.peak_live_nodes = stats_.live_nodes;
-  subtable_insert<kJournal>(v, id);
   maybe_grow<kJournal>(v);
   return id;
 }
 
-template <bool kJournal>
 void BddMgr::free_dead_node(uint32_t root) {
   std::vector<uint32_t>& work = free_work_;
   work.assign(1, root);
@@ -260,13 +225,16 @@ void BddMgr::free_dead_node(uint32_t root) {
     work.pop_back();
     Node& n = nodes_[id];
     if (n.rc != 0 || n.var == kTermVar || n.var == kInvalidVar) continue;
-    subtable_remove<kJournal>(n.var, id);
-    if constexpr (kJournal) journal_node(id);
+    Subtable& st = subtables_[n.var];
+    const size_t b = hash_pair(n.lo, n.hi, st.buckets.size() - 1);
+    uint32_t prev = kNil;
+    for (uint32_t cur = st.buckets[b]; cur != id; cur = nodes_[cur].next) prev = cur;
+    unlink(n.var, b, prev, id);
+    --st.count;
     const uint32_t lo = n.lo, hi = n.hi;
     n.var = kInvalidVar;
     n.next = free_head_;
     free_head_ = id;
-    ++free_count_;
     --stats_.live_nodes;
     if (dead_estimate_ > 0) --dead_estimate_;
     for (uint32_t child : {lo, hi}) {
@@ -274,7 +242,6 @@ void BddMgr::free_dead_node(uint32_t root) {
       if (c.var == kTermVar) continue;
       if (c.rc < kMaxRc) {
         RFN_CHECK(c.rc > 0, "child refcount underflow");
-        if constexpr (kJournal) journal_node(child);
         --c.rc;
         if (c.rc == 0) {
           ++dead_estimate_;
@@ -548,28 +515,125 @@ void BddMgr::check_integrity() const {
   }
 }
 
-// The write primitives, plain and journaled (reorder.cpp's swaps use both).
-template void BddMgr::inc_rc<false>(uint32_t);
-template void BddMgr::inc_rc<true>(uint32_t);
-template uint32_t BddMgr::find_or_add<false>(BddVar, uint32_t, uint32_t);
-template uint32_t BddMgr::find_or_add<true>(BddVar, uint32_t, uint32_t);
-template void BddMgr::subtable_insert<false>(BddVar, uint32_t);
-template void BddMgr::subtable_insert<true>(BddVar, uint32_t);
-template void BddMgr::unlink<false>(BddVar, size_t, uint32_t, uint32_t);
-template void BddMgr::unlink<true>(BddVar, size_t, uint32_t, uint32_t);
-template void BddMgr::maybe_grow<false>(BddVar);
-template void BddMgr::maybe_grow<true>(BddVar);
-template void BddMgr::free_dead_node<false>(uint32_t);
-template void BddMgr::free_dead_node<true>(uint32_t);
+// ---------------------------------------------------------------------------
+// Level swap (reorder.cpp sifts with it), beside the primitives it inlines
+// ---------------------------------------------------------------------------
 
-std::string lits_to_string(const std::vector<BddLit>& lits) {
-  std::string out;
-  for (size_t i = 0; i < lits.size(); ++i) {
-    if (i) out += " & ";
-    if (!lits[i].positive) out += "!";
-    out += "x" + std::to_string(lits[i].var);
+template <bool kJournal>
+size_t BddMgr::swap_levels(uint32_t lvl) {
+  RFN_CHECK(lvl + 1 < num_vars(), "swap_levels at bottom");
+  const BddVar x = invperm_[lvl];      // upper variable, moves down
+  const BddVar y = invperm_[lvl + 1];  // lower variable, moves up
+  auto permute = [&] {
+    std::swap(perm_[x], perm_[y]);
+    invperm_[lvl] = y;
+    invperm_[lvl + 1] = x;
+    return stats_.live_nodes;
+  };
+  // With either level empty no x node depends on y: only the order changes.
+  if (subtables_[x].count == 0 || subtables_[y].count == 0) return permute();
+  // A swap writes the buckets of x and y only.
+  if constexpr (kJournal) {
+    journal_level(x);
+    journal_level(y);
   }
-  return out.empty() ? "true" : out;
+
+  const auto is_y = [&](uint32_t n) { return nodes_[n].var == y; };
+  // One scan of x's chains unlinks the nodes that depend on y, in chain
+  // order; new x nodes (which never depend on y) join the same chains
+  // below. x's count drops per node just before its rewrite, so
+  // find_or_add grows x's table where it did when each node was removed at
+  // its own turn.
+  std::vector<uint32_t>& moved = swap_moved_;
+  moved.clear();
+  for (size_t b = 0; b < subtables_[x].buckets.size(); ++b) {
+    uint32_t prev = kNil;
+    for (uint32_t id = subtables_[x].buckets[b]; id != kNil;) {
+      const uint32_t next = nodes_[id].next;
+      if (is_y(nodes_[id].lo) || is_y(nodes_[id].hi)) {
+        if constexpr (kJournal) journal_node(id);
+        unlink<kJournal>(x, b, prev, id);
+        moved.push_back(id);
+      } else {
+        prev = id;
+      }
+      id = next;
+    }
+  }
+  stats_.sift_rewrites += moved.size();
+
+  // Only y nodes die: every other child of a rewritten node, and every
+  // child of a dead y node, gains an edge from a new x node or the
+  // rewritten node before it loses one.
+  std::vector<uint32_t>& dead = swap_dead_;
+  dead.clear();
+  for (const uint32_t id : moved) {
+    const uint32_t lo = nodes_[id].lo;
+    const uint32_t hi = nodes_[id].hi;
+    const bool lo_y = is_y(lo);
+    const bool hi_y = is_y(hi);
+
+    // f = !x(!y f00 + y f01) + x(!y f10 + y f11)
+    //   = !y(!x f00 + x f10) + y(!x f01 + x f11)
+    const uint32_t f00 = lo_y ? nodes_[lo].lo : lo;
+    const uint32_t f01 = lo_y ? nodes_[lo].hi : lo;
+    const uint32_t f10 = hi_y ? nodes_[hi].lo : hi;
+    const uint32_t f11 = hi_y ? nodes_[hi].hi : hi;
+
+    --subtables_[x].count;
+    const uint32_t n0 = find_or_add<kJournal>(x, f00, f10);
+    const uint32_t n1 = find_or_add<kJournal>(x, f01, f11);
+    RFN_CHECK(n0 != n1, "swap produced redundant node");
+    inc_rc(n0);
+    inc_rc(n1);
+    // The old children lose their edge from this node.
+    for (uint32_t child : {lo, hi}) {
+      Node& c = nodes_[child];
+      if (c.rc >= kMaxRc) continue;
+      RFN_CHECK(c.rc > 0, "swap: child refcount underflow");
+      if (--c.rc == 0) {
+        RFN_CHECK(c.var == y, "swap: node below y died");
+        dead.push_back(child);
+      }
+    }
+    Node& n = nodes_[id];
+    n.var = y;
+    n.lo = n0;
+    n.hi = n1;
+  }
+
+  // The dead leave y's chains before the rewritten nodes join them, so the
+  // walks to their predecessors pass old y nodes only.
+  Subtable& ys = subtables_[y];
+  const size_t ymask = ys.buckets.size() - 1;
+  for (const uint32_t id : dead) {
+    Node& n = nodes_[id];
+    const size_t b = hash_pair(n.lo, n.hi, ymask);
+    uint32_t prev = kNil;
+    for (uint32_t cur = ys.buckets[b]; cur != id; cur = nodes_[cur].next) prev = cur;
+    if constexpr (kJournal) journal_node(id);
+    unlink<kJournal>(y, b, prev, id);
+    --ys.count;
+    for (uint32_t child : {n.lo, n.hi}) {
+      Node& c = nodes_[child];
+      if (c.rc >= kMaxRc) continue;
+      RFN_CHECK(c.rc > 1, "swap: a dead node's child died");
+      --c.rc;
+    }
+    n.var = kInvalidVar;
+    n.next = free_head_;
+    free_head_ = id;
+    --stats_.live_nodes;
+  }
+  for (const uint32_t id : moved) subtable_insert(y, id);
+  // y's table grows where it did when the dead left after the inserts.
+  maybe_grow<kJournal>(y, dead.size());
+  return permute();
 }
+
+template size_t BddMgr::swap_levels<false>(uint32_t);
+template size_t BddMgr::swap_levels<true>(uint32_t);
+// bdd_ops.cpp's operators add nodes too.
+template uint32_t BddMgr::find_or_add<false>(BddVar, uint32_t, uint32_t);
 
 }  // namespace rfn

@@ -26,7 +26,6 @@
 // inside a recursion.
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -102,14 +101,16 @@ struct BddStats {
   /// capacity metric the CEGAR loop reports per iteration and the bench
   /// regression gate tracks.
   size_t peak_live_nodes = 0;
-  size_t allocated_nodes = 0;
-  size_t num_vars = 0;
   size_t gc_runs = 0;
   size_t reorderings = 0;
   /// Adjacent-level swaps made by sifting, and the times a sift restored
   /// its undo journal's checkpoint instead of swapping back to it.
   size_t sift_swaps = 0;
   size_t sift_rollbacks = 0;
+  /// Nodes those swaps rewrote in place, and the most bytes the undo
+  /// journal held at once (it lives outside the tracked arena).
+  size_t sift_rewrites = 0;
+  size_t sift_journal_peak_bytes = 0;
   size_t cache_lookups = 0;
   size_t cache_hits = 0;
   /// Allocations the node cap (BddMgr::set_node_budget) refused; each one
@@ -324,26 +325,20 @@ class BddMgr {
   }
   static constexpr uint32_t kTermLevel = 0xFFFFFFFFu;
 
-  // The write primitives a level swap uses. Instantiated with kJournal,
-  // each first saves what it overwrites into the sift journal; the plain
-  // instances, which every other path uses, carry no journal code at all.
-  template <bool kJournal = false>
+  // The write primitives. Instantiated with kJournal (a swap while the sift
+  // journal is open), each saves the node records it rewrites first.
   void inc_rc(uint32_t node);
   void dec_rc(uint32_t node);
   template <bool kJournal = false>
   uint32_t find_or_add(BddVar v, uint32_t lo, uint32_t hi);
-  template <bool kJournal = false>
   void subtable_insert(BddVar v, uint32_t node);
-  template <bool kJournal = false>
-  void subtable_remove(BddVar v, uint32_t node);
   /// Unlinks `node` from chain `b` of v's subtable; `prev` is the node
   /// before it on the chain, kNil when it is the head. Count unchanged.
   template <bool kJournal = false>
   void unlink(BddVar v, size_t b, uint32_t prev, uint32_t node);
+  /// Grows v's table 4x once its count plus `gone` (just freed) reaches 2x its buckets.
   template <bool kJournal = false>
-  void maybe_grow(BddVar v);
-  template <bool kJournal = false>
-  void set_bucket(BddVar v, size_t b, uint32_t head);
+  void maybe_grow(BddVar v, size_t gone = 0);
   static size_t hash_pair(uint32_t lo, uint32_t hi, size_t mask);
 
   // cache
@@ -368,55 +363,63 @@ class BddMgr {
   Bdd make(uint32_t id);  // wraps id into a referenced handle
 
   // reordering internals (reorder.cpp)
-  /// Swaps lvl and lvl+1; returns the live count.
+  /// Swaps lvl and lvl+1; returns the live count. Defined in bdd.cpp, where
+  /// the write primitives inline into it.
   template <bool kJournal = false>
   size_t swap_levels(uint32_t lvl);
   void sift_var(BddVar v);
   /// Frees a node with rc == 0: unlink, then cascade to its children.
-  template <bool kJournal = false>
   void free_dead_node(uint32_t node);
 
   /// Undo journal of one variable's sift (reorder.cpp). While it is open,
-  /// the journaled write primitives save what they overwrite, so
-  /// journal_rollback() restores the checkpoint at the cost of the writes
-  /// made since.
+  /// swaps save each level they touch and each node record they rewrite,
+  /// once per checkpoint, so journal_rollback() restores the checkpoint at
+  /// the cost of the writes made since.
   struct SiftJournal {
-    // The checkpoint's scalars, order and subtable counts (O(vars)).
-    size_t pool_size = 0;  // nodes_.size(), 0 while closed; later ids drop
+    BddVar var = 0;          // the variable being sifted
+    uint32_t level = 0;      // its level at the checkpoint
+    size_t pool_size = 0;    // nodes_.size(), 0 while closed; later ids drop
     uint32_t free_head = 0;
-    size_t free_count = 0;
     size_t dead_estimate = 0;
     size_t live_nodes = 0;
-    std::vector<uint32_t> perm, invperm, counts;
-    // Checkpoint records of the pool nodes written since, one bit each in
-    // node_seen while saved.
-    std::vector<std::pair<uint32_t, Node>> nodes;
-    std::vector<uint64_t> node_seen;
-    // Every bucket-head write, oldest first; bucket == kNil marks a table
-    // growth, whose old vector is the next one on `grown`.
-    struct Head {
-      BddVar var;
-      uint32_t bucket;
-      uint32_t old;
+    // Levels a swap touched, saved whole before its first write: var,
+    // count, bucket count, then the buckets. One flag per var marks them.
+    std::vector<uint32_t> levels;
+    std::vector<uint8_t> level_seen;
+    // Node records saved before their first rewrite since the checkpoint,
+    // one bit each in node_seen; no reference counts (see reorder.cpp).
+    struct Record {
+      uint32_t id, var, lo, hi, next;
     };
-    std::vector<Head> heads;
-    std::vector<std::vector<uint32_t>> grown;
+    std::vector<Record> nodes;
+    std::vector<uint64_t> node_seen;
   };
-  void journal_open();
-  void journal_rollback();  // back to the checkpoint; stays open
-  void journal_close();     // keeps the writes
-  /// Saves node `id`'s record before its first write since the checkpoint.
+  void journal_open(BddVar v);  // checkpoint: v at its current level
+  void journal_rollback();      // back to the checkpoint; stays open
+  void journal_close();         // keeps the writes
+  void journal_clear();         // drops what is saved; notes the peak bytes
+  /// Saves node `id`'s record before its first rewrite since the checkpoint.
   void journal_node(uint32_t id) {
     if (id >= journal_.pool_size) return;  // born since: dropped whole
     uint64_t& word = journal_.node_seen[id >> 6];
     const uint64_t bit = uint64_t{1} << (id & 63);
     if (word & bit) return;
     word |= bit;
-    journal_.nodes.emplace_back(id, nodes_[id]);
+    const Node& n = nodes_[id];
+    journal_.nodes.push_back({id, n.var, n.lo, n.hi, n.next});
+  }
+  /// Saves v's buckets and count before a swap's first write to them.
+  void journal_level(BddVar v) {
+    if (journal_.level_seen[v]) return;
+    journal_.level_seen[v] = 1;
+    const Subtable& st = subtables_[v];
+    journal_.levels.insert(journal_.levels.end(),
+                           {v, st.count, static_cast<uint32_t>(st.buckets.size())});
+    journal_.levels.insert(journal_.levels.end(), st.buckets.begin(), st.buckets.end());
   }
 
   // Scratch reused across calls (swap_levels runs millions of times per
-  // sift pass): the x nodes a swap rewrites, children that may have died,
+  // sift pass): the x nodes a swap rewrites, the y nodes that died,
   // free_dead_node's cascade stack, the live counts of a sift's first
   // phase, and the journal. Not part of the tracked arena.
   std::vector<uint32_t> swap_moved_;
@@ -427,7 +430,6 @@ class BddMgr {
 
   std::vector<Node> nodes_;
   uint32_t free_head_ = kNil;
-  size_t free_count_ = 0;
   size_t dead_estimate_ = 0;
 
   std::vector<Subtable> subtables_;   // indexed by var
@@ -478,8 +480,5 @@ class BddMgr {
 
   BddStats stats_;
 };
-
-/// Pretty-prints a literal list like "x3 & !x7 & x9" (for diagnostics).
-std::string lits_to_string(const std::vector<BddLit>& lits);
 
 }  // namespace rfn

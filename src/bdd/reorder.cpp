@@ -6,8 +6,9 @@
 
 // Dynamic variable reordering by sifting (Rudell's algorithm).
 //
-// The primitive is an in-place swap of two adjacent levels: every node
-// labeled with the upper variable x that depends on the lower variable y is
+// The primitive is an in-place swap of two adjacent levels (swap_levels,
+// in bdd.cpp beside the write primitives it inlines): every node labeled
+// with the upper variable x that depends on the lower variable y is
 // rewritten in place — it keeps its node id and its function, so all
 // external handles and all parents stay valid — while its children are
 // re-expressed with x below y. Sifting then moves each variable through the
@@ -34,158 +35,94 @@
 // those of the classic sift. Only the ids of rewritten nodes differ: a
 // rollback restores ids that a walk back would have reassigned.
 //
-// The journal (BddMgr::SiftJournal) snapshots the O(vars) state at its
-// checkpoint: free-list head, live and dead counts, pool size, perm_ and
-// invperm_, and the subtable counts. While it is open, swaps run the
-// journaled instances of the write primitives: each saves a node record at
-// its first write since the checkpoint (one bit per node marks it), logs
-// every bucket-head write, and keeps the old vector of a table that grows.
-// A rollback rewrites the saved records, undoes the head writes newest
-// first and truncates the pool to its checkpoint size: it costs as much as
-// the writes since the checkpoint, never O(arena). A restored bucket vector
-// keeps the capacity its growth gave it, so the tracked arena never
-// shrinks. The journal and the rest of the sift scratch live outside the
-// tracked arena.
+// The journal (BddMgr::SiftJournal) keeps the checkpoint's scalars: the
+// sifted variable's level, pool size, free-list head, live and dead counts.
+// The order needs no copy, since every swap moves the sifted variable past
+// a neighbour. While it is open, a swap saves, once per checkpoint, the
+// buckets and count of each level it touches and the record of each node it
+// rewrites, unlinks behind, frees or reuses (one bit per node). Reference
+// counts are not saved: a swap changes one only with an edge it adds or
+// removes, and each such edge belongs to a saved record or to a node born
+// since, so a rollback adds the records' edges back and takes the current
+// ones away. A rollback costs as much as the writes since the checkpoint,
+// never O(arena), and keeps a grown bucket vector's capacity, so the tracked
+// arena never shrinks. The journal lives outside the tracked arena;
+// BddStats::sift_journal_peak_bytes reports the most it held.
 
 namespace rfn {
 
-template <bool kJournal>
-size_t BddMgr::swap_levels(uint32_t lvl) {
-  RFN_CHECK(lvl + 1 < num_vars(), "swap_levels at bottom");
-  const BddVar x = invperm_[lvl];      // upper variable, moves down
-  const BddVar y = invperm_[lvl + 1];  // lower variable, moves up
-  auto permute = [&] {
-    std::swap(perm_[x], perm_[y]);
-    invperm_[lvl] = y;
-    invperm_[lvl + 1] = x;
-    return stats_.live_nodes;
-  };
-  // With either level empty no x node depends on y: only the order changes.
-  if (subtables_[x].count == 0 || subtables_[y].count == 0) return permute();
-
-  const auto is_y = [&](uint32_t n) { return n >= 2 && nodes_[n].var == y; };
-  // One scan of x's chains unlinks the nodes that depend on y, in chain
-  // order; new x nodes (which never depend on y) join the same chains
-  // below. x's count drops per node just before its rewrite, so
-  // find_or_add grows x's table where it did when each node was removed at
-  // its own turn, and the table layout and every node id come out the same.
-  std::vector<uint32_t>& moved = swap_moved_;
-  moved.clear();
-  for (size_t b = 0; b < subtables_[x].buckets.size(); ++b) {
-    uint32_t prev = kNil;
-    for (uint32_t id = subtables_[x].buckets[b]; id != kNil;) {
-      const uint32_t next = nodes_[id].next;
-      if (is_y(nodes_[id].lo) || is_y(nodes_[id].hi)) {
-        unlink<kJournal>(x, b, prev, id);
-        moved.push_back(id);
-      } else {
-        prev = id;
-      }
-      id = next;
-    }
-  }
-
-  std::vector<uint32_t>& maybe_dead = swap_dead_;
-  maybe_dead.clear();
-  for (const uint32_t id : moved) {
-    const uint32_t lo = nodes_[id].lo;
-    const uint32_t hi = nodes_[id].hi;
-    const bool lo_y = is_y(lo);
-    const bool hi_y = is_y(hi);
-
-    // f = !x(!y f00 + y f01) + x(!y f10 + y f11)
-    //   = !y(!x f00 + x f10) + y(!x f01 + x f11)
-    const uint32_t f00 = lo_y ? nodes_[lo].lo : lo;
-    const uint32_t f01 = lo_y ? nodes_[lo].hi : lo;
-    const uint32_t f10 = hi_y ? nodes_[hi].lo : hi;
-    const uint32_t f11 = hi_y ? nodes_[hi].hi : hi;
-
-    --subtables_[x].count;
-    const uint32_t n0 = find_or_add<kJournal>(x, f00, f10);
-    const uint32_t n1 = find_or_add<kJournal>(x, f01, f11);
-    RFN_CHECK(n0 != n1, "swap produced redundant node");
-    inc_rc<kJournal>(n0);
-    inc_rc<kJournal>(n1);
-    // The old children lose their edge from this node.
-    for (uint32_t child : {lo, hi}) {
-      Node& c = nodes_[child];
-      if (c.var == kTermVar || c.rc >= kMaxRc) continue;
-      RFN_CHECK(c.rc > 0, "swap: child refcount underflow");
-      if constexpr (kJournal) journal_node(child);
-      if (--c.rc == 0) {
-        ++dead_estimate_;
-        maybe_dead.push_back(child);
-      }
-    }
-    if constexpr (kJournal) journal_node(id);
-    Node& n = nodes_[id];
-    n.var = y;
-    n.lo = n0;
-    n.hi = n1;
-    subtable_insert<kJournal>(y, id);
-  }
-  // The moved nodes may have overloaded y's chains; x's grew in find_or_add.
-  maybe_grow<kJournal>(y);
-
-  for (uint32_t d : maybe_dead)
-    if (nodes_[d].var != kInvalidVar && nodes_[d].rc == 0) free_dead_node<kJournal>(d);
-
-  return permute();
-}
-
-template size_t BddMgr::swap_levels<false>(uint32_t);
-
-void BddMgr::journal_open() {
+void BddMgr::journal_open(BddVar v) {
   SiftJournal& j = journal_;
+  j.var = v;
+  j.level = perm_[v];
   j.pool_size = nodes_.size();
   j.free_head = free_head_;
-  j.free_count = free_count_;
   j.dead_estimate = dead_estimate_;
   j.live_nodes = stats_.live_nodes;
-  j.perm = perm_;
-  j.invperm = invperm_;
-  j.counts.resize(subtables_.size());
-  for (size_t v = 0; v < subtables_.size(); ++v) j.counts[v] = subtables_[v].count;
   j.node_seen.resize((j.pool_size + 63) / 64, 0);  // clear bits stay clear
+  j.level_seen.resize(subtables_.size(), 0);
+}
+
+void BddMgr::journal_clear() {
+  SiftJournal& j = journal_;
+  const size_t bytes = j.nodes.size() * sizeof(SiftJournal::Record) +
+                       j.levels.size() * sizeof(uint32_t) +
+                       j.node_seen.size() * sizeof(uint64_t) + j.level_seen.size();
+  stats_.sift_journal_peak_bytes = std::max(stats_.sift_journal_peak_bytes, bytes);
+  for (const SiftJournal::Record& r : j.nodes) j.node_seen[r.id >> 6] = 0;
+  for (size_t i = 0; i < j.levels.size(); i += 3 + j.levels[i + 2]) j.level_seen[j.levels[i]] = 0;
+  j.nodes.clear();
+  j.levels.clear();
 }
 
 void BddMgr::journal_close() {
-  SiftJournal& j = journal_;
-  for (const auto& rec : j.nodes) j.node_seen[rec.first >> 6] = 0;
-  j.nodes.clear();
-  j.heads.clear();
-  j.grown.clear();
-  j.pool_size = 0;
+  journal_clear();
+  journal_.pool_size = 0;
 }
 
 void BddMgr::journal_rollback() {
   SiftJournal& j = journal_;
-  for (const auto& [id, rec] : j.nodes) {
-    nodes_[id] = rec;
-    j.node_seen[id >> 6] = 0;
+  // Add the records' checkpoint edges back first, so that no count passes
+  // zero, then take away the current edges of those nodes and of the nodes
+  // born since.
+  const auto add_edges = [&](uint32_t lo, uint32_t hi, int delta) {
+    for (uint32_t c : {lo, hi})
+      if (c < j.pool_size && nodes_[c].rc < kMaxRc) nodes_[c].rc += static_cast<uint32_t>(delta);
+  };
+  for (const SiftJournal::Record& r : j.nodes)
+    if (r.var != kInvalidVar) add_edges(r.lo, r.hi, 1);
+  for (const SiftJournal::Record& r : j.nodes) {
+    Node& n = nodes_[r.id];
+    if (n.var != kInvalidVar) add_edges(n.lo, n.hi, -1);
+    n.var = r.var;
+    n.lo = r.lo;
+    n.hi = r.hi;
+    n.next = r.next;
   }
-  j.nodes.clear();
-  // Head writes undo newest first: a growth gives its table back the vector
-  // the writes before it went to (assign() keeps the grown capacity).
-  for (size_t i = j.heads.size(); i-- > 0;) {
-    const SiftJournal::Head& h = j.heads[i];
-    std::vector<uint32_t>& buckets = subtables_[h.var].buckets;
-    if (h.bucket != kNil) {
-      buckets[h.bucket] = h.old;
-    } else {
-      buckets.assign(j.grown.back().begin(), j.grown.back().end());
-      j.grown.pop_back();
-    }
+  for (size_t id = j.pool_size; id < nodes_.size(); ++id)
+    if (nodes_[id].var != kInvalidVar) add_edges(nodes_[id].lo, nodes_[id].hi, -1);
+  for (size_t i = 0; i < j.levels.size(); i += 3 + j.levels[i + 2]) {
+    Subtable& st = subtables_[j.levels[i]];
+    st.count = j.levels[i + 1];
+    const auto saved = j.levels.begin() + static_cast<std::ptrdiff_t>(i) + 3;
+    st.buckets.assign(saved, saved + j.levels[i + 2]);  // keeps a grown capacity
   }
-  j.heads.clear();
+  journal_clear();
   nodes_.resize(j.pool_size);  // capacity stays
   free_head_ = j.free_head;
-  free_count_ = j.free_count;
   dead_estimate_ = j.dead_estimate;
   stats_.live_nodes = j.live_nodes;
-  perm_ = j.perm;
-  invperm_ = j.invperm;
-  for (size_t v = 0; v < subtables_.size(); ++v) subtables_[v].count = j.counts[v];
+  // Every swap since moved the sifted variable past a neighbour, so the
+  // others kept their relative order: move it back to its level.
+  const uint32_t at = perm_[j.var];
+  const auto first = invperm_.begin() + std::min(at, j.level);
+  const auto last = invperm_.begin() + std::max(at, j.level) + 1;
+  if (at > j.level)
+    std::rotate(first, last - 1, last);
+  else
+    std::rotate(first, first + 1, last);
+  for (auto it = first; it != last; ++it)
+    perm_[*it] = static_cast<uint32_t>(it - invperm_.begin());
   ++stats_.sift_rollbacks;
 }
 
@@ -221,7 +158,7 @@ void BddMgr::sift_var(BddVar v) {
   const bool down = start >= num_vars() / 2;
   std::vector<size_t>& counts = sift_counts_;
   counts.assign(1, best);
-  journal_open();
+  journal_open(v);
   uint32_t checkpoint = start;  // the level journal_rollback() returns v to
   while (!at_end(down)) {
     step(down);
@@ -238,7 +175,7 @@ void BddMgr::sift_var(BddVar v) {
     while (!at_end(!down)) {
       if (step(!down)) {
         journal_close();
-        journal_open();
+        journal_open(v);
         checkpoint = best_level;
       }
       if (too_big(stats_.live_nodes)) break;

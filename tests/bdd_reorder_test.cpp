@@ -16,6 +16,38 @@ class BddReorderTestPeer {
   static size_t swap_levels(BddMgr& mgr, uint32_t lvl) { return mgr.swap_levels(lvl); }
   static void sift_var(BddMgr& mgr, BddVar v) { mgr.sift_var(v); }
 
+  /// Levels whose bucket vector holds more than it uses: a rollback gave
+  /// them back the vector they had before a growth.
+  static size_t restored_growths(const BddMgr& mgr) {
+    size_t n = 0;
+    for (const BddMgr::Subtable& st : mgr.subtables_) n += st.buckets.capacity() > st.buckets.size();
+    return n;
+  }
+
+  /// What a journal holds just before its rollback.
+  struct JournalPaths {
+    size_t reused = 0;       // records of nodes that were free at the checkpoint
+    size_t born = 0;         // nodes born since, live or freed again
+    size_t grown_levels = 0; // saved levels whose table has grown since
+  };
+  /// Moves v with journaled swaps to the end of the order in direction
+  /// `down`, then rolls back; returns what the journal held.
+  static JournalPaths journaled_trip(BddMgr& mgr, BddVar v, bool down) {
+    mgr.journal_open(v);
+    const uint32_t end = down ? mgr.num_vars() - 1 : 0;
+    while (mgr.level_of(v) != end)
+      mgr.swap_levels<true>(down ? mgr.level_of(v) : mgr.level_of(v) - 1);
+    const BddMgr::SiftJournal& j = mgr.journal_;
+    JournalPaths paths;
+    for (const BddMgr::SiftJournal::Record& r : j.nodes) paths.reused += r.var == BddMgr::kInvalidVar;
+    paths.born = mgr.nodes_.size() - j.pool_size;
+    for (size_t i = 0; i < j.levels.size(); i += 3 + j.levels[i + 2])
+      paths.grown_levels += mgr.subtables_[j.levels[i]].buckets.size() > j.levels[i + 2];
+    mgr.journal_rollback();
+    mgr.journal_close();
+    return paths;
+  }
+
   /// Truth table of f over the first `nvars` >= 6 variables, one bit per
   /// assignment (bit i of the index = value of variable i), bit-parallel
   /// over the node DAG: the eval()-based table is too slow at 16 variables.
@@ -209,6 +241,9 @@ struct ReferenceSift {
   uint32_t swaps = 0;
   bool at_end = false;             // v started at the top or the bottom
   bool stopped_on_repass = false;  // phase 1 stopped on a level phase 0 measured
+  // Phase 1, had it gone on from v's start after that stop, would have found
+  // a level better than the best: the stop decides the final order.
+  bool hides_better = false;
 };
 
 ReferenceSift reference_sift(BddMgr& mgr, BddVar v) {
@@ -240,17 +275,37 @@ ReferenceSift reference_sift(BddMgr& mgr, BddVar v) {
     }
     if (phase == 0) r.phase0_swaps = r.swaps;
   }
-  while (mgr.level_of(v) > best_level) swap(mgr.level_of(v) - 1);
-  while (mgr.level_of(v) < best_level) swap(mgr.level_of(v));
+  const auto move_to = [&](uint32_t level) {
+    while (mgr.level_of(v) > level) swap(mgr.level_of(v) - 1);
+    while (mgr.level_of(v) < level) swap(mgr.level_of(v));
+  };
+  const uint32_t stop = mgr.level_of(v);
+  const uint32_t classic_swaps =
+      r.swaps + (stop > best_level ? stop - best_level : best_level - stop);
+  if (r.stopped_on_repass) {
+    // Peek past the stop: from v's start on in phase 1's direction, with
+    // the growth abort phase 1 would have applied.
+    move_to(start);
+    size_t peek_best = best;
+    while (down_first ? mgr.level_of(v) > 0 : mgr.level_of(v) < bottom) {
+      const size_t live = swap(down_first ? mgr.level_of(v) - 1 : mgr.level_of(v));
+      r.hides_better |= live < best;
+      peek_best = std::min(peek_best, live);
+      if (static_cast<double>(live) > kMaxGrowth * static_cast<double>(peek_best)) break;
+    }
+  }
+  move_to(best_level);
+  r.swaps = classic_swaps;
   return r;
 }
 
-// A random function of `nvars` variables: a balanced tree of AND / OR / XOR
-// over 2^depth random literals.
-Bdd random_function(BddMgr& mgr, std::mt19937& rng, uint32_t nvars, int depth) {
-  if (depth == 0) return mgr.literal(rng() % nvars, rng() % 2 == 0);
-  const Bdd a = random_function(mgr, rng, nvars, depth - 1);
-  const Bdd b = random_function(mgr, rng, nvars, depth - 1);
+// A random function over `vars`: a balanced tree of AND / OR / XOR over
+// 2^depth random literals.
+Bdd random_function(BddMgr& mgr, std::mt19937& rng, const std::vector<BddVar>& vars,
+                    int depth) {
+  if (depth == 0) return mgr.literal(vars[rng() % vars.size()], rng() % 2 == 0);
+  const Bdd a = random_function(mgr, rng, vars, depth - 1);
+  const Bdd b = random_function(mgr, rng, vars, depth - 1);
   switch (rng() % 3) {
     case 0: return a & b;
     case 1: return a | b;
@@ -258,18 +313,51 @@ Bdd random_function(BddMgr& mgr, std::mt19937& rng, uint32_t nvars, int depth) {
   }
 }
 
+// Roots over 13 variables whose variable 0, v, has a sift profile with two
+// dips. v starts between group A, above it, and group B, below it: roots
+// ite(v, g, h) with g and h over A tend to shrink as v rises through A, and
+// roots v ^ g with g over B shrink as v sinks through B. v starts in the
+// lower half, so phase 0 sinks it into B's dip; on the way back phase 1 may
+// meet a hump and stop short of A's dip, and when that dip is deeper, a
+// stop predicted wrongly changes the final order.
+std::vector<Bdd> humped_roots(BddMgr& mgr, std::mt19937& rng) {
+  const uint32_t nb = 3 + rng() % 3;
+  const uint32_t na = nb + 1 + rng() % 2;
+  std::vector<BddVar> a, b, order;
+  for (BddVar i = 1; i <= na; ++i) a.push_back(i);
+  for (BddVar i = na + 1; i <= na + nb; ++i) b.push_back(i);
+  order = a;
+  order.push_back(0);
+  order.insert(order.end(), b.begin(), b.end());
+  for (BddVar i = na + nb + 1; i < mgr.num_vars(); ++i) order.push_back(i);  // unused
+  mgr.set_order(order);
+  const Bdd v = mgr.var(0);
+  std::vector<Bdd> roots;
+  for (uint32_t k = 0, n = 2 + rng() % 2; k < n; ++k)
+    roots.push_back(mgr.ite(v, random_function(mgr, rng, a, 3), random_function(mgr, rng, a, 3)));
+  for (uint32_t k = 0, n = 2 + rng() % 2; k < n; ++k)
+    roots.push_back(v ^ random_function(mgr, rng, b, 4));
+  return roots;
+}
+
 // The same random multi-root manager, built twice: the journaled sift runs
-// on `mgr`, the reference on `ref`.
+// on `mgr`, the reference on `ref`; a humped pair has 13 variables.
 struct SiftPair {
   uint32_t nvars;
   BddMgr mgr, ref;
   std::vector<Bdd> roots, ref_roots;
 
-  SiftPair(uint32_t seed, uint32_t n) : nvars(n), mgr(n), ref(n) {
+  SiftPair(uint32_t seed, uint32_t n, bool humped = false) : nvars(n), mgr(n), ref(n) {
+    std::vector<BddVar> all(n);
+    for (BddVar i = 0; i < n; ++i) all[i] = i;
     for (auto [m, out] : {std::pair{&mgr, &roots}, std::pair{&ref, &ref_roots}}) {
       std::mt19937 rng(seed);
-      const int nroots = 2 + static_cast<int>(rng() % 4);
-      for (int i = 0; i < nroots; ++i) out->push_back(random_function(*m, rng, nvars, 4));
+      if (humped) {
+        *out = humped_roots(*m, rng);
+      } else {
+        const int nroots = 2 + static_cast<int>(rng() % 4);
+        for (int i = 0; i < nroots; ++i) out->push_back(random_function(*m, rng, all, 4));
+      }
       m->garbage_collect();  // a sift starts with no dead node
     }
   }
@@ -299,9 +387,13 @@ struct SiftPair {
 };
 
 TEST(BddReorder, JournaledSiftMatchesSwapOnlySift) {
-  size_t repass_stops = 0, far_parks = 0, at_ends = 0;
-  for (uint32_t seed = 1; seed <= 200; ++seed) {
-    SiftPair p(seed, 8 + seed % 9);
+  size_t repass_stops = 0, far_parks = 0, at_ends = 0, hides_better = 0;
+  size_t growth_rollbacks = 0;
+  // Seeds 201-320 build humped managers (humped_roots); they run first.
+  for (uint32_t i = 0; i < 320; ++i) {
+    const bool humped = i < 120;
+    const uint32_t seed = humped ? 201 + i : i - 119;
+    SiftPair p(seed, humped ? 13 : 8 + seed % 9, humped);
     const auto tables = p.truth_tables();
     for (BddVar v = 0; v < p.nvars; ++v) {
       bool far_park = false;
@@ -309,16 +401,22 @@ TEST(BddReorder, JournaledSiftMatchesSwapOnlySift) {
       repass_stops += r.stopped_on_repass;
       far_parks += far_park;
       at_ends += r.at_end;
+      hides_better += r.hides_better;
+      EXPECT_EQ(p.mgr.heap_bytes(), p.mgr.heap_bytes_recomputed()) << "var " << v;
+      growth_rollbacks += BddReorderTestPeer::restored_growths(p.mgr) > 0;
     }
     p.mgr.check_integrity();
     p.ref.check_integrity();
     EXPECT_EQ(p.truth_tables(), tables) << "seed " << seed;
     if (testing::Test::HasFailure()) FAIL() << "seed " << seed;
   }
-  // The sample reaches every path of the journaled sift.
+  // The sample reaches every path of the journaled sift, a stop that
+  // decides a final order, and a rollback across a table growth.
   EXPECT_GT(repass_stops, 0u);
   EXPECT_GT(far_parks, 0u);
   EXPECT_GT(at_ends, 0u);
+  EXPECT_GT(hides_better, 0u);
+  EXPECT_GT(growth_rollbacks, 0u);
 }
 
 // One variable of a random manager, sifted from the state its manager
@@ -348,6 +446,39 @@ TEST(BddReorder, JournaledSiftBuiltCases) {
     p.mgr.check_integrity();
     EXPECT_EQ(p.truth_tables(), tables) << c.what;
   }
+}
+
+// Journaled swaps carry a variable to an end of the order, and the rollback
+// must bring back every node record, reference count and bucket, the order
+// and a byte-exact tracked arena. The sample's journals hold each kind of
+// write a rollback undoes beyond plain rewrites: nodes taken from the free
+// list, nodes born since the checkpoint, and saved levels grown since.
+TEST(BddReorder, JournalRollbackRestoresEveryWrite) {
+  size_t reused = 0, born = 0, grown = 0;
+  for (uint32_t seed = 1; seed <= 60; ++seed) {
+    SiftPair p(seed, 8 + seed % 9);
+    const std::vector<uint32_t> tables = BddReorderTestPeer::tables(p.mgr);
+    const std::vector<BddVar> order = p.mgr.current_order();
+    const size_t live = p.mgr.live_nodes();
+    for (BddVar v = 0; v < p.nvars; ++v) {
+      for (const bool down : {true, false}) {
+        const BddReorderTestPeer::JournalPaths paths =
+            BddReorderTestPeer::journaled_trip(p.mgr, v, down);
+        reused += paths.reused > 0;
+        born += paths.born > 0;
+        grown += paths.grown_levels > 0;
+        EXPECT_EQ(BddReorderTestPeer::tables(p.mgr), tables) << "var " << v;
+        EXPECT_EQ(p.mgr.current_order(), order) << "var " << v;
+        EXPECT_EQ(p.mgr.live_nodes(), live) << "var " << v;
+        EXPECT_EQ(p.mgr.heap_bytes(), p.mgr.heap_bytes_recomputed()) << "var " << v;
+      }
+    }
+    p.mgr.check_integrity();
+    if (testing::Test::HasFailure()) FAIL() << "seed " << seed;
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(born, 0u);
+  EXPECT_GT(grown, 0u);
 }
 
 TEST(BddReorder, QuantificationAfterReorder) {

@@ -43,7 +43,10 @@ concretize status `none`, while one with a trace names Step 3's outcome
 per-iteration table with the reach and concretize times, and a
 certification summary line when certificates were recorded. The BDD
 arena's peak bytes are printed from the summary's
-`metrics.gauges["bdd.heap_bytes"].max` when the metrics carry it.
+`metrics.gauges["bdd.heap_bytes"].max` when the metrics carry it, and
+beside them the nodes sifting rewrote (`metrics.counters["bdd.sift_rewrites"]`)
+and the sift undo journal's peak bytes, which lie outside the arena
+(`metrics.gauges["bdd.sift_journal_bytes"].max`).
 
 With `--trajectory A B ...` the inputs are several rfn-trace-v2 files of
 the same property set (say, repeated runs of one command): each is
@@ -652,10 +655,18 @@ def report_batch(path):
           f"total_wall_s={summary.get('seconds', 0.0):.6f} "
           f"cpu_ms={summary['cpu_ms']:.3f} "
           f"peak_rss_bytes={summary['peak_rss_bytes']}")
-    heap = (summary.get("metrics") or {}).get("gauges", {}).get(
-        "bdd.heap_bytes")
+    metrics = summary.get("metrics") or {}
+    gauges = metrics.get("gauges", {})
+    heap = gauges.get("bdd.heap_bytes")
     if isinstance(heap, dict) and "max" in heap:
-        print(f"bdd_heap_peak_bytes={heap['max']}")
+        line = f"bdd_heap_peak_bytes={heap['max']}"
+        rewrites = metrics.get("counters", {}).get("bdd.sift_rewrites")
+        if rewrites is not None:
+            line += f" sift_rewrites={rewrites}"
+        journal = gauges.get("bdd.sift_journal_bytes")
+        if isinstance(journal, dict) and "max" in journal:
+            line += f" sift_journal_peak_bytes={journal['max']}"
+        print(line)
     declared = summary.get("verdicts", {})
     print("verdicts: " + " ".join(
         f"{v}={declared.get(v, 0)}" for v in VERDICTS))
@@ -900,9 +911,11 @@ def synthetic_batch_trace():
          "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
          "certificates": {"ok": 1, "failed": 1},
          "seconds": 0.5, "cpu_ms": 480.0, "peak_rss_bytes": 30 << 20,
-         "metrics": {"counters": {"rfn.runs": 2},
+         "metrics": {"counters": {"rfn.runs": 2, "bdd.sift_rewrites": 640},
                      "gauges": {"bdd.heap_bytes": {"value": 2 << 20,
-                                                   "max": 3 << 20}}}},
+                                                   "max": 3 << 20},
+                                "bdd.sift_journal_bytes": {"value": 0,
+                                                           "max": 4096}}}},
     ]
 
 
