@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
       AtpgOptions budget;
       budget.max_backtracks = backtrack_budget;
       budget.cancel = &token;
-      return reach_target(t.netlist, depth, t.hit, true, guidance, budget);
+      return reach_target(TopoIndex(t.netlist), depth, t.hit, true, guidance, budget);
     };
 
     Stopwatch uw;

@@ -43,7 +43,7 @@ LoopTotals run_instrumented(const char* name, const Netlist& m, GateId bad, Tabl
   for (size_t iter = 0; iter < 128 && !token.cancelled(); ++iter) {
     ++totals.iterations;
     std::sort(included.begin(), included.end());
-    const Subcircuit sub = extract_abstract_model(m, roots, included);
+    const Subcircuit sub = extract_abstract_model(TopoIndex(m), roots, included);
     BddMgr mgr;
     Encoder enc(mgr, sub.net);
     mgr.set_auto_reorder(true);
@@ -62,7 +62,7 @@ LoopTotals run_instrumented(const char* name, const Netlist& m, GateId bad, Tabl
     const Trace abs_trace_n = hybrid_error_trace(enc, sub.net, reach, bad_set, &token);
     if (abs_trace_n.empty()) break;
     const Trace abs_trace = sub.trace_to_old(abs_trace_n);
-    const SeqAtpgResult conc = solve_abstract_trace(m, m.regs(), abs_trace, bad, {});
+    const SeqAtpgResult conc = solve_abstract_trace(TopoIndex(m), m.regs(), abs_trace, bad, {});
     if (conc.status == AtpgStatus::Sat) {
       totals.verdict = Verdict::Fails;
       break;
@@ -71,7 +71,7 @@ LoopTotals run_instrumented(const char* name, const Netlist& m, GateId bad, Tabl
     if (greedy) {
       RefineStats st;
       const std::vector<GateId> crucial =
-          identify_crucial_registers(m, bad, included, abs_trace, {}, &st);
+          identify_crucial_registers(TopoIndex(m), bad, included, abs_trace, {}, &st);
       table.add_row({std::string(name) + " iter " + std::to_string(iter),
                      fmt_int(static_cast<int64_t>(abs_trace.cycles())),
                      fmt_int(static_cast<int64_t>(st.conflict_candidates)),
@@ -82,7 +82,7 @@ LoopTotals run_instrumented(const char* name, const Netlist& m, GateId bad, Tabl
       for (GateId r : crucial) included.push_back(r);
     } else {
       const std::vector<GateId> candidates =
-          crucial_candidates_by_simulation(m, abs_trace, included);
+          crucial_candidates_by_simulation(TopoIndex(m), abs_trace, included);
       if (candidates.empty()) break;
       for (GateId r : candidates) included.push_back(r);
     }

@@ -44,7 +44,7 @@ void characterize(const char* design_name, const Netlist& m, GateId bad, Table& 
 
   for (size_t iter = 0; iter < 64 && !token.cancelled(); ++iter) {
     std::sort(included.begin(), included.end());
-    const Subcircuit sub = extract_abstract_model(m, roots, included);
+    const Subcircuit sub = extract_abstract_model(TopoIndex(m), roots, included);
     const MinCutResult mcr = compute_mincut_design(sub.net);
 
     BddMgr mgr;
@@ -78,7 +78,7 @@ void characterize(const char* design_name, const Netlist& m, GateId bad, Table& 
     if (reach.status != ReachStatus::BadReachable || abs_trace_n.empty()) break;
     const Trace abs_trace = sub.trace_to_old(abs_trace_n);
     const std::vector<GateId> crucial =
-        identify_crucial_registers(m, bad, included, abs_trace, {});
+        identify_crucial_registers(TopoIndex(m), bad, included, abs_trace, {});
     if (crucial.empty()) break;
     for (GateId r : crucial) included.push_back(r);
   }

@@ -132,7 +132,7 @@ void BM_BddSiftPaperScale(benchmark::State& state) {
   included.insert(included.end(), cov.begin(), cov.end());
   std::sort(included.begin(), included.end());
   included.erase(std::unique(included.begin(), included.end()), included.end());
-  const Subcircuit sub = extract_abstract_model(iu.netlist, cov, included);
+  const Subcircuit sub = extract_abstract_model(TopoIndex(iu.netlist), cov, included);
   const std::vector<GateId> gates = topo_order(sub.net);
   BddStats pass;
   size_t vars = 0, live_before = 0;
@@ -164,7 +164,8 @@ BENCHMARK(BM_BddSiftPaperScale)->Unit(benchmark::kMillisecond);
 
 void BM_Sim3Cycle(benchmark::State& state) {
   const rfn::designs::IuDesign iu = rfn::designs::make_iu({});
-  Sim3 sim(iu.netlist);
+  const TopoIndex topo(iu.netlist);
+  Sim3 sim(topo);
   sim.load_initial_state();
   Rng rng(3);
   for (auto _ : state) {
@@ -219,7 +220,7 @@ void BM_PostImage(benchmark::State& state) {
   // Abstract the packet engine: a realistic Step-2 workload.
   std::vector<GateId> regs;
   for (GateId g : usb.usb2) regs.push_back(g);
-  const Subcircuit sub = extract_abstract_model(usb.netlist, regs, regs);
+  const Subcircuit sub = extract_abstract_model(TopoIndex(usb.netlist), regs, regs);
   BddMgr mgr;
   Encoder enc(mgr, sub.net);
   mgr.set_auto_reorder(true);

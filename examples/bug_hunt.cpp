@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   unguided.cancel = &unguided_token;
   Stopwatch atpg_watch;
   const SeqAtpgResult direct =
-      reach_target(proc.netlist, depth, proc.error_flag, true, {}, unguided);
+      reach_target(TopoIndex(proc.netlist), depth, proc.error_flag, true, {}, unguided);
   std::printf(
       "\nunguided sequential ATPG at depth %zu: %s after %llu backtracks, %.2f s\n",
       depth, to_string(direct.status),

@@ -2,24 +2,25 @@
 
 #include <bit>
 
-#include "netlist/analysis.hpp"
-
 namespace rfn {
 
-FrameView::FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& needed,
-                     std::span<const GateId> kept)
-    : m_(&m), frames_(needed.size()), kept_(m.size(), false) {
+FrameNodes::FrameNodes(const TopoIndex& m, size_t frames, std::span<const GateId> kept)
+    : t_(&m), m_(&m.net), frames_(frames), kept_(m.net.size(), false) {
   RFN_CHECK(frames_ >= 1, "frame view of zero frames");
-  shift_ = static_cast<unsigned>(std::bit_width(m.size() > 1 ? m.size() - 1 : 1));
+  shift_ = static_cast<unsigned>(std::bit_width(m_->size() > 1 ? m_->size() - 1 : 1));
   mask_ = static_cast<GateId>((size_t{1} << shift_) - 1);
   RFN_CHECK((frames_ << shift_) < kNullGate, "%zu frames of %zu cells overflow node ids",
-            frames_, m.size());
-
+            frames_, m_->size());
   for (GateId r : kept) {
-    RFN_CHECK(m.is_reg(r), "kept gate %u is not a register", r);
+    RFN_CHECK(m.net.is_reg(r), "kept gate %u is not a register", r);
     kept_[r] = true;
   }
+}
 
+FrameView::FrameView(FrameNodes nodes, const std::vector<std::vector<GateId>>& needed)
+    : FrameNodes(std::move(nodes)) {
+  const Netlist& m = *m_;
+  RFN_CHECK(needed.size() == frames_, "needed sets do not match the frames");
   // Backward pass: a kept register in frame f's cone needs its data net in
   // frame f-1's cone.
   cone_.resize(frames_);
@@ -31,22 +32,6 @@ FrameView::FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& n
     }
     cone_[f0] = comb_fanin_cone(m, roots);
   }
-  for (size_t f0 = 0; f0 < frames_; ++f0)
-    for (GateId g = 0; g < m.size(); ++g)
-      if (cone_[f0][g] && !(f0 > 0 && kept_[g])) ++cone_nodes_;
-
-  // One CSR table of readers over M, each list in topo rank order.
-  const std::vector<GateId> order = topo_order(m);
-  rank_.resize(m.size());
-  for (uint32_t i = 0; i < order.size(); ++i) rank_[order[i]] = i;
-  offsets_.assign(m.size() + 1, 0);
-  for (GateId g = 0; g < m.size(); ++g)
-    for (GateId f : m.fanins(g)) ++offsets_[f + 1];
-  for (size_t g = 1; g <= m.size(); ++g) offsets_[g] += offsets_[g - 1];
-  readers_.resize(offsets_[m.size()]);
-  std::vector<uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
-  for (GateId g : order)
-    for (GateId f : m.fanins(g)) readers_[fill[f]++] = g;
 
   for (GateId g = 0; g < m.size(); ++g)
     if (m.is_const(g) || (kept_[g] && m.reg_init(g) != Tri::X))
@@ -59,11 +44,17 @@ GateId FrameView::node(size_t frame, GateId g) const {
   return resolve(frame - 1, g);
 }
 
+size_t FrameView::cone_nodes() const {
+  size_t nodes = 0;
+  for (size_t f0 = 0; f0 < frames_; ++f0)
+    for (GateId g = 0; g < m_->size(); ++g) nodes += cone_[f0][g] && !(f0 > 0 && kept_[g]);
+  return nodes;
+}
+
 size_t FrameView::heap_bytes() const {
   size_t bytes = cone_.capacity() * sizeof(std::vector<bool>) + (kept_.capacity() + 7) / 8;
   for (const std::vector<bool>& c : cone_) bytes += (c.capacity() + 7) / 8;
-  bytes += rank_.capacity() * sizeof(uint32_t) + offsets_.capacity() * sizeof(uint32_t) +
-           readers_.capacity() * sizeof(GateId) + const_sources_.capacity() * sizeof(GateId);
+  bytes += const_sources_.capacity() * sizeof(GateId);
   bytes += (aliases_.capacity() + next_aliases_.capacity() + merged_.capacity()) *
            sizeof(GateId);
   return bytes;

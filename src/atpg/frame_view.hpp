@@ -25,56 +25,55 @@
 // bitset per frame; node(f, g) is kNullGate outside it. With every register
 // kept, the cones, ids and fanout order are those of the unmasked view.
 //
+// The ids and resolution rules need no cone: FrameNodes holds them alone, so
+// a question can be refuted against constants, initial values and aliases
+// before any cone is built (seq_atpg.hpp). A FrameView adds the cones.
+//
 // Node ids are (f-1) * 2^s + g with 2^s >= |M|, so engines index their
-// per-node state by id in slots() = k * 2^s entries. Fanouts come from one
-// CSR table over M, built per view with each list in topo_order(M) rank
-// order: a node's fanouts are its readers in its own frame's cone, then the
-// readers of the registers it feeds in the next frame's cone, and so on, in
-// (frame, rank) order. That is the id order of a flat copy laid out frame by
-// frame in topo order, so an engine walking the view makes the same
-// propagation, trail and decisions as one walking such a copy.
+// per-node state by id in slots() = k * 2^s entries. Fanouts come from M's
+// TopoIndex (netlist/analysis.hpp), built once per design and shared by
+// every view: its reader lists are in topo rank order, so a node's fanouts
+// are its readers in its own frame's cone, then the readers of the registers
+// it feeds in the next frame's cone, and so on, in (frame, rank) order. That
+// is the id order of a flat copy laid out frame by frame in topo order, so
+// an engine walking the view makes the same propagation, trail and decisions
+// as one walking such a copy.
 //
 // Memory (paper-scale processor, error_flag cone at depth 28, 1.01M nodes):
-// the view holds the cone bitsets, the CSR table and a rank per gate of M,
-// about 1 B per node; an implication engine over it adds 2 B per slot (1.82
-// slots per node) for values and queue flags plus its trail, and justify's
+// the view holds the cone bitsets and the kept set, well under 1 B per node;
+// the shared TopoIndex adds 12 B per cell of M and 4 B per fanin, once per
+// design. An implication engine over the view adds 2 B per slot (1.82 slots
+// per node) for values and queue flags plus its trail, and justify's
 // valuation 1 B per slot.
 
 #include <algorithm>
 #include <span>
 #include <vector>
 
-#include "netlist/netlist.hpp"
+#include "netlist/analysis.hpp"
 
 namespace rfn {
 
-class FrameView {
+/// The node ids of k frames of `m` keeping the registers in `kept`, and the
+/// rule that resolves a signal read at a frame to its node: no cones.
+class FrameNodes {
  public:
-  /// A view of `m` over needed.size() frames, restricted per frame to the
-  /// cone of `needed[f-1]` (signals required at frame f) plus whatever the
-  /// later frames need from it. The view keeps the registers in `kept`;
-  /// every other register is a free input. `m` must outlive the view.
-  FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& needed,
-            std::span<const GateId> kept);
-  /// The view of M itself: every register kept.
-  FrameView(const Netlist& m, const std::vector<std::vector<GateId>>& needed)
-      : FrameView(m, needed, m.regs()) {}
+  /// `m` must outlive every view built from these nodes.
+  FrameNodes(const TopoIndex& m, size_t frames, std::span<const GateId> kept);
 
-  /// The node carrying signal g of M at 1-based `frame`, resolving register
-  /// aliases; kNullGate when g is outside that frame's cone.
-  GateId node(size_t frame, GateId g) const;
-
-  /// Nodes of the view: cone members of every frame except aliased
-  /// registers.
-  size_t cone_nodes() const { return cone_nodes_; }
-  /// Heap bytes held by the view (cone bitsets, CSR table, ranks, register
-  /// set).
-  size_t heap_bytes() const;
-
-  // --- graph interface of the ATPG engines (see NetlistGraph) ---
-
-  /// Bound on node ids: frames() * 2^s.
+  /// Bound on node ids: frames * 2^s.
   size_t slots() const { return frames_ << shift_; }
+
+  /// Signal g read at 0-based frame `frame0`, followed through kept-register
+  /// aliases to its node (cones are not consulted).
+  GateId resolve(size_t frame0, GateId g) const {
+    while (frame0 > 0 && kept_[g]) {
+      g = m_->reg_data(g);
+      --frame0;
+    }
+    return id(frame0, g);
+  }
+
   /// M's gate type, except that a register outside the set reads as Input
   /// and a kept (frame-1) register as its initial value: Const0, Const1, or
   /// Input when X-initialized.
@@ -90,6 +89,41 @@ class FrameView {
     }
     return GateType::Input;
   }
+
+ protected:
+  GateId gate_of(GateId node) const { return node & mask_; }
+  GateId id(size_t frame0, GateId g) const {
+    return static_cast<GateId>(frame0 << shift_) | g;
+  }
+
+  const TopoIndex* t_;
+  const Netlist* m_;
+  size_t frames_ = 0;
+  unsigned shift_ = 0;
+  GateId mask_ = 0;
+  std::vector<bool> kept_;  // kept_[g]: g is a kept register
+};
+
+class FrameView : public FrameNodes {
+ public:
+  /// The view over the frames of `nodes`, restricted per frame to the cone
+  /// of `needed[f-1]` (signals required at frame f) plus whatever the later
+  /// frames need from it.
+  FrameView(FrameNodes nodes, const std::vector<std::vector<GateId>>& needed);
+
+  /// The node carrying signal g of M at 1-based `frame`, resolving register
+  /// aliases; kNullGate when g is outside that frame's cone.
+  GateId node(size_t frame, GateId g) const;
+
+  /// Nodes of the view: cone members of every frame except aliased
+  /// registers.
+  size_t cone_nodes() const;
+  /// Heap bytes held by the view (cone bitsets, register set, buffers); the
+  /// shared TopoIndex is not counted.
+  size_t heap_bytes() const;
+
+  // --- graph interface of the ATPG engines (see NetlistGraph): slots() and
+  // type() as FrameNodes, and:
 
   /// A node's fanins in M's fanin order, each resolved to its node.
   class Fanins {
@@ -137,34 +171,20 @@ class FrameView {
       for (GateId r : next_aliases_)
         visit_readers(f0, r, [&](GateId reader) { merged_.push_back(reader); });
       std::sort(merged_.begin(), merged_.end(), [&](GateId a, GateId b) {
-        return rank_[gate_of(a)] < rank_[gate_of(b)];
+        return t_->rank[gate_of(a)] < t_->rank[gate_of(b)];
       });
       for (GateId reader : merged_) fn(reader);
     }
   }
 
  private:
-  GateId gate_of(GateId node) const { return node & mask_; }
-  GateId id(size_t frame0, GateId g) const {
-    return static_cast<GateId>(frame0 << shift_) | g;
-  }
-  /// Signal g read at 0-based frame `frame0`, followed through kept-register
-  /// aliases to its node.
-  GateId resolve(size_t frame0, GateId g) const {
-    while (frame0 > 0 && kept_[g]) {
-      g = m_->reg_data(g);
-      --frame0;
-    }
-    return id(frame0, g);
-  }
   /// Readers of g at frame0: combinational ones in the cone go to fn, the
   /// kept registers in the next frame's cone to aliases_. A register outside
   /// the set reads nothing.
   template <class F>
   void visit_readers(size_t frame0, GateId g, F&& fn) const {
     const std::vector<bool>& cone = cone_[frame0];
-    for (uint32_t i = offsets_[g]; i < offsets_[g + 1]; ++i) {
-      const GateId reader = readers_[i];
+    for (const GateId reader : t_->readers[g]) {
       if (m_->is_reg(reader)) {
         if (kept_[reader] && frame0 + 1 < frames_ && cone_[frame0 + 1][reader])
           aliases_.push_back(reader);
@@ -174,16 +194,7 @@ class FrameView {
     }
   }
 
-  const Netlist* m_;
-  size_t frames_ = 0;
-  unsigned shift_ = 0;
-  GateId mask_ = 0;
-  size_t cone_nodes_ = 0;
-  std::vector<bool> kept_;               // kept_[g]: g is a kept register
   std::vector<std::vector<bool>> cone_;  // cone_[f-1][g]
-  std::vector<uint32_t> rank_;           // position in topo_order(M)
-  std::vector<uint32_t> offsets_;        // CSR over M: readers of g are
-  std::vector<GateId> readers_;          // readers_[offsets_[g], offsets_[g+1])
   std::vector<GateId> const_sources_;    // Const cells, binary-init kept registers
   // Buffers for_each_fanout reuses across calls.
   mutable std::vector<GateId> aliases_, next_aliases_, merged_;

@@ -9,12 +9,13 @@ namespace rfn {
 
 namespace {
 
-/// One flush per sequential solve ("atpg.seq.*"). The embedded
-/// justification call reports its own search effort under "atpg.comb.*";
-/// the sequential tier counts solves, solved depths and outcomes.
-void record_seq_metrics(const SeqAtpgResult& res, size_t cycles) {
+/// One flush per sequential solve ("atpg.seq.*"). The embedded justification
+/// call reports its own search effort under "atpg.comb.*"; the sequential tier
+/// counts solves, early refutations, solved depths and outcomes.
+void record_seq_metrics(const SeqAtpgResult& res, size_t cycles, bool refuted_early) {
   MetricsRegistry& m = MetricsRegistry::global();
   m.counter("atpg.seq.calls").add(1);
+  m.counter("atpg.seq.refuted_early").add(refuted_early ? 1 : 0);
   m.counter("atpg.seq.backtracks").add(res.backtracks);
   m.counter("atpg.seq.decisions").add(res.decisions);
   m.counter("atpg.seq.cycles_searched").add(cycles);
@@ -25,8 +26,9 @@ void record_seq_metrics(const SeqAtpgResult& res, size_t cycles) {
   }
 }
 
-SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, std::span<const GateId> kept,
-                                     const std::vector<Cube>& cubes, const AtpgOptions& opt) {
+SeqAtpgResult solve_cycle_cubes_impl(const TopoIndex& m, std::span<const GateId> kept,
+                                     const std::vector<Cube>& cubes, const AtpgOptions& opt,
+                                     bool* refuted_early) {
   SeqAtpgResult res;
   const size_t k = cubes.size();
   RFN_CHECK(k >= 1, "solve_cycle_cubes with no cycles");
@@ -35,37 +37,30 @@ SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, std::span<const GateId> k
   // justification search polls the same token per backtrack.
   if (should_stop(opt.cancel)) return res;  // status stays Abort
 
+  // Map the cycle cubes onto their nodes before any cone is built. A
+  // literal on a constant node (a constant of M, or a kept register's hard
+  // initial value) is checked here; a mismatch, or two cycle cubes demanding
+  // opposite values of one node (aliasing through registers), is a
+  // definitive Unsat.
+  FrameNodes nodes(m, k, kept);
   std::vector<std::vector<GateId>> needed(k);
-  for (size_t f = 0; f < k; ++f)
-    for (const Literal& lit : cubes[f]) needed[f].push_back(lit.signal);
-
-  const FrameView view(m, needed, kept);
-
-  // Map the cycle cubes onto the view's nodes. A literal on a constant node
-  // (a constant of M, or a kept register's hard initial value) is checked
-  // immediately; a mismatch is a definitive Unsat.
   Cube targets;
-  for (size_t f = 1; f <= k; ++f) {
-    for (const Literal& lit : cubes[f - 1]) {
-      const GateId node = view.node(f, lit.signal);
-      RFN_CHECK(node != kNullGate, "needed signal outside the frame cone");
-      const GateType t = view.type(node);
-      if (t == GateType::Const0 || t == GateType::Const1) {
-        if ((t == GateType::Const1) != lit.value) {
-          res.status = AtpgStatus::Unsat;
-          return res;
-        }
-        continue;
-      }
-      if (!cube_add(targets, {node, lit.value})) {
-        // Two cycle cubes demand opposite values of the same node (aliasing
-        // through registers): unsatisfiable.
+  for (size_t f0 = 0; f0 < k; ++f0) {
+    for (const Literal& lit : cubes[f0]) {
+      needed[f0].push_back(lit.signal);
+      const GateId node = nodes.resolve(f0, lit.signal);
+      const GateType t = nodes.type(node);
+      const bool is_const = t == GateType::Const0 || t == GateType::Const1;
+      if (is_const ? (t == GateType::Const1) != lit.value
+                   : !cube_add(targets, {node, lit.value})) {
         res.status = AtpgStatus::Unsat;
+        *refuted_early = true;
         return res;
       }
     }
   }
 
+  const FrameView view(std::move(nodes), needed);
   CombAtpgResult comb = justify(view, targets, opt);
   res.status = comb.status;
   res.backtracks = comb.backtracks;
@@ -78,13 +73,13 @@ SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, std::span<const GateId> k
   res.trace.steps.resize(k);
   for (size_t f = 1; f <= k; ++f) {
     TraceStep& step = res.trace.steps[f - 1];
-    for (GateId r : m.regs()) {
+    for (GateId r : m.net.regs()) {
       const GateId node = view.node(f, r);
       if (node == kNullGate) continue;
       const Tri v = comb.valuation[node];
       if (v != Tri::X) step.state.push_back({r, v == Tri::T});
     }
-    for (GateId in : m.inputs()) {
+    for (GateId in : m.net.inputs()) {
       const GateId node = view.node(f, in);
       if (node == kNullGate) continue;
       const Tri v = comb.valuation[node];
@@ -96,21 +91,22 @@ SeqAtpgResult solve_cycle_cubes_impl(const Netlist& m, std::span<const GateId> k
 
 }  // namespace
 
-SeqAtpgResult solve_cycle_cubes(const Netlist& m, std::span<const GateId> kept,
+SeqAtpgResult solve_cycle_cubes(const TopoIndex& m, std::span<const GateId> kept,
                                 const std::vector<Cube>& cubes, const AtpgOptions& opt) {
   Span span("atpg.seq");
-  SeqAtpgResult res = solve_cycle_cubes_impl(m, kept, cubes, opt);
+  bool refuted_early = false;
+  SeqAtpgResult res = solve_cycle_cubes_impl(m, kept, cubes, opt, &refuted_early);
   span.annotate("status", to_string(res.status));
-  record_seq_metrics(res, cubes.size());
+  record_seq_metrics(res, cubes.size(), refuted_early);
   return res;
 }
 
-SeqAtpgResult solve_cycle_cubes(const Netlist& m, const std::vector<Cube>& cubes,
+SeqAtpgResult solve_cycle_cubes(const TopoIndex& m, const std::vector<Cube>& cubes,
                                 const AtpgOptions& opt) {
-  return solve_cycle_cubes(m, m.regs(), cubes, opt);
+  return solve_cycle_cubes(m, m.net.regs(), cubes, opt);
 }
 
-SeqAtpgResult reach_target(const Netlist& m, size_t cycles, GateId target, bool value,
+SeqAtpgResult reach_target(const TopoIndex& m, size_t cycles, GateId target, bool value,
                            const std::vector<Cube>& guidance, const AtpgOptions& opt) {
   RFN_CHECK(guidance.empty() || guidance.size() == cycles,
             "guidance must cover every cycle");

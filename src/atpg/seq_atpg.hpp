@@ -10,18 +10,18 @@
 // an abstract model is M with the registers outside its set turned into
 // free inputs (core/concretize.hpp builds the cubes from an abstract trace).
 //
-// Each call builds a FrameView of M over k frames, keeping the given
-// registers, restricted to the cubes' cones (frame_view.hpp) and justifies
-// the cubes' literals on its nodes. A literal on a constant node (a constant
-// of M, or a binary-initialized kept register at cycle 1, directly or
-// through register aliases) is checked before the search; two literals that
-// alias one node with opposite values are Unsat. The trace is read back from
-// the view's valuation.
+// Each call maps the cubes' literals to (frame, gate) nodes first (FrameNodes,
+// frame_view.hpp). A literal that contradicts a constant node (a constant of
+// M, or a binary-initialized kept register at cycle 1, directly or through
+// register aliases), or two that alias one node with opposite values, answer
+// Unsat before any view is built ("atpg.seq.refuted_early"). Otherwise the
+// literals are justified on a FrameView over M's TopoIndex, restricted to
+// the cubes' cones, and the trace is read back from its valuation.
 
 #include <span>
 
 #include "atpg/comb_atpg.hpp"
-#include "netlist/netlist.hpp"
+#include "netlist/analysis.hpp"
 
 namespace rfn {
 
@@ -41,16 +41,16 @@ struct SeqAtpgResult {
 /// and/or internal signals of that cycle). The design read is M with only
 /// the registers in `kept` kept; every other register is a free input at
 /// every cycle, as in an extracted abstract model.
-SeqAtpgResult solve_cycle_cubes(const Netlist& m, std::span<const GateId> kept,
+SeqAtpgResult solve_cycle_cubes(const TopoIndex& m, std::span<const GateId> kept,
                                 const std::vector<Cube>& cubes, const AtpgOptions& opt = {});
 
 /// The same over M itself: every register kept.
-SeqAtpgResult solve_cycle_cubes(const Netlist& m, const std::vector<Cube>& cubes,
+SeqAtpgResult solve_cycle_cubes(const TopoIndex& m, const std::vector<Cube>& cubes,
                                 const AtpgOptions& opt = {});
 
 /// Convenience: is there a k-cycle trace reaching `target`=value at cycle k,
 /// subject to optional per-cycle guidance cubes (empty = unguided)?
-SeqAtpgResult reach_target(const Netlist& m, size_t cycles, GateId target, bool value,
+SeqAtpgResult reach_target(const TopoIndex& m, size_t cycles, GateId target, bool value,
                            const std::vector<Cube>& guidance = {},
                            const AtpgOptions& opt = {});
 

@@ -266,7 +266,8 @@ CheckResult check_fails(const Netlist& m, const Certificate& c) {
     res.detail = "fails-trace certificate carries an empty trace";
     return res;
   }
-  Sim3 sim(m);
+  const TopoIndex topo(m);
+  Sim3 sim(topo);
   sim.load_initial_state();
   for (const Literal& lit : c.trace.steps[0].state)  // X-init regs take the pins
     if (lit.signal < m.size() && m.is_reg(lit.signal) && sim.value(lit.signal) == Tri::X)

@@ -28,7 +28,7 @@ BfsBaselineResult bfs_coverage_analysis(const Netlist& m,
       included.push_back(r);
   }
   const std::vector<GateId> roots(coverage_regs.begin(), coverage_regs.end());
-  const Subcircuit sub = extract_abstract_model(m, roots, included);
+  const Subcircuit sub = extract_abstract_model(TopoIndex(m), roots, included);
   res.abstract_regs = sub.net.num_regs();
 
   // The token outlives the manager that polls it.

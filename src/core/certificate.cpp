@@ -40,7 +40,7 @@ CertificateBuild build_holds_certificate(const Netlist& m, GateId bad,
   res.certificate.kind = cert::CertKind::HoldsInvariant;
   fill_design(m, bad, property_name, &res.certificate);
 
-  const Subcircuit sub = extract_abstract_model(m, {bad}, included_regs);
+  const Subcircuit sub = extract_abstract_model(TopoIndex(m), {bad}, included_regs);
   const GateId bad_new = sub.to_new(bad);
   if (bad_new == kNullGate)
     return failed(std::move(res), "property signal missing from the abstraction");

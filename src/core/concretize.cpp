@@ -2,7 +2,7 @@
 
 namespace rfn {
 
-SeqAtpgResult solve_abstract_trace(const Netlist& m, std::span<const GateId> kept,
+SeqAtpgResult solve_abstract_trace(const TopoIndex& m, std::span<const GateId> kept,
                                    const Trace& abs_trace, GateId bad,
                                    const AtpgOptions& opt) {
   RFN_CHECK(!abs_trace.empty(), "ATPG question of an empty abstract trace");

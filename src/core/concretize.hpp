@@ -17,11 +17,11 @@
 namespace rfn {
 
 /// Is there a trace of abs_trace.cycles() cycles, over M keeping only the
-/// registers in `kept` (m.regs() for M itself), that meets every literal of
+/// registers in `kept` (m.net.regs() for M itself), that meets every literal of
 /// `abs_trace` (state and input cubes, M ids; the input cubes may assign
 /// cut registers) at its cycle and, unless `bad` is kNullGate, raises `bad`
 /// at the last cycle? Sat carries the trace (see SeqAtpgResult).
-SeqAtpgResult solve_abstract_trace(const Netlist& m, std::span<const GateId> kept,
+SeqAtpgResult solve_abstract_trace(const TopoIndex& m, std::span<const GateId> kept,
                                    const Trace& abs_trace, GateId bad,
                                    const AtpgOptions& opt);
 

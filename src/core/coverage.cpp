@@ -89,10 +89,11 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
   const std::vector<GateId> roots(coverage_regs.begin(), coverage_regs.end());
 
   SavedOrder saved_order;
+  const TopoIndex topo(m);  // shared by every extraction, ATPG call and replay
   auto mark_trace_reachable = [&](const Trace& t) {
     // Complete the (possibly partial) concrete trace deterministically and
     // record the coverage state of every cycle as reachable.
-    Sim3 sim(m);
+    Sim3 sim(topo);
     sim.load_initial_state();
     for (GateId r : m.regs())
       if (sim.value(r) == Tri::X)
@@ -125,7 +126,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
 
     std::sort(included.begin(), included.end());
     included.erase(std::unique(included.begin(), included.end()), included.end());
-    const Subcircuit sub = extract_abstract_model(m, roots, included);
+    const Subcircuit sub = extract_abstract_model(topo, roots, included);
 
     BddMgr mgr;
     const PublishOnExit publish{mgr};
@@ -195,7 +196,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
       // The "bad" signal for coverage is implicit (a specific coverage
       // state); concretization targets the final state cube directly.
       const SeqAtpgResult seq =
-          solve_abstract_trace(m, m.regs(), abs_trace, /*bad=*/kNullGate, atpg_opt);
+          solve_abstract_trace(topo, m.regs(), abs_trace, /*bad=*/kNullGate, atpg_opt);
       if (seq.status == AtpgStatus::Sat) {
         mark_trace_reachable(seq.trace);
         // Exclude the targeted coverage state from this iteration's
@@ -207,7 +208,7 @@ CoverageResult rfn_coverage_analysis(const Netlist& m,
         // refinement replay is not a single wire; pass the coverage target
         // via trace satisfiability on the final state cube only.
         const std::vector<GateId> crucial = identify_crucial_registers(
-            m, /*bad=*/kNullGate, included, abs_trace, atpg_opt);
+            topo, /*bad=*/kNullGate, included, abs_trace, atpg_opt);
         if (!crucial.empty()) {
           for (GateId r : crucial) included.push_back(r);
           refined = true;

@@ -16,60 +16,77 @@ constexpr size_t kMaxFallbackCandidates = 8;
 
 }  // namespace
 
-std::vector<GateId> crucial_candidates_by_simulation(const Netlist& m,
+std::vector<GateId> crucial_candidates_by_simulation(const TopoIndex& topo,
                                                      const Trace& abs_trace,
                                                      const std::vector<GateId>& current_regs,
                                                      RefineStats* stats) {
+  const Netlist& m = topo.net;
+  const size_t k = abs_trace.steps.size();
   std::vector<bool> in_model(m.size(), false);
   for (GateId r : current_regs) in_model[r] = true;
 
-  // The trace assigns register values through both the state cube (kept
-  // registers) and the input cube (cut registers appear as abstract-model
-  // inputs).
-  auto trace_reg_value = [&](const TraceStep& step, GateId r) -> Tri {
-    const Tri s = cube_lookup(step.state, r);
-    if (s != Tri::X) return s;
-    return cube_lookup(step.inputs, r);
-  };
+  // The trace pins registers in the state cube (kept ones) and the input
+  // cube (cut ones); the state cube wins. pins[c] lists cycle c's in
+  // m.regs() order; cycle 0's are loaded below, never compared.
+  std::vector<Cube> pins(k);
+  for (size_t c = 1; c < k; ++c) {
+    for (const Cube* cube : {&abs_trace.steps[c].state, &abs_trace.steps[c].inputs})
+      for (const Literal& lit : *cube)
+        if (m.is_reg(lit.signal)) cube_add(pins[c], lit);
+    std::sort(pins[c].begin(), pins[c].end(),
+              [](const Literal& a, const Literal& b) { return a.signal < b.signal; });
+  }
+
+  // The replay reads a simulated register only where the trace pins it
+  // outside the model at a cycle c > 0, and it reads its data net at cycle
+  // c-1. So cycle c-1 evaluates only the cone of those data nets and of the
+  // data nets of the unpinned registers that carry values into cycle c's.
+  std::vector<std::vector<GateId>> cones(k);  // cycle c's gates, topo order
+  std::vector<bool> cone(m.size(), false), pinned;  // cone: cycle c's
+  std::vector<GateId> roots;
+  for (size_t c = k; c-- > 1;) {
+    pinned.assign(m.size(), false);
+    roots.clear();
+    for (const Literal& lit : pins[c]) {
+      pinned[lit.signal] = true;
+      if (!in_model[lit.signal]) roots.push_back(m.reg_data(lit.signal));
+    }
+    for (GateId r : m.regs())
+      if (cone[r] && !pinned[r]) roots.push_back(m.reg_data(r));
+    cone = comb_fanin_cone(m, roots);
+    for (GateId g : topo.comb_order())
+      if (cone[g]) cones[c - 1].push_back(g);
+  }
 
   std::vector<GateId> candidates;
   std::vector<bool> is_candidate(m.size(), false);
 
-  Sim3 sim(m);
+  Sim3 sim(topo);
   // Paper: initialize with the beginning state of the abstract model;
   // everything unassigned is X (not M's reset values — the replay follows
   // the abstract trace, which may start anywhere the abstract init allows).
-  for (GateId r : m.regs()) sim.set(r, Tri::X);
   for (const Literal& lit : abs_trace.steps[0].state) sim.set(lit.signal, tri_of(lit.value));
   for (const Literal& lit : abs_trace.steps[0].inputs)
     if (m.is_reg(lit.signal)) sim.set(lit.signal, tri_of(lit.value));
 
-  for (size_t c = 0; c < abs_trace.steps.size(); ++c) {
-    const TraceStep& step = abs_trace.steps[c];
-    if (c > 0) {
-      // Compare the simulated register values against the trace's
-      // assignments for this cycle; binary disagreement on an out-of-model
-      // register flags it, then the trace value wins.
-      for (GateId r : m.regs()) {
-        const Tri want = trace_reg_value(step, r);
-        if (want == Tri::X) continue;
-        const Tri have = sim.value(r);
-        if (have != Tri::X && have != want) {
-          if (!in_model[r] && !is_candidate[r]) {
-            is_candidate[r] = true;
-            candidates.push_back(r);
-          }
-          sim.set(r, want);
-        } else if (have == Tri::X) {
-          sim.set(r, want);
-        }
+  for (size_t c = 0; c < k; ++c) {
+    // Compare the simulated register values against the trace's pins for
+    // this cycle; binary disagreement on an out-of-model register flags it,
+    // then the trace value wins.
+    for (const Literal& lit : pins[c]) {
+      const Tri have = sim.value(lit.signal);
+      if (have != Tri::X && have != tri_of(lit.value) && !in_model[lit.signal] &&
+          !is_candidate[lit.signal]) {
+        is_candidate[lit.signal] = true;
+        candidates.push_back(lit.signal);
       }
+      sim.set(lit.signal, tri_of(lit.value));
     }
     sim.clear_inputs();
-    for (const Literal& lit : step.inputs)
+    for (const Literal& lit : abs_trace.steps[c].inputs)
       if (m.is_input(lit.signal)) sim.set(lit.signal, tri_of(lit.value));
-    sim.eval();
-    if (c + 1 < abs_trace.steps.size()) sim.step();
+    sim.eval(cones[c]);
+    if (c + 1 < k) sim.step();
   }
 
   if (!candidates.empty()) {
@@ -95,7 +112,7 @@ std::vector<GateId> crucial_candidates_by_simulation(const Netlist& m,
   return candidates;
 }
 
-std::vector<GateId> identify_crucial_registers(const Netlist& m, GateId bad,
+std::vector<GateId> identify_crucial_registers(const TopoIndex& m, GateId bad,
                                                const std::vector<GateId>& current_regs,
                                                const Trace& abs_trace,
                                                const AtpgOptions& atpg_opt,

@@ -7,6 +7,9 @@
 //   abstract model whose simulated value *conflicts* with the value the
 //   trace assumed for it is a crucial-register candidate; after flagging,
 //   the trace value overrides the simulated one and the replay continues.
+//   Each cycle evaluates only the backward cone of the next cycle's
+//   comparisons (and of the unpinned registers carrying values into it), so
+//   the candidates are those of a replay of all of M.
 //   If no conflict arises, the registers appearing most often in the trace
 //   are taken instead (24 of the 37 refinements of CI's four builtin suites
 //   take this path).
@@ -39,7 +42,7 @@ struct RefineStats {
 /// the abstract model), in discovery order. The conflict path or the
 /// frequency fallback (at most eight registers) found them; `stats`, when
 /// given, counts them under that path.
-std::vector<GateId> crucial_candidates_by_simulation(const Netlist& m,
+std::vector<GateId> crucial_candidates_by_simulation(const TopoIndex& m,
                                                      const Trace& abs_trace,
                                                      const std::vector<GateId>& current_regs,
                                                      RefineStats* stats = nullptr);
@@ -49,7 +52,7 @@ std::vector<GateId> crucial_candidates_by_simulation(const Netlist& m,
 /// signal an error trace must raise, or kNullGate when the trace's last
 /// state cube is itself the target (coverage). Every phase-2 ATPG call runs
 /// under `atpg_opt`: the run's own cancel token and budget.
-std::vector<GateId> identify_crucial_registers(const Netlist& m, GateId bad,
+std::vector<GateId> identify_crucial_registers(const TopoIndex& m, GateId bad,
                                                const std::vector<GateId>& current_regs,
                                                const Trace& abs_trace,
                                                const AtpgOptions& atpg_opt,

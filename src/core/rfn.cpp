@@ -59,6 +59,8 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
   // next iteration's manager (Section 2.2), and dies with the run.
   SavedOrder saved_order;
 
+  // M's topological tables, shared by Steps 1, 3 and 4 of every iteration.
+  const TopoIndex topo(m);
   const std::vector<GateId> roots{bad};
   std::vector<GateId> included = initial_abstraction_registers(m, roots);
 
@@ -98,7 +100,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
 
     // --- Step 1: abstract model ---
     std::sort(included.begin(), included.end());
-    const Subcircuit sub = extract_abstract_model(m, roots, included);
+    const Subcircuit sub = extract_abstract_model(topo, roots, included);
     it.abstract_regs = sub.net.num_regs();
     it.abstract_inputs = sub.net.num_inputs();
     it.abstract_gates = sub.net.num_gates();
@@ -200,7 +202,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
     atpg_opt.cancel = cancel;
     const Stopwatch conc_watch;
     Span conc_span("concretize");
-    SeqAtpgResult conc = solve_abstract_trace(m, m.regs(), abs_trace, bad, atpg_opt);
+    SeqAtpgResult conc = solve_abstract_trace(topo, m.regs(), abs_trace, bad, atpg_opt);
     conc_span.end();
     it.concretize_seconds = conc_watch.seconds();
     it.concretize_status = conc.status;
@@ -216,7 +218,7 @@ RfnResult run_property(const Netlist& m, GateId bad, const RfnOptions& opt) {
       break;
     }
     const std::vector<GateId> crucial =
-        identify_crucial_registers(m, bad, included, abs_trace, atpg_opt, &it.refine);
+        identify_crucial_registers(topo, bad, included, abs_trace, atpg_opt, &it.refine);
     finish_iteration();
     if (crucial.empty()) {
       result.note = stop_note("refinement produced no crucial registers");

@@ -10,8 +10,8 @@
 namespace rfn::designs {
 
 const std::vector<std::string>& builtin_names() {
-  static const std::vector<std::string> kNames = {"fifo", "processor", "iu",
-                                                  "usb"};
+  static const std::vector<std::string> kNames = {"fifo", "processor", "processor@paper",
+                                                  "iu", "usb"};
   return kNames;
 }
 
@@ -19,14 +19,14 @@ Netlist make_builtin(const std::string& name, bool* ok) {
   *ok = true;
   if (name == "fifo")
     return make_fifo({.addr_bits = 3, .data_bits = 2}).netlist;
-  if (name == "processor") {
+  if (name == "processor" || name == "processor@paper") {
     ProcessorParams p;
     p.units = 4;
     p.pipe_depth = 4;
     p.pipe_width = 4;
     p.result_regs = 8;
     p.counter_bits = 4;
-    ProcessorDesign d = make_processor(p);
+    ProcessorDesign d = make_processor(name == "processor" ? p : paper_scale_processor());
     d.netlist.add_output("bad_mutex", d.bad_mutex);
     d.netlist.add_output("error_flag", d.error_flag);
     return std::move(d.netlist);

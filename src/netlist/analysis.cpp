@@ -59,6 +59,16 @@ FanoutTable fanout_lists(const Netlist& n) {
   return t;
 }
 
+TopoIndex::TopoIndex(const Netlist& n) : net(n), order(topo_order(n)), rank(n.size()) {
+  for (uint32_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
+  while (sources < order.size() && !n.is_comb(order[sources])) ++sources;
+  readers = fanout_lists(n);
+  for (GateId g = 0; g < n.size(); ++g)
+    std::sort(readers.edges.begin() + readers.offsets[g],
+              readers.edges.begin() + readers.offsets[g + 1],
+              [&](GateId a, GateId b) { return rank[a] < rank[b]; });
+}
+
 std::vector<bool> comb_fanin_cone(const Netlist& n, const std::vector<GateId>& roots) {
   std::vector<bool> mask(n.size(), false);
   std::vector<GateId> stack;

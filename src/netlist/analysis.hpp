@@ -39,6 +39,25 @@ struct FanoutTable {
 
 FanoutTable fanout_lists(const Netlist& n);
 
+/// A design's topological tables, built once per design by the run that
+/// verifies it and shared read-only by every FrameView, Sim3 and abstract-
+/// model extraction over it: topo_order(net), each cell's rank in it, and
+/// each cell's fanout list in rank order. `net` must outlive the index.
+struct TopoIndex {
+  explicit TopoIndex(const Netlist& n);
+  explicit TopoIndex(Netlist&&) = delete;  // `net` is kept by reference
+
+  const Netlist& net;
+  std::vector<GateId> order;   // topo_order(net)
+  size_t sources = 0;          // order[0, sources): every non-combinational cell
+  std::vector<uint32_t> rank;  // rank[order[i]] == i
+  FanoutTable readers;         // readers[g] in rank order
+
+  std::span<const GateId> comb_order() const {
+    return std::span(order).subspan(sources);
+  }
+};
+
 /// Transitive fanin of `roots` *through combinational gates only*: traversal
 /// stops at (and includes) registers, primary inputs, and constants.
 /// Returns a membership mask indexed by GateId. This is the paper's

@@ -30,9 +30,10 @@ Trace Subcircuit::trace_to_old(const Trace& t) const {
   return out;
 }
 
-Subcircuit extract_abstract_model(const Netlist& m,
+Subcircuit extract_abstract_model(const TopoIndex& topo,
                                   const std::vector<GateId>& property_roots,
                                   const std::vector<GateId>& included_regs) {
+  const Netlist& m = topo.net;
   std::vector<bool> included(m.size(), false);
   for (GateId r : included_regs) {
     RFN_CHECK(m.is_reg(r), "included gate %u is not a register", r);
@@ -80,8 +81,8 @@ Subcircuit extract_abstract_model(const Netlist& m,
 
   // Pass 2: combinational gates in topological order.
   std::vector<GateId> fanins;  // one gate's new fanins, reused
-  for (GateId g : topo_order(m)) {
-    if (!cone[g] || !m.is_comb(g)) continue;
+  for (GateId g : topo.comb_order()) {
+    if (!cone[g]) continue;
     fanins.clear();
     for (GateId f : m.fanins(g)) {
       const GateId nf = sub.to_new(f);
@@ -110,7 +111,7 @@ Subcircuit extract_abstract_model(const Netlist& m,
 }
 
 Subcircuit coi_reduce(const Netlist& m, const std::vector<GateId>& property_roots) {
-  return extract_abstract_model(m, property_roots, coi_registers(m, property_roots));
+  return extract_abstract_model(TopoIndex(m), property_roots, coi_registers(m, property_roots));
 }
 
 Subcircuit extract_with_cut(const Netlist& m, const std::vector<GateId>& roots,

@@ -12,7 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "netlist/netlist.hpp"
+#include "netlist/analysis.hpp"
 
 namespace rfn {
 
@@ -52,8 +52,8 @@ class Subcircuit {
 /// Builds the abstract model containing `included_regs` (original register
 /// ids) plus the combinational fanin cones of `property_roots` and of the
 /// included registers' data inputs. Signal names and outputs present in the
-/// cone are carried over.
-Subcircuit extract_abstract_model(const Netlist& m,
+/// cone are carried over. M's gates are read in the order of its TopoIndex.
+Subcircuit extract_abstract_model(const TopoIndex& m,
                                   const std::vector<GateId>& property_roots,
                                   const std::vector<GateId>& included_regs);
 

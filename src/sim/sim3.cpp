@@ -1,12 +1,10 @@
 #include "sim/sim3.hpp"
 
-#include "netlist/analysis.hpp"
-
 namespace rfn {
 
-Sim3::Sim3(const Netlist& n) : n_(&n), vals_(n.size(), Tri::X) {
-  for (GateId g : topo_order(n))
-    if (n.is_comb(g) || n.is_const(g)) order_.push_back(g);
+Sim3::Sim3(const TopoIndex& t) : n_(&t.net), comb_(t.comb_order()), vals_(n_->size(), Tri::X) {
+  for (GateId g = 0; g < n_->size(); ++g)
+    if (n_->is_const(g)) vals_[g] = tri_of(n_->type(g) == GateType::Const1);
 }
 
 void Sim3::set(GateId g, Tri v) {
@@ -27,12 +25,12 @@ void Sim3::load_initial_state() {
   for (GateId r : n_->regs()) vals_[r] = n_->reg_init(r);
 }
 
-void Sim3::eval() {
+void Sim3::eval(std::span<const GateId> gates) {
   Tri buf[8];
   std::vector<Tri> wide;
   stopped_ = false;
   size_t batch = 0;
-  for (GateId g : order_) {
+  for (GateId g : gates) {
     // Step-boundary poll every 1024 gates; cheap enough to leave in the
     // non-cancellable path (cancel_ is almost always null).
     if ((batch++ & 0x3FF) == 0 && should_stop(cancel_)) {
@@ -72,7 +70,8 @@ void Sim3::step() {
 
 Tri simulate_trace(const Netlist& n, const Trace& trace, GateId signal,
                    const CancelToken* cancel) {
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.set_should_stop(cancel);
   sim.load_initial_state();
   for (size_t cycle = 0; cycle < trace.steps.size(); ++cycle) {

@@ -8,16 +8,19 @@
 // plain gates and optimistic for muxes (see eval_gate3), so a binary value
 // produced under X inputs is guaranteed for every completion of the Xs.
 
+#include <span>
 #include <vector>
 
-#include "netlist/netlist.hpp"
+#include "netlist/analysis.hpp"
 #include "util/cancel.hpp"
 
 namespace rfn {
 
 class Sim3 {
  public:
-  explicit Sim3(const Netlist& n);
+  /// Simulates t.net in t's topological order; `t` must outlive it.
+  explicit Sim3(const TopoIndex& t);
+  explicit Sim3(TopoIndex&&) = delete;
 
   const Netlist& netlist() const { return *n_; }
 
@@ -39,7 +42,9 @@ class Sim3 {
   void load_initial_state();
 
   /// Evaluates all combinational gates in topological order.
-  void eval();
+  void eval() { eval(comb_); }
+  /// Evaluates only `gates` (listed fanins first); the rest keep their values.
+  void eval(std::span<const GateId> gates);
 
   Tri value(GateId g) const { return vals_[g]; }
   /// Reads the register state as a cube (X registers omitted).
@@ -51,7 +56,7 @@ class Sim3 {
 
  private:
   const Netlist* n_;
-  std::vector<GateId> order_;  // combinational gates only, topo order
+  std::span<const GateId> comb_;  // combinational gates, topo order
   std::vector<Tri> vals_;
   const CancelToken* cancel_ = nullptr;
   bool stopped_ = false;

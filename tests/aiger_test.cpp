@@ -108,7 +108,8 @@ TEST(AigerReader, ResetSemanticsMatchThreeValuedSimulation) {
   EXPECT_EQ(n.reg_init(n.find("one")), Tri::T);
   EXPECT_EQ(n.reg_init(n.find("wild")), Tri::X);
 
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   sim.eval();
   EXPECT_EQ(sim.value(n.find("zero")), Tri::F);
@@ -164,7 +165,8 @@ TEST(AigerReader, ConstraintsFoldIntoProperties) {
   EXPECT_NE(n.find("_aiger_constraints_ok"), kNullGate);
   // Unconstrained, bad = t fires at cycle 1 (the latch toggles from 0).
   // Folded as t AND ok AND ~t it can never fire: simulate a few cycles.
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   for (int cycle = 0; cycle < 4; ++cycle) {
     sim.clear_inputs();
@@ -203,7 +205,8 @@ TEST(AigerWriter, RoundTripIsIdempotentOnTheDesignHash) {
   const GateId bad2 = d2.netlist.output("bad");
   ASSERT_NE(bad2, kNullGate);
   for (int bits = 0; bits < 16; ++bits) {
-    Sim3 s1(m), s2(d2.netlist);
+    const TopoIndex t1(m), t2(d2.netlist);
+    Sim3 s1(t1), s2(t2);
     auto drive = [bits](Sim3& s, const Netlist& n) {
       s.set(n.find("i0"), tri_of(bits & 1));
       s.set(n.find("i1"), tri_of(bits & 2));

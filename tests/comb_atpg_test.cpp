@@ -22,7 +22,8 @@ namespace {
 // simulation must reproduce every target literal.
 void check_model(const Netlist& n, const Cube& targets, const CombAtpgResult& res) {
   ASSERT_EQ(res.status, AtpgStatus::Sat);
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   for (GateId g : n.regs()) sim.set(g, Tri::X);
   for (const Literal& lit : res.free_assignment) sim.set(lit.signal, tri_of(lit.value));
   sim.eval();
@@ -138,7 +139,8 @@ TEST_P(CombAtpgRandom, AgreesWithExhaustiveEnumeration) {
     ASSERT_NE(res.status, AtpgStatus::Abort);
 
     // Exhaustive ground truth via simulation.
-    Sim3 sim(n);
+    const TopoIndex topo(n);
+    Sim3 sim(topo);
     bool sat = false;
     for (uint32_t p = 0; p < (1u << num_inputs) && !sat; ++p) {
       size_t idx = 0;
@@ -187,7 +189,8 @@ std::vector<SearchPin> comb_trajectories() {
     out.push_back({r.status, r.decisions, r.backtracks, fnv_cube(r.free_assignment)});
   };
   Rng rng(20261017);
-  for (const std::string& design : designs::builtin_names()) {
+  // The four small builtins, not builtin_names(): the pins below are theirs.
+  for (const std::string design : {"fifo", "processor", "iu", "usb"}) {
     bool ok = false;
     const Netlist n = designs::make_builtin(design, &ok);
     Cube targets;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "atpg/seq_atpg.hpp"
 #include "core/bfs_baseline.hpp"
 #include "core/concretize.hpp"
@@ -19,13 +22,16 @@
 #include "sim/sim3.hpp"
 #include "util/rng.hpp"
 
+#include "random_netlist.hpp"
+
 namespace rfn {
 namespace {
 
 // Replays a concrete error trace on M: inputs driven per trace from M's
 // initial state; returns the final value of `bad`.
 Tri replay(const Netlist& m, const Trace& t, GateId bad) {
-  Sim3 sim(m);
+  const TopoIndex topo(m);
+  Sim3 sim(topo);
   sim.load_initial_state();
   for (GateId r : m.regs())
     if (sim.value(r) == Tri::X && !t.steps.empty())
@@ -132,7 +138,7 @@ TEST(Refine, SimulationFindsConflictingRegister) {
   t.steps[0].inputs = {{r1, false}};
   t.steps[1].inputs = {{r1, true}};  // conflicts: r1 is 0 from cycle 2 on
   t.steps[2].state = {{r2, true}};
-  const auto candidates = crucial_candidates_by_simulation(m, t, {r2});
+  const auto candidates = crucial_candidates_by_simulation(TopoIndex(m), t, {r2});
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0], r1);
 }
@@ -156,7 +162,7 @@ TEST(Refine, GreedyDropsRedundantCandidates) {
   t.steps[1].state = {{r2, true}};
 
   RefineStats st;
-  const auto crucial = identify_crucial_registers(m, m.output("bad"), {r2}, t, {}, &st);
+  const auto crucial = identify_crucial_registers(TopoIndex(m), m.output("bad"), {r2}, t, {}, &st);
   ASSERT_EQ(crucial.size(), 1u);
   EXPECT_EQ(crucial[0], r1);
   EXPECT_TRUE(st.trace_invalidated);
@@ -193,7 +199,7 @@ TEST(Refine, CancelledTokenReachesRefinementAtpg) {
   std::vector<GateId> crucial;
   {
     const MetricsScope scope(&reg);
-    crucial = identify_crucial_registers(m, m.output("bad"), {r2}, t, ao, &st);
+    crucial = identify_crucial_registers(TopoIndex(m), m.output("bad"), {r2}, t, ao, &st);
   }
   EXPECT_EQ(st.conflict_candidates, 2u);
   EXPECT_EQ(crucial.size(), 2u);
@@ -224,13 +230,120 @@ TEST(Refine, FallbackCandidatesAreCountedApart) {
   t.steps[2].state = {{r2, true}};
 
   RefineStats st;
-  const auto crucial = identify_crucial_registers(m, m.output("bad"), {r2}, t, {}, &st);
+  const auto crucial = identify_crucial_registers(TopoIndex(m), m.output("bad"), {r2}, t, {}, &st);
   EXPECT_EQ(st.conflict_candidates, 0u);
   EXPECT_EQ(st.fallback_candidates, 1u);
   // The trace is real once r1 is modeled (in=1 at cycle 1), so the fallback
   // candidate stays.
   EXPECT_FALSE(st.trace_invalidated);
   EXPECT_EQ(crucial, std::vector<GateId>{r1});
+}
+
+// Reference for the phase-1 replay: every cycle evaluates all of M, and
+// every register the trace pins is compared (after Section 2.4).
+std::vector<GateId> full_replay_candidates(const Netlist& m, const Trace& t,
+                                           const std::vector<GateId>& current,
+                                           RefineStats* stats) {
+  std::vector<bool> in_model(m.size(), false);
+  for (GateId r : current) in_model[r] = true;
+  auto trace_reg_value = [&](const TraceStep& step, GateId r) {
+    const Tri s = cube_lookup(step.state, r);
+    return s != Tri::X ? s : cube_lookup(step.inputs, r);
+  };
+  std::vector<GateId> candidates;
+  std::vector<bool> is_candidate(m.size(), false);
+  const TopoIndex topo(m);
+  Sim3 sim(topo);
+  for (const Literal& lit : t.steps[0].state) sim.set(lit.signal, tri_of(lit.value));
+  for (const Literal& lit : t.steps[0].inputs)
+    if (m.is_reg(lit.signal)) sim.set(lit.signal, tri_of(lit.value));
+  for (size_t c = 0; c < t.steps.size(); ++c) {
+    for (GateId r : m.regs()) {
+      const Tri want = c > 0 ? trace_reg_value(t.steps[c], r) : Tri::X;
+      if (want == Tri::X) continue;
+      const Tri have = sim.value(r);
+      if (have != Tri::X && have != want && !in_model[r] && !is_candidate[r]) {
+        is_candidate[r] = true;
+        candidates.push_back(r);
+      }
+      sim.set(r, want);
+    }
+    sim.clear_inputs();
+    for (const Literal& lit : t.steps[c].inputs)
+      if (m.is_input(lit.signal)) sim.set(lit.signal, tri_of(lit.value));
+    sim.eval();
+    if (c + 1 < t.steps.size()) sim.step();
+  }
+  if (!candidates.empty()) {
+    stats->conflict_candidates = candidates.size();
+    return candidates;
+  }
+  std::map<GateId, size_t> freq;
+  for (const TraceStep& step : t.steps)
+    for (const Cube* cube : {&step.state, &step.inputs})
+      for (const Literal& lit : *cube)
+        if (m.is_reg(lit.signal) && !in_model[lit.signal]) ++freq[lit.signal];
+  std::vector<std::pair<size_t, GateId>> ranked;
+  for (const auto& [r, f] : freq) ranked.emplace_back(f, r);
+  std::sort(ranked.rbegin(), ranked.rend());
+  for (const auto& [f, r] : ranked) {
+    candidates.push_back(r);
+    if (candidates.size() >= 8) break;
+  }
+  stats->fallback_candidates = candidates.size();
+  return candidates;
+}
+
+// Phase 1 evaluates only each cycle's backward cone. On random netlists
+// with X-initialized registers and register chains, random abstractions and
+// traces read off a Sim3 run (some literals flipped, some registers pinned
+// through the input cube as cut registers are), it must return what a
+// replay of all of M returns, counted the same way.
+TEST(Refine, ConeReplayMatchesFullReplay) {
+  Rng rng(20261021);
+  size_t conflicts = 0, fallbacks = 0;
+  for (int round = 0; round < 300; ++round) {
+    const Netlist m = random_netlist(rng, 1 + rng.below(3), 3 + rng.below(6),
+                                     static_cast<int>(rng.below(30)), /*x_init=*/true);
+    std::vector<GateId> current;
+    for (GateId r : m.regs())
+      if (rng.below(3) == 0) current.push_back(r);
+    const TopoIndex topo(m);
+    Sim3 sim(topo);
+    sim.load_initial_state();
+    for (GateId r : m.regs())
+      if (sim.value(r) == Tri::X) sim.set(r, tri_of(rng.flip()));
+    Trace t;
+    t.steps.resize(1 + rng.below(6));
+    for (TraceStep& step : t.steps) {
+      for (GateId in : m.inputs()) {
+        sim.set(in, tri_of(rng.flip()));
+        if (rng.flip()) step.inputs.push_back({in, sim.value(in) == Tri::T});
+      }
+      sim.eval();
+      for (GateId r : m.regs()) {
+        if (rng.below(3) == 0) continue;
+        const bool v = (sim.value(r) == Tri::T) != (rng.below(6) == 0);
+        const bool in_model = std::find(current.begin(), current.end(), r) != current.end();
+        (in_model || rng.flip() ? step.state : step.inputs).push_back({r, v});
+        if (rng.below(10) == 0) step.inputs.push_back({r, !v});  // the state cube wins
+      }
+      sim.step();
+    }
+
+    RefineStats got_stats, want_stats;
+    const std::vector<GateId> got =
+        crucial_candidates_by_simulation(topo, t, current, &got_stats);
+    const std::vector<GateId> want = full_replay_candidates(m, t, current, &want_stats);
+    ASSERT_EQ(got, want) << "round " << round;
+    EXPECT_EQ(got_stats.conflict_candidates, want_stats.conflict_candidates) << round;
+    EXPECT_EQ(got_stats.fallback_candidates, want_stats.fallback_candidates) << round;
+    conflicts += want_stats.conflict_candidates > 0;
+    fallbacks += want_stats.fallback_candidates > 0;
+  }
+  // Both candidate paths occur often enough to mean something (135 and 160).
+  EXPECT_GE(conflicts, 50u);
+  EXPECT_GE(fallbacks, 50u);
 }
 
 TEST(Concretize, InputOnlyTraceIsConcreteOnM) {
@@ -240,7 +353,7 @@ TEST(Concretize, InputOnlyTraceIsConcreteOnM) {
   Trace t;
   t.steps.resize(3);
   t.steps[0].inputs = {{m.find("in"), true}};
-  const SeqAtpgResult res = solve_abstract_trace(m, m.regs(), t, bad, {});
+  const SeqAtpgResult res = solve_abstract_trace(TopoIndex(m), m.regs(), t, bad, {});
   ASSERT_EQ(res.status, AtpgStatus::Sat);
   EXPECT_EQ(replay(m, res.trace, bad), Tri::T);
 }
@@ -462,7 +575,7 @@ TEST(Engines, CancellationHooks) {
   // Sequential ATPG: a cancelled search reports Abort.
   AtpgOptions ao;
   ao.cancel = &tok;
-  EXPECT_EQ(reach_target(m, 8, bad, true, {}, ao).status, AtpgStatus::Abort);
+  EXPECT_EQ(reach_target(TopoIndex(m), 8, bad, true, {}, ao).status, AtpgStatus::Abort);
 
   // Hybrid trace engine: a cancelled walk yields no trace.
   const ReachResult reach = forward_reach(img, enc.initial_states(), bad_set);
@@ -471,12 +584,13 @@ TEST(Engines, CancellationHooks) {
 
   // 3-valued simulation: a cancelled eval() reports stopped(), and a
   // cancelled trace replay answers X.
-  Sim3 sim(m);
+  const TopoIndex topo(m);
+  Sim3 sim(topo);
   sim.set_should_stop(&tok);
   sim.load_initial_state();
   sim.eval();
   EXPECT_TRUE(sim.stopped());
-  const SeqAtpgResult found = reach_target(m, 8, bad, true);
+  const SeqAtpgResult found = reach_target(TopoIndex(m), 8, bad, true);
   ASSERT_EQ(found.status, AtpgStatus::Sat);
   EXPECT_EQ(simulate_trace(m, found.trace, bad, &tok), Tri::X);
 }

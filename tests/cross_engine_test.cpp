@@ -82,7 +82,7 @@ TEST_P(SeqAtpgVsBdd, BoundedReachabilityAgrees) {
     for (size_t k = 1; k <= reach.rings.size() + 1; ++k) {
       std::vector<Cube> cubes(k);
       cubes[k - 1] = {{ra, va}, {rb, vb}};
-      const SeqAtpgResult res = solve_cycle_cubes(m, cubes);
+      const SeqAtpgResult res = solve_cycle_cubes(TopoIndex(m), cubes);
       ASSERT_NE(res.status, AtpgStatus::Abort);
       // ATPG at depth k asks for the target at exactly cycle k, i.e. after
       // k-1 steps: ring index k-1 (clamped to the fixpoint).

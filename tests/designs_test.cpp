@@ -50,7 +50,8 @@ TEST(FifoDesign, WatchdogsStayLowUnderRandomTraffic) {
 TEST(FifoDesign, CountTracksPushPop) {
   const FifoDesign d = make_fifo({});
   const Netlist& n = d.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   const GateId push = n.find("push"), pop = n.find("pop"), wlock = n.find("wlock");
   auto count = [&]() {
@@ -81,7 +82,8 @@ TEST(FifoDesign, CountTracksPushPop) {
 TEST(FifoDesign, LockedEntryBlocksPop) {
   const FifoDesign d = make_fifo({});
   const Netlist& n = d.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   for (GateId in : n.inputs()) sim.set(in, Tri::F);
   // Push one locked entry whose data equals the lock key (0x2A & 0x3F = 42
@@ -166,7 +168,8 @@ TEST(ProcessorDesign, ErrorFlagIsReachableByDirectedStimulus) {
   const auto p = small_proc();  // counter_bits=4 -> magic = 8
   const ProcessorDesign d = make_processor(p);
   const Netlist& n = d.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   for (GateId in : n.inputs()) sim.set(in, Tri::F);
 

@@ -29,7 +29,8 @@ TEST(EdgeCases, RfnOnCombinationalOnlyProperty) {
   EXPECT_EQ(res.verdict, Verdict::Fails);
   ASSERT_FALSE(res.error_trace.empty());
   // The trace's inputs must actually trigger the violation.
-  Sim3 sim(m);
+  const TopoIndex topo(m);
+  Sim3 sim(topo);
   sim.set_cube(res.error_trace.steps.back().inputs);
   sim.eval();
   EXPECT_EQ(sim.value(bad), Tri::T);
@@ -76,7 +77,8 @@ TEST(EdgeCases, FrameViewOfEverySignalResolvesEverything) {
   Netlist m = b.take();
   std::vector<GateId> all;
   for (GateId g = 0; g < m.size(); ++g) all.push_back(g);
-  const FrameView v(m, std::vector<std::vector<GateId>>(3, all));
+  const TopoIndex topo(m);
+  const FrameView v(FrameNodes(topo, 3, m.regs()), std::vector<std::vector<GateId>>(3, all));
   for (size_t f = 1; f <= 3; ++f) {
     EXPECT_NE(v.node(f, in), kNullGate);
     EXPECT_NE(v.node(f, r), kNullGate);
@@ -199,7 +201,7 @@ TEST(EdgeCases, SubcircuitOfEverythingIsIdentityShaped) {
   b.set_next(r, b.xor_(r, in));
   b.output("p", r);
   Netlist m = b.take();
-  const Subcircuit sub = extract_abstract_model(m, {r}, {r});
+  const Subcircuit sub = extract_abstract_model(TopoIndex(m), {r}, {r});
   EXPECT_EQ(sub.net.num_regs(), m.num_regs());
   EXPECT_EQ(sub.net.num_inputs(), m.num_inputs());
   EXPECT_TRUE(sub.pseudo_inputs.empty());

@@ -16,7 +16,8 @@ namespace {
 // driven from the input cubes, registers evolve; the final state must
 // satisfy `bad`.
 void check_abstract_trace(const Netlist& n, const Trace& t, GateId bad_sig) {
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   for (GateId r : n.regs())
     if (sim.value(r) == Tri::X) sim.set(r, cube_lookup(t.steps[0].state, r));
@@ -128,7 +129,7 @@ TEST(SavedOrder, RoundTripAcrossIterations) {
 
   SavedOrder saved;
   {
-    const Subcircuit sub = extract_abstract_model(m, {r2}, {r2});
+    const Subcircuit sub = extract_abstract_model(TopoIndex(m), {r2}, {r2});
     BddMgr mgr;
     Encoder enc(mgr, sub.net);
     // Force a specific order: reverse everything.
@@ -139,7 +140,7 @@ TEST(SavedOrder, RoundTripAcrossIterations) {
     EXPECT_FALSE(saved.empty());
   }
   {
-    const Subcircuit sub = extract_abstract_model(m, {r2}, {r1, r2});
+    const Subcircuit sub = extract_abstract_model(TopoIndex(m), {r2}, {r1, r2});
     BddMgr mgr;
     Encoder enc(mgr, sub.net);
     apply_saved_order(mgr, enc, sub, saved);
@@ -166,7 +167,7 @@ TEST(SavedOrder, EmptySavedOrderIsNoop) {
   const GateId r = b.reg("r");
   b.set_next(r, b.not_(r));
   Netlist m = b.take();
-  const Subcircuit sub = extract_abstract_model(m, {r}, {r});
+  const Subcircuit sub = extract_abstract_model(TopoIndex(m), {r}, {r});
   BddMgr mgr;
   Encoder enc(mgr, sub.net);
   const auto before = mgr.current_order();

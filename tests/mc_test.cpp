@@ -160,7 +160,8 @@ TEST(Trace, ExtractedTraceReplaysOnDesign) {
   EXPECT_EQ(t.steps.size(), 6u);  // 0,1,2,3,4,5
 
   // Replay: the final state must be 5 = 101.
-  Sim3 sim(d.n);
+  const TopoIndex topo(d.n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   for (size_t c = 0; c < t.steps.size(); ++c) {
     sim.clear_inputs();
@@ -219,7 +220,8 @@ TEST_P(ImageRandomTest, PostImageMatchesExplicitStateSearch) {
   ImageComputer img(enc);
 
   // Explicit successor relation via simulation.
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   auto state_bits = [&](uint32_t s) {
     std::vector<bool> bits(nregs);
     for (size_t i = 0; i < nregs; ++i) bits[i] = (s >> i) & 1;

@@ -253,6 +253,41 @@ TEST(TraceJson, CliGoldenSchema) {
   std::remove(out.c_str());
 }
 
+// The paper-scale Table 1 processor is a builtin like the small designs:
+// the CLI verifies and certifies both of its properties, and the batch
+// summary counts the sequential ATPG questions refuted before any view.
+TEST(TraceJson, CliVerifiesPaperScaleProcessor) {
+  const std::string trace = ::testing::TempDir() + "/paper.jsonl";
+  const std::string out = ::testing::TempDir() + "/paper.out";
+  const std::string cmd = std::string(RFN_CLI_PATH) +
+                          " verify builtin:processor@paper --bad bad_mutex --bad error_flag"
+                          " --certify --trace-json " + trace + " > " + out;
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(out);
+  std::stringstream report;
+  report << in.rdbuf();
+  EXPECT_NE(report.str().find("regs=4968"), std::string::npos) << report.str();
+  EXPECT_NE(report.str().find("certificate: OK bad_mutex"), std::string::npos);
+  EXPECT_NE(report.str().find("certificate: OK error_flag"), std::string::npos);
+
+  std::ifstream lines(trace);
+  std::string line, last;
+  while (std::getline(lines, line))
+    if (!line.empty()) last = line;
+  std::string err;
+  const json::Value summary = json::parse(last, &err);
+  ASSERT_TRUE(err.empty()) << err;
+  EXPECT_EQ(summary.find_path("verdicts.T")->as_uint(), 1u);
+  EXPECT_EQ(summary.find_path("verdicts.F")->as_uint(), 1u);
+  const json::Value* counters = summary.find_path("metrics.counters");
+  ASSERT_NE(counters, nullptr);
+  const uint64_t early = counters->find("atpg.seq.refuted_early")->as_uint();
+  EXPECT_GT(early, 0u);
+  EXPECT_LE(early, counters->find("atpg.seq.unsat")->as_uint());
+  std::remove(trace.c_str());
+  std::remove(out.c_str());
+}
+
 // The flags of the old single-property path are refused as usage errors
 // rather than ignored: --cert-out used to imply certification, so a silent
 // exit 0 would read as a certified verdict.

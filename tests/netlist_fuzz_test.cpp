@@ -138,7 +138,7 @@ void check_engines_agree(const Netlist& m, uint64_t seed, size_t round) {
   // within the diameter + 1.
   size_t atpg_first_sat = 0;  // 0 = no Sat found
   for (size_t k = 1; k <= full.rings.size() + 1; ++k) {
-    const SeqAtpgResult r = reach_target(m, k, bad, true);
+    const SeqAtpgResult r = reach_target(TopoIndex(m), k, bad, true);
     ASSERT_NE(r.status, AtpgStatus::Abort) << "depth " << k;
     if (r.status == AtpgStatus::Sat) {
       atpg_first_sat = k;

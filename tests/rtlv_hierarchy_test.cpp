@@ -32,7 +32,8 @@ TEST(RtlvCase, GrayCounterViaCase) {
     endmodule
   )");
   const Netlist& n = design.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   const GateId step = n.find("step");
   auto value = [&]() {
@@ -65,7 +66,8 @@ TEST(RtlvCase, MultipleLabelsAndNoDefaultHold) {
     endmodule
   )");
   const Netlist& n = design.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   auto drive = [&](int v) {
     for (int i = 0; i < 3; ++i)
@@ -126,7 +128,8 @@ TEST(RtlvHierarchy, FlattensInstances) {
 TEST(RtlvHierarchy, BehaviorMatchesSemantics) {
   const auto design = elaborate_verilog(kHierSource);
   const Netlist& n = design.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   const GateId go = n.find("go");
   // first toggles every cycle; second toggles when first's q is high.
@@ -157,7 +160,8 @@ TEST(RtlvHierarchy, PositionalConnections) {
     endmodule
   )");
   const Netlist& n = design.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.set(n.find("x"), Tri::T);
   sim.eval();
   EXPECT_EQ(sim.value(n.output("z")), Tri::T);  // double inversion
@@ -182,7 +186,8 @@ TEST(RtlvHierarchy, InstancesInAnyDeclarationOrder) {
     endmodule
   )");
   const Netlist& n = design.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.set(n.find("x"), Tri::T);
   sim.eval();
   EXPECT_EQ(sim.value(n.output("z")), Tri::T);
@@ -213,7 +218,8 @@ TEST(RtlvHierarchy, NestedHierarchy) {
   EXPECT_EQ(n.num_regs(), 4u);  // 4-stage shift register, flattened twice
   EXPECT_NE(n.find("s0.b0.r"), kNullGate);
   EXPECT_NE(n.find("s1.b1.r"), kNullGate);
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   sim.set(n.find("d"), Tri::T);
   for (int c = 0; c < 4; ++c) {

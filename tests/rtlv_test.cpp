@@ -82,7 +82,8 @@ TEST(RtlvElaborate, CounterBehaviour) {
   EXPECT_EQ(n.num_regs(), 4u);
   EXPECT_EQ(n.num_inputs(), 1u);  // clk is implicit
 
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   const GateId en = n.find("en");
   auto value = [&]() {
@@ -111,7 +112,8 @@ TEST(RtlvElaborate, InitializersAndHold) {
     endmodule
   )");
   const Netlist& n = design.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   sim.eval();
   EXPECT_EQ(sim.value(n.output("o")), Tri::T);
@@ -137,7 +139,8 @@ TEST(RtlvElaborate, NestedIfElsePriority) {
     endmodule
   )");
   const Netlist& n = design.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   const GateId a = n.find("a"), b = n.find("b");
   sim.set(a, Tri::T);
@@ -213,7 +216,8 @@ TEST(RtlvElaborate, ConcatAndRanges) {
     endmodule
   )");
   const Netlist& n = design.netlist;
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   // a = 0b0111 -> swapped = {2'b11, 2'b01} = 0b1101.
   for (int i = 0; i < 4; ++i)
     sim.set(n.find("a[" + std::to_string(i) + "]"), tri_of(i < 3));

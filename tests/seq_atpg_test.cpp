@@ -14,6 +14,7 @@
 #include "netlist/subcircuit.hpp"
 #include "netlist/builder.hpp"
 #include "sim/sim3.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 #include "atpg_pins.hpp"
@@ -25,7 +26,8 @@ namespace {
 // Validates a Sat trace by 3-valued replay: drive the recorded inputs from
 // the initial state and check `signal` reaches `value` at the final cycle.
 void check_trace(const Netlist& n, const Trace& t, GateId signal, bool value) {
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   for (size_t cycle = 0; cycle < t.steps.size(); ++cycle) {
     sim.clear_inputs();
@@ -50,7 +52,8 @@ TEST(Unroll, CounterAliasesAndInitConstants) {
 
   std::vector<std::vector<GateId>> needed(6);
   needed[5] = {at5};
-  const FrameView v(n, needed);
+  const TopoIndex topo(n);
+  const FrameView v(FrameNodes(topo, needed.size(), topo.net.regs()), needed);
   for (size_t i = 0; i < 3; ++i) {
     // Frame-1 registers are constants (binary init).
     const GateId g = v.node(1, cnt[i]);
@@ -78,7 +81,8 @@ TEST(Unroll, ConeRestrictionSkipsUnneededFrames) {
   Netlist n = b.take();
   std::vector<std::vector<GateId>> needed(3);
   needed[2] = {r};
-  const FrameView v(n, needed);
+  const TopoIndex topo(n);
+  const FrameView v(FrameNodes(topo, needed.size(), topo.net.regs()), needed);
   // `other` is never needed.
   for (size_t f = 1; f <= 3; ++f) EXPECT_EQ(v.node(f, other), kNullGate);
   // r needed at frame 3 -> in needed at frame 2 only; r@3 is in@2.
@@ -98,11 +102,11 @@ TEST(SeqAtpg, CounterReachesFive) {
   Netlist n = b.take();
 
   // Counter hits 5 at cycle 6 (value 0 at cycle 1) and at no earlier cycle.
-  const SeqAtpgResult hit = reach_target(n, 6, at5, true);
+  const SeqAtpgResult hit = reach_target(TopoIndex(n), 6, at5, true);
   ASSERT_EQ(hit.status, AtpgStatus::Sat);
   check_trace(n, hit.trace, at5, true);
 
-  const SeqAtpgResult miss = reach_target(n, 4, at5, true);
+  const SeqAtpgResult miss = reach_target(TopoIndex(n), 4, at5, true);
   EXPECT_EQ(miss.status, AtpgStatus::Unsat);
 }
 
@@ -113,7 +117,7 @@ TEST(SeqAtpg, InputDrivenReachability) {
   const GateId r = b.reg("r", Tri::F);
   b.set_next(r, in);
   Netlist n = b.take();
-  const SeqAtpgResult res = reach_target(n, 3, r, true);
+  const SeqAtpgResult res = reach_target(TopoIndex(n), 3, r, true);
   ASSERT_EQ(res.status, AtpgStatus::Sat);
   check_trace(n, res.trace, r, true);
   EXPECT_EQ(cube_lookup(res.trace.steps[1].inputs, in), Tri::T);
@@ -125,8 +129,8 @@ TEST(SeqAtpg, InitialValueConflictIsUnsat) {
   b.set_next(r, r);
   Netlist n = b.take();
   // r stuck at 0: asking for r=1 at any cycle is Unsat.
-  EXPECT_EQ(reach_target(n, 1, r, true).status, AtpgStatus::Unsat);
-  EXPECT_EQ(reach_target(n, 4, r, true).status, AtpgStatus::Unsat);
+  EXPECT_EQ(reach_target(TopoIndex(n), 1, r, true).status, AtpgStatus::Unsat);
+  EXPECT_EQ(reach_target(TopoIndex(n), 4, r, true).status, AtpgStatus::Unsat);
 }
 
 TEST(SeqAtpg, XInitRegistersAreFree) {
@@ -134,7 +138,7 @@ TEST(SeqAtpg, XInitRegistersAreFree) {
   const GateId r = b.reg("r", Tri::X);
   b.set_next(r, r);
   Netlist n = b.take();
-  const SeqAtpgResult res = reach_target(n, 2, r, true);
+  const SeqAtpgResult res = reach_target(TopoIndex(n), 2, r, true);
   ASSERT_EQ(res.status, AtpgStatus::Sat);
   // The trace must pin the initial value of r to 1.
   EXPECT_EQ(cube_lookup(res.trace.steps[0].state, r), Tri::T);
@@ -153,14 +157,14 @@ TEST(SeqAtpg, ConstraintCubesGuideAndRestrict) {
   std::vector<Cube> cubes(2);
   cubes[0] = {{in0, false}};
   cubes[1] = {{r, true}};
-  const SeqAtpgResult res = solve_cycle_cubes(n, cubes);
+  const SeqAtpgResult res = solve_cycle_cubes(TopoIndex(n), cubes);
   ASSERT_EQ(res.status, AtpgStatus::Sat);
   EXPECT_EQ(cube_lookup(res.trace.steps[0].inputs, in0), Tri::F);
   EXPECT_EQ(cube_lookup(res.trace.steps[0].inputs, in1), Tri::T);
 
   // Contradictory guidance: also force in1=0 -> Unsat.
   cubes[0] = {{in0, false}, {in1, false}};
-  EXPECT_EQ(solve_cycle_cubes(n, cubes).status, AtpgStatus::Unsat);
+  EXPECT_EQ(solve_cycle_cubes(TopoIndex(n), cubes).status, AtpgStatus::Unsat);
 }
 
 TEST(SeqAtpg, CrossCycleAliasConflict) {
@@ -174,7 +178,72 @@ TEST(SeqAtpg, CrossCycleAliasConflict) {
   std::vector<Cube> cubes(2);
   cubes[0] = {{in, false}};
   cubes[1] = {{r, true}};
-  EXPECT_EQ(solve_cycle_cubes(n, cubes).status, AtpgStatus::Unsat);
+  EXPECT_EQ(solve_cycle_cubes(TopoIndex(n), cubes).status, AtpgStatus::Unsat);
+}
+
+// One question under a private metrics registry; *early is set to the
+// question's "atpg.seq.refuted_early" count (1 when it was answered before
+// any time-frame view was built, else 0).
+SeqAtpgResult solve_counted(const Netlist& n, std::span<const GateId> kept,
+                            const std::vector<Cube>& cubes, uint64_t* early) {
+  MetricsRegistry reg;
+  const MetricsScope scope(&reg);
+  SeqAtpgResult res = solve_cycle_cubes(TopoIndex(n), kept, cubes);
+  EXPECT_EQ(reg.counter("atpg.seq.calls").value(), 1u);
+  *early = reg.counter("atpg.seq.refuted_early").value();
+  return res;
+}
+
+// A question a literal alone refutes (against a constant, a binary reset
+// value, or another cycle's literal through a register alias) is answered
+// before any view is built; an X-initialized register is a free input at
+// cycle 1 and is never refuted that way.
+TEST(SeqAtpg, RefutedBeforeAnyView) {
+  NetBuilder b;
+  const GateId in = b.input("in");
+  const GateId zero = b.constant(false);
+  const GateId r0 = b.reg("r0", Tri::F);  // reset 0, holds
+  b.set_next(r0, r0);
+  const GateId chain = b.reg("chain", Tri::X);  // r0 one cycle later
+  b.set_next(chain, r0);
+  const GateId latch = b.reg("latch", Tri::F);  // in one cycle later
+  b.set_next(latch, in);
+  const GateId tied = b.reg("tied", Tri::X);  // the constant from cycle 2 on
+  b.set_next(tied, zero);
+  const GateId toggle = b.reg("toggle", Tri::X);  // free at cycle 1, then flips
+  b.set_next(toggle, b.not_(toggle));
+  const Netlist n = b.take();
+  uint64_t early = 0;
+
+  // Reset-value conflicts: r0 at cycle 1, and through chain at cycle 3.
+  EXPECT_EQ(solve_counted(n, n.regs(), {{{r0, true}}}, &early).status, AtpgStatus::Unsat);
+  EXPECT_EQ(early, 1u);
+  EXPECT_EQ(solve_counted(n, n.regs(), {{}, {}, {{chain, true}}}, &early).status,
+            AtpgStatus::Unsat);
+  EXPECT_EQ(early, 1u);
+  // Cross-cycle alias conflict: latch at cycle 2 is in at cycle 1.
+  EXPECT_EQ(solve_counted(n, n.regs(), {{{in, false}}, {{latch, true}}}, &early).status,
+            AtpgStatus::Unsat);
+  EXPECT_EQ(early, 1u);
+  // Constant-cell conflicts: the cell itself, and through tied at cycle 2.
+  EXPECT_EQ(solve_counted(n, n.regs(), {{{zero, true}}}, &early).status, AtpgStatus::Unsat);
+  EXPECT_EQ(early, 1u);
+  EXPECT_EQ(solve_counted(n, n.regs(), {{}, {{tied, true}}}, &early).status,
+            AtpgStatus::Unsat);
+  EXPECT_EQ(early, 1u);
+  // Outside the kept set r0 is a free input: no reset value to refute.
+  EXPECT_EQ(solve_counted(n, {}, {{{r0, true}}}, &early).status, AtpgStatus::Sat);
+  EXPECT_EQ(early, 0u);
+
+  // X-initialized registers: free at cycle 1, so a view is built. toggle=1
+  // at cycles 1 and 2 is Unsat, but only the search can tell.
+  EXPECT_EQ(solve_counted(n, n.regs(), {{{toggle, true}}}, &early).status, AtpgStatus::Sat);
+  EXPECT_EQ(early, 0u);
+  EXPECT_EQ(solve_counted(n, n.regs(), {{{chain, true}}}, &early).status, AtpgStatus::Sat);
+  EXPECT_EQ(early, 0u);
+  EXPECT_EQ(solve_counted(n, n.regs(), {{{toggle, true}}, {{toggle, true}}}, &early).status,
+            AtpgStatus::Unsat);
+  EXPECT_EQ(early, 0u);
 }
 
 // Gated counter used by the depth tests: increments only while en=1.
@@ -195,12 +264,12 @@ TEST(SeqAtpg, ModerateDepthGatedCounter) {
   // Reaching 12 needs 13 cycles with enable high throughout.
   GateId en, hit;
   Netlist n = make_gated_counter(4, 12, &en, &hit);
-  const SeqAtpgResult res = reach_target(n, 13, hit, true);
+  const SeqAtpgResult res = reach_target(TopoIndex(n), 13, hit, true);
   ASSERT_EQ(res.status, AtpgStatus::Sat);
   check_trace(n, res.trace, hit, true);
   for (size_t c = 0; c + 1 < res.trace.steps.size(); ++c)
     EXPECT_EQ(cube_lookup(res.trace.steps[c].inputs, en), Tri::T) << "cycle " << c;
-  EXPECT_EQ(reach_target(n, 12, hit, true).status, AtpgStatus::Unsat);
+  EXPECT_EQ(reach_target(TopoIndex(n), 12, hit, true).status, AtpgStatus::Unsat);
 }
 
 TEST(SeqAtpg, GuidanceEnablesDeepSearch) {
@@ -214,14 +283,14 @@ TEST(SeqAtpg, GuidanceEnablesDeepSearch) {
 
   AtpgOptions tight;
   tight.max_backtracks = 2000;
-  const SeqAtpgResult unguided = reach_target(n, depth, hit, true, {}, tight);
+  const SeqAtpgResult unguided = reach_target(TopoIndex(n), depth, hit, true, {}, tight);
   EXPECT_EQ(unguided.status, AtpgStatus::Abort);
 
   // Guidance pins the enable at every cycle — the kind of cube an abstract
   // error trace provides.
   std::vector<Cube> guidance(depth);
   for (size_t c = 0; c + 1 < depth; ++c) guidance[c] = {{en, true}};
-  const SeqAtpgResult guided = reach_target(n, depth, hit, true, guidance, tight);
+  const SeqAtpgResult guided = reach_target(TopoIndex(n), depth, hit, true, guidance, tight);
   ASSERT_EQ(guided.status, AtpgStatus::Sat);
   check_trace(n, guided.trace, hit, true);
   EXPECT_LT(guided.backtracks, unguided.backtracks);
@@ -234,7 +303,7 @@ TEST(SeqAtpg, GuidanceEnablesDeepSearch) {
 std::vector<SearchPin> seq_trajectories() {
   std::vector<SearchPin> out;
   auto run = [&](const Netlist& n, const std::vector<Cube>& cubes) {
-    const SeqAtpgResult r = solve_cycle_cubes(n, cubes);
+    const SeqAtpgResult r = solve_cycle_cubes(TopoIndex(n), cubes);
     uint64_t h = fnv_cube({});
     for (const TraceStep& step : r.trace.steps)
       h = fnv_cube(step.inputs, fnv_cube(step.state, h));
@@ -242,7 +311,8 @@ std::vector<SearchPin> seq_trajectories() {
   };
   Rng rng(20261017);
   auto simulated_cubes = [&](const Netlist& n, size_t cycles, size_t lits) {
-    Sim3 sim(n);
+    const TopoIndex topo(n);
+    Sim3 sim(topo);
     sim.load_initial_state();
     std::vector<Cube> cubes(cycles);
     for (Cube& c : cubes) {
@@ -256,7 +326,8 @@ std::vector<SearchPin> seq_trajectories() {
     }
     return cubes;
   };
-  for (const std::string& design : designs::builtin_names()) {
+  // The four small builtins, not builtin_names(): the pins below are theirs.
+  for (const std::string design : {"fifo", "processor", "iu", "usb"}) {
     bool ok = false;
     const Netlist n = designs::make_builtin(design, &ok);
     for (size_t cycles : {4, 8}) run(n, simulated_cubes(n, cycles, 6));
@@ -280,7 +351,8 @@ TEST(Unroll, PaperScaleErrorFlagConeStaysCompact) {
   constexpr size_t kFrames = 28;
   std::vector<std::vector<GateId>> needed(kFrames);
   needed.back() = {d.error_flag};
-  const FrameView v(d.netlist, needed);
+  const TopoIndex topo(d.netlist);
+  const FrameView v(FrameNodes(topo, needed.size(), topo.net.regs()), needed);
   ASSERT_GE(v.cone_nodes(), 500000u);
   EXPECT_LE(v.heap_bytes(), 2 * v.cone_nodes());
 
@@ -295,7 +367,7 @@ TEST(Unroll, PaperScaleErrorFlagConeStaysCompact) {
 // an exhaustive simulation of all initial states and input sequences.
 TEST(SeqAtpg, RandomViewsAgreeWithExhaustiveSimulation) {
   Rng rng(20261019);
-  size_t sat = 0, unsat = 0;
+  size_t sat = 0, unsat = 0, refuted_early = 0;
   for (int round = 0; round < 300; ++round) {
     const Netlist n = random_netlist(rng, 1 + rng.below(2), 2 + rng.below(3),
                                      static_cast<int>(rng.below(16)), /*x_init=*/true);
@@ -308,7 +380,8 @@ TEST(SeqAtpg, RandomViewsAgreeWithExhaustiveSimulation) {
     // (c * inputs + j) of `inbits` drives input j in cycle c. Returns the
     // value of every signal in every cycle.
     const auto simulate = [&](uint64_t xbits, uint64_t inbits) {
-      Sim3 sim(n);
+      const TopoIndex topo(n);
+      Sim3 sim(topo);
       sim.load_initial_state();
       for (size_t i = 0; i < xregs.size(); ++i) sim.set(xregs[i], tri_of((xbits >> i) & 1));
       std::vector<std::vector<Tri>> vals(k);
@@ -345,14 +418,17 @@ TEST(SeqAtpg, RandomViewsAgreeWithExhaustiveSimulation) {
       return true;
     };
 
-    const SeqAtpgResult res = solve_cycle_cubes(n, cubes);
+    uint64_t early = 0;
+    const SeqAtpgResult res = solve_counted(n, n.regs(), cubes, &early);
+    refuted_early += early;
     ASSERT_NE(res.status, AtpgStatus::Abort) << "round " << round;
     if (res.status == AtpgStatus::Sat) {
       ++sat;
       // Replay: X-init registers take the trace's first state, every input
       // the trace leaves open stays X.
       ASSERT_EQ(res.trace.steps.size(), k);
-      Sim3 sim(n);
+      const TopoIndex topo(n);
+      Sim3 sim(topo);
       sim.load_initial_state();
       for (const Literal& lit : res.trace.steps[0].state) sim.set(lit.signal, tri_of(lit.value));
       for (size_t c = 0; c < k; ++c) {
@@ -375,9 +451,12 @@ TEST(SeqAtpg, RandomViewsAgreeWithExhaustiveSimulation) {
               << "round " << round << ": Unsat, but a run meets every cube";
     }
   }
-  // Both outcomes occur often enough to mean something (247 and 53).
+  // Both outcomes occur often enough to mean something (247 and 53), and
+  // so do both paths to an answer (20 of the Unsat refuted before any view).
   EXPECT_GE(sat, 100u);
   EXPECT_GE(unsat, 20u);
+  EXPECT_GE(refuted_early, 20u);
+  EXPECT_GE(sat + unsat - refuted_early, 20u);
 }
 
 // Recorded before the J-frontier became incremental and the trace rebuild
@@ -412,7 +491,7 @@ TEST(SeqAtpg, TrajectoriesArePinned) {
 // extract_abstract_model(...).net with the cubes mapped into its ids.
 TEST(SeqAtpg, MaskedViewsAgreeWithExtractedModels) {
   Rng rng(20261020);
-  size_t sat = 0, unsat = 0;
+  size_t sat = 0, unsat = 0, refuted_early = 0;
   for (int round = 0; round < 300; ++round) {
     const Netlist n = random_netlist(rng, 1 + rng.below(2), 2 + rng.below(4),
                                      static_cast<int>(rng.below(16)), /*x_init=*/true);
@@ -430,7 +509,7 @@ TEST(SeqAtpg, MaskedViewsAgreeWithExtractedModels) {
         roots.push_back(g);
       }
 
-    const Subcircuit sub = extract_abstract_model(n, roots, kept);
+    const Subcircuit sub = extract_abstract_model(TopoIndex(n), roots, kept);
     std::vector<Cube> mapped(k);
     for (size_t c = 0; c < k; ++c)
       for (const Literal& lit : cubes[c]) {
@@ -439,16 +518,21 @@ TEST(SeqAtpg, MaskedViewsAgreeWithExtractedModels) {
         cube_add(mapped[c], {g, lit.value});
       }
 
-    const SeqAtpgResult ref = solve_cycle_cubes(sub.net, mapped);
-    const SeqAtpgResult got = solve_cycle_cubes(n, kept, cubes);
+    const SeqAtpgResult ref = solve_cycle_cubes(TopoIndex(sub.net), mapped);
+    uint64_t early = 0;
+    const SeqAtpgResult got = solve_counted(n, kept, cubes, &early);
+    refuted_early += early;
     ASSERT_NE(ref.status, AtpgStatus::Abort) << "round " << round;
     EXPECT_EQ(got.status, ref.status) << "round " << round << ", " << kept.size() << " of "
                                       << n.num_regs() << " registers kept";
     ++(ref.status == AtpgStatus::Sat ? sat : unsat);
   }
-  // Both outcomes occur often enough to mean something (231 and 69).
+  // Both outcomes occur often enough to mean something (231 and 69), and
+  // so do both paths to an answer (34 of the Unsat refuted before any view).
   EXPECT_GE(sat, 100u);
   EXPECT_GE(unsat, 20u);
+  EXPECT_GE(refuted_early, 20u);
+  EXPECT_GE(sat + unsat - refuted_early, 20u);
 }
 
 }  // namespace

@@ -16,7 +16,8 @@ TEST(Sim3, CombinationalEvaluation) {
   const GateId c = b.input("c");
   const GateId g = b.and_(a, b.not_(c));
   Netlist n = b.take();
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.set(a, Tri::T);
   sim.set(c, Tri::F);
   sim.eval();
@@ -35,7 +36,8 @@ TEST(Sim3, SequentialStepAndInit) {
   const GateId r = b.reg("t", Tri::T);
   b.set_next(r, b.not_(r));
   Netlist n = b.take();
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   EXPECT_EQ(sim.value(r), Tri::T);
   sim.eval();
@@ -55,7 +57,8 @@ TEST(Sim3, RegisterChainLatchesPreEdgeValues) {
   b.set_next(r1, in);
   b.set_next(r2, r1);
   Netlist n = b.take();
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   sim.set(in, Tri::F);
   sim.eval();
@@ -69,7 +72,8 @@ TEST(Sim3, XInitRegistersStartUnknown) {
   const GateId r = b.reg("r", Tri::X);
   b.set_next(r, r);
   Netlist n = b.take();
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   EXPECT_EQ(sim.value(r), Tri::X);
   EXPECT_TRUE(sim.state_cube().empty());
@@ -82,7 +86,8 @@ TEST(Sim3, StateCubeSkipsX) {
   b.set_next(r1, r1);
   b.set_next(r2, r2);
   Netlist n = b.take();
-  Sim3 sim(n);
+  const TopoIndex topo(n);
+  Sim3 sim(topo);
   sim.load_initial_state();
   const Cube c = sim.state_cube();
   ASSERT_EQ(c.size(), 1u);
@@ -120,7 +125,8 @@ TEST(SimProperty, Sim3ConservativeWrtSim64) {
       const uint64_t r = rng.below(3);
       in3.push_back(r == 0 ? Tri::F : (r == 1 ? Tri::T : Tri::X));
     }
-    Sim3 s3(n);
+    const TopoIndex s3_topo(n);
+    Sim3 s3(s3_topo);
     size_t idx = 0;
     for (GateId i : n.inputs()) s3.set(i, in3[idx++]);
     s3.eval();

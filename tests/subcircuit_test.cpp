@@ -34,7 +34,7 @@ Chain make_chain() {
 TEST(Subcircuit, InitialAbstractionCutsAtRegisters) {
   const Chain c = make_chain();
   // Include only r2: r1 must become a pseudo primary input.
-  const Subcircuit sub = extract_abstract_model(c.n, {c.r2}, {c.r2});
+  const Subcircuit sub = extract_abstract_model(TopoIndex(c.n), {c.r2}, {c.r2});
   EXPECT_EQ(sub.net.num_regs(), 1u);
   ASSERT_EQ(sub.pseudo_inputs.size(), 1u);
   EXPECT_EQ(sub.to_old(sub.pseudo_inputs[0]), c.r1);
@@ -46,7 +46,7 @@ TEST(Subcircuit, InitialAbstractionCutsAtRegisters) {
 
 TEST(Subcircuit, RefinedAbstractionAbsorbsPseudoInput) {
   const Chain c = make_chain();
-  const Subcircuit sub = extract_abstract_model(c.n, {c.r2}, {c.r1, c.r2});
+  const Subcircuit sub = extract_abstract_model(TopoIndex(c.n), {c.r2}, {c.r1, c.r2});
   EXPECT_EQ(sub.net.num_regs(), 2u);
   EXPECT_TRUE(sub.pseudo_inputs.empty());
   // Now the real primary input appears.
@@ -61,7 +61,7 @@ TEST(Subcircuit, PreservesInitialValuesAndNames) {
   b.set_next(r, b.xor_(r, in));
   b.output("p", r);
   Netlist n = b.take();
-  const Subcircuit sub = extract_abstract_model(n, {r}, {r});
+  const Subcircuit sub = extract_abstract_model(TopoIndex(n), {r}, {r});
   const GateId nr = sub.to_new(r);
   ASSERT_NE(nr, kNullGate);
   EXPECT_EQ(sub.net.reg_init(nr), Tri::T);
@@ -109,7 +109,7 @@ TEST(Subcircuit, CoiReduceKeepsBehavior) {
 
 TEST(Subcircuit, CubeTranslation) {
   const Chain c = make_chain();
-  const Subcircuit sub = extract_abstract_model(c.n, {c.r2}, {c.r2});
+  const Subcircuit sub = extract_abstract_model(TopoIndex(c.n), {c.r2}, {c.r2});
   const GateId nr2 = sub.to_new(c.r2);
   Cube abstract{{nr2, true}, {sub.pseudo_inputs[0], false}};
   const Cube original = sub.cube_to_old(abstract);
@@ -152,7 +152,7 @@ TEST(Subcircuit, MultiSinkExtractionCoversEveryRoot) {
   const TwoProps t = make_two_props();
   // Both property roots, neither feeding the other: the multi-sink
   // extraction must contain both cones in one model.
-  const Subcircuit sub = extract_abstract_model(t.n, {t.prop_a, t.prop_b},
+  const Subcircuit sub = extract_abstract_model(TopoIndex(t.n), {t.prop_a, t.prop_b},
                                                 {t.ra, t.rb});
   EXPECT_NE(sub.to_new(t.prop_a), kNullGate);
   EXPECT_NE(sub.to_new(t.prop_b), kNullGate);
@@ -165,9 +165,9 @@ TEST(Subcircuit, MultiSinkExtractionCoversEveryRoot) {
 
 TEST(Subcircuit, MultiSinkSupersetOfSingleSink) {
   const TwoProps t = make_two_props();
-  const Subcircuit both = extract_abstract_model(t.n, {t.prop_a, t.prop_b},
+  const Subcircuit both = extract_abstract_model(TopoIndex(t.n), {t.prop_a, t.prop_b},
                                                  {t.ra, t.rb});
-  const Subcircuit only_a = extract_abstract_model(t.n, {t.prop_a}, {t.ra});
+  const Subcircuit only_a = extract_abstract_model(TopoIndex(t.n), {t.prop_a}, {t.ra});
   // Everything in the single-sink model appears in the multi-sink one.
   for (GateId nw = 0; nw < only_a.net.size(); ++nw)
     EXPECT_TRUE(both.contains_old(only_a.to_old(nw)));
@@ -194,7 +194,7 @@ TEST(Subcircuit, AbstractionIsMonotone) {
   std::vector<GateId> included;
   for (int k = 3; k >= 0; --k) {
     included.push_back(regs[static_cast<size_t>(k)]);
-    const Subcircuit sub = extract_abstract_model(m, {regs[3]}, included);
+    const Subcircuit sub = extract_abstract_model(TopoIndex(m), {regs[3]}, included);
     EXPECT_GE(sub.net.size(), prev_cells);
     prev_cells = sub.net.size();
     EXPECT_EQ(sub.net.num_regs(), included.size());

@@ -102,6 +102,12 @@ job_build_test() { # <gcc|clang> <Debug|Release>
   build_and_test "build-ci-$compiler-$build_type" \
     -DCMAKE_BUILD_TYPE="$build_type" \
     -DCMAKE_C_COMPILER="$compiler" -DCMAKE_CXX_COMPILER="$cxx"
+  # The paper-scale Table 1 processor through the front door: both
+  # properties certified, every certificate re-checked by rfn_check (about
+  # 1 s in Release).
+  note "build-test ($compiler $build_type): paper-scale processor certificates"
+  check_certs "build-ci-$compiler-$build_type" processor@paper \
+    --bad bad_mutex --bad error_flag
 }
 
 # --- job: sanitize ----------------------------------------------------------

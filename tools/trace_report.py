@@ -46,7 +46,11 @@ arena's peak bytes are printed from the summary's
 `metrics.gauges["bdd.heap_bytes"].max` when the metrics carry it, and
 beside them the nodes sifting rewrote (`metrics.counters["bdd.sift_rewrites"]`)
 and the sift undo journal's peak bytes, which lie outside the arena
-(`metrics.gauges["bdd.sift_journal_bytes"].max`).
+(`metrics.gauges["bdd.sift_journal_bytes"].max`). When the counters carry
+`atpg.seq.calls`, the sequential ATPG questions are printed with, beside
+them, those refuted before any time-frame view was built
+(`atpg.seq.refuted_early`); every such question is an Unsat, so the count
+may not exceed `atpg.seq.unsat`.
 
 With `--trajectory A B ...` the inputs are several rfn-trace-v2 files of
 the same property set (say, repeated runs of one command): each is
@@ -320,6 +324,10 @@ def validate_batch(records):
         counters = metrics.get("counters", {})
         if not isinstance(counters, dict):
             fail("summary metrics.counters is not an object")
+        early = counters.get("atpg.seq.refuted_early", 0)
+        if early > counters.get("atpg.seq.unsat", 0):
+            fail(f"summary counts {early} early-refuted ATPG question(s) "
+                 f"but {counters.get('atpg.seq.unsat', 0)} Unsat")
     return props, iters, certs, summary
 
 
@@ -667,6 +675,10 @@ def report_batch(path):
         if isinstance(journal, dict) and "max" in journal:
             line += f" sift_journal_peak_bytes={journal['max']}"
         print(line)
+    counters = metrics.get("counters", {})
+    if "atpg.seq.calls" in counters:
+        print(f"atpg_seq_calls={counters['atpg.seq.calls']} "
+              f"refuted_early={counters.get('atpg.seq.refuted_early', 0)}")
     declared = summary.get("verdicts", {})
     print("verdicts: " + " ".join(
         f"{v}={declared.get(v, 0)}" for v in VERDICTS))
@@ -911,7 +923,9 @@ def synthetic_batch_trace():
          "verdicts": {"T": 1, "F": 1, "?": 0, "resource-out": 0},
          "certificates": {"ok": 1, "failed": 1},
          "seconds": 0.5, "cpu_ms": 480.0, "peak_rss_bytes": 30 << 20,
-         "metrics": {"counters": {"rfn.runs": 2, "bdd.sift_rewrites": 640},
+         "metrics": {"counters": {"rfn.runs": 2, "bdd.sift_rewrites": 640,
+                                  "atpg.seq.calls": 3, "atpg.seq.unsat": 2,
+                                  "atpg.seq.refuted_early": 1},
                      "gauges": {"bdd.heap_bytes": {"value": 2 << 20,
                                                    "max": 3 << 20},
                                 "bdd.sift_journal_bytes": {"value": 0,
@@ -1053,6 +1067,9 @@ def self_check():
                       "wrong batch trace_version"),
         corrupt_batch(lambda d: d[-1].update(metrics=[1, 2]),
                       "non-object summary metrics"),
+        corrupt_batch(lambda d: d[-1]["metrics"]["counters"].update(
+                          {"atpg.seq.refuted_early": 3}),
+                      "more early-refuted ATPG questions than Unsat ones"),
         corrupt_batch(lambda d: d.pop(),  # drop the batch-summary
                       "missing batch-summary"),
         corrupt_batch(lambda d: d[-1].update(properties=3),
